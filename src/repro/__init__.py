@@ -70,23 +70,20 @@ from repro.pipeline import (
     StencilProblem,
     compile,
     evaluate,
-    evaluate_batch,
 )
-from repro.sweep import CampaignResult, SweepSpec, run_campaign
+from repro.sweep import CampaignResult, SweepSpec
 from repro.api import Workbench
 
 __all__ = [
     "Workbench",
     "CampaignResult",
     "SweepSpec",
-    "run_campaign",
     "CompiledDesign",
     "EvaluationRequest",
     "EvaluationResult",
     "StencilProblem",
     "compile",
     "evaluate",
-    "evaluate_batch",
     "GridSpec",
     "IterationPattern",
     "StencilShape",

@@ -1,17 +1,17 @@
 """The unified experiment API: a session-scoped :class:`Workbench`.
 
-One object to hold what used to be five fragmented entry points:
+One object for the whole experiment surface:
 
-==============================  =============================================
-legacy entry point              Workbench equivalent
-==============================  =============================================
-``pipeline.compile(p)``         ``wb.compile(p)`` / ``wb.problem(...).compile()``
-``pipeline.evaluate(p, ...)``   ``wb.evaluate(p, ...)``
-``pipeline.evaluate_batch``     ``wb.evaluate_batch(problems, ...)``
-``sweep.run_campaign(spec)``    ``wb.run(spec)`` or the fluent
-                                ``wb.problem(...).sweep(...).run()``
-``dse.explore_performance``     ``wb.explore(problems, ...)``
-==============================  =============================================
+================================  ===========================================
+entry point                       Workbench equivalent
+================================  ===========================================
+``pipeline.compile(p)``           ``wb.compile(p)`` / ``wb.problem(...).compile()``
+``pipeline.evaluate(p, ...)``     ``wb.evaluate(p, ...)``
+``pipeline.batch_evaluate(...)``  ``wb.evaluate_batch(problems, ...)``
+``sweep.execute_campaign(spec)``  ``wb.run(spec)`` or the fluent
+                                  ``wb.problem(...).sweep(...).run()``
+``dse.explore_performance``       ``wb.explore(problems, ...)``
+================================  ===========================================
 
 Campaigns run through the event-streaming engine of
 :mod:`repro.sweep.events`; attach observers session-wide

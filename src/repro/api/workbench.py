@@ -1,7 +1,7 @@
 """The :class:`Workbench`: one session object for the whole experiment API.
 
 Historically "run an experiment" was spread over five surfaces —
-``compile()``, ``evaluate()``, ``evaluate_batch(jobs=)``, ``run_campaign()``
+``compile()``, ``evaluate()``, ``batch_evaluate(jobs=)``, ``execute_campaign()``
 and the ``dse`` explorer — each carrying its own cache, backend and
 parallelism arguments.  The Workbench unifies them: construct one per
 session, and it owns
@@ -16,7 +16,7 @@ session, and it owns
 The fluent builders lower onto the exact same primitives as the legacy entry
 points (:class:`~repro.pipeline.problem.StencilProblem`,
 :class:`~repro.sweep.spec.SweepSpec`, the event-streaming campaign engine),
-so a Workbench campaign is byte-identical to a legacy ``run_campaign`` call
+so a Workbench campaign is byte-identical to an ``execute_campaign`` call
 on the same space::
 
     from repro.api import Workbench
@@ -303,7 +303,7 @@ class Workbench:
         The plan cache compilations go through.  Defaults to the
         process-global cache, which is also the only cache worker processes
         can share — a private :class:`PlanCache` keeps batches on the serial
-        path (exactly like the legacy ``evaluate_batch(cache=...)``).
+        path (exactly like ``batch_evaluate(cache=...)``).
     observers:
         Session-wide event observers, attached to every campaign this
         workbench runs (per-campaign observers add on top).

@@ -130,7 +130,11 @@ class SmacheSystem:
         self.kernel = KernelHW(
             self.sim, self.kernel_spec, tuple_in=self.front_end.tuple_out, stats=self.stats
         )
-        self.read_master = ReadMaster(self.sim, self.dram)
+        # One prefetch job per static buffer plus the stream job are queued
+        # at once when an instance launches.
+        self.read_master = ReadMaster(
+            self.sim, self.dram, job_capacity=max(8, len(self.plan.statics) + 1)
+        )
         self.router = ResponseRouter(self.sim, self.dram, self.front_end)
         self.writeback = WritebackUnit(
             self.sim, self.dram, self.front_end, self.kernel.result_out

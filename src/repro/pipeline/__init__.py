@@ -25,7 +25,7 @@ with a single shared pipeline:
   hdl        Verilog skeleton generation (``repro.hdlgen``)
   ========== =====================================================
 
-* :func:`evaluate` / :func:`evaluate_batch` — the facade used by the eval
+* :func:`evaluate` / :func:`batch_evaluate` — the facade used by the eval
   harness, the DSE sweeps and the examples.  Broad sweeps run ``analytic``
   over the full space and re-``simulate`` only the Pareto front, which is how
   the fast path stays honest against the slow one (see
@@ -51,7 +51,6 @@ from repro.pipeline.backends import (
     available_backends,
     batch_evaluate,
     evaluate,
-    evaluate_batch,
     get_backend,
     register_backend,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "available_backends",
     "batch_evaluate",
     "evaluate",
-    "evaluate_batch",
     "get_backend",
     "register_backend",
 ]

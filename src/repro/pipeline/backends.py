@@ -17,7 +17,6 @@ New backends register with :func:`register_backend`; workloads plug in at the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -418,8 +417,7 @@ def batch_evaluate(
 ) -> List[EvaluationResult]:
     """Evaluate many problems with one backend (the sweep batch layer).
 
-    This is the engine behind :meth:`repro.api.Workbench.evaluate_batch` and
-    the deprecated module-level :func:`evaluate_batch` shim.
+    This is the engine behind :meth:`repro.api.Workbench.evaluate_batch`.
 
     Defaults to the ``analytic`` backend: sweeps price the full space with the
     closed-form model and re-simulate only the designs that matter (see
@@ -497,33 +495,3 @@ def batch_evaluate(
     records = runner.run(points, keep_results=True)
     return [r.result for r in records]
 
-
-def evaluate_batch(
-    problems: Sequence[ProblemLike],
-    backend: str = "analytic",
-    request: Optional[EvaluationRequest] = None,
-    cache: Optional[PlanCache] = plan_cache,
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    **request_overrides,
-) -> List[EvaluationResult]:
-    """Deprecated shim over :func:`batch_evaluate`.
-
-    .. deprecated::
-        Use :meth:`repro.api.Workbench.evaluate_batch`, which carries the
-        session's cache and runner policy instead of per-call arguments.
-    """
-    warnings.warn(
-        "evaluate_batch() is deprecated; use repro.api.Workbench().evaluate_batch()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return batch_evaluate(
-        problems,
-        backend=backend,
-        request=request,
-        cache=cache,
-        jobs=jobs,
-        chunksize=chunksize,
-        **request_overrides,
-    )

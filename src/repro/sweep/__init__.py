@@ -30,8 +30,7 @@ the records into a report.
   parallel campaign is provably identical to a serial one, and
   :meth:`CampaignResult.diff` for regression tracking across PRs.
 
-Prefer driving campaigns through :class:`repro.api.Workbench`;
-:func:`run_campaign` remains as a deprecated one-shot shim.
+Prefer driving campaigns through :class:`repro.api.Workbench`.
 
 Command line: ``python -m repro.sweep --help`` (subcommands: ``compact``,
 ``diff``, ``follow``, ``replay``).
@@ -89,7 +88,6 @@ from repro.sweep.campaign import (
     diff_canonical_rows,
     execute_campaign,
     pareto_front_records,
-    run_campaign,
 )
 
 __all__ = [
@@ -139,5 +137,4 @@ __all__ = [
     "diff_canonical_rows",
     "execute_campaign",
     "pareto_front_records",
-    "run_campaign",
 ]

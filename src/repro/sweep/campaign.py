@@ -11,15 +11,13 @@ same call scales from one core (``jobs=1``) to many (``jobs=N``) and from a
 fresh run to a resumed one (same ``checkpoint`` path) without changing the
 canonical result.
 
-:func:`run_campaign` remains as a thin deprecated shim; new code should go
-through :class:`repro.api.Workbench`, the session facade that owns the plan
-cache, runner policy and observers.
+Most callers go through :class:`repro.api.Workbench`, the session facade
+that owns the plan cache, runner policy and observers.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -557,37 +555,3 @@ def execute_campaign(
         observer_errors=list(bus.errors),
     )
 
-
-def run_campaign(
-    spec: SweepSpec,
-    jobs: int = 1,
-    checkpoint: Optional[Union[str, CampaignCheckpoint]] = None,
-    strategy: Optional[SearchStrategy] = None,
-    runner: Optional[Runner] = None,
-    chunksize: Optional[int] = None,
-    observers: Sequence[Any] = (),
-    event_log: Optional[Union[str, EventLogObserver]] = None,
-) -> CampaignResult:
-    """Deprecated shim over :func:`execute_campaign`.
-
-    .. deprecated::
-        Use :class:`repro.api.Workbench` — ``Workbench(jobs=...).run(spec)``
-        — which owns the plan cache, runner policy and observers for a whole
-        session.  This shim keeps the historical one-shot signature working
-        and produces byte-identical results.
-    """
-    warnings.warn(
-        "run_campaign() is deprecated; use repro.api.Workbench().run(spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_campaign(
-        spec,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        strategy=strategy,
-        runner=runner,
-        chunksize=chunksize,
-        observers=observers,
-        event_log=event_log,
-    )

@@ -5,21 +5,50 @@ Both runners share one contract: ``run(points)`` evaluates every
 :class:`~repro.sweep.record.PointRecord` per point, **in input order**, while
 an optional ``on_result`` callback observes records as they complete.
 
-Runners additionally participate in the campaign event stream: when a
+There is **one evaluation loop**, :func:`_evaluate_points`, run by the
+serial runner, by the pool's one-job fallback and by every pool worker
+(through :func:`_evaluate_chunk`, the one worker entry point).  It cuts its
+points into spans (:func:`_split_spans`): maximal runs of consecutive
+``analytic`` points — the common case, the spec expands backends innermost —
+take the **analytic fast lane**, compiled via
+:func:`~repro.pipeline.compile.compile_batch` and priced in a single
+vectorized call (:mod:`repro.pipeline.analytic_batch`), bitwise-equal per
+point to the scalar path and stamped with ``batch_size`` / ``batch_index``
+in ``meta``; everything else is evaluated per point.  A batch that raises
+costs no attempt: its points fall back to per-point evaluation as that same
+attempt, each its own failure domain.  ``REPRO_ANALYTIC_BATCH=0`` disables
+the lane; canonical campaign output is byte-identical either way.
+
+Failures are decided at the failure site inside that loop.  With no
+:class:`~repro.faults.policy.RetryPolicy` installed (the
+:attr:`Runner.retry_policy` seam, set by the campaign engine) execution is
+**fail-fast**: the first evaluation error propagates with its original
+exception type, serial or pooled.  Under a policy a failed attempt becomes a
+:class:`PointError` marker instead, classified where the exception type
+exists, and the parent retries it with deterministic backoff.  The pool
+runner drives its workers through one parent-side state machine:
+stragglers past the policy deadline are abandoned and re-issued, a broken
+pool is respawned with its in-flight points re-enqueued, and points that
+repeatedly crash the pool are quarantined as failure records instead of
+aborting the campaign.
+
+Runners participate in the campaign event stream: when a
 :attr:`Runner.event_sink` is installed (the campaign engine points it at its
-:class:`~repro.sweep.events.EventBus`), every point publishes a
-:class:`~repro.sweep.events.PointStarted` event when a worker actually
-begins evaluating it and a :class:`~repro.sweep.events.PointCompleted` event
-when its record lands — always from the parent process, so observers never
-cross a process boundary.  Start events carry true attribution (worker pid,
-wall-clock begin timestamp, worker-local sequence number): the evaluating
-process stamps them into ``PointRecord.meta`` (``worker``/``started_ts``/
-``finished_ts``/``worker_seq``), and the pool runner re-emits faithful
-``PointStarted`` events from those stamps when the chunk ships back —
-*never* at submit time, so event order and ETAs reflect actual execution.
-Per record the order is: ``PointStarted`` … ``on_result`` →
-``PointCompleted``; ``on_result`` runs first so legacy callback wrappers
-(e.g. crash-injection test runners) still gate what the event stream sees.
+:class:`~repro.sweep.events.EventBus`), every attempt publishes exactly one
+:class:`~repro.sweep.events.PointStarted` before its
+:class:`~repro.sweep.events.PointCompleted`,
+:class:`~repro.sweep.events.PointRetried` or
+:class:`~repro.sweep.events.PointFailed` — always from the parent process,
+so observers never cross a process boundary.  Starts carry true attribution
+(worker pid, wall-clock begin timestamp, worker-local sequence number) from
+a begin stamp taken by the evaluating process: the in-process path
+publishes it live, the pool ships it back inside the record's ``meta``
+(``worker``/``started_ts``/``finished_ts``/``worker_seq``) or the failure
+marker and replays it — *never* at submit time, so event order and ETAs
+reflect actual execution.  Per record the order is ``PointStarted`` …
+``on_result`` → ``PointCompleted``; ``on_result`` runs first so legacy
+callback wrappers (e.g. crash-injection test runners) still gate what the
+event stream sees.
 
 The :class:`ProcessPoolRunner` shards the point list into contiguous chunks
 and ships whole chunks to workers.  Three things make this fast:
@@ -39,25 +68,6 @@ and ships whole chunks to workers.  Three things make this fast:
 Each record's ``meta`` carries the worker pid and that worker's cumulative
 plan-cache counters, so :class:`~repro.sweep.campaign.CampaignResult` can
 report cache behaviour across the whole pool.
-
-Both runners additionally own the **analytic fast lane**: maximal runs of
-consecutive ``analytic`` points (the common case — the spec expands backends
-innermost) are compiled via :func:`~repro.pipeline.compile.compile_batch`
-and priced in a single vectorized call
-(:mod:`repro.pipeline.analytic_batch`), bitwise-equal per point to the
-scalar path, with faithful per-point events and ``batch_size`` /
-``batch_index`` attribution stamps in ``meta``.  ``REPRO_ANALYTIC_BATCH=0``
-disables the lane; canonical campaign output is byte-identical either way.
-
-Installing a :class:`~repro.faults.policy.RetryPolicy` on a runner (the
-campaign engine does this through the :attr:`Runner.retry_policy` seam)
-switches both runners to **fault-tolerant** execution: failed attempts are
-classified and retried with deterministic backoff, stragglers past the
-policy deadline are abandoned and re-issued, a broken worker pool is
-respawned with its in-flight points re-enqueued, and points that repeatedly
-crash the pool are quarantined as failure records instead of aborting the
-campaign.  Retrying forces the scalar path (one failure domain per point);
-canonical output is unchanged by the lane's bitwise-equality contract.
 """
 
 from __future__ import annotations
@@ -72,11 +82,10 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.context import clear_point_context, set_point_context
 from repro.faults.policy import RetryPolicy
@@ -91,6 +100,7 @@ from repro.sweep.events import (
     PointRetried,
     PointStarted,
     PoolRestarted,
+    RunEvent,
     WorkerLost,
 )
 from repro.sweep.record import PointRecord
@@ -306,6 +316,101 @@ def _price_analytic_span(
     return records
 
 
+# --------------------------------------------------------------------------- #
+# the evaluation loop
+# --------------------------------------------------------------------------- #
+@dataclass
+class PointError:
+    """A failed evaluation attempt, shipped from worker to parent.
+
+    Exceptions themselves do not reliably survive pickling, so under a
+    policy the loop never re-raises: it classifies the failure *where the
+    exception type exists* and yields this slim marker in the record's
+    place.  Retry scheduling stays entirely parent-side.
+    """
+
+    error: str  #: "ExceptionType: message"
+    attempt: int  #: the attempt that failed (1-based)
+    retryable: bool  #: the evaluating process's policy verdict
+    stamp: Dict[str, Any]  #: the attempt's begin stamp
+
+
+#: What the loop yields per point: its record, or its failed attempt.
+Outcome = Union[PointRecord, PointError]
+
+#: Observer of each attempt's begin stamp, called as its evaluation begins.
+StartHook = Callable[[SweepPoint, Dict[str, Any]], None]
+
+
+def _evaluate_points(
+    points: Sequence[SweepPoint],
+    keep_results: bool,
+    cache_baseline: Optional[CacheInfo],
+    strip_artifacts: bool,
+    run_index: int,
+    policy: Optional[RetryPolicy],
+    attempt: int = 1,
+    on_start: Optional[StartHook] = None,
+) -> Iterator[Tuple[SweepPoint, Outcome]]:
+    """The one evaluation loop, yielding ``(point, outcome)`` in input order.
+
+    Every point is on its ``attempt``-th attempt (multi-point lists are
+    always first attempts; retries re-enter one point at a time) and takes
+    its begin stamp, reported to ``on_start``, as its evaluation begins: up
+    front for the whole of a fast-lane batch, which begins at once, and
+    just before each point on the per-point path.  Outcomes are yielded as
+    they land, so an in-process caller can deliver them live.
+
+    A batch that raises costs no attempt: its points fall back to per-point
+    evaluation under the stamps already taken.  A per-point failure is
+    decided right here — with no ``policy`` the original exception
+    propagates (fail-fast); under one it becomes a :class:`PointError`.
+    """
+
+    def begin(point: SweepPoint) -> Dict[str, Any]:
+        stamp = _begin_stamp()
+        if on_start is not None:
+            on_start(point, stamp)
+        return stamp
+
+    for kind, span in _split_spans(points):
+        stamps: List[Dict[str, Any]] = []
+        if kind == "batch":
+            stamps = [begin(point) for point in span]
+            try:
+                records = _price_analytic_span(
+                    span, keep_results, cache_baseline, strip_artifacts, run_index, stamps
+                )
+            except Exception:
+                pass  # one failure domain per point, below
+            else:
+                yield from zip(span, records)
+                continue
+        for index, point in enumerate(span):
+            stamp = stamps[index] if stamps else begin(point)
+            outcome: Outcome
+            try:
+                outcome = _evaluate_point(
+                    point,
+                    keep_result=keep_results,
+                    cache_baseline=cache_baseline,
+                    strip_artifacts=strip_artifacts,
+                    run_index=run_index,
+                    stamp=stamp,
+                    attempt=attempt,
+                )
+            except Exception as exc:
+                if policy is None:
+                    raise
+                outcome = PointError(
+                    error=f"{type(exc).__name__}: {exc}",
+                    attempt=attempt,
+                    retryable=policy.classify(exc),
+                    stamp=stamp,
+                )
+            yield point, outcome
+
+
 #: First-use snapshot of this process's plan-cache counters.  A forked worker
 #: inherits the parent's counters (and possibly a warm cache); subtracting
 #: the snapshot makes reported stats mean "work done by this worker".
@@ -322,60 +427,23 @@ def _worker_cache_baseline() -> CacheInfo:
     return _WORKER_BASELINE
 
 
-def _evaluate_chunk(args: Tuple[Sequence[SweepPoint], bool, int]) -> List[PointRecord]:
-    """Worker entry point: evaluate one contiguous shard of the sweep.
+def _evaluate_chunk(
+    args: Tuple[Sequence[SweepPoint], bool, int, Optional[RetryPolicy], int],
+) -> List[Outcome]:
+    """Worker entry point: run the evaluation loop over one contiguous shard.
 
-    Analytic runs inside the chunk take the vectorized fast lane — the whole
-    span is priced in one call — while every point still gets its own begin
-    stamp, so the parent's replayed ``PointStarted`` events stay faithful.
+    Outcomes come back in input order.  Retrying is the parent's job — a
+    worker that retried locally would hide attempt counts from the event
+    stream.
     """
-    points, keep_results, run_index = args
+    points, keep_results, run_index, policy, attempt = args
     baseline = _worker_cache_baseline()
-    records: List[PointRecord] = []
-    for kind, span in _split_spans(points):
-        if kind == "batch":
-            stamps = [_begin_stamp() for _ in span]
-            records.extend(
-                _price_analytic_span(
-                    span, keep_results, baseline, True, run_index, stamps
-                )
-            )
-        else:
-            records.extend(
-                _evaluate_point(
-                    p,
-                    keep_result=keep_results,
-                    cache_baseline=baseline,
-                    strip_artifacts=True,
-                    run_index=run_index,
-                )
-                for p in span
-            )
-    return records
-
-
-# --------------------------------------------------------------------------- #
-# fault-tolerant evaluation
-# --------------------------------------------------------------------------- #
-@dataclass
-class PointError:
-    """A failed evaluation attempt, shipped from worker to parent.
-
-    Exceptions themselves do not reliably survive pickling, so workers never
-    re-raise: they classify the failure *where the exception type exists*
-    (against the shipped :class:`RetryPolicy`) and return this slim marker in
-    the record's place.  Retry scheduling stays entirely parent-side.
-    """
-
-    key: str
-    label: str
-    rung: int
-    error: str  #: "ExceptionType: message"
-    attempt: int  #: the attempt that failed (1-based)
-    retryable: bool  #: the worker-side policy verdict
-    worker: Optional[int] = None
-    started_ts: Optional[float] = None
-    worker_seq: Optional[int] = None
+    return [
+        outcome
+        for _, outcome in _evaluate_points(
+            points, keep_results, baseline, True, run_index, policy, attempt
+        )
+    ]
 
 
 def _failure_record(
@@ -395,50 +463,45 @@ def _failure_record(
     )
 
 
-def _evaluate_chunk_tolerant(
-    args: Tuple[Sequence[SweepPoint], bool, int, RetryPolicy, Sequence[int]],
-) -> List[Any]:
-    """Worker entry point of the fault-tolerant pool path.
+def _started(point: SweepPoint, stamp: Dict[str, Any]) -> PointStarted:
+    """The :class:`PointStarted` of one attempt, built from its begin stamp.
 
-    Unlike :func:`_evaluate_chunk` this never takes the vectorized fast lane
-    (one fault decision and one failure domain per point) and never lets an
-    evaluation exception escape: failed points come back as
-    :class:`PointError` markers, successes as records, in input order.
-    Retrying is the parent's job — a worker that retried locally would hide
-    attempt counts from the event stream.
+    ``stamp`` may be any mapping carrying the stamp — a record's ``meta``
+    does — so a start replayed from a worker is as faithful as a live one.
     """
-    points, keep_results, run_index, policy, attempts = args
-    baseline = _worker_cache_baseline()
-    out: List[Any] = []
-    for point, attempt in zip(points, attempts):
-        stamp = _begin_stamp()
-        try:
-            out.append(
-                _evaluate_point(
-                    point,
-                    keep_result=keep_results,
-                    cache_baseline=baseline,
-                    strip_artifacts=True,
-                    run_index=run_index,
-                    stamp=stamp,
-                    attempt=attempt,
-                )
-            )
-        except Exception as exc:
-            out.append(
-                PointError(
-                    key=point.key(),
-                    label=point.display_label,
-                    rung=point.rung,
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempt=attempt,
-                    retryable=policy.classify(exc),
-                    worker=stamp.get("worker"),
-                    started_ts=stamp.get("started_ts"),
-                    worker_seq=stamp.get("worker_seq"),
-                )
-            )
-    return out
+    return PointStarted(
+        key=point.key(),
+        label=point.display_label,
+        rung=point.rung,
+        worker=stamp.get("worker"),
+        ts=stamp.get("started_ts"),
+        seq=stamp.get("worker_seq"),
+    )
+
+
+def _retried(
+    point: SweepPoint,
+    attempt: int,
+    error: str,
+    reason: str,
+    delay_s: float = 0.0,
+    worker: Optional[int] = None,
+) -> PointRetried:
+    """The :class:`PointRetried` announcing that ``attempt`` will be retried."""
+    return PointRetried(
+        key=point.key(),
+        label=point.display_label,
+        rung=point.rung,
+        attempt=attempt,
+        error=error,
+        delay_s=delay_s,
+        reason=reason,
+        worker=worker,
+    )
+
+
+def _discard(event: RunEvent) -> None:
+    """The event sink of a runner nobody observes."""
 
 
 # --------------------------------------------------------------------------- #
@@ -526,8 +589,8 @@ class Runner:
     event_sink: Optional[EventSink] = None
 
     #: Retry/deadline policy (installed by the campaign engine, like
-    #: :attr:`event_sink`).  ``None`` keeps the historical fail-fast
-    #: behaviour: the first evaluation exception propagates.
+    #: :attr:`event_sink`).  ``None`` is fail-fast: the first evaluation
+    #: exception propagates with its original type.
     retry_policy: Optional[RetryPolicy] = None
 
     def _next_run_index(self) -> int:
@@ -545,167 +608,66 @@ class Runner:
         raise NotImplementedError
 
 
-def _emit_started(
-    sink: Optional[EventSink], point: SweepPoint, stamp: Dict[str, Any]
-) -> None:
-    """Publish a start with live attribution (the in-process path)."""
-    if sink is not None:
-        sink(
-            PointStarted(
-                key=point.key(),
-                label=point.display_label,
-                rung=point.rung,
-                worker=stamp.get("worker"),
-                ts=stamp.get("started_ts"),
-                seq=stamp.get("worker_seq"),
-            )
-        )
-
-
-def _emit_started_from_record(sink: Optional[EventSink], record: PointRecord) -> None:
-    """Re-emit a worker's begin stamp as a faithful :class:`PointStarted`.
-
-    The pool runner cannot publish when the worker begins (observers live in
-    the parent), so the worker stamps ``meta`` and the parent replays the
-    start from those stamps once the chunk ships back — attribution is true
-    even though delivery is deferred.
-    """
-    if sink is not None:
-        meta = record.meta
-        sink(
-            PointStarted(
-                key=record.key,
-                label=record.label,
-                rung=record.rung,
-                worker=meta.get("worker"),
-                ts=meta.get("started_ts"),
-                seq=meta.get("worker_seq"),
-            )
-        )
-
-
-def _emit_completed(sink: Optional[EventSink], record: PointRecord) -> None:
-    if sink is not None:
-        sink(PointCompleted(record=record))
-
-
 def _run_in_process(
     points: Sequence[SweepPoint],
     on_result: Optional[ResultCallback],
     keep_results: bool,
     strip_artifacts: bool,
     run_index: int,
-    event_sink: Optional[EventSink] = None,
-) -> List[PointRecord]:
-    """The shared in-process loop of SerialRunner and the pool's 1-job fallback.
-
-    Analytic spans are priced through the vectorized fast lane: every point
-    in the span is stamped and its ``PointStarted`` published *before* the
-    single pricing call (they do all begin there), completions follow
-    per point in input order once the span lands.
-    """
-    baseline = plan_cache.cache_info()
-    records = []
-    for kind, span in _split_spans(points):
-        if kind == "batch":
-            stamps = []
-            for point in span:
-                stamp = _begin_stamp()
-                stamps.append(stamp)
-                _emit_started(event_sink, point, stamp)
-            span_records = _price_analytic_span(
-                span, keep_results, baseline, strip_artifacts, run_index, stamps
-            )
-            for record in span_records:
-                records.append(record)
-                if on_result is not None:
-                    on_result(record)
-                _emit_completed(event_sink, record)
-            continue
-        for point in span:
-            stamp = _begin_stamp()
-            _emit_started(event_sink, point, stamp)
-            record = _evaluate_point(
-                point,
-                keep_result=keep_results,
-                cache_baseline=baseline,
-                strip_artifacts=strip_artifacts,
-                run_index=run_index,
-                stamp=stamp,
-            )
-            records.append(record)
-            if on_result is not None:
-                on_result(record)
-            _emit_completed(event_sink, record)
-    return records
-
-
-def _run_in_process_tolerant(
-    points: Sequence[SweepPoint],
-    on_result: Optional[ResultCallback],
-    keep_results: bool,
-    strip_artifacts: bool,
-    run_index: int,
     event_sink: Optional[EventSink],
-    policy: RetryPolicy,
+    policy: Optional[RetryPolicy],
 ) -> List[PointRecord]:
-    """The in-process loop under a retry policy: retry, back off, or fail.
+    """Drive the evaluation loop live (SerialRunner, the pool's 1-job fallback).
 
-    Deliberately scalar (no analytic fast lane): retrying demands one
-    failure domain per point.  Per the lane's bitwise-equality contract the
-    canonical output is identical either way.  Each attempt gets its own
-    begin stamp and :class:`PointStarted`; a retryable failure publishes
-    :class:`PointRetried` and sleeps the policy's deterministic backoff; an
-    exhausted or fatal one lands a failure record and :class:`PointFailed`
-    (``on_result`` observes successes only).
+    Starts are published as evaluation begins and records delivered as they
+    land.  A failed attempt (only a policy yields one) is retried inline
+    after the policy's deterministic backoff, announced by
+    :class:`PointRetried`; an exhausted or fatal one lands a failure record
+    and :class:`PointFailed` (``on_result`` observes successes only).
     """
+    emit = event_sink if event_sink is not None else _discard
     baseline = plan_cache.cache_info()
+
+    def publish_start(point: SweepPoint, stamp: Dict[str, Any]) -> None:
+        emit(_started(point, stamp))
+
+    on_start = publish_start if event_sink is not None else None
+
+    def evaluate(batch: Sequence[SweepPoint], attempt: int):
+        return _evaluate_points(
+            batch, keep_results, baseline, strip_artifacts, run_index, policy, attempt, on_start
+        )
+
     records: List[PointRecord] = []
-    for point in points:
-        key = point.key()
-        for attempt in range(1, policy.max_attempts + 1):
-            stamp = _begin_stamp()
-            _emit_started(event_sink, point, stamp)
-            try:
-                record = _evaluate_point(
+    for point, outcome in evaluate(points, 1):
+        while (
+            isinstance(outcome, PointError)
+            and outcome.retryable
+            and outcome.attempt < policy.max_attempts
+        ):
+            delay = policy.delay_s(point.key(), outcome.attempt)
+            emit(
+                _retried(
                     point,
-                    keep_result=keep_results,
-                    cache_baseline=baseline,
-                    strip_artifacts=strip_artifacts,
-                    run_index=run_index,
-                    stamp=stamp,
-                    attempt=attempt,
+                    outcome.attempt,
+                    outcome.error,
+                    "error",
+                    delay,
+                    outcome.stamp.get("worker"),
                 )
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if policy.classify(exc) and attempt < policy.max_attempts:
-                    delay = policy.delay_s(key, attempt)
-                    if event_sink is not None:
-                        event_sink(
-                            PointRetried(
-                                key=key,
-                                label=point.display_label,
-                                rung=point.rung,
-                                attempt=attempt,
-                                error=error,
-                                delay_s=delay,
-                                reason="error",
-                                worker=stamp.get("worker"),
-                            )
-                        )
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                failure = _failure_record(point, error, attempt, run_index)
-                records.append(failure)
-                if event_sink is not None:
-                    event_sink(PointFailed(record=failure))
-                break
-            records.append(record)
-            if on_result is not None:
-                on_result(record)
-            _emit_completed(event_sink, record)
-            break
+            )
+            if delay > 0:
+                time.sleep(delay)
+            [(_, outcome)] = evaluate([point], outcome.attempt + 1)
+        if isinstance(outcome, PointError):
+            failure = _failure_record(point, outcome.error, outcome.attempt, run_index)
+            records.append(failure)
+            emit(PointFailed(record=failure))
+            continue
+        records.append(outcome)
+        if on_result is not None:
+            on_result(outcome)
+        emit(PointCompleted(record=outcome))
     return records
 
 
@@ -723,16 +685,6 @@ class SerialRunner(Runner):
         on_result: Optional[ResultCallback] = None,
         keep_results: bool = False,
     ) -> List[PointRecord]:
-        if self.retry_policy is not None:
-            return _run_in_process_tolerant(
-                points,
-                on_result,
-                keep_results,
-                strip_artifacts=False,
-                run_index=self._next_run_index(),
-                event_sink=self.event_sink,
-                policy=self.retry_policy,
-            )
         return _run_in_process(
             points,
             on_result,
@@ -740,6 +692,7 @@ class SerialRunner(Runner):
             strip_artifacts=False,
             run_index=self._next_run_index(),
             event_sink=self.event_sink,
+            policy=self.retry_policy,
         )
 
 
@@ -807,16 +760,6 @@ class ProcessPoolRunner(Runner):
         if jobs == 1:
             # In-process fallback honouring the parallel contract: same run
             # tagging, and artifacts stripped exactly as the workers would.
-            if self.retry_policy is not None:
-                return _run_in_process_tolerant(
-                    points,
-                    on_result,
-                    keep_results,
-                    strip_artifacts=True,
-                    run_index=run_index,
-                    event_sink=self.event_sink,
-                    policy=self.retry_policy,
-                )
             return _run_in_process(
                 points,
                 on_result,
@@ -824,36 +767,11 @@ class ProcessPoolRunner(Runner):
                 strip_artifacts=True,
                 run_index=run_index,
                 event_sink=self.event_sink,
+                policy=self.retry_policy,
             )
-        if self.retry_policy is not None:
-            return self._run_tolerant(
-                points, on_result, keep_results, run_index, jobs
-            )
-        chunks = self._chunk(points, jobs)
-        by_chunk: Dict[int, List[PointRecord]] = {}
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=self._context()) as pool:
-            futures = {
-                pool.submit(_evaluate_chunk, (chunk, keep_results, run_index)): index
-                for index, chunk in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                records = future.result()
-                by_chunk[futures[future]] = records
-                # Starts are deliberately NOT published at submit time: the
-                # worker's begin stamps ride back in each record's meta and
-                # are replayed here, in true execution order within the
-                # chunk, so starts attribute and interleave faithfully.
-                for record in records:
-                    _emit_started_from_record(self.event_sink, record)
-                    if on_result is not None:
-                        on_result(record)
-                    _emit_completed(self.event_sink, record)
-        return [record for index in range(len(chunks)) for record in by_chunk[index]]
+        return self._run_pool(points, on_result, keep_results, run_index, jobs)
 
-    # ------------------------------------------------------------------ #
-    # fault-tolerant execution
-    # ------------------------------------------------------------------ #
-    def _run_tolerant(
+    def _run_pool(
         self,
         points: List[SweepPoint],
         on_result: Optional[ResultCallback],
@@ -861,11 +779,9 @@ class ProcessPoolRunner(Runner):
         run_index: int,
         jobs: int,
     ) -> List[PointRecord]:
-        """The hardened pool path: retries, deadlines, crash recovery.
+        """The pool path: one parent-side state machine (workers never retry).
 
-        State machine, parent-side only (workers never retry):
-
-        * Every in-flight chunk carries its points' 1-based attempt numbers
+        * Every in-flight chunk carries its points' 1-based attempt number
           and (when the policy sets ``deadline_s``) a cumulative wall-clock
           deadline.  Expired chunks are *abandoned* — not cancelled, a
           running future cannot be — their unresolved points re-issued
@@ -886,9 +802,21 @@ class ProcessPoolRunner(Runner):
         * Ordinary retryable failures come back as :class:`PointError`
           markers and re-enter through a ready-time heap after the policy's
           deterministic backoff.
+
+        Without a policy the same machine is fail-fast: an evaluation error
+        a worker re-raised surfaces from its future with the original type,
+        a broken pool re-raises, and no deadline is ever armed.
+
+        Points sharing a key are evaluated once; every copy in ``points``
+        receives that one record.
         """
+        unique: Dict[str, SweepPoint] = {}
+        for p in points:
+            unique.setdefault(p.key(), p)
         policy = self.retry_policy
-        sink = self.event_sink
+        max_attempts = policy.max_attempts if policy is not None else 1
+        deadline_s = policy.deadline_s if policy is not None else None
+        emit = self.event_sink if self.event_sink is not None else _discard
         resolved: Dict[str, PointRecord] = {}
         tries: Dict[str, int] = {}  # attempts submitted so far, per key
         blames: Dict[str, int] = {}  # pool-break co-blames, per key
@@ -900,7 +828,7 @@ class ProcessPoolRunner(Runner):
         @dataclass
         class _Inflight:
             points: List[SweepPoint]
-            attempts: List[int]
+            attempt: int
             deadline: Optional[float]
             solo: bool = False
             abandoned: bool = False
@@ -914,26 +842,27 @@ class ProcessPoolRunner(Runner):
             restarts += 1
             _terminate_pool(pool)
             pool = ProcessPoolExecutor(max_workers=jobs, mp_context=self._context())
-            if sink is not None:
-                sink(PoolRestarted(restarts=restarts, jobs=jobs, reason=reason))
+            emit(PoolRestarted(restarts=restarts, jobs=jobs, reason=reason))
 
         def submit(chunk: List[SweepPoint], solo: bool = False) -> None:
-            attempts = []
+            # Initial chunks are first attempts; every retry runs alone.
+            attempt = tries.get(chunk[0].key(), 0) + 1
+            assert len(chunk) == 1 or attempt == 1, "a retried chunk must be a singleton"
             for p in chunk:
-                key = p.key()
-                tries[key] = tries.get(key, 0) + 1
-                attempts.append(tries[key])
+                tries[p.key()] = attempt
             deadline = None
-            if policy.deadline_s is not None:
-                deadline = time.monotonic() + policy.deadline_s * len(chunk)
+            if deadline_s is not None:
+                deadline = time.monotonic() + deadline_s * len(chunk)
             for _ in range(2):
                 try:
                     future = pool.submit(
-                        _evaluate_chunk_tolerant,
-                        (chunk, keep_results, run_index, policy, attempts),
+                        _evaluate_chunk,
+                        (chunk, keep_results, run_index, policy, attempt),
                     )
                     break
                 except BrokenExecutor as exc:
+                    if policy is None:
+                        raise  # fail-fast: crash recovery needs a policy
                     # The pool died between deliveries (nothing of ours was
                     # in flight, or it would have surfaced via a future):
                     # replace it and submit again.
@@ -941,22 +870,31 @@ class ProcessPoolRunner(Runner):
             else:  # pragma: no cover - two consecutive dead-on-arrival pools
                 raise RuntimeError("worker pool died immediately after respawn")
             inflight[future] = _Inflight(
-                points=list(chunk), attempts=attempts, deadline=deadline, solo=solo
+                points=list(chunk), attempt=attempt, deadline=deadline, solo=solo
             )
 
-        def deliver(record: PointRecord) -> None:
+        def unresolved(
+            infos: Sequence[_Inflight],
+        ) -> List[Tuple[_Inflight, SweepPoint]]:
+            return [
+                (info, p)
+                for info in infos
+                for p in info.points
+                if p.key() not in resolved
+            ]
+
+        def deliver(point: SweepPoint, record: PointRecord) -> None:
             resolved[record.key] = record
             blames.pop(record.key, None)
-            _emit_started_from_record(sink, record)
+            emit(_started(point, record.meta))
             if on_result is not None:
                 on_result(record)
-            _emit_completed(sink, record)
+            emit(PointCompleted(record=record))
 
         def fail(point: SweepPoint, error: str, attempts: int) -> None:
             record = _failure_record(point, error, attempts, run_index)
             resolved[record.key] = record
-            if sink is not None:
-                sink(PointFailed(record=record))
+            emit(PointFailed(record=record))
 
         def reissue(point: SweepPoint, delay: float) -> None:
             heapq.heappush(
@@ -964,86 +902,58 @@ class ProcessPoolRunner(Runner):
             )
 
         def handle_error(point: SweepPoint, item: PointError) -> None:
-            if sink is not None:
-                # The attempt did begin in a worker: replay its start stamp
-                # so the stream stays faithful even for failed attempts.
-                sink(
-                    PointStarted(
-                        key=item.key,
-                        label=item.label,
-                        rung=item.rung,
-                        worker=item.worker,
-                        ts=item.started_ts,
-                        seq=item.worker_seq,
+            # The attempt did begin in a worker: replay its start stamp so
+            # the stream stays faithful even for failed attempts.
+            emit(_started(point, item.stamp))
+            if item.retryable and item.attempt < max_attempts:
+                delay = policy.delay_s(point.key(), item.attempt)
+                emit(
+                    _retried(
+                        point,
+                        item.attempt,
+                        item.error,
+                        "error",
+                        delay,
+                        item.stamp.get("worker"),
                     )
                 )
-            if item.retryable and item.attempt < policy.max_attempts:
-                delay = policy.delay_s(item.key, item.attempt)
-                if sink is not None:
-                    sink(
-                        PointRetried(
-                            key=item.key,
-                            label=item.label,
-                            rung=item.rung,
-                            attempt=item.attempt,
-                            error=item.error,
-                            delay_s=delay,
-                            reason="error",
-                            worker=item.worker,
-                        )
-                    )
                 reissue(point, delay)
             else:
                 fail(point, item.error, item.attempt)
 
         def handle_pool_break(infos: List[_Inflight], exc: BaseException) -> None:
             error = f"{type(exc).__name__}: {exc}".strip(": ")
-            suspects: List[Tuple[SweepPoint, int]] = []
-            solo_victims: List[Tuple[SweepPoint, int]] = []
-            for info in infos:
-                if info.abandoned:
-                    continue  # already re-issued (or failed) by the watchdog
-                for p, attempt in zip(info.points, info.attempts):
-                    if p.key() in resolved:
-                        continue
-                    (solo_victims if info.solo else suspects).append((p, attempt))
-            if sink is not None:
-                sink(
-                    WorkerLost(
-                        worker=_lost_worker_pid(pool),
-                        inflight=len(suspects) + len(solo_victims),
-                        error=error,
-                    )
+            # Abandoned chunks were already re-issued (or failed) by the
+            # deadline watchdog.
+            victims = unresolved([info for info in infos if not info.abandoned])
+            emit(
+                WorkerLost(
+                    worker=_lost_worker_pid(pool), inflight=len(victims), error=error
                 )
+            )
             respawn(error)
-            for p, attempt in solo_victims:
-                # Solo run, solo crash: guilt is certain. Quarantine.
-                fail(p, f"point repeatedly crashed the worker pool ({error})", attempt)
-            for p, attempt in suspects:
+            for info, p in victims:
+                if info.solo:
+                    # Solo run, solo crash: guilt is certain. Quarantine.
+                    fail(
+                        p,
+                        f"point repeatedly crashed the worker pool ({error})",
+                        info.attempt,
+                    )
+                    continue
                 key = p.key()
                 blames[key] = blames.get(key, 0) + 1
-                if sink is not None:
-                    sink(
-                        PointRetried(
-                            key=key,
-                            label=p.display_label,
-                            rung=p.rung,
-                            attempt=attempt,
-                            error=error,
-                            delay_s=0.0,
-                            reason="worker-lost",
-                        )
-                    )
-                if blames[key] >= max(1, policy.max_attempts - 1):
+                emit(_retried(p, info.attempt, error, "worker-lost"))
+                if blames[key] >= max(1, max_attempts - 1):
                     probation.append(p)
                 else:
                     reissue(p, 0.0)
 
         # -------------------------------------------------------------- #
         try:
-            for chunk in self._chunk(points, jobs):
+            for chunk in self._chunk(list(unique.values()), jobs):
                 submit(chunk)
-            while len(resolved) < len(points):
+            while len(resolved) < len(unique):
                 now = time.monotonic()
                 if probation:
                     # Probation points run with an empty pool: wait for the
@@ -1067,8 +977,8 @@ class ProcessPoolRunner(Runner):
                     if probation:
                         continue
                     raise RuntimeError(
-                        "fault-tolerant pool lost track of "
-                        f"{len(points) - len(resolved)} unresolved point(s)"
+                        "worker pool lost track of "
+                        f"{len(unique) - len(resolved)} unresolved point(s)"
                     )
                 waits = [
                     info.deadline - now
@@ -1093,16 +1003,18 @@ class ProcessPoolRunner(Runner):
                     try:
                         items = future.result()
                     except BrokenExecutor as exc:
+                        if policy is None:
+                            raise  # fail-fast: crash recovery needs a policy
                         broken = exc
                         broken_infos.append(info)
                         continue
                     for point, item in zip(info.points, items):
-                        if item.key in resolved:
+                        if point.key() in resolved:
                             continue  # a late straggler lost the race
-                        if isinstance(item, PointRecord):
-                            deliver(item)
-                        else:
+                        if isinstance(item, PointError):
                             handle_error(point, item)
+                        else:
+                            deliver(point, item)
                 if broken is not None:
                     # One break kills every sibling future; drain them all.
                     broken_infos.extend(inflight.values())
@@ -1112,62 +1024,42 @@ class ProcessPoolRunner(Runner):
                 # Deadline watchdog: abandon expired chunks, re-issue their
                 # unresolved points immediately (or fail them at budget).
                 now = time.monotonic()
-                for info in inflight.values():
-                    if (
-                        info.abandoned
-                        or info.deadline is None
-                        or info.deadline > now
-                    ):
-                        continue
+                expired = [
+                    info
+                    for info in inflight.values()
+                    if not info.abandoned
+                    and info.deadline is not None
+                    and info.deadline <= now
+                ]
+                for info, p in unresolved(expired):
+                    error = f"deadline {deadline_s:g}s exceeded"
+                    if info.attempt < max_attempts:
+                        emit(_retried(p, info.attempt, error, "deadline"))
+                        reissue(p, 0.0)
+                    else:
+                        fail(p, f"point {error}", info.attempt)
+                for info in expired:
                     info.abandoned = True
-                    for p, attempt in zip(info.points, info.attempts):
-                        if p.key() in resolved:
-                            continue
-                        error = f"deadline {policy.deadline_s:g}s exceeded"
-                        if attempt < policy.max_attempts:
-                            if sink is not None:
-                                sink(
-                                    PointRetried(
-                                        key=p.key(),
-                                        label=p.display_label,
-                                        rung=p.rung,
-                                        attempt=attempt,
-                                        error=error,
-                                        delay_s=0.0,
-                                        reason="deadline",
-                                    )
-                                )
-                            reissue(p, 0.0)
-                        else:
-                            fail(p, f"point {error}", attempt)
                 live_abandoned = sum(
                     1 for info in inflight.values() if info.abandoned
                 )
                 if live_abandoned >= jobs:
                     # Every worker is wedged on a straggler: replace the
                     # pool so the re-issued points have somewhere to run.
-                    victims = [
-                        (p, a)
-                        for info in inflight.values()
-                        if not info.abandoned
-                        for p, a in zip(info.points, info.attempts)
-                        if p.key() not in resolved
-                    ]
+                    victims = unresolved(
+                        [info for info in inflight.values() if not info.abandoned]
+                    )
                     inflight.clear()
                     respawn(f"{live_abandoned} worker(s) stuck past deadline")
-                    for p, attempt in victims:
-                        if sink is not None:
-                            sink(
-                                PointRetried(
-                                    key=p.key(),
-                                    label=p.display_label,
-                                    rung=p.rung,
-                                    attempt=attempt,
-                                    error="pool replaced while in flight",
-                                    delay_s=0.0,
-                                    reason="worker-lost",
-                                )
+                    for info, p in victims:
+                        emit(
+                            _retried(
+                                p,
+                                info.attempt,
+                                "pool replaced while in flight",
+                                "worker-lost",
                             )
+                        )
                         reissue(p, 0.0)
         finally:
             _terminate_pool(pool)
@@ -1177,18 +1069,22 @@ class ProcessPoolRunner(Runner):
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down *now*: kill workers, then release the executor.
 
-    ``shutdown(wait=True)`` would block behind wedged or dead workers; the
-    fault-tolerant path needs its capacity back immediately, so live worker
-    processes are terminated first (best-effort, via the executor's private
-    process table) and the shutdown never waits.
+    ``shutdown(wait=True)`` would block behind wedged or dead workers (an
+    abandoned straggler may still be running when the last point lands), so
+    live worker processes are terminated first (best-effort, via the
+    executor's private process table) and the shutdown never waits.  The
+    killed workers are then reaped: a forked worker holds the parent's open
+    files (e.g. a locked checkpoint) until it has actually exited.
     """
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for proc in processes:
         try:
             proc.terminate()
         except Exception:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        proc.join(timeout=5.0)
 
 
 def _lost_worker_pid(pool: ProcessPoolExecutor) -> Optional[int]:

@@ -1,5 +1,5 @@
-"""Workbench facade tests: fluent lowering, byte-identical campaigns,
-session cache ownership and the deprecation shims."""
+"""Workbench facade tests: fluent lowering, byte-identical campaigns and
+session cache ownership."""
 
 import io
 
@@ -8,7 +8,7 @@ import pytest
 from repro.api import ProblemBuilder, SweepBuilder, Workbench
 from repro.core.partition import StreamBufferMode
 from repro.core.stencil import StencilShape
-from repro.pipeline import StencilProblem, evaluate, evaluate_batch
+from repro.pipeline import StencilProblem, evaluate
 from repro.pipeline.cache import PlanCache
 from repro.sweep import (
     EventLog,
@@ -16,7 +16,6 @@ from repro.sweep import (
     SuccessiveHalving,
     SweepSpec,
     execute_campaign,
-    run_campaign,
     smoke_spec,
 )
 
@@ -98,7 +97,7 @@ class TestFluentLowering:
 
 class TestCampaignAcceptance:
     """The PR's acceptance criterion: Workbench output is byte-identical to
-    the legacy run_campaign path, serial and jobs=4, progress attached."""
+    the execute_campaign path, serial and jobs=4, progress attached."""
 
     def test_workbench_matches_legacy_serial_and_parallel(self):
         spec = smoke_spec(iterations=2)
@@ -206,20 +205,6 @@ class TestSessionOwnership:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             Workbench(jobs=0)
-
-
-class TestDeprecatedShims:
-    def test_run_campaign_warns_but_works(self):
-        spec = smoke_spec(iterations=1)
-        with pytest.warns(DeprecationWarning, match="Workbench"):
-            legacy = run_campaign(spec)
-        assert legacy.to_json() == execute_campaign(spec).to_json()
-
-    def test_evaluate_batch_warns_but_works(self):
-        problems = [StencilProblem.paper_example(7, 9)]
-        with pytest.warns(DeprecationWarning, match="Workbench"):
-            results = evaluate_batch(problems, iterations=1)
-        assert results[0].cycles is not None
 
 
 class TestBuilderConfigCarriesThroughRun:

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.boundary import BoundarySpec
+from repro.core.stencil import StencilShape
 from repro.pipeline import (
     Backend,
     EvaluationRequest,
     StencilProblem,
     available_backends,
+    batch_evaluate,
     compile,
     evaluate,
-    evaluate_batch,
     get_backend,
     register_backend,
 )
@@ -77,6 +79,22 @@ class TestBackendsAgree:
         golden = evaluate(small_design, backend="reference", request=request)
         assert np.allclose(simulated.output, golden.output)
 
+    def test_more_static_buffers_than_default_read_jobs(self):
+        """Eleven static-buffer prefetches once overflowed the 8-deep read-job queue."""
+        problem = StencilProblem.paper_example(
+            14,
+            7,
+            stencil=StencilShape.asymmetric_2d(),
+            boundary=BoundarySpec.all_open(2),
+            max_stream_reach=16,
+        )
+        assert len(compile(problem).plan.statics) > 8
+        simulated = evaluate(problem, backend="simulate")
+        golden = evaluate(problem, backend="reference")
+        predicted = evaluate(problem, backend="analytic")
+        assert np.array_equal(simulated.output, golden.output)
+        assert abs(predicted.cycles - simulated.cycles) <= 0.05 * simulated.cycles
+
     def test_analytic_produces_timing_but_no_output(self, small_design):
         result = evaluate(small_design, backend="analytic", iterations=3)
         assert result.cycles > 0
@@ -114,7 +132,7 @@ class TestFacade:
 
     def test_evaluate_batch_defaults_to_analytic(self):
         problems = [StencilProblem.paper_example(7, 9), StencilProblem.paper_example(9, 11)]
-        results = evaluate_batch(problems, iterations=2)
+        results = batch_evaluate(problems, iterations=2)
         assert [r.backend for r in results] == ["analytic", "analytic"]
         assert all(r.cycles > 0 for r in results)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.partition import StreamBufferMode
 from repro.pipeline import StencilProblem
-from repro.sweep.campaign import CampaignResult, pareto_front_records, run_campaign
+from repro.sweep.campaign import CampaignResult, pareto_front_records, execute_campaign
 from repro.sweep.record import PointRecord
 from repro.sweep.spec import SweepSpec, smoke_spec
 from repro.sweep.strategies import (
@@ -63,13 +63,13 @@ class TestCampaignDeterminism:
     def test_parallel_campaign_is_byte_identical_to_serial(self):
         """Acceptance: jobs=N must not change the campaign's canonical output."""
         spec = smoke_spec(iterations=2)
-        serial = run_campaign(spec, jobs=1)
-        parallel = run_campaign(spec, jobs=2)
+        serial = execute_campaign(spec, jobs=1)
+        parallel = execute_campaign(spec, jobs=2)
         assert serial.to_json() == parallel.to_json()
         assert serial.canonical_rows() == parallel.canonical_rows()
 
     def test_canonical_rows_exclude_run_specific_meta(self):
-        result = run_campaign(smoke_spec(iterations=1))
+        result = execute_campaign(smoke_spec(iterations=1))
         for row in result.canonical_rows():
             assert "meta" not in row and "wall_seconds" not in row
 
@@ -88,7 +88,7 @@ class TestCacheReporting:
             systems=("smache", "baseline"),
             iterations=1,
         )
-        result = run_campaign(spec)
+        result = execute_campaign(spec)
         info = result.cache_info()
         assert info.misses == 2
         assert info.hits == 2
@@ -96,7 +96,7 @@ class TestCacheReporting:
 
     def test_parallel_cache_counters_cover_all_points(self):
         spec = smoke_spec(iterations=1)
-        result = run_campaign(spec, jobs=2)
+        result = execute_campaign(spec, jobs=2)
         info = result.cache_info()
         assert info.hits + info.misses == spec.size
 
@@ -104,7 +104,7 @@ class TestCacheReporting:
     def test_multi_rung_cache_counters_cover_both_rungs(self, jobs):
         """Counters from every runner invocation are summed, serial or parallel."""
         spec = smoke_spec(iterations=1)
-        result = run_campaign(spec, jobs=jobs, strategy=SuccessiveHalving(eta=2))
+        result = execute_campaign(spec, jobs=jobs, strategy=SuccessiveHalving(eta=2))
         info = result.cache_info()
         assert info.hits + info.misses == result.size
 
@@ -112,21 +112,21 @@ class TestCacheReporting:
 class TestStrategies:
     def test_random_search_is_seed_deterministic(self):
         spec = smoke_spec(iterations=1)
-        a = run_campaign(spec, strategy=RandomSearch(samples=5, seed=7))
-        b = run_campaign(spec, strategy=RandomSearch(samples=5, seed=7))
-        c = run_campaign(spec, strategy=RandomSearch(samples=5, seed=8))
+        a = execute_campaign(spec, strategy=RandomSearch(samples=5, seed=7))
+        b = execute_campaign(spec, strategy=RandomSearch(samples=5, seed=7))
+        c = execute_campaign(spec, strategy=RandomSearch(samples=5, seed=8))
         assert a.size == 5
         assert a.to_json() == b.to_json()
         assert {r.key for r in a.records} != {r.key for r in c.records}
 
     def test_random_search_with_enough_samples_is_exhaustive(self):
         spec = smoke_spec(iterations=1)
-        result = run_campaign(spec, strategy=RandomSearch(samples=10_000))
+        result = execute_campaign(spec, strategy=RandomSearch(samples=10_000))
         assert result.size == spec.size
 
     def test_successive_halving_simulates_only_survivors(self):
         spec = smoke_spec(iterations=1)
-        result = run_campaign(spec, strategy=SuccessiveHalving(eta=3))
+        result = execute_campaign(spec, strategy=SuccessiveHalving(eta=3))
         priced = [r for r in result.records if r.rung == 0]
         verified = [r for r in result.records if r.rung == 1]
         assert len(priced) == spec.size
@@ -148,7 +148,7 @@ class TestStrategies:
             backends=("analytic", "simulate"),
             iterations=1,
         )
-        result = run_campaign(spec, strategy=SuccessiveHalving(eta=2))
+        result = execute_campaign(spec, strategy=SuccessiveHalving(eta=2))
         priced = [r for r in result.records if r.rung == 0]
         verified = [r for r in result.records if r.rung == 1]
         assert len(priced) == 4  # one per problem, not one per (problem, backend)
@@ -158,7 +158,7 @@ class TestStrategies:
     def test_duplicate_points_evaluate_once(self):
         problem = StencilProblem.paper_example(11, 11)
         spec = SweepSpec.from_problems([problem, problem], name="dup", iterations=1)
-        result = run_campaign(spec)
+        result = execute_campaign(spec)
         assert result.size == 2  # both slots filled...
         assert result.evaluated == 1  # ...from a single evaluation
         assert result.records[0].key == result.records[1].key
@@ -166,8 +166,8 @@ class TestStrategies:
     def test_halving_resumes_deterministically(self, tmp_path):
         spec = smoke_spec(iterations=1)
         path = str(tmp_path / "halving.jsonl")
-        first = run_campaign(spec, strategy=SuccessiveHalving(), checkpoint=path)
-        second = run_campaign(spec, strategy=SuccessiveHalving(), checkpoint=path)
+        first = execute_campaign(spec, strategy=SuccessiveHalving(), checkpoint=path)
+        second = execute_campaign(spec, strategy=SuccessiveHalving(), checkpoint=path)
         assert second.evaluated == 0
         assert second.resumed == first.size
         assert second.to_json() == first.to_json()
@@ -191,7 +191,7 @@ class TestStrategies:
 class TestCampaignResultApi:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_campaign(smoke_spec(iterations=2), jobs=1)
+        return execute_campaign(smoke_spec(iterations=2), jobs=1)
 
     def test_report_mentions_counts_and_best(self, result):
         text = result.format()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.sweep.campaign import run_campaign
+from repro.sweep.campaign import execute_campaign
 from repro.sweep.checkpoint import CampaignCheckpoint, CheckpointMismatch
 from repro.sweep.runners import SerialRunner
 from repro.sweep.spec import smoke_spec
@@ -55,26 +55,26 @@ class TestCheckpointResume:
         crash_after = total // 2
 
         with pytest.raises(InterruptedRun):
-            run_campaign(spec, checkpoint=path, runner=CrashingRunner(crash_after))
+            execute_campaign(spec, checkpoint=path, runner=CrashingRunner(crash_after))
 
         # The checkpoint holds exactly the completed prefix.
         persisted = CampaignCheckpoint(path).load(spec)
         assert len(persisted) == crash_after
 
         counting = CountingRunner()
-        resumed = run_campaign(spec, checkpoint=path, runner=counting)
+        resumed = execute_campaign(spec, checkpoint=path, runner=counting)
         assert counting.evaluated == total - crash_after
         assert resumed.evaluated == total - crash_after
         assert resumed.resumed == crash_after
 
-        uninterrupted = run_campaign(spec)
+        uninterrupted = execute_campaign(spec)
         assert resumed.to_json() == uninterrupted.to_json()
 
     def test_complete_checkpoint_resumes_everything(self, spec, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        first = run_campaign(spec, checkpoint=path)
+        first = execute_campaign(spec, checkpoint=path)
         counting = CountingRunner()
-        second = run_campaign(spec, checkpoint=path, runner=counting)
+        second = execute_campaign(spec, checkpoint=path, runner=counting)
         assert first.evaluated == spec.size
         assert counting.evaluated == 0
         assert second.resumed == spec.size
@@ -82,7 +82,7 @@ class TestCheckpointResume:
 
     def test_truncated_tail_line_is_dropped(self, spec, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        run_campaign(spec, checkpoint=path)
+        execute_campaign(spec, checkpoint=path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "record", "key": "truncat')  # hard-kill artefact
         store = CampaignCheckpoint(path)
@@ -93,7 +93,7 @@ class TestCheckpointResume:
     def test_resume_after_truncated_tail_does_not_glue_records(self, spec, tmp_path):
         """A fragment from a hard kill must not swallow the next appended record."""
         path = str(tmp_path / "campaign.jsonl")
-        run_campaign(spec, checkpoint=path)
+        execute_campaign(spec, checkpoint=path)
         # Simulate a kill mid-append: drop the finished marker (a killed
         # campaign never writes one), then drop the last record's full line
         # and leave a partial one without a trailing newline.
@@ -102,24 +102,24 @@ class TestCheckpointResume:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
 
-        first_resume = run_campaign(spec, checkpoint=path)
+        first_resume = execute_campaign(spec, checkpoint=path)
         assert first_resume.evaluated == 1  # only the truncated point re-runs
 
-        second_resume = run_campaign(spec, checkpoint=path)
+        second_resume = execute_campaign(spec, checkpoint=path)
         assert second_resume.evaluated == 0
         assert second_resume.resumed == spec.size
 
     def test_fingerprint_mismatch_is_refused(self, spec, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        run_campaign(spec, checkpoint=path)
+        execute_campaign(spec, checkpoint=path)
         other = smoke_spec(iterations=5)  # different campaign, same file
         with pytest.raises(CheckpointMismatch):
-            run_campaign(other, checkpoint=path)
+            execute_campaign(other, checkpoint=path)
 
     def test_header_written_once(self, spec, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        run_campaign(spec, checkpoint=path)
-        run_campaign(spec, checkpoint=path)
+        execute_campaign(spec, checkpoint=path)
+        execute_campaign(spec, checkpoint=path)
         with open(path, encoding="utf-8") as fh:
             kinds = [json.loads(line)["kind"] for line in fh if line.strip()]
         assert kinds.count("header") == 1
@@ -139,7 +139,7 @@ class TestCheckpointResume:
         path = str(tmp_path / "campaign.jsonl")
         crash_after = 5
         with pytest.raises(InterruptedRun):
-            run_campaign(spec, checkpoint=path, runner=CrashingRunner(crash_after))
-        resumed = run_campaign(spec, checkpoint=path, jobs=2)
+            execute_campaign(spec, checkpoint=path, runner=CrashingRunner(crash_after))
+        resumed = execute_campaign(spec, checkpoint=path, jobs=2)
         assert resumed.resumed == crash_after
-        assert resumed.to_json() == run_campaign(spec).to_json()
+        assert resumed.to_json() == execute_campaign(spec).to_json()

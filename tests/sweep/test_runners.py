@@ -1,8 +1,8 @@
-"""Tests for the executor layer: serial/parallel runners and evaluate_batch."""
+"""Tests for the executor layer: serial/parallel runners and batch_evaluate."""
 
 import pytest
 
-from repro.pipeline import EvaluationRequest, StencilProblem, evaluate, evaluate_batch
+from repro.pipeline import EvaluationRequest, StencilProblem, batch_evaluate, evaluate
 from repro.sweep.record import canonical_json
 from repro.sweep.runners import ProcessPoolRunner, SerialRunner, make_runner
 from repro.sweep.spec import SweepSpec, smoke_spec
@@ -98,16 +98,30 @@ class TestParallelEvaluateBatch:
         ]
         request = EvaluationRequest(iterations=3)
         serial = [evaluate(p, backend="analytic", request=request) for p in problems]
-        parallel = evaluate_batch(
+        parallel = batch_evaluate(
             problems, backend="analytic", request=request, jobs=2
         )
         assert [r.cycles for r in parallel] == [r.cycles for r in serial]
         assert [r.dram_bytes for r in parallel] == [r.dram_bytes for r in serial]
         assert [r.design.problem.name for r in parallel] == [p.name for p in problems]
 
+    def test_repeated_problems_match_serial(self):
+        """A repeated problem is answered at every position it occupies."""
+        p = StencilProblem.paper_example(7, 9)
+        q = StencilProblem.paper_example(9, 7)
+        for problems in ([p, p], [p, q, p, p]):
+            serial = batch_evaluate(problems, iterations=2)
+            parallel = batch_evaluate(problems, jobs=2, iterations=2)
+            assert len(parallel) == len(problems)
+            assert [r.cycles for r in parallel] == [r.cycles for r in serial]
+            assert [r.dram_bytes for r in parallel] == [r.dram_bytes for r in serial]
+            assert [r.design.problem.name for r in parallel] == [
+                x.name for x in problems
+            ]
+
     def test_simulate_backend_round_trips(self):
         problems = [StencilProblem.paper_example(7, 9), StencilProblem.paper_example(9, 7)]
-        results = evaluate_batch(problems, backend="simulate", jobs=2, iterations=2)
+        results = batch_evaluate(problems, backend="simulate", jobs=2, iterations=2)
         for r in results:
             assert r.cycles > 0
             assert r.output is not None  # outputs survive the process boundary
@@ -117,9 +131,9 @@ class TestParallelEvaluateBatch:
         from repro.pipeline.cache import PlanCache
 
         problems = [StencilProblem.paper_example(7, 9), StencilProblem.paper_example(9, 7)]
-        bypassed = evaluate_batch(problems, jobs=2, cache=None, iterations=2)
+        bypassed = batch_evaluate(problems, jobs=2, cache=None, iterations=2)
         custom = PlanCache()
-        cached = evaluate_batch(problems, jobs=2, cache=custom, iterations=2)
+        cached = batch_evaluate(problems, jobs=2, cache=custom, iterations=2)
         assert [r.cycles for r in bypassed] == [r.cycles for r in cached]
         assert custom.cache_info().misses == 2  # really went through the custom cache
 
