@@ -8,9 +8,8 @@ buffer planner works with:
 
 * the **reach** — the difference between the largest and smallest offset
   (in stream positions) from the centre element to the tuple elements; and
-* the **range** — a maximal run of consecutive stream positions whose tuples
-  share the same *shape* (the same set of offsets), see
-  :mod:`repro.core.ranges`.
+* the **range** — a run of consecutive stream positions whose tuples share
+  the same *shape* (the same set of offsets), see :mod:`repro.core.ranges`.
 """
 
 from __future__ import annotations

@@ -103,6 +103,7 @@ def analyse_static_buffers(
         grid,
         stencil,
         boundary,
+        ranges=ranges,
         max_stream_reach=max_stream_reach,
         max_total_bits=max_total_bits,
     )

@@ -56,13 +56,17 @@ def _merge_runs(runs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     if not runs:
         return []
     ordered = sorted(runs)
-    merged = [list(ordered[0])]
-    for start, end in ordered[1:]:
-        if start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
+    merged: List[Tuple[int, int]] = []
+    run_start, run_end = ordered[0]
+    for start, end in ordered:
+        if start <= run_end:
+            if end > run_end:
+                run_end = end
         else:
-            merged.append([start, end])
-    return [(s, e) for s, e in merged]
+            merged.append((run_start, run_end))
+            run_start, run_end = start, end
+    merged.append((run_start, run_end))
+    return merged
 
 
 def _static_runs_for_window(
@@ -73,16 +77,24 @@ def _static_runs_for_window(
     """For a candidate window, compute the static element runs and per-range splits.
 
     Returns ``(merged_runs, per_range)`` where ``per_range`` maps the range
-    start position to ``(kept_offsets, offloaded_offsets)``.
+    start position to ``(kept_offsets, offloaded_offsets)``.  A range's split
+    depends only on its stream offsets, so each distinct offset tuple (in
+    practice one per stencil case) is split once.
     """
     runs: List[Tuple[int, int]] = []
     per_range: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+    splits: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
     for r in ranges:
-        kept = tuple(o for o in r.stream_offsets if window_lo <= o <= window_hi)
-        offloaded = tuple(o for o in r.stream_offsets if not (window_lo <= o <= window_hi))
-        per_range[r.start] = (kept, offloaded)
-        for o in offloaded:
-            runs.append((r.start + o, r.start + o + r.length))
+        offsets = r.stream_offsets
+        split = splits.get(offsets)
+        if split is None:
+            kept = tuple(o for o in offsets if window_lo <= o <= window_hi)
+            offloaded = tuple(o for o in offsets if not (window_lo <= o <= window_hi))
+            split = splits[offsets] = (kept, offloaded)
+        start, end = r.start, r.start + r.length
+        per_range[start] = split
+        for o in split[1]:
+            runs.append((start + o, end + o))
     return _merge_runs(runs), per_range
 
 
@@ -188,6 +200,7 @@ def plan_buffers(
     boundary: BoundarySpec,
     pattern: Optional[IterationPattern] = None,
     *,
+    ranges: Optional[Sequence[StreamRange]] = None,
     word_bits: Optional[int] = None,
     max_stream_reach: Optional[int] = None,
     max_total_bits: Optional[int] = None,
@@ -200,6 +213,10 @@ def plan_buffers(
     ----------
     grid, stencil, boundary, pattern:
         The stencil problem.  ``pattern`` defaults to contiguous streaming.
+    ranges:
+        The problem's stream ranges, when the caller has already partitioned
+        it (they must be ``partition_into_ranges(grid, stencil, boundary,
+        pattern)``); computed here when omitted.
     word_bits:
         Element width; defaults to the grid's word size.
     max_stream_reach:
@@ -216,7 +233,8 @@ def plan_buffers(
     """
     if word_bits is None:
         word_bits = grid.word_bits
-    ranges = partition_into_ranges(grid, stencil, boundary, pattern)
+    if ranges is None:
+        ranges = partition_into_ranges(grid, stencil, boundary, pattern)
     if not ranges:
         raise ValueError("the stencil problem produced no stream ranges")
 

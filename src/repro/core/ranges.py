@@ -22,14 +22,24 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.access import StreamTuple, tuple_for
-from repro.core.boundary import BoundarySpec
+from repro.core.boundary import BoundarySpec, ResolvedPoint
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.stencil import StencilShape
 
 
 @dataclass(frozen=True)
 class StreamRange:
-    """A maximal run of consecutive stream positions sharing one tuple shape."""
+    """A run of consecutive stream positions sharing one tuple shape.
+
+    Every position in ``[start, end)`` has the same shape key, so the
+    representative's stream offsets hold for the whole range.  A range is not
+    necessarily *maximal*: the banded partitioner emits one range per
+    (outer row, inner band) and does not merge neighbouring ranges of equal
+    shape.  Those arise when two bands resolve alike, e.g. two edge columns
+    whose only out-of-grid access both become the same constant.  Such
+    ranges are still sound, only finer than needed: their static runs merge
+    in the planner, so the chosen buffers are the same.
+    """
 
     start: int
     length: int
@@ -119,13 +129,34 @@ def _banded_partition(
             for idx in range(start, start + length):
                 yield from outer_coords(dim + 1, prefix + (idx,))
 
+    # A row whose outer coordinates all lie in the interior band never crosses
+    # an outer boundary, so its accesses resolve exactly like those of any
+    # other interior row, shifted by the rows' linear distance.  The first
+    # interior row is resolved in full; later ones are translated from it.
+    interior = [range(radii_lo[d], grid.shape[d] - radii_hi[d]) for d in range(inner)]
+    first_interior: Optional[List[Tuple[StreamTuple, int]]] = None
+
     for prefix in outer_coords(0, ()):
+        row_linear = grid.linear_index(prefix + (0,))
+        is_interior = all(i in band for i, band in zip(prefix, interior))
+        if is_interior and first_interior is not None:
+            for (start, length), (base, case_id) in zip(inner_bands, first_interior):
+                shift = row_linear + start - base.centre_linear
+                ranges.append(
+                    StreamRange(
+                        start=row_linear + start,
+                        length=length,
+                        case_id=case_id,
+                        representative=_translated(base, shift),
+                    )
+                )
+            continue
+        row: List[Tuple[StreamTuple, int]] = []
         for start, length in inner_bands:
-            centre = prefix + (start,)
-            centre_linear = grid.linear_index(centre)
+            centre_linear = row_linear + start
             rep = tuple_for(grid, stencil, boundary, centre_linear, centre_linear)
-            key = rep.shape_key
-            case_id = case_ids.setdefault(key, len(case_ids))
+            case_id = case_ids.setdefault(rep.shape_key, len(case_ids))
+            row.append((rep, case_id))
             ranges.append(
                 StreamRange(
                     start=centre_linear,
@@ -134,7 +165,36 @@ def _banded_partition(
                     representative=rep,
                 )
             )
+        if is_interior:
+            first_interior = row
     return ranges
+
+
+def _translated(base: StreamTuple, shift: int) -> StreamTuple:
+    """``base`` moved ``shift`` positions along the stream.
+
+    Only valid where every access resolves the same way at both centres (the
+    interior rows of :func:`_banded_partition`): in-grid accesses move with
+    the centre, constants and skipped accesses are shared unchanged, and the
+    stream offsets are the same tuple.
+    """
+    points = tuple(
+        p
+        if p.linear_index is None
+        else ResolvedPoint(
+            kind=p.kind,
+            offset=p.offset,
+            linear_index=p.linear_index + shift,
+            constant_value=p.constant_value,
+        )
+        for p in base.points
+    )
+    return StreamTuple(
+        position=base.position + shift,
+        centre_linear=base.centre_linear + shift,
+        points=points,
+        stream_offsets=base.stream_offsets,
+    )
 
 
 def _enumerating_partition(

@@ -150,8 +150,18 @@ def synthesize_smache(
     partition: Optional[HybridPartition] = None,
     kernel: Optional[StencilKernel] = None,
     timing: Optional[TimingModel] = None,
+    *,
+    n_cases: Optional[int] = None,
 ) -> SynthesisReport:
-    """Structural synthesis of the Smache design for one configuration."""
+    """Structural synthesis of the Smache design for one configuration.
+
+    The boundary-case decoder is sized by the number of stencil cases of the
+    grid, always counted over the contiguous pattern: a case's shape key
+    depends only on the centre element, not on the order the stream visits
+    it, so any permutation pattern has the same case set.  ``n_cases`` is
+    that count when the caller has already partitioned the contiguous
+    stream; it is computed here when omitted.
+    """
     timing = timing or TimingModel()
     kernel = kernel or AveragingKernel()
     if plan is None:
@@ -166,8 +176,11 @@ def synthesize_smache(
     index_bits = _clog2(n)
     depth = plan.stream.depth
     n_taps = max(1, len([o for o in plan.lookup_offsets() if o != 0]))
-    cases = classify_cases(partition_into_ranges(config.grid, config.stencil, config.boundary))
-    n_cases = max(1, len(cases))
+    if n_cases is None:
+        n_cases = len(
+            classify_cases(partition_into_ranges(config.grid, config.stencil, config.boundary))
+        )
+    n_cases = max(1, n_cases)
 
     breakdown: Dict[str, ResourceUsage] = {}
 

@@ -6,10 +6,13 @@ This is the single seam every consumer goes through.  One call runs
 2. the buffer-configuration planner (:func:`repro.core.planner.plan_buffers`),
 3. the hybrid register/BRAM partition (:func:`repro.core.partition`),
 4. the Table-I memory cost model (:func:`repro.core.cost_model`), and
-5. the analytical synthesis estimator (:func:`repro.fpga.synthesis`),
+5. the analytical synthesis estimator (:func:`repro.fpga.synthesis`).
 
-and memoizes the resulting :class:`CompiledDesign` in the keyed plan cache,
-so sweeps re-planning the same problem are free after the first hit.
+Partitioning runs once per compile: one pass is shared by the planner (which
+receives the ranges) and synthesis (which receives the case count), rather
+than each stage partitioning the problem again.  The resulting
+:class:`CompiledDesign` is memoized in the keyed plan cache, so sweeps
+re-planning the same problem are free after the first hit.
 """
 
 from __future__ import annotations
@@ -77,11 +80,13 @@ def _build(problem: StencilProblem) -> CompiledDesign:
     ranges = tuple(
         partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
     )
+    n_cases = len(classify_cases(ranges))
     plan = plan_buffers(
         problem.grid,
         problem.stencil,
         problem.boundary,
         problem.pattern,
+        ranges=ranges,
         word_bits=problem.word_bits,
         max_stream_reach=problem.max_stream_reach,
         max_total_bits=problem.max_total_bits,
@@ -90,14 +95,20 @@ def _build(problem: StencilProblem) -> CompiledDesign:
         plan, problem.mode, register_elements=problem.register_elements
     )
     cost = estimate_memory_cost(plan, problem.mode, partition=partition)
+    # Synthesis counts cases over the contiguous pattern; for a cacheable
+    # problem that is the partition above, so its count is passed through.
     synthesis = synthesize_smache(
-        config, plan=plan, partition=partition, kernel=problem.effective_kernel
+        config,
+        plan=plan,
+        partition=partition,
+        kernel=problem.effective_kernel,
+        n_cases=n_cases if problem.is_cacheable else None,
     )
     return CompiledDesign(
         problem=problem,
         config=config,
         ranges=ranges,
-        n_cases=len(classify_cases(ranges)),
+        n_cases=n_cases,
         plan=plan,
         partition=partition,
         cost=cost,

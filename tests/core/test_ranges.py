@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.boundary import BoundaryKind, BoundarySpec
+from repro.core.access import tuple_for
+from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour
 from repro.core.grid import GridSpec, IterationPattern
+from repro.core.planner import plan_buffers
 from repro.core.ranges import (
     classify_cases,
     n_cases,
@@ -14,6 +16,27 @@ from repro.core.ranges import (
     _enumerating_partition,
 )
 from repro.core.stencil import StencilShape
+
+
+@st.composite
+def stencil_cases(draw):
+    """A small 1-D/2-D/3-D grid, a stencil for it and per-side boundaries."""
+    ndim = draw(st.integers(1, 3))
+    max_extent = {1: 40, 2: 12, 3: 6}[ndim]
+    shape = tuple(draw(st.integers(1, max_extent)) for _ in range(ndim))
+    stencils = [StencilShape.moore(ndim), StencilShape.von_neumann(ndim)]
+    if ndim == 2:
+        stencils += [
+            StencilShape.four_point_2d(),
+            StencilShape.asymmetric_2d(),
+            StencilShape.star_2d(2),
+        ]
+    kinds = st.sampled_from(list(BoundaryKind))
+    boundary = BoundarySpec(
+        edges=tuple(EdgeBehaviour(draw(kinds), draw(kinds)) for _ in range(ndim)),
+        constant_value=1.5,
+    )
+    return GridSpec(shape=shape), draw(st.sampled_from(stencils)), boundary
 
 
 class TestPaperCase:
@@ -98,6 +121,53 @@ class TestBandedVsEnumerating:
         for r in ranges:
             assert r.start == position
             position += r.length
+
+
+class TestRepresentatives:
+    @given(case=stencil_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_representative_is_the_tuple_at_range_start(self, case):
+        # Interior rows are translated from the first interior row rather than
+        # resolved afresh; the result must be the tuple tuple_for builds,
+        # resolved points and linear indices included, and every position of
+        # the range must share its shape.
+        grid, stencil, boundary = case
+        for r in partition_into_ranges(grid, stencil, boundary):
+            assert r.representative == tuple_for(grid, stencil, boundary, r.start)
+            for position in range(r.start, r.end):
+                shape = tuple_for(grid, stencil, boundary, position).shape_key
+                assert shape == r.representative.shape_key
+
+    def test_adjacent_equal_shape_ranges_stay_split(self):
+        # Two edge columns whose out-of-grid access both become the constant
+        # resolve alike, as do an open left column and the interior once the
+        # constant bottom edge replaces the access that told them apart.  The
+        # banded partitioner keeps one range per band; the enumerator merges.
+        grid = GridSpec(shape=(6, 10))
+        stencil = StencilShape.asymmetric_2d()
+        boundary = BoundarySpec(
+            edges=(
+                EdgeBehaviour(BoundaryKind.CLAMP, BoundaryKind.CONSTANT),
+                EdgeBehaviour(BoundaryKind.OPEN, BoundaryKind.CONSTANT),
+            )
+        )
+        banded = _banded_partition(grid, stencil, boundary)
+        enumerated = _enumerating_partition(
+            grid, stencil, boundary, IterationPattern.contiguous(grid)
+        )
+        assert len(banded) == 24 and len(enumerated) == 15
+        assert (8, 1) in [(r.start, r.length) for r in banded]
+        assert (8, 2) in [(r.start, r.length) for r in enumerated]
+        # Every banded range is sound: all its positions share its shape.
+        for r in banded:
+            for position in range(r.start, r.end):
+                shape = tuple_for(grid, stencil, boundary, position).shape_key
+                assert shape == r.representative.shape_key
+        # The finer split does not change the planned buffers.
+        from_banded = plan_buffers(grid, stencil, boundary, ranges=banded)
+        from_enumerated = plan_buffers(grid, stencil, boundary, ranges=enumerated)
+        assert from_banded.stream == from_enumerated.stream
+        assert from_banded.statics == from_enumerated.statics
 
 
 class TestDegenerateAndNonContiguous:

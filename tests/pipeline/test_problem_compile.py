@@ -1,11 +1,32 @@
 """Tests for repro.pipeline: StencilProblem, compile() and the plan cache."""
 
-import pytest
+import importlib
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.analysis
+import repro.core.planner
+import repro.fpga.synthesis
+from repro.core.analysis import analyse_static_buffers
+from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour
 from repro.core.config import SmacheConfig
-from repro.core.partition import StreamBufferMode
+from repro.core.cost_model import estimate_memory_cost
+from repro.core.grid import GridSpec, IterationPattern
+from repro.core.partition import StreamBufferMode, partition_for_plan
+from repro.core.planner import plan_buffers
+from repro.core.ranges import classify_cases, partition_into_ranges
+from repro.core.stencil import StencilShape
+from repro.fpga.synthesis import synthesize_smache
 from repro.pipeline import StencilProblem, compile
 from repro.pipeline.cache import PlanCache
+from repro.pipeline.compile import CompiledDesign, _build
+
+# ``repro.pipeline`` re-exports the ``compile`` function under the submodule's
+# name, so the module is looked up by its full name.
+compile_module = importlib.import_module("repro.pipeline.compile")
 
 
 @pytest.fixture
@@ -132,3 +153,128 @@ class TestPlanCache:
         second = compile(paper_problem, cache=None)
         assert first is not second
         assert first.plan == second.plan
+
+
+@pytest.fixture
+def ranges_calls(monkeypatch):
+    """Count ``partition_into_ranges`` calls from every compile stage."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return partition_into_ranges(*args, **kwargs)
+
+    for module in (
+        compile_module,
+        repro.core.analysis,
+        repro.core.planner,
+        repro.fpga.synthesis,
+    ):
+        monkeypatch.setattr(module, "partition_into_ranges", counting)
+    return calls
+
+
+class TestOnePartitionPerCompile:
+    def test_build_partitions_a_cacheable_problem_once(self, paper_problem, ranges_calls):
+        _build(paper_problem)
+        assert len(ranges_calls) == 1
+
+    def test_analyse_partitions_once(self, paper_config, ranges_calls):
+        analyse_static_buffers(paper_config.grid, paper_config.stencil, paper_config.boundary)
+        assert len(ranges_calls) == 1
+
+    def test_synthesis_counts_cases_over_the_contiguous_stream(self):
+        # A shape key depends only on the centre element, so a permutation
+        # pattern has the contiguous stream's case set; synthesis partitions
+        # the contiguous stream on its own for such (uncacheable) problems.
+        grid = GridSpec(shape=(11, 11))
+        problem = StencilProblem(
+            grid=grid,
+            stencil=StencilShape.four_point_2d(),
+            boundary=BoundarySpec.all_open(2),
+            pattern=IterationPattern.strided(grid, 2),
+        )
+        assert not problem.is_cacheable
+        design = compile(problem)
+        contiguous = partition_into_ranges(grid, problem.stencil, problem.boundary)
+        assert design.n_cases == len(classify_cases(contiguous))
+        assert design.synthesis == synthesize_smache(
+            design.config,
+            plan=design.plan,
+            partition=design.partition,
+            kernel=problem.effective_kernel,
+            n_cases=design.n_cases,
+        )
+
+
+@st.composite
+def stencil_problems(draw):
+    """A small 1-D/2-D/3-D stencil problem with per-side boundaries and knobs."""
+    ndim = draw(st.integers(1, 3))
+    max_extent = {1: 40, 2: 14, 3: 6}[ndim]
+    shape = tuple(draw(st.integers(1, max_extent)) for _ in range(ndim))
+    stencils = [StencilShape.moore(ndim), StencilShape.von_neumann(ndim)]
+    if ndim == 2:
+        stencils += [
+            StencilShape.four_point_2d(),
+            StencilShape.asymmetric_2d(),
+            StencilShape.star_2d(2),
+        ]
+    kinds = st.sampled_from(list(BoundaryKind))
+    boundary = BoundarySpec(
+        edges=tuple(EdgeBehaviour(draw(kinds), draw(kinds)) for _ in range(ndim))
+    )
+    mode = draw(st.sampled_from(list(StreamBufferMode)))
+    grid = GridSpec(shape=shape)
+    return StencilProblem(
+        grid=grid,
+        stencil=draw(st.sampled_from(stencils)),
+        boundary=boundary,
+        mode=mode,
+        register_elements=draw(st.integers(0, 40)) if mode is StreamBufferMode.CUSTOM else None,
+        max_stream_reach=draw(st.none() | st.integers(0, 60)),
+        pattern=draw(st.sampled_from([None, IterationPattern.strided(grid, 2)])),
+    )
+
+
+def _staged(problem: StencilProblem) -> CompiledDesign:
+    """Compile stage by stage, each stage partitioning the problem itself."""
+    ranges = tuple(
+        partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
+    )
+    plan = plan_buffers(
+        problem.grid,
+        problem.stencil,
+        problem.boundary,
+        problem.pattern,
+        word_bits=problem.word_bits,
+        max_stream_reach=problem.max_stream_reach,
+        max_total_bits=problem.max_total_bits,
+    )
+    partition = partition_for_plan(plan, problem.mode, register_elements=problem.register_elements)
+    config = problem.to_config()
+    return CompiledDesign(
+        problem=problem,
+        config=config,
+        ranges=ranges,
+        n_cases=len(classify_cases(ranges)),
+        plan=plan,
+        partition=partition,
+        cost=estimate_memory_cost(plan, problem.mode, partition=partition),
+        synthesis=synthesize_smache(
+            config, plan=plan, partition=partition, kernel=problem.effective_kernel
+        ),
+    )
+
+
+class TestSharedPartitionEquivalence:
+    @given(problem=stencil_problems())
+    @settings(max_examples=50, deadline=None)
+    def test_build_equals_stage_by_stage_composition(self, problem):
+        try:
+            expected = _staged(problem)
+        except ValueError as error:
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                _build(problem)
+            return
+        assert _build(problem) == expected
