@@ -1,11 +1,10 @@
 """repro.lint — contract-enforcing static analysis for the repro tree.
 
-The determinism, event-schema and concurrency contracts this codebase is
+The determinism, serialisation and concurrency contracts this codebase is
 built on live in docstrings and reviewers' heads; this package turns them
 into AST-level checks that run in CI.  ``python -m repro.lint check src
 --strict`` is the gate: exit 0 means every canonical module is free of
-wall clocks and unseeded RNG, every ``RunEvent`` round-trips through
-persistence/replay/follow, record dicts stay within ``CANONICAL_FIELDS``,
+wall clocks and unseeded RNG, record dicts stay within ``CANONICAL_FIELDS``,
 nothing unpicklable reaches a process boundary, backends honour the
 evaluate protocol, and lock-protected state is never touched bare.
 

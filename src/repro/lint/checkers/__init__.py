@@ -1,6 +1,6 @@
 """The built-in contract checkers.
 
-Importing this package registers all six with :mod:`repro.lint.registry`
+Importing this package registers all five with :mod:`repro.lint.registry`
 (each module applies the ``@register`` decorator at import time); the
 registry imports it lazily, so ``repro.lint`` stays cheap to import.
 """
@@ -8,7 +8,6 @@ registry imports it lazily, so ``repro.lint`` stays cheap to import.
 from repro.lint.checkers.backend_protocol import BackendProtocolChecker
 from repro.lint.checkers.canonical_fields import CanonicalFieldsChecker
 from repro.lint.checkers.determinism import DeterminismChecker
-from repro.lint.checkers.event_schema import EventSchemaChecker
 from repro.lint.checkers.lock_discipline import LockDisciplineChecker
 from repro.lint.checkers.picklability import PicklabilityChecker
 
@@ -16,7 +15,6 @@ __all__ = [
     "BackendProtocolChecker",
     "CanonicalFieldsChecker",
     "DeterminismChecker",
-    "EventSchemaChecker",
     "LockDisciplineChecker",
     "PicklabilityChecker",
 ]

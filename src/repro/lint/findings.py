@@ -24,7 +24,7 @@ _SEVERITY_RANK = {ERROR: 0, WARNING: 1}
 class Finding:
     """One contract violation at one source location."""
 
-    check: str  #: stable check id (``determinism``, ``event-schema``, ...)
+    check: str  #: stable check id (``determinism``, ``picklability``, ...)
     path: str  #: file path, relative to the lint root when possible
     line: int  #: 1-based line of the offending node
     col: int  #: 0-based column of the offending node

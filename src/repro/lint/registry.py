@@ -3,10 +3,9 @@
 A checker is a class with a stable ``id``, a one-line ``description`` and
 two hooks: :meth:`Checker.check_file` runs once per parsed file,
 :meth:`Checker.finish` runs once after every file has been seen — the seam
-for cross-module passes (event-schema completeness resolves the event
-classes, the serializer maps and the follow dispatcher from *different*
-files).  Checkers register with the :func:`register` decorator; importing
-:mod:`repro.lint.checkers` fills the registry with the built-in six.
+for cross-module passes that resolve facts from *different* files.
+Checkers register with the :func:`register` decorator; importing
+:mod:`repro.lint.checkers` fills the registry with the built-in five.
 """
 
 from __future__ import annotations

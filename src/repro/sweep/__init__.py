@@ -54,7 +54,6 @@ from repro.sweep.checkpoint import (
 from repro.sweep.events import (
     CampaignFinished,
     CampaignStarted,
-    CheckpointFlushed,
     CheckpointObserver,
     EventBus,
     EventLog,
@@ -110,7 +109,6 @@ __all__ = [
     "PointStarted",
     "PointCompleted",
     "PointResumed",
-    "CheckpointFlushed",
     "CampaignFinished",
     "EventBus",
     "EventLog",

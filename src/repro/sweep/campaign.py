@@ -459,10 +459,11 @@ def execute_campaign(
         aggregator = _CampaignAggregator(preloaded)
         bus.subscribe(aggregator, critical=True)
         if store is not None:
-            # The checkpointer appends on PointCompleted and re-publishes
-            # CheckpointFlushed; it is critical — losing appends silently
-            # would corrupt resume semantics.
-            bus.subscribe(CheckpointObserver(store, bus), critical=True)
+            # The checkpointer appends on PointCompleted/PointFailed; it is
+            # critical — losing appends silently would corrupt resume
+            # semantics — and subscribed ahead of the event log and every
+            # user observer, so a completion they see is already durable.
+            bus.subscribe(CheckpointObserver(store), critical=True)
         if elog is not None:
             # Critical too: a silently lossy event log would make replay lie.
             bus.subscribe(elog, critical=True)

@@ -129,9 +129,9 @@ class CampaignCheckpoint:
 
         An introspection helper (tests, tooling): it reads the name,
         fingerprint, strategy and total point count without loading every
-        record.  The ``--follow`` tailer does *not* use it — it parses the
+        record.  The ``--follow`` follower does *not* use it — it parses the
         header inline while streaming the file incrementally
-        (:class:`repro.sweep.follow._CheckpointTailer`).
+        (:class:`repro.sweep.follow._Follower`).
         """
         if not os.path.exists(self.path):
             return None

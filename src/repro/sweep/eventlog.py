@@ -33,8 +33,10 @@ File schema (one JSON object per line)::
 
 ``seq`` is the log-wide delivery order (monotonic across appended sessions),
 ``ts`` the wall clock at delivery; point events additionally carry the
-worker-side stamps inside ``data``.  Unknown kinds are skipped on replay, so
-old readers survive new event types.
+worker-side stamps inside ``data``, which is the event's own
+:meth:`~repro.sweep.events.RunEvent.to_json`.  Lines the event registry
+cannot decode (unknown kinds, malformed data) are skipped on replay, so old
+readers survive new event types and a damaged line cannot crash a replay.
 """
 
 from __future__ import annotations
@@ -53,20 +55,12 @@ from repro.sweep.checkpoint import iter_jsonl
 from repro.sweep.events import (
     CampaignFinished,
     CampaignStarted,
-    CheckpointFlushed,
     EventBus,
     ObserverError,
-    PointCompleted,
     PointFailed,
-    PointResumed,
-    PointRetried,
-    PointStarted,
-    PoolRestarted,
     RunEvent,
     RunObserver,
-    WorkerLost,
 )
-from repro.sweep.record import PointRecord
 
 #: Version tag of the event-log file format.
 EVENT_LOG_FORMAT = 1
@@ -83,57 +77,6 @@ def default_event_log_path(checkpoint_path: str) -> str:
     if ext == ".jsonl":
         return root + ".events.jsonl"
     return path + ".events.jsonl"
-
-
-# --------------------------------------------------------------------------- #
-# serialisation
-# --------------------------------------------------------------------------- #
-#: Events carrying a full PointRecord under ``data["record"]``.
-_RECORD_EVENTS = {
-    "point_completed": PointCompleted,
-    "point_resumed": PointResumed,
-    "point_failed": PointFailed,
-}
-
-#: Events whose dataclass fields serialise as plain JSON scalars.
-_FLAT_EVENTS = {
-    "campaign_started": CampaignStarted,
-    "point_started": PointStarted,
-    "point_retried": PointRetried,
-    "checkpoint_flushed": CheckpointFlushed,
-    "campaign_finished": CampaignFinished,
-    "worker_lost": WorkerLost,
-    "pool_restarted": PoolRestarted,
-}
-
-
-def event_to_payload(event: RunEvent, seq: int, ts: float) -> Dict[str, Any]:
-    """One JSONL line for ``event``: kind + log stamps + event data."""
-    if event.kind in _RECORD_EVENTS:
-        data: Dict[str, Any] = {"record": event.record.to_json_dict()}
-    else:
-        # Flat events serialise their dataclass fields directly; an unknown
-        # RunEvent subclass degrades to whatever public scalars it exposes.
-        data = {
-            name: value
-            for name, value in vars(event).items()
-            if not name.startswith("_")
-        }
-    return {"kind": event.kind, "seq": seq, "ts": ts, "data": data}
-
-
-def event_from_payload(payload: Dict[str, Any]) -> Optional[RunEvent]:
-    """Rebuild the typed event of one log line (None for unknown kinds)."""
-    kind = payload.get("kind")
-    data = payload.get("data") or {}
-    if kind in _RECORD_EVENTS:
-        record = PointRecord.from_json_dict(data.get("record") or {})
-        return _RECORD_EVENTS[kind](record=record)
-    cls = _FLAT_EVENTS.get(kind)
-    if cls is None:
-        return None
-    fields = {name for name in cls.__dataclass_fields__}
-    return cls(**{name: value for name, value in data.items() if name in fields})
 
 
 # --------------------------------------------------------------------------- #
@@ -258,7 +201,14 @@ class EventLogObserver(RunObserver):
                 jobs=event.jobs,
             )
         self.seq += 1
-        self._write(event_to_payload(event, seq=self.seq, ts=self._clock()))
+        self._write(
+            {
+                "kind": event.kind,
+                "seq": self.seq,
+                "ts": self._clock(),
+                "data": event.to_json(),
+            }
+        )
 
     def _write(self, payload: Dict[str, Any]) -> None:
         self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -284,7 +234,7 @@ class ReplayStats(NamedTuple):
     """Outcome of one :meth:`CampaignReplay.replay` pass."""
 
     events: int  #: typed events delivered to the observers
-    skipped: int  #: unknown-kind lines skipped (forward compatibility)
+    skipped: int  #: unknown or malformed lines skipped
     campaigns: int  #: campaign sessions in the log
     finished: bool  #: the last session reached CampaignFinished
     errors: List[ObserverError]  #: isolated observer failures
@@ -298,7 +248,7 @@ class ReplayStats(NamedTuple):
             state = "finished"
         else:
             state = "INCOMPLETE"
-        extra = f", {self.skipped} unknown line(s) skipped" if self.skipped else ""
+        extra = f", {self.skipped} undecodable line(s) skipped" if self.skipped else ""
         return (
             f"replayed {self.events} event(s) across {self.campaigns} "
             f"session(s){extra}; campaign {state}"
@@ -340,6 +290,7 @@ class CampaignReplay:
                 f"fingerprint {fingerprint}"
             )
         self._now: float = 0.0
+        self.skipped = 0  #: undecodable lines skipped by the last pass
 
     # ------------------------------------------------------------------ #
     def clock(self) -> float:
@@ -347,16 +298,20 @@ class CampaignReplay:
         return self._now
 
     def events(self) -> Iterator[RunEvent]:
-        """The typed event stream, in logged order (unknown kinds skipped).
+        """The typed event stream, in logged order.
 
-        Advances :meth:`clock` as a side effect, so observers driven by hand
-        see the same deterministic time base as :meth:`replay`.
+        Lines the registry cannot decode (unknown kinds, malformed data) are
+        skipped and counted on :attr:`skipped`.  Advances :meth:`clock` as
+        a side effect, so observers driven by hand see the same
+        deterministic time base as :meth:`replay`.
         """
+        self.skipped = 0
         for payload in iter_jsonl(self.path):
             if payload.get("kind") == "header":
                 continue
-            event = event_from_payload(payload)
+            event = RunEvent.from_json(payload.get("kind"), payload.get("data"))
             if event is None:
+                self.skipped += 1
                 continue
             self._now = payload.get("ts", self._now) or self._now
             yield event
@@ -370,16 +325,9 @@ class CampaignReplay:
         bus = EventBus()
         for observer in observers:
             bus.subscribe(observer)
-        events = skipped = campaigns = failed = 0
+        events = campaigns = failed = 0
         finished = False
-        for payload in iter_jsonl(self.path):
-            if payload.get("kind") == "header":
-                continue
-            event = event_from_payload(payload)
-            if event is None:
-                skipped += 1
-                continue
-            self._now = payload.get("ts", self._now) or self._now
+        for event in self.events():
             if isinstance(event, CampaignStarted):
                 campaigns += 1
                 finished = False
@@ -391,12 +339,12 @@ class CampaignReplay:
                 # Trust the finish marker when present: a resumed session
                 # inherits failures persisted by earlier sessions that this
                 # session's PointFailed count would miss.
-                failed = max(failed, getattr(event, "failed", 0) or 0)
+                failed = max(failed, event.failed or 0)
             bus.publish(event)
             events += 1
         return ReplayStats(
             events=events,
-            skipped=skipped,
+            skipped=self.skipped,
             campaigns=campaigns,
             finished=finished,
             errors=list(bus.errors),

@@ -10,14 +10,19 @@ The bus gives two guarantees the tests rely on:
 
 * **total order** — events are delivered from a single queue in the main
   process, so every observer sees the same sequence; an event published
-  *while* another is being delivered (e.g. :class:`CheckpointFlushed` from
-  the checkpointer) is queued and delivered after the current event reaches
-  every observer, never interleaved;
+  *while* another is being delivered (e.g. by an observer reacting to it)
+  is queued and delivered after the current event reaches every observer,
+  never interleaved;
 * **failure isolation** — an exception inside a non-critical observer is
   caught and recorded on :attr:`EventBus.errors`; the campaign and the other
   observers carry on.  Only observers subscribed with ``critical=True`` (the
   aggregator and the checkpointer, whose failures would corrupt the result)
   may abort the campaign.
+
+Every :class:`RunEvent` subclass registers itself by its ``kind`` when the
+class is created, and carries its own JSON form (:meth:`RunEvent.to_json`,
+:meth:`RunEvent.from_json`): the event log, replay and ``--follow`` all
+decode through that one table.
 
 Event counts are part of the determinism contract: a serial and a parallel
 run of the same spec publish the same number of :class:`PointStarted` and
@@ -31,8 +36,18 @@ from __future__ import annotations
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, NamedTuple, Optional, TextIO
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    TextIO,
+    Tuple,
+    Type,
+)
 
 from repro.sweep.record import PointRecord
 
@@ -41,16 +56,78 @@ from repro.sweep.record import PointRecord
 # --------------------------------------------------------------------------- #
 
 
+#: kind -> event class, filled in as each RunEvent subclass is defined.
+_EVENT_TYPES: Dict[str, Type[RunEvent]] = {}
+
+
 @dataclass(frozen=True)
 class RunEvent:
     """Base class of every campaign event.
 
     ``kind`` is a stable snake_case tag used for observer dispatch
     (:class:`RunObserver` routes to ``on_<kind>``) and for serialising event
-    streams to logs.
+    streams to logs.  Each subclass declares its own ``kind``; defining the
+    class registers it, so the event log, replay and ``--follow`` know every
+    event without a hand-kept list.
     """
 
     kind = "run_event"
+    # Set at registration, typed by comment so they are not dataclass fields:
+    # the annotated field names (the keys of the JSON ``data``) and the
+    # subset carrying a PointRecord (serialised via ``to_json_dict``).
+    _json_fields = ()  # type: Tuple[str, ...]
+    _record_fields = ()  # type: Tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        kind = cls.__dict__.get("kind")
+        if not isinstance(kind, str):
+            raise TypeError(
+                f"RunEvent subclass {cls.__name__} must declare its own kind"
+            )
+        if kind in _EVENT_TYPES:
+            raise TypeError(
+                f"event kind {kind!r} of {cls.__name__} is already registered "
+                f"by {_EVENT_TYPES[kind].__name__}"
+            )
+        annotations: Dict[str, Any] = {}
+        for klass in reversed(cls.__mro__):
+            annotations.update(klass.__dict__.get("__annotations__", {}))
+        cls._json_fields = tuple(annotations)
+        cls._record_fields = tuple(
+            name
+            for name, annotation in annotations.items()
+            if annotation in ("PointRecord", PointRecord)
+        )
+        _EVENT_TYPES[kind] = cls
+
+    def to_json(self) -> Dict[str, Any]:
+        """The event's ``data`` object: records as dicts, the rest as is."""
+        data = {name: getattr(self, name) for name in self._json_fields}
+        for name in self._record_fields:
+            data[name] = data[name].to_json_dict()
+        return data
+
+    @staticmethod
+    def from_json(kind: Any, data: Any) -> Optional["RunEvent"]:
+        """Rebuild the event that :meth:`to_json` wrote under ``kind``.
+
+        None when the kind is unknown (a newer writer) or ``data`` cannot
+        build the event (not an object, a required field missing, a
+        malformed record): readers skip such lines instead of failing.
+        Unknown keys in ``data`` are ignored.
+        """
+        cls = _EVENT_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None or not isinstance(data, dict):
+            return None
+        kwargs = {name: data[name] for name in cls._json_fields if name in data}
+        try:
+            for name in cls._record_fields:
+                if name in kwargs:
+                    kwargs[name] = PointRecord.from_json_dict(kwargs[name])
+            return cls(**kwargs)
+        except (AttributeError, TypeError, ValueError):
+            return None
 
 
 @dataclass(frozen=True)
@@ -161,17 +238,6 @@ class PoolRestarted(RunEvent):
     restarts: int = 1  #: cumulative pool respawns this campaign
     jobs: int = 0
     reason: str = ""
-
-
-@dataclass(frozen=True)
-class CheckpointFlushed(RunEvent):
-    """One record reached the JSONL checkpoint on disk."""
-
-    kind = "checkpoint_flushed"
-
-    path: str
-    key: str
-    flushed: int  #: cumulative records flushed by this campaign
 
 
 @dataclass(frozen=True)
@@ -390,35 +456,23 @@ class ProgressReporter(RunObserver):
 
 
 class CheckpointObserver(RunObserver):
-    """Appends every completed point to a JSONL checkpoint as it lands.
+    """Appends every completed or failed point to a JSONL checkpoint.
 
-    Re-publishes a :class:`CheckpointFlushed` event after each append when
-    given the bus, so downstream observers (and ``--follow`` consumers of the
-    file itself) can track durable progress rather than in-memory progress.
+    Campaigns subscribe it ``critical=True`` ahead of the event log and
+    every user observer, so any later observer that sees a
+    :class:`PointCompleted` can rely on its record already being on disk.
     """
 
-    def __init__(self, store, bus: Optional[EventBus] = None) -> None:
+    def __init__(self, store) -> None:
         self.store = store
-        self.bus = bus
-        self.flushed = 0
 
     def on_point_completed(self, event: PointCompleted) -> None:
-        self._append(event.record)
+        self.store.append(event.record)
 
     def on_point_failed(self, event: PointFailed) -> None:
         # Failure records are durable too: a resume must know the point was
         # quarantined, not merely never attempted.
-        self._append(event.record)
-
-    def _append(self, record) -> None:
-        self.store.append(record)
-        self.flushed += 1
-        if self.bus is not None:
-            self.bus.publish(
-                CheckpointFlushed(
-                    path=self.store.path, key=record.key, flushed=self.flushed
-                )
-            )
+        self.store.append(event.record)
 
     def on_campaign_finished(self, event: CampaignFinished) -> None:
         # The durable end-of-campaign marker: what tells a cross-process

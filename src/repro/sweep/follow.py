@@ -5,7 +5,7 @@ Two durable streams can drive the follower:
 * the **event log** (:mod:`repro.sweep.eventlog`) — the full typed event
   stream, one JSONL line per event.  Following it shows per-point starts
   (with true worker attribution), in-flight points and per-worker
-  throughput, and completion is the logged ``campaign_finished`` event;
+  throughput, and completion is the logged :class:`CampaignFinished` event;
 * the **checkpoint** (:mod:`repro.sweep.checkpoint`) — the legacy fallback:
   one line per *completed* point, so only completions (and the ``finished``
   marker) are visible.
@@ -14,22 +14,30 @@ Two durable streams can drive the follower:
 checkpoint whose sidecar event log exists) it follows events; any other
 path falls back to checkpoint tailing, byte-compatible with older files.
 
-Both tailers share one incremental reader that survives the realities of
-files written by other processes:
+One follower serves both.  A small decoder per source turns each JSONL
+line into a typed :class:`~repro.sweep.events.RunEvent` — event-log lines
+through the event registry (:meth:`RunEvent.from_json`), checkpoint
+``record`` lines into :class:`PointCompleted`/:class:`PointFailed` and its
+``finished`` marker into :class:`CampaignFinished` — and the follow state
+is a :class:`~repro.sweep.events.RunObserver` fed those events.  Lines that
+do not decode are ignored.
+
+The follower's incremental reader survives the realities of files written
+by other processes:
 
 * a **half-written trailing line** (no newline yet) is re-read on the next
-  poll — and if the writer died mid-line, :meth:`finalize` salvages the tail
-  if it parses, so a torn ``finished`` marker still completes the campaign
-  instead of wedging the follower at N-1/N;
+  poll — and if the writer died mid-line, :meth:`_Follower.finalize`
+  salvages the tail if it parses, so a torn ``finished`` marker still
+  completes the campaign instead of wedging the follower at N-1/N;
 * **truncation or atomic rewrite** (``compact`` runs mid-tail, the file
   shrinks, or the first line changes under us) resets the read offset *and*
   the seen-key set, re-syncing from the new file contents — counts stay
   accurate instead of silently stalling until the idle timeout.
 
-Both tailers are failure-aware: permanently failed points (quarantined by
+The follower is failure-aware: permanently failed points (quarantined by
 the fault-tolerant runners) count as *done* — the campaign genuinely
-finished with them — but are reported separately, and the event tailer
-additionally surfaces retries, lost workers and pool restarts as incident
+finished with them — but are reported separately, and event logs
+additionally surface retries, lost workers and pool restarts as incident
 lines as they stream in.
 
 Exit codes: 0 when the campaign completed cleanly, 1 when it completed but
@@ -46,25 +54,84 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, TextIO, Tuple
 
 from repro.sweep.eventlog import EventLogObserver, default_event_log_path
+from repro.sweep.events import (
+    CampaignFinished,
+    CampaignStarted,
+    PointCompleted,
+    PointFailed,
+    PointResumed,
+    PointRetried,
+    PointStarted,
+    PoolRestarted,
+    RunEvent,
+    RunObserver,
+    WorkerLost,
+)
+from repro.sweep.record import PointRecord
 
 
 # --------------------------------------------------------------------------- #
-# the shared incremental JSONL reader
+# the two sources
 # --------------------------------------------------------------------------- #
-class _JsonlTailer:
-    """Incrementally parse complete JSONL lines appended to a live file.
+def _event_log_line(payload: dict) -> Optional[RunEvent]:
+    """An event-log line, decoded through the event registry."""
+    return RunEvent.from_json(payload.get("kind"), payload.get("data"))
 
-    Subclasses implement ``_consume(payload) -> int`` (progress units in the
-    payload, e.g. 1 for a newly seen record) and ``_reset_state()`` (clear
-    everything derived from file contents; called when the file was
-    truncated or atomically rewritten underneath us).
+
+def _checkpoint_line(payload: dict) -> Optional[RunEvent]:
+    """A checkpoint line: a completed or failed point, or the finish marker."""
+    kind = payload.get("kind")
+    if kind == "record":
+        record = PointRecord.from_json_dict(payload)
+        return PointFailed(record) if record.failed else PointCompleted(record)
+    if kind == "finished":
+        # The marker carries no name, total or wall time; the follower only
+        # reads the failure count off the finish event.
+        return CampaignFinished(
+            name="",
+            total_points=0,
+            evaluated=payload.get("evaluated", 0),
+            resumed=payload.get("resumed", 0),
+            wall_seconds=0.0,
+            failed=payload.get("failed") or 0,
+        )
+    return None
+
+
+class _Source(NamedTuple):
+    """A durable stream the follower can tail."""
+
+    noun: str  #: what the file is called in the re-sync notice
+    attach: str  #: the first line's verb phrase
+    decode: Callable[[dict], Optional[RunEvent]]
+    #: Show in-flight counts and the per-worker report (event logs only).
+    detailed: bool
+
+
+_EVENT_LOG = _Source("event log", "following events", _event_log_line, True)
+_CHECKPOINT = _Source("checkpoint", "following", _checkpoint_line, False)
+
+
+# --------------------------------------------------------------------------- #
+# the follower: incremental reader plus follow state
+# --------------------------------------------------------------------------- #
+class _Follower(RunObserver):
+    """Incrementally read a live campaign file and track its progress.
+
+    Every complete JSONL line is decoded by the source into a typed event
+    and dispatched to this observer's ``on_<kind>`` hooks.  Progress units
+    are *done* points (completed, resumed or failed).  Starts accumulate on
+    :attr:`pending_starts` and incidents on :attr:`pending_incidents` for
+    the follow loop to print; per-worker completion counts and timestamps
+    feed the throughput report.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, source: _Source) -> None:
         self.path = path
+        self.source = source
         self.offset = 0
         self.resyncs = 0  #: rewrites/truncations detected so far
         self.resynced = False  #: the *last* poll detected one
@@ -72,7 +139,33 @@ class _JsonlTailer:
         self._first_line: Optional[str] = None
         self._torn_tail: Optional[str] = None
         self._ino: Optional[int] = None
+        self._progress = 0  # done points ever counted, across re-syncs
+        self.total: Optional[int] = None
+        self.name = "campaign"
+        self.strategy: Optional[str] = None
+        self._reset_state()
 
+    def _reset_state(self) -> None:
+        """Forget everything derived from the file's contents.
+
+        Called per session (each :class:`CampaignStarted`) and when the file
+        was rewritten: a compacted file re-lists every live key, and keeping
+        the old seen-key set would mask keys the rewrite removed.
+        """
+        self.finished = False
+        self.marker_failed = 0
+        self.started: Dict[str, Optional[int]] = {}  # key -> worker pid
+        self.done: set = set()  # completed, resumed or failed keys
+        self.failed_keys: set = set()
+        #: (label, worker pid) starts not yet printed by the follower.
+        self.pending_starts: List[Tuple[str, Optional[int]]] = []
+        #: incident lines not yet printed by the follower.
+        self.pending_incidents: List[str] = []
+        #: worker pid -> [points, first started_ts, last finished_ts]
+        self.workers: Dict[int, List[float]] = {}
+
+    # ------------------------------------------------------------------ #
+    # reading
     # ------------------------------------------------------------------ #
     def poll(self) -> int:
         """Consume newly appended complete lines; return new progress units.
@@ -89,7 +182,7 @@ class _JsonlTailer:
         self.resynced = False
         if not os.path.exists(self.path):
             return 0
-        new = 0
+        before = self._progress
         self._torn_tail = None
         with open(self.path, "r", encoding="utf-8") as fh:
             stat = os.fstat(fh.fileno())
@@ -101,7 +194,7 @@ class _JsonlTailer:
                 if not rewritten and self._first_line is not None:
                     rewritten = fh.readline() != self._first_line
                 if rewritten:
-                    self._reset()
+                    self._resync()
                 fh.seek(self.offset)
             self._ino = ino
             while True:
@@ -117,17 +210,10 @@ class _JsonlTailer:
                 if line_start == 0:
                     self._first_line = line
                 self.offset = fh.tell()
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    payload = json.loads(stripped)
-                except json.JSONDecodeError:
-                    continue
-                new += self._consume(payload)
-        return new
+                self._consume(line)
+        return self._progress - before
 
-    def finalize(self) -> int:
+    def finalize(self) -> None:
         """Last-resort read: also consume a parseable torn trailing line.
 
         A writer that crashed (or was killed) after writing a full JSON line
@@ -136,23 +222,12 @@ class _JsonlTailer:
         it is consumed — a torn-but-complete ``finished`` marker then ends
         the campaign cleanly instead of reporting N-1/N forever.
         """
-        new = self.poll()
-        if self._torn_tail is None:
-            return new
-        try:
-            payload = json.loads(self._torn_tail.strip())
-        except json.JSONDecodeError:
-            return new  # genuinely torn mid-JSON: nothing to salvage
-        self.salvaged_tail = True
-        self._torn_tail = None
-        return new + self._consume(payload)
+        self.poll()
+        if self._torn_tail is not None and self._consume(self._torn_tail):
+            self.salvaged_tail = True
+            self._torn_tail = None
 
-    @property
-    def has_torn_tail(self) -> bool:
-        """The last poll ended on an unterminated line."""
-        return self._torn_tail is not None
-
-    def _reset(self) -> None:
+    def _resync(self) -> None:
         self.offset = 0
         self._first_line = None
         self._torn_tail = None
@@ -160,76 +235,122 @@ class _JsonlTailer:
         self.resynced = True
         self._reset_state()
 
-    # -- subclass hooks ------------------------------------------------- #
-    def _consume(self, payload: dict) -> int:
-        raise NotImplementedError
-
-    def _reset_state(self) -> None:
-        raise NotImplementedError
-
-
-# --------------------------------------------------------------------------- #
-# checkpoint tailing (legacy fallback)
-# --------------------------------------------------------------------------- #
-class _CheckpointTailer(_JsonlTailer):
-    """Tail a campaign checkpoint: one JSONL record per completed point."""
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path)
-        self.total: Optional[int] = None
-        self.name = "campaign"
-        self.strategy: Optional[str] = None
-        self.finished = False
-        self.keys: set = set()
-        self.failed_keys: set = set()
-        self.marker_failed = 0
-        #: incident lines (permanent failures) not yet printed.
-        self.pending_incidents: List[str] = []
-
-    def _consume(self, payload: dict) -> int:
-        kind = payload.get("kind")
-        if kind == "header":
-            self.total = payload.get("total_points")
+    def _consume(self, line: str) -> bool:
+        """Parse and apply one line; False when it holds no JSON value."""
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError:
+            return False  # blank, or torn mid-JSON
+        if not isinstance(payload, dict):
+            return True
+        if payload.get("kind") == "header":
+            # Both files open with the same header fields.
             self.name = payload.get("name", self.name)
+            self.total = payload.get("total_points")
             self.strategy = payload.get("strategy")
-        elif kind == "record":
-            key = payload.get("key")
-            meta = payload.get("meta") or {}
-            if meta.get("status") == "failed":
-                if key not in self.failed_keys:
-                    self.failed_keys.add(key)
-                    label = payload.get("label") or key
-                    self.pending_incidents.append(
-                        f"FAILED {label}: {meta.get('error', '')}"
-                    )
-            else:
-                # A later success supersedes an earlier failure record
-                # (``--retry-failed`` appends the fresh result to the same
-                # checkpoint).
-                self.failed_keys.discard(key)
-            if key not in self.keys:
-                self.keys.add(key)
-                return 1
-        elif kind == "finished":
-            self.finished = True
-            self.marker_failed = int(payload.get("failed") or 0)
-        return 0
+            return True
+        event = self.source.decode(payload)
+        if event is not None:
+            self.on_event(event)
+        return True
 
-    def _reset_state(self) -> None:
-        # The file was rewritten: everything derived from it is stale.  The
-        # seen-key set must go too — a compacted file re-lists every live
-        # key, and keeping the old set would double-count nothing but would
-        # mask keys the rewrite legitimately removed.
-        self.keys = set()
-        self.failed_keys = set()
-        self.marker_failed = 0
-        self.pending_incidents = []
-        self.finished = False
+    # ------------------------------------------------------------------ #
+    # event hooks
+    # ------------------------------------------------------------------ #
+    def on_campaign_started(self, event: CampaignStarted) -> None:
+        # A new session (fresh run or resume) on the same log: per-point
+        # state restarts, exactly like a live ProgressReporter's.
+        self.name = event.name
+        self.total = event.total_points
+        self.strategy = event.strategy
+        self._reset_state()
 
-    def drain_incidents(self) -> List[str]:
-        """Incident lines observed since the last drain."""
-        pending, self.pending_incidents = self.pending_incidents, []
-        return pending
+    def on_point_started(self, event: PointStarted) -> None:
+        if event.key not in self.started:
+            self.started[event.key] = event.worker
+            self.pending_starts.append((event.label, event.worker))
+
+    def on_point_resumed(self, event: PointResumed) -> None:
+        self._settle(event.record)
+
+    def on_point_completed(self, event: PointCompleted) -> None:
+        if not self._settle(event.record):
+            return
+        meta = event.record.meta
+        worker = meta.get("worker")
+        if worker is None:
+            return
+        stats = self.workers.setdefault(worker, [0, None, None])
+        stats[0] += 1
+        started_ts = meta.get("started_ts")
+        finished_ts = meta.get("finished_ts")
+        if started_ts is not None and (stats[1] is None or started_ts < stats[1]):
+            stats[1] = started_ts
+        if finished_ts is not None and (stats[2] is None or finished_ts > stats[2]):
+            stats[2] = finished_ts
+
+    def on_point_failed(self, event: PointFailed) -> None:
+        record = event.record
+        if record.key not in self.failed_keys:
+            self.failed_keys.add(record.key)
+            self.pending_incidents.append(
+                f"FAILED {record.label or record.key}: {record.meta.get('error', '')}"
+            )
+        self._mark_done(record.key)
+
+    def on_point_retried(self, event: PointRetried) -> None:
+        self.pending_incidents.append(
+            f"retrying {event.label or event.key} (attempt {event.attempt} "
+            f"after {event.reason}: {event.error})"
+        )
+
+    def on_worker_lost(self, event: WorkerLost) -> None:
+        self.pending_incidents.append(
+            f"worker {event.worker} lost with {event.inflight} point(s) in flight"
+        )
+
+    def on_pool_restarted(self, event: PoolRestarted) -> None:
+        self.pending_incidents.append(
+            f"worker pool restarted (#{event.restarts}, jobs={event.jobs}): "
+            f"{event.reason}"
+        )
+
+    def on_campaign_finished(self, event: CampaignFinished) -> None:
+        self.finished = True
+        self.marker_failed = int(event.failed or 0)
+
+    def _settle(self, record: PointRecord) -> bool:
+        """Count a completed or resumed record; True when newly done.
+
+        A resumed failure record is done but counted as failed; a later
+        success supersedes an earlier failure (``--retry-failed`` appends
+        the fresh result to the same checkpoint).
+        """
+        if record.failed:
+            self.failed_keys.add(record.key)
+        else:
+            self.failed_keys.discard(record.key)
+        return self._mark_done(record.key)
+
+    def _mark_done(self, key: str) -> bool:
+        if key in self.done:
+            return False
+        self.done.add(key)
+        self._progress += 1
+        return True
+
+    # ------------------------------------------------------------------ #
+    # derived state
+    # ------------------------------------------------------------------ #
+    @property
+    def count(self) -> int:
+        """Done points (completed, resumed or failed) of the current session."""
+        return len(self.done)
+
+    @property
+    def in_flight(self) -> int:
+        """Points started but not yet done."""
+        return sum(1 for key in self.started if key not in self.done)
 
     @property
     def failed(self) -> int:
@@ -237,16 +358,12 @@ class _CheckpointTailer(_JsonlTailer):
         return max(len(self.failed_keys), self.marker_failed)
 
     @property
-    def count(self) -> int:
-        """Distinct completed points observed so far."""
-        return len(self.keys)
-
-    @property
     def complete(self) -> bool:
         """True once the campaign is provably done.
 
-        The durable ``finished`` marker is authoritative.  Without one, the
-        record count is compared against the header's ``total_points`` —
+        The durable finish marker (the logged :class:`CampaignFinished`, or
+        the checkpoint's ``finished`` line) is authoritative.  Without one,
+        the done count is compared against the header's ``total_points`` —
         but only for exhaustive grids (or legacy headers naming no
         strategy): adaptive strategies evaluate more records than the
         expansion (halving's extra rungs) or fewer (random subsampling), so
@@ -258,169 +375,15 @@ class _CheckpointTailer(_JsonlTailer):
             return False
         return self.total is not None and self.count >= self.total
 
-
-# --------------------------------------------------------------------------- #
-# event-log tailing
-# --------------------------------------------------------------------------- #
-class _EventLogTailer(_JsonlTailer):
-    """Tail a campaign event log: starts, completions and attribution.
-
-    Progress units are *done* points (completed or resumed).  Starts
-    accumulate on :attr:`pending_starts` for the follower to print, and
-    per-worker completion counts/timestamps feed the throughput report.
-    """
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path)
-        self.total: Optional[int] = None
-        self.name = "campaign"
-        self.strategy: Optional[str] = None
-        self.finished = False
-        self.started: Dict[str, Optional[int]] = {}  # key -> worker pid
-        self.done: set = set()  # completed, resumed or failed keys
-        self.failed_keys: set = set()
-        self.marker_failed = 0
-        #: (label, worker pid) starts not yet printed by the follower.
-        self.pending_starts: List[Tuple[str, Optional[int]]] = []
-        #: fault-tolerance incident lines not yet printed by the follower.
-        self.pending_incidents: List[str] = []
-        #: worker pid -> [points, first started_ts, last finished_ts]
-        self.workers: Dict[int, List[float]] = {}
-
-    # ------------------------------------------------------------------ #
-    def _consume(self, payload: dict) -> int:
-        kind = payload.get("kind")
-        if kind == "header":
-            self.name = payload.get("name", self.name)
-            self.total = payload.get("total_points")
-            self.strategy = payload.get("strategy")
-            return 0
-        data = payload.get("data") or {}
-        if kind == "campaign_started":
-            # A new session (fresh run or resume) on the same log: per-point
-            # state restarts, exactly like a live ProgressReporter's.
-            self.name = data.get("name", self.name)
-            self.total = data.get("total_points", self.total)
-            self.strategy = data.get("strategy", self.strategy)
-            self.finished = False
-            self.started = {}
-            self.done = set()
-            self.failed_keys = set()
-            self.marker_failed = 0
-            self.workers = {}
-            self.pending_starts = []
-            self.pending_incidents = []
-        elif kind == "point_started":
-            key = data.get("key")
-            if key not in self.started:
-                self.started[key] = data.get("worker")
-                self.pending_starts.append((data.get("label", key), data.get("worker")))
-        elif kind in ("point_completed", "point_resumed"):
-            record = data.get("record") or {}
-            key = record.get("key")
-            meta = record.get("meta") or {}
-            if meta.get("status") == "failed":
-                # A resumed failure record: done, but counted as failed.
-                self.failed_keys.add(key)
-            else:
-                self.failed_keys.discard(key)
-            if key not in self.done:
-                self.done.add(key)
-                if kind == "point_completed":
-                    meta = record.get("meta") or {}
-                    worker = meta.get("worker")
-                    if worker is not None:
-                        stats = self.workers.setdefault(worker, [0, None, None])
-                        stats[0] += 1
-                        started_ts = meta.get("started_ts")
-                        finished_ts = meta.get("finished_ts")
-                        if started_ts is not None and (
-                            stats[1] is None or started_ts < stats[1]
-                        ):
-                            stats[1] = started_ts
-                        if finished_ts is not None and (
-                            stats[2] is None or finished_ts > stats[2]
-                        ):
-                            stats[2] = finished_ts
-                return 1
-        elif kind == "point_failed":
-            record = data.get("record") or {}
-            key = record.get("key")
-            meta = record.get("meta") or {}
-            self.failed_keys.add(key)
-            label = record.get("label") or key
-            self.pending_incidents.append(f"FAILED {label}: {meta.get('error', '')}")
-            if key not in self.done:
-                self.done.add(key)
-                return 1
-        elif kind == "point_retried":
-            self.pending_incidents.append(
-                "retrying {label} (attempt {attempt} after {reason}: {error})".format(
-                    label=data.get("label") or data.get("key"),
-                    attempt=data.get("attempt", "?"),
-                    reason=data.get("reason", "error"),
-                    error=data.get("error", ""),
-                )
-            )
-        elif kind == "worker_lost":
-            self.pending_incidents.append(
-                "worker {worker} lost with {inflight} point(s) in flight".format(
-                    worker=data.get("worker", "?"), inflight=data.get("inflight", 0)
-                )
-            )
-        elif kind == "pool_restarted":
-            self.pending_incidents.append(
-                "worker pool restarted (#{restarts}, jobs={jobs}): {reason}".format(
-                    restarts=data.get("restarts", "?"),
-                    jobs=data.get("jobs", "?"),
-                    reason=data.get("reason", ""),
-                )
-            )
-        elif kind == "campaign_finished":
-            self.finished = True
-            self.marker_failed = int(data.get("failed") or 0)
-        elif kind == "checkpoint_flushed":
-            # Deliberate no-op: flushes mark durability, not progress — the
-            # per-point events above already carry everything the follower
-            # displays.
-            pass
-        return 0
-
-    def _reset_state(self) -> None:
-        self.finished = False
-        self.started = {}
-        self.done = set()
-        self.failed_keys = set()
-        self.marker_failed = 0
-        self.workers = {}
-        self.pending_starts = []
-        self.pending_incidents = []
-
-    # ------------------------------------------------------------------ #
-    @property
-    def count(self) -> int:
-        """Done points (completed or resumed) of the current session."""
-        return len(self.done)
-
-    @property
-    def in_flight(self) -> int:
-        """Points started but not yet completed."""
-        return sum(1 for key in self.started if key not in self.done)
-
     def drain_starts(self) -> List[Tuple[str, Optional[int]]]:
         """Starts observed since the last drain (label, worker pid)."""
         pending, self.pending_starts = self.pending_starts, []
         return pending
 
     def drain_incidents(self) -> List[str]:
-        """Fault-tolerance incident lines observed since the last drain."""
+        """Incident lines observed since the last drain."""
         pending, self.pending_incidents = self.pending_incidents, []
         return pending
-
-    @property
-    def failed(self) -> int:
-        """Permanently failed points (events seen, or the finish event)."""
-        return max(len(self.failed_keys), self.marker_failed)
 
     def worker_report(self) -> List[str]:
         """Per-worker throughput lines, from the workers' own timestamps."""
@@ -436,36 +399,26 @@ class _EventLogTailer(_JsonlTailer):
             lines.append(f"worker {worker}: {int(points)} point(s), {rate}")
         return lines
 
-    @property
-    def complete(self) -> bool:
-        """The logged ``campaign_finished`` event is authoritative."""
-        if self.finished:
-            return True
-        if self.strategy not in (None, "grid"):
-            return False
-        return self.total is not None and self.count >= self.total
-
 
 # --------------------------------------------------------------------------- #
-# follow loops
+# the follow loop
 # --------------------------------------------------------------------------- #
-def _completion_suffix(tailer) -> str:
+def _completion_suffix(tailer: _Follower) -> str:
     """``, N failed`` when points permanently failed, else nothing.
 
     Appending only on failure keeps clean-run completion lines
     byte-identical to what CI and older tooling grep for.
     """
-    failed = getattr(tailer, "failed", 0)
-    return f", {failed} failed" if failed else ""
+    return f", {tailer.failed} failed" if tailer.failed else ""
 
 
-def _completion_code(tailer) -> int:
+def _completion_code(tailer: _Follower) -> int:
     """0 for a clean completion, 1 when points permanently failed."""
-    return 1 if getattr(tailer, "failed", 0) else 0
+    return 1 if tailer.failed else 0
 
 
-def _finish_incomplete(tailer, emit, idle_timeout: Optional[float]) -> int:
-    """Shared give-up path: salvage the tail, then report complete or not."""
+def _finish_incomplete(tailer: _Follower, emit, idle_timeout: Optional[float]) -> int:
+    """The give-up path: salvage the tail, then report complete or not."""
     tailer.finalize()
     total = tailer.total if tailer.total is not None else "?"
     if tailer.complete:
@@ -483,117 +436,26 @@ def _finish_incomplete(tailer, emit, idle_timeout: Optional[float]) -> int:
     return 2
 
 
-def follow_checkpoint(
+def _follow(
     path: str,
-    poll_seconds: float = 0.25,
-    idle_timeout: Optional[float] = 60.0,
-    stream: Optional[TextIO] = None,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
+    source: _Source,
+    poll_seconds: float,
+    idle_timeout: Optional[float],
+    stream: Optional[TextIO],
+    clock: Callable[[], float],
+    sleep: Callable[[float], None],
 ) -> int:
-    """Tail a JSONL checkpoint until the campaign completes (legacy mode).
-
-    Parameters
-    ----------
-    path:
-        The JSONL checkpoint a (possibly still running) campaign writes to.
-        The file may not exist yet; the follower waits for it.
-    poll_seconds:
-        Delay between file polls.
-    idle_timeout:
-        Give up after this many seconds without any new data (``None``
-        waits forever).  An incomplete campaign then exits with code 1 —
-        after a last-resort re-read of any torn trailing line, so a writer
-        killed between its final JSON and its newline cannot wedge
-        completion detection.
-    stream:
-        Where progress lines go (default: stdout).  One line per update —
-        append-friendly for CI log artifacts.
-    """
+    """Poll ``path`` until its campaign completes or goes idle too long."""
     out = stream if stream is not None else sys.stdout
 
     def emit(line: str) -> None:
         out.write(line + "\n")
         out.flush()
 
-    tailer = _CheckpointTailer(path)
-    emit(f"following {path} ...")
-    # Records already on disk predate the attach: they seed the count but
+    tailer = _Follower(path, source)
+    emit(f"{source.attach} {path} ...")
+    # Points already on disk predate the attach: they seed the count but
     # not the rate, so points/sec means "campaign throughput while watched".
-    tailer.poll()
-    tailer.drain_incidents()  # failures that predate the attach are history
-    baseline = tailer.count
-    t_attach = clock()
-    last_data = t_attach
-    first_status = True
-    while True:
-        new_records = 0 if first_status else tailer.poll()
-        if tailer.resynced:
-            emit(f"[{tailer.name}] checkpoint rewritten, re-syncing")
-            baseline = min(baseline, tailer.count)
-        incidents = tailer.drain_incidents()
-        for line in incidents:
-            emit(f"[{tailer.name}] ! {line}")
-        now = clock()
-        if new_records or incidents or tailer.complete or first_status:
-            if new_records or incidents:
-                last_data = now
-            fresh = tailer.count - baseline
-            elapsed = now - t_attach
-            rate = fresh / elapsed if elapsed > 0 and fresh > 0 else 0.0
-            total = tailer.total if tailer.total is not None else "?"
-            remaining = (
-                max(0, tailer.total - tailer.count) if tailer.total is not None else None
-            )
-            eta = (
-                f"{remaining / rate:.1f}s"
-                if rate > 0 and remaining is not None
-                else "-"
-            )
-            emit(
-                f"[{tailer.name}] {tailer.count}/{total} points | "
-                f"{rate:.2f} points/s | ETA {eta}"
-            )
-            first_status = False
-        if tailer.complete:
-            emit(
-                f"[{tailer.name}] campaign complete: {tailer.count} points"
-                f"{_completion_suffix(tailer)}"
-            )
-            return _completion_code(tailer)
-        if idle_timeout is not None and now - last_data > idle_timeout:
-            return _finish_incomplete(tailer, emit, idle_timeout)
-        sleep(poll_seconds)
-
-
-def follow_event_log(
-    path: str,
-    poll_seconds: float = 0.25,
-    idle_timeout: Optional[float] = 60.0,
-    stream: Optional[TextIO] = None,
-    clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
-) -> int:
-    """Tail a campaign event log: starts, in-flight points, worker rates.
-
-    Everything :func:`follow_checkpoint` shows, plus per-point start lines
-    with true worker attribution, the number of in-flight points on every
-    status line, and a per-worker throughput report on completion — the
-    payoff of following the full event stream rather than completions only.
-
-    Note on in-flight counts: a chunked process pool ships start stamps
-    back only when a chunk completes (delivery is deferred; the stamped
-    timestamps stay faithful), so live in-flight counts are most meaningful
-    for serial and streaming runners.
-    """
-    out = stream if stream is not None else sys.stdout
-
-    def emit(line: str) -> None:
-        out.write(line + "\n")
-        out.flush()
-
-    tailer = _EventLogTailer(path)
-    emit(f"following events {path} ...")
     tailer.poll()
     tailer.drain_starts()  # starts that predate the attach are history
     tailer.drain_incidents()  # ... and so are incidents
@@ -604,7 +466,7 @@ def follow_event_log(
     while True:
         new_done = 0 if first_status else tailer.poll()
         if tailer.resynced:
-            emit(f"[{tailer.name}] event log rewritten, re-syncing")
+            emit(f"[{tailer.name}] {source.noun} rewritten, re-syncing")
             baseline = min(baseline, tailer.count)
         starts = tailer.drain_starts()
         for label, worker in starts:
@@ -629,24 +491,79 @@ def follow_event_log(
                 if rate > 0 and remaining is not None
                 else "-"
             )
+            in_flight = f"{tailer.in_flight} in flight | " if source.detailed else ""
             emit(
                 f"[{tailer.name}] {tailer.count}/{total} points | "
-                f"{rate:.2f} points/s | {tailer.in_flight} in flight | ETA {eta}"
+                f"{rate:.2f} points/s | {in_flight}ETA {eta}"
             )
             first_status = False
         if tailer.complete:
-            workers = tailer.workers
+            workers = tailer.workers if source.detailed else {}
             suffix = f" across {len(workers)} worker(s)" if workers else ""
             emit(
                 f"[{tailer.name}] campaign complete: {tailer.count} points"
                 f"{_completion_suffix(tailer)}{suffix}"
             )
-            for line in tailer.worker_report():
-                emit(f"[{tailer.name}]   {line}")
+            if workers:
+                for line in tailer.worker_report():
+                    emit(f"[{tailer.name}]   {line}")
             return _completion_code(tailer)
         if idle_timeout is not None and now - last_data > idle_timeout:
             return _finish_incomplete(tailer, emit, idle_timeout)
         sleep(poll_seconds)
+
+
+def follow_checkpoint(
+    path: str,
+    poll_seconds: float = 0.25,
+    idle_timeout: Optional[float] = 60.0,
+    stream: Optional[TextIO] = None,
+    clock: Callable[[], float] = time.monotonic,
+    sleep: Callable[[float], None] = time.sleep,
+) -> int:
+    """Tail a JSONL checkpoint until the campaign completes (legacy mode).
+
+    Parameters
+    ----------
+    path:
+        The JSONL checkpoint a (possibly still running) campaign writes to.
+        The file may not exist yet; the follower waits for it.
+    poll_seconds:
+        Delay between file polls.
+    idle_timeout:
+        Give up after this many seconds without any new data (``None``
+        waits forever).  An incomplete campaign then exits with code 2 —
+        after a last-resort re-read of any torn trailing line, so a writer
+        killed between its final JSON and its newline cannot wedge
+        completion detection.
+    stream:
+        Where progress lines go (default: stdout).  One line per update —
+        append-friendly for CI log artifacts.
+    """
+    return _follow(path, _CHECKPOINT, poll_seconds, idle_timeout, stream, clock, sleep)
+
+
+def follow_event_log(
+    path: str,
+    poll_seconds: float = 0.25,
+    idle_timeout: Optional[float] = 60.0,
+    stream: Optional[TextIO] = None,
+    clock: Callable[[], float] = time.monotonic,
+    sleep: Callable[[float], None] = time.sleep,
+) -> int:
+    """Tail a campaign event log: starts, in-flight points, worker rates.
+
+    Everything :func:`follow_checkpoint` shows, plus per-point start lines
+    with true worker attribution, the number of in-flight points on every
+    status line, and a per-worker throughput report on completion — the
+    payoff of following the full event stream rather than completions only.
+
+    Note on in-flight counts: a chunked process pool ships start stamps
+    back only when a chunk completes (delivery is deferred; the stamped
+    timestamps stay faithful), so live in-flight counts are most meaningful
+    for serial and streaming runners.
+    """
+    return _follow(path, _EVENT_LOG, poll_seconds, idle_timeout, stream, clock, sleep)
 
 
 def _is_event_log(path: str) -> bool:

@@ -104,14 +104,13 @@ def test_missing_path_is_a_usage_error(capsys):
     assert main(["check", "no/such/path"]) == 2
 
 
-def test_checks_subcommand_lists_all_six(capsys):
+def test_checks_subcommand_lists_all_five(capsys):
     assert main(["checks"]) == 0
     out = capsys.readouterr().out
     for check_id in (
         "backend-protocol",
         "canonical-fields",
         "determinism",
-        "event-schema",
         "lock-discipline",
         "picklability",
     ):

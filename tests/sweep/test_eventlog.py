@@ -15,7 +15,6 @@ from repro.sweep.eventlog import (
     EventLogMismatch,
     EventLogObserver,
     default_event_log_path,
-    event_from_payload,
 )
 from repro.sweep.events import (
     CampaignFinished,
@@ -24,6 +23,7 @@ from repro.sweep.events import (
     PointResumed,
     PointStarted,
     ProgressReporter,
+    RunEvent,
 )
 from repro.sweep.follow import follow_campaign, follow_event_log
 from repro.sweep.spec import smoke_spec
@@ -61,7 +61,7 @@ class TestEventLogWriting:
         assert kinds[-1] == "campaign_finished"
         assert kinds.count("point_started") == spec.size
         assert kinds.count("point_completed") == spec.size
-        assert kinds.count("checkpoint_flushed") == spec.size
+        assert "checkpoint_flushed" not in kinds
         assert [p["seq"] for p in events] == list(range(1, len(events) + 1))
         assert all(isinstance(p["ts"], float) for p in events)
 
@@ -192,7 +192,7 @@ class TestPayloadRoundTrip:
         stats = CampaignReplay(path).replay()
         assert stats.skipped == 1
         assert stats.finished
-        assert event_from_payload({"kind": "from_the_future"}) is None
+        assert RunEvent.from_json("from_the_future", {}) is None
 
 
 class TestCampaignReplay:
@@ -329,6 +329,97 @@ class TestFollowEventLog:
         stream = io.StringIO()
         assert follow_event_log(path, idle_timeout=0.2, stream=stream) == 2
         assert "campaign incomplete" in stream.getvalue()
+
+
+def insert_after(path, lines, index):
+    """Insert raw JSON lines after the ``index``-th line of a log."""
+    with open(path, encoding="utf-8") as fh:
+        existing = fh.readlines()
+    existing[index + 1 : index + 1] = [json.dumps(line) + "\n" for line in lines]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(existing)
+
+
+#: Lines of a known kind that cannot build their event.
+MALFORMED = [
+    {"kind": "point_started", "seq": 999, "ts": 1.0, "data": {"key": "x"}},
+    {"kind": "point_completed", "seq": 1000, "ts": 1.0, "data": "oops"},
+    {"kind": "point_failed", "seq": 1001, "ts": 1.0, "data": {"record": 5}},
+]
+
+
+class TestDamagedAndLegacyLogs:
+    def test_replay_skips_malformed_lines_of_known_kinds(self, spec, tmp_path, capsys):
+        log = str(tmp_path / "damaged.events.jsonl")
+        assert main(["--event-log", log]) == 0
+        insert_after(log, MALFORMED, 3)
+        stats = CampaignReplay(log).replay()
+        assert stats.skipped == len(MALFORMED)
+        assert stats.finished and stats.failed == 0
+        capsys.readouterr()
+        # Exit codes follow the campaign alone: finished and clean is 0.
+        assert main(["replay", log]) == 0
+        out = capsys.readouterr().out
+        assert f"campaign finished: {spec.size} evaluated" in out
+        assert f"{len(MALFORMED)} undecodable line(s) skipped" in out
+
+    def test_follow_ignores_malformed_lines_of_known_kinds(self, spec, tmp_path):
+        log = str(tmp_path / "damaged.events.jsonl")
+        execute_campaign(spec, event_log=log)
+        insert_after(log, MALFORMED, 3)
+        stream = io.StringIO()
+        assert follow_event_log(log, idle_timeout=2.0, stream=stream) == 0
+        out = stream.getvalue()
+        assert f"campaign complete: {spec.size} points" in out
+        assert "0 in flight" in out
+        assert "1 in flight" not in out  # no phantom start of key "x"
+
+    def test_legacy_checkpoint_flushed_lines_replay_the_same(self, spec, tmp_path, capsys):
+        """Logs written while the checkpointer still published a
+        ``checkpoint_flushed`` event after every append replay to the same
+        progress lines and exit code; those lines count as skipped."""
+        checkpoint = str(tmp_path / "legacy.jsonl")
+        log = default_event_log_path(checkpoint)
+        execute_campaign(spec, checkpoint=checkpoint, event_log=log)
+        lines = log_lines(log)
+        legacy, flushed = [], 0
+        for payload in lines:
+            legacy.append(payload)
+            if payload["kind"] == "point_completed":
+                flushed += 1
+                legacy.append(
+                    {
+                        "kind": "checkpoint_flushed",
+                        "ts": payload["ts"] + 1e-4,
+                        "data": {
+                            "path": checkpoint,
+                            "key": payload["data"]["record"]["key"],
+                            "flushed": flushed,
+                        },
+                    }
+                )
+        for seq, payload in enumerate(legacy[1:], start=1):
+            payload["seq"] = seq
+        legacy_log = str(tmp_path / "legacy-format.events.jsonl")
+        with open(legacy_log, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(p, sort_keys=True) + "\n" for p in legacy)
+
+        def replay_output(path):
+            capsys.readouterr()
+            code = main(["replay", path])
+            out = capsys.readouterr().out.splitlines()
+            return code, out[:-1], out[-1]
+
+        code, progress, summary = replay_output(log)
+        legacy_code, legacy_progress, legacy_summary = replay_output(legacy_log)
+        assert legacy_code == code == 0
+        assert legacy_progress == progress
+        assert any(
+            f"campaign finished: {spec.size} evaluated" in line for line in progress
+        )
+        assert legacy_summary.endswith("campaign finished")
+        assert f"{spec.size} undecodable line(s) skipped" in legacy_summary
+        assert CampaignReplay(legacy_log).replay().skipped == spec.size
 
 
 class TestWorkbenchIntegration:

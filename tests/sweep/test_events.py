@@ -1,24 +1,30 @@
-"""Event-stream tests: ordering guarantees, observer failure isolation and
-serial-vs-parallel event-count parity."""
+"""Event-stream tests: the event registry, ordering guarantees, observer
+failure isolation and serial-vs-parallel event-count parity."""
 
 import io
 
 import pytest
 
 from repro.sweep.campaign import execute_campaign
+from repro.sweep.checkpoint import iter_jsonl
 from repro.sweep.events import (
+    _EVENT_TYPES,
     CampaignFinished,
     CampaignStarted,
-    CheckpointFlushed,
     EventBus,
     EventLog,
     PointCompleted,
+    PointFailed,
     PointResumed,
+    PointRetried,
     PointStarted,
+    PoolRestarted,
     ProgressReporter,
     RunEvent,
     RunObserver,
+    WorkerLost,
 )
+from repro.sweep.record import PointRecord
 from repro.sweep.spec import smoke_spec
 from repro.sweep.strategies import SuccessiveHalving
 
@@ -32,6 +38,168 @@ def run_logged(spec, extra_observers=(), **kwargs):
     log = EventLog()
     result = execute_campaign(spec, observers=[log, *extra_observers], **kwargs)
     return result, log
+
+
+# One instance of every built-in event kind, paired with the ``data`` object
+# the event log has always written for it (the on-disk format is fixed).
+RECORD_DATA = {
+    "key": "k1",
+    "label": "smoke-11x11",
+    "backend": "analytic",
+    "system": "smache",
+    "iterations": 2,
+    "rung": 1,
+    "cycles": 1234,
+    "dram_words_read": 10,
+    "dram_words_written": 5,
+    "dram_bytes": 60,
+    "operations": 500,
+    "total_bits": 4096,
+    "fmax_mhz": 250.0,
+    "extra": {"stall": 1.5},
+    "meta": {"worker": 7, "wall_seconds": 0.01},
+}
+FAILURE_DATA = {
+    "key": "k2",
+    "label": "bad",
+    "backend": "analytic",
+    "system": "smache",
+    "iterations": 0,
+    "rung": 0,
+    "cycles": None,
+    "dram_words_read": None,
+    "dram_words_written": None,
+    "dram_bytes": None,
+    "operations": None,
+    "total_bits": None,
+    "fmax_mhz": None,
+    "extra": {},
+    "meta": {"status": "failed", "error": "boom", "attempts": 2},
+}
+RECORD = PointRecord.from_json_dict(RECORD_DATA)
+FAILURE = PointRecord.failure(
+    key="k2", label="bad", backend="analytic", system="smache", error="boom", attempts=2
+)
+EXAMPLES = [
+    (
+        CampaignStarted(
+            name="smoke",
+            fingerprint="abc",
+            total_points=18,
+            jobs=2,
+            strategy="grid",
+            checkpoint_path="c.jsonl",
+        ),
+        {
+            "name": "smoke",
+            "fingerprint": "abc",
+            "total_points": 18,
+            "jobs": 2,
+            "strategy": "grid",
+            "checkpoint_path": "c.jsonl",
+        },
+    ),
+    (
+        PointStarted(key="k1", label="smoke-11x11", rung=1, worker=7, ts=1.5, seq=3),
+        {"key": "k1", "label": "smoke-11x11", "rung": 1, "worker": 7, "ts": 1.5, "seq": 3},
+    ),
+    (PointCompleted(record=RECORD), {"record": RECORD_DATA}),
+    (PointResumed(record=RECORD), {"record": RECORD_DATA}),
+    (
+        PointRetried(
+            key="k1",
+            label="smoke-11x11",
+            rung=1,
+            attempt=2,
+            error="flaky",
+            delay_s=0.25,
+            reason="deadline",
+            worker=7,
+        ),
+        {
+            "key": "k1",
+            "label": "smoke-11x11",
+            "rung": 1,
+            "attempt": 2,
+            "error": "flaky",
+            "delay_s": 0.25,
+            "reason": "deadline",
+            "worker": 7,
+        },
+    ),
+    (PointFailed(record=FAILURE), {"record": FAILURE_DATA}),
+    (
+        WorkerLost(worker=7, inflight=3, error="killed"),
+        {"worker": 7, "inflight": 3, "error": "killed"},
+    ),
+    (
+        PoolRestarted(restarts=1, jobs=2, reason="broken pool"),
+        {"restarts": 1, "jobs": 2, "reason": "broken pool"},
+    ),
+    (
+        CampaignFinished(
+            name="smoke",
+            total_points=18,
+            evaluated=17,
+            resumed=0,
+            wall_seconds=1.25,
+            failed=1,
+        ),
+        {
+            "name": "smoke",
+            "total_points": 18,
+            "evaluated": 17,
+            "resumed": 0,
+            "wall_seconds": 1.25,
+            "failed": 1,
+        },
+    ),
+]
+
+
+class TestEventRegistry:
+    def test_examples_cover_every_built_in_kind(self):
+        built_in = {
+            kind
+            for kind, cls in _EVENT_TYPES.items()
+            if cls.__module__ == "repro.sweep.events"
+        }
+        assert {event.kind for event, _data in EXAMPLES} == built_in
+        assert "checkpoint_flushed" not in _EVENT_TYPES
+
+    @pytest.mark.parametrize(
+        "event, data", EXAMPLES, ids=[event.kind for event, _data in EXAMPLES]
+    )
+    def test_round_trip_keeps_the_logged_data(self, event, data):
+        assert _EVENT_TYPES[event.kind] is type(event)
+        assert event.to_json() == data
+        assert RunEvent.from_json(event.kind, event.to_json()) == event
+
+    def test_unknown_and_malformed_lines_decode_to_none(self):
+        assert RunEvent.from_json("from_the_future", {}) is None
+        assert RunEvent.from_json(["not", "a", "kind"], {}) is None
+        assert RunEvent.from_json("point_started", {"key": "x"}) is None  # no label
+        assert RunEvent.from_json("point_started", "oops") is None
+        assert RunEvent.from_json("point_completed", {}) is None
+        assert RunEvent.from_json("point_completed", {"record": 5}) is None
+        # Unknown keys are ignored, so old readers survive new fields.
+        started = RunEvent.from_json("point_started", {"key": "k", "label": "l", "new": 1})
+        assert started == PointStarted(key="k", label="l")
+
+    @pytest.mark.parametrize("base", [RunEvent, PointStarted])
+    def test_a_subclass_without_its_own_kind_is_refused(self, base):
+        with pytest.raises(TypeError, match="must declare its own kind"):
+
+            class Tagless(base):
+                pass
+
+    def test_a_duplicate_kind_is_refused(self):
+        with pytest.raises(TypeError, match="already registered by PointStarted"):
+
+            class Impostor(RunEvent):
+                kind = "point_started"
+
+        assert _EVENT_TYPES["point_started"] is PointStarted
 
 
 class TestOrderingGuarantees:
@@ -61,20 +229,22 @@ class TestOrderingGuarantees:
                 elif isinstance(event, PointCompleted):
                     assert started_at[event.record.key] < index
 
-    def test_checkpoint_flushed_follows_its_completion(self, spec, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        _result, log = run_logged(spec, checkpoint=path)
-        last_completed_key = None
-        flushed = []
-        for event in log.events:
-            if isinstance(event, PointCompleted):
-                last_completed_key = event.record.key
-            elif isinstance(event, CheckpointFlushed):
-                # Queued dispatch: the flush lands right after its completion.
-                assert event.key == last_completed_key
-                assert event.path == path
-                flushed.append(event)
-        assert [e.flushed for e in flushed] == list(range(1, spec.size + 1))
+    def test_completion_is_durable_first(self, spec, tmp_path):
+        """The checkpointer is subscribed ahead of every user observer, so
+        a PointCompleted a user observer receives is already on disk."""
+        for jobs in (1, 2):
+            path = str(tmp_path / f"durable-{jobs}.jsonl")
+            on_disk_when_seen = []
+
+            class Probe(RunObserver):
+                def on_point_completed(self, event):
+                    keys = {
+                        p.get("key") for p in iter_jsonl(path) if p.get("kind") == "record"
+                    }
+                    on_disk_when_seen.append(event.record.key in keys)
+
+            execute_campaign(spec, checkpoint=path, jobs=jobs, observers=[Probe()])
+            assert on_disk_when_seen == [True] * spec.size, jobs
 
     def test_finished_event_matches_the_result(self, spec):
         result, log = run_logged(spec)

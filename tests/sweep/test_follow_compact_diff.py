@@ -282,11 +282,11 @@ class TestFollowerResync:
     salvage instead of silent stalls."""
 
     def test_tailer_resyncs_after_truncation(self, spec, tmp_path):
-        from repro.sweep.follow import _CheckpointTailer
+        from repro.sweep.follow import _CHECKPOINT, _Follower
 
         path = str(tmp_path / "trunc.jsonl")
         execute_campaign(spec, checkpoint=path)
-        tailer = _CheckpointTailer(path)
+        tailer = _Follower(path, _CHECKPOINT)
         tailer.poll()
         assert tailer.count == spec.size
         # Truncate to the header plus three records: the offset now points
@@ -301,7 +301,7 @@ class TestFollowerResync:
         assert not tailer.finished
 
     def test_tailer_resyncs_after_compaction(self, spec, tmp_path):
-        from repro.sweep.follow import _CheckpointTailer
+        from repro.sweep.follow import _CHECKPOINT, _Follower
 
         path = str(tmp_path / "resync.jsonl")
         result = execute_campaign(spec, checkpoint=path)
@@ -312,7 +312,7 @@ class TestFollowerResync:
                 payload = record.to_json_dict()
                 payload["kind"] = "record"
                 fh.write(json.dumps(payload, sort_keys=True) + "\n")
-        tailer = _CheckpointTailer(path)
+        tailer = _Follower(path, _CHECKPOINT)
         tailer.poll()
         assert tailer.count == spec.size
         CampaignCheckpoint(path).compact()
@@ -327,7 +327,7 @@ class TestFollowerResync:
         """Compact reproduces the header byte-identically and the resumed
         campaign can regrow the file beyond the stale offset before the next
         poll — only the inode betrays the atomic rename."""
-        from repro.sweep.follow import _CheckpointTailer
+        from repro.sweep.follow import _CHECKPOINT, _Follower
 
         path = str(tmp_path / "regrow.jsonl")
         result = execute_campaign(spec, checkpoint=path)
@@ -337,7 +337,7 @@ class TestFollowerResync:
         # Stage mid-campaign: header + 10 records + heavy duplicate churn.
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines([lines[0]] + records[:10] + records[:10] * 3)
-        tailer = _CheckpointTailer(path)
+        tailer = _Follower(path, _CHECKPOINT)
         tailer.poll()
         assert tailer.count == 10
         stale_offset = tailer.offset
