@@ -37,7 +37,6 @@ if __package__ in (None, ""):  # direct invocation: python benchmarks/bench_pipe
 from benchmarks.conftest import run_once
 from repro.bench.host import contention, cpu_count, host_extra_info, smoke_mode
 from repro.core.partition import StreamBufferMode
-from repro.dse.explorer import explore_performance
 from repro.pipeline import (
     ANALYTIC_TOLERANCE,
     EvaluationRequest,
@@ -160,15 +159,15 @@ class TestDseSweepBenchmark:
             return result, max(best, 1e-9)
 
         full, full_seconds = best_of(
-            lambda: explore_performance(
+            lambda: Workbench(jobs=1).explore(
                 candidates, iterations=iterations, backend="simulate", simulate_front=False
             )
         )
         fast = run_once(
-            benchmark, explore_performance, candidates, iterations=iterations
+            benchmark, Workbench(jobs=1).explore, candidates, iterations=iterations
         )
         _, fast_seconds = best_of(
-            lambda: explore_performance(candidates, iterations=iterations)
+            lambda: Workbench(jobs=1).explore(candidates, iterations=iterations)
         )
 
         benchmark.extra_info.update(host_extra_info())

@@ -10,8 +10,11 @@ entry point                       Workbench equivalent
 ``pipeline.batch_evaluate(...)``  ``wb.evaluate_batch(problems, ...)``
 ``sweep.execute_campaign(spec)``  ``wb.run(spec)`` or the fluent
                                   ``wb.problem(...).sweep(...).run()``
-``dse.explore_performance``       ``wb.explore(problems, ...)``
 ================================  ===========================================
+
+Whole-problem performance sweeps (analytic pricing, Pareto front,
+re-simulation of the front) exist only on the session:
+``wb.explore(problems, ...)``.
 
 Campaigns run through the event-streaming engine of
 :mod:`repro.sweep.events`; attach observers session-wide

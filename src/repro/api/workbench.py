@@ -35,13 +35,14 @@ on the same space::
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
 
 from repro.core.boundary import BoundarySpec
 from repro.faults.policy import RetryPolicy
 from repro.core.config import SmacheConfig
 from repro.core.partition import StreamBufferMode
 from repro.core.stencil import StencilShape
+from repro.memory.dram import DRAMTiming
 from repro.pipeline.backends import (
     EvaluationRequest,
     EvaluationResult,
@@ -60,6 +61,9 @@ from repro.sweep.events import ProgressReporter
 from repro.sweep.runners import Runner, make_runner
 from repro.sweep.spec import SweepSpec
 from repro.sweep.strategies import SearchStrategy, get_strategy
+
+if TYPE_CHECKING:
+    from repro.dse.explorer import PerformanceObjective, PerformanceSweep
 
 
 class ProblemBuilder:
@@ -348,8 +352,7 @@ class Workbench:
     def ensure(cls, workbench: Optional["Workbench"], jobs: int = 1) -> "Workbench":
         """The caller's session, or a throwaway one at ``jobs``.
 
-        The shared idiom of every ``workbench=None`` compatibility seam
-        (:func:`repro.dse.explorer.explore_performance`, the eval
+        The shared idiom of every ``workbench=None`` seam (the eval
         experiments): legacy callers keep their ``jobs`` argument working,
         session callers keep their cache and runner policy.
         """
@@ -428,10 +431,8 @@ class Workbench:
         engine call, so ``asyncio.gather`` over a thousand points costs a
         handful of batched folds, not a thousand scalar walks — the same
         substrate the TCP evaluation service (:mod:`repro.serve`) builds on.
-        ``REPRO_ANALYTIC_BATCH=0`` falls back to the scalar reference path
-        per flushed bucket, byte-identically.  Non-analytic backends (a
-        simulation can run for seconds) are handed to the default executor
-        so the event loop stays responsive.
+        Non-analytic backends (a simulation can run for seconds) are handed
+        to the default executor so the event loop stays responsive.
         """
         import asyncio
 
@@ -452,15 +453,8 @@ class Workbench:
         return await self._async_batcher.submit(problem, req)
 
     def _price_async_bucket(self, problems, request):
-        """Flush one micro-batch through the session's engine (or scalar)."""
-        from repro.pipeline.analytic_batch import batching_enabled
-
-        if batching_enabled():
-            return self.analytic_engine.price_batch(problems, request, cache=self.cache)
-        return [
-            _evaluate(p, backend="analytic", request=request, cache=self.cache)
-            for p in problems
-        ]
+        """Flush one micro-batch through the session's engine."""
+        return self.analytic_engine.price_batch(problems, request, cache=self.cache)
 
     def evaluate_batch(
         self,
@@ -565,15 +559,79 @@ class Workbench:
     # ------------------------------------------------------------------ #
     # exploration and introspection
     # ------------------------------------------------------------------ #
-    def explore(self, problems: Sequence[StencilProblem], **kwargs):
-        """Whole-problem performance sweep (analytic pricing + Pareto re-sim).
+    def explore(
+        self,
+        problems: Sequence[StencilProblem],
+        iterations: int = 1,
+        objective: Optional[PerformanceObjective] = None,
+        timing: Optional[DRAMTiming] = None,
+        backend: str = "analytic",
+        simulate_front: bool = True,
+        jobs: Optional[int] = None,
+    ) -> PerformanceSweep:
+        """Sweep whole problems: fast pricing, Pareto front, selective verification.
 
-        Delegates to :func:`repro.dse.explorer.explore_performance` with this
-        session as the batch engine; see there for parameters.
+        Every problem is compiled (memoized) and priced with ``backend`` — the
+        closed-form ``analytic`` model by default, so the full space costs
+        microseconds per point.  The cycles/memory Pareto front is then re-run
+        through the cycle-accurate ``simulate`` backend (unless
+        ``simulate_front`` is off or the sweep already simulated everything),
+        and the ``objective`` picks the winner from the front using the
+        verified numbers (objective ties broken by label, so the choice is
+        deterministic; the default is fewest cycles, then least on-chip
+        memory).
+
+        Both stages run through :meth:`evaluate_batch`, so they share this
+        session's cache and runner policy; ``jobs`` overrides the session's
+        parallelism for this sweep.  With ``jobs > 1`` pricing *and* front
+        re-simulation shard over a process pool (:mod:`repro.sweep.runners`).
         """
-        from repro.dse.explorer import explore_performance
+        from repro.dse.explorer import (
+            PerformancePoint,
+            PerformanceSweep,
+            performance_pareto_front,
+        )
 
-        return explore_performance(problems, workbench=self, **kwargs)
+        if not problems:
+            raise ValueError("explore needs at least one problem")
+        jobs = jobs if jobs is not None else self.jobs
+        objective = objective or (lambda p: (p.cycles, p.total_bits))
+        request = EvaluationRequest(iterations=iterations, dram_timing=timing)
+        predictions = self.evaluate_batch(
+            problems, backend=backend, request=request, jobs=jobs
+        )
+        points = []
+        for predicted in predictions:
+            if predicted.cycles is None:
+                raise ValueError(
+                    f"backend {backend!r} produces no cycle count; a performance "
+                    "sweep needs a timing backend such as 'analytic' or 'simulate'"
+                )
+            points.append(PerformancePoint(design=predicted.design, predicted=predicted))
+        front = performance_pareto_front(points)
+        simulated_count = 0
+        if backend == "simulate":
+            for p in points:
+                p.simulated = p.predicted
+            simulated_count = len(points)
+        elif simulate_front and front:
+            verified = self.evaluate_batch(
+                [p.design for p in front], backend="simulate", request=request,
+                jobs=min(jobs, len(front)),
+            )
+            for p, sim in zip(front, verified):
+                p.simulated = sim
+                simulated_count += 1
+        selected = (
+            min(front, key=lambda p: (objective(p), p.label)) if front else None
+        )
+        return PerformanceSweep(
+            points=points,
+            front=front,
+            selected=selected,
+            backend=backend,
+            simulated_count=simulated_count,
+        )
 
     def add_observer(self, observer: Any) -> None:
         """Attach a session-wide observer to every future campaign."""

@@ -48,6 +48,17 @@ from repro.core.ranges import StreamRange, partition_into_ranges
 from repro.core.stencil import StencilShape
 
 
+class UnsupportedPatternError(ValueError):
+    """A non-contiguous iteration pattern whose plan would need static buffers.
+
+    Static-buffer runs are placed by adding grid-linear stencil offsets to
+    stream positions, which only coincide for the contiguous pattern.  A
+    strided or explicit pattern therefore compiles only when every access
+    fits the stream window — e.g. not with a circular boundary on dimension
+    0, whose wrap-around rows are served by static buffers.
+    """
+
+
 # --------------------------------------------------------------------------- #
 # helpers
 # --------------------------------------------------------------------------- #
@@ -262,6 +273,13 @@ def plan_buffers(
         )
     scored.sort(key=lambda item: (item[0], item[1][1] - item[1][0]))
     _, (lo, hi), best = scored[0]
+    if best.n_static_buffers and pattern is not None and not pattern.is_contiguous():
+        raise UnsupportedPatternError(
+            f"the {pattern.kind} iteration pattern would need static buffers, "
+            "which are only planned for the contiguous pattern; use a "
+            "contiguous pattern or boundaries that keep every access in the "
+            "stream window"
+        )
 
     merged_runs, per_range = _static_runs_for_window(ranges, lo, hi)
 

@@ -22,7 +22,6 @@ from repro.dse.explorer import (
     PerformanceSweep,
     explore_grid_sizes,
     explore_partitions,
-    explore_performance,
     pareto_front,
     performance_pareto_front,
     select_best,
@@ -34,7 +33,6 @@ __all__ = [
     "PerformanceSweep",
     "explore_partitions",
     "explore_grid_sizes",
-    "explore_performance",
     "pareto_front",
     "performance_pareto_front",
     "select_best",

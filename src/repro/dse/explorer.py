@@ -7,7 +7,7 @@ Two axes are explored:
   taps are registers, to the Case-R extreme, where the whole window is), each
   candidate priced with the cost model and the synthesis estimator and checked
   against a device's remaining resources;
-* whole problems — :func:`explore_performance` prices a set of candidate
+* whole problems — :meth:`repro.api.Workbench.explore` prices a set of candidate
   problems with the pipeline's ``analytic`` backend (closed-form cycles and
   traffic), keeps the cycles/memory Pareto front, and re-runs only the front
   through the cycle-accurate ``simulate`` backend.  Broad sweeps therefore
@@ -35,8 +35,7 @@ from repro.core.partition import (
 from repro.fpga.device import FPGADevice
 from repro.fpga.resources import ResourceUsage
 from repro.fpga.synthesis import SynthesisReport, synthesize_smache
-from repro.memory.dram import DRAMTiming
-from repro.pipeline.backends import EvaluationRequest, EvaluationResult
+from repro.pipeline.backends import EvaluationResult
 from repro.pipeline.compile import CompiledDesign, compile as compile_problem
 from repro.pipeline.problem import StencilProblem
 from repro.utils.pareto import pareto_front as generic_pareto_front
@@ -203,11 +202,6 @@ class PerformancePoint:
 PerformanceObjective = Callable[[PerformancePoint], Tuple]
 
 
-def _default_performance_objective(point: PerformancePoint) -> Tuple:
-    """Fewest cycles, then least on-chip memory."""
-    return (point.cycles, point.total_bits)
-
-
 def performance_pareto_front(points: Sequence[PerformancePoint]) -> List[PerformancePoint]:
     """The cycles / on-chip-memory Pareto front of a performance sweep."""
     return generic_pareto_front(points, key=lambda p: (p.predicted_cycles, p.total_bits))
@@ -215,7 +209,7 @@ def performance_pareto_front(points: Sequence[PerformancePoint]) -> List[Perform
 
 @dataclass
 class PerformanceSweep:
-    """Outcome of :func:`explore_performance`."""
+    """Outcome of :meth:`repro.api.Workbench.explore`."""
 
     points: List[PerformancePoint] = field(default_factory=list)
     front: List[PerformancePoint] = field(default_factory=list)
@@ -238,79 +232,6 @@ class PerformanceSweep:
                 f"{'<==' if p is self.selected else '':>8}"
             )
         return "\n".join(lines)
-
-
-def explore_performance(
-    problems: Sequence[StencilProblem],
-    iterations: int = 1,
-    objective: Optional[PerformanceObjective] = None,
-    timing: Optional[DRAMTiming] = None,
-    backend: str = "analytic",
-    simulate_front: bool = True,
-    jobs: Optional[int] = None,
-    workbench=None,
-) -> PerformanceSweep:
-    """Sweep whole problems: fast pricing, Pareto front, selective verification.
-
-    Every problem is compiled (memoized) and priced with ``backend`` — the
-    closed-form ``analytic`` model by default, so the full space costs
-    microseconds per point.  The cycles/memory Pareto front is then re-run
-    through the cycle-accurate ``simulate`` backend (unless ``simulate_front``
-    is off or the sweep already simulated everything), and the ``objective``
-    picks the winner from the front using the verified numbers (objective
-    ties broken by label, so the choice is deterministic).
-
-    Both stages run through the session's batch layer — pass an existing
-    :class:`repro.api.Workbench` to share its cache and runner policy, or
-    give ``jobs`` and a throwaway session is created (this is also what
-    :meth:`Workbench.explore` does).  With ``jobs > 1`` pricing *and* front
-    re-simulation shard over a process pool (:mod:`repro.sweep.runners`), so
-    the same sweep scales from one core to N unchanged.
-    """
-    if not problems:
-        raise ValueError("explore_performance needs at least one problem")
-    from repro.api import Workbench
-
-    workbench = Workbench.ensure(workbench, jobs=jobs if jobs is not None else 1)
-    # An explicit jobs overrides the session; None inherits workbench.jobs.
-    jobs = jobs if jobs is not None else workbench.jobs
-    objective = objective or _default_performance_objective
-    request = EvaluationRequest(iterations=iterations, dram_timing=timing)
-    predictions = workbench.evaluate_batch(
-        problems, backend=backend, request=request, jobs=jobs
-    )
-    points = []
-    for predicted in predictions:
-        if predicted.cycles is None:
-            raise ValueError(
-                f"backend {backend!r} produces no cycle count; a performance "
-                "sweep needs a timing backend such as 'analytic' or 'simulate'"
-            )
-        points.append(PerformancePoint(design=predicted.design, predicted=predicted))
-    front = performance_pareto_front(points)
-    simulated_count = 0
-    if backend == "simulate":
-        for p in points:
-            p.simulated = p.predicted
-        simulated_count = len(points)
-    elif simulate_front and front:
-        verified = workbench.evaluate_batch(
-            [p.design for p in front], backend="simulate", request=request,
-            jobs=min(jobs, len(front)),
-        )
-        for p, sim in zip(front, verified):
-            p.simulated = sim
-            simulated_count += 1
-    selected = (
-        min(front, key=lambda p: (objective(p), p.label)) if front else None
-    )
-    return PerformanceSweep(
-        points=points,
-        front=front,
-        selected=selected,
-        backend=backend,
-        simulated_count=simulated_count,
-    )
 
 
 def pareto_front(points: Sequence[DesignPoint]) -> List[DesignPoint]:

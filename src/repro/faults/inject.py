@@ -160,7 +160,7 @@ class FaultPlan:
         return cls(faults=tuple(FaultSpec(**spec) for spec in faults), seed=seed)
 
 
-class FaultyBackend(Backend):  # repro: allow[backend-protocol] name mirrors the wrapped backend, set in __init__
+class FaultyBackend(Backend):
     """A registered backend wrapped with a fault schedule.
 
     Evaluations whose point context matches the plan are failed, delayed or

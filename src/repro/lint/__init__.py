@@ -5,8 +5,10 @@ built on live in docstrings and reviewers' heads; this package turns them
 into AST-level checks that run in CI.  ``python -m repro.lint check src
 --strict`` is the gate: exit 0 means every canonical module is free of
 wall clocks and unseeded RNG, record dicts stay within ``CANONICAL_FIELDS``,
-nothing unpicklable reaches a process boundary, backends honour the
-evaluate protocol, and lock-protected state is never touched bare.
+nothing unpicklable reaches a process boundary, and lock-protected state is
+never touched bare.  (The backend ``evaluate`` protocol needs no checker:
+:class:`repro.pipeline.backends.Backend` validates every subclass when the
+class is defined.)
 
 Programmatic entry point::
 

@@ -5,7 +5,7 @@ two hooks: :meth:`Checker.check_file` runs once per parsed file,
 :meth:`Checker.finish` runs once after every file has been seen — the seam
 for cross-module passes that resolve facts from *different* files.
 Checkers register with the :func:`register` decorator; importing
-:mod:`repro.lint.checkers` fills the registry with the built-in five.
+:mod:`repro.lint.checkers` fills the registry with the built-in four.
 """
 
 from __future__ import annotations

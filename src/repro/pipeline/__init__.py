@@ -34,7 +34,12 @@ with a single shared pipeline:
 
 from repro.pipeline.problem import StencilProblem
 from repro.pipeline.cache import CacheInfo, PlanCache, plan_cache, clear_plan_cache
-from repro.pipeline.compile import CompiledDesign, compile, compile_batch
+from repro.pipeline.compile import (
+    CompiledDesign,
+    UnsupportedPatternError,
+    compile,
+    compile_batch,
+)
 from repro.pipeline.analytic import (
     ANALYTIC_TOLERANCE,
     PerformancePrediction,
@@ -43,7 +48,7 @@ from repro.pipeline.analytic import (
     predict_performance,
     validate_prediction,
 )
-from repro.pipeline.analytic_batch import AnalyticBatchEngine, batching_enabled
+from repro.pipeline.analytic_batch import AnalyticBatchEngine
 from repro.pipeline.backends import (
     Backend,
     EvaluationRequest,
@@ -64,8 +69,8 @@ __all__ = [
     "CompiledDesign",
     "compile",
     "compile_batch",
+    "UnsupportedPatternError",
     "AnalyticBatchEngine",
-    "batching_enabled",
     "ANALYTIC_TOLERANCE",
     "PerformancePrediction",
     "ReferenceBand",

@@ -47,16 +47,15 @@ including the ``int(streamed * word_period)`` truncation and the exact
 Both entry points share one set of fold kernels, so the session path cannot
 drift from the grouped path.  ``tests/pipeline/test_analytic_batch.py``
 enforces the equality across the sweep axes; ``tests/sweep`` holds campaign
-output byte-identical between scalar and vectorized pricing.
-
-Set ``REPRO_ANALYTIC_BATCH=0`` to disable batching everywhere (the parity
-suites use this to produce the scalar reference through the very same call
-paths).
+output byte-identical between scalar and vectorized pricing.  The parity
+suites take their scalar reference from
+:meth:`~repro.pipeline.backends.AnalyticBackend.evaluate`, or from a
+registered subclass that prices through the base per-point
+``evaluate_many`` loop (the fast lanes only take the exact class).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from threading import Lock
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -80,15 +79,6 @@ PricingItem = Tuple[CompiledDesign, EvaluationRequest]
 
 #: Distinct request signatures whose fold outputs a packed session retains.
 _MAX_FOLDS_PER_SESSION = 16
-
-
-def batching_enabled() -> bool:
-    """Whether the vectorized fast lane is on (``REPRO_ANALYTIC_BATCH``).
-
-    Read per call so tests and campaigns can flip the switch at runtime; any
-    value but ``0``/``off``/``false`` (or unset) keeps batching enabled.
-    """
-    return os.environ.get("REPRO_ANALYTIC_BATCH", "1").lower() not in ("0", "off", "false")
 
 
 class SmacheKnobs(NamedTuple):

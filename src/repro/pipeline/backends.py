@@ -17,6 +17,7 @@ New backends register with :func:`register_backend`; workloads plug in at the
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -117,11 +118,48 @@ class EvaluationResult:
         return self.operations / time_us
 
 
-class Backend:
-    """Base class: evaluate a compiled design under a request."""
+#: The calls every backend consumer makes: method, how it is called, and
+#: placeholder positional / keyword arguments to bind against its signature.
+_CONTRACT_CALLS: Tuple[Tuple[str, str, Tuple[None, ...], Dict[str, bool]], ...] = (
+    ("evaluate", "evaluate(design, request)", (None, None), {}),
+    (
+        "evaluate_many",
+        "evaluate_many(items, with_artifacts=...)",
+        (None,),
+        {"with_artifacts": True},
+    ),
+)
 
-    #: Registry name; subclasses must override.
+
+class Backend:
+    """Base class: evaluate a compiled design under a request.
+
+    Every consumer — the runners, the batch evaluator, the fault injector,
+    the serving layer — calls ``evaluate(design, request)`` and
+    ``evaluate_many(items, with_artifacts=...)``, so each subclass is held
+    to that contract when its class statement runs: ``evaluate`` must be
+    implemented below this root and both methods must accept those calls.
+    A violation raises :class:`TypeError` naming the class and the rule.
+    """
+
+    #: Registry name; subclasses must override (checked by :func:`get_backend`).
     name: str = "abstract"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.evaluate is Backend.evaluate:
+            raise TypeError(
+                f"Backend subclass {cls.__name__} never implements evaluate(); "
+                "the inherited base raises NotImplementedError"
+            )
+        for method, call, args, keywords in _CONTRACT_CALLS:
+            try:
+                inspect.signature(getattr(cls, method)).bind(None, *args, **keywords)
+            except TypeError as exc:
+                raise TypeError(
+                    f"Backend subclass {cls.__name__}: {method} must be callable "
+                    f"as {call} ({exc})"
+                ) from None
 
     def evaluate(self, design: CompiledDesign, request: EvaluationRequest) -> EvaluationResult:
         """Produce an :class:`EvaluationResult` (must be overridden)."""
@@ -164,11 +202,21 @@ def register_backend(name: str, factory: Callable[[], Backend]) -> None:
 
 
 def get_backend(name: str) -> Backend:
-    """Look up a backend instance by name."""
+    """Look up a backend instance by name.
+
+    The first lookup builds the instance and checks that its ``name`` is the
+    key it was registered under (a :class:`TypeError` otherwise).
+    """
     if name not in _BACKENDS:
         raise KeyError(f"unknown backend {name!r}; choose from {available_backends()}")
     if name not in _INSTANCES:
-        _INSTANCES[name] = _BACKENDS[name]()
+        instance = _BACKENDS[name]()
+        if instance.name != name:
+            raise TypeError(
+                f"backend registered as {name!r} reports name {instance.name!r}; "
+                "results and records would be attributed to the wrong backend"
+            )
+        _INSTANCES[name] = instance
     return _INSTANCES[name]
 
 
@@ -262,8 +310,7 @@ class AnalyticBackend(Backend):
     :mod:`repro.pipeline.analytic` — the bitwise reference.  Batches go
     through :attr:`engine`, the process-shared vectorized pricing engine
     (:class:`repro.pipeline.analytic_batch.AnalyticBatchEngine`), whose
-    bounded knob cache persists across calls; ``REPRO_ANALYTIC_BATCH=0``
-    routes batches back through the scalar loop.
+    bounded knob cache persists across calls.
     """
 
     name = "analytic"
@@ -279,10 +326,6 @@ class AnalyticBackend(Backend):
         items: Sequence[Tuple[CompiledDesign, EvaluationRequest]],
         with_artifacts: bool = True,
     ) -> List[EvaluationResult]:
-        from repro.pipeline.analytic_batch import batching_enabled
-
-        if not batching_enabled():
-            return super().evaluate_many(items, with_artifacts=with_artifacts)
         return self.engine.price(items, with_artifacts=with_artifacts)
 
     def evaluate(self, design: CompiledDesign, request: EvaluationRequest) -> EvaluationResult:
@@ -421,7 +464,7 @@ def batch_evaluate(
 
     Defaults to the ``analytic`` backend: sweeps price the full space with the
     closed-form model and re-simulate only the designs that matter (see
-    :func:`repro.dse.explorer.explore_performance`).
+    :meth:`repro.api.Workbench.explore`).
 
     Serial analytic batches take the vectorized fast lane: the whole batch is
     compiled through :func:`~repro.pipeline.compile.compile_batch` and priced
@@ -437,7 +480,6 @@ def batch_evaluate(
     registered backend's shared engine is used.  ``with_artifacts=False``
     skips the per-point :class:`~repro.pipeline.analytic.PerformancePrediction`
     artifact — metrics and ``extra`` are unchanged.
-    ``REPRO_ANALYTIC_BATCH=0`` restores the scalar loop.
 
     With ``jobs > 1`` the batch is sharded over a process pool (see
     :mod:`repro.sweep.runners`): each worker compiles with its own warm plan
@@ -454,17 +496,11 @@ def batch_evaluate(
     if request_overrides:
         req = replace(req, **request_overrides)
     if jobs <= 1 or cache is not plan_cache:
-        from repro.pipeline.analytic_batch import batching_enabled
-
         backend_obj = get_backend(backend)
-        if (
-            len(problems) > 1
-            # A stand-in or subclass registered as ``analytic`` may override
-            # ``evaluate``; the lane would silently bypass it, so require the
-            # exact class.
-            and type(backend_obj) is AnalyticBackend
-            and batching_enabled()
-        ):
+        # A stand-in or subclass registered as ``analytic`` may override
+        # ``evaluate``; the lane would silently bypass it, so require the
+        # exact class.
+        if len(problems) > 1 and type(backend_obj) is AnalyticBackend:
             pricing = engine if engine is not None else backend_obj.engine
             results = pricing.price_batch(
                 list(problems), req, cache=cache, with_artifacts=with_artifacts

@@ -24,7 +24,7 @@ from repro.core.buffers import BufferPlan
 from repro.core.config import SmacheConfig
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.core.partition import HybridPartition, partition_for_plan
-from repro.core.planner import plan_buffers
+from repro.core.planner import UnsupportedPatternError, plan_buffers
 from repro.core.ranges import StreamRange, classify_cases, partition_into_ranges
 from repro.fpga.synthesis import SynthesisReport, synthesize_smache
 from repro.pipeline.cache import PlanCache, plan_cache
@@ -124,7 +124,9 @@ def compile(
 
     ``cache`` defaults to the process-wide plan cache; pass ``None`` to force
     a fresh compilation.  Problems carrying a custom non-contiguous iteration
-    pattern always bypass the cache (see :attr:`StencilProblem.is_cacheable`).
+    pattern always bypass the cache (see :attr:`StencilProblem.is_cacheable`),
+    and raise :class:`UnsupportedPatternError` when their plan would need
+    static buffers (e.g. a circular boundary on dimension 0).
     """
     if isinstance(problem, SmacheConfig):
         problem = StencilProblem.from_config(problem)

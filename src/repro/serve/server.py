@@ -6,8 +6,8 @@ Two layers:
   parsing, the content-keyed response memo, problem interning, admission
   control with backpressure, the adaptive micro-batcher, and the pricing
   flush (vectorized :meth:`AnalyticBatchEngine.price_batch` by default, the
-  scalar reference loop when ``REPRO_ANALYTIC_BATCH=0`` or the service is
-  built with ``scalar=True`` — byte-identical responses either way).
+  scalar reference loop when the service is built with ``scalar=True`` —
+  byte-identical responses either way).
   In-process callers (``Workbench.evaluate_async``, tests) use it directly.
 
 * :class:`EvaluationServer` — the stdlib asyncio TCP front: JSON lines in,
@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.workbench import Workbench
 from repro.faults.breaker import CircuitBreaker
-from repro.pipeline.analytic_batch import batching_enabled
 from repro.pipeline.backends import EvaluationRequest, EvaluationResult, evaluate
 from repro.pipeline.problem import StencilProblem
 from repro.serve.batcher import AdaptiveBatcher
@@ -181,7 +180,7 @@ class EvaluationService:
         self, problems: List[StencilProblem], request: EvaluationRequest
     ) -> List[EvaluationResult]:
         """One bucket flush.  The scalar loop is the byte-exact reference."""
-        if self.scalar or not batching_enabled():
+        if self.scalar:
             return [
                 evaluate(problem, backend="analytic", request=request, cache=self.cache)
                 for problem in problems
@@ -254,7 +253,6 @@ class EvaluationService:
             "queue_limit": self.queue_limit,
             "window_ms": round(self.batcher.window_ms, 3),
             "scalar": self.scalar,
-            "batching_enabled": not self.scalar and batching_enabled(),
             "memo": (
                 self.memo.cache_info()._asdict() if self.memo is not None else None
             ),

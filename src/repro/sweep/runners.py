@@ -16,8 +16,8 @@ vectorized call (:mod:`repro.pipeline.analytic_batch`), bitwise-equal per
 point to the scalar path and stamped with ``batch_size`` / ``batch_index``
 in ``meta``; everything else is evaluated per point.  A batch that raises
 costs no attempt: its points fall back to per-point evaluation as that same
-attempt, each its own failure domain.  ``REPRO_ANALYTIC_BATCH=0`` disables
-the lane; canonical campaign output is byte-identical either way.
+attempt, each its own failure domain.  Canonical campaign output is
+byte-identical to the per-point path.
 
 Failures are decided at the failure site inside that loop.  With no
 :class:`~repro.faults.policy.RetryPolicy` installed (the
@@ -217,13 +217,8 @@ def _fast_lane_ready() -> bool:
 
     Requires the ``analytic`` registry slot to hold exactly
     :class:`AnalyticBackend` — not a subclass or stand-in; either may
-    override ``evaluate``, which the lane would silently bypass — and the
-    ``REPRO_ANALYTIC_BATCH`` switch to be on.
+    override ``evaluate``, which the lane would silently bypass.
     """
-    from repro.pipeline.analytic_batch import batching_enabled
-
-    if not batching_enabled():
-        return False
     try:
         return type(get_backend("analytic")) is AnalyticBackend
     except KeyError:

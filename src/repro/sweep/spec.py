@@ -99,7 +99,7 @@ class SweepSpec:
 
     Axes default to "keep the base problem's value"; every supplied axis
     multiplies the space.  Alternatively pass an explicit ``problems`` list
-    (the unification seam for :func:`repro.dse.explore_performance`-style
+    (the unification seam for :meth:`repro.api.Workbench.explore`-style
     sweeps), in which case the per-problem axes are ignored.
     """
 

@@ -16,7 +16,7 @@ Built-ins:
 * :class:`SuccessiveHalving` — price *everything* with the cheap analytic
   backend, rank, and re-run only the top ``1/eta`` survivors with the
   cycle-accurate simulator: the same fast-then-honest idiom as
-  :func:`repro.dse.explore_performance`, expressed as a campaign.
+  :meth:`repro.api.Workbench.explore`, expressed as a campaign.
 
 Strategies hand whole generations to ``run`` in one call, which is what lets
 the runners' analytic fast lane (:mod:`repro.sweep.runners`) price an entire

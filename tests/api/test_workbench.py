@@ -184,15 +184,15 @@ class TestSessionOwnership:
         assert [r.cycles for r in results] == [r.cycles for r in serial]
 
     def test_explore_goes_through_the_session(self):
-        from repro.dse import explore_performance
-
         problems = [
             StencilProblem.paper_example(11, 11, max_stream_reach=reach, name=f"r{reach}")
             for reach in (0, 4)
         ]
-        wb = Workbench()
+        wb = Workbench(cache=PlanCache())
         sweep = wb.explore(problems, iterations=2)
-        reference = explore_performance(problems, iterations=2)
+        # Both problems were compiled through the session's own cache.
+        assert wb.cache_info().misses == len(problems)
+        reference = Workbench().explore(problems, iterations=2)
         assert sweep.selected.label == reference.selected.label
         assert [p.predicted_cycles for p in sweep.points] == [
             p.predicted_cycles for p in reference.points
@@ -241,8 +241,6 @@ class TestBuilderConfigCarriesThroughRun:
 
 class TestExploreJobsInheritance:
     def test_explore_inherits_the_sessions_jobs(self):
-        from repro.dse import explore_performance
-
         calls = []
 
         class Recording(Workbench):
@@ -255,7 +253,7 @@ class TestExploreJobsInheritance:
             StencilProblem.paper_example(11, 11, max_stream_reach=r, name=f"j{r}")
             for r in (0, 4)
         ]
-        explore_performance(problems, iterations=1, workbench=wb)
+        wb.explore(problems, iterations=1)
         # The pricing pass inherits the session's jobs; the Pareto re-sim
         # caps at the front size but never exceeds the session.
         assert calls[0] == 3
@@ -269,10 +267,6 @@ class TestExploreJobsInheritance:
                 calls.append(kwargs.get("jobs"))
                 return super().evaluate_batch(problems, **kwargs)
 
-        from repro.dse import explore_performance
-
         wb = Recording(jobs=3)
-        explore_performance(
-            [StencilProblem.paper_example(11, 11)], iterations=1, jobs=1, workbench=wb
-        )
+        wb.explore([StencilProblem.paper_example(11, 11)], iterations=1, jobs=1)
         assert calls[0] == 1

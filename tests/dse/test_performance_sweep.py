@@ -1,14 +1,11 @@
-"""Tests for the analytic performance sweep with Pareto-front re-simulation."""
+"""Tests for ``Workbench.explore``: analytic sweep with Pareto-front re-simulation."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.dse.explorer import (
-    PerformancePoint,
-    explore_performance,
-    performance_pareto_front,
-)
+from repro.api import Workbench
+from repro.dse.explorer import PerformancePoint, performance_pareto_front
 from repro.pipeline import StencilProblem
 
 
@@ -27,7 +24,7 @@ def candidate_problems():
 
 @pytest.fixture(scope="module")
 def fast_sweep():
-    return explore_performance(candidate_problems(), iterations=3)
+    return Workbench().explore(candidate_problems(), iterations=3)
 
 
 class TestExplorePerformance:
@@ -47,7 +44,7 @@ class TestExplorePerformance:
 
     def test_analytic_sweep_matches_full_simulation(self, fast_sweep):
         """The acceptance claim: fast path selects the same design as the slow one."""
-        full = explore_performance(
+        full = Workbench().explore(
             candidate_problems(), iterations=3, backend="simulate", simulate_front=False
         )
         assert full.selected.label == fast_sweep.selected.label
@@ -60,16 +57,16 @@ class TestExplorePerformance:
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
-            explore_performance([])
+            Workbench().explore([])
 
     def test_timing_free_backend_rejected(self):
         # Regression: the cost backend produces no cycle count; the sweep must
         # say so instead of crashing inside the Pareto comparison.
         with pytest.raises(ValueError, match="no cycle count"):
-            explore_performance(candidate_problems(), backend="cost")
+            Workbench().explore(candidate_problems(), backend="cost")
 
     def test_custom_objective(self):
-        sweep = explore_performance(
+        sweep = Workbench().explore(
             candidate_problems(),
             iterations=2,
             objective=lambda p: (p.total_bits, p.cycles),

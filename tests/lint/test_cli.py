@@ -104,11 +104,11 @@ def test_missing_path_is_a_usage_error(capsys):
     assert main(["check", "no/such/path"]) == 2
 
 
-def test_checks_subcommand_lists_all_five(capsys):
+def test_checks_subcommand_lists_all_four(capsys):
     assert main(["checks"]) == 0
     out = capsys.readouterr().out
+    assert "backend-protocol" not in out
     for check_id in (
-        "backend-protocol",
         "canonical-fields",
         "determinism",
         "lock-discipline",

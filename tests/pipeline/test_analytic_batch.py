@@ -26,7 +26,6 @@ from repro.pipeline import (
     PlanCache,
     StencilProblem,
     batch_evaluate,
-    batching_enabled,
     compile,
     compile_batch,
     evaluate,
@@ -344,13 +343,11 @@ class TestBatchEvaluateFastPath:
             for reach in (0, None)
         ]
 
-    def test_matches_scalar_loop_exactly(self, monkeypatch):
+    def test_matches_scalar_loop_exactly(self):
         problems = self.problems()
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        assert not batching_enabled()
-        scalar_results = batch_evaluate(problems, iterations=3)
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "1")
-        assert batching_enabled()
+        scalar_results = [
+            evaluate(p, backend="analytic", iterations=3) for p in problems
+        ]
         fast_results = batch_evaluate(problems, iterations=3)
         for scalar_result, fast_result in zip(scalar_results, fast_results):
             assert_bitwise_equal(scalar_result, fast_result)

@@ -51,6 +51,115 @@ class TestRegistry:
             _BACKENDS.pop("echo", None)
 
 
+class TestBackendContract:
+    """``Backend`` validates every subclass when its class statement runs."""
+
+    def test_fault_wrapped_backends_keep_their_registry_names(self):
+        from repro.faults.inject import FaultPlan, FaultyBackend, inject_faults
+
+        with inject_faults(FaultPlan()):
+            for name in available_backends():
+                backend = get_backend(name)
+                assert isinstance(backend, FaultyBackend)
+                assert backend.name == name
+
+    def test_conforming_subclass_defines_cleanly(self):
+        class SimBackend(Backend):
+            name = "sim"
+
+            def evaluate(self, design, request):
+                return (design, request)
+
+        assert SimBackend().evaluate(1, 2) == (1, 2)
+
+    def test_hollow_subclass_is_rejected(self):
+        with pytest.raises(TypeError, match="HollowBackend never implements evaluate"):
+
+            class HollowBackend(Backend):
+                name = "hollow"
+
+    def test_evaluate_with_too_few_arguments_is_rejected(self):
+        with pytest.raises(TypeError, match=r"OddBackend: evaluate must be callable"):
+
+            class OddBackend(Backend):
+                name = "odd"
+
+                def evaluate(self, design):
+                    return design
+
+    def test_evaluate_with_three_required_arguments_is_rejected(self):
+        with pytest.raises(TypeError, match=r"evaluate\(design, request\)"):
+
+            class GreedyBackend(Backend):
+                name = "greedy"
+
+                def evaluate(self, design, request, budget):
+                    return design
+
+    def test_evaluate_with_required_keyword_only_is_rejected(self):
+        with pytest.raises(TypeError, match="KeywordBackend"):
+
+            class KeywordBackend(Backend):
+                name = "keyword"
+
+                def evaluate(self, design, request, *, seed):
+                    return design
+
+    def test_evaluate_many_without_with_artifacts_is_rejected(self):
+        with pytest.raises(TypeError, match="with_artifacts"):
+
+            class BatchBackend(Backend):
+                name = "batch"
+
+                def evaluate(self, design, request):
+                    return design
+
+                def evaluate_many(self, items):
+                    return list(items)
+
+    def test_evaluate_inherited_through_an_intermediate_class(self):
+        class MidBackend(Backend):
+            name = "mid"
+
+            def evaluate(self, design, request):
+                return design
+
+        class LeafBackend(MidBackend):
+            name = "leaf"
+
+        assert LeafBackend().evaluate("d", "r") == "d"
+
+    def test_var_args_and_kwargs_are_accepted(self):
+        class Forwarding(Backend):
+            name = "forwarding"
+
+            def evaluate(self, *args, **kwargs):
+                return args
+
+            def evaluate_many(self, *args, **kwargs):
+                return [args, kwargs]
+
+        assert Forwarding().evaluate(1, 2) == (1, 2)
+
+    def test_name_must_match_the_registry_key(self):
+        class Wrapper(Backend):
+            def __init__(self):
+                self.name = "wrapped"
+
+            def evaluate(self, design, request):
+                return design
+
+        register_backend("wrapped", Wrapper)
+        register_backend("misnamed", Wrapper)
+        try:
+            assert get_backend("wrapped").name == "wrapped"
+            with pytest.raises(TypeError, match="registered as 'misnamed'"):
+                get_backend("misnamed")
+        finally:
+            _BACKENDS.pop("wrapped", None)
+            _BACKENDS.pop("misnamed", None)
+
+
 class TestEvaluationRequest:
     def test_rejects_unknown_system(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from repro.core.planner import plan_buffers
 from repro.core.ranges import classify_cases, partition_into_ranges
 from repro.core.stencil import StencilShape
 from repro.fpga.synthesis import synthesize_smache
-from repro.pipeline import StencilProblem, compile
+from repro.pipeline import StencilProblem, UnsupportedPatternError, compile, evaluate
 from repro.pipeline.cache import PlanCache
 from repro.pipeline.compile import CompiledDesign, _build
 
@@ -278,3 +278,34 @@ class TestSharedPartitionEquivalence:
                 _build(problem)
             return
         assert _build(problem) == expected
+
+
+class TestNonContiguousPatterns:
+    """Regression: a non-contiguous pattern with a circular dimension 0 used to
+    crash the planner with a negative static-buffer start."""
+
+    @pytest.mark.parametrize("pattern_name", ["strided", "reversed"])
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    def test_dimension_0_boundary(self, pattern_name, kind):
+        base = StencilProblem.paper_example(11, 11)
+        grid = base.grid
+        pattern = (
+            IterationPattern.strided(grid, 2)
+            if pattern_name == "strided"
+            else IterationPattern.from_indices(grid, range(grid.size - 1, -1, -1))
+        )
+        edges = (EdgeBehaviour(kind, kind), base.boundary.edges[1])
+        problem = StencilProblem.paper_example(
+            11, 11, boundary=BoundarySpec(edges=edges), pattern=pattern
+        )
+        if kind is BoundaryKind.CIRCULAR:
+            with pytest.raises(UnsupportedPatternError, match="contiguous pattern"):
+                compile(problem)
+            return
+        design = compile(problem)
+        assert design.plan.statics == ()
+        simulated = evaluate(design, backend="simulate", iterations=2)
+        reference = evaluate(design, backend="reference", iterations=2)
+        analytic = evaluate(design, backend="analytic", iterations=2)
+        assert (simulated.output == reference.output).all()
+        assert analytic.cycles == simulated.cycles

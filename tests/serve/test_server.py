@@ -124,7 +124,7 @@ class TestEndToEnd:
         }
         assert stats["latency"]["count"] == 1
         assert stats["throughput_rps"] > 0
-        assert stats["batching_enabled"] is True and stats["scalar"] is False
+        assert stats["scalar"] is False
         assert stats["memo"]["currsize"] == 1
         assert stats["engine"]["session_currsize"] >= 0
         assert set(stats["engine_hit_rates"]) == {"packed_session", "fold_memo"}
@@ -184,34 +184,8 @@ class TestEndToEnd:
 
 
 class TestScalarParity:
-    """Satellite: ``REPRO_ANALYTIC_BATCH=0`` and ``scalar=True`` both route
-    through the per-request scalar path with byte-identical responses."""
-
-    def test_env_kill_switch_is_byte_identical(self, monkeypatch):
-        points = mixed_points(12, unique=5)
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "1")
-        batched = serve_points(points)
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        scalar = serve_points(points)
-        for point, fast, slow in zip(points, batched, scalar):
-            assert canonical(fast) == canonical(slow)
-            assert canonical(fast) == canonical(scalar_reference(point))
-
-    def test_env_kill_switch_is_reported_in_stats(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-
-        async def main():
-            server = EvaluationServer()
-            host, port = await server.start()
-            try:
-                async with AsyncServeClient(host, port) as client:
-                    await client.evaluate(make_point((11, 11)))
-                    return await client.stats()
-            finally:
-                await server.stop()
-
-        stats = run(main())
-        assert stats["batching_enabled"] is False
+    """A ``scalar=True`` service routes through the per-request scalar path
+    with responses byte-identical to the scalar reference."""
 
     def test_scalar_service_mode_is_byte_identical(self):
         points = mixed_points(10, unique=10)

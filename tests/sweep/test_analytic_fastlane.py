@@ -1,19 +1,23 @@
 """The runners' analytic fast lane must be invisible in canonical output.
 
 Runs of consecutive ``analytic`` points are priced in one vectorized call
-(:mod:`repro.pipeline.analytic_batch`); ``REPRO_ANALYTIC_BATCH=0`` restores
-the per-point scalar loop.  The contract tested here: canonical campaign
-JSON is byte-identical either way (serial and pooled), every point still
-gets exactly one ``PointStarted`` and one ``PointCompleted``, batch
-attribution lands in ``meta``, and the lane steps aside for mixed-backend
-spans, singleton runs, and stand-in backends registered under ``analytic``.
+(:mod:`repro.pipeline.analytic_batch`).  The scalar reference is the same
+campaign with :class:`ScalarAnalytic` registered as ``analytic``: a subclass,
+so the lane steps aside and every point goes through ``evaluate``.  The
+contract tested here: canonical campaign JSON is byte-identical either way
+(serial and pooled), every point still gets exactly one ``PointStarted`` and
+one ``PointCompleted``, batch attribution lands in ``meta``, and the lane
+steps aside for mixed-backend spans, singleton runs, and stand-in backends
+registered under ``analytic``.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
 from repro.api import Workbench
 from repro.pipeline import StencilProblem, register_backend
-from repro.pipeline.backends import AnalyticBackend, get_backend
+from repro.pipeline.backends import _BACKENDS, AnalyticBackend, Backend, get_backend
 from repro.sweep.events import PointCompleted, PointStarted
 from repro.sweep.record import canonical_json
 from repro.sweep.runners import ProcessPoolRunner, SerialRunner, _split_spans
@@ -26,23 +30,37 @@ def points():
     return smoke_spec(iterations=2).expand()
 
 
-def scalar_reference(monkeypatch, runner, points, **kwargs):
-    """Run with the lane disabled: the per-point scalar loop."""
-    monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
+class ScalarAnalytic(AnalyticBackend):
+    """The scalar model through the base class's per-point loop, never the engine."""
+
+    evaluate_many = Backend.evaluate_many
+
+
+@contextmanager
+def scalar_analytic():
+    """Register :class:`ScalarAnalytic` as ``analytic`` for a ``with`` block."""
+    real = _BACKENDS["analytic"]
+    register_backend("analytic", ScalarAnalytic)
     try:
-        return runner.run(points, **kwargs)
+        yield
     finally:
-        monkeypatch.delenv("REPRO_ANALYTIC_BATCH", raising=False)
+        register_backend("analytic", real)
+
+
+def scalar_reference(runner, points, **kwargs):
+    """Run with the lane out of the way: the per-point scalar loop."""
+    with scalar_analytic():
+        return runner.run(points, **kwargs)
 
 
 class TestByteIdentity:
-    def test_serial_fast_lane_matches_scalar(self, points, monkeypatch):
-        scalar = scalar_reference(monkeypatch, SerialRunner(), points)
+    def test_serial_fast_lane_matches_scalar(self, points):
+        scalar = scalar_reference(SerialRunner(), points)
         fast = SerialRunner().run(points)
         assert canonical_json(fast) == canonical_json(scalar)
 
-    def test_pool_fast_lane_matches_scalar(self, points, monkeypatch):
-        scalar = scalar_reference(monkeypatch, SerialRunner(), points)
+    def test_pool_fast_lane_matches_scalar(self, points):
+        scalar = scalar_reference(SerialRunner(), points)
         fast = ProcessPoolRunner(jobs=2).run(points)
         assert canonical_json(fast) == canonical_json(scalar)
 
@@ -50,18 +68,17 @@ class TestByteIdentity:
         records = SerialRunner().run(points)
         assert [r.key for r in records] == [p.key() for p in points]
 
-    def test_halving_campaign_matches_scalar(self, monkeypatch):
+    def test_halving_campaign_matches_scalar(self):
         spec = SweepSpec(
             name="halving-lane",
             base=StencilProblem.paper_example(11, 11),
             grid_sizes=((11, 11), (13, 13), (15, 15), (17, 17)),
             iterations=1,
         )
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        scalar = Workbench().run(
-            spec, strategy=SuccessiveHalving(eta=2, verify_backend="analytic")
-        )
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "1")
+        with scalar_analytic():
+            scalar = Workbench().run(
+                spec, strategy=SuccessiveHalving(eta=2, verify_backend="analytic")
+            )
         fast = Workbench().run(
             spec, strategy=SuccessiveHalving(eta=2, verify_backend="analytic")
         )
@@ -89,8 +106,8 @@ class TestBatchAttribution:
             assert record.meta["batch_size"] >= 2
             assert 0 <= record.meta["batch_index"] < record.meta["batch_size"]
 
-    def test_scalar_path_has_no_batch_stamps(self, points, monkeypatch):
-        records = scalar_reference(monkeypatch, SerialRunner(), points[:3])
+    def test_scalar_path_has_no_batch_stamps(self, points):
+        records = scalar_reference(SerialRunner(), points[:3])
         assert all("batch_size" not in r.meta for r in records)
 
 
@@ -145,7 +162,7 @@ class TestLaneBoundaries:
         assert [r.key for r in records] == [p.key() for p in points]
         assert all("batch_size" not in r.meta for r in records)
 
-    def test_mixed_system_batch_stays_vectorized(self, monkeypatch):
+    def test_mixed_system_batch_stays_vectorized(self):
         """smache/baseline pairs are one span: grouping happens in the engine."""
         spec = SweepSpec(
             name="systems",
@@ -158,7 +175,7 @@ class TestLaneBoundaries:
         spans = _split_spans(points)
         assert [(kind, len(span)) for kind, span in spans] == [("batch", 4)]
         fast = SerialRunner().run(points)
-        scalar = scalar_reference(monkeypatch, SerialRunner(), points)
+        scalar = scalar_reference(SerialRunner(), points)
         assert canonical_json(fast) == canonical_json(scalar)
 
     def test_singleton_analytic_run_stays_scalar(self, points):
@@ -182,10 +199,6 @@ class TestLaneBoundaries:
             assert len(calls) == 3
         finally:
             register_backend("analytic", real)
-
-    def test_env_switch_disables_the_lane(self, points, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "off")
-        assert _split_spans(points) == [("scalar", list(points))]
 
 
 class TestKeepResults:
