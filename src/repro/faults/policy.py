@@ -83,8 +83,9 @@ class RetryPolicy:
         Jitter seed; change it to decorrelate two campaigns' retry storms.
     deadline_s:
         Per-point wall-clock budget.  ``None`` disables the watchdog; when
-        set, the pool runner abandons and re-issues points whose chunk
-        exceeds its cumulative deadline.
+        set, the pool runner abandons and re-issues points whose chunk has
+        run longer than ``deadline_s`` per point since it started (queued
+        chunks never count: the executor only holds running work).
     retryable_types / fatal_types:
         The classification lists.  Fatal wins on overlap; exceptions in
         neither list follow ``retry_unknown``.

@@ -2,8 +2,7 @@
 
 Both runners share one contract: ``run(points)`` evaluates every
 :class:`~repro.sweep.spec.SweepPoint` and returns one
-:class:`~repro.sweep.record.PointRecord` per point, **in input order**, while
-an optional ``on_result`` callback observes records as they complete.
+:class:`~repro.sweep.record.PointRecord` per point, **in input order**.
 
 There is **one evaluation loop**, :func:`_evaluate_points`, run by the
 serial runner, by the pool's one-job fallback and by every pool worker
@@ -25,12 +24,15 @@ Failures are decided at the failure site inside that loop.  With no
 **fail-fast**: the first evaluation error propagates with its original
 exception type, serial or pooled.  Under a policy a failed attempt becomes a
 :class:`PointError` marker instead, classified where the exception type
-exists, and the parent retries it with deterministic backoff.  The pool
-runner drives its workers through one parent-side state machine:
-stragglers past the policy deadline are abandoned and re-issued, a broken
-pool is respawned with its in-flight points re-enqueued, and points that
-repeatedly crash the pool are quarantined as failure records instead of
-aborting the campaign.
+exists.  There is **one point scheduler**, :class:`_Scheduler`, on the
+parent side: serial and pooled runs settle every outcome through it
+(deliver, or retry with deterministic backoff, or fail at budget), and the
+pool also lets it respawn a broken pool, quarantine points that repeatedly
+crash it, and abandon and re-issue stragglers past the policy deadline.
+The pool executor only ever holds running work — at most ``jobs`` chunks,
+abandoned stragglers included — so **a deadline counts from the moment a
+chunk starts**, never from a wait in a queue: ``deadline_s`` times the
+chunk's point count.
 
 Runners participate in the campaign event stream: when a
 :attr:`Runner.event_sink` is installed (the campaign engine points it at its
@@ -45,10 +47,7 @@ a begin stamp taken by the evaluating process: the in-process path
 publishes it live, the pool ships it back inside the record's ``meta``
 (``worker``/``started_ts``/``finished_ts``/``worker_seq``) or the failure
 marker and replays it — *never* at submit time, so event order and ETAs
-reflect actual execution.  Per record the order is ``PointStarted`` …
-``on_result`` → ``PointCompleted``; ``on_result`` runs first so legacy
-callback wrappers (e.g. crash-injection test runners) still gate what the
-event stream sees.
+reflect actual execution.
 
 The :class:`ProcessPoolRunner` shards the point list into contiguous chunks
 and ships whole chunks to workers.  Three things make this fast:
@@ -85,7 +84,8 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.context import clear_point_context, set_point_context
 from repro.faults.policy import RetryPolicy
@@ -105,9 +105,6 @@ from repro.sweep.events import (
 )
 from repro.sweep.record import PointRecord
 from repro.sweep.spec import SweepPoint
-
-#: Callback observing each record as it completes (legacy checkpoint hook).
-ResultCallback = Callable[[PointRecord], None]
 
 
 def _cache_meta(baseline: Optional[CacheInfo] = None) -> Dict[str, int]:
@@ -441,60 +438,6 @@ def _evaluate_chunk(
     ]
 
 
-def _failure_record(
-    point: SweepPoint, error: str, attempts: int, run_index: int
-) -> PointRecord:
-    """The permanent failure record for a point whose retries are exhausted."""
-    return PointRecord.failure(
-        key=point.key(),
-        label=point.display_label,
-        backend=point.backend,
-        system=point.request.system,
-        iterations=point.request.iterations,
-        rung=point.rung,
-        error=error,
-        attempts=attempts,
-        meta={"run": run_index},
-    )
-
-
-def _started(point: SweepPoint, stamp: Dict[str, Any]) -> PointStarted:
-    """The :class:`PointStarted` of one attempt, built from its begin stamp.
-
-    ``stamp`` may be any mapping carrying the stamp — a record's ``meta``
-    does — so a start replayed from a worker is as faithful as a live one.
-    """
-    return PointStarted(
-        key=point.key(),
-        label=point.display_label,
-        rung=point.rung,
-        worker=stamp.get("worker"),
-        ts=stamp.get("started_ts"),
-        seq=stamp.get("worker_seq"),
-    )
-
-
-def _retried(
-    point: SweepPoint,
-    attempt: int,
-    error: str,
-    reason: str,
-    delay_s: float = 0.0,
-    worker: Optional[int] = None,
-) -> PointRetried:
-    """The :class:`PointRetried` announcing that ``attempt`` will be retried."""
-    return PointRetried(
-        key=point.key(),
-        label=point.display_label,
-        rung=point.rung,
-        attempt=attempt,
-        error=error,
-        delay_s=delay_s,
-        reason=reason,
-        worker=worker,
-    )
-
-
 def _discard(event: RunEvent) -> None:
     """The event sink of a runner nobody observes."""
 
@@ -560,6 +503,338 @@ def cost_balanced_chunks(
 
 
 # --------------------------------------------------------------------------- #
+# the scheduler
+# --------------------------------------------------------------------------- #
+@dataclass
+class _Slot:
+    """One chunk the executor is running: the bookkeeping behind a future."""
+
+    points: List[SweepPoint]
+    attempt: int  #: the 1-based attempt every point of the chunk is on
+    deadline: Optional[float]  #: monotonic expiry (None: no deadline armed)
+    solo: bool = False  #: a probation run, with nothing else in flight
+    abandoned: bool = False  #: past its deadline; its points settled elsewhere
+
+
+class _Scheduler:
+    """The parent-side state of one run, with one method per transition.
+
+    Every run settles its outcomes here: :meth:`deliver` a record, or
+    :meth:`retry_or_fail` a failed attempt — re-issue it after the policy's
+    backoff, or resolve it as a failure record at budget.  The in-process
+    path stops there and takes each retry inline (:meth:`next_retry`).
+
+    A pool run also hands over its executor (``spawn`` builds one) and
+    drives the rest: ``queue`` holds first-attempt chunks, ``retry_heap``
+    re-issued singletons by ready time, ``probation`` points that must run
+    alone, and ``slots`` the submitted futures — at most ``jobs`` of them,
+    abandoned ones included, so the executor only ever holds running work.
+    :meth:`fill` submits, :meth:`collect` settles finished futures (or
+    :meth:`break_pool` a broken pool), :meth:`expire` abandons stragglers
+    past their deadline and :meth:`unwedge` replaces a pool held only by
+    them.  Without a policy the machine is fail-fast: a worker's error
+    surfaces from its future with its type, a broken pool re-raises, and no
+    deadline is armed.
+    """
+
+    def __init__(
+        self,
+        policy: Optional[RetryPolicy],
+        event_sink: Optional[EventSink],
+        run_index: int,
+        keep_results: bool = False,
+        jobs: int = 1,
+        spawn: Optional[Callable[[], Any]] = None,
+    ) -> None:
+        self.policy = policy
+        self.max_attempts = policy.max_attempts if policy is not None else 1
+        self.deadline_s = policy.deadline_s if policy is not None else None
+        self.emit = event_sink if event_sink is not None else _discard
+        self.run_index = run_index
+        self.keep_results = keep_results
+        self.jobs = jobs
+        self.spawn = spawn
+        self.pool: Any = spawn() if spawn is not None else None
+        self.queue: "deque[List[SweepPoint]]" = deque()
+        self.slots: Dict[Any, _Slot] = {}
+        self.retry_heap: List[Tuple[float, int, SweepPoint, int]] = []
+        self.probation: "deque[Tuple[SweepPoint, int]]" = deque()
+        self.blames: Dict[str, int] = {}  # pool-break co-blames, per key
+        self.resolved: Dict[str, PointRecord] = {}
+        self.restarts = 0
+        self._seq = itertools.count()
+
+    # ------------------------------------------------------------------ #
+    # settling outcomes (every run)
+    # ------------------------------------------------------------------ #
+    def start(self, point: SweepPoint, stamp: Dict[str, Any]) -> None:
+        """Publish the :class:`PointStarted` of one attempt from its stamp.
+
+        ``stamp`` may be any mapping carrying the begin stamp — a record's
+        ``meta`` does — so a start replayed from a worker is as faithful as
+        a live one.  In-process starts are published live, as evaluation
+        begins; a pool run replays each from the outcome it settles.
+        """
+        self.emit(
+            PointStarted(
+                key=point.key(),
+                label=point.display_label,
+                rung=point.rung,
+                worker=stamp.get("worker"),
+                ts=stamp.get("started_ts"),
+                seq=stamp.get("worker_seq"),
+            )
+        )
+
+    def _retry(
+        self,
+        point: SweepPoint,
+        attempt: int,
+        error: str,
+        reason: str,
+        delay_s: float = 0.0,
+        worker: Optional[int] = None,
+    ) -> None:
+        """Announce that ``attempt`` will be retried (:class:`PointRetried`)."""
+        self.emit(
+            PointRetried(
+                key=point.key(),
+                label=point.display_label,
+                rung=point.rung,
+                attempt=attempt,
+                error=error,
+                delay_s=delay_s,
+                reason=reason,
+                worker=worker,
+            )
+        )
+
+    def settle(self, point: SweepPoint, outcome: Outcome) -> Optional[PointRecord]:
+        """Settle one outcome; the point's final record, or None if retried."""
+        if isinstance(outcome, PointError):
+            return self.retry_or_fail(point, outcome)
+        return self.deliver(point, outcome)
+
+    def deliver(self, point: SweepPoint, record: PointRecord) -> PointRecord:
+        """Resolve ``point`` with its record; a success clears its blames."""
+        self.resolved[record.key] = record
+        self.blames.pop(record.key, None)
+        if self.pool is not None:
+            self.start(point, record.meta)
+        self.emit(PointCompleted(record=record))
+        return record
+
+    def fail(self, point: SweepPoint, error: str, attempts: int) -> PointRecord:
+        """Resolve ``point`` with its permanent failure record."""
+        record = PointRecord.failure(
+            key=point.key(),
+            label=point.display_label,
+            backend=point.backend,
+            system=point.request.system,
+            iterations=point.request.iterations,
+            rung=point.rung,
+            error=error,
+            attempts=attempts,
+            meta={"run": self.run_index},
+        )
+        self.resolved[record.key] = record
+        self.emit(PointFailed(record=record))
+        return record
+
+    def retry_or_fail(self, point: SweepPoint, error: PointError) -> Optional[PointRecord]:
+        """Re-issue a failed attempt after its backoff, or fail it at budget."""
+        if self.pool is not None:
+            self.start(point, error.stamp)
+        policy = self.policy
+        if policy is None or not error.retryable or error.attempt >= self.max_attempts:
+            return self.fail(point, error.error, error.attempt)
+        delay = policy.delay_s(point.key(), error.attempt)
+        worker = error.stamp.get("worker")
+        self._retry(point, error.attempt, error.error, "error", delay, worker)
+        self._reissue(point, error.attempt + 1, delay)
+        return None
+
+    def _reissue(self, point: SweepPoint, attempt: int, delay: float) -> None:
+        ready = time.monotonic() + delay
+        heapq.heappush(self.retry_heap, (ready, next(self._seq), point, attempt))
+
+    def next_retry(self) -> Tuple[SweepPoint, int]:
+        """Pop the earliest retry and its attempt, sleeping out its backoff."""
+        ready, _, point, attempt = heapq.heappop(self.retry_heap)
+        pause = ready - time.monotonic()
+        if pause > 0:
+            time.sleep(pause)
+        return point, attempt
+
+    # ------------------------------------------------------------------ #
+    # driving an executor (pool runs)
+    # ------------------------------------------------------------------ #
+    def _accepting(self) -> bool:
+        """Whether ordinary work may start: a worker is free and no
+        probation point is waiting for, or running on, its own."""
+        return (
+            len(self.slots) < self.jobs
+            and not self.probation
+            and not any(s.solo and not s.abandoned for s in self.slots.values())
+        )
+
+    def fill(self) -> None:
+        """Submit work to free workers: a probation point alone on an empty
+        pool, otherwise due retries first, then first-attempt chunks."""
+        self.unwedge()
+        while self.probation and not self.slots:
+            point, attempt = self.probation.popleft()
+            if point.key() not in self.resolved:
+                self.submit([point], attempt, solo=True)
+        now = time.monotonic()
+        while self._accepting():
+            if self.retry_heap and self.retry_heap[0][0] <= now:
+                _, _, point, attempt = heapq.heappop(self.retry_heap)
+                if point.key() not in self.resolved:
+                    self.submit([point], attempt)
+            elif self.queue:
+                self.submit(self.queue.popleft(), 1)
+            else:
+                break
+
+    def submit(self, chunk: List[SweepPoint], attempt: int, solo: bool = False) -> None:
+        """Hand one chunk to the executor; its deadline starts now."""
+        deadline = None
+        if self.deadline_s is not None:
+            deadline = time.monotonic() + self.deadline_s * len(chunk)
+        args = (chunk, self.keep_results, self.run_index, self.policy, attempt)
+        try:
+            future = self.pool.submit(_evaluate_chunk, args)
+        except BrokenExecutor as exc:
+            if self.policy is None:
+                raise  # fail-fast: crash recovery needs a policy
+            # The pool died between deliveries (nothing of ours was in
+            # flight, or it would have surfaced via a future): replace it.
+            self.respawn(f"{type(exc).__name__}: {exc}")
+            future = self.pool.submit(_evaluate_chunk, args)
+        self.slots[future] = _Slot(list(chunk), attempt, deadline, solo)
+
+    def timeout(self) -> Optional[float]:
+        """Seconds until the next deadline or due retry (None: none pending)."""
+        now = time.monotonic()
+        waits = [
+            slot.deadline - now
+            for slot in self.slots.values()
+            if not slot.abandoned and slot.deadline is not None
+        ]
+        if self.retry_heap and self._accepting():
+            waits.append(self.retry_heap[0][0] - now)
+        return max(0.0, min(waits)) if waits else None
+
+    def collect(self, done: Iterable[Any]) -> None:
+        """Settle finished futures; a broken one takes the whole pool down.
+
+        First completion wins: a late straggler's result for a resolved
+        point is ignored, and so is a failed attempt from an abandoned
+        chunk, whose point was already re-issued or failed.
+        """
+        broken: Optional[BaseException] = None
+        for future in done:
+            try:
+                outcomes = future.result()
+            except BrokenExecutor as exc:
+                if self.policy is None:
+                    raise  # fail-fast: crash recovery needs a policy
+                broken = exc  # the slot stays: break_pool takes every slot
+                continue
+            slot = self.slots.pop(future)
+            for point, outcome in zip(slot.points, outcomes):
+                stale = slot.abandoned and isinstance(outcome, PointError)
+                if not stale and point.key() not in self.resolved:
+                    self.settle(point, outcome)
+        if broken is not None:
+            self.break_pool(broken)
+
+    def break_pool(self, exc: BaseException) -> None:
+        """Respawn a broken pool and charge its live chunks' points.
+
+        One break kills every in-flight future, and the parent cannot know
+        which co-scheduled point killed the worker, so each unresolved point
+        collects a crash *blame* and is re-issued (:class:`WorkerLost`,
+        :class:`PoolRestarted`, then ``worker-lost`` retries).  Enough
+        blames put a point on **probation**: it runs *solo*.  A solo crash
+        is certain guilt and quarantines the point as failed ("poison"); a
+        solo success clears its blames.  Abandoned chunks were settled by
+        :meth:`expire` already.
+        """
+        error = f"{type(exc).__name__}: {exc}".strip(": ")
+        victims = [
+            (slot, point)
+            for slot in self.slots.values()
+            if not slot.abandoned
+            for point in slot.points
+            if point.key() not in self.resolved
+        ]
+        lost = _lost_worker_pid(self.pool)
+        self.emit(WorkerLost(worker=lost, inflight=len(victims), error=error))
+        self.slots.clear()
+        self.respawn(error)
+        for slot, point in victims:
+            if slot.solo:
+                reason = f"point repeatedly crashed the worker pool ({error})"
+                self.fail(point, reason, slot.attempt)
+                continue
+            key = point.key()
+            self.blames[key] = self.blames.get(key, 0) + 1
+            self._retry(point, slot.attempt, error, "worker-lost")
+            if self.blames[key] >= max(1, self.max_attempts - 1):
+                self.probation.append((point, slot.attempt + 1))
+            else:
+                self._reissue(point, slot.attempt + 1, 0.0)
+
+    def expire(self) -> None:
+        """Abandon chunks past their deadline: re-issue each unresolved
+        point at once, or fail it when that was its last attempt."""
+        now = time.monotonic()
+        for slot in self.slots.values():
+            if slot.abandoned or slot.deadline is None or slot.deadline > now:
+                continue
+            slot.abandoned = True
+            error = f"deadline {self.deadline_s:g}s exceeded"
+            for point in slot.points:
+                if point.key() in self.resolved:
+                    continue
+                if slot.attempt < self.max_attempts:
+                    self._retry(point, slot.attempt, error, "deadline")
+                    self._reissue(point, slot.attempt + 1, 0.0)
+                else:
+                    self.fail(point, f"point {error}", slot.attempt)
+
+    def unwedge(self) -> None:
+        """Replace the pool when only abandoned chunks occupy it and that
+        blocks progress.  Their points are settled, so nothing is lost."""
+        stuck = len(self.slots)
+        if not stuck or not all(slot.abandoned for slot in self.slots.values()):
+            return
+        if self.probation:
+            reason = f"{stuck} abandoned worker(s) replaced to run a probation point alone"
+        elif stuck >= self.jobs:
+            reason = f"{stuck} worker(s) stuck past deadline"
+        else:
+            return
+        self.slots.clear()
+        self.respawn(reason)
+
+    def respawn(self, reason: str) -> None:
+        """Kill the pool and start a fresh one (:class:`PoolRestarted`)."""
+        assert self.spawn is not None, "only a pool run respawns"
+        self.restarts += 1
+        _terminate_pool(self.pool)
+        self.pool = self.spawn()
+        self.emit(PoolRestarted(restarts=self.restarts, jobs=self.jobs, reason=reason))
+
+    def close(self) -> None:
+        """Tear the pool down, stragglers and all."""
+        if self.pool is not None:
+            _terminate_pool(self.pool)
+
+
+# --------------------------------------------------------------------------- #
 # runners
 # --------------------------------------------------------------------------- #
 class Runner:
@@ -574,7 +849,7 @@ class Runner:
     bus there), the runner publishes :class:`PointStarted` /
     :class:`PointCompleted` events from the parent process.  The attribute
     seam — rather than a ``run()`` parameter — keeps every subclass that
-    overrides ``run()`` with the historical signature working unchanged.
+    overrides ``run()`` working unchanged.
     """
 
     #: Degree of parallelism the runner provides.
@@ -594,10 +869,7 @@ class Runner:
         return self._run_counter
 
     def run(
-        self,
-        points: Sequence[SweepPoint],
-        on_result: Optional[ResultCallback] = None,
-        keep_results: bool = False,
+        self, points: Sequence[SweepPoint], keep_results: bool = False
     ) -> List[PointRecord]:
         """Evaluate every point (must be overridden)."""
         raise NotImplementedError
@@ -605,7 +877,6 @@ class Runner:
 
 def _run_in_process(
     points: Sequence[SweepPoint],
-    on_result: Optional[ResultCallback],
     keep_results: bool,
     strip_artifacts: bool,
     run_index: int,
@@ -614,19 +885,14 @@ def _run_in_process(
 ) -> List[PointRecord]:
     """Drive the evaluation loop live (SerialRunner, the pool's 1-job fallback).
 
-    Starts are published as evaluation begins and records delivered as they
-    land.  A failed attempt (only a policy yields one) is retried inline
-    after the policy's deterministic backoff, announced by
-    :class:`PointRetried`; an exhausted or fatal one lands a failure record
-    and :class:`PointFailed` (``on_result`` observes successes only).
+    Starts are published as evaluation begins and outcomes settled through
+    the :class:`_Scheduler` as they land.  A failed attempt (only a policy
+    yields one) is retried inline once its backoff has been slept out, so a
+    point settles before the next one starts.
     """
-    emit = event_sink if event_sink is not None else _discard
     baseline = plan_cache.cache_info()
-
-    def publish_start(point: SweepPoint, stamp: Dict[str, Any]) -> None:
-        emit(_started(point, stamp))
-
-    on_start = publish_start if event_sink is not None else None
+    scheduler = _Scheduler(policy, event_sink, run_index)
+    on_start = scheduler.start if event_sink is not None else None
 
     def evaluate(batch: Sequence[SweepPoint], attempt: int):
         return _evaluate_points(
@@ -635,34 +901,12 @@ def _run_in_process(
 
     records: List[PointRecord] = []
     for point, outcome in evaluate(points, 1):
-        while (
-            isinstance(outcome, PointError)
-            and outcome.retryable
-            and outcome.attempt < policy.max_attempts
-        ):
-            delay = policy.delay_s(point.key(), outcome.attempt)
-            emit(
-                _retried(
-                    point,
-                    outcome.attempt,
-                    outcome.error,
-                    "error",
-                    delay,
-                    outcome.stamp.get("worker"),
-                )
-            )
-            if delay > 0:
-                time.sleep(delay)
-            [(_, outcome)] = evaluate([point], outcome.attempt + 1)
-        if isinstance(outcome, PointError):
-            failure = _failure_record(point, outcome.error, outcome.attempt, run_index)
-            records.append(failure)
-            emit(PointFailed(record=failure))
-            continue
-        records.append(outcome)
-        if on_result is not None:
-            on_result(outcome)
-        emit(PointCompleted(record=outcome))
+        record = scheduler.settle(point, outcome)
+        while record is None:
+            point, attempt = scheduler.next_retry()
+            [(_, outcome)] = evaluate([point], attempt)
+            record = scheduler.settle(point, outcome)
+        records.append(record)
     return records
 
 
@@ -675,14 +919,10 @@ class SerialRunner(Runner):
         self.retry_policy = retry_policy
 
     def run(
-        self,
-        points: Sequence[SweepPoint],
-        on_result: Optional[ResultCallback] = None,
-        keep_results: bool = False,
+        self, points: Sequence[SweepPoint], keep_results: bool = False
     ) -> List[PointRecord]:
         return _run_in_process(
             points,
-            on_result,
             keep_results,
             strip_artifacts=False,
             run_index=self._next_run_index(),
@@ -742,10 +982,7 @@ class ProcessPoolRunner(Runner):
         return cost_balanced_chunks(points, n_chunks=jobs * 4)
 
     def run(
-        self,
-        points: Sequence[SweepPoint],
-        on_result: Optional[ResultCallback] = None,
-        keep_results: bool = False,
+        self, points: Sequence[SweepPoint], keep_results: bool = False
     ) -> List[PointRecord]:
         points = list(points)
         if not points:
@@ -757,308 +994,59 @@ class ProcessPoolRunner(Runner):
             # tagging, and artifacts stripped exactly as the workers would.
             return _run_in_process(
                 points,
-                on_result,
                 keep_results,
                 strip_artifacts=True,
                 run_index=run_index,
                 event_sink=self.event_sink,
                 policy=self.retry_policy,
             )
-        return self._run_pool(points, on_result, keep_results, run_index, jobs)
+        return self._run_pool(points, keep_results, run_index, jobs)
 
     def _run_pool(
         self,
         points: List[SweepPoint],
-        on_result: Optional[ResultCallback],
         keep_results: bool,
         run_index: int,
         jobs: int,
     ) -> List[PointRecord]:
-        """The pool path: one parent-side state machine (workers never retry).
+        """The pool path: a submit/wait loop driving the :class:`_Scheduler`.
 
-        * Every in-flight chunk carries its points' 1-based attempt number
-          and (when the policy sets ``deadline_s``) a cumulative wall-clock
-          deadline.  Expired chunks are *abandoned* — not cancelled, a
-          running future cannot be — their unresolved points re-issued
-          immediately as singletons; results are first-completion-wins, so
-          a straggler that eventually lands is simply ignored.  When every
-          worker is wedged on an abandoned chunk the pool is replaced
-          outright to reclaim capacity.
-        * A :class:`BrokenExecutor` takes down every in-flight future at
-          once.  The pool is respawned (:class:`WorkerLost` +
-          :class:`PoolRestarted` events) and unresolved in-flight points
-          re-issued — but each also collects a *crash blame*, because the
-          parent cannot know which of the co-scheduled points killed the
-          worker.  Enough blames put a point on **probation**: it runs
-          *solo*, with nothing else in flight.  A solo crash is certain
-          guilt — the point is quarantined as failed ("poison") instead of
-          killing the campaign; a solo success clears its blames
-          (co-scheduled innocents walk free).
-        * Ordinary retryable failures come back as :class:`PointError`
-          markers and re-enter through a ready-time heap after the policy's
-          deterministic backoff.
-
-        Without a policy the same machine is fail-fast: an evaluation error
-        a worker re-raised surfaces from its future with the original type,
-        a broken pool re-raises, and no deadline is ever armed.
-
-        Points sharing a key are evaluated once; every copy in ``points``
-        receives that one record.
+        Workers never retry; every transition is the scheduler's.  Points
+        sharing a key are evaluated once; every copy in ``points`` receives
+        that one record.
         """
         unique: Dict[str, SweepPoint] = {}
         for p in points:
             unique.setdefault(p.key(), p)
-        policy = self.retry_policy
-        max_attempts = policy.max_attempts if policy is not None else 1
-        deadline_s = policy.deadline_s if policy is not None else None
-        emit = self.event_sink if self.event_sink is not None else _discard
-        resolved: Dict[str, PointRecord] = {}
-        tries: Dict[str, int] = {}  # attempts submitted so far, per key
-        blames: Dict[str, int] = {}  # pool-break co-blames, per key
-        retry_heap: List[Tuple[float, int, SweepPoint]] = []  # (ready, seq, p)
-        heap_seq = itertools.count()
-        probation: "deque[SweepPoint]" = deque()
-        restarts = 0
-
-        @dataclass
-        class _Inflight:
-            points: List[SweepPoint]
-            attempt: int
-            deadline: Optional[float]
-            solo: bool = False
-            abandoned: bool = False
-
-        inflight: Dict[Any, _Inflight] = {}
-        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=self._context())
-
-        # -------------------------------------------------------------- #
-        def respawn(reason: str) -> None:
-            nonlocal pool, restarts
-            restarts += 1
-            _terminate_pool(pool)
-            pool = ProcessPoolExecutor(max_workers=jobs, mp_context=self._context())
-            emit(PoolRestarted(restarts=restarts, jobs=jobs, reason=reason))
-
-        def submit(chunk: List[SweepPoint], solo: bool = False) -> None:
-            # Initial chunks are first attempts; every retry runs alone.
-            attempt = tries.get(chunk[0].key(), 0) + 1
-            assert len(chunk) == 1 or attempt == 1, "a retried chunk must be a singleton"
-            for p in chunk:
-                tries[p.key()] = attempt
-            deadline = None
-            if deadline_s is not None:
-                deadline = time.monotonic() + deadline_s * len(chunk)
-            for _ in range(2):
-                try:
-                    future = pool.submit(
-                        _evaluate_chunk,
-                        (chunk, keep_results, run_index, policy, attempt),
-                    )
-                    break
-                except BrokenExecutor as exc:
-                    if policy is None:
-                        raise  # fail-fast: crash recovery needs a policy
-                    # The pool died between deliveries (nothing of ours was
-                    # in flight, or it would have surfaced via a future):
-                    # replace it and submit again.
-                    respawn(f"{type(exc).__name__}: {exc}")
-            else:  # pragma: no cover - two consecutive dead-on-arrival pools
-                raise RuntimeError("worker pool died immediately after respawn")
-            inflight[future] = _Inflight(
-                points=list(chunk), attempt=attempt, deadline=deadline, solo=solo
-            )
-
-        def unresolved(
-            infos: Sequence[_Inflight],
-        ) -> List[Tuple[_Inflight, SweepPoint]]:
-            return [
-                (info, p)
-                for info in infos
-                for p in info.points
-                if p.key() not in resolved
-            ]
-
-        def deliver(point: SweepPoint, record: PointRecord) -> None:
-            resolved[record.key] = record
-            blames.pop(record.key, None)
-            emit(_started(point, record.meta))
-            if on_result is not None:
-                on_result(record)
-            emit(PointCompleted(record=record))
-
-        def fail(point: SweepPoint, error: str, attempts: int) -> None:
-            record = _failure_record(point, error, attempts, run_index)
-            resolved[record.key] = record
-            emit(PointFailed(record=record))
-
-        def reissue(point: SweepPoint, delay: float) -> None:
-            heapq.heappush(
-                retry_heap, (time.monotonic() + delay, next(heap_seq), point)
-            )
-
-        def handle_error(point: SweepPoint, item: PointError) -> None:
-            # The attempt did begin in a worker: replay its start stamp so
-            # the stream stays faithful even for failed attempts.
-            emit(_started(point, item.stamp))
-            if item.retryable and item.attempt < max_attempts:
-                delay = policy.delay_s(point.key(), item.attempt)
-                emit(
-                    _retried(
-                        point,
-                        item.attempt,
-                        item.error,
-                        "error",
-                        delay,
-                        item.stamp.get("worker"),
-                    )
-                )
-                reissue(point, delay)
-            else:
-                fail(point, item.error, item.attempt)
-
-        def handle_pool_break(infos: List[_Inflight], exc: BaseException) -> None:
-            error = f"{type(exc).__name__}: {exc}".strip(": ")
-            # Abandoned chunks were already re-issued (or failed) by the
-            # deadline watchdog.
-            victims = unresolved([info for info in infos if not info.abandoned])
-            emit(
-                WorkerLost(
-                    worker=_lost_worker_pid(pool), inflight=len(victims), error=error
-                )
-            )
-            respawn(error)
-            for info, p in victims:
-                if info.solo:
-                    # Solo run, solo crash: guilt is certain. Quarantine.
-                    fail(
-                        p,
-                        f"point repeatedly crashed the worker pool ({error})",
-                        info.attempt,
-                    )
-                    continue
-                key = p.key()
-                blames[key] = blames.get(key, 0) + 1
-                emit(_retried(p, info.attempt, error, "worker-lost"))
-                if blames[key] >= max(1, max_attempts - 1):
-                    probation.append(p)
-                else:
-                    reissue(p, 0.0)
-
-        # -------------------------------------------------------------- #
+        scheduler = _Scheduler(
+            self.retry_policy,
+            self.event_sink,
+            run_index,
+            keep_results,
+            jobs,
+            spawn=partial(ProcessPoolExecutor, max_workers=jobs, mp_context=self._context()),
+        )
+        scheduler.queue.extend(self._chunk(list(unique.values()), jobs))
         try:
-            for chunk in self._chunk(list(unique.values()), jobs):
-                submit(chunk)
-            while len(resolved) < len(unique):
-                now = time.monotonic()
-                if probation:
-                    # Probation points run with an empty pool: wait for the
-                    # in-flight work to drain before submitting one, alone.
-                    if not inflight:
-                        point = probation.popleft()
-                        if point.key() not in resolved:
-                            submit([point], solo=True)
-                        continue
+            while len(scheduler.resolved) < len(unique):
+                scheduler.fill()
+                timeout = scheduler.timeout()
+                if scheduler.slots:
+                    done, _ = wait(
+                        list(scheduler.slots), timeout=timeout, return_when=FIRST_COMPLETED
+                    )
+                    scheduler.collect(done)
+                elif timeout is not None:
+                    time.sleep(timeout)  # nothing running: sit out a backoff
                 else:
-                    while retry_heap and retry_heap[0][0] <= now:
-                        _, _, point = heapq.heappop(retry_heap)
-                        if point.key() not in resolved:
-                            submit([point])
-                if not inflight:
-                    if retry_heap:
-                        time.sleep(
-                            min(0.05, max(0.0, retry_heap[0][0] - time.monotonic()))
-                        )
-                        continue
-                    if probation:
-                        continue
                     raise RuntimeError(
                         "worker pool lost track of "
-                        f"{len(unique) - len(resolved)} unresolved point(s)"
+                        f"{len(unique) - len(scheduler.resolved)} unresolved point(s)"
                     )
-                waits = [
-                    info.deadline - now
-                    for info in inflight.values()
-                    if not info.abandoned and info.deadline is not None
-                ]
-                if retry_heap and not probation:
-                    waits.append(retry_heap[0][0] - now)
-                timeout = max(0.0, min(waits)) if waits else None
-                if probation and timeout is None:
-                    # A probation point is waiting for the pool to drain;
-                    # poll rather than block forever behind a wedged,
-                    # already-abandoned straggler.
-                    timeout = 0.05
-                done, _ = wait(
-                    list(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                broken: Optional[BaseException] = None
-                broken_infos: List[_Inflight] = []
-                for future in done:
-                    info = inflight.pop(future)
-                    try:
-                        items = future.result()
-                    except BrokenExecutor as exc:
-                        if policy is None:
-                            raise  # fail-fast: crash recovery needs a policy
-                        broken = exc
-                        broken_infos.append(info)
-                        continue
-                    for point, item in zip(info.points, items):
-                        if point.key() in resolved:
-                            continue  # a late straggler lost the race
-                        if isinstance(item, PointError):
-                            handle_error(point, item)
-                        else:
-                            deliver(point, item)
-                if broken is not None:
-                    # One break kills every sibling future; drain them all.
-                    broken_infos.extend(inflight.values())
-                    inflight.clear()
-                    handle_pool_break(broken_infos, broken)
-                    continue
-                # Deadline watchdog: abandon expired chunks, re-issue their
-                # unresolved points immediately (or fail them at budget).
-                now = time.monotonic()
-                expired = [
-                    info
-                    for info in inflight.values()
-                    if not info.abandoned
-                    and info.deadline is not None
-                    and info.deadline <= now
-                ]
-                for info, p in unresolved(expired):
-                    error = f"deadline {deadline_s:g}s exceeded"
-                    if info.attempt < max_attempts:
-                        emit(_retried(p, info.attempt, error, "deadline"))
-                        reissue(p, 0.0)
-                    else:
-                        fail(p, f"point {error}", info.attempt)
-                for info in expired:
-                    info.abandoned = True
-                live_abandoned = sum(
-                    1 for info in inflight.values() if info.abandoned
-                )
-                if live_abandoned >= jobs:
-                    # Every worker is wedged on a straggler: replace the
-                    # pool so the re-issued points have somewhere to run.
-                    victims = unresolved(
-                        [info for info in inflight.values() if not info.abandoned]
-                    )
-                    inflight.clear()
-                    respawn(f"{live_abandoned} worker(s) stuck past deadline")
-                    for info, p in victims:
-                        emit(
-                            _retried(
-                                p,
-                                info.attempt,
-                                "pool replaced while in flight",
-                                "worker-lost",
-                            )
-                        )
-                        reissue(p, 0.0)
+                scheduler.expire()
         finally:
-            _terminate_pool(pool)
-        return [resolved[p.key()] for p in points]
+            scheduler.close()
+        return [scheduler.resolved[p.key()] for p in points]
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:

@@ -137,9 +137,12 @@ class TestEvents:
         assert len(completed) == len(points)
         assert all(e.worker is not None and e.seq is not None for e in started)
 
-    def test_on_result_sees_every_record(self, points):
-        seen = []
-        SerialRunner().run(points, on_result=seen.append)
+    def test_event_sink_sees_every_record(self, points):
+        events = []
+        runner = SerialRunner()
+        runner.event_sink = events.append
+        runner.run(points)
+        seen = [e.record for e in events if isinstance(e, PointCompleted)]
         assert [r.key for r in seen] == [p.key() for p in points]
 
 

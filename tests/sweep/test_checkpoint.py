@@ -6,6 +6,7 @@ import pytest
 
 from repro.sweep.campaign import execute_campaign
 from repro.sweep.checkpoint import CampaignCheckpoint, CheckpointMismatch
+from repro.sweep.events import PointCompleted
 from repro.sweep.runners import SerialRunner
 from repro.sweep.spec import smoke_spec
 
@@ -21,14 +22,22 @@ class CrashingRunner(SerialRunner):
         self.crash_after = crash_after
         self.completed = 0
 
-    def run(self, points, on_result=None, keep_results=False):
-        def counting(record):
-            if self.completed >= self.crash_after:
-                raise InterruptedRun(f"killed after {self.completed} points")
-            if on_result is not None:
-                on_result(record)
-            self.completed += 1
-        return super().run(points, on_result=counting, keep_results=keep_results)
+    def run(self, points, keep_results=False):
+        sink = self.event_sink
+
+        def counting(event):
+            # Die before the checkpoint observes the next completion.
+            if isinstance(event, PointCompleted):
+                if self.completed >= self.crash_after:
+                    raise InterruptedRun(f"killed after {self.completed} points")
+                self.completed += 1
+            sink(event)
+
+        self.event_sink = counting
+        try:
+            return super().run(points, keep_results=keep_results)
+        finally:
+            self.event_sink = sink
 
 
 class CountingRunner(SerialRunner):
@@ -37,9 +46,9 @@ class CountingRunner(SerialRunner):
     def __init__(self) -> None:
         self.evaluated = 0
 
-    def run(self, points, on_result=None, keep_results=False):
+    def run(self, points, keep_results=False):
         self.evaluated += len(points)
-        return super().run(points, on_result=on_result, keep_results=keep_results)
+        return super().run(points, keep_results=keep_results)
 
 
 @pytest.fixture()

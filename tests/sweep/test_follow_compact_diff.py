@@ -183,8 +183,8 @@ class TestFollow:
         from repro.sweep.runners import SerialRunner
 
         class StallingRunner(SerialRunner):
-            def run(self, points, on_result=None, keep_results=False):
-                done = super().run(points[:3], on_result=on_result, keep_results=keep_results)
+            def run(self, points, keep_results=False):
+                done = super().run(points[:3], keep_results=keep_results)
                 raise Stall("killed mid-campaign")
 
         with pytest.raises(Stall):
@@ -266,8 +266,8 @@ class TestAdaptiveStrategyCompletion:
             pass
 
         class CrashingRunner(SerialRunner):
-            def run(self, points, on_result=None, keep_results=False):
-                super().run(points[:2], on_result=on_result, keep_results=keep_results)
+            def run(self, points, keep_results=False):
+                super().run(points[:2], keep_results=keep_results)
                 raise Crash()
 
         path = str(tmp_path / "crashed.jsonl")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pipeline import EvaluationRequest, StencilProblem, batch_evaluate, evaluate
+from repro.sweep.events import PointCompleted
 from repro.sweep.record import canonical_json
 from repro.sweep.runners import ProcessPoolRunner, SerialRunner, make_runner
 from repro.sweep.spec import SweepSpec, smoke_spec
@@ -13,6 +14,16 @@ def points():
     return smoke_spec(iterations=2).expand()
 
 
+def completed_records(seen):
+    """An event sink appending each completed record to ``seen``."""
+
+    def sink(event):
+        if isinstance(event, PointCompleted):
+            seen.append(event.record)
+
+    return sink
+
+
 class TestSerialRunner:
     def test_records_in_input_order(self, points):
         records = SerialRunner().run(points)
@@ -20,7 +31,9 @@ class TestSerialRunner:
 
     def test_callback_sees_every_record(self, points):
         seen = []
-        SerialRunner().run(points, on_result=seen.append)
+        runner = SerialRunner()
+        runner.event_sink = completed_records(seen)
+        runner.run(points)
         assert len(seen) == len(points)
 
     def test_keep_results_attaches_full_results(self, points):
@@ -49,7 +62,9 @@ class TestProcessPoolRunner:
 
     def test_callback_sees_every_record(self, points):
         seen = []
-        ProcessPoolRunner(jobs=2).run(points, on_result=seen.append)
+        runner = ProcessPoolRunner(jobs=2)
+        runner.event_sink = completed_records(seen)
+        runner.run(points)
         assert sorted(r.key for r in seen) == sorted(p.key() for p in points)
 
     def test_keep_results_survives_the_process_boundary(self, points):
