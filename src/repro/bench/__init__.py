@@ -1,11 +1,12 @@
 """repro.bench: the performance-regression gating subsystem.
 
-One envelope (:class:`BenchResult`), one host fingerprint
-(:class:`HostFingerprint`), declarative per-host reference bands
+One envelope (:class:`BenchResult`) read from perfbench results or built by
+the same-process ratio claims (:mod:`repro.bench.claims`, imported on
+demand so that importing this package stays light), one host fingerprint
+(:class:`HostFingerprint`), one table of reference bands
 (:data:`DEFAULT_REFERENCES`), an append-only perf history
-(:class:`PerfHistory`), and the ``python -m repro.bench`` CLI that drives
-the four benchmark suites through a single harness and gates their
-metrics — see :mod:`repro.bench.__main__`.
+(:class:`PerfHistory`), and the ``python -m repro.bench`` CLI that runs the
+claims and gates results — see :mod:`repro.bench.__main__`.
 """
 
 from repro.bench.gate import (
@@ -23,20 +24,16 @@ from repro.bench.history import (
     git_commit_info,
 )
 from repro.bench.host import (
-    SMOKE_ENV,
     HostFingerprint,
     contention,
     cpu_count,
     current_host,
-    host_extra_info,
-    smoke_mode,
 )
 from repro.bench.model import (
     BENCH_FORMAT,
     BenchFormatError,
     BenchResult,
     load_result,
-    suite_of_path,
 )
 from repro.bench.references import (
     CONTENDED_EXEMPT,
@@ -47,14 +44,6 @@ from repro.bench.references import (
     in_band,
     load_references,
     resolve_references,
-)
-from repro.bench.suites import (
-    SUITES,
-    BenchRunError,
-    BenchSpec,
-    find_script,
-    run_suite,
-    standalone_main,
 )
 from repro.bench.trend import (
     WorkerThroughput,
@@ -67,8 +56,6 @@ __all__ = [
     "BENCH_FORMAT",
     "BenchFormatError",
     "BenchResult",
-    "BenchRunError",
-    "BenchSpec",
     "CONTENDED_EXEMPT",
     "DEFAULT_REFERENCES",
     "FAIL_STATUSES",
@@ -79,8 +66,6 @@ __all__ = [
     "MetricCheck",
     "PerfHistory",
     "PerfHistoryWarning",
-    "SMOKE_ENV",
-    "SUITES",
     "WILDCARD",
     "WorkerThroughput",
     "band_bounds",
@@ -88,20 +73,14 @@ __all__ = [
     "contention",
     "cpu_count",
     "current_host",
-    "find_script",
     "format_band",
     "format_trend_report",
     "format_worker_report",
     "gate_results",
     "git_commit_info",
-    "host_extra_info",
     "in_band",
     "load_references",
     "load_result",
     "mine_worker_throughput",
     "resolve_references",
-    "run_suite",
-    "smoke_mode",
-    "standalone_main",
-    "suite_of_path",
 ]

@@ -1,51 +1,47 @@
-"""Benchmark harness and regression gate: ``python -m repro.bench``.
+"""Benchmark claims and regression gate: ``python -m repro.bench``.
 
 Subcommands::
 
-    python -m repro.bench run [SUITE ...] [--smoke] [--json-dir DIR]
-                              [--record HISTORY] [--gate]
+    python -m repro.bench run [SUITE ...] [--smoke] [--record HISTORY]
+                              [--references REFS.json]
     python -m repro.bench record FILE ... --history HISTORY
     python -m repro.bench gate [FILE ...] [--history HISTORY] [--strict]
                                [--references REFS.json]
     python -m repro.bench trend [--history HISTORY] [--metric SUBSTR]
                                 [--events LOG ...]
 
-``run`` drives any subset of the four registered benchmark suites (sim,
-pipeline, analytic, serve — default all) through one pytest harness,
-prints each suite's gate report, and optionally appends the envelopes to a
-perf history.  ``record`` appends existing benchmark JSON files (native
-envelopes or pytest-benchmark dumps) to a history.  ``gate`` checks either
-benchmark JSON files (default: the four committed ``BENCH_*.json``
-baselines in the cwd) or the newest history record per (suite, host)
-against the per-host reference bands, exiting 1 on any out-of-band metric
-— the ``python -m repro.sweep diff`` convention.  ``trend`` renders
-per-metric history tables and, given campaign event logs, per-worker
-throughput mined from the stream.
+``run`` measures the same-process ratio claims of any subset of the four
+claim suites (sim, pipeline, analytic, serve — default all) in this
+process, prints each suite's gate report, optionally appends the envelopes
+to a perf history, and exits 1 when a claim is out of band or a parity
+check fails.  ``record`` appends result files to a history.  ``gate``
+checks result files, or the newest history record per (suite, host),
+against the reference bands, exiting 1 on any out-of-band metric or
+incorrect result — the ``python -m repro.sweep diff`` convention.  A result
+file is either the output of ``python3 perfbench/run.py`` (the workload is
+the suite) or a native envelope.  ``trend`` renders per-metric history
+tables and, given campaign event logs, per-worker throughput mined from the
+stream.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from typing import List, Optional, Sequence
 
+from repro.bench.claims import SUITES, run_suite
 from repro.bench.gate import GateReport, gate_results
 from repro.bench.history import PerfHistory
-from repro.bench.model import BenchResult, load_result, suite_of_path
+from repro.bench.model import BenchResult, load_result
 from repro.bench.references import (
     DEFAULT_REFERENCES,
     ReferenceTable,
     load_references,
 )
-from repro.bench.suites import SUITES, BenchRunError, run_suite
 from repro.bench.trend import format_trend_report, format_worker_report
 
 SUBCOMMANDS = ("run", "record", "gate", "trend")
-
-#: The committed baseline files ``gate`` checks when given no inputs.
-DEFAULT_BASELINES = tuple(spec.default_json for spec in SUITES.values())
 
 
 def _parse_suites(names: List[str], parser: argparse.ArgumentParser) -> List[str]:
@@ -63,14 +59,8 @@ def _load_files(
 ) -> List[BenchResult]:
     results = []
     for path in paths:
-        suite = suite_of_path(path)
-        if suite is None:
-            parser.error(
-                f"cannot infer the suite from {path!r}; name files like "
-                "BENCH_sim.json or pass envelopes that carry their own suite"
-            )
         try:
-            results.append(load_result(path, suite=suite))
+            results.append(load_result(path))
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load {path!r}: {exc}")
     return results
@@ -99,9 +89,10 @@ def _print_reports(reports: Sequence[GateReport], exit_code: int) -> None:
 def _run_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench run",
-        description="Run benchmark suites through the shared pytest harness, "
-        "report their metrics against the per-host references, and optionally "
-        "append the results to a perf history.",
+        description="Measure the same-process ratio claims in this process, "
+        "gate them against the reference bands (exit 1 on an out-of-band "
+        "claim or a failed parity check), and optionally append the results "
+        "to a perf history.",
     )
     parser.add_argument(
         "suites",
@@ -112,24 +103,13 @@ def _run_main(argv: List[str]) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="shrunk CI workloads; smoke results are reported but never gate",
-    )
-    parser.add_argument(
-        "--json-dir",
-        default=None,
-        help="directory for the per-suite benchmark JSON files "
-        "(default: a temporary directory)",
+        help="shrunk workloads: parity is checked, the bands are not",
     )
     parser.add_argument(
         "--record",
         metavar="HISTORY",
         default=None,
         help="append each suite's envelope to this perf-history JSONL",
-    )
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help="also gate the fresh results: exit 1 on any out-of-band metric",
     )
     parser.add_argument(
         "--references",
@@ -142,21 +122,11 @@ def _run_main(argv: List[str]) -> int:
     references = _references(args.references, parser)
 
     results: List[BenchResult] = []
-    failed_suites: List[str] = []
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        json_dir = args.json_dir or tmp
-        os.makedirs(json_dir, exist_ok=True)
-        for name in chosen:
-            spec = SUITES[name]
-            json_path = os.path.join(json_dir, f"BENCH_{name}.json")
-            print(f"== running suite {name!r} ({spec.description})", flush=True)
-            try:
-                results.append(run_suite(spec, json_path, smoke=args.smoke))
-            except BenchRunError as exc:
-                print(f"!! {exc}", file=sys.stderr)
-                failed_suites.append(name)
+    for name in chosen:
+        print(f"== running suite {name!r} ({SUITES[name].description})", flush=True)
+        results.append(run_suite(name, smoke=args.smoke))
 
-    if args.record and results:
+    if args.record:
         history = PerfHistory(args.record)
         for result in results:
             history.append(result)
@@ -164,19 +134,16 @@ def _run_main(argv: List[str]) -> int:
 
     reports, exit_code = gate_results(results, references)
     _print_reports(reports, exit_code)
-    if failed_suites:
-        print(f"suites failed to run: {', '.join(failed_suites)}", file=sys.stderr)
-        return 1
-    return exit_code if args.gate else 0
+    return exit_code
 
 
 def _record_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench record",
-        description="Append benchmark JSON files (native envelopes or "
-        "pytest-benchmark dumps) to an append-only perf-history JSONL.",
+        description="Append result files (perfbench outputs or native "
+        "envelopes) to an append-only perf-history JSONL.",
     )
-    parser.add_argument("files", nargs="+", metavar="FILE", help="benchmark JSON files")
+    parser.add_argument("files", nargs="+", metavar="FILE", help="result files")
     parser.add_argument(
         "--history", required=True, help="perf-history JSONL to append to"
     )
@@ -197,16 +164,16 @@ def _gate_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench gate",
         description="Gate benchmark results against the per-host reference "
-        "bands.  With FILEs (default: the committed BENCH_*.json baselines in "
-        "the cwd) each file is checked; with --history the newest record per "
-        "(suite, host) is checked.  Exit code 0 when every metric is in band, "
-        "1 otherwise.  Smoke results never gate.",
+        "bands.  Each FILE (a perfbench output or a native envelope) is "
+        "checked; with --history the newest record per (suite, host) is "
+        "checked.  Exit code 0 when every result is correct and every "
+        "metric in band, 1 otherwise.  Smoke results never gate on bands.",
     )
     parser.add_argument(
         "files",
         nargs="*",
         metavar="FILE",
-        help="benchmark JSON files (default: the committed baselines)",
+        help="result files: perfbench outputs or native envelopes",
     )
     parser.add_argument(
         "--history",
@@ -236,8 +203,10 @@ def _gate_main(argv: List[str]) -> int:
             print(f"perf history {args.history!r} holds no records")
             return 1
         results = [record.to_result() for record in latest]
+    elif args.files:
+        results = _load_files(args.files, parser)
     else:
-        results = _load_files(args.files or list(DEFAULT_BASELINES), parser)
+        parser.error("nothing to gate: pass FILEs or --history")
 
     reports, exit_code = gate_results(results, references, strict=args.strict)
     _print_reports(reports, exit_code)
@@ -304,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Benchmark harness and performance-regression gate "
+        description="Benchmark claims and performance-regression gate "
         "(subcommands: run, record, gate, trend).",
     )
     parser.parse_args(argv)

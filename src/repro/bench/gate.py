@@ -6,11 +6,15 @@ with the references resolved for its host and produces a
 process exit code — the same pattern as ``CampaignResult.diff`` /
 ``python -m repro.sweep diff`` (0 when clean, 1 on any out-of-band metric).
 
-Exemptions are explicit, never silent:
+An **incorrect** result (its producer reported a wrong output, or any
+failed operation) always fails, as a ``<suite>.correct`` check with status
+``incorrect``: a number measured on wrong output gates nothing.
 
-* **smoke** results never gate — CI's shrunk workloads check the plumbing,
-  not the performance of a shared runner; every metric is reported with
-  status ``smoke`` and the report passes by construction;
+Exemptions from the bands are explicit, never silent:
+
+* **smoke** results never gate on their bands — shrunk workloads check the
+  plumbing and parity, not the performance of a shared runner; every
+  banded metric is reported with status ``smoke``;
 * metrics in :data:`~repro.bench.references.CONTENDED_EXEMPT` are skipped
   on hosts whose envelope says ``contended`` (pool-vs-serial wall clock on
   a single core is a scheduling artefact, not a regression);
@@ -39,7 +43,7 @@ from repro.bench.references import (
 from repro.utils.tables import format_table
 
 #: Check statuses that count as failures (plus ``missing`` under strict).
-FAIL_STATUSES = ("low", "high")
+FAIL_STATUSES = ("low", "high", "incorrect")
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,8 @@ class MetricCheck:
     """One metric against one band: the unit of gate output."""
 
     metric: str
-    status: str  #: ok | low | high | missing | smoke | contended | unreferenced
+    #: ok | low | high | incorrect | missing | smoke | contended | unreferenced
+    status: str
     value: Optional[float] = None
     band: Optional[MetricBand] = None
 
@@ -69,7 +74,7 @@ class GateReport:
     host_key: str
     smoke: bool
     contended: Optional[bool]
-    reference_host: str  #: which table entry resolved ("vm:x86_64", "*", or "-")
+    reference_host: str  #: which table entry resolved (a host key, "*", or "-")
     checks: List[MetricCheck] = field(default_factory=list)
 
     def failures(self, strict: bool = False) -> List[MetricCheck]:
@@ -129,6 +134,14 @@ def check_result(
     }
 
     checks: List[MetricCheck] = []
+    if not result.correct or result.failed:
+        checks.append(
+            MetricCheck(
+                metric=f"{result.suite}.correct",
+                status="incorrect",
+                value=float(result.failed),
+            )
+        )
     for name in sorted(set(suite_refs) | set(metrics)):
         band = suite_refs.get(name)
         value = metrics.get(name)

@@ -21,11 +21,10 @@ import os
 import subprocess
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
-from repro.bench.host import HostFingerprint
-from repro.bench.model import BenchResult
+from repro.bench.model import BENCH_FORMAT, BenchResult
 from repro.sweep.checkpoint import iter_jsonl
 
 #: Version tag of the perf-history file format.
@@ -66,18 +65,20 @@ def git_commit_info(cwd: Optional[str] = None) -> Optional[Dict[str, Any]]:
         return None
 
 
-@dataclass
-class HistoryRecord:
-    """One appended benchmark envelope, with its append-time stamps."""
+def _envelope(result: BenchResult) -> Dict[str, Any]:
+    """The :class:`BenchResult` fields of ``result``, as keyword arguments."""
+    return {f.name: getattr(result, f.name) for f in fields(BenchResult)}
 
-    suite: str
-    host: HostFingerprint
-    metrics: Dict[str, float] = field(default_factory=dict)
-    smoke: bool = False
-    contended: Optional[bool] = None
-    commit: Optional[Dict[str, Any]] = None
-    datetime: Optional[str] = None  #: when the benchmark ran (from its payload)
-    recorded_ts: Optional[float] = None  #: when the record was appended
+
+@dataclass
+class HistoryRecord(BenchResult):
+    """One appended benchmark envelope, with its append-time stamp.
+
+    ``datetime`` is when the benchmark ran (from its payload);
+    ``recorded_ts`` is when the record was appended.
+    """
+
+    recorded_ts: Optional[float] = None
 
     @property
     def host_key(self) -> str:
@@ -89,50 +90,25 @@ class HistoryRecord:
 
     def to_result(self) -> BenchResult:
         """The envelope view (what the gate consumes)."""
-        return BenchResult(
-            suite=self.suite,
-            host=self.host,
-            metrics=dict(self.metrics),
-            smoke=self.smoke,
-            contended=self.contended,
-            commit=self.commit,
-            datetime=self.datetime,
-        )
+        return BenchResult(**_envelope(self))
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "perf",
-            "format": HISTORY_FORMAT,
-            "suite": self.suite,
-            "host": self.host.to_json_dict(),
-            "host_key": self.host_key,
-            "smoke": self.smoke,
-            "contended": self.contended,
-            "commit": self.commit,
-            "datetime": self.datetime,
-            "recorded_ts": self.recorded_ts,
-            "metrics": dict(self.metrics),
-        }
+        payload = self.to_payload()
+        del payload["bench_format"]
+        payload.update(
+            kind="perf",
+            format=HISTORY_FORMAT,
+            host_key=self.host_key,
+            recorded_ts=self.recorded_ts,
+        )
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "HistoryRecord":
-        metrics = payload.get("metrics")
-        if not isinstance(metrics, dict) or not payload.get("suite"):
+        if not isinstance(payload.get("metrics"), dict) or not payload.get("suite"):
             raise ValueError("perf record needs a suite and a metrics dict")
-        return cls(
-            suite=str(payload["suite"]),
-            host=HostFingerprint.from_json_dict(payload.get("host") or {}),
-            metrics={
-                str(k): v
-                for k, v in metrics.items()
-                if isinstance(v, (int, float)) and not isinstance(v, bool)
-            },
-            smoke=bool(payload.get("smoke", False)),
-            contended=payload.get("contended"),
-            commit=payload.get("commit"),
-            datetime=payload.get("datetime"),
-            recorded_ts=payload.get("recorded_ts"),
-        )
+        result = BenchResult.from_payload(dict(payload, bench_format=BENCH_FORMAT))
+        return cls(**_envelope(result), recorded_ts=payload.get("recorded_ts"))
 
 
 class PerfHistory:
@@ -157,13 +133,11 @@ class PerfHistory:
         current git checkout's.
         """
         record = HistoryRecord(
-            suite=result.suite,
-            host=result.host,
-            metrics=dict(result.metrics),
-            smoke=result.smoke,
-            contended=result.contended,
-            commit=commit or result.commit or git_commit_info(),
-            datetime=result.datetime,
+            **dict(
+                _envelope(result),
+                metrics=dict(result.metrics),
+                commit=commit or result.commit or git_commit_info(),
+            ),
             recorded_ts=time.time() if recorded_ts is None else recorded_ts,
         )
         directory = os.path.dirname(self.path)

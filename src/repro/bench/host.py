@@ -1,12 +1,8 @@
 """The shared host fingerprint: who ran a benchmark, and under what load.
 
-Every benchmark script used to probe the machine on its own — an
-``os.environ`` check for smoke mode here, a ``sched_getaffinity`` call
-there, slightly different ``contended`` heuristics everywhere.  This module
-is the single home for all of it:
+This module is the single home for probing the machine; ``perfbench/``
+stamps its results through it too:
 
-* :func:`smoke_mode` — the ``REPRO_BENCH_SMOKE`` switch CI flips to shrink
-  workloads and skip wall-clock assertions;
 * :func:`cpu_count` / :func:`contention` — the affinity-aware core count
   and the shared "can this host even express parallel speedup" probe;
 * :class:`HostFingerprint` — the identity stamped into every benchmark
@@ -21,14 +17,6 @@ import os
 import platform
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
-
-#: Environment variable that switches every benchmark into smoke mode.
-SMOKE_ENV = "REPRO_BENCH_SMOKE"
-
-
-def smoke_mode() -> bool:
-    """True when ``REPRO_BENCH_SMOKE`` requests shrunk, assertion-free runs."""
-    return os.environ.get(SMOKE_ENV, "") not in ("", "0")
 
 
 def cpu_count() -> Optional[int]:
@@ -49,20 +37,6 @@ def contention(jobs: int = 1) -> bool:
     """
     cpus = cpu_count()
     return cpus is None or cpus < 2 or cpus < jobs
-
-
-def host_extra_info(jobs: int = 1) -> Dict[str, Any]:
-    """The ``extra_info`` stamps every benchmark records: smoke/cpus/contended.
-
-    Stamping these on *every* test (not just the parallel ones) is what lets
-    the gate filter correctly — an envelope without a ``contended`` field
-    cannot claim its exemptions.
-    """
-    return {
-        "smoke": smoke_mode(),
-        "cpus": cpu_count(),
-        "contended": contention(jobs),
-    }
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,31 @@
-"""The benchmark envelope: one schema-versioned payload for every suite.
+"""The benchmark envelope, and the reader that lifts perfbench output into it.
 
-The four committed benchmark records (``BENCH_sim.json``,
-``BENCH_pipeline.json``, ``BENCH_analytic.json``, ``BENCH_serve.json``) are
-raw pytest-benchmark dumps — machine info, commit info and a list of
-benchmarks whose interesting numbers live in ``extra_info``.  This module
-unifies them onto one **envelope**:
+Every gated result is one **envelope**:
 
 .. code-block:: json
 
-    {"bench_format": 1, "suite": "sim",
-     "host": {"node": "vm", "machine": "x86_64", "cpus": 1, ...},
-     "smoke": false, "contended": true,
-     "commit": {"id": "...", "time": "...", "branch": "main", "dirty": true},
+    {"bench_format": 1, "suite": "analytic",
+     "host": {"node": "ci", "machine": "x86_64", "cpus": 2, ...},
+     "smoke": false, "contended": false, "correct": true, "failed": 0,
+     "commit": {"id": "...", "branch": "main", "dirty": false},
      "datetime": "...",
-     "metrics": {"smache_cycles_per_sec.speedup": 5.05, ...}}
+     "metrics": {"scalar_vs_vectorized.warm_speedup": 21.3, ...}}
 
-:func:`BenchResult.from_payload` is the **compat reader**: it accepts both
-the native envelope and the legacy pytest-benchmark schema, so the committed
-files keep working unmodified.  Metric names are flattened to
-``<benchmark>.<field>`` (with the ``test_bench_`` prefix stripped), and the
-gate layer further qualifies them as ``<suite>.<benchmark>.<field>`` when
-matching references.
+Two producers feed it.  ``python -m repro.bench run`` (:mod:`repro.bench.claims`)
+builds envelopes directly, and :func:`load_result` reads the text a
+``python3 perfbench/run.py`` run prints: a ``host: {...}`` line, a
+``workload <name>, seed ...`` line, notes, and as its last line the result
+``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``.
+The workload name becomes the suite, so a traced ``campaign_cold`` metric
+``compile.calls`` is gated as ``campaign_cold.compile.calls``.
+
+A result is **correct** only when its producer said so and no operation
+failed; the gate fails an incorrect result whatever its metrics say.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -35,35 +34,20 @@ from repro.bench.host import HostFingerprint
 #: Version tag of the benchmark envelope format.
 BENCH_FORMAT = 1
 
+_HOST_LINE = "host: "
+_WORKLOAD_LINE = "workload "
+
 
 class BenchFormatError(ValueError):
-    """A payload that is neither an envelope nor a pytest-benchmark dump."""
+    """A payload that is neither an envelope nor a perfbench result."""
 
 
-def _strip_test_prefix(name: str) -> str:
-    """``test_bench_smache_cycles_per_sec`` → ``smache_cycles_per_sec``."""
-    for prefix in ("test_bench_", "test_"):
-        if name.startswith(prefix):
-            return name[len(prefix):]
-    return name
-
-
-def _suite_of_fullname(fullname: str) -> Optional[str]:
-    """``benchmarks/bench_sim.py::...`` → ``sim`` (None when unrecognised)."""
-    script = fullname.split("::", 1)[0]
-    base = os.path.basename(script)
-    if base.startswith("bench_") and base.endswith(".py"):
-        return base[len("bench_"):-len(".py")]
-    return None
-
-
-def suite_of_path(path: str) -> Optional[str]:
-    """``.../BENCH_ci_sim.json`` → ``sim`` (None when unrecognised)."""
-    base = os.path.basename(os.fspath(path))
-    for prefix in ("BENCH_ci_", "BENCH_"):
-        if base.startswith(prefix) and base.endswith(".json"):
-            return base[len(prefix):-len(".json")]
-    return None
+def _numeric(metrics: Dict[str, Any]) -> Dict[str, float]:
+    return {
+        str(name): value
+        for name, value in metrics.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
 
 
 @dataclass
@@ -77,10 +61,12 @@ class BenchResult:
     contended: Optional[bool] = None
     commit: Optional[Dict[str, Any]] = None
     datetime: Optional[str] = None
+    correct: bool = True
+    failed: int = 0  #: operations that failed or produced a wrong output
 
     # ------------------------------------------------------------------ #
     def qualified_metrics(self) -> Dict[str, float]:
-        """Metrics keyed ``<suite>.<benchmark>.<field>`` (what references use)."""
+        """Metrics keyed ``<suite>.<metric>`` (what references use)."""
         return {f"{self.suite}.{name}": value for name, value in self.metrics.items()}
 
     def to_payload(self) -> Dict[str, Any]:
@@ -91,6 +77,8 @@ class BenchResult:
             "host": self.host.to_json_dict(),
             "smoke": self.smoke,
             "contended": self.contended,
+            "correct": self.correct,
+            "failed": self.failed,
             "commit": self.commit,
             "datetime": self.datetime,
             "metrics": dict(self.metrics),
@@ -98,105 +86,85 @@ class BenchResult:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_payload(
-        cls, payload: Dict[str, Any], suite: Optional[str] = None
-    ) -> "BenchResult":
-        """Read a native envelope **or** a legacy pytest-benchmark dump.
-
-        ``suite`` overrides/supplies the suite name (needed for legacy
-        payloads whose benchmark paths don't resolve, e.g. hand-built ones).
-        """
-        if payload.get("bench_format") is not None:
-            if payload["bench_format"] > BENCH_FORMAT:
-                raise BenchFormatError(
-                    f"envelope format {payload['bench_format']} is newer than "
-                    f"this reader (format {BENCH_FORMAT})"
-                )
-            return cls(
-                suite=suite or payload.get("suite", ""),
-                host=HostFingerprint.from_json_dict(payload.get("host") or {}),
-                metrics={
-                    str(k): v
-                    for k, v in (payload.get("metrics") or {}).items()
-                    if isinstance(v, (int, float)) and not isinstance(v, bool)
-                },
-                smoke=bool(payload.get("smoke", False)),
-                contended=payload.get("contended"),
-                commit=payload.get("commit"),
-                datetime=payload.get("datetime"),
+    def from_payload(cls, payload: Dict[str, Any]) -> "BenchResult":
+        """Read a native envelope (``correct``/``failed`` default to a pass)."""
+        version = payload.get("bench_format")
+        if version is None:
+            raise BenchFormatError("payload is not a bench envelope (no 'bench_format')")
+        if version > BENCH_FORMAT:
+            raise BenchFormatError(
+                f"envelope format {version} is newer than this reader "
+                f"(format {BENCH_FORMAT})"
             )
-        if "benchmarks" in payload and "machine_info" in payload:
-            return cls._from_pytest_benchmark(payload, suite=suite)
-        raise BenchFormatError(
-            "payload is neither a bench envelope (no 'bench_format') nor a "
-            "pytest-benchmark record (no 'benchmarks'/'machine_info')"
+        return cls(
+            suite=str(payload.get("suite", "")),
+            host=HostFingerprint.from_json_dict(payload.get("host") or {}),
+            metrics=_numeric(payload.get("metrics") or {}),
+            smoke=bool(payload.get("smoke", False)),
+            contended=payload.get("contended"),
+            commit=payload.get("commit"),
+            datetime=payload.get("datetime"),
+            correct=payload.get("correct", True) is True,
+            failed=int(payload.get("failed") or 0),
         )
 
     @classmethod
-    def _from_pytest_benchmark(
-        cls, payload: Dict[str, Any], suite: Optional[str] = None
-    ) -> "BenchResult":
-        machine = payload.get("machine_info") or {}
-        cpu = machine.get("cpu") or {}
-        host = HostFingerprint(
-            node=str(machine.get("node", "")),
-            system=str(machine.get("system", "")),
-            machine=str(machine.get("machine", "")),
-            python=str(machine.get("python_version", "")),
-            cpus=cpu.get("count"),
-        )
-        metrics: Dict[str, float] = {}
-        smoke = False
-        contended: Optional[bool] = None
-        for bench in payload.get("benchmarks") or []:
-            name = _strip_test_prefix(bench.get("name", ""))
-            if suite is None:
-                suite = _suite_of_fullname(bench.get("fullname", ""))
-            extra = bench.get("extra_info") or {}
-            # The run flags are hoisted to the envelope level: one smoke
-            # benchmark marks the whole payload (CI sets the env var for the
-            # entire run), and any stamped contention labels the host.
-            if extra.get("smoke"):
-                smoke = True
-            if "contended" in extra:
-                contended = bool(contended) or bool(extra["contended"])
-            for key, value in extra.items():
-                if key in ("smoke", "contended"):
-                    continue
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                metrics[f"{name}.{key}"] = value
-            stats = bench.get("stats") or {}
-            if isinstance(stats.get("min"), (int, float)):
-                metrics[f"{name}.seconds"] = stats["min"]
-        commit = payload.get("commit_info")
-        if commit is not None:
-            commit = {
-                "id": commit.get("id"),
-                "time": commit.get("time"),
-                "branch": commit.get("branch"),
-                "dirty": commit.get("dirty"),
-            }
+    def from_perfbench(cls, text: str) -> "BenchResult":
+        """Read what ``python3 perfbench/run.py`` printed."""
+        lines = [line for line in text.splitlines() if line.strip()]
+        stamp: Optional[Dict[str, Any]] = None
+        suite = ""
+        for line in lines:
+            if line.startswith(_HOST_LINE):
+                stamp = json.loads(line[len(_HOST_LINE):])
+            elif line.startswith(_WORKLOAD_LINE):
+                suite = line[len(_WORKLOAD_LINE):].split(",", 1)[0].strip()
+        try:
+            final = json.loads(lines[-1]) if lines else None
+        except ValueError:
+            final = None
+        if (
+            not isinstance(stamp, dict)
+            or not suite
+            or not isinstance(final, dict)
+            or not isinstance(final.get("metrics"), dict)
+        ):
+            raise BenchFormatError(
+                "not a perfbench result: expected a 'host: {...}' line, a "
+                "'workload <name>, ...' line and a final JSON result line"
+            )
+        node, _, machine = str(stamp.get("host", "")).rpartition(":")
         return cls(
-            suite=suite or "",
-            host=host,
-            metrics=metrics,
-            smoke=smoke,
-            contended=contended,
-            commit=commit,
-            datetime=payload.get("datetime"),
+            suite=suite,
+            host=HostFingerprint(
+                node=node,
+                system="",
+                machine=machine,
+                python=str(stamp.get("python", "")),
+                cpus=stamp.get("nproc"),
+            ),
+            metrics=_numeric(
+                {
+                    name: metric.get("value") if isinstance(metric, dict) else None
+                    for name, metric in final["metrics"].items()
+                }
+            ),
+            correct=final.get("correct") is True,
+            failed=int(final.get("failed") or 0),
         )
 
 
-def load_result(path: str, suite: Optional[str] = None) -> BenchResult:
-    """Load a benchmark JSON file (envelope or pytest-benchmark) from disk."""
+def load_result(path: str) -> BenchResult:
+    """Load an envelope (JSON) or a perfbench result (its printed output)."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if suite is None:
-        suite = suite_of_path(path)
-    result = BenchResult.from_payload(payload, suite=suite)
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return BenchResult.from_perfbench(text)
+    if not isinstance(payload, dict):
+        raise BenchFormatError(f"{path!r} holds JSON that is not an object")
+    result = BenchResult.from_payload(payload)
     if not result.suite:
-        raise BenchFormatError(
-            f"could not infer the suite of {path!r}; pass suite= explicitly"
-        )
+        raise BenchFormatError(f"envelope {path!r} names no suite")
     return result

@@ -4,33 +4,38 @@ A reference table maps a host key (``"node:machine"``, see
 :attr:`repro.bench.host.HostFingerprint.key`) to a dict of metric bands::
 
     {
-        "vm:x86_64": {
-            "sim.smache_cycles_per_sec.speedup": (5.0, -0.5, None, "x"),
-            ...
+        "ci:x86_64": {  # optional: a host that can hold tighter bands
+            "sim.smache_cycles_per_sec.speedup": (5.0, -0.2, None, "x"),
         },
-        "*": {  # wildcard: any host without its own entry
-            "sim.smache_cycles_per_sec.speedup": (3.0, -0.35, None, "x"),
+        "*": {  # wildcard: every host without its own entry
+            "sim.smache_cycles_per_sec.speedup": (3.0, 0.0, None, "x"),
         },
     }
 
 Each band is ``(ref, lo_frac, hi_frac, unit)`` — exactly ReFrame's
 convention: the measured value must lie within ``[ref * (1 + lo_frac),
 ref * (1 + hi_frac)]``; ``None`` on either side means unbounded.  So
-``(5.0, -0.5, None, "x")`` reads "at least half the reference speedup,
-no upper limit", and ``(240, 0, 0, "points")`` is an exact-match band.
+``(3.0, 0.0, None, "x")`` reads "at least 3x", and ``(96, 0, 0, "count")``
+is an exact-match band.
 
 Resolution is **per metric**: a host's own entry wins, and any metric it
-does not mention falls back to the wildcard — a new host gets the generic
-bands immediately and can pin tighter ones over time.
+does not mention falls back to the wildcard.
 
-The default table below covers the four committed baselines
-(``BENCH_*.json``, recorded on the 1-core ``vm:x86_64`` container).
-Wall-clock-absolute numbers (raw seconds) are deliberately *not*
-referenced — only ratios, rates measured in one process, and exact counts,
-which survive runner noise.  Metrics in :data:`CONTENDED_EXEMPT` are only
-gated on uncontended hosts (see :mod:`repro.bench.host`): a process pool
-cannot beat the serial runner on a single core, so its "speedup" says
-nothing there.
+:data:`DEFAULT_REFERENCES` is the single copy of every gated bound.  It
+holds two kinds of band, both meaningful on any host:
+
+* the same-process ratio claims of :mod:`repro.bench.claims`, each at
+  exactly the bound the claim states (a fast path against its reference
+  path, timed in one process);
+* exact work counters of a traced perfbench ``campaign_cold`` run, which
+  depend only on the seed and the code.
+
+End-to-end timings (throughput, latency, set-up) are deliberately *not*
+referenced: ``BENCHMARK.json`` bounds them against the parent commit, and
+an absolute band would only measure the runner.  Metrics in
+:data:`CONTENDED_EXEMPT` are only gated on uncontended hosts (see
+:mod:`repro.bench.host`): a process pool cannot beat the serial runner on a
+single core, so its "speedup" says nothing there.
 """
 
 from __future__ import annotations
@@ -53,43 +58,36 @@ CONTENDED_EXEMPT = frozenset({
     "pipeline.parallel_campaign.parallel_speedup",
 })
 
-#: Reference bands for the committed baselines plus conservative wildcard
-#: fallbacks for unknown hosts.  Bands on the recorded host are centred on
-#: the committed ``BENCH_*.json`` numbers; wildcard bands restate the
-#: benchmarks' own minimum acceptance claims.
+#: The gated bounds, on every host.
 DEFAULT_REFERENCES: ReferenceTable = {
-    "vm:x86_64": {
-        # --- bench_sim.py (BENCH_sim.json: 5.05x / 4.09x / 1.016 / 1512x) ---
-        "sim.smache_cycles_per_sec.speedup": (5.0, -0.5, None, "x"),
-        "sim.smache_cycles_per_sec.skip_ratio": (0.94, -0.05, 0.05, "frac"),
-        "sim.baseline_cycles_per_sec.speedup": (4.0, -0.5, None, "x"),
-        "sim.default_timing_overhead.overhead_ratio": (1.0, None, 0.5, "ratio"),
-        "sim.reference_cells_per_sec.speedup": (1500.0, -0.8, None, "x"),
-        # --- bench_pipeline.py (BENCH_pipeline.json: 240-point campaign) ---
-        "pipeline.parallel_campaign.resumed_points": (240.0, 0.0, 0.0, "points"),
-        # --- bench_analytic.py (BENCH_analytic.json: 24.1x / 11.6x warm) ---
-        "analytic.scalar_vs_vectorized.warm_speedup": (24.0, -0.6, None, "x"),
-        "analytic.scalar_vs_vectorized.reprice_new_knobs_speedup": (
-            11.6, -0.6, None, "x",
-        ),
-        # --- bench_serve.py (BENCH_serve.json: 2.13x serial / 0.8 memo) ---
-        "serve.batched_vs_scalar_serving.speedup_vs_serial_scalar": (
-            2.1, -0.5, None, "x",
-        ),
-        "serve.batched_vs_scalar_serving.memo_hit_rate": (0.8, -0.05, 0.05, "frac"),
-    },
     WILDCARD: {
-        # The asserted minimum claims of each benchmark, as loose bands any
-        # healthy host must clear (see the assertions in benchmarks/*.py).
-        "sim.smache_cycles_per_sec.speedup": (3.0, -0.35, None, "x"),
-        "sim.baseline_cycles_per_sec.speedup": (2.0, -0.35, None, "x"),
-        "sim.default_timing_overhead.overhead_ratio": (1.0, None, 0.6, "ratio"),
-        "sim.reference_cells_per_sec.speedup": (10.0, -0.5, None, "x"),
-        "pipeline.parallel_campaign.parallel_speedup": (1.1, -0.1, None, "x"),
-        "analytic.scalar_vs_vectorized.warm_speedup": (20.0, -0.25, None, "x"),
-        "serve.batched_vs_scalar_serving.speedup_vs_serial_scalar": (
-            5.0, -0.3, None, "x",
+        # --- claims: sim (fast engine vs naive ticking; vectorized reference) ---
+        "sim.smache_cycles_per_sec.speedup": (3.0, 0.0, None, "x"),
+        "sim.baseline_cycles_per_sec.speedup": (2.0, 0.0, None, "x"),
+        "sim.default_timing_overhead.overhead_ratio": (1.5, None, 0.0, "ratio"),
+        "sim.reference_cells_per_sec.speedup": (10.0, 0.0, None, "x"),
+        # --- claims: pipeline (analytic backend, DSE sweep, process pool) ---
+        "pipeline.analytic_backend.analytic_speedup": (20.0, 0.0, None, "x"),
+        "pipeline.analytic_sweep_vs_full_simulation.sweep_speedup": (
+            1.0, 0.0, None, "x",
         ),
+        "pipeline.parallel_campaign.parallel_speedup": (1.1, 0.0, None, "x"),
+        # --- claims: analytic (warm vectorized pricing vs the scalar loop) ---
+        "analytic.scalar_vs_vectorized.warm_speedup": (20.0, 0.0, None, "x"),
+        "analytic.scalar_vs_vectorized.reprice_new_knobs_speedup": (
+            5.0, 0.0, None, "x",
+        ),
+        # --- claims: serve (micro-batched server vs the per-request loop) ---
+        "serve.batched_vs_scalar_serving.speedup_vs_serial_scalar": (
+            5.0, 0.0, None, "x",
+        ),
+        # --- perfbench campaign_cold, traced: exact work counters (seeds 1, 2) ---
+        "campaign_cold.compile.calls": (96.0, 0.0, 0.0, "count"),
+        "campaign_cold.compile.ranges_calls_per_compile": (1.0, 0.0, 0.0, "count"),
+        "campaign_cold.plan_cache.misses": (96.0, 0.0, 0.0, "count"),
+        "campaign_cold.pricing.points": (192.0, 0.0, 0.0, "count"),
+        "campaign_cold.sweep.events": (386.0, 0.0, 0.0, "count"),
+        "campaign_cold.sweep.points_failed": (0.0, 0.0, 0.0, "count"),
     },
 }
 
@@ -160,7 +158,7 @@ def load_references(path: str) -> ReferenceTable:
 
     The file mirrors the Python structure::
 
-        {"vm:x86_64": {"sim.smache_cycles_per_sec.speedup": [5.0, -0.5, null, "x"]},
+        {"ci:x86_64": {"sim.smache_cycles_per_sec.speedup": [5.0, -0.2, null, "x"]},
          "*": {...}}
     """
     with open(path, "r", encoding="utf-8") as fh:

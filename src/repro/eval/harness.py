@@ -2,9 +2,9 @@
 
 ``run_all()`` regenerates every experiment (Figure 2, Table I, the resource
 comparisons and the three ablations) and returns one text report; the
-``python -m repro.eval`` command line wraps it.  The benchmarks under
-``benchmarks/`` call the same entry points, so the numbers in
-EXPERIMENTS.md, the benchmark output and this harness always agree.
+``python -m repro.eval`` command line wraps it.  ``tests/eval`` asserts
+the paper's results through the same entry points, so the numbers in
+EXPERIMENTS.md, the tests and this harness always agree.
 """
 
 from __future__ import annotations

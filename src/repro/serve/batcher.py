@@ -1,10 +1,11 @@
 """Adaptive request micro-batching: concurrent singles become engine batches.
 
-The vectorized pricing engine is ~24x faster than the scalar path *per
-batch* (``BENCH_analytic.json``), but interactive traffic arrives one point
-at a time.  The :class:`AdaptiveBatcher` manufactures batches out of that
-stream: each incoming ``(problem, request)`` lands in a bucket keyed by its
-*request signature* (everything one engine fold shares — system, iterations,
+The vectorized pricing engine is >=20x faster than the scalar path *per
+batch* (claimed by ``python -m repro.bench run analytic``), but interactive
+traffic arrives one point at a time.  The :class:`AdaptiveBatcher`
+manufactures batches out of that stream: each incoming ``(problem,
+request)`` lands in a bucket keyed by its *request signature* (everything
+one engine fold shares — system, iterations,
 write policy, DRAM timing, kernel override), and a bucket is flushed as one
 :meth:`AnalyticBatchEngine.price_batch` call either
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.bench.__main__ import main
 from repro.bench.history import PerfHistory
-from repro.bench.model import load_result
+from repro.bench.host import HostFingerprint
+from repro.bench.model import BenchResult, load_result
 from repro.bench.trend import (
     format_metric_trend,
     format_trend_report,
@@ -15,84 +16,116 @@ from repro.bench.trend import (
 )
 
 
-@pytest.fixture
-def baselines(repo_root):
-    return [str(repo_root / f"BENCH_{s}.json")
-            for s in ("sim", "pipeline", "analytic", "serve")]
+def sim_result(speedup=5.0, **flags):
+    """A claims envelope shaped like ``python -m repro.bench run sim`` output."""
+    return BenchResult(
+        suite="sim",
+        host=HostFingerprint(
+            node="box", system="Linux", machine="x86_64", python="3.11.7", cpus=2
+        ),
+        metrics={
+            "smache_cycles_per_sec.speedup": speedup,
+            "smache_cycles_per_sec.cycles": 49028,
+        },
+        **flags,
+    )
+
+
+def write_envelope(path, result):
+    path.write_text(json.dumps(result.to_payload()))
+    return str(path)
 
 
 class TestGateCommand:
-    def test_committed_baselines_pass(self, baselines, capsys):
-        assert main(["gate", *baselines]) == 0
+    def test_perfbench_results_pass(self, perfbench_result, tmp_path, capsys):
+        files = [perfbench_result(), write_envelope(tmp_path / "sim.json", sim_result())]
+        assert main(["gate", *files]) == 0
         out = capsys.readouterr().out
-        assert "gate: PASS (4 suite report(s))" in out
+        assert "gate: PASS (2 suite report(s))" in out
+        assert "campaign_cold.compile.calls" in out
 
-    def test_default_files_resolve_in_cwd(self, repo_root, monkeypatch, capsys):
-        monkeypatch.chdir(repo_root)
-        assert main(["gate"]) == 0
+    def test_doctored_counter_fails(self, perfbench_result, capsys):
+        from tests.bench.conftest import COLD_METRICS
 
-    def test_synthetic_regression_fails(self, repo_root, tmp_path, capsys):
-        payload = json.loads((repo_root / "BENCH_sim.json").read_text())
-        for bench in payload["benchmarks"]:
-            info = bench.get("extra_info") or {}
-            if "speedup" in info:
-                info["speedup"] = 0.01  # tank every tracked speedup
-        regressed = tmp_path / "BENCH_sim.json"
-        regressed.write_text(json.dumps(payload))
-        assert main(["gate", str(regressed)]) == 1
+        doctored = dict(COLD_METRICS, **{"compile.calls": 97.0})
+        assert main(["gate", perfbench_result(metrics=doctored)]) == 1
+        out = capsys.readouterr().out
+        assert "campaign_cold.compile.calls" in out and "gate: FAIL" in out
+
+    def test_incorrect_perfbench_result_fails(self, perfbench_result, capsys):
+        assert main(["gate", perfbench_result(correct=False)]) == 1
+        assert "incorrect" in capsys.readouterr().out
+        assert main(["gate", perfbench_result(failed=1)]) == 1
+
+    def test_end_to_end_timings_stay_unreferenced(self, perfbench_result, capsys):
+        from repro.bench.gate import check_result
+
+        report = check_result(load_result(perfbench_result()))
+        statuses = {c.metric: c.status for c in report.checks}
+        assert statuses["campaign_cold.throughput_per_s"] == "unreferenced"
+        assert statuses["campaign_cold.compile.s"] == "unreferenced"
+        assert statuses["campaign_cold.compile.calls"] == "ok"
+
+    def test_gate_needs_an_input(self):
+        with pytest.raises(SystemExit):
+            main(["gate"])
+
+    def test_synthetic_regression_fails(self, tmp_path, capsys):
+        regressed = write_envelope(tmp_path / "sim.json", sim_result(speedup=0.01))
+        assert main(["gate", regressed]) == 1
         out = capsys.readouterr().out
         assert "low" in out and "gate: FAIL" in out
 
-    def test_history_gate_uses_latest_record(self, repo_root, tmp_path, capsys):
+    def test_history_gate_uses_latest_record(self, tmp_path, capsys):
         hist = str(tmp_path / "hist.jsonl")
         history = PerfHistory(hist)
-        good = load_result(str(repo_root / "BENCH_sim.json"))
-        history.append(good, recorded_ts=1.0)
-        bad = load_result(str(repo_root / "BENCH_sim.json"))
-        bad.metrics["smache_cycles_per_sec.speedup"] = 0.01
-        history.append(bad, recorded_ts=2.0)
+        history.append(sim_result(), recorded_ts=1.0)
+        history.append(sim_result(speedup=0.01), recorded_ts=2.0)
         assert main(["gate", "--history", hist]) == 1
         # a newer in-band record heals the gate
-        history.append(good, recorded_ts=3.0)
+        history.append(sim_result(), recorded_ts=3.0)
         assert main(["gate", "--history", hist]) == 0
+        # ...and an incorrect one fails it again, through the history
+        history.append(sim_result(correct=False, failed=1), recorded_ts=4.0)
+        assert main(["gate", "--history", hist]) == 1
 
-    def test_smoke_history_never_gates(self, repo_root, tmp_path, capsys):
+    def test_smoke_history_never_gates(self, tmp_path, capsys):
         hist = str(tmp_path / "hist.jsonl")
-        bad = load_result(str(repo_root / "BENCH_sim.json"))
-        bad.metrics["smache_cycles_per_sec.speedup"] = 0.01
-        bad.smoke = True
-        PerfHistory(hist).append(bad)
+        PerfHistory(hist).append(sim_result(speedup=0.01, smoke=True))
         assert main(["gate", "--history", hist]) == 0
         assert "smoke" in capsys.readouterr().out
 
     def test_empty_history_fails(self, tmp_path, capsys):
         assert main(["gate", "--history", str(tmp_path / "none.jsonl")]) == 1
 
-    def test_custom_references_file(self, baselines, tmp_path, capsys):
+    def test_custom_references_file(self, tmp_path, capsys):
         refs = tmp_path / "refs.json"
         refs.write_text(json.dumps(
             {"*": {"sim.smache_cycles_per_sec.speedup": [1e6, -0.1, None, "x"]}}
         ))
-        assert main(["gate", baselines[0], "--references", str(refs)]) == 1
+        envelope = write_envelope(tmp_path / "sim.json", sim_result())
+        assert main(["gate", envelope, "--references", str(refs)]) == 1
 
-    def test_strict_flags_missing_metrics(self, repo_root, tmp_path, capsys):
-        res = load_result(str(repo_root / "BENCH_sim.json"))
+    def test_strict_flags_missing_metrics(self, tmp_path, capsys):
+        res = sim_result()
         del res.metrics["smache_cycles_per_sec.speedup"]
-        path = tmp_path / "BENCH_sim.json"
-        path.write_text(json.dumps(res.to_payload()))
-        assert main(["gate", str(path)]) == 0
-        assert main(["gate", str(path), "--strict"]) == 1
+        path = write_envelope(tmp_path / "sim.json", res)
+        assert main(["gate", path]) == 0
+        assert main(["gate", path, "--strict"]) == 1
 
 
 class TestRecordCommand:
-    def test_record_then_trend(self, baselines, tmp_path, capsys):
+    def test_record_then_trend(self, perfbench_result, tmp_path, capsys):
         hist = str(tmp_path / "hist.jsonl")
-        assert main(["record", *baselines, "--history", hist]) == 0
+        files = [perfbench_result(), write_envelope(tmp_path / "sim.json", sim_result())]
+        assert main(["record", *files, "--history", hist]) == 0
         out = capsys.readouterr().out
-        assert out.count("recorded") == 4
-        assert main(["trend", "--history", hist, "--metric", "warm_speedup"]) == 0
+        assert out.count("recorded") == 2
+        assert main(["trend", "--history", hist, "--metric", "speedup"]) == 0
         out = capsys.readouterr().out
-        assert "analytic.scalar_vs_vectorized.warm_speedup" in out
+        assert "sim.smache_cycles_per_sec.speedup" in out
+        assert main(["trend", "--history", hist, "--metric", "sweep.events"]) == 0
+        assert "campaign_cold.sweep.events" in capsys.readouterr().out
 
     def test_unrecognized_filename_errors(self, tmp_path):
         path = tmp_path / "whatever.json"
@@ -102,14 +135,10 @@ class TestRecordCommand:
 
 
 class TestTrendReport:
-    def test_deltas_between_records(self, repo_root, tmp_path):
+    def test_deltas_between_records(self, tmp_path):
         hist = PerfHistory(str(tmp_path / "hist.jsonl"))
-        first = load_result(str(repo_root / "BENCH_sim.json"))
-        first.metrics["smache_cycles_per_sec.speedup"] = 4.0
-        hist.append(first, recorded_ts=1.0)
-        second = load_result(str(repo_root / "BENCH_sim.json"))
-        second.metrics["smache_cycles_per_sec.speedup"] = 6.0
-        hist.append(second, recorded_ts=2.0)
+        hist.append(sim_result(speedup=4.0), recorded_ts=1.0)
+        hist.append(sim_result(speedup=6.0), recorded_ts=2.0)
         text = format_metric_trend(
             hist.records(), "sim.smache_cycles_per_sec.speedup"
         )

@@ -156,6 +156,16 @@ class TestGate:
         statuses = {c.metric: c.status for c in report.checks}
         assert statuses["sim.widget.seconds"] == "unreferenced"
 
+    def test_incorrect_result_fails_whatever_its_metrics(self):
+        good = {"widget.speedup": 4.1, "widget.ratio": 1.0, "widget.count": 10}
+        for flags in ({"correct": False}, {"failed": 2}, {"smoke": True, "failed": 1}):
+            res = BenchResult(suite="sim", host=host(), metrics=good, **flags)
+            reports, code = gate_results([res], REFS)
+            assert code == 1
+            (failure,) = reports[0].failures()
+            assert (failure.metric, failure.status) == ("sim.correct", "incorrect")
+            assert failure.value == flags.get("failed", 0)
+
     def test_report_format_mentions_verdict_counts(self):
         res = result({"widget.speedup": 1.2, "widget.ratio": 1.0, "widget.count": 10})
         text = check_result(res, REFS).format()

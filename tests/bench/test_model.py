@@ -1,6 +1,9 @@
-"""Envelope model: compat reader, flattening, hoisted flags, host fingerprint."""
+"""Envelope model: the perfbench reader, the native envelope, host fingerprint."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,77 +12,55 @@ from repro.bench.host import (
     contention,
     cpu_count,
     current_host,
-    host_extra_info,
-    smoke_mode,
 )
 from repro.bench.model import (
     BENCH_FORMAT,
     BenchFormatError,
     BenchResult,
     load_result,
-    suite_of_path,
 )
-
-
-def pytest_benchmark_payload():
-    """A minimal legacy dump shaped like the committed BENCH_*.json files."""
-    return {
-        "machine_info": {
-            "node": "vm",
-            "system": "Linux",
-            "machine": "x86_64",
-            "python_version": "3.11.0",
-            "cpu": {"count": 1},
-        },
-        "commit_info": {
-            "id": "deadbeef", "time": "t", "branch": "main", "dirty": True,
-        },
-        "datetime": "2026-08-08T00:00:00+00:00",
-        "benchmarks": [
-            {
-                "name": "test_bench_widget",
-                "fullname": "benchmarks/bench_sim.py::T::test_bench_widget",
-                "extra_info": {
-                    "speedup": 5.05,
-                    "smoke": False,
-                    "contended": True,
-                    "cycles": 1000,
-                    "label": "not-a-number",
-                    "flag": True,
-                },
-                "stats": {"min": 0.25},
-            }
-        ],
-    }
+from tests.bench.conftest import perfbench_text
 
 
 class TestCompatReader:
-    def test_legacy_pytest_benchmark(self):
-        res = BenchResult.from_payload(pytest_benchmark_payload())
-        assert res.suite == "sim"  # inferred from the fullname
-        assert res.host.key == "vm:x86_64"
-        assert res.host.cpus == 1
-        assert res.contended is True and res.smoke is False
-        assert res.metrics["widget.speedup"] == 5.05
-        assert res.metrics["widget.seconds"] == 0.25
-        assert res.metrics["widget.cycles"] == 1000
-        # flags and non-numeric extras never become metrics
-        assert "widget.smoke" not in res.metrics
-        assert "widget.contended" not in res.metrics
-        assert "widget.label" not in res.metrics
-        assert "widget.flag" not in res.metrics
-        assert res.commit["id"] == "deadbeef"
+    def test_perfbench_result(self):
+        res = BenchResult.from_perfbench(
+            perfbench_text(metrics={"compile.calls": 96.0, "label": "x", "flag": True})
+        )
+        assert res.suite == "campaign_cold"  # the workload name
+        assert res.host.key == "box:x86_64"
+        assert res.host.cpus == 2 and res.host.python == "3.11.7"
+        assert res.metrics == {"compile.calls": 96.0}  # non-numeric values dropped
+        assert res.correct is True and res.failed == 0
+        assert res.smoke is False
 
-    def test_smoke_hoisted_from_any_benchmark(self):
-        payload = pytest_benchmark_payload()
-        payload["benchmarks"][0]["extra_info"]["smoke"] = True
-        assert BenchResult.from_payload(payload).smoke is True
+    def test_incorrect_perfbench_result(self):
+        assert BenchResult.from_perfbench(perfbench_text(correct=False)).correct is False
+        assert BenchResult.from_perfbench(perfbench_text(failed=3)).failed == 3
+
+    def test_truncated_perfbench_output_rejected(self):
+        text = perfbench_text()
+        with pytest.raises(BenchFormatError):
+            BenchResult.from_perfbench(text.rsplit("\n", 2)[0])  # no result line
+        with pytest.raises(BenchFormatError):
+            BenchResult.from_perfbench(text.split("\n", 1)[1])  # no host line
+        with pytest.raises(BenchFormatError):
+            BenchResult.from_perfbench("")
 
     def test_native_envelope_roundtrip(self):
-        res = BenchResult.from_payload(pytest_benchmark_payload())
+        res = BenchResult.from_perfbench(perfbench_text(failed=2, correct=False))
         again = BenchResult.from_payload(res.to_payload())
         assert again == res
         assert res.to_payload()["bench_format"] == BENCH_FORMAT
+
+    def test_envelope_without_correctness_fields_loads(self):
+        # Envelopes and histories written before results carried correctness.
+        res = BenchResult.from_payload(
+            {"bench_format": 1, "suite": "sim", "host": {"node": "vm"},
+             "metrics": {"widget.speedup": 5.0}}
+        )
+        assert res.correct is True and res.failed == 0
+        assert res.qualified_metrics() == {"sim.widget.speedup": 5.0}
 
     def test_newer_format_rejected(self):
         with pytest.raises(BenchFormatError):
@@ -89,27 +70,17 @@ class TestCompatReader:
         with pytest.raises(BenchFormatError):
             BenchResult.from_payload({"whatever": 1})
 
-    def test_load_result_infers_suite_from_filename(self, tmp_path):
-        payload = pytest_benchmark_payload()
-        payload["benchmarks"][0]["fullname"] = "somewhere/else.py::t"
-        path = tmp_path / "BENCH_ci_serve.json"
-        path.write_text(json.dumps(payload))
-        assert load_result(str(path)).suite == "serve"
-
-    def test_suite_of_path(self):
-        assert suite_of_path("BENCH_sim.json") == "sim"
-        assert suite_of_path("/a/b/BENCH_ci_pipeline.json") == "pipeline"
-        assert suite_of_path("other.json") is None
-
-
-class TestCommittedBaselines:
-    @pytest.mark.parametrize("suite", ["sim", "pipeline", "analytic", "serve"])
-    def test_committed_baselines_load(self, repo_root, suite):
-        res = load_result(str(repo_root / f"BENCH_{suite}.json"))
-        assert res.suite == suite
-        assert res.metrics, "committed baselines must yield metrics"
-        assert res.host.key
-        assert not res.smoke, "committed baselines must be non-smoke runs"
+    def test_load_result_infers_suite_from_workload(self, perfbench_result, tmp_path):
+        assert load_result(perfbench_result(workload="sim_fig2")).suite == "sim_fig2"
+        envelope = tmp_path / "anything.json"
+        envelope.write_text(json.dumps(
+            BenchResult(suite="serve", host=current_host()).to_payload()
+        ))
+        assert load_result(str(envelope)).suite == "serve"
+        nameless = tmp_path / "nameless.json"
+        nameless.write_text('{"bench_format": 1, "metrics": {}}')
+        with pytest.raises(BenchFormatError):
+            load_result(str(nameless))
 
 
 class TestHost:
@@ -125,20 +96,22 @@ class TestHost:
         assert fp.key == f"{fp.node}:{fp.machine}"
         assert fp.cpus == cpu_count()
 
-    def test_smoke_mode_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SMOKE", raising=False)
-        assert smoke_mode() is False
-        monkeypatch.setenv("REPRO_BENCH_SMOKE", "0")
-        assert smoke_mode() is False
-        monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-        assert smoke_mode() is True
-
     def test_contention_needs_enough_cores(self):
         cpus = cpu_count()
         assert contention(jobs=(cpus or 0) + 1) is True
 
-    def test_host_extra_info_stamps_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-        extra = host_extra_info(jobs=1)
-        assert set(extra) == {"smoke", "cpus", "contended"}
-        assert extra["smoke"] is True
+    def test_host_import_loads_no_simulator_or_server(self):
+        # perfbench stamps its results through repro.bench.host while it
+        # measures set-up time and memory: the import must stay light.
+        code = (
+            "import sys, repro.bench.host\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('repro.serve', 'repro.arch'))))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"

@@ -89,6 +89,7 @@ class TestPaperCasePlan:
         assert plan.stream.reach == 2048
         assert plan.stream.depth == 2051
         assert plan.static_elements == 2048
+        assert plan.n_static_buffers == 2
 
 
 class TestPlanCorrectness:

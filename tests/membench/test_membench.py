@@ -46,14 +46,20 @@ class TestMeasurement:
     def report(self):
         return run_membench(n_accesses=1024)
 
-    def test_contiguous_sustains_near_peak(self, report):
-        contiguous = report.by_pattern()[AccessPattern.CONTIGUOUS]
-        assert contiguous.efficiency > 0.9
+    @pytest.fixture(scope="class")
+    def paper_scale_report(self):
+        return run_membench(n_accesses=4096)
 
-    def test_random_is_much_slower(self, report):
-        random = report.by_pattern()[AccessPattern.RANDOM]
-        assert random.efficiency < 0.3
-        assert report.contiguous_advantage() > 3.0
+    def test_contiguous_sustains_near_peak(self, report, paper_scale_report):
+        for run in (report, paper_scale_report):
+            contiguous = run.by_pattern()[AccessPattern.CONTIGUOUS]
+            assert contiguous.efficiency > 0.9
+
+    def test_random_is_much_slower(self, report, paper_scale_report):
+        for run in (report, paper_scale_report):
+            random = run.by_pattern()[AccessPattern.RANDOM]
+            assert random.efficiency < 0.3
+            assert run.contiguous_advantage() > 3.0
 
     def test_strided_between_the_extremes(self, report):
         table = report.by_pattern()
