@@ -85,6 +85,11 @@ DEFAULT_REFERENCES: ReferenceTable = {
         "campaign_cold.compile.calls": (96.0, 0.0, 0.0, "count"),
         "campaign_cold.compile.ranges_calls_per_compile": (1.0, 0.0, 0.0, "count"),
         "campaign_cold.plan_cache.misses": (96.0, 0.0, 0.0, "count"),
+        # Each design is compiled once and then hit once (its second system),
+        # and the whole campaign prices in one batch: compile work cannot move
+        # into pricing, nor the batch split, without failing these.
+        "campaign_cold.plan_cache.hits": (96.0, 0.0, 0.0, "count"),
+        "campaign_cold.pricing.calls": (1.0, 0.0, 0.0, "count"),
         "campaign_cold.pricing.points": (192.0, 0.0, 0.0, "count"),
         "campaign_cold.sweep.events": (386.0, 0.0, 0.0, "count"),
         "campaign_cold.sweep.points_failed": (0.0, 0.0, 0.0, "count"),

@@ -9,6 +9,7 @@ plan; ``repro.core.cost_model`` prices it in registers and BRAM bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from repro.core.boundary import BoundarySpec
@@ -176,10 +177,13 @@ class BufferPlan:
 
     def lookup_offsets(self) -> Tuple[int, ...]:
         """All distinct kept (window-served) offsets across ranges."""
-        seen = set()
-        for rp in self.range_plans:
-            seen.update(rp.kept_offsets)
-        return tuple(sorted(seen))
+        return self._lookup_offsets
+
+    @cached_property
+    def _lookup_offsets(self) -> Tuple[int, ...]:
+        # Ranges of one case share their kept tuple: union the distinct ones.
+        distinct = {rp.kept_offsets for rp in self.range_plans}
+        return tuple(sorted(set().union(*distinct)))
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the plan."""

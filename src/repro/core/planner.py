@@ -23,7 +23,9 @@ Two planners are provided:
   top-row/bottom-row buffers of the paper's example each serve three ranges:
   two corners and an edge).  The planner enumerates candidate windows drawn
   from the distinct offsets of the problem, which is exact for the global
-  objective and cheap (the number of distinct offsets is tiny).
+  objective and cheap (the number of distinct offsets is tiny).  Each
+  window is scored from where each offset is accessed, computed once per
+  problem, rather than by walking every range again.
 
 * :func:`paper_algorithm1` — a literal transcription of the per-range
   pseudo-code from the paper, kept for comparison and used in the test-suite
@@ -32,6 +34,7 @@ Two planners are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -80,43 +83,68 @@ def _merge_runs(runs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return merged
 
 
-def _static_runs_for_window(
-    ranges: Sequence[StreamRange],
-    window_lo: int,
-    window_hi: int,
-) -> Tuple[List[Tuple[int, int]], Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-    """For a candidate window, compute the static element runs and per-range splits.
+class _OffsetSpans:
+    """Where each distinct stream offset is accessed, computed once per problem.
 
-    Returns ``(merged_runs, per_range)`` where ``per_range`` maps the range
-    start position to ``(kept_offsets, offloaded_offsets)``.  A range's split
-    depends only on its stream offsets, so each distinct offset tuple (in
-    practice one per stencil case) is split once.
+    ``runs[o]`` holds the merged ``[start, end)`` stream spans of the ranges
+    whose offsets contain ``o``, shifted by ``o``: the elements those ranges
+    read through ``o``.  A range offloads exactly its offsets outside the
+    window, so a window's static runs are the merged union of its offloaded
+    offsets' runs: the same elements a range-by-range walk would collect, in
+    work proportional to the number of distinct offsets and spans rather
+    than of ranges.
     """
-    runs: List[Tuple[int, int]] = []
-    per_range: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-    splits: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-    for r in ranges:
-        offsets = r.stream_offsets
-        split = splits.get(offsets)
-        if split is None:
-            kept = tuple(o for o in offsets if window_lo <= o <= window_hi)
-            offloaded = tuple(o for o in offsets if not (window_lo <= o <= window_hi))
-            split = splits[offsets] = (kept, offloaded)
-        start, end = r.start, r.start + r.length
-        per_range[start] = split
-        for o in split[1]:
-            runs.append((start + o, end + o))
-    return _merge_runs(runs), per_range
 
+    def __init__(self, ranges: Sequence[StreamRange]) -> None:
+        by_offsets: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+        for r in ranges:
+            start, end = r.start, r.start + r.length
+            spans = by_offsets.get(r.stream_offsets)
+            if spans is None:
+                by_offsets[r.stream_offsets] = [(start, end)]
+            elif spans[-1][1] == start:
+                spans[-1] = (spans[-1][0], end)
+            else:
+                spans.append((start, end))
+        #: The distinct offset tuples, in order of first appearance.
+        self.offset_tuples: Tuple[Tuple[int, ...], ...] = tuple(by_offsets)
+        per_offset: Dict[int, List[Tuple[int, int]]] = {}
+        for offsets, spans in by_offsets.items():
+            for o in set(offsets):
+                per_offset.setdefault(o, []).extend(spans)
+        self.runs: Dict[int, List[Tuple[int, int]]] = {
+            o: [(start + o, end + o) for start, end in _merge_runs(spans)]
+            for o, spans in per_offset.items()
+        }
 
-def _candidate_windows(ranges: Sequence[StreamRange]) -> List[Tuple[int, int]]:
-    """Candidate ``(lo, hi)`` windows drawn from the problem's distinct offsets."""
-    offsets = set()
-    for r in ranges:
-        offsets.update(r.stream_offsets)
-    los = sorted({o for o in offsets if o < 0} | {0})
-    his = sorted({o for o in offsets if o > 0} | {0})
-    return [(lo, hi) for lo in los for hi in his]
+    def static_runs(self, window_lo: int, window_hi: int) -> List[Tuple[int, int]]:
+        """The merged static element runs of a candidate window."""
+        return _merge_runs([
+            run
+            for o, runs in self.runs.items()
+            if not window_lo <= o <= window_hi
+            for run in runs
+        ])
+
+    def serves(
+        self, merged: Sequence[Tuple[int, int]], window_lo: int, window_hi: int
+    ) -> List[Tuple[int, ...]]:
+        """For each of a window's merged runs, the offloaded offsets it serves."""
+        starts = [start for start, _ in merged]
+        served: List[set] = [set() for _ in merged]
+        for o, runs in self.runs.items():
+            if window_lo <= o <= window_hi:
+                continue
+            # Each of the offset's runs lies inside exactly one merged run.
+            for start, _ in runs:
+                served[bisect_right(starts, start) - 1].add(o)
+        return [tuple(sorted(offsets)) for offsets in served]
+
+    def candidate_windows(self) -> List[Tuple[int, int]]:
+        """Candidate ``(lo, hi)`` windows drawn from the problem's distinct offsets."""
+        los = sorted({o for o in self.runs if o < 0} | {0})
+        his = sorted({o for o in self.runs if o > 0} | {0})
+        return [(lo, hi) for lo in los for hi in his]
 
 
 def _describe_run(grid: GridSpec, start: int, end: int, index: int) -> str:
@@ -147,13 +175,10 @@ class PlannerResult:
     feasible: bool
 
 
-def evaluate_window(
-    ranges: Sequence[StreamRange],
-    window_lo: int,
-    window_hi: int,
+def _window_result(
+    offset_spans: _OffsetSpans, window_lo: int, window_hi: int
 ) -> PlannerResult:
-    """Cost of one candidate window (without building the full plan)."""
-    merged, _ = _static_runs_for_window(ranges, window_lo, window_hi)
+    merged = offset_spans.static_runs(window_lo, window_hi)
     static_elements = sum(end - start for start, end in merged)
     reach = window_hi - window_lo
     return PlannerResult(
@@ -165,6 +190,15 @@ def evaluate_window(
         n_static_buffers=len(merged),
         feasible=True,
     )
+
+
+def evaluate_window(
+    ranges: Sequence[StreamRange],
+    window_lo: int,
+    window_hi: int,
+) -> PlannerResult:
+    """Cost of one candidate window (without building the full plan)."""
+    return _window_result(_OffsetSpans(ranges), window_lo, window_hi)
 
 
 def optimal_split_for_range(
@@ -235,8 +269,9 @@ def plan_buffers(
         memory constraint); candidates above the bound are discarded.
     max_total_bits:
         Upper bound on total buffer bits.  If no candidate satisfies it the
-        smallest-footprint candidate is returned (callers can check
-        :attr:`BufferPlan.total_bits`).
+        candidate with the fewest total elements (window reach plus static
+        elements, single bank) is returned, whatever its bits; callers can
+        check :attr:`BufferPlan.total_bits`.
     double_buffer_statics:
         Whether static buffers are double buffered (the paper's design).
     slack:
@@ -250,13 +285,13 @@ def plan_buffers(
         raise ValueError("the stencil problem produced no stream ranges")
 
     static_bank_factor = 2 if double_buffer_statics else 1
-    candidates = _candidate_windows(ranges)
+    offset_spans = _OffsetSpans(ranges)
 
     scored: List[Tuple[Tuple[int, int, int], Tuple[int, int], PlannerResult]] = []
-    for lo, hi in candidates:
+    for lo, hi in offset_spans.candidate_windows():
         if max_stream_reach is not None and (hi - lo) > max_stream_reach:
             continue
-        result = evaluate_window(ranges, lo, hi)
+        result = _window_result(offset_spans, lo, hi)
         total_bits = (result.stream_reach + slack) * word_bits + (
             result.static_elements * word_bits * static_bank_factor
         )
@@ -281,19 +316,7 @@ def plan_buffers(
             "stream window"
         )
 
-    merged_runs, per_range = _static_runs_for_window(ranges, lo, hi)
-
-    # Map each merged run to the offsets it serves (for reporting).
-    serves: Dict[Tuple[int, int], set] = {run: set() for run in merged_runs}
-    for r in ranges:
-        _, offloaded = per_range[r.start]
-        for o in offloaded:
-            target_start = r.start + o
-            for run in merged_runs:
-                if run[0] <= target_start < run[1]:
-                    serves[run].add(o)
-                    break
-
+    merged_runs = offset_spans.static_runs(lo, hi)
     statics = tuple(
         StaticBufferSpec(
             name=_describe_run(grid, start, end, i),
@@ -301,25 +324,27 @@ def plan_buffers(
             length=end - start,
             word_bits=word_bits,
             double_buffered=double_buffer_statics,
-            serves_offsets=tuple(sorted(serves[(start, end)])),
+            serves_offsets=served,
         )
-        for i, (start, end) in enumerate(merged_runs)
+        for i, ((start, end), served) in enumerate(
+            zip(merged_runs, offset_spans.serves(merged_runs, lo, hi))
+        )
     )
 
-    range_plans = tuple(
-        RangePlan(
-            range_start=r.start,
-            range_length=r.length,
-            case_id=r.case_id,
-            kept_offsets=per_range[r.start][0],
-            offloaded_offsets=per_range[r.start][1],
-            stream_reach=(max(per_range[r.start][0]) - min(per_range[r.start][0]))
-            if per_range[r.start][0]
-            else 0,
-            static_elements=len(per_range[r.start][1]) * r.length,
+    # A range's split depends only on its offsets: split each distinct tuple once.
+    splits: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...], int]] = {}
+    for offsets in offset_spans.offset_tuples:
+        kept = tuple(o for o in offsets if lo <= o <= hi)
+        offloaded = tuple(o for o in offsets if not lo <= o <= hi)
+        splits[offsets] = (kept, offloaded, max(kept) - min(kept) if kept else 0)
+    range_plans = []
+    for r in ranges:
+        kept, offloaded, reach = splits[r.stream_offsets]
+        range_plans.append(
+            RangePlan(
+                r.start, r.length, r.case_id, kept, offloaded, reach, len(offloaded) * r.length
+            )
         )
-        for r in ranges
-    )
 
     stream = StreamBufferSpec(
         reach=hi - lo,
@@ -334,7 +359,7 @@ def plan_buffers(
         boundary=boundary,
         stream=stream,
         statics=statics,
-        range_plans=range_plans,
+        range_plans=tuple(range_plans),
     )
 
 

@@ -18,7 +18,8 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.access import StreamTuple, tuple_for
@@ -27,7 +28,6 @@ from repro.core.grid import GridSpec, IterationPattern
 from repro.core.stencil import StencilShape
 
 
-@dataclass(frozen=True)
 class StreamRange:
     """A run of consecutive stream positions sharing one tuple shape.
 
@@ -39,12 +39,98 @@ class StreamRange:
     whose only out-of-grid access both become the same constant.  Such
     ranges are still sound, only finer than needed: their static runs merge
     in the planner, so the chosen buffers are the same.
+
+    A range of a later interior row is *translated* (see
+    :meth:`translated`): it keeps the first interior row's tuple as its
+    :attr:`template` plus the shift between the two rows, and builds its
+    ``representative`` only when that is first read.  ``stream_offsets``,
+    ``reach`` and ``n_points`` read the template, which shares them, so
+    compiling and pricing a problem never build it.  Either way the range
+    behaves as the frozen record ``(start, length, case_id,
+    representative)``: ``repr``, ``==``, ``hash`` and a pickle round-trip
+    equal those of the range built with its representative.
     """
+
+    __slots__ = ("start", "length", "case_id", "template", "_shift", "_representative")
 
     start: int
     length: int
     case_id: int
-    representative: StreamTuple
+    #: The tuple the representative is (or is translated from); it shares the
+    #: representative's points relative to the centre and its stream offsets.
+    template: StreamTuple
+
+    def __init__(
+        self, start: int, length: int, case_id: int, representative: StreamTuple
+    ) -> None:
+        self._fill(start, length, case_id, representative, 0, representative)
+
+    @classmethod
+    def translated(
+        cls, start: int, length: int, case_id: int, template: StreamTuple, shift: int
+    ) -> "StreamRange":
+        """A range whose representative is ``template`` moved ``shift`` positions.
+
+        Only valid where every access resolves the same way at both centres
+        (see :func:`_translated`); the representative is built on first read.
+        """
+        r = cls.__new__(cls)
+        r._fill(start, length, case_id, template, shift, None)
+        return r
+
+    def _fill(
+        self,
+        start: int,
+        length: int,
+        case_id: int,
+        template: StreamTuple,
+        shift: int,
+        representative: Optional[StreamTuple],
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "start", start)
+        _set(self, "length", length)
+        _set(self, "case_id", case_id)
+        _set(self, "template", template)
+        _set(self, "_shift", shift)
+        _set(self, "_representative", representative)
+
+    @property
+    def representative(self) -> StreamTuple:
+        """The stream tuple at the range's first position."""
+        rep = self._representative
+        if rep is None:
+            rep = _translated(self.template, self._shift)
+            object.__setattr__(self, "_representative", rep)
+        return rep
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _record(self) -> Tuple[int, int, int, StreamTuple]:
+        return (self.start, self.length, self.case_id, self.representative)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._record() == other._record()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._record())
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamRange(start={self.start!r}, length={self.length!r}, "
+            f"case_id={self.case_id!r}, representative={self.representative!r})"
+        )
+
+    def __reduce__(self):
+        if self.template is self._representative:
+            return (StreamRange, (self.start, self.length, self.case_id, self.template))
+        return (
+            StreamRange.translated,
+            (self.start, self.length, self.case_id, self.template, self._shift),
+        )
 
     @property
     def end(self) -> int:
@@ -54,17 +140,17 @@ class StreamRange:
     @property
     def stream_offsets(self) -> Tuple[int, ...]:
         """Stream offsets of the existing accesses (shared by the whole range)."""
-        return self.representative.stream_offsets
+        return self.template.stream_offsets
 
     @property
     def reach(self) -> int:
         """Reach of the range's tuple."""
-        return self.representative.reach
+        return self.template.reach
 
     @property
     def n_points(self) -> int:
         """Number of existing accesses per tuple in this range."""
-        return self.representative.n_existing
+        return self.template.n_existing
 
 
 @dataclass(frozen=True)
@@ -110,63 +196,46 @@ def _banded_partition(
 
     inner = grid.ndim - 1
     inner_bands = _dimension_bands(grid.shape[inner], radii_lo[inner], radii_hi[inner])
+    row_length = grid.shape[inner]
 
-    outer_bands_per_dim = [
-        _dimension_bands(grid.shape[d], radii_lo[d], radii_hi[d]) for d in range(inner)
-    ]
-
-    # Enumerate outer coordinates row by row so that ranges come out already in
-    # stream order; the band decomposition is only applied to the innermost
-    # dimension, which is the one that is contiguous in the stream.
+    # Walk the rows (outer coordinates) in row-major order, so that ranges come
+    # out already in stream order and row ``k`` starts at ``k * row_length``;
+    # the band decomposition is only applied to the innermost dimension, which
+    # is the one that is contiguous in the stream.
     ranges: List[StreamRange] = []
     case_ids: Dict[Tuple, int] = {}
-
-    def outer_coords(dim: int, prefix: Tuple[int, ...]):
-        if dim == inner:
-            yield prefix
-            return
-        for start, length in outer_bands_per_dim[dim]:
-            for idx in range(start, start + length):
-                yield from outer_coords(dim + 1, prefix + (idx,))
 
     # A row whose outer coordinates all lie in the interior band never crosses
     # an outer boundary, so its accesses resolve exactly like those of any
     # other interior row, shifted by the rows' linear distance.  The first
     # interior row is resolved in full; later ones are translated from it.
-    interior = [range(radii_lo[d], grid.shape[d] - radii_hi[d]) for d in range(inner)]
+    interior_flags = [
+        [radii_lo[d] <= i < grid.shape[d] - radii_hi[d] for i in range(grid.shape[d])]
+        for d in range(inner)
+    ]
     first_interior: Optional[List[Tuple[StreamTuple, int]]] = None
+    first_interior_linear = 0
 
-    for prefix in outer_coords(0, ()):
-        row_linear = grid.linear_index(prefix + (0,))
-        is_interior = all(i in band for i, band in zip(prefix, interior))
+    for row, flags in enumerate(itertools.product(*interior_flags)):
+        row_linear = row * row_length
+        is_interior = all(flags)
         if is_interior and first_interior is not None:
+            shift = row_linear - first_interior_linear
             for (start, length), (base, case_id) in zip(inner_bands, first_interior):
-                shift = row_linear + start - base.centre_linear
                 ranges.append(
-                    StreamRange(
-                        start=row_linear + start,
-                        length=length,
-                        case_id=case_id,
-                        representative=_translated(base, shift),
-                    )
+                    StreamRange.translated(row_linear + start, length, case_id, base, shift)
                 )
             continue
-        row: List[Tuple[StreamTuple, int]] = []
+        resolved: List[Tuple[StreamTuple, int]] = []
         for start, length in inner_bands:
             centre_linear = row_linear + start
             rep = tuple_for(grid, stencil, boundary, centre_linear, centre_linear)
             case_id = case_ids.setdefault(rep.shape_key, len(case_ids))
-            row.append((rep, case_id))
-            ranges.append(
-                StreamRange(
-                    start=centre_linear,
-                    length=length,
-                    case_id=case_id,
-                    representative=rep,
-                )
-            )
+            resolved.append((rep, case_id))
+            ranges.append(StreamRange(centre_linear, length, case_id, rep))
         if is_interior:
-            first_interior = row
+            first_interior = resolved
+            first_interior_linear = row_linear
     return ranges
 
 
@@ -264,29 +333,34 @@ def partition_into_ranges(
 
 
 def classify_cases(ranges: Sequence[StreamRange]) -> Dict[int, CaseInfo]:
-    """Aggregate ranges by case id (tuple shape)."""
-    cases: Dict[int, CaseInfo] = {}
+    """Aggregate ranges by case id (tuple shape).
+
+    Each case is described by its first range, whose representative is the
+    one :class:`CaseInfo` carries.
+    """
+    first: Dict[int, StreamRange] = {}
+    n_ranges: Dict[int, int] = {}
+    n_positions: Dict[int, int] = {}
     for r in ranges:
-        existing = cases.get(r.case_id)
-        if existing is None:
-            cases[r.case_id] = CaseInfo(
-                case_id=r.case_id,
-                shape_key=r.representative.shape_key,
-                n_ranges=1,
-                n_positions=r.length,
-                reach=r.reach,
-                representative=r.representative,
-            )
+        case_id = r.case_id
+        if case_id in first:
+            n_ranges[case_id] += 1
+            n_positions[case_id] += r.length
         else:
-            cases[r.case_id] = CaseInfo(
-                case_id=existing.case_id,
-                shape_key=existing.shape_key,
-                n_ranges=existing.n_ranges + 1,
-                n_positions=existing.n_positions + r.length,
-                reach=existing.reach,
-                representative=existing.representative,
-            )
-    return cases
+            first[case_id] = r
+            n_ranges[case_id] = 1
+            n_positions[case_id] = r.length
+    return {
+        case_id: CaseInfo(
+            case_id=case_id,
+            shape_key=r.representative.shape_key,
+            n_ranges=n_ranges[case_id],
+            n_positions=n_positions[case_id],
+            reach=r.reach,
+            representative=r.representative,
+        )
+        for case_id, r in first.items()
+    }
 
 
 def n_cases(

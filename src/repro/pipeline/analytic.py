@@ -223,16 +223,22 @@ def _fetch_deltas(ranges: Sequence[StreamRange]) -> List[Tuple[int, int, Tuple[i
     fetch ``centre + delta``; skipped/constant accesses issue a dummy centre
     read (delta 0) to keep the schedule regular.  Within a range every point
     shares the same deltas, which is what makes the count closed-form.
+    Deltas are relative to the centre, so a translated range has those of
+    its template: they are computed once per template, and no translated
+    representative is built.
     """
+    by_template: Dict[int, Tuple[int, ...]] = {}
     out = []
     for r in ranges:
-        rep = r.representative
-        deltas = tuple(
-            (p.linear_index - rep.centre_linear)
-            if (p.exists and p.linear_index is not None)
-            else 0
-            for p in rep.points
-        )
+        template = r.template
+        deltas = by_template.get(id(template))
+        if deltas is None:
+            deltas = by_template[id(template)] = tuple(
+                (p.linear_index - template.centre_linear)
+                if (p.exists and p.linear_index is not None)
+                else 0
+                for p in template.points
+            )
         out.append((r.start, r.length, deltas))
     return out
 
@@ -253,14 +259,23 @@ def baseline_schedule_constants(
     if not ranges:
         raise ValueError("predict_baseline needs the problem's stream ranges")
     n = plan.grid.size
-    n_points = len(ranges[0].representative.points)
+    n_points = len(ranges[0].template.points)
     schedule = _fetch_deltas(ranges)
 
+    # Per distinct deltas (shared object per template): sequential steps
+    # within one point's fetches, and whether consecutive points chain.
+    per_point: Dict[int, Tuple[int, bool]] = {}
     seq_intra = 0
     for start, length, deltas in schedule:
-        within = sum(1 for a, b in zip(deltas, deltas[1:]) if b == a + 1)
+        steps = per_point.get(id(deltas))
+        if steps is None:
+            steps = per_point[id(deltas)] = (
+                sum(1 for a, b in zip(deltas, deltas[1:]) if b == a + 1),
+                bool(deltas) and deltas[0] == deltas[-1],
+            )
+        within, chained = steps
         seq_intra += length * within
-        if deltas and deltas[0] == deltas[-1]:
+        if chained:
             seq_intra += length - 1
     for (s0, l0, d0), (s1, _, d1) in zip(schedule, schedule[1:]):
         last_addr = (s0 + l0 - 1) + (d0[-1] if d0 else 0)

@@ -10,7 +10,12 @@ This is the single seam every consumer goes through.  One call runs
 
 Partitioning runs once per compile: one pass is shared by the planner (which
 receives the ranges) and synthesis (which receives the case count), rather
-than each stage partitioning the problem again.  The resulting
+than each stage partitioning the problem again.  The work scales with the
+distinct stencil cases and offsets, not with the ~3 ranges per grid row:
+interior-row ranges are translated from the first interior row and build
+their representative tuple only when it is read (nothing in compile or
+analytic pricing reads it), and the planner scores each candidate window
+from per-offset stream spans instead of walking the ranges.  The resulting
 :class:`CompiledDesign` is memoized in the keyed plan cache, so sweeps
 re-planning the same problem are free after the first hit.
 """
@@ -25,7 +30,7 @@ from repro.core.config import SmacheConfig
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.core.partition import HybridPartition, partition_for_plan
 from repro.core.planner import UnsupportedPatternError, plan_buffers
-from repro.core.ranges import StreamRange, classify_cases, partition_into_ranges
+from repro.core.ranges import StreamRange, partition_into_ranges
 from repro.fpga.synthesis import SynthesisReport, synthesize_smache
 from repro.pipeline.cache import PlanCache, plan_cache
 from repro.pipeline.problem import StencilProblem
@@ -80,7 +85,7 @@ def _build(problem: StencilProblem) -> CompiledDesign:
     ranges = tuple(
         partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
     )
-    n_cases = len(classify_cases(ranges))
+    n_cases = len({r.case_id for r in ranges})
     plan = plan_buffers(
         problem.grid,
         problem.stencil,

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
-#: The six exact work counters of a traced ``campaign_cold`` run, plus two
+#: The eight exact work counters of a traced ``campaign_cold`` run, plus two
 #: end-to-end timings the gate must leave unreferenced.
 COLD_METRICS = {
     "compile.calls": 96.0,
     "compile.ranges_calls_per_compile": 1.0,
     "plan_cache.misses": 96.0,
+    "plan_cache.hits": 96.0,
+    "pricing.calls": 1.0,
     "pricing.points": 192.0,
     "sweep.events": 386.0,
     "sweep.points_failed": 0.0,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.access import tuple_for
 from repro.core.boundary import BoundaryKind, BoundarySpec
 from repro.core.buffers import PIPELINE_SLACK
 from repro.core.grid import GridSpec
@@ -13,9 +14,11 @@ from repro.core.planner import (
     paper_algorithm1,
     plan_buffers,
     _merge_runs,
+    _OffsetSpans,
 )
-from repro.core.ranges import partition_into_ranges
+from repro.core.ranges import StreamRange, partition_into_ranges
 from repro.core.stencil import StencilShape
+from tests.core.conftest import stencil_cases
 
 
 class TestMergeRuns:
@@ -187,6 +190,71 @@ class TestPlannerOptimality:
         assert plan.total_cost_elements <= stream_only
 
 
+def per_range_static_runs(ranges, lo, hi):
+    """The static runs of window ``[lo, hi]``, merged range by range."""
+    runs = [
+        (r.start + o, r.end + o)
+        for r in ranges
+        for o in r.stream_offsets
+        if not lo <= o <= hi
+    ]
+    return _merge_runs(runs)
+
+
+class TestOffsetSpans:
+    """The per-offset window scan equals a literal per-range walk."""
+
+    @given(case=stencil_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_window_scan_and_plan_match_the_per_range_walk(self, case):
+        grid, stencil, boundary = case
+        ranges = partition_into_ranges(grid, stencil, boundary)
+        spans = _OffsetSpans(ranges)
+        offsets = {o for r in ranges for o in r.stream_offsets}
+        assert spans.candidate_windows() == [
+            (lo, hi)
+            for lo in sorted({o for o in offsets if o < 0} | {0})
+            for hi in sorted({o for o in offsets if o > 0} | {0})
+        ]
+        for lo, hi in spans.candidate_windows():
+            literal = per_range_static_runs(ranges, lo, hi)
+            assert spans.static_runs(lo, hi) == literal
+            result = evaluate_window(ranges, lo, hi)
+            assert result.static_elements == sum(end - start for start, end in literal)
+            assert result.n_static_buffers == len(literal)
+
+        plan = plan_buffers(grid, stencil, boundary, ranges=ranges)
+        lo, hi = plan.stream.window_lo, plan.stream.window_hi
+        for s in plan.statics:
+            served = {
+                o
+                for r in ranges
+                for o in r.stream_offsets
+                if not lo <= o <= hi and s.start <= r.start + o < s.end
+            }
+            assert s.serves_offsets == tuple(sorted(served))
+        for r, rp in zip(ranges, plan.range_plans):
+            kept = tuple(o for o in r.stream_offsets if lo <= o <= hi)
+            offloaded = tuple(o for o in r.stream_offsets if not lo <= o <= hi)
+            assert (rp.range_start, rp.kept_offsets, rp.offloaded_offsets) == (
+                r.start,
+                kept,
+                offloaded,
+            )
+            assert rp.stream_reach == (max(kept) - min(kept) if kept else 0)
+            assert rp.static_elements == len(offloaded) * r.length
+
+        # Ranges built eagerly (no translated interior rows) plan identically.
+        eager = [
+            StreamRange(r.start, r.length, r.case_id, tuple_for(grid, stencil, boundary, r.start))
+            for r in ranges
+        ]
+        from_eager = plan_buffers(grid, stencil, boundary, ranges=eager)
+        assert from_eager.stream == plan.stream
+        assert from_eager.statics == plan.statics
+        assert from_eager.range_plans == plan.range_plans
+
+
 class TestPlannerConstraints:
     def test_max_stream_reach_is_respected(self, paper_config):
         plan = plan_buffers(
@@ -239,7 +307,7 @@ class TestPlannerConstraints:
             paper_config.grid, paper_config.stencil, paper_config.boundary
         )
         # a one-bit budget admits no candidate; the planner falls back to the
-        # smallest-footprint plan and the caller checks total_bits
+        # plan with the fewest total elements and the caller checks total_bits
         fallback = plan_buffers(
             paper_config.grid,
             paper_config.stencil,

@@ -1,14 +1,19 @@
 """Tests for repro.core.ranges: range partitioning and case classification."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.ranges as ranges_module
 from repro.core.access import tuple_for
 from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.planner import plan_buffers
 from repro.core.ranges import (
+    StreamRange,
     classify_cases,
     n_cases,
     partition_into_ranges,
@@ -16,27 +21,12 @@ from repro.core.ranges import (
     _enumerating_partition,
 )
 from repro.core.stencil import StencilShape
-
-
-@st.composite
-def stencil_cases(draw):
-    """A small 1-D/2-D/3-D grid, a stencil for it and per-side boundaries."""
-    ndim = draw(st.integers(1, 3))
-    max_extent = {1: 40, 2: 12, 3: 6}[ndim]
-    shape = tuple(draw(st.integers(1, max_extent)) for _ in range(ndim))
-    stencils = [StencilShape.moore(ndim), StencilShape.von_neumann(ndim)]
-    if ndim == 2:
-        stencils += [
-            StencilShape.four_point_2d(),
-            StencilShape.asymmetric_2d(),
-            StencilShape.star_2d(2),
-        ]
-    kinds = st.sampled_from(list(BoundaryKind))
-    boundary = BoundarySpec(
-        edges=tuple(EdgeBehaviour(draw(kinds), draw(kinds)) for _ in range(ndim)),
-        constant_value=1.5,
-    )
-    return GridSpec(shape=shape), draw(st.sampled_from(stencils)), boundary
+from repro.pipeline.analytic import predict_performance
+from repro.pipeline.analytic_batch import AnalyticBatchEngine
+from repro.pipeline.backends import EvaluationRequest
+from repro.pipeline.compile import compile
+from repro.pipeline.problem import StencilProblem
+from tests.core.conftest import stencil_cases
 
 
 class TestPaperCase:
@@ -168,6 +158,58 @@ class TestRepresentatives:
         from_enumerated = plan_buffers(grid, stencil, boundary, ranges=enumerated)
         assert from_banded.stream == from_enumerated.stream
         assert from_banded.statics == from_enumerated.statics
+
+
+class TestTranslatedRanges:
+    """Interior-row ranges build their representative only when it is read."""
+
+    @given(case=stencil_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_translated_range_equals_the_eager_range(self, case):
+        grid, stencil, boundary = case
+        for r in partition_into_ranges(grid, stencil, boundary):
+            # Round-trip first, while a translated range is still unbuilt.
+            restored = pickle.loads(pickle.dumps(r))
+            eager = StreamRange(
+                r.start, r.length, r.case_id, tuple_for(grid, stencil, boundary, r.start)
+            )
+            assert (r.stream_offsets, r.reach, r.n_points) == (
+                eager.stream_offsets,
+                eager.reach,
+                eager.n_points,
+            )
+            assert r == eager and eager == r and restored == eager
+            assert hash(r) == hash(eager) == hash(restored)
+            assert repr(r) == repr(eager) == repr(restored)
+            assert r.representative == tuple_for(grid, stencil, boundary, r.start)
+
+    def test_interior_rows_are_translated_and_frozen(self, grid_11x11, four_point, paper_boundary):
+        ranges = partition_into_ranges(grid_11x11, four_point, paper_boundary)
+        # Rows 0, 1 and 10 are resolved; rows 2..9 translate row 1.
+        interior = next(r for r in ranges if r.start == 56)
+        assert interior.template is next(r for r in ranges if r.start == 12).representative
+        assert interior.template is not interior.representative
+        with pytest.raises(FrozenInstanceError):
+            interior.start = 0
+
+    def test_compile_and_pricing_build_no_translated_representative(self, monkeypatch):
+        built = []
+        translate = ranges_module._translated
+
+        def counting(base, shift):
+            built.append(shift)
+            return translate(base, shift)
+
+        monkeypatch.setattr(ranges_module, "_translated", counting)
+        design = compile(StencilProblem.paper_example(96, 96), cache=None)
+        requests = [EvaluationRequest(system=s, iterations=5) for s in ("smache", "baseline")]
+        for request in requests:
+            predict_performance(design, system=request.system, iterations=5)
+        AnalyticBatchEngine().price([(design, request) for request in requests])
+        assert len(design.ranges) == 3 * 96 and built == []
+        # The counter sees a build: reading one translated representative.
+        design.ranges[-4].representative
+        assert len(built) == 1
 
 
 class TestDegenerateAndNonContiguous:
