@@ -51,7 +51,7 @@ from repro.pipeline.backends import (
     evaluate as _evaluate,
 )
 from repro.pipeline.cache import CacheInfo, PlanCache, plan_cache
-from repro.pipeline.compile import CompiledDesign, compile as compile_problem
+from repro.pipeline.compile import CompiledDesign, compile_batch, compile as compile_problem
 from repro.pipeline.problem import StencilProblem
 from repro.reference.kernels import StencilKernel
 from repro.sweep.campaign import CampaignResult, execute_campaign
@@ -428,9 +428,11 @@ class Workbench:
         micro-batcher (:class:`repro.serve.batcher.AdaptiveBatcher`) sharing
         the session's :attr:`analytic_engine`: concurrent ``evaluate_async``
         callers on the same event loop are priced together in one vectorized
-        engine call, so ``asyncio.gather`` over a thousand points costs a
-        handful of batched folds, not a thousand scalar walks — the same
-        substrate the TCP evaluation service (:mod:`repro.serve`) builds on.
+        engine call, each under its own request (systems, iterations, write
+        policies, DRAM timings and kernels may differ within one flush).  So
+        ``asyncio.gather`` over a thousand points costs a handful of batched
+        folds, not a thousand scalar walks — the same substrate the TCP
+        evaluation service (:mod:`repro.serve`) builds on.
         Non-analytic backends (a simulation can run for seconds) are handed
         to the default executor so the event loop stays responsive.
         """
@@ -452,9 +454,12 @@ class Workbench:
             self._async_batcher_loop = loop
         return await self._async_batcher.submit(problem, req)
 
-    def _price_async_bucket(self, problems, request):
-        """Flush one micro-batch through the session's engine."""
-        return self.analytic_engine.price_batch(problems, request, cache=self.cache)
+    def _price_async_bucket(self, items):
+        """Price one micro-batch of ``(problem, request)`` items in one engine fold."""
+        designs = compile_batch([problem for problem, _ in items], cache=self.cache)
+        return self.analytic_engine.price(
+            [(design, request) for design, (_, request) in zip(designs, items)]
+        )
 
     def evaluate_batch(
         self,

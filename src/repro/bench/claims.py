@@ -469,7 +469,7 @@ def batched_vs_scalar_serving(m: Measure) -> None:
     """1000 mixed requests: the batched server >= 5x the per-request scalar loop.
 
     Every configuration pays the same TCP/JSON/asyncio cost, so the ratio
-    isolates what admission, signature-bucketed batches and the memo add.
+    isolates what admission, micro-batched flushes and the memo add.
     """
     from repro.pipeline.backends import evaluate
     from repro.serve.protocol import make_point, parse_point, result_payload
@@ -517,6 +517,41 @@ def batched_vs_scalar_serving(m: Measure) -> None:
     )
 
 
+def mixed_flush_parity(m: Measure) -> None:
+    """Mixed requests submitted in one loop turn share ``ceil(N / max_batch)`` flushes.
+
+    Systems, iterations (0 included) and write policies differ from point to
+    point, so no two neighbours share a request; every answer must still be
+    bitwise the scalar reference of its own point.
+    """
+    from repro.pipeline.backends import SYSTEMS, evaluate
+    from repro.serve import EvaluationService
+    from repro.serve.protocol import make_point, parse_point, result_payload
+
+    max_batch = 16
+    n_requests = 40 if m.smoke else 200
+    specs = [
+        make_point((9 + index % 24, 9 + index // 24), system=SYSTEMS[index % 2],
+                   iterations=index % 7, write_through=index % 3 != 0)
+        for index in range(n_requests)
+    ]
+
+    async def serve() -> Tuple[List[Any], int]:
+        service = EvaluationService(max_batch=max_batch, memo_entries=0)
+        answers = await asyncio.gather(*(service.submit(spec) for spec in specs))
+        return [payload for payload, _ in answers], service.stats()["batches"]["flushes"]
+
+    payloads, flushes = asyncio.run(serve())
+    expected = -(-n_requests // max_batch)
+    m.check(flushes == expected, f"{flushes} flushes for {n_requests} requests, expected {expected}")
+    for spec, payload in zip(specs, payloads):
+        problem, request = parse_point(spec)
+        reference = result_payload(evaluate(problem, backend="analytic", request=request))
+        m.check(_canonical(payload) == _canonical(reference),
+                f"mixed flush differs from the scalar reference for {spec}")
+    m.record(requests=n_requests, max_batch=max_batch, flushes=flushes)
+
+
 # --------------------------------------------------------------------------- #
 # suites
 # --------------------------------------------------------------------------- #
@@ -546,7 +581,8 @@ SUITES: Dict[str, Suite] = {
         "vectorized analytic pricing vs the scalar loop", (scalar_vs_vectorized,)
     ),
     "serve": Suite(
-        "micro-batched evaluation service throughput", (batched_vs_scalar_serving,)
+        "micro-batched evaluation service throughput",
+        (batched_vs_scalar_serving, mixed_flush_parity),
     ),
 }
 

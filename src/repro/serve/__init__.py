@@ -20,7 +20,7 @@ or in-process::
     result = await Workbench().evaluate_async(problem, iterations=5)
 """
 
-from repro.serve.batcher import AdaptiveBatcher, request_signature
+from repro.serve.batcher import AdaptiveBatcher
 from repro.serve.client import (
     AsyncServeClient,
     EvaluationTimeout,
@@ -69,7 +69,6 @@ __all__ = [
     "make_point",
     "parse_point",
     "point_key",
-    "request_signature",
     "result_payload",
     "run_server",
 ]

@@ -3,11 +3,10 @@
 The vectorized pricing engine is >=20x faster than the scalar path *per
 batch* (claimed by ``python -m repro.bench run analytic``), but interactive
 traffic arrives one point at a time.  The :class:`AdaptiveBatcher`
-manufactures batches out of that stream: each incoming ``(problem,
-request)`` lands in a bucket keyed by its *request signature* (everything
-one engine fold shares — system, iterations,
-write policy, DRAM timing, kernel override), and a bucket is flushed as one
-:meth:`AnalyticBatchEngine.price_batch` call either
+manufactures batches out of that stream: every incoming ``(problem,
+request)`` joins one pending bucket, whatever its system, iterations, write
+policy, DRAM timing or kernel override, and the bucket is flushed as one
+pricing call over its items, each under its own request, either
 
 * when it reaches ``max_batch`` points (size-triggered, under pressure), or
 * when its ``window`` timer fires (time-triggered, under light load).
@@ -19,6 +18,10 @@ timer flush that caught only a trickle of requests means batching is
 costing latency for nothing, so the window *shrinks*.  Both adjustments are
 multiplicative and deterministic, so tests can drive the window exactly.
 
+A flush that raises is retried one item at a time, so one bad point fails
+only its own waiter, not the ``max_batch`` unrelated requests it shared a
+flush with.
+
 The batcher is event-loop native: ``submit`` is awaitable, flushes run
 inline on the loop (pricing a bucket is NumPy work in the hundreds of
 microseconds — cheaper than a thread hop), and cancelled waiters (a client
@@ -29,51 +32,36 @@ delivered, so nothing leaks.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.memory.dram import DRAMTiming
 from repro.pipeline.backends import EvaluationRequest, EvaluationResult
 from repro.pipeline.problem import StencilProblem
 
-#: A bucket flush: price these problems under this one shared request.
-PriceFn = Callable[[List[StencilProblem], EvaluationRequest], Sequence[EvaluationResult]]
+#: One queued evaluation.
+Item = Tuple[StencilProblem, EvaluationRequest]
+#: A bucket flush: price every item under its own request, in input order.
+PriceFn = Callable[[List[Item]], Sequence[EvaluationResult]]
+#: A queued item and the future its waiter awaits.
+_Entry = Tuple[Item, "asyncio.Future[EvaluationResult]"]
 
-
-def request_signature(request: EvaluationRequest) -> Tuple[Any, ...]:
-    """Everything a pricing fold shares across a bucket.
-
-    Two requests with equal signatures can be priced in one
-    ``price_batch`` call; the fields mirror the engine's fold-memo key, so
-    a recurring bucket also hits the engine's fold cache.
-    """
-    timing = request.dram_timing or DRAMTiming()
-    kernel = request.kernel
-    return (
-        request.system,
-        request.iterations,
-        request.write_through,
-        timing.stream_word_cycles,
-        timing.random_access_cycles,
-        timing.read_latency,
-        timing.row_words,
-        timing.row_miss_penalty,
-        None if kernel is None else (type(kernel).__name__, repr(kernel)),
-    )
+#: The key of the one pending bucket.  ``_buckets`` stays a mapping keyed
+#: by what ``_flush`` receives, so a tracer wrapping ``_flush`` can look the
+#: bucket up before it is priced.
+_PENDING = "pending"
 
 
 class _Bucket:
-    """Requests sharing one signature, waiting to be flushed together."""
+    """Requests waiting to be flushed together."""
 
-    __slots__ = ("request", "items", "timer")
+    __slots__ = ("items", "timer")
 
-    def __init__(self, request: EvaluationRequest) -> None:
-        self.request = request
-        self.items: List[Tuple[StencilProblem, "asyncio.Future[EvaluationResult]"]] = []
+    def __init__(self) -> None:
+        self.items: List[_Entry] = []
         self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class AdaptiveBatcher:
-    """Signature-keyed micro-batching with an adaptive flush window."""
+    """One-bucket micro-batching with an adaptive flush window."""
 
     def __init__(
         self,
@@ -101,7 +89,7 @@ class AdaptiveBatcher:
         self._grow = grow
         self._shrink = shrink
         self._on_flush = on_flush
-        self._buckets: Dict[Tuple[Any, ...], _Bucket] = {}
+        self._buckets: Dict[str, _Bucket] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -110,7 +98,7 @@ class AdaptiveBatcher:
         return self._window_ms
 
     def pending(self) -> int:
-        """Requests queued in unflushed buckets (0 when fully drained)."""
+        """Requests queued in the unflushed bucket (0 when fully drained)."""
         return sum(len(bucket.items) for bucket in self._buckets.values())
 
     # ------------------------------------------------------------------ #
@@ -119,33 +107,31 @@ class AdaptiveBatcher:
     ) -> Awaitable[EvaluationResult]:
         """Queue one evaluation; the returned future resolves at flush time.
 
-        Must be called on a running event loop.  If the request fills its
+        Must be called on a running event loop.  If the request fills the
         bucket to ``max_batch`` the flush happens synchronously inside this
         call; otherwise the bucket's window timer delivers it.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[EvaluationResult]" = loop.create_future()
-        signature = request_signature(request)
-        bucket = self._buckets.get(signature)
+        bucket = self._buckets.get(_PENDING)
         if bucket is None:
-            bucket = _Bucket(request)
-            self._buckets[signature] = bucket
+            bucket = self._buckets[_PENDING] = _Bucket()
             bucket.timer = loop.call_later(
-                self._window_ms / 1000.0, self._flush, signature, "window"
+                self._window_ms / 1000.0, self._flush, _PENDING, "window"
             )
-        bucket.items.append((problem, future))
+        bucket.items.append(((problem, request), future))
         if len(bucket.items) >= self.max_batch:
-            self._flush(signature, "full")
+            self._flush(_PENDING, "full")
         return future
 
     def flush_all(self) -> None:
-        """Flush every bucket now (shutdown, or tests forcing determinism)."""
-        for signature in list(self._buckets):
-            self._flush(signature, "drain")
+        """Flush the pending bucket now (shutdown, or tests forcing determinism)."""
+        for key in list(self._buckets):
+            self._flush(key, "drain")
 
     # ------------------------------------------------------------------ #
-    def _flush(self, signature: Tuple[Any, ...], why: str) -> None:
-        bucket = self._buckets.pop(signature, None)
+    def _flush(self, key: str, why: str) -> None:
+        bucket = self._buckets.pop(key, None)
         if bucket is None:  # size-flushed before its timer fired
             return
         if bucket.timer is not None:
@@ -154,23 +140,27 @@ class AdaptiveBatcher:
         self._adapt(size, why)
         if self._on_flush is not None:
             self._on_flush(size, why)
-        problems = [problem for problem, _ in bucket.items]
+        self._deliver(bucket.items)
+
+    def _deliver(self, entries: List[_Entry]) -> None:
         try:
-            results = self._price(problems, bucket.request)
-        except Exception as exc:  # noqa: BLE001 — fan the failure out to waiters
-            for _, future in bucket.items:
-                if not future.done():
-                    future.set_exception(exc)
+            results = self._price([item for item, _ in entries])
+        except Exception as exc:  # noqa: BLE001 — the failure goes to the waiters
+            if len(entries) == 1:
+                _fail(entries, exc)
+                return
+            # Price each item alone, so a bad point fails only its own
+            # waiter (and counts as one breaker failure, not a flush's).
+            for entry in entries:
+                if not entry[1].done():
+                    self._deliver([entry])
             return
-        if len(results) != size:
-            error = RuntimeError(
-                f"pricing returned {len(results)} results for {size} requests"
-            )
-            for _, future in bucket.items:
-                if not future.done():
-                    future.set_exception(error)
+        if len(results) != len(entries):
+            _fail(entries, RuntimeError(
+                f"pricing returned {len(results)} results for {len(entries)} requests"
+            ))
             return
-        for (_, future), result in zip(bucket.items, results):
+        for (_, future), result in zip(entries, results):
             # A done future here is a waiter that disconnected (cancelled);
             # its result is simply dropped — nothing retains the future.
             if not future.done():
@@ -185,3 +175,9 @@ class AdaptiveBatcher:
             # The timer fired on a mostly-empty bucket: light load, so lean
             # toward latency.
             self._window_ms = max(self._window_ms * self._shrink, self.min_window_ms)
+
+
+def _fail(entries: List[_Entry], error: Exception) -> None:
+    for _, future in entries:
+        if not future.done():
+            future.set_exception(error)

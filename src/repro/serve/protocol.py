@@ -126,7 +126,8 @@ def parse_point(spec: Dict[str, Any]) -> Tuple[StencilProblem, EvaluationRequest
     overrides: Dict[str, Any] = {}
     if "word_bytes" in spec:
         overrides["grid"] = type(problem.grid)(
-            shape=problem.grid.shape, word_bytes=int(spec["word_bytes"])
+            shape=problem.grid.shape,
+            word_bytes=_integer("word_bytes", spec["word_bytes"], minimum=1),
         )
     if "mode" in spec:
         mode = spec["mode"]
@@ -135,10 +136,12 @@ def parse_point(spec: Dict[str, Any]) -> Tuple[StencilProblem, EvaluationRequest
         overrides["mode"] = _MODES[mode]
     if "max_stream_reach" in spec:
         reach = spec["max_stream_reach"]
-        overrides["max_stream_reach"] = None if reach is None else int(reach)
+        overrides["max_stream_reach"] = (
+            None if reach is None else _integer("max_stream_reach", reach, minimum=0)
+        )
     if "max_total_bits" in spec:
         bits = spec["max_total_bits"]
-        overrides["max_total_bits"] = None if bits is None else int(bits)
+        overrides["max_total_bits"] = None if bits is None else _integer("max_total_bits", bits)
     if "name" in spec:
         overrides["name"] = str(spec["name"])
     if overrides:
@@ -170,6 +173,17 @@ def parse_point(spec: Dict[str, Any]) -> Tuple[StencilProblem, EvaluationRequest
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid request knobs: {exc}") from None
     return problem, request
+
+
+def _integer(field: str, value: Any, minimum: Optional[int] = None) -> int:
+    """``value`` as an ``int``, or a :class:`ProtocolError` naming ``field``."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ProtocolError(f"{field} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ProtocolError(f"{field} must be >= {minimum}, got {number}")
+    return number
 
 
 def point_key(problem: StencilProblem, request: EvaluationRequest) -> str:

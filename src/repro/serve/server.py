@@ -3,11 +3,13 @@
 Two layers:
 
 * :class:`EvaluationService` — the protocol-independent core: point-spec
-  parsing, the content-keyed response memo, problem interning, admission
-  control with backpressure, the adaptive micro-batcher, and the pricing
-  flush (vectorized :meth:`AnalyticBatchEngine.price_batch` by default, the
-  scalar reference loop when the service is built with ``scalar=True`` —
-  byte-identical responses either way).
+  parsing, the content-keyed response memo, admission control with
+  backpressure, the adaptive micro-batcher, and the pricing flush.  A flush
+  holds whatever requests were pending — mixed systems, iterations, write
+  policies, DRAM timings — and is priced by one vectorized
+  :meth:`AnalyticBatchEngine.price` fold in which every item keeps its own
+  request (the scalar reference loop when the service is built with
+  ``scalar=True`` — byte-identical responses either way).
   In-process callers (``Workbench.evaluate_async``, tests) use it directly.
 
 * :class:`EvaluationServer` — the stdlib asyncio TCP front: JSON lines in,
@@ -17,8 +19,8 @@ Two layers:
 
 Bounded memory is a design rule, not an aspiration: the admission counter
 rejects beyond ``queue_limit`` (clients get ``retry_after_ms`` instead of
-the server growing an unbounded queue), the memo, the problem intern table,
-the engine's session LRU and the metrics reservoir are all bounded, and a
+the server growing an unbounded queue), the memo, the plan cache, the
+engine's knob cache and the metrics reservoir are all bounded, and a
 disconnected client's pending futures are cancelled, priced results dropped
 on the floor, never retained.
 
@@ -35,14 +37,13 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.workbench import Workbench
 from repro.faults.breaker import CircuitBreaker
-from repro.pipeline.backends import EvaluationRequest, EvaluationResult, evaluate
-from repro.pipeline.problem import StencilProblem
-from repro.serve.batcher import AdaptiveBatcher
+from repro.pipeline.backends import EvaluationResult, evaluate
+from repro.pipeline.compile import compile_batch
+from repro.serve.batcher import AdaptiveBatcher, Item
 from repro.serve.memo import ResponseMemo
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
@@ -88,8 +89,8 @@ class EvaluationService:
     workbench:
         The session whose plan cache and pricing engine this service shares;
         a fresh one is created when omitted.  Sharing matters: an in-process
-        ``evaluate_async`` caller and the TCP front then hit the same packed
-        sessions and memoized folds.
+        ``evaluate_async`` caller and the TCP front then hit the same
+        compiled designs and extracted pricing knobs.
     max_batch / window_ms / min_window_ms / max_window_ms:
         Micro-batcher shape (see :class:`~repro.serve.batcher.AdaptiveBatcher`).
     queue_limit:
@@ -152,12 +153,6 @@ class EvaluationService:
             threshold=breaker_threshold, cooldown_ms=breaker_cooldown_ms
         )
         self._inflight = 0
-        #: Bounded intern table: problem cache-key -> the one instance the
-        #: engine sees.  Identity matters downstream — the packed-session
-        #: cache keys on object ids — and interning also bounds how many
-        #: problem objects the session cache can pin.
-        self._interned: "OrderedDict[tuple, StencilProblem]" = OrderedDict()
-        self._max_interned = 4096
 
     # ------------------------------------------------------------------ #
     @property
@@ -165,28 +160,17 @@ class EvaluationService:
         """Evaluations admitted and not yet answered."""
         return self._inflight
 
-    def _intern(self, problem: StencilProblem) -> StencilProblem:
-        key = problem.cache_key()
-        known = self._interned.get(key)
-        if known is not None:
-            self._interned.move_to_end(key)
-            return known
-        self._interned[key] = problem
-        while len(self._interned) > self._max_interned:
-            self._interned.popitem(last=False)
-        return problem
-
-    def _price(
-        self, problems: List[StencilProblem], request: EvaluationRequest
-    ) -> List[EvaluationResult]:
-        """One bucket flush.  The scalar loop is the byte-exact reference."""
+    def _price(self, items: List[Item]) -> List[EvaluationResult]:
+        """One flush, each item under its own request; scalar is the reference."""
         if self.scalar:
             return [
                 evaluate(problem, backend="analytic", request=request, cache=self.cache)
-                for problem in problems
+                for problem, request in items
             ]
-        return self.engine.price_batch(
-            problems, request, cache=self.cache, with_artifacts=False
+        designs = compile_batch([problem for problem, _ in items], cache=self.cache)
+        return self.engine.price(
+            [(design, request) for design, (_, request) in zip(designs, items)],
+            with_artifacts=False,
         )
 
     # ------------------------------------------------------------------ #
@@ -224,7 +208,7 @@ class EvaluationService:
         self._inflight += 1
         try:
             result = await asyncio.wait_for(
-                self.batcher.submit(self._intern(problem), request),
+                self.batcher.submit(problem, request),
                 timeout=self.batch_timeout_s,
             )
         except asyncio.TimeoutError:
@@ -399,7 +383,7 @@ class EvaluationServer:
                     continue
                 # One task per request: later requests on the same connection
                 # are admitted while earlier ones wait in the batcher —
-                # pipelining is what fills buckets.
+                # pipelining is what fills the batch.
                 task = asyncio.ensure_future(handle_request(message))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)

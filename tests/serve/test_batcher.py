@@ -1,4 +1,5 @@
-"""The adaptive micro-batcher: bucketing, flush triggers, window adaptation."""
+"""The adaptive micro-batcher: one bucket, flush triggers, failure isolation,
+window adaptation."""
 
 import asyncio
 
@@ -7,7 +8,7 @@ import pytest
 from repro.memory.dram import DRAMTiming
 from repro.pipeline.backends import EvaluationRequest
 from repro.pipeline.problem import StencilProblem
-from repro.serve.batcher import AdaptiveBatcher, request_signature
+from repro.serve.batcher import AdaptiveBatcher
 
 
 def run(coro):
@@ -15,38 +16,16 @@ def run(coro):
 
 
 def echo_pricer(calls):
-    """A pricer that records (problems, request) and answers with the inputs."""
+    """A pricer that records each flush's items and answers with the inputs."""
 
-    def price(problems, request):
-        calls.append((list(problems), request))
-        return [(problem, request) for problem in problems]
+    def price(items):
+        calls.append(list(items))
+        return [(problem, request) for problem, request in items]
 
     return price
 
 
 PROBLEM = StencilProblem.paper_example(11, 11)
-
-
-class TestRequestSignature:
-    def test_equal_requests_share_a_bucket_key(self):
-        a = EvaluationRequest(iterations=3, dram_timing=DRAMTiming(read_latency=9))
-        b = EvaluationRequest(iterations=3, dram_timing=DRAMTiming(read_latency=9))
-        assert request_signature(a) == request_signature(b)
-
-    def test_default_timing_equals_explicit_default(self):
-        assert request_signature(EvaluationRequest()) == request_signature(
-            EvaluationRequest(dram_timing=DRAMTiming())
-        )
-
-    def test_any_knob_changes_the_key(self):
-        base = EvaluationRequest(iterations=3)
-        for other in (
-            EvaluationRequest(iterations=4),
-            EvaluationRequest(iterations=3, system="baseline"),
-            EvaluationRequest(iterations=3, write_through=False),
-            EvaluationRequest(iterations=3, dram_timing=DRAMTiming(read_latency=9)),
-        ):
-            assert request_signature(other) != request_signature(base)
 
 
 class TestFlushing:
@@ -64,7 +43,7 @@ class TestFlushing:
 
         results = run(main())
         assert len(calls) == 1
-        assert len(calls[0][0]) == 4
+        assert len(calls[0]) == 4
         assert all(problem is PROBLEM for problem, _ in results)
         assert batcher.pending() == 0
 
@@ -77,30 +56,31 @@ class TestFlushing:
 
         result = run(main())
         assert result[0] is PROBLEM
-        assert len(calls) == 1 and len(calls[0][0]) == 1
+        assert len(calls) == 1 and len(calls[0]) == 1
 
-    def test_distinct_signatures_get_distinct_buckets(self):
+    def test_mixed_signatures_share_one_flush(self):
         calls = []
-        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=2, window_ms=1000.0,
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=4, window_ms=1000.0,
                                   max_window_ms=1000.0)
+        requests = [
+            EvaluationRequest(iterations=1),
+            EvaluationRequest(iterations=9, system="baseline"),
+            EvaluationRequest(iterations=0, write_through=False),
+            EvaluationRequest(iterations=3, dram_timing=DRAMTiming(read_latency=9)),
+        ]
 
         async def main():
-            fast = EvaluationRequest(iterations=1)
-            slow = EvaluationRequest(iterations=9)
-            await asyncio.gather(
-                batcher.submit(PROBLEM, fast),
-                batcher.submit(PROBLEM, slow),
-                batcher.submit(PROBLEM, fast),
-                batcher.submit(PROBLEM, slow),
+            return await asyncio.gather(
+                *(batcher.submit(PROBLEM, request) for request in requests)
             )
 
-        run(main())
-        assert len(calls) == 2
-        iteration_counts = sorted(request.iterations for _, request in calls)
-        assert iteration_counts == [1, 9]
+        results = run(main())
+        assert len(calls) == 1
+        assert [request for _, request in calls[0]] == requests
+        assert [request for _, request in results] == requests
 
     def test_pricing_error_fans_out_to_all_waiters(self):
-        def explode(problems, request):
+        def explode(items):
             raise RuntimeError("boom")
 
         batcher = AdaptiveBatcher(explode, max_batch=2, window_ms=1000.0,
@@ -119,8 +99,35 @@ class TestFlushing:
         assert all(isinstance(r, RuntimeError) for r in results)
         assert batcher.pending() == 0
 
+    def test_a_bad_point_fails_only_its_own_waiter(self):
+        poisoned = StencilProblem.paper_example(12, 11)
+        calls = []
+
+        def price(items):
+            calls.append(len(items))
+            if any(problem is poisoned for problem, _ in items):
+                raise RuntimeError("poisoned point")
+            return [(problem, request) for problem, request in items]
+
+        batcher = AdaptiveBatcher(price, max_batch=4, window_ms=1000.0,
+                                  max_window_ms=1000.0)
+
+        async def main():
+            request = EvaluationRequest()
+            return await asyncio.gather(
+                *(batcher.submit(problem, request)
+                  for problem in (PROBLEM, poisoned, PROBLEM, PROBLEM)),
+                return_exceptions=True,
+            )
+
+        results = run(main())
+        assert isinstance(results[1], RuntimeError)
+        assert [results[i][0] for i in (0, 2, 3)] == [PROBLEM] * 3
+        assert calls == [4, 1, 1, 1, 1]  # the flush, then each item alone
+        assert batcher.pending() == 0
+
     def test_short_pricing_is_reported_not_hung(self):
-        batcher = AdaptiveBatcher(lambda problems, request: [], max_batch=1,
+        batcher = AdaptiveBatcher(lambda items: [], max_batch=1,
                                   window_ms=5.0)
 
         async def main():
@@ -145,7 +152,7 @@ class TestFlushing:
                 await doomed
 
         run(main())
-        assert len(calls) == 1 and len(calls[0][0]) == 2
+        assert len(calls) == 1 and len(calls[0]) == 2
         assert batcher.pending() == 0
 
     def test_flush_all_drains_every_bucket(self):
@@ -167,12 +174,12 @@ class TestFlushing:
             assert batcher.pending() == 0
 
         run(main())
-        assert len(calls) == 3
+        assert len(calls) == 1 and len(calls[0]) == 3
 
 
 class TestAdaptiveWindow:
     def test_full_flushes_grow_the_window(self):
-        batcher = AdaptiveBatcher(lambda p, r: [None] * len(p), max_batch=2,
+        batcher = AdaptiveBatcher(lambda items: [None] * len(items), max_batch=2,
                                   window_ms=2.0, max_window_ms=10.0, grow=2.0)
 
         async def main():
@@ -186,7 +193,7 @@ class TestAdaptiveWindow:
         assert batcher.window_ms == 10.0  # grown and clamped at the ceiling
 
     def test_sparse_timer_flushes_shrink_the_window(self):
-        batcher = AdaptiveBatcher(lambda p, r: [None] * len(p), max_batch=100,
+        batcher = AdaptiveBatcher(lambda items: [None] * len(items), max_batch=100,
                                   window_ms=4.0, min_window_ms=1.0, shrink=0.5)
 
         async def main():
@@ -197,7 +204,7 @@ class TestAdaptiveWindow:
         assert batcher.window_ms == 1.0  # shrunk and clamped at the floor
 
     def test_constructor_validation(self):
-        price = lambda p, r: []  # noqa: E731
+        price = lambda items: []  # noqa: E731
         with pytest.raises(ValueError):
             AdaptiveBatcher(price, max_batch=0)
         with pytest.raises(ValueError):

@@ -108,6 +108,22 @@ class TestParsePoint:
         with pytest.raises(ProtocolError):
             parse_point("not a dict")
 
+    @pytest.mark.parametrize("spec", [
+        {"word_bytes": 0},
+        {"word_bytes": "x"},
+        {"max_stream_reach": "abc"},
+        {"max_total_bits": [1]},
+    ])
+    def test_bad_knob_values_are_protocol_errors(self, spec):
+        with pytest.raises(ProtocolError, match=next(iter(spec))):
+            parse_point(spec)
+
+    def test_negative_stream_reach_is_refused_at_parse(self):
+        with pytest.raises(ProtocolError, match="max_stream_reach must be >= 0"):
+            parse_point({"max_stream_reach": -3})
+        problem, _ = parse_point({"max_stream_reach": 0})
+        assert problem.max_stream_reach == 0
+
 
 class TestResultPayload:
     def test_payload_survives_json_bitwise(self):

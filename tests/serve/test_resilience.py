@@ -37,7 +37,7 @@ def never_resolving_submit(problem, request):
     return asyncio.get_running_loop().create_future()
 
 
-def exploding_price(problems, request):
+def exploding_price(items):
     raise RuntimeError("engine exploded")
 
 
@@ -108,6 +108,41 @@ class TestCircuitBreaker:
             assert service.breaker.state == CLOSED
 
         run(scenario())
+
+    def test_a_poisoned_item_records_one_failure(self):
+        async def scenario():
+            service = EvaluationService(
+                max_batch=4, window_ms=1000.0, max_window_ms=1000.0, memo_entries=0,
+                breaker_threshold=2,
+            )
+            real_price = service.batcher._price
+
+            def poisoned_price(items):
+                if any(problem.grid.shape == (12, 11) for problem, _ in items):
+                    raise RuntimeError("poisoned point")
+                return real_price(items)
+
+            failures = []
+            record_failure = service.breaker.record_failure
+
+            def counted_failure():
+                failures.append(1)
+                record_failure()
+
+            service.batcher._price = poisoned_price
+            service.breaker.record_failure = counted_failure
+            points = [make_point((9 + i, 11), iterations=2) for i in range(4)]
+            results = await asyncio.gather(
+                *(service.submit(point) for point in points), return_exceptions=True
+            )
+            return service, results, failures
+
+        service, results, failures = run(scenario())
+        assert isinstance(results[3], RuntimeError)
+        assert all(served_by == "engine" for _, served_by in results[:3])
+        assert failures == [1]
+        assert service.stats()["batches"]["flushes"] == 1  # one flush, then isolation
+        assert service.breaker.state == CLOSED
 
     def test_memo_hits_bypass_an_open_breaker(self):
         async def scenario():

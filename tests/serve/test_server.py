@@ -152,6 +152,32 @@ class TestEndToEnd:
 
         run(main())
 
+    def test_bad_knob_values_get_the_protocol_error(self):
+        async def main():
+            server = EvaluationServer()
+            host, port = await server.start()
+            try:
+                async with AsyncServeClient(host, port) as client:
+                    replies = [
+                        await client.request("evaluate", point=point)
+                        for point in ({"word_bytes": "x"}, {"max_stream_reach": -3},
+                                      {"max_total_bits": [1]})
+                    ]
+                    stats = await client.stats()
+            finally:
+                await server.stop()
+            return replies, stats, server.service
+
+        replies, stats, service = run(main())
+        assert [reply["ok"] for reply in replies] == [False] * 3
+        assert replies[0]["error"] == "word_bytes must be an integer, got 'x'"
+        assert replies[1]["error"] == "max_stream_reach must be >= 0, got -3"
+        assert replies[2]["error"] == "max_total_bits must be an integer, got [1]"
+        assert stats["requests"]["errors"] == 3
+        # Refused before admission: nothing reached a flush or the breaker.
+        assert stats["batches"]["flushes"] == 0
+        assert service.breaker.snapshot()["failures"] == 0
+
     def test_sync_client_round_trip(self):
         box = queue.Queue()
 
