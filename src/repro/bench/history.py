@@ -6,12 +6,9 @@ log, every later line one :class:`HistoryRecord` — the benchmark envelope
 plus a commit id and an append timestamp — so the performance trajectory of
 a metric can be reconstructed per host across PRs.
 
-Reading is tolerant by the same contract as every campaign sidecar file:
-parsing reuses :func:`repro.sweep.checkpoint.iter_jsonl`, so a torn trailing
-line (a killed writer) or a corrupted record is **skipped with a
-warning** (:class:`PerfHistoryWarning`) instead of poisoning the whole
-history.  Appends are flushed line-by-line and re-opening an existing file
-newline-terminates a torn tail first, exactly like the campaign checkpoint.
+The file follows the append-only JSONL rules of :mod:`repro.utils.jsonl`.
+Reading skips a torn or corrupted line **with a warning**
+(:class:`PerfHistoryWarning`) instead of poisoning the whole history.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
 from repro.bench.model import BENCH_FORMAT, BenchResult
-from repro.sweep.checkpoint import iter_jsonl
+from repro.utils.jsonl import AppendOnlyJsonl, iter_jsonl
 
 #: Version tag of the perf-history file format.
 HISTORY_FORMAT = 1
@@ -140,26 +137,15 @@ class PerfHistory:
             ),
             recorded_ts=time.time() if recorded_ts is None else recorded_ts,
         )
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        is_new = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-        needs_newline = False
-        if not is_new:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                needs_newline = fh.read(1) != b"\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if needs_newline:
-                fh.write("\n")
-            if is_new:
-                header = {
-                    "kind": "header",
-                    "log": "perf-history",
-                    "format": HISTORY_FORMAT,
-                }
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-            fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+        history = AppendOnlyJsonl(self.path, "perf history", owner="writer")
+        history.open(
+            {"kind": "header", "log": "perf-history", "format": HISTORY_FORMAT},
+            refuse=lambda found: ValueError(f"{self.path!r} is not a perf history: {found}"),
+        )
+        try:
+            history.write(record.to_json_dict())
+        finally:
+            history.close()
         return record
 
     # ------------------------------------------------------------------ #

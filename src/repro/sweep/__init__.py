@@ -14,7 +14,7 @@ the records into a report.
 * :mod:`repro.sweep.events` — the typed :class:`RunEvent` stream every
   campaign publishes (``PointStarted`` … ``CampaignFinished``), consumed by
   pluggable observers: the live :class:`ProgressReporter`, the JSONL
-  :class:`CheckpointObserver` and the result aggregator;
+  :class:`CampaignCheckpoint` and the result aggregator;
 * :mod:`repro.sweep.checkpoint` — append-only JSONL checkpoints with
   compaction; a killed campaign resumes without re-evaluating completed
   points, and ``--follow`` tails the file live (:mod:`repro.sweep.follow`);
@@ -54,7 +54,6 @@ from repro.sweep.checkpoint import (
 from repro.sweep.events import (
     CampaignFinished,
     CampaignStarted,
-    CheckpointObserver,
     EventBus,
     EventLog,
     ObserverError,
@@ -115,7 +114,6 @@ __all__ = [
     "ObserverError",
     "RunObserver",
     "ProgressReporter",
-    "CheckpointObserver",
     "EVENT_LOG_FORMAT",
     "EventLogObserver",
     "EventLogMismatch",

@@ -38,7 +38,6 @@ from repro.sweep.eventlog import EventLogObserver
 from repro.sweep.events import (
     CampaignFinished,
     CampaignStarted,
-    CheckpointObserver,
     EventBus,
     ObserverError,
     PointCompleted,
@@ -459,11 +458,11 @@ def execute_campaign(
         aggregator = _CampaignAggregator(preloaded)
         bus.subscribe(aggregator, critical=True)
         if store is not None:
-            # The checkpointer appends on PointCompleted/PointFailed; it is
+            # The checkpoint appends on PointCompleted/PointFailed; it is
             # critical — losing appends silently would corrupt resume
             # semantics — and subscribed ahead of the event log and every
             # user observer, so a completion they see is already durable.
-            bus.subscribe(CheckpointObserver(store), critical=True)
+            bus.subscribe(store, critical=True)
         if elog is not None:
             # Critical too: a silently lossy event log would make replay lie.
             bus.subscribe(elog, critical=True)

@@ -41,17 +41,10 @@ readers survive new event types and a damaged line cannot crash a replay.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, TextIO
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional
 
-try:
-    import fcntl
-except ImportError:  # non-POSIX platforms: advisory locking degrades to none
-    fcntl = None
-
-from repro.sweep.checkpoint import iter_jsonl
 from repro.sweep.events import (
     CampaignFinished,
     CampaignStarted,
@@ -61,6 +54,7 @@ from repro.sweep.events import (
     RunEvent,
     RunObserver,
 )
+from repro.utils.jsonl import AppendOnlyJsonl, iter_jsonl, read_header
 
 #: Version tag of the event-log file format.
 EVENT_LOG_FORMAT = 1
@@ -95,9 +89,9 @@ class EventLogObserver(RunObserver):
 
     # repro: allow[determinism] injected clock seam — tests pass a fake; ts is advisory metadata
     def __init__(self, path: str, clock: Callable[[], float] = time.time) -> None:
-        self.path = os.fspath(path)
+        self._file = AppendOnlyJsonl(path, "event log")
+        self.path = self._file.path
         self._clock = clock
-        self._fh: Optional[TextIO] = None
         self.seq = 0  #: last log-wide sequence number written
 
     # ------------------------------------------------------------------ #
@@ -109,88 +103,49 @@ class EventLogObserver(RunObserver):
         strategy: Optional[str] = None,
         jobs: Optional[int] = None,
     ) -> None:
-        """Open for append, writing (or fingerprint-checking) the header."""
-        if self._fh is not None:
+        """Open for append, writing (or fingerprint-checking) the header.
+
+        The pass that checks an existing header also finds the last ``seq``,
+        which the appended session continues.
+        """
+        if self._file.is_open:
             return
-        existing = self.read_header(self.path)
-        if existing is not None:
-            found = existing.get("fingerprint")
-            if found != fingerprint:
-                raise EventLogMismatch(
-                    f"event log {self.path!r} was written for campaign "
-                    f"{existing.get('name')!r} (fingerprint {found}); refusing "
-                    f"to append a campaign with fingerprint {fingerprint} to it"
-                )
-            self.seq = self._last_seq()
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        needs_newline = False
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                needs_newline = fh.read(1) != b"\n"
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._lock_append_handle()
-        if needs_newline:
-            # A killed writer's torn tail: terminate it so the next line
-            # starts clean (the torn fragment is dropped on read).
-            self._fh.write("\n")
-            self._fh.flush()
-        if existing is None:
-            self._write(
-                {
-                    "kind": "header",
-                    "log": "events",
-                    "format": EVENT_LOG_FORMAT,
-                    "name": name,
-                    "fingerprint": fingerprint,
-                    "total_points": total_points,
-                    "strategy": strategy,
-                    "jobs": jobs,
-                }
+
+        def refuse(existing: dict) -> EventLogMismatch:
+            return EventLogMismatch(
+                f"event log {self.path!r} was written for campaign "
+                f"{existing.get('name')!r} (fingerprint {existing.get('fingerprint')}); "
+                f"refusing to append a campaign with fingerprint {fingerprint} to it"
             )
 
-    def _lock_append_handle(self) -> None:
-        """Hold an advisory exclusive lock while open, like the checkpoint.
+        last_seq = 0
 
-        Two campaigns appending to one log would interleave sessions with
-        colliding sequence numbers — replay and the follower would then see
-        garbage.  Fail fast instead.
-        """
-        if fcntl is None:
-            return
-        try:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self._fh.close()
-            self._fh = None
-            raise RuntimeError(
-                f"event log {self.path!r} is already open for append by "
-                "another campaign"
-            ) from None
+        def track(payload: dict) -> None:
+            nonlocal last_seq
+            last_seq = payload.get("seq", last_seq) or last_seq
 
-    @staticmethod
-    def read_header(path: str) -> Optional[dict]:
-        """The event-log header on disk (None when the file is absent)."""
-        if not os.path.exists(path):
-            return None
-        for payload in iter_jsonl(path):
-            if payload.get("kind") == "header":
-                return payload
-            break  # the header is always the first intact line
-        return None
+        self._file.open(
+            {
+                "kind": "header",
+                "log": "events",
+                "format": EVENT_LOG_FORMAT,
+                "name": name,
+                "fingerprint": fingerprint,
+                "total_points": total_points,
+                "strategy": strategy,
+                "jobs": jobs,
+            },
+            refuse=refuse,
+            on_line=track,
+        )
+        self.seq = last_seq
 
-    def _last_seq(self) -> int:
-        """Highest sequence number already in the file (append resumes it)."""
-        last = 0
-        for payload in iter_jsonl(self.path):
-            last = payload.get("seq", last) or last
-        return last
+    #: The event-log header on disk (None when the file is absent).
+    read_header = staticmethod(read_header)
 
     # ------------------------------------------------------------------ #
     def on_event(self, event: RunEvent) -> None:
-        if self._fh is None:
+        if not self._file.is_open:
             if not isinstance(event, CampaignStarted):
                 return  # standalone use: nothing to log before a session opens
             self.open(
@@ -201,7 +156,7 @@ class EventLogObserver(RunObserver):
                 jobs=event.jobs,
             )
         self.seq += 1
-        self._write(
+        self._file.write(
             {
                 "kind": event.kind,
                 "seq": self.seq,
@@ -210,15 +165,9 @@ class EventLogObserver(RunObserver):
             }
         )
 
-    def _write(self, payload: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._fh.flush()
-
     def close(self) -> None:
         """Close the underlying file handle."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._file.close()
 
     def __enter__(self) -> "EventLogObserver":
         return self
@@ -276,7 +225,7 @@ class CampaignReplay:
         self.path = os.fspath(path)
         if not os.path.exists(self.path):
             raise FileNotFoundError(f"no event log at {self.path!r}")
-        self.header = EventLogObserver.read_header(self.path)
+        self.header = read_header(self.path)
         if self.header is None or self.header.get("log") != "events":
             raise EventLogMismatch(
                 f"{self.path!r} is not an event log (no event-log header); "

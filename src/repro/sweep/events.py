@@ -2,9 +2,10 @@
 
 Runners and the campaign engine no longer report through ad-hoc callbacks:
 they publish typed :class:`RunEvent`\\ s onto an :class:`EventBus`, and every
-consumer — the live :class:`ProgressReporter`, the JSONL
-:class:`CheckpointObserver`, the result aggregator inside
-:func:`repro.sweep.campaign.execute_campaign` — is an observer on that bus.
+consumer — the live :class:`ProgressReporter`, the JSONL checkpoint
+(:class:`~repro.sweep.checkpoint.CampaignCheckpoint`), the result aggregator
+inside :func:`repro.sweep.campaign.execute_campaign` — is an observer on
+that bus.
 
 The bus gives two guarantees the tests rely on:
 
@@ -453,34 +454,6 @@ class ProgressReporter(RunObserver):
         stream = self._stream if self._stream is not None else sys.stderr
         stream.write(line + "\n")
         stream.flush()
-
-
-class CheckpointObserver(RunObserver):
-    """Appends every completed or failed point to a JSONL checkpoint.
-
-    Campaigns subscribe it ``critical=True`` ahead of the event log and
-    every user observer, so any later observer that sees a
-    :class:`PointCompleted` can rely on its record already being on disk.
-    """
-
-    def __init__(self, store) -> None:
-        self.store = store
-
-    def on_point_completed(self, event: PointCompleted) -> None:
-        self.store.append(event.record)
-
-    def on_point_failed(self, event: PointFailed) -> None:
-        # Failure records are durable too: a resume must know the point was
-        # quarantined, not merely never attempted.
-        self.store.append(event.record)
-
-    def on_campaign_finished(self, event: CampaignFinished) -> None:
-        # The durable end-of-campaign marker: what tells a cross-process
-        # --follow tailer that an adaptive campaign is done (its record
-        # count need not match the header's total_points).
-        self.store.write_finished(
-            evaluated=event.evaluated, resumed=event.resumed, failed=event.failed
-        )
 
 
 class EventLog(RunObserver):

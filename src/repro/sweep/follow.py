@@ -56,7 +56,7 @@ import sys
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, TextIO, Tuple
 
-from repro.sweep.eventlog import EventLogObserver, default_event_log_path
+from repro.sweep.eventlog import default_event_log_path
 from repro.sweep.events import (
     CampaignFinished,
     CampaignStarted,
@@ -71,6 +71,7 @@ from repro.sweep.events import (
     WorkerLost,
 )
 from repro.sweep.record import PointRecord
+from repro.utils.jsonl import read_header
 
 
 # --------------------------------------------------------------------------- #
@@ -569,7 +570,7 @@ def follow_event_log(
 def _is_event_log(path: str) -> bool:
     """True when the file's first intact line is an event-log header."""
     try:
-        header = EventLogObserver.read_header(path)
+        header = read_header(path)
     except OSError:
         return False
     if header is None:
