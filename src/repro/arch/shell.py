@@ -260,8 +260,8 @@ class WorkSequencer(Component):
 
     @property
     def done(self) -> bool:
-        """True when every work-instance has completed."""
-        return self.fsm.is_in("DONE")
+        """True when every work-instance has completed (at once for none)."""
+        return self.iterations == 0 or self.fsm.is_in("DONE")
 
     def finished(self) -> bool:
         return self.done

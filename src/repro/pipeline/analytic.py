@@ -43,12 +43,22 @@ not timing), so only the cycle prediction carries a tolerance:
 :data:`ANALYTIC_TOLERANCE` (5%), asserted against the simulator by
 :func:`validate_prediction` in the ReFrame style of a reference value with a
 relative band.
+
+The model is written once.  What depends on the design alone (its sizes,
+and the burst-break or sequential-access counts of the three warm-up
+instances) is built once per design into :class:`SmacheKnobs` /
+:class:`BaselineKnobs`.  What depends on the request is
+:func:`smache_terms` / :func:`baseline_terms`, over operands that are Python
+ints in the scalar backend and int64 columns in the vectorized engine of
+:mod:`repro.pipeline.analytic_batch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.buffers import BufferPlan
 from repro.core.ranges import StreamRange
@@ -112,33 +122,304 @@ class PerformancePrediction:
         return self.operations / time_us if time_us else 0.0
 
 
-# --------------------------------------------------------------------------- #
-# shared helpers
-# --------------------------------------------------------------------------- #
-def _extrapolate(per_instance: Sequence[int], iterations: int) -> int:
-    """Sum a per-instance series whose tail alternates with period two.
+#: The ``detail`` keys of each system's prediction, in the order its terms
+#: function returns the values.
+DETAIL_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "smache": ("word_period", "fill_overhead", "prefetch_words", "burst_breaks_first_instances"),
+    "baseline": ("sequential_accesses", "random_accesses", "bus_cycles", "per_instance_drain"),
+}
 
-    ``per_instance`` holds the first ``min(iterations, 3)`` instance values;
-    after the warm-up instance the system ping-pongs between two DRAM bases,
-    so instances alternate between exactly two steady values.
+#: The timing a request without one is priced at.
+DEFAULT_TIMING = DRAMTiming()
+
+
+# --------------------------------------------------------------------------- #
+# per-design knobs: the warm-up instance walk, once per design
+# --------------------------------------------------------------------------- #
+class SmacheKnobs(NamedTuple):
+    """Per-design constants of the Smache terms (everything read off the plan).
+
+    ``breaks_write_through`` and ``breaks_write_back`` hold the burst breaks of
+    the three warm-up instances under each write policy.
     """
-    if iterations <= len(per_instance):
-        return sum(per_instance[:iterations])
-    total = sum(per_instance)
-    odd_value, even_value = per_instance[1], per_instance[2]
-    remaining_odd = sum(1 for i in range(3, iterations) if i % 2 == 1)
-    remaining_even = (iterations - 3) - remaining_odd
-    return total + remaining_odd * odd_value + remaining_even * even_value
+
+    n: int
+    window_hi: int
+    prefetch_words: int
+    word_bytes: int
+    breaks_write_through: Tuple[int, int, int]
+    breaks_write_back: Tuple[int, int, int]
 
 
-def _burst_break(last_addr: Optional[int], addr: int) -> bool:
-    """True when ``addr`` does not continue the port's open burst."""
-    return last_addr is None or addr != last_addr + 1
+class BaselineKnobs(NamedTuple):
+    """Per-design constants of the baseline terms (the fetch-schedule walk).
+
+    ``sequential`` holds the sequential DRAM accesses of the three warm-up
+    instances.
+    """
+
+    n: int
+    n_points: int
+    word_bytes: int
+    sequential: Tuple[int, int, int]
+
+
+def _burst_breaks(
+    n: int, reads: Callable[[int], Sequence[Tuple[int, int]]]
+) -> Tuple[int, int, int]:
+    """Burst breaks of the three warm-up instances on the read and write ports.
+
+    ``reads(instance)`` lists the instance's read bursts as ``(first, last)``
+    addresses relative to its source copy, and every instance writes its
+    destination copy in order; the two copies ping-pong.  A burst breaks
+    unless it starts right after the port's previous access.
+    """
+    read_last: Optional[int] = None
+    write_last: Optional[int] = None
+    breaks = []
+    for instance in range(3):
+        src, dst = (0, n) if instance % 2 == 0 else (n, 0)
+        count = 0
+        for first, last in reads(instance):
+            count += read_last is None or src + first != read_last + 1
+            read_last = src + last
+        count += write_last is None or dst != write_last + 1
+        write_last = dst + n - 1
+        breaks.append(count)
+    return breaks[0], breaks[1], breaks[2]
+
+
+def smache_knobs(plan: BufferPlan) -> SmacheKnobs:
+    """The Smache knobs of a plan: its sizes and both warm-up walks.
+
+    Every instance streams the grid; instance 0 first prefetches the static
+    buffers, and so does every later one under write-back.
+    """
+    n = plan.grid.size
+    prefetch = tuple((s.start, s.start + s.length - 1) for s in plan.statics)
+    stream = ((0, n - 1),)
+    return SmacheKnobs(
+        n=n,
+        window_hi=plan.stream.window_hi,
+        prefetch_words=sum(s.length for s in plan.statics),
+        word_bytes=plan.grid.word_bytes,
+        breaks_write_through=_burst_breaks(n, lambda i: prefetch + stream if i == 0 else stream),
+        breaks_write_back=_burst_breaks(n, lambda i: prefetch + stream),
+    )
+
+
+def baseline_knobs(plan: BufferPlan, ranges: Sequence[StreamRange]) -> BaselineKnobs:
+    """The baseline knobs of a plan: its fetch schedule's sequential accesses.
+
+    The schedule mirrors :func:`repro.arch.baseline.build_fetch_plan`: each
+    point fetches ``centre + delta`` per stencil access, a skipped or
+    constant access a dummy centre read (delta 0).  Within a range every
+    point shares the deltas, so all but each port's carry-in into an
+    instance repeat identically every instance; the walk adds the carry-ins.
+    """
+    if not ranges:
+        raise ValueError("predict_baseline needs the problem's stream ranges")
+    n = plan.grid.size
+    # Per template (a translated range shares its deltas): the deltas, the
+    # sequential steps within a point, and whether consecutive points chain.
+    per_template: Dict[int, Tuple[Tuple[int, ...], int, bool]] = {}
+    seq_intra = 0
+    first_rel = 0
+    last_addr: Optional[int] = None
+    for r in ranges:
+        template = r.template
+        steps = per_template.get(id(template))
+        if steps is None:
+            deltas = tuple(
+                (p.linear_index - template.centre_linear)
+                if (p.exists and p.linear_index is not None)
+                else 0
+                for p in template.points
+            )
+            steps = per_template[id(template)] = (
+                deltas,
+                sum(1 for a, b in zip(deltas, deltas[1:]) if b == a + 1),
+                deltas[0] == deltas[-1],
+            )
+        deltas, within, chained = steps
+        seq_intra += r.length * within + (r.length - 1 if chained else 0)
+        first_addr = r.start + deltas[0]
+        if last_addr is None:
+            first_rel = first_addr
+        elif first_addr == last_addr + 1:
+            seq_intra += 1
+        last_addr = r.start + r.length - 1 + deltas[-1]
+    last_rel = (n - 1) + deltas[-1]
+
+    # Per instance: the steady transitions, the n - 1 in-order write steps,
+    # and each of the two carry-ins (one read, one write) that continues.
+    breaks = _burst_breaks(n, lambda i: ((first_rel, last_rel),))
+    steady = seq_intra + (n - 1) + 2
+    return BaselineKnobs(
+        n=n,
+        n_points=len(ranges[0].template.points),
+        word_bytes=plan.grid.word_bytes,
+        sequential=(steady - breaks[0], steady - breaks[1], steady - breaks[2]),
+    )
+
+
+def design_knobs(design: CompiledDesign, system: str) -> Union[SmacheKnobs, BaselineKnobs]:
+    """The knobs of ``design`` on ``system`` (the engine caches them per design)."""
+    if system == "smache":
+        return smache_knobs(design.plan)
+    if system == "baseline":
+        return baseline_knobs(design.plan, design.ranges)
+    raise ValueError(f"unknown system {system!r}; expected 'smache' or 'baseline'")
 
 
 # --------------------------------------------------------------------------- #
-# Smache
+# the request-side terms, over ints or int64 columns
 # --------------------------------------------------------------------------- #
+# Every operand below is a Python number or a NumPy column: the scalar
+# backend passes numbers, the batch engine columns (and numbers for a packed
+# session's one request).  These three helpers are the only places where
+# the two differ; a comparison is multiplied in as 0 or 1, which both kinds
+# of operand do alike.
+def select(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def maximum(a, b):
+    """The larger of ``a`` and ``b``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+def trunc(x):
+    """``x`` truncated toward zero to an integer."""
+    return x.astype(np.int64) if isinstance(x, np.ndarray) else int(x)
+
+
+def extrapolate(per_instance: Sequence, it):
+    """Sum ``it`` instances from the values of the three warm-up instances.
+
+    After the warm-up instance the system ping-pongs between two DRAM bases,
+    so every odd instance repeats instance 1 (``it // 2`` of them) and every
+    even one after instance 0 repeats instance 2 (``(it - 1) // 2``).
+    """
+    ran = it > 0
+    return (
+        ran * per_instance[0]
+        + it // 2 * per_instance[1]
+        + ran * ((it - 1) // 2) * per_instance[2]
+    )
+
+
+class Terms(NamedTuple):
+    """One system's priced outputs; ``detail`` follows :data:`DETAIL_FIELDS`."""
+
+    cycles: Any
+    words_read: Any
+    words_written: Any
+    dram_bytes: Any
+    operations: Any
+    detail: Tuple[Any, ...]
+
+
+def smache_terms(
+    k: SmacheKnobs, it, swc, rac, read_latency, write_through, kernel_latency, kernel_ops
+) -> Terms:
+    """The Smache cycles, traffic and ops of ``it`` work-instances."""
+    # Effective cycles per stream word: one, unless the read latency exceeds
+    # what the in-flight response window can hide.
+    word_period = maximum(1.0 * swc, (read_latency + swc) / RESPONSE_CAPACITY)
+    fill_overhead = k.window_hi + read_latency + kernel_latency + SMACHE_PIPELINE_OVERHEAD
+    penalty = rac - swc
+    breaks = select(write_through, k.breaks_write_through, k.breaks_write_back)
+    # Instance 0 streams the static prefetch too; later ones under write-back.
+    first = trunc((k.n + k.prefetch_words) * word_period) + fill_overhead
+    later = trunc((k.n + select(write_through, 0, k.prefetch_words)) * word_period) + fill_overhead
+    per_instance = (
+        first + breaks[0] * penalty,
+        later + breaks[1] * penalty,
+        later + breaks[2] * penalty,
+    )
+    # Write-through prefetches once in all; write-back once per instance.
+    words_read = k.prefetch_words * select(write_through, it > 0, it) + k.n * it
+    words_written = k.n * it
+    return Terms(
+        (it > 0) + extrapolate(per_instance, it),
+        words_read,
+        words_written,
+        (words_read + words_written) * k.word_bytes,
+        kernel_ops * k.n * it,
+        (
+            word_period,
+            fill_overhead,
+            k.prefetch_words,
+            (it > 0) * breaks[0] + (it > 1) * breaks[1] + (it > 2) * breaks[2],
+        ),
+    )
+
+
+def baseline_terms(
+    k: BaselineKnobs, it, swc, rac, read_latency, write_through, kernel_latency, kernel_ops
+) -> Terms:
+    """The baseline cycles, traffic and ops of ``it`` work-instances.
+
+    ``write_through`` is ignored: the baseline has no static buffers.
+    """
+    seq_total = extrapolate(k.sequential, it)
+    rand_total = (k.n_points + 1) * k.n * it - seq_total
+    bus_cycles = seq_total * swc + rand_total * rac
+    drain = read_latency + kernel_latency + BASELINE_DRAIN_OVERHEAD
+    words_read = k.n_points * k.n * it
+    words_written = k.n * it
+    return Terms(
+        bus_cycles + it * drain + (it > 0),
+        words_read,
+        words_written,
+        (words_read + words_written) * k.word_bytes,
+        kernel_ops * k.n * it,
+        (seq_total, rand_total, bus_cycles, drain),
+    )
+
+
+#: Each system's terms function; all share one signature.
+TERMS: Dict[str, Callable[..., Terms]] = {"smache": smache_terms, "baseline": baseline_terms}
+
+
+# --------------------------------------------------------------------------- #
+# scalar predictions
+# --------------------------------------------------------------------------- #
+def predict(
+    system: str,
+    knobs: Union[SmacheKnobs, BaselineKnobs],
+    iterations: int,
+    kernel: StencilKernel,
+    timing: Optional[DRAMTiming] = None,
+    write_through: bool = True,
+) -> PerformancePrediction:
+    """Price one request on a design's knobs."""
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    t = timing or DEFAULT_TIMING
+    terms = TERMS[system](
+        knobs, iterations, t.stream_word_cycles, t.random_access_cycles, t.read_latency,
+        write_through, kernel.latency, kernel.ops_per_point,
+    )
+    return PerformancePrediction(
+        system=system,
+        cycles=terms.cycles,
+        iterations=iterations,
+        grid_points=knobs.n,
+        dram_words_read=terms.words_read,
+        dram_words_written=terms.words_written,
+        dram_bytes=terms.dram_bytes,
+        operations=terms.operations,
+        detail=dict(zip(DETAIL_FIELDS[system], terms.detail)),
+    )
+
+
 def predict_smache(
     plan: BufferPlan,
     kernel: StencilKernel,
@@ -147,145 +428,7 @@ def predict_smache(
     write_through: bool = True,
 ) -> PerformancePrediction:
     """Predict the Smache system's cycles, traffic and ops for one workload."""
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    t = timing or DRAMTiming()
-    n = plan.grid.size
-    window_hi = plan.stream.window_hi
-    statics = tuple((s.start, s.length) for s in plan.statics)
-    prefetch_words = sum(length for _, length in statics)
-    penalty = t.random_access_cycles - t.stream_word_cycles
-
-    # Effective cycles per stream word: one, unless the read latency exceeds
-    # what the in-flight response window can hide.
-    word_period = max(
-        float(t.stream_word_cycles),
-        (t.read_latency + t.stream_word_cycles) / RESPONSE_CAPACITY,
-    )
-    fill_overhead = (
-        window_hi + t.read_latency + kernel.latency + SMACHE_PIPELINE_OVERHEAD
-    )
-
-    read_last: Optional[int] = None
-    write_last: Optional[int] = None
-    per_instance: List[int] = []
-    total_breaks = 0
-    for instance in range(min(iterations, 3)):
-        src = 0 if instance % 2 == 0 else n
-        dst = n if instance % 2 == 0 else 0
-        prefetching = instance == 0 or not write_through
-        breaks = 0
-        if prefetching:
-            for start, length in statics:
-                if _burst_break(read_last, src + start):
-                    breaks += 1
-                read_last = src + start + length - 1
-        if _burst_break(read_last, src):
-            breaks += 1
-        read_last = src + n - 1
-        if _burst_break(write_last, dst):
-            breaks += 1
-        write_last = dst + n - 1
-        streamed = n + (prefetch_words if prefetching else 0)
-        per_instance.append(int(streamed * word_period) + fill_overhead + breaks * penalty)
-        total_breaks += breaks
-
-    cycles = 1 + _extrapolate(per_instance, iterations) if iterations else 0
-    prefetch_instances = 1 if (write_through and iterations) else iterations
-    words_read = prefetch_words * prefetch_instances + n * iterations
-    words_written = n * iterations
-    word_bytes = plan.grid.word_bytes
-    return PerformancePrediction(
-        system="smache",
-        cycles=cycles,
-        iterations=iterations,
-        grid_points=n,
-        dram_words_read=words_read,
-        dram_words_written=words_written,
-        dram_bytes=(words_read + words_written) * word_bytes,
-        operations=kernel.ops_per_point * n * iterations,
-        detail={
-            "word_period": word_period,
-            "fill_overhead": fill_overhead,
-            "prefetch_words": prefetch_words,
-            "burst_breaks_first_instances": total_breaks,
-        },
-    )
-
-
-# --------------------------------------------------------------------------- #
-# baseline
-# --------------------------------------------------------------------------- #
-def _fetch_deltas(ranges: Sequence[StreamRange]) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """Per-range fetch schedule: ``(start, length, per-access address deltas)``.
-
-    Mirrors :func:`repro.arch.baseline.build_fetch_plan`: existing accesses
-    fetch ``centre + delta``; skipped/constant accesses issue a dummy centre
-    read (delta 0) to keep the schedule regular.  Within a range every point
-    shares the same deltas, which is what makes the count closed-form.
-    Deltas are relative to the centre, so a translated range has those of
-    its template: they are computed once per template, and no translated
-    representative is built.
-    """
-    by_template: Dict[int, Tuple[int, ...]] = {}
-    out = []
-    for r in ranges:
-        template = r.template
-        deltas = by_template.get(id(template))
-        if deltas is None:
-            deltas = by_template[id(template)] = tuple(
-                (p.linear_index - template.centre_linear)
-                if (p.exists and p.linear_index is not None)
-                else 0
-                for p in template.points
-            )
-        out.append((r.start, r.length, deltas))
-    return out
-
-
-def baseline_schedule_constants(
-    plan: BufferPlan, ranges: Sequence[StreamRange]
-) -> Tuple[int, int, int, int]:
-    """Instance-invariant constants of the baseline fetch schedule.
-
-    Returns ``(n_points, seq_intra, first_rel, last_rel)``: the per-point
-    access count, the sequential read transitions that repeat identically
-    every instance (within a point's fetches, between consecutive points of a
-    range, and between consecutive ranges), and the base-relative addresses
-    of the first and last read of an instance.  These are pure structural
-    counts — shared between :func:`predict_baseline` and the vectorized
-    engine of :mod:`repro.pipeline.analytic_batch` so the two cannot drift.
-    """
-    if not ranges:
-        raise ValueError("predict_baseline needs the problem's stream ranges")
-    n = plan.grid.size
-    n_points = len(ranges[0].template.points)
-    schedule = _fetch_deltas(ranges)
-
-    # Per distinct deltas (shared object per template): sequential steps
-    # within one point's fetches, and whether consecutive points chain.
-    per_point: Dict[int, Tuple[int, bool]] = {}
-    seq_intra = 0
-    for start, length, deltas in schedule:
-        steps = per_point.get(id(deltas))
-        if steps is None:
-            steps = per_point[id(deltas)] = (
-                sum(1 for a, b in zip(deltas, deltas[1:]) if b == a + 1),
-                bool(deltas) and deltas[0] == deltas[-1],
-            )
-        within, chained = steps
-        seq_intra += length * within
-        if chained:
-            seq_intra += length - 1
-    for (s0, l0, d0), (s1, _, d1) in zip(schedule, schedule[1:]):
-        last_addr = (s0 + l0 - 1) + (d0[-1] if d0 else 0)
-        first_addr = s1 + (d1[0] if d1 else 0)
-        if first_addr == last_addr + 1:
-            seq_intra += 1
-
-    first_rel = schedule[0][0] + (schedule[0][2][0] if schedule[0][2] else 0)
-    last_rel = (n - 1) + (schedule[-1][2][-1] if schedule[-1][2] else 0)
-    return n_points, seq_intra, first_rel, last_rel
+    return predict("smache", smache_knobs(plan), iterations, kernel, timing, write_through)
 
 
 def predict_baseline(
@@ -296,53 +439,7 @@ def predict_baseline(
     timing: Optional[DRAMTiming] = None,
 ) -> PerformancePrediction:
     """Predict the no-buffering baseline's cycles, traffic and ops."""
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    t = timing or DRAMTiming()
-    n = plan.grid.size
-    # The carry-in transition of each instance depends on the ping-pong base
-    # and is walked per instance below; everything else is instance-invariant.
-    n_points, seq_intra, first_rel, last_rel = baseline_schedule_constants(plan, ranges)
-
-    read_last: Optional[int] = None
-    write_last: Optional[int] = None
-    per_instance_seq: List[int] = []
-    for instance in range(min(iterations, 3)):
-        src = 0 if instance % 2 == 0 else n
-        dst = n if instance % 2 == 0 else 0
-        seq = seq_intra + (0 if _burst_break(read_last, src + first_rel) else 1)
-        read_last = src + last_rel
-        # writes walk the destination copy in order; only the first can break.
-        seq += (n - 1) + (0 if _burst_break(write_last, dst) else 1)
-        write_last = dst + n - 1
-        per_instance_seq.append(seq)
-
-    seq_total = _extrapolate(per_instance_seq, iterations)
-    accesses = (n_points + 1) * n * iterations
-    rand_total = accesses - seq_total
-    bus_cycles = seq_total * t.stream_word_cycles + rand_total * t.random_access_cycles
-    drain = t.read_latency + kernel.latency + BASELINE_DRAIN_OVERHEAD
-    cycles = bus_cycles + iterations * drain + 1 if iterations else 0
-
-    words_read = n_points * n * iterations
-    words_written = n * iterations
-    word_bytes = plan.grid.word_bytes
-    return PerformancePrediction(
-        system="baseline",
-        cycles=cycles,
-        iterations=iterations,
-        grid_points=n,
-        dram_words_read=words_read,
-        dram_words_written=words_written,
-        dram_bytes=(words_read + words_written) * word_bytes,
-        operations=kernel.ops_per_point * n * iterations,
-        detail={
-            "sequential_accesses": seq_total,
-            "random_accesses": rand_total,
-            "bus_cycles": bus_cycles,
-            "per_instance_drain": drain,
-        },
-    )
+    return predict("baseline", baseline_knobs(plan, ranges), iterations, kernel, timing)
 
 
 def predict_performance(
@@ -355,13 +452,7 @@ def predict_performance(
 ) -> PerformancePrediction:
     """Predict performance of a compiled design on either system."""
     kernel = kernel or design.problem.effective_kernel
-    if system == "smache":
-        return predict_smache(
-            design.plan, kernel, iterations, timing=timing, write_through=write_through
-        )
-    if system == "baseline":
-        return predict_baseline(design.plan, design.ranges, kernel, iterations, timing=timing)
-    raise ValueError(f"unknown system {system!r}; expected 'smache' or 'baseline'")
+    return predict(system, design_knobs(design, system), iterations, kernel, timing, write_through)
 
 
 # --------------------------------------------------------------------------- #

@@ -306,11 +306,12 @@ class ReferenceBackend(Backend):
 class AnalyticBackend(Backend):
     """Closed-form performance prediction (no clock, no output grid).
 
-    Single evaluations go through the scalar model of
-    :mod:`repro.pipeline.analytic` — the bitwise reference.  Batches go
-    through :attr:`engine`, the process-shared vectorized pricing engine
-    (:class:`repro.pipeline.analytic_batch.AnalyticBatchEngine`), whose
-    bounded knob cache persists across calls.
+    Single evaluations price the model of :mod:`repro.pipeline.analytic`
+    with Python ints; batches go through :attr:`engine`, the process-shared
+    vectorized pricing engine
+    (:class:`repro.pipeline.analytic_batch.AnalyticBatchEngine`), which folds
+    the same terms over columns.  Both read the design's knobs from the
+    engine's bounded knob cache, which persists across calls.
     """
 
     name = "analytic"
@@ -329,15 +330,15 @@ class AnalyticBackend(Backend):
         return self.engine.price(items, with_artifacts=with_artifacts)
 
     def evaluate(self, design: CompiledDesign, request: EvaluationRequest) -> EvaluationResult:
-        from repro.pipeline.analytic import predict_performance
+        from repro.pipeline.analytic import predict
 
-        prediction = predict_performance(
-            design,
-            system=request.system,
-            iterations=request.iterations,
-            kernel=request.resolve_kernel(design),
-            timing=request.dram_timing,
-            write_through=request.write_through,
+        prediction = predict(
+            request.system,
+            self.engine.knobs_for(design, request.system),
+            request.iterations,
+            request.resolve_kernel(design),
+            request.dram_timing,
+            request.write_through,
         )
         return EvaluationResult(
             backend=self.name,

@@ -11,6 +11,7 @@ costing, synthesis) can be memoized per problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Hashable, Optional, Tuple
 
 from repro.core.boundary import BoundarySpec
@@ -21,9 +22,35 @@ from repro.core.stencil import StencilShape
 from repro.reference.kernels import AveragingKernel, StencilKernel
 
 
+class _CacheKey(tuple):
+    """A tuple that hashes once: its parts' hashes (enums, dataclasses) run in Python.
+
+    Equal to, and hashing like, the plain tuple of its items.
+    """
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("hash")
+        if cached is None:
+            cached = self.__dict__["hash"] = tuple.__hash__(self)
+        return cached
+
+    def __reduce__(self):
+        # A str hashes differently in another process: rebuild, never copy.
+        return (_CacheKey, (tuple(self),))
+
+
 def default_kernel(stencil: StencilShape) -> StencilKernel:
-    """The kernel assumed when a problem does not name one (paper's filter)."""
-    return AveragingKernel(expected_points=stencil.n_points)
+    """The kernel assumed when a problem does not name one (paper's filter).
+
+    It depends on the tuple size alone and is frozen, so one instance per
+    size is shared: every analytic evaluation resolves it.
+    """
+    return _averaging_kernel(stencil.n_points)
+
+
+@lru_cache(maxsize=64)
+def _averaging_kernel(points: int) -> AveragingKernel:
+    return AveragingKernel(expected_points=points)
 
 
 @dataclass(frozen=True)
@@ -114,14 +141,15 @@ class StencilProblem:
     def cache_key(self) -> Tuple[Hashable, ...]:
         """A hashable key identifying everything :func:`compile` depends on.
 
-        Memoized on the (frozen) instance: every field the key derives from
-        is immutable, and batched pricing looks the key up once per point per
-        call, where rebuilding ``repr(kernel)`` would dominate the warm path.
+        Memoized on the (frozen) instance, hash included: every field the key
+        derives from is immutable, and pricing looks the key up once per
+        point, where rebuilding ``repr(kernel)`` or rehashing the parts would
+        dominate the warm path.
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
             kernel = self.effective_kernel
-            key = (
+            key = _CacheKey((
                 self.grid,
                 self.stencil,
                 self.boundary,
@@ -132,7 +160,7 @@ class StencilProblem:
                 self.register_elements,
                 type(kernel).__name__,
                 repr(kernel),
-            )
+            ))
             object.__setattr__(self, "_cache_key", key)
         return key
 

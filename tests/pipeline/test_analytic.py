@@ -167,6 +167,19 @@ class TestPredictionEdgeCases:
         assert predicted.dram_bytes == 0
         assert predicted.operations == 0
 
+    @pytest.mark.parametrize("backend", ["simulate", "analytic"])
+    @pytest.mark.parametrize("system", ["smache", "baseline"])
+    def test_zero_iterations_cost_nothing_on_any_backend(self, system, backend):
+        """No work-instance: no cycle, no DRAM word and no operation."""
+        design = compile(StencilProblem.paper_example(5, 5))
+        result = evaluate(
+            design, backend=backend, request=EvaluationRequest(system=system, iterations=0)
+        )
+        assert result.cycles == 0
+        assert result.dram_words_read == result.dram_words_written == 0
+        assert result.dram_bytes == 0
+        assert result.operations == 0
+
     def test_unknown_system_rejected(self):
         from repro.pipeline.analytic import predict_performance
 

@@ -1,12 +1,13 @@
 """The vectorized pricing engine must be bitwise-equal to the scalar model.
 
-``repro.pipeline.analytic`` stays the reference (the same contract as
-``reference_step_scalar``): for every point of a batch, the engine's cycles,
-traffic, operation counts, ``extra`` detail (values *and* Python types — the
-canonical campaign JSON serialises them) and the ``prediction`` artifact must
-equal the scalar ``AnalyticBackend`` output exactly.  Alongside the parity
+The scalar backend and the engine share one formula, so the reference here
+is the independent literal model of ``analytic_oracle`` (the same contract
+as ``reference_step_scalar``): for every point of a batch, the engine's
+cycles, traffic, operation counts, ``extra`` detail (values *and* Python
+types — the canonical campaign JSON serialises them) and the ``prediction``
+artifact must equal the oracle's output exactly.  Alongside the parity
 sweep live the structural guarantees: input-order preservation under
-signature regrouping, the grouping edge cases, and the plan-cache batch
+regrouping by system, the grouping edge cases, and the plan-cache batch
 counting contract (one miss + N−1 hits for a shared design).
 """
 
@@ -31,21 +32,9 @@ from repro.pipeline import (
     evaluate,
 )
 from repro.pipeline.analytic_batch import AnalyticBatchEngine
-from repro.pipeline.backends import AnalyticBackend
 from repro.reference.kernels import SumKernel, WeightedKernel
-
-#: Every batch result field that must match the scalar path bit for bit.
-METRIC_FIELDS = (
-    "backend",
-    "system",
-    "iterations",
-    "cycles",
-    "dram_words_read",
-    "dram_words_written",
-    "dram_bytes",
-    "operations",
-)
-
+from tests.pipeline import analytic_oracle
+from tests.pipeline.analytic_oracle import assert_bitwise_equal
 
 @pytest.fixture()
 def engine():
@@ -54,24 +43,7 @@ def engine():
 
 @pytest.fixture(scope="module")
 def scalar():
-    backend = AnalyticBackend()
-
-    def price(design, request):
-        return backend.evaluate(design, request)
-
-    return price
-
-
-def assert_bitwise_equal(scalar_result, batch_result):
-    """Scalar vs vectorized: every metric, every detail value, same types."""
-    for name in METRIC_FIELDS:
-        assert getattr(batch_result, name) == getattr(scalar_result, name), name
-    assert batch_result.extra == scalar_result.extra
-    for key, value in scalar_result.extra.items():
-        assert type(batch_result.extra[key]) is type(value), key
-    assert (
-        batch_result.artifacts["prediction"] == scalar_result.artifacts["prediction"]
-    )
+    return analytic_oracle.evaluate
 
 
 def price_and_compare(engine, scalar, items):
@@ -230,7 +202,7 @@ class TestGroupingEdgeCases:
         price_and_compare(engine, scalar, items)
 
     def test_singleton_groups_within_a_batch(self, engine, scalar):
-        """Designs with different static-buffer counts split into groups of 1."""
+        """Designs with different static-buffer counts share one Smache group."""
         designs = [
             compile(StencilProblem.paper_example(11, 11)),
             compile(StencilProblem.paper_example(11, 11, max_stream_reach=0)),
@@ -343,14 +315,17 @@ class TestBatchEvaluateFastPath:
             for reach in (0, None)
         ]
 
-    def test_matches_scalar_loop_exactly(self):
+    def test_matches_scalar_loop_exactly(self, scalar):
         problems = self.problems()
         scalar_results = [
             evaluate(p, backend="analytic", iterations=3) for p in problems
         ]
         fast_results = batch_evaluate(problems, iterations=3)
-        for scalar_result, fast_result in zip(scalar_results, fast_results):
-            assert_bitwise_equal(scalar_result, fast_result)
+        request = EvaluationRequest(iterations=3)
+        for problem, scalar_result, fast_result in zip(problems, scalar_results, fast_results):
+            reference = scalar(compile(problem), request)
+            assert_bitwise_equal(reference, scalar_result)
+            assert_bitwise_equal(reference, fast_result)
 
     def test_preserves_input_order_when_shuffled(self):
         problems = self.problems() * 2
@@ -360,7 +335,7 @@ class TestBatchEvaluateFastPath:
         for problem, result in zip(problems, results):
             assert result.design.problem.cache_key() == problem.cache_key()
 
-    def test_session_engine_is_used(self):
+    def test_session_engine_is_used(self, scalar):
         from repro.api import Workbench
 
         workbench = Workbench()
@@ -374,13 +349,13 @@ class TestBatchEvaluateFastPath:
         again = workbench.analytic_engine.cache_info()
         assert again.misses == info.misses and again.hits == info.hits
         for problem, result in zip(problems, warm):
-            reference = evaluate(problem, backend="analytic", iterations=7)
+            reference = scalar(compile(problem), EvaluationRequest(iterations=7))
             assert_bitwise_equal(reference, result)
 
-    def test_single_problem_stays_on_the_scalar_path(self):
+    def test_single_problem_stays_on_the_scalar_path(self, scalar):
         problem = StencilProblem.paper_example(7, 9)
         result = batch_evaluate([problem], iterations=2)[0]
-        reference = evaluate(problem, backend="analytic", iterations=2)
+        reference = scalar(compile(problem), EvaluationRequest(iterations=2))
         assert_bitwise_equal(reference, result)
 
 

@@ -52,6 +52,16 @@ class TestStencilProblem:
     def test_cache_key_is_hashable_and_stable(self, paper_problem):
         assert hash(paper_problem.cache_key()) == hash(StencilProblem.paper_example().cache_key())
 
+    def test_cache_key_hashes_like_its_tuple_and_pickles_without_the_hash(self, paper_problem):
+        import pickle
+
+        key = paper_problem.cache_key()
+        assert hash(key) == hash(tuple(key)) and {tuple(key): 1}[key] == 1
+        clone = pickle.loads(pickle.dumps(paper_problem)).cache_key()
+        # A str hashes differently in another process: the hash is recomputed.
+        assert clone == key and "hash" not in clone.__dict__
+        assert repr(clone) == repr(tuple(key))
+
     def test_cache_key_distinguishes_modes(self, paper_problem):
         other = StencilProblem.paper_example(mode=StreamBufferMode.REGISTER_ONLY)
         assert paper_problem.cache_key() != other.cache_key()

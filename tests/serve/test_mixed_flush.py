@@ -1,6 +1,7 @@
 """Mixed-request flushes: one micro-batch holds every pending request, whatever
 its system, iterations, write policy, DRAM timing or kernel, and each answer
-is bitwise the scalar evaluation of its own point."""
+is bitwise the scalar evaluation of its own point by the independent literal
+model of ``analytic_oracle``."""
 
 import asyncio
 import json
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from repro.api import Workbench
 from repro.memory.dram import DRAMTiming
-from repro.pipeline.backends import SYSTEMS, EvaluationRequest, evaluate
+from repro.pipeline import compile
+from repro.pipeline.backends import SYSTEMS, EvaluationRequest
 from repro.pipeline.problem import StencilProblem
 from repro.reference.kernels import AveragingKernel, MaxKernel, StencilKernel, SumKernel
 from repro.serve import EvaluationService
 from repro.serve.protocol import make_point, parse_point, result_payload
+from tests.pipeline import analytic_oracle
 
 
 def canonical(payload):
@@ -23,7 +26,7 @@ def canonical(payload):
 
 
 def scalar_payload(problem, request):
-    return canonical(result_payload(evaluate(problem, backend="analytic", request=request)))
+    return canonical(result_payload(analytic_oracle.evaluate(compile(problem), request)))
 
 
 KERNELS = st.sampled_from(

@@ -3,7 +3,8 @@
 Runs of consecutive ``analytic`` points are priced in one vectorized call
 (:mod:`repro.pipeline.analytic_batch`).  The scalar reference is the same
 campaign with :class:`ScalarAnalytic` registered as ``analytic``: a subclass,
-so the lane steps aside and every point goes through ``evaluate``.  The
+so the lane steps aside and every point goes through ``evaluate``, which
+prices it with the independent literal model of ``analytic_oracle``.  The
 contract tested here: canonical campaign JSON is byte-identical either way
 (serial and pooled), every point still gets exactly one ``PointStarted`` and
 one ``PointCompleted``, batch attribution lands in ``meta``, and the lane
@@ -23,6 +24,7 @@ from repro.sweep.record import canonical_json
 from repro.sweep.runners import ProcessPoolRunner, SerialRunner, _split_spans
 from repro.sweep.spec import SweepSpec, smoke_spec
 from repro.sweep.strategies import SuccessiveHalving
+from tests.pipeline import analytic_oracle
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +33,12 @@ def points():
 
 
 class ScalarAnalytic(AnalyticBackend):
-    """The scalar model through the base class's per-point loop, never the engine."""
+    """The oracle model through the base class's per-point loop, never the engine."""
 
     evaluate_many = Backend.evaluate_many
+
+    def evaluate(self, design, request):
+        return analytic_oracle.evaluate(design, request)
 
 
 @contextmanager
