@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
-from typing import Callable, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, NamedTuple, Optional, Sequence
 
 
 class CacheInfo(NamedTuple):
@@ -66,14 +66,14 @@ class PlanCache:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[Hashable, ...], object]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
     # ------------------------------------------------------------------ #
-    def get_or_compile(self, key: Tuple[Hashable, ...], build: Callable[[], object]) -> object:
+    def get_or_compile(self, key: Hashable, build: Callable[[], object]) -> object:
         """Return the cached design for ``key``, compiling it on a miss.
 
         ``build`` runs outside the lock (compilation can take seconds for
@@ -101,7 +101,7 @@ class PlanCache:
 
     def get_or_compile_batch(
         self,
-        keys: Sequence[Tuple[Hashable, ...]],
+        keys: Sequence[Hashable],
         builds: Sequence[Callable[[], object]],
     ) -> List[object]:
         """Resolve many keys at once, compiling each distinct miss exactly once.
@@ -116,7 +116,7 @@ class PlanCache:
         if len(keys) != len(builds):
             raise ValueError("keys and builds must have the same length")
         results: List[Optional[object]] = [None] * len(keys)
-        pending: "OrderedDict[Tuple[Hashable, ...], List[int]]" = OrderedDict()
+        pending: "OrderedDict[Hashable, List[int]]" = OrderedDict()
         with self._lock:
             for index, key in enumerate(keys):
                 if key in pending:
@@ -147,7 +147,7 @@ class PlanCache:
                 results[index] = built
         return results
 
-    def peek(self, key: Tuple[Hashable, ...]) -> Optional[object]:
+    def peek(self, key: Hashable) -> Optional[object]:
         """Return the cached design without affecting LRU order or counters."""
         with self._lock:
             return self._entries.get(key)

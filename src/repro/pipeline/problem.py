@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Hashable, Optional, Tuple
+from typing import Optional
 
 from repro.core.boundary import BoundarySpec
 from repro.core.config import SmacheConfig
@@ -20,23 +20,6 @@ from repro.core.grid import GridSpec, IterationPattern
 from repro.core.partition import StreamBufferMode
 from repro.core.stencil import StencilShape
 from repro.reference.kernels import AveragingKernel, StencilKernel
-
-
-class _CacheKey(tuple):
-    """A tuple that hashes once: its parts' hashes (enums, dataclasses) run in Python.
-
-    Equal to, and hashing like, the plain tuple of its items.
-    """
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("hash")
-        if cached is None:
-            cached = self.__dict__["hash"] = tuple.__hash__(self)
-        return cached
-
-    def __reduce__(self):
-        # A str hashes differently in another process: rebuild, never copy.
-        return (_CacheKey, (tuple(self),))
 
 
 def default_kernel(stencil: StencilShape) -> StencilKernel:
@@ -71,6 +54,10 @@ class StencilProblem:
     max_total_bits: Optional[int] = None
     register_elements: Optional[int] = None
     name: str = "problem"
+
+    def __post_init__(self) -> None:
+        if self.mode is StreamBufferMode.CUSTOM and self.register_elements is None:
+            raise ValueError("mode CUSTOM requires register_elements")
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -138,18 +125,18 @@ class StencilProblem:
         """
         return self.pattern is None or self.pattern.is_contiguous()
 
-    def cache_key(self) -> Tuple[Hashable, ...]:
-        """A hashable key identifying everything :func:`compile` depends on.
+    def cache_key(self) -> str:
+        """The ``repr`` of everything :func:`compile` depends on, as one string.
 
-        Memoized on the (frozen) instance, hash included: every field the key
-        derives from is immutable, and pricing looks the key up once per
-        point, where rebuilding ``repr(kernel)`` or rehashing the parts would
-        dominate the warm path.
+        Deterministic across processes (unlike ``hash()``) and blind to the
+        name.  The plan cache, the knob cache and ``SweepPoint.key()`` share
+        it, so it is memoized on the (frozen) instance; a ``str`` caches its
+        own hash and pickles without it.
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
             kernel = self.effective_kernel
-            key = _CacheKey((
+            key = repr((
                 self.grid,
                 self.stencil,
                 self.boundary,

@@ -145,7 +145,10 @@ def parse_point(spec: Dict[str, Any]) -> Tuple[StencilProblem, EvaluationRequest
     if "name" in spec:
         overrides["name"] = str(spec["name"])
     if overrides:
-        problem = replace(problem, **overrides)
+        try:
+            problem = replace(problem, **overrides)
+        except ValueError as exc:
+            raise ProtocolError(f"invalid point: {exc}") from None
 
     timing: Optional[DRAMTiming] = None
     if spec.get("dram_timing") is not None:

@@ -74,19 +74,12 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
     """The campaign spec described by the CLI flags."""
     if not (args.grids or args.reaches or args.modes or args.backends != "analytic"):
         return smoke_spec(name=args.name, iterations=args.iterations)
-    modes = None
-    if args.modes:
-        modes = tuple(
-            StreamBufferMode[m.strip().upper()]  # accept names: hybrid, register_only
-            for m in args.modes.split(",")
-            if m.strip()
-        )
     return SweepSpec(
         name=args.name,
         base=StencilProblem.paper_example(11, 11),
         grid_sizes=_parse_grid_list(args.grids) if args.grids else None,
         max_stream_reaches=_parse_reach_list(args.reaches) if args.reaches else None,
-        modes=modes,
+        modes=args.modes,
         backends=tuple(b.strip() for b in args.backends.split(",") if b.strip()),
         iterations=args.iterations,
     )
@@ -200,7 +193,7 @@ def _add_campaign_arguments(parser, name_default: str = "smoke") -> None:
     )
     parser.add_argument("--grids", help='grid sizes, e.g. "11x11,24x24" (default: smoke set)')
     parser.add_argument("--reaches", help='max stream reaches, e.g. "0,4,none"')
-    parser.add_argument("--modes", help='buffer modes, e.g. "hybrid,register_only"')
+    parser.add_argument("--modes", type=_mode_list, help="buffer modes: hybrid,register_only")
     parser.add_argument("--backends", default="analytic", help="backends (default: analytic)")
     parser.add_argument("--iterations", type=int, default=2, help="work-instances per point")
     parser.add_argument("--jobs", "-j", type=int, default=1, help="parallel workers")
@@ -220,6 +213,18 @@ def _add_campaign_arguments(parser, name_default: str = "smoke") -> None:
         action="store_true",
         help="stream live progress (points/sec, ETA) to stderr while running",
     )
+
+
+def _mode_list(text: str) -> tuple:
+    """``--modes`` as buffer modes (``custom`` needs register_elements: refused)."""
+    modes = []
+    for name in filter(None, (chunk.strip() for chunk in text.split(","))):
+        mode = StreamBufferMode.__members__.get(name.upper())
+        if mode in (None, StreamBufferMode.CUSTOM):
+            why = "needs register_elements, which a sweep does not set" if mode else "is unknown"
+            raise argparse.ArgumentTypeError(f"mode {name!r} {why}; use hybrid or register_only")
+        modes.append(mode)
+    return tuple(modes)
 
 
 def _resolve_event_log(args, parser) -> "str | None":

@@ -18,7 +18,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.partition import StreamBufferMode
 from repro.core.stencil import StencilShape
@@ -62,22 +64,23 @@ class SweepPoint:
     def key(self) -> str:
         """Stable content key identifying this evaluation across processes.
 
-        Built from dataclass ``repr``\\ s, which are deterministic (unlike
-        ``hash()``, which is salted per interpreter).  A request-supplied
-        input grid contributes its raw bytes, not its (truncated) repr.
+        Built from dataclass ``repr``\\ s (the problem's name and its
+        ``cache_key()`` string), which are deterministic, unlike ``hash()``.
+        A request-supplied input grid contributes its raw bytes, not its
+        (truncated) repr.  Memoized on the (frozen) point: a campaign asks
+        for each key several times.
         """
+        key = self.__dict__.get("_key")
+        if key is not None:
+            return key
         req = self.request
         grid_digest = ""
         if req.input_grid is not None:
-            import numpy as np
-
-            grid_digest = hashlib.sha1(
-                np.ascontiguousarray(req.input_grid).tobytes()
-            ).hexdigest()
+            grid_digest = hashlib.sha1(np.ascontiguousarray(req.input_grid).tobytes()).hexdigest()
         payload = "|".join(
             (
                 self.problem.name,
-                repr(self.problem.cache_key()),
+                self.problem.cache_key(),
                 self.backend,
                 req.system,
                 str(req.iterations),
@@ -90,7 +93,9 @@ class SweepPoint:
                 str(self.rung),
             )
         )
-        return _digest(payload)
+        key = _digest(payload)
+        object.__setattr__(self, "_key", key)
+        return key
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from math import ceil
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.sweep.record import PointRecord
 from repro.sweep.spec import SweepPoint
@@ -129,20 +129,17 @@ class SuccessiveHalving(SearchStrategy):
         # Forcing every point onto the pricing backend collapses a
         # multi-backend spec's expansions onto identical keys; dedup so each
         # candidate is priced once and cannot fill several survivor slots.
-        priced_points, seen = [], set()
+        by_key: Dict[str, SweepPoint] = {}
         for p in points:
             priced_point = replace(p, backend=self.price_backend, rung=0)
-            key = priced_point.key()
-            if key not in seen:
-                seen.add(key)
-                priced_points.append(priced_point)
+            by_key.setdefault(priced_point.key(), priced_point)
+        priced_points = list(by_key.values())
         priced = run(priced_points)
         n_survivors = max(self.min_survivors, ceil(len(priced_points) / self.eta))
         if n_survivors >= len(priced_points):
             survivors_keys = [r.key for r in priced]
         else:
             survivors_keys = [r.key for r in sorted(priced, key=self.metric)[:n_survivors]]
-        by_key = {p.key(): p for p in priced_points}
         survivors = [
             replace(by_key[key], backend=self.verify_backend, rung=1)
             for key in survivors_keys

@@ -52,15 +52,28 @@ class TestStencilProblem:
     def test_cache_key_is_hashable_and_stable(self, paper_problem):
         assert hash(paper_problem.cache_key()) == hash(StencilProblem.paper_example().cache_key())
 
-    def test_cache_key_hashes_like_its_tuple_and_pickles_without_the_hash(self, paper_problem):
+    def test_cache_key_is_one_shared_string(self, paper_problem):
         import pickle
 
         key = paper_problem.cache_key()
-        assert hash(key) == hash(tuple(key)) and {tuple(key): 1}[key] == 1
-        clone = pickle.loads(pickle.dumps(paper_problem)).cache_key()
-        # A str hashes differently in another process: the hash is recomputed.
-        assert clone == key and "hash" not in clone.__dict__
-        assert repr(clone) == repr(tuple(key))
+        renamed = StencilProblem.paper_example(name="renamed")
+        assert isinstance(key, str) and key == renamed.cache_key()
+        assert paper_problem.cache_key() is key  # built once per problem
+        assert pickle.loads(pickle.dumps(paper_problem)).cache_key() == key
+        cache = PlanCache()
+        design = compile(paper_problem, cache=cache)
+        assert compile(renamed, cache=cache).plan is design.plan
+        assert cache.peek(renamed.cache_key()) is design
+        assert cache.peek(pickle.loads(pickle.dumps(key))) is design
+        assert (cache.stats().hits, cache.stats().misses) == (1, 1)
+
+    def test_custom_mode_needs_register_elements(self):
+        with pytest.raises(ValueError, match="register_elements"):
+            StencilProblem.paper_example(mode=StreamBufferMode.CUSTOM)
+        problem = StencilProblem.paper_example(
+            mode=StreamBufferMode.CUSTOM, register_elements=4
+        )
+        assert compile(problem, cache=None).partition.register_elements == 4
 
     def test_cache_key_distinguishes_modes(self, paper_problem):
         other = StencilProblem.paper_example(mode=StreamBufferMode.REGISTER_ONLY)

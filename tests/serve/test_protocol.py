@@ -124,6 +124,10 @@ class TestParsePoint:
         problem, _ = parse_point({"max_stream_reach": 0})
         assert problem.max_stream_reach == 0
 
+    def test_custom_mode_without_register_elements_is_refused_at_parse(self):
+        with pytest.raises(ProtocolError, match="register_elements"):
+            parse_point({"mode": StreamBufferMode.CUSTOM.value})
+
 
 class TestResultPayload:
     def test_payload_survives_json_bitwise(self):

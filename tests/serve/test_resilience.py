@@ -18,7 +18,7 @@ from repro.serve import (
     Unavailable,
 )
 from repro.serve.client import Overloaded, _retry_delay_s
-from repro.serve.protocol import make_point
+from repro.serve.protocol import ProtocolError, make_point
 
 
 def run(coro):
@@ -142,6 +142,17 @@ class TestCircuitBreaker:
         assert all(served_by == "engine" for _, served_by in results[:3])
         assert failures == [1]
         assert service.stats()["batches"]["flushes"] == 1  # one flush, then isolation
+        assert service.breaker.state == CLOSED
+
+    def test_an_unbuildable_point_is_refused_without_a_breaker_failure(self):
+        async def scenario():
+            service = EvaluationService(breaker_threshold=1, memo_entries=0)
+            with pytest.raises(ProtocolError, match="register_elements"):
+                await service.submit(make_point((11, 11), mode="custom"))
+            return service
+
+        service = run(scenario())
+        assert service.breaker.snapshot()["failures"] == 0
         assert service.breaker.state == CLOSED
 
     def test_memo_hits_bypass_an_open_breaker(self):

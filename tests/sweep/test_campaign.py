@@ -234,6 +234,18 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "simulate" in out and "analytic" not in out
 
+    @pytest.mark.parametrize(
+        "modes, message",
+        [("custom", "register_elements"), ("hybrid,bogus", "mode 'bogus' is unknown")],
+    )
+    def test_cli_refuses_a_mode_it_cannot_build(self, capsys, modes, message):
+        from repro.sweep.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--grids", "11x11", "--modes", modes])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_cli_explicit_axes_and_strategy(self, capsys):
         from repro.sweep.__main__ import main
 

@@ -1,10 +1,23 @@
 """Tests for declarative sweep specs and stable point keys."""
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 
+import repro.sweep.spec
 from repro.core.partition import StreamBufferMode
 from repro.pipeline import EvaluationRequest, StencilProblem
-from repro.sweep.spec import SweepPoint, SweepSpec, _parse_grid_list, _parse_reach_list
+from repro.sweep.campaign import execute_campaign
+from repro.sweep.spec import (
+    SweepPoint,
+    SweepSpec,
+    _parse_grid_list,
+    _parse_reach_list,
+    smoke_spec,
+)
+from tests.pipeline.test_analytic_golden import SLOW, cube_problem
 
 
 def small_spec(**overrides):
@@ -93,6 +106,79 @@ class TestSweepPointKeys:
         problem = StencilProblem.paper_example(11, 11)
         assert SweepPoint(problem=problem).display_label == problem.name
         assert SweepPoint(problem=problem, label="x").display_label == "x"
+
+
+#: Points whose keys are pinned: checkpoints, event logs and the serve memo
+#: are keyed by these strings, so they must not move between releases.
+GOLDEN_POINTS = {
+    "paper-smache": lambda: SweepPoint(problem=StencilProblem.paper_example(11, 11)),
+    "paper-baseline": lambda: SweepPoint(
+        problem=StencilProblem.paper_example(11, 11),
+        request=EvaluationRequest(system="baseline"),
+    ),
+    "slow-timing": lambda: SweepPoint(
+        problem=StencilProblem.paper_example(11, 11),
+        request=EvaluationRequest(iterations=100, dram_timing=SLOW, write_through=False),
+    ),
+    "input-grid": lambda: SweepPoint(
+        problem=StencilProblem.paper_example(7, 9),
+        request=EvaluationRequest(input_grid=np.arange(63, dtype=np.float64).reshape(7, 9)),
+    ),
+    "cube": lambda: SweepPoint(
+        problem=cube_problem(), backend="simulate", request=EvaluationRequest(iterations=9)
+    ),
+}
+
+GOLDEN_KEYS = {
+    "paper-smache": "34729972d75175d3",
+    "paper-baseline": "d2bb66b63d3e6008",
+    "slow-timing": "d081fcfe56883203",
+    "input-grid": "19921ace62a17381",
+    "cube": "3e71054acd597f4b",
+}
+
+
+class TestGoldenKeys:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_KEYS))
+    def test_point_key_is_pinned(self, case):
+        assert GOLDEN_POINTS[case]().key() == GOLDEN_KEYS[case]
+
+    def test_smoke_fingerprint_is_pinned(self):
+        assert smoke_spec().fingerprint() == "82324f87982cb84c"
+
+
+class TestKeyMemo:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_KEYS))
+    def test_key_equals_a_fresh_equal_points_key(self, case):
+        point = GOLDEN_POINTS[case]()
+        key = point.key()
+        assert point.key() is key
+        assert GOLDEN_POINTS[case]().key() == key
+        clone = pickle.loads(pickle.dumps(point))
+        assert clone.key() == key
+        assert pickle.loads(pickle.dumps(GOLDEN_POINTS[case]())).key() == key
+
+    def test_replaced_point_gets_its_own_key(self):
+        point = GOLDEN_POINTS["paper-smache"]()
+        point.key()
+        rung = dataclasses.replace(point, rung=1)
+        assert rung.key() != point.key()
+        assert rung.key() == SweepPoint(problem=point.problem, rung=1).key()
+
+    def test_campaign_digests_each_point_once(self, monkeypatch):
+        calls = []
+        digest = repro.sweep.spec._digest
+
+        def counted(payload, *args, **kwargs):
+            calls.append(payload)
+            return digest(payload, *args, **kwargs)
+
+        monkeypatch.setattr(repro.sweep.spec, "_digest", counted)
+        spec = smoke_spec(name="memo")
+        result = execute_campaign(spec)
+        unique = {record.key for record in result.records}
+        assert len(unique) == spec.size == 18
+        assert len(calls) == len(unique) + 1  # one per point, one fingerprint
 
 
 class TestCliParsers:
