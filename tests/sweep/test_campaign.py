@@ -237,6 +237,7 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "modes, message",
         [("custom", "register_elements"), ("hybrid,bogus", "mode 'bogus' is unknown")],
+        ids=["custom", "unknown"],
     )
     def test_cli_refuses_a_mode_it_cannot_build(self, capsys, modes, message):
         from repro.sweep.__main__ import main
