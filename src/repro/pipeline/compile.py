@@ -8,9 +8,15 @@ This is the single seam every consumer goes through.  One call runs
 4. the Table-I memory cost model (:func:`repro.core.cost_model`), and
 5. the analytical synthesis estimator (:func:`repro.fpga.synthesis`).
 
-Partitioning runs once per compile: one pass is shared by the planner (which
-receives the ranges) and synthesis (which receives the case count), rather
-than each stage partitioning the problem again.  The work scales with the
+Partitioning runs at most once per compile: one pass is shared by the
+planner (which receives the ranges) and synthesis (which receives the case
+count), rather than each stage partitioning the problem again.
+:func:`compile_batch` goes further and runs stages 1 and 2 once per distinct
+input of the batch: the range partition depends only on grid, stencil and
+boundary, and the plan adds word size, reach bound and bit bound but not the
+buffer mode.  So designs that differ only in mode share both stages, and
+designs that differ in reach still share the partition.  Stages 3-5 run per
+design.  The work scales with the
 distinct stencil cases and offsets, not with the ~3 ranges per grid row:
 interior-row ranges are translated from the first interior row and build
 their representative tuple only when it is read (nothing in compile or
@@ -22,8 +28,8 @@ re-planning the same problem are free after the first hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.buffers import BufferPlan
 from repro.core.config import SmacheConfig
@@ -79,14 +85,31 @@ class CompiledDesign:
         return "\n".join(lines)
 
 
-def _build(problem: StencilProblem) -> CompiledDesign:
-    """Uncached compilation of one problem."""
-    config = problem.to_config()
+@dataclass
+class _SharedStages:
+    """The range partitions and plans one :func:`compile_batch` call has made.
+
+    Keys are the ``repr`` of each stage's inputs, like
+    :meth:`StencilProblem.cache_key`, so inputs that compare equal but print
+    differently (``0`` and ``0.0``) never share a result.  Only cacheable
+    problems are looked up here: a custom pattern would change both stages.
+    """
+
+    ranges: Dict[str, Tuple[Tuple[StreamRange, ...], int]] = field(default_factory=dict)
+    plans: Dict[Tuple[str, str], BufferPlan] = field(default_factory=dict)
+
+
+def _ranges_of(problem: StencilProblem) -> Tuple[Tuple[StreamRange, ...], int]:
+    """The problem's stream ranges and their number of distinct cases."""
     ranges = tuple(
         partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
     )
-    n_cases = len({r.case_id for r in ranges})
-    plan = plan_buffers(
+    return ranges, len({r.case_id for r in ranges})
+
+
+def _plan_of(problem: StencilProblem, ranges: Tuple[StreamRange, ...]) -> BufferPlan:
+    """The problem's buffer plan, from its already partitioned ranges."""
+    return plan_buffers(
         problem.grid,
         problem.stencil,
         problem.boundary,
@@ -96,6 +119,31 @@ def _build(problem: StencilProblem) -> CompiledDesign:
         max_stream_reach=problem.max_stream_reach,
         max_total_bits=problem.max_total_bits,
     )
+
+
+def _build(problem: StencilProblem, shared: Optional[_SharedStages] = None) -> CompiledDesign:
+    """Uncached compilation of one problem.
+
+    With ``shared`` (a cacheable problem inside :func:`compile_batch`), the
+    range and plan stages are looked up there and run only on a miss; a
+    stage that raises stores nothing.
+    """
+    config = problem.to_config()
+    if shared is None:
+        ranges, n_cases = _ranges_of(problem)
+        plan = _plan_of(problem, ranges)
+    else:
+        range_key = repr((problem.grid, problem.stencil, problem.boundary))
+        if range_key not in shared.ranges:
+            shared.ranges[range_key] = _ranges_of(problem)
+        ranges, n_cases = shared.ranges[range_key]
+        plan_key = (
+            range_key,
+            repr((problem.word_bits, problem.max_stream_reach, problem.max_total_bits)),
+        )
+        if plan_key not in shared.plans:
+            shared.plans[plan_key] = _plan_of(problem, ranges)
+        plan = shared.plans[plan_key]
     partition = partition_for_plan(
         plan, problem.mode, register_elements=problem.register_elements
     )
@@ -156,7 +204,11 @@ def compile_batch(
     fast lane (:mod:`repro.pipeline.analytic_batch`): cacheable problems go
     through :meth:`PlanCache.get_or_compile_batch`, so a batch of N points
     sharing one design compiles it once and records one miss plus N−1 hits —
-    the same counters a per-point loop over a warm cache would show.
+    the same counters a per-point loop over a warm cache would show.  The
+    designs compiled on those misses share their range and plan stages: one
+    range partition per distinct (grid, stencil, boundary) and one plan per
+    distinct (grid, stencil, boundary, word bits, reach bound, bit bound),
+    held in a table that lives only as long as this call.
     Already-compiled designs pass through untouched; uncacheable problems
     (and every problem when ``cache`` is ``None``) build fresh, exactly like
     :func:`compile`.
@@ -176,9 +228,10 @@ def compile_batch(
         keyed_indices.append(index)
         keyed_problems.append(problem)
     if keyed_problems:
+        shared = _SharedStages()
         built = cache.get_or_compile_batch(
             [p.cache_key() for p in keyed_problems],
-            [lambda p=p: _build(p) for p in keyed_problems],
+            [lambda p=p: _build(p, shared) for p in keyed_problems],
         )
         for index, problem, design in zip(keyed_indices, keyed_problems, built):
             if design.problem != problem:

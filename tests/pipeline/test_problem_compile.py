@@ -2,6 +2,7 @@
 
 import importlib
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from repro.core.stencil import StencilShape
 from repro.fpga.synthesis import synthesize_smache
 from repro.pipeline import StencilProblem, UnsupportedPatternError, compile, evaluate
 from repro.pipeline.cache import PlanCache
-from repro.pipeline.compile import CompiledDesign, _build
+from repro.pipeline.compile import CompiledDesign, _build, compile_batch
+from tests.core.conftest import stencil_cases
 
 # ``repro.pipeline`` re-exports the ``compile`` function under the submodule's
 # name, so the module is looked up by its full name.
@@ -332,3 +334,142 @@ class TestNonContiguousPatterns:
         analytic = evaluate(design, backend="analytic", iterations=2)
         assert (simulated.output == reference.output).all()
         assert analytic.cycles == simulated.cycles
+
+
+def _batch_space(kind: BoundaryKind):
+    """Problems over 2-D and 3-D grids x modes x reaches, one boundary kind."""
+    problems = []
+    for shape, stencil in (
+        ((7, 9), StencilShape.four_point_2d()),
+        ((7, 9), StencilShape.moore(2)),
+        ((9, 6), StencilShape.four_point_2d()),
+        ((4, 5, 3), StencilShape.von_neumann(3)),
+    ):
+        boundary = BoundarySpec(edges=tuple(EdgeBehaviour(kind, kind) for _ in shape))
+        for mode in StreamBufferMode:
+            for reach in (None, 0, 2, 8):
+                problems.append(
+                    StencilProblem(
+                        grid=GridSpec(shape=shape),
+                        stencil=stencil,
+                        boundary=boundary,
+                        mode=mode,
+                        register_elements=3 if mode is StreamBufferMode.CUSTOM else None,
+                        max_stream_reach=reach,
+                    )
+                )
+    return problems
+
+
+@st.composite
+def problem_batches(draw):
+    """A batch drawn from a few (grid, stencil, boundary) cases, with duplicates."""
+    cases = draw(st.lists(stencil_cases(), min_size=1, max_size=3))
+    problems = []
+    for _ in range(draw(st.integers(1, 8))):
+        grid, stencil, boundary = draw(st.sampled_from(cases))
+        mode = draw(st.sampled_from(list(StreamBufferMode)))
+        problems.append(
+            StencilProblem(
+                grid=grid,
+                stencil=stencil,
+                boundary=boundary,
+                mode=mode,
+                register_elements=(
+                    draw(st.integers(0, 20)) if mode is StreamBufferMode.CUSTOM else None
+                ),
+                max_stream_reach=draw(st.sampled_from([None, 0, 2, 8])),
+                word_bits=draw(st.sampled_from([None, 16])),
+            )
+        )
+    return problems
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Record the inputs of each range and plan stage call made by compile."""
+    calls = {"ranges": [], "plans": []}
+
+    def counting_ranges(grid, stencil, boundary, pattern=None):
+        calls["ranges"].append(repr((grid, stencil, boundary)))
+        return partition_into_ranges(grid, stencil, boundary, pattern)
+
+    def counting_plans(grid, stencil, boundary, pattern=None, **knobs):
+        bounds = sorted((k, v) for k, v in knobs.items() if k != "ranges")
+        calls["plans"].append(repr((grid, stencil, boundary, bounds)))
+        return plan_buffers(grid, stencil, boundary, pattern, **knobs)
+
+    monkeypatch.setattr(compile_module, "partition_into_ranges", counting_ranges)
+    monkeypatch.setattr(compile_module, "plan_buffers", counting_plans)
+    return calls
+
+
+def _range_key(problem):
+    return repr((problem.grid, problem.stencil, problem.boundary))
+
+
+def _plan_key(problem):
+    return (_range_key(problem), problem.word_bits, problem.max_stream_reach,
+            problem.max_total_bits)
+
+
+class TestBatchStageSharing:
+    """compile_batch runs the range and plan stages once per distinct input."""
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    def test_batch_equals_scalar_compile(self, kind):
+        problems = _batch_space(kind)
+        designs = compile_batch(problems, cache=PlanCache())
+        for problem, design in zip(problems, designs):
+            expected = compile(problem, cache=None)
+            assert design == expected
+            assert repr(design) == repr(expected)
+
+    @given(problems=problem_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_batches_equal_scalar_compile(self, problems):
+        expected = []
+        for problem in problems:
+            try:
+                expected.append(compile(problem, cache=None))
+            except ValueError as error:
+                # The batch fails on its first failing problem, the same way.
+                with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                    compile_batch(problems, cache=PlanCache())
+                return
+        designs = compile_batch(problems, cache=PlanCache())
+        assert designs == expected
+        assert [repr(d) for d in designs] == [repr(d) for d in expected]
+
+    def test_one_stage_call_per_distinct_input(self, stage_calls):
+        problems = [
+            replace(problem, word_bits=word_bits)
+            for kind in (BoundaryKind.OPEN, BoundaryKind.CIRCULAR)
+            for problem in _batch_space(kind)
+            for word_bits in (None, 16)
+        ]
+        cache = PlanCache()
+        compile_batch(problems, cache=cache)
+        range_keys = {_range_key(p) for p in problems}
+        plan_keys = {_plan_key(p) for p in problems}
+        assert len(stage_calls["ranges"]) == len(range_keys) == 8
+        assert sorted(stage_calls["ranges"]) == sorted(range_keys)
+        assert len(stage_calls["plans"]) == len(plan_keys) == 64
+        assert len(set(stage_calls["plans"])) == len(plan_keys)
+        # Modes and register counts still compile a design each.
+        assert cache.stats().misses == len(problems) == 192
+
+    def test_uncacheable_problems_build_alone(self, stage_calls):
+        contiguous = StencilProblem.paper_example(11, 11, boundary=BoundarySpec.all_open(2))
+        strided = replace(contiguous, pattern=IterationPattern.strided(contiguous.grid, 2))
+        assert not strided.is_cacheable
+        compile_batch([strided, strided, contiguous], cache=PlanCache())
+        assert len(stage_calls["ranges"]) == 3
+        assert len(stage_calls["plans"]) == 3
+
+    def test_no_stage_outlives_the_call(self, stage_calls):
+        problems = _batch_space(BoundaryKind.OPEN)
+        compile_batch(problems, cache=PlanCache())
+        first = len(stage_calls["ranges"])
+        compile_batch(problems, cache=PlanCache())
+        assert len(stage_calls["ranges"]) == 2 * first

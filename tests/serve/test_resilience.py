@@ -199,8 +199,13 @@ class TestTcpResponses:
 
     def test_async_retry_rides_out_a_cooldown(self):
         async def scenario():
-            service = EvaluationService(
-                breaker_threshold=1, breaker_cooldown_ms=30.0, memo_entries=0
+            service = EvaluationService(memo_entries=0)
+            # Time stands still until the first request is shed, then the
+            # cooldown has passed: a slow first request cannot outlive it.
+            service.breaker = CircuitBreaker(
+                threshold=1,
+                cooldown_ms=30.0,
+                clock=lambda: 0.0 if service.metrics.sheds == 0 else 1.0,
             )
             server = EvaluationServer(service=service)
             host, port = await server.start()
