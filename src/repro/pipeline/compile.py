@@ -16,20 +16,20 @@ input of the batch: the range partition depends only on grid, stencil and
 boundary, and the plan adds word size, reach bound and bit bound but not the
 buffer mode.  So designs that differ only in mode share both stages, and
 designs that differ in reach still share the partition.  Stages 3-5 run per
-design.  The work scales with the
-distinct stencil cases and offsets, not with the ~3 ranges per grid row:
-interior-row ranges are translated from the first interior row and build
-their representative tuple only when it is read (nothing in compile or
-analytic pricing reads it), and the planner scores each candidate window
-from per-offset stream spans instead of walking the ranges.  The resulting
+design.  The work scales with the distinct stencil cases and offsets, not
+with the ~3 ranges per grid row: interior-row ranges are translated from the
+first interior row and build their representative tuple only when it is read
+(nothing in compile or analytic pricing reads it), and the planner scores
+each candidate window from per-offset stream spans instead of walking the
+ranges.  The resulting
 :class:`CompiledDesign` is memoized in the keyed plan cache, so sweeps
 re-planning the same problem are free after the first hit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.buffers import BufferPlan
 from repro.core.config import SmacheConfig
@@ -85,65 +85,44 @@ class CompiledDesign:
         return "\n".join(lines)
 
 
-@dataclass
-class _SharedStages:
-    """The range partitions and plans one :func:`compile_batch` call has made.
-
-    Keys are the ``repr`` of each stage's inputs, like
-    :meth:`StencilProblem.cache_key`, so inputs that compare equal but print
-    differently (``0`` and ``0.0``) never share a result.  Only cacheable
-    problems are looked up here: a custom pattern would change both stages.
-    """
-
-    ranges: Dict[str, Tuple[Tuple[StreamRange, ...], int]] = field(default_factory=dict)
-    plans: Dict[Tuple[str, str], BufferPlan] = field(default_factory=dict)
-
-
-def _ranges_of(problem: StencilProblem) -> Tuple[Tuple[StreamRange, ...], int]:
-    """The problem's stream ranges and their number of distinct cases."""
-    ranges = tuple(
-        partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
-    )
-    return ranges, len({r.case_id for r in ranges})
-
-
-def _plan_of(problem: StencilProblem, ranges: Tuple[StreamRange, ...]) -> BufferPlan:
-    """The problem's buffer plan, from its already partitioned ranges."""
-    return plan_buffers(
-        problem.grid,
-        problem.stencil,
-        problem.boundary,
-        problem.pattern,
-        ranges=ranges,
-        word_bits=problem.word_bits,
-        max_stream_reach=problem.max_stream_reach,
-        max_total_bits=problem.max_total_bits,
-    )
-
-
-def _build(problem: StencilProblem, shared: Optional[_SharedStages] = None) -> CompiledDesign:
+def _build(
+    problem: StencilProblem, stages: Optional[Dict[object, Any]] = None
+) -> CompiledDesign:
     """Uncached compilation of one problem.
 
-    With ``shared`` (a cacheable problem inside :func:`compile_batch`), the
-    range and plan stages are looked up there and run only on a miss; a
-    stage that raises stores nothing.
+    ``stages`` holds the range partitions and plans already made for other
+    cacheable problems of the same :func:`compile_batch` call; a stage runs
+    only when its key is missing, and one that raises stores nothing.  The
+    keys are the ``repr`` of each stage's inputs, like
+    :meth:`StencilProblem.cache_key`, so inputs that compare equal but print
+    differently (``0`` and ``0.0``) never share a result.  Without ``stages``
+    the problem builds alone, on a fresh table.
     """
+    stages = {} if stages is None else stages
     config = problem.to_config()
-    if shared is None:
-        ranges, n_cases = _ranges_of(problem)
-        plan = _plan_of(problem, ranges)
-    else:
-        range_key = repr((problem.grid, problem.stencil, problem.boundary))
-        if range_key not in shared.ranges:
-            shared.ranges[range_key] = _ranges_of(problem)
-        ranges, n_cases = shared.ranges[range_key]
-        plan_key = (
-            range_key,
-            repr((problem.word_bits, problem.max_stream_reach, problem.max_total_bits)),
+    range_key = repr((problem.grid, problem.stencil, problem.boundary))
+    if range_key not in stages:
+        ranges = tuple(
+            partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
         )
-        if plan_key not in shared.plans:
-            shared.plans[plan_key] = _plan_of(problem, ranges)
-        plan = shared.plans[plan_key]
+        stages[range_key] = (ranges, len({r.case_id for r in ranges}))
+    ranges, n_cases = stages[range_key]
+    plan_key = (
+        range_key,
+        repr((problem.word_bits, problem.max_stream_reach, problem.max_total_bits)),
+    )
+    if plan_key not in stages:
+        stages[plan_key] = plan_buffers(
+            problem.grid,
+            problem.stencil,
+            problem.boundary,
+            problem.pattern,
+            ranges=ranges,
+            word_bits=problem.word_bits,
+            max_stream_reach=problem.max_stream_reach,
+            max_total_bits=problem.max_total_bits,
+        )
+    plan = stages[plan_key]
     partition = partition_for_plan(
         plan, problem.mode, register_elements=problem.register_elements
     )
@@ -228,10 +207,10 @@ def compile_batch(
         keyed_indices.append(index)
         keyed_problems.append(problem)
     if keyed_problems:
-        shared = _SharedStages()
+        stages: Dict[object, Any] = {}
         built = cache.get_or_compile_batch(
             [p.cache_key() for p in keyed_problems],
-            [lambda p=p: _build(p, shared) for p in keyed_problems],
+            [lambda p=p: _build(p, stages) for p in keyed_problems],
         )
         for index, problem, design in zip(keyed_indices, keyed_problems, built):
             if design.problem != problem:
