@@ -192,7 +192,6 @@ class SweepBuilder:
         self._checkpoint: Optional[Union[str, CampaignCheckpoint]] = None
         self._strategy: Optional[SearchStrategy] = None
         self._runner: Optional[Runner] = None
-        self._chunksize: Optional[int] = None
         self._observers: List[Any] = []
         self._event_log: Optional[Union[str, EventLogObserver]] = None
         self._retry_policy: Optional[RetryPolicy] = None
@@ -206,11 +205,6 @@ class SweepBuilder:
     def jobs(self, jobs: int) -> "SweepBuilder":
         """Override the session's parallelism for this campaign."""
         self._jobs = jobs
-        return self
-
-    def chunksize(self, chunksize: Optional[int]) -> "SweepBuilder":
-        """Force fixed-size chunks (None keeps cost-aware chunking)."""
-        self._chunksize = chunksize
         return self
 
     def checkpoint(self, path: Union[str, CampaignCheckpoint]) -> "SweepBuilder":
@@ -285,7 +279,6 @@ class SweepBuilder:
             checkpoint=self._checkpoint,
             strategy=self._strategy,
             runner=self._runner,
-            chunksize=self._chunksize,
             observers=self._observers,
             event_log=self._event_log,
             retry_policy=self._retry_policy,
@@ -319,14 +312,12 @@ class Workbench:
         backend: str = "analytic",
         cache: Optional[PlanCache] = plan_cache,
         observers: Sequence[Any] = (),
-        chunksize: Optional[int] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be positive")
         self.jobs = jobs
         self.default_backend = backend
         self.cache = cache
-        self.chunksize = chunksize
         self.observers: List[Any] = list(observers)
         self._analytic_engine: Optional[Any] = None
         self._async_batcher: Optional[Any] = None
@@ -467,7 +458,6 @@ class Workbench:
         backend: Optional[str] = None,
         request: Optional[EvaluationRequest] = None,
         jobs: Optional[int] = None,
-        chunksize: Optional[int] = None,
         with_artifacts: bool = True,
         **request_overrides,
     ) -> List[EvaluationResult]:
@@ -488,7 +478,6 @@ class Workbench:
             request=request,
             cache=self.cache,
             jobs=jobs if jobs is not None else self.jobs,
-            chunksize=chunksize if chunksize is not None else self.chunksize,
             engine=self.analytic_engine,
             with_artifacts=with_artifacts,
             **request_overrides,
@@ -499,9 +488,7 @@ class Workbench:
     # ------------------------------------------------------------------ #
     def runner(self, jobs: Optional[int] = None) -> Runner:
         """A runner at the session's (or an overridden) parallelism degree."""
-        return make_runner(
-            jobs if jobs is not None else self.jobs, chunksize=self.chunksize
-        )
+        return make_runner(jobs if jobs is not None else self.jobs)
 
     def run(
         self,
@@ -510,7 +497,6 @@ class Workbench:
         checkpoint: Optional[Union[str, CampaignCheckpoint]] = None,
         strategy: Optional[SearchStrategy] = None,
         runner: Optional[Runner] = None,
-        chunksize: Optional[int] = None,
         observers: Sequence[Any] = (),
         progress: bool = False,
         event_log: Optional[Union[str, EventLogObserver]] = None,
@@ -520,9 +506,9 @@ class Workbench:
         """Run (or resume) a campaign through the event-streaming engine.
 
         A :class:`SweepBuilder` may be passed directly: everything it
-        accumulated (jobs, checkpoint, strategy, runner, chunksize,
-        observers, event log) carries over, with explicit arguments to this
-        call taking precedence.  Session observers, per-call ``observers``
+        accumulated (jobs, checkpoint, strategy, runner, observers, event
+        log) carries over, with explicit arguments to this call taking
+        precedence.  Session observers, per-call ``observers``
         and — with ``progress=True`` — a live :class:`ProgressReporter` all
         consume the same event stream; their failures are isolated on
         ``result.observer_errors``.  ``event_log`` persists that stream to a
@@ -535,7 +521,6 @@ class Workbench:
             checkpoint = checkpoint if checkpoint is not None else builder._checkpoint
             strategy = strategy if strategy is not None else builder._strategy
             runner = runner if runner is not None else builder._runner
-            chunksize = chunksize if chunksize is not None else builder._chunksize
             event_log = event_log if event_log is not None else builder._event_log
             retry_policy = (
                 retry_policy if retry_policy is not None else builder._retry_policy
@@ -554,7 +539,6 @@ class Workbench:
             checkpoint=checkpoint,
             strategy=strategy,
             runner=runner,
-            chunksize=chunksize if chunksize is not None else self.chunksize,
             observers=attached,
             event_log=event_log,
             retry_policy=retry_policy,
@@ -654,9 +638,10 @@ class Workbench:
     def analytic_cache_info(self):
         """Counters of the session's vectorized pricing engine.
 
-        An :class:`repro.pipeline.analytic_batch.EngineCacheInfo`: the knob
-        cache (first four fields, :class:`CacheInfo`-shaped) plus the
-        packed-session LRU and fold-memo counters the evaluation service's
+        An :class:`repro.pipeline.analytic_batch.EngineCacheInfo` built from
+        the engine's three :class:`PlanCache` instances: the knob cache
+        (first four fields, :class:`CacheInfo`-shaped) plus the
+        packed-session and fold-memo counters the evaluation service's
         ``/stats`` verb reports.
         """
         return self.analytic_engine.cache_info()

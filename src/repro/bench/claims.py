@@ -225,7 +225,7 @@ def cold_vs_cached_compile(m: Measure) -> None:
         compile(StencilProblem.paper_example(256, 256), cache=cache)
         for _ in range(repeats)
     ]
-    stats = cache.stats()
+    stats = cache.cache_info()
     m.check(all(design is cold for design in cached), "a cached compile rebuilt the design")
     m.check(stats.misses == 1, f"{stats.misses} plan-cache misses, expected 1")
     m.check(stats.hits == repeats, f"{stats.hits} plan-cache hits, expected {repeats}")
@@ -242,7 +242,7 @@ def shared_cache_across_consumers(m: Measure) -> None:
     clear_plan_cache()
     run_figure2(iterations=5)
     run_table1()
-    stats = plan_cache.stats()
+    stats = plan_cache.cache_info()
     m.check(stats.hits >= 1, "table1 did not reuse figure2's 11x11 hybrid design")
     m.record(cache_hits=stats.hits)
 

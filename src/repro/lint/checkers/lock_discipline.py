@@ -1,7 +1,8 @@
 """Lock discipline: attributes used under ``self._lock`` stay under it.
 
-The serving layer and the analytic batch engine guard their shared state
-with plain ``threading.Lock`` instances and ``with self._lock:`` blocks.
+The serving layer and :class:`repro.pipeline.cache.PlanCache` (the bounded
+LRU under every memo of the package) guard their shared state with plain
+``threading.Lock`` instances and ``with self._lock:`` blocks.
 The failure mode is not a missing lock — it is *partial* locking: an
 attribute carefully mutated under the lock in one method and then read or
 written bare in another, which is exactly the race a stress test only
@@ -16,8 +17,8 @@ in any method except ``__init__``, where the instance is not yet published
 — is flagged.  ``asyncio`` locks are out of scope (single-threaded event
 loop; different discipline).
 
-Scope defaults to the concurrent modules (``repro.serve.*`` and the
-analytic batch engine).  Deliberately unguarded attributes (immutable after
+Scope defaults to the concurrent modules (``repro.serve.*``, the analytic
+batch engine and the plan cache).  Deliberately unguarded attributes (immutable after
 construction, monotonic counters read for display) stay out of the
 protected set automatically as long as they are never touched under the
 lock — mixing is what gets flagged.
@@ -37,6 +38,7 @@ from repro.lint.source import SourceFile
 DEFAULT_LOCK_SCOPES: Tuple[str, ...] = (
     "repro.serve",
     "repro.pipeline.analytic_batch",
+    "repro.pipeline.cache",
 )
 
 #: Constructors whose result makes a ``self`` attribute a lock.

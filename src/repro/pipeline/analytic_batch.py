@@ -32,6 +32,9 @@ result construction.  The cache key is the identity of the problem objects
 (plus the plan cache in use), which is sound because every entry holds
 strong references to exactly those objects: a key can only match while the
 original problems are alive and unchanged (they are frozen dataclasses).
+A **fold memo** keeps the fold's outputs per session and request operands,
+so an identical re-price skips the array work too.  The knob, session and
+fold caches are all bounded :class:`~repro.pipeline.cache.PlanCache` LRUs.
 
 Both paths evaluate one formula in the same IEEE operations on the same
 values, so results are **bitwise-equal per point** to the scalar backend,
@@ -44,8 +47,7 @@ vectorized pricing.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from threading import Lock
+import itertools
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,12 +61,12 @@ from repro.pipeline.analytic import (
 )
 from repro.pipeline.backends import EvaluationRequest, EvaluationResult
 from repro.pipeline.cache import PlanCache, plan_cache
-from repro.pipeline.compile import CompiledDesign
+from repro.pipeline.compile import CompiledDesign, compile_batch
 
 #: One batch item: an already-compiled design and the request to price it on.
 PricingItem = Tuple[CompiledDesign, EvaluationRequest]
 
-#: Distinct request signatures whose fold outputs a packed session retains.
+#: Fold memo entries per packed session the engine may hold.
 _MAX_FOLDS_PER_SESSION = 16
 
 
@@ -121,7 +123,10 @@ def _fold(
     Each request operand is an int64 column or, for a packed session's one
     request, a Python scalar shared by every row; a term that depends on
     such scalars alone comes back as a scalar and is repeated per row.
+    ``None`` kernel operands fold the columns' own kernels.
     """
+    if kernel_latency is None:
+        kernel_latency, kernel_ops = cols.kernel_latency, cols.kernel_ops
     terms = TERMS[cols.system](
         cols.knobs, it, swc, rac, read_latency, write_through, kernel_latency, kernel_ops
     )
@@ -205,8 +210,10 @@ class EngineCacheInfo(NamedTuple):
     exactly (they are the knob cache's counters, one entry per distinct
     design/system), so existing consumers of the engine's ``cache_info()``
     keep reading the same numbers; the remaining fields expose the
-    packed-session LRU and the per-session fold memo, which is what a
-    long-running serving layer watches (`/stats` surfaces this whole tuple).
+    packed-session LRU and the fold memo, which is what a long-running
+    serving layer watches (`/stats` surfaces this whole tuple).  Every field
+    is read from one of the engine's three
+    :class:`~repro.pipeline.cache.PlanCache` instances.
     """
 
     hits: int
@@ -237,47 +244,39 @@ class EngineCacheInfo(NamedTuple):
 class _SessionEntry:
     """One packed batch: strong refs pin the identity keys, columns persist."""
 
-    __slots__ = ("problems", "cache", "designs", "packed", "folded")
+    __slots__ = ("problems", "cache", "designs", "serial", "packed")
 
-    def __init__(self, problems, cache, designs) -> None:
+    def __init__(self, problems, cache, designs, serial: int) -> None:
         self.problems = problems
         self.cache = cache
         self.designs = designs
+        #: Never reused within an engine, unlike ``id()`` of a dead session,
+        #: so a fold memoized for an evicted session is never served again.
+        self.serial = serial
         #: Per system: the packed design-side columns.
         self.packed: Dict[str, Cols] = {}
-        #: Per request signature: the fold's outputs as native lists.  The
-        #: fold is a pure function of the packed columns and the scalar
-        #: request knobs in the key, so identical re-prices skip the array
-        #: work too — only result objects are built fresh each call.
-        self.folded: "OrderedDict[tuple, Lists]" = OrderedDict()
 
 
 class AnalyticBatchEngine:
     """Prices batches of analytic requests through the vectorized folds.
 
-    One engine holds one bounded knob cache plus a bounded packed-session
-    cache; the process-wide instance lives on the registered
+    One engine holds a bounded knob cache, a bounded packed-session cache
+    and a bounded fold memo (three :class:`~repro.pipeline.cache.PlanCache`
+    instances); the process-wide instance lives on the registered
     :class:`~repro.pipeline.backends.AnalyticBackend`, whose single
     evaluations read the same knob cache, and a :class:`~repro.api.Workbench`
     session keeps its own so repeated ``evaluate_batch`` calls reuse the
-    packed columns.
+    packed columns.  One engine may be shared by every connection of the
+    evaluation service (:mod:`repro.serve`); the caches are thread-safe, and
+    packing and folds run outside their locks (when two threads race, the
+    loser adopts the winner's entry).
     """
 
     def __init__(self, max_entries: int = 1024, max_sessions: int = 32) -> None:
         self._knobs = PlanCache(max_entries=max_entries)
-        self._sessions: "OrderedDict[tuple, _SessionEntry]" = OrderedDict()
-        self._max_sessions = max_sessions
-        # One engine may be shared by every connection of the evaluation
-        # service (repro.serve), so the identity-keyed session LRU and the
-        # per-session fold memos are guarded like PlanCache guards its
-        # entries.  Folds and packing run outside the lock (pure functions);
-        # when two threads race, the loser adopts the winner's entry.
-        self._lock = Lock()
-        self._session_hits = 0
-        self._session_misses = 0
-        self._session_evictions = 0
-        self._fold_hits = 0
-        self._fold_misses = 0
+        self._sessions = PlanCache(max_entries=max_sessions)
+        self._folds = PlanCache(max_entries=max_sessions * _MAX_FOLDS_PER_SESSION)
+        self._serials = itertools.count()
 
     def cache_info(self) -> EngineCacheInfo:
         """Counters of every cache layer the engine owns.
@@ -285,34 +284,31 @@ class AnalyticBatchEngine:
         The first four fields are the knob cache's
         :class:`~repro.pipeline.cache.CacheInfo` (one entry per distinct
         design/system), unchanged from earlier releases; the session and
-        fold fields track the packed-session LRU behind :meth:`price_batch`.
+        fold fields track the packed-session cache and the fold memo behind
+        :meth:`price_batch`.
         """
         knobs = self._knobs.cache_info()
-        with self._lock:
-            return EngineCacheInfo(
-                hits=knobs.hits,
-                misses=knobs.misses,
-                maxsize=knobs.maxsize,
-                currsize=knobs.currsize,
-                session_hits=self._session_hits,
-                session_misses=self._session_misses,
-                session_evictions=self._session_evictions,
-                session_maxsize=self._max_sessions,
-                session_currsize=len(self._sessions),
-                fold_hits=self._fold_hits,
-                fold_misses=self._fold_misses,
-            )
+        sessions = self._sessions.cache_info()
+        folds = self._folds.cache_info()
+        return EngineCacheInfo(
+            hits=knobs.hits,
+            misses=knobs.misses,
+            maxsize=knobs.maxsize,
+            currsize=knobs.currsize,
+            session_hits=sessions.hits,
+            session_misses=sessions.misses,
+            session_evictions=sessions.evictions,
+            session_maxsize=sessions.maxsize,
+            session_currsize=sessions.currsize,
+            fold_hits=folds.hits,
+            fold_misses=folds.misses,
+        )
 
     def clear(self) -> None:
-        """Drop packed knobs and sessions (benchmarks measuring cold packs)."""
+        """Drop packed knobs, sessions and folds (benchmarks measuring cold packs)."""
         self._knobs.clear()
-        with self._lock:
-            self._sessions.clear()
-            self._session_hits = 0
-            self._session_misses = 0
-            self._session_evictions = 0
-            self._fold_hits = 0
-            self._fold_misses = 0
+        self._sessions.clear()
+        self._folds.clear()
 
     def knobs_for(self, design: CompiledDesign, system: str):
         """The design's knobs on ``system``, through the bounded knob cache."""
@@ -396,85 +392,43 @@ class AnalyticBatchEngine:
         if not problems:
             return []
         if cache is None:
-            from repro.pipeline.compile import compile_batch
-
             designs = compile_batch(problems, cache=None)
             return self.price([(d, request) for d in designs], with_artifacts)
 
-        key = (id(cache), tuple(map(id, problems)))
-        with self._lock:
-            entry = self._sessions.get(key)
-            if entry is not None:
-                self._sessions.move_to_end(key)
-                self._session_hits += 1
-        if entry is None:
-            from repro.pipeline.compile import compile_batch
-
+        def pack_session() -> _SessionEntry:
             designs = compile_batch(problems, cache=cache)
-            with self._lock:
-                entry = self._sessions.get(key)
-                if entry is not None:
-                    # A concurrent caller packed the same list first.
-                    self._sessions.move_to_end(key)
-                    self._session_hits += 1
-                else:
-                    self._session_misses += 1
-                    entry = _SessionEntry(problems, cache, designs)
-                    self._sessions[key] = entry
-                    while len(self._sessions) > self._max_sessions:
-                        self._sessions.popitem(last=False)
-                        self._session_evictions += 1
+            return _SessionEntry(problems, cache, designs, next(self._serials))
 
+        entry = self._sessions.get_or_compile(
+            (id(cache), tuple(map(id, problems))), pack_session
+        )
         system = request.system
-        with self._lock:
-            cols = entry.packed.get(system)
+        cols = entry.packed.get(system)
         if cols is None:
             kernels = [design.problem.effective_kernel for design in entry.designs]
             cols = self._pack(system, range(len(entry.designs)), entry.designs, kernels)
-            with self._lock:
-                cols = entry.packed.setdefault(system, cols)
+            # dict.setdefault is atomic: a racing packer adopts the first columns.
+            cols = entry.packed.setdefault(system, cols)
 
         m = len(problems)
         timing = request.dram_timing or DEFAULT_TIMING
         override = request.kernel
-        # Everything the folds consume besides the packed columns.  Identical
-        # knobs give identical fold outputs, so the native-list form is
-        # memoized per signature; result objects are still built fresh.
-        fold_key = (
-            system,
+        # Every scalar the fold consumes besides the packed columns; a None
+        # kernel operand folds the problems' own kernels.  The memo key is
+        # exactly these operands, so no fold input can be left out of it;
+        # result objects are still built fresh each call.
+        operands = (
             request.iterations,
-            request.write_through,
             timing.stream_word_cycles,
             timing.random_access_cycles,
             timing.read_latency,
-            None if override is None else (override.latency, override.ops_per_point),
+            request.write_through,
+            None if override is None else override.latency,
+            None if override is None else override.ops_per_point,
         )
-        with self._lock:
-            folded = entry.folded.get(fold_key)
-            if folded is not None:
-                entry.folded.move_to_end(fold_key)
-                self._fold_hits += 1
-            else:
-                self._fold_misses += 1
-        if folded is None:
-            folded = _fold(
-                cols,
-                request.iterations,
-                timing.stream_word_cycles,
-                timing.random_access_cycles,
-                timing.read_latency,
-                request.write_through,
-                cols.kernel_latency if override is None else override.latency,
-                cols.kernel_ops if override is None else override.ops_per_point,
-            )
-            with self._lock:
-                existing = entry.folded.get(fold_key)
-                if existing is not None:
-                    folded = existing
-                else:
-                    entry.folded[fold_key] = folded
-                    while len(entry.folded) > _MAX_FOLDS_PER_SESSION:
-                        entry.folded.popitem(last=False)
+        folded = self._folds.get_or_compile(
+            (entry.serial, system) + operands, lambda: _fold(cols, *operands)
+        )
 
         # A session packs its columns over range(m) in order, so a
         # length check is a full fill/no-collision check.

@@ -454,7 +454,6 @@ def batch_evaluate(
     request: Optional[EvaluationRequest] = None,
     cache: Optional[PlanCache] = plan_cache,
     jobs: int = 1,
-    chunksize: Optional[int] = None,
     engine=None,
     with_artifacts: bool = True,
     **request_overrides,
@@ -528,7 +527,7 @@ def batch_evaluate(
         elif isinstance(p, SmacheConfig):
             p = StencilProblem.from_config(p)
         points.append(SweepPoint(problem=p, backend=backend, request=req))
-    runner = ProcessPoolRunner(jobs=jobs, chunksize=chunksize)
+    runner = ProcessPoolRunner(jobs=jobs)
     records = runner.run(points, keep_results=True)
     return [r.result for r in records]
 

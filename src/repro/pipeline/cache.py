@@ -8,15 +8,17 @@ tables from one configuration, repeated benchmark rounds) then plan once and
 hit the cache for every later use.
 
 The cache is a bounded LRU: the least recently used design is evicted once
-``max_entries`` distinct problems have been compiled.
+``max_entries`` distinct problems have been compiled.  :class:`PlanCache` is
+also the package's one bounded LRU for every other memo — the analytic
+engine's knob, packed-session and fold caches and the serve layer's response
+memo — so the locking, counters and eviction live in this module alone.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from threading import Lock
-from typing import Callable, Hashable, List, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence
 
 
 class CacheInfo(NamedTuple):
@@ -31,6 +33,8 @@ class CacheInfo(NamedTuple):
     misses: int
     maxsize: int
     currsize: int
+    #: Entries dropped to stay within ``maxsize``.
+    evictions: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -39,71 +43,71 @@ class CacheInfo(NamedTuple):
         return self.hits / lookups if lookups else 0.0
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss counters of a :class:`PlanCache` at one point in time."""
-
-    hits: int
-    misses: int
-    entries: int
-    evictions: int
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups served."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class PlanCache:
-    """A bounded, thread-safe LRU cache from problem keys to compiled designs."""
+    """A bounded, thread-safe LRU cache with hit/miss/eviction counters.
+
+    Entries are never ``None`` (a ``None`` lookup result means a miss) and
+    are treated as immutable once stored.
+    """
 
     def __init__(self, max_entries: int = 256) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
     # ------------------------------------------------------------------ #
-    def get_or_compile(self, key: Hashable, build: Callable[[], object]) -> object:
-        """Return the cached design for ``key``, compiling it on a miss.
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The entry for ``key`` (refreshing its LRU position), or None.
 
-        ``build`` runs outside the lock (compilation can take seconds for
-        million-element grids); if two threads race on the same key the loser's
-        result is discarded in favour of the winner's.
+        Counts one hit or one miss.
         """
         with self._lock:
             cached = self._entries.get(key)
-            if cached is not None:
+            if cached is None:
+                self._misses += 1
+            else:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return cached
-            self._misses += 1
-        design = build()
+            return cached
+
+    def put(self, key: Hashable, value: Any) -> Any:
+        """Store ``value`` unless ``key`` is present; return the stored entry.
+
+        The first writer wins: a caller that built ``value`` while another
+        thread stored the same key gets the other thread's entry back.  An
+        insert evicts least recently used entries beyond ``max_entries``.
+        """
         with self._lock:
             winner = self._entries.get(key)
             if winner is not None:
                 self._entries.move_to_end(key)
                 return winner
-            self._entries[key] = design
+            self._entries[key] = value
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-        return design
+            return value
+
+    def get_or_compile(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """Return the cached entry for ``key``, building it on a miss.
+
+        ``build`` runs outside the lock (compilation can take seconds for
+        million-element grids); if two threads race on the same key the loser's
+        result is discarded in favour of the winner's.
+        """
+        cached = self.get(key)
+        return cached if cached is not None else self.put(key, build())
 
     def get_or_compile_batch(
         self,
         keys: Sequence[Hashable],
-        builds: Sequence[Callable[[], object]],
-    ) -> List[object]:
+        builds: Sequence[Callable[[], Any]],
+    ) -> List[Any]:
         """Resolve many keys at once, compiling each distinct miss exactly once.
 
         The batch counting contract: a batch of N lookups sharing one
@@ -115,8 +119,8 @@ class PlanCache:
         """
         if len(keys) != len(builds):
             raise ValueError("keys and builds must have the same length")
-        results: List[Optional[object]] = [None] * len(keys)
-        pending: "OrderedDict[Hashable, List[int]]" = OrderedDict()
+        results: List[Any] = [None] * len(keys)
+        pending: Dict[Hashable, List[int]] = {}
         with self._lock:
             for index, key in enumerate(keys):
                 if key in pending:
@@ -132,23 +136,13 @@ class PlanCache:
                     self._misses += 1
                     pending[key] = [index]
         for key, indices in pending.items():
-            built = builds[indices[0]]()
-            with self._lock:
-                winner = self._entries.get(key)
-                if winner is not None:
-                    self._entries.move_to_end(key)
-                    built = winner
-                else:
-                    self._entries[key] = built
-                    while len(self._entries) > self.max_entries:
-                        self._entries.popitem(last=False)
-                        self._evictions += 1
+            built = self.put(key, builds[indices[0]]())
             for index in indices:
                 results[index] = built
         return results
 
-    def peek(self, key: Hashable) -> Optional[object]:
-        """Return the cached design without affecting LRU order or counters."""
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """Return the cached entry without affecting LRU order or counters."""
         with self._lock:
             return self._entries.get(key)
 
@@ -160,24 +154,15 @@ class PlanCache:
             self._misses = 0
             self._evictions = 0
 
-    def stats(self) -> CacheStats:
-        """A snapshot of the cache counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                entries=len(self._entries),
-                evictions=self._evictions,
-            )
-
     def cache_info(self) -> CacheInfo:
-        """``functools``-style counters: hits, misses, maxsize, currsize."""
+        """``functools``-style counters plus the eviction count."""
         with self._lock:
             return CacheInfo(
                 hits=self._hits,
                 misses=self._misses,
                 maxsize=self.max_entries,
                 currsize=len(self._entries),
+                evictions=self._evictions,
             )
 
     def __len__(self) -> int:

@@ -4,7 +4,8 @@
 :class:`~repro.pipeline.analytic_batch.AnalyticBatchEngine` into low-latency
 interactive throughput: concurrent single-point requests are micro-batched
 into engine calls (:mod:`repro.serve.batcher`), identical repeats are
-answered from a content-keyed memo (:mod:`repro.serve.memo`), admission is
+answered from a content-keyed memo (a bounded
+:class:`~repro.pipeline.cache.PlanCache` of response payloads), admission is
 bounded with backpressure, and everything is reachable over a stdlib-only
 TCP/JSON-lines protocol (:mod:`repro.serve.protocol`) with blocking and
 asyncio clients (:mod:`repro.serve.client`).
@@ -29,7 +30,6 @@ from repro.serve.client import (
     ServeError,
     Unavailable,
 )
-from repro.serve.memo import ResponseMemo
 from repro.serve.metrics import LatencyReservoir, ServerMetrics
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -60,7 +60,6 @@ __all__ = [
     "OverloadedError",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "ResponseMemo",
     "ServeClient",
     "ServeError",
     "ServerMetrics",

@@ -19,10 +19,11 @@ Two layers:
 
 Bounded memory is a design rule, not an aspiration: the admission counter
 rejects beyond ``queue_limit`` (clients get ``retry_after_ms`` instead of
-the server growing an unbounded queue), the memo, the plan cache, the
-engine's knob cache and the metrics reservoir are all bounded, and a
-disconnected client's pending futures are cancelled, priced results dropped
-on the floor, never retained.
+the server growing an unbounded queue), the response memo, the plan cache
+and the engine's knob, packed-session and fold caches are all bounded
+:class:`~repro.pipeline.cache.PlanCache` LRUs, the metrics reservoir is
+bounded, and a disconnected client's pending futures are cancelled, priced
+results dropped on the floor, never retained.
 
 Resilience: every admitted evaluation runs under ``batch_timeout_s`` (a
 hung flush fails that request with a structured ``timeout`` response rather
@@ -42,9 +43,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.workbench import Workbench
 from repro.faults.breaker import CircuitBreaker
 from repro.pipeline.backends import EvaluationResult, evaluate
+from repro.pipeline.cache import PlanCache
 from repro.pipeline.compile import compile_batch
 from repro.serve.batcher import AdaptiveBatcher, Item
-from repro.serve.memo import ResponseMemo
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -136,8 +137,11 @@ class EvaluationService:
         self.cache = self.workbench.cache
         self.queue_limit = queue_limit
         self.scalar = scalar
-        self.memo: Optional[ResponseMemo] = (
-            ResponseMemo(memo_entries) if memo_entries > 0 and not scalar else None
+        # Content-keyed response memo: stable point key -> response payload.
+        # Payloads are never mutated once stored; a hit hands the stored
+        # dict straight to the encoder.
+        self.memo: Optional[PlanCache] = (
+            PlanCache(memo_entries) if memo_entries > 0 and not scalar else None
         )
         self.metrics = ServerMetrics()
         self.batcher = AdaptiveBatcher(

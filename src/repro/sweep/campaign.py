@@ -361,7 +361,6 @@ def execute_campaign(
     checkpoint: Optional[Union[str, CampaignCheckpoint]] = None,
     strategy: Optional[SearchStrategy] = None,
     runner: Optional[Runner] = None,
-    chunksize: Optional[int] = None,
     observers: Sequence[Any] = (),
     event_log: Optional[Union[str, EventLogObserver]] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -406,7 +405,7 @@ def execute_campaign(
     """
     t0 = time.perf_counter()
     strategy = strategy or GridSearch()
-    runner = runner or make_runner(jobs, chunksize=chunksize)
+    runner = runner or make_runner(jobs)
     points = spec.expand()  # expanded and fingerprinted exactly once per run
     fingerprint = fingerprint_points(spec.name, points)
     store = None

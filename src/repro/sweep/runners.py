@@ -1082,12 +1082,8 @@ def _lost_worker_pid(pool: ProcessPoolExecutor) -> Optional[int]:
     return None
 
 
-def make_runner(
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> Runner:
+def make_runner(jobs: int = 1, retry_policy: Optional[RetryPolicy] = None) -> Runner:
     """The standard runner for a given parallelism degree."""
     if jobs <= 1:
         return SerialRunner(retry_policy=retry_policy)
-    return ProcessPoolRunner(jobs=jobs, chunksize=chunksize, retry_policy=retry_policy)
+    return ProcessPoolRunner(jobs=jobs, retry_policy=retry_policy)

@@ -76,27 +76,27 @@ def test_wall_clock_in_record_module_turns_the_gate_red(tmp_path):
     assert report.exit_code() == 1
 
 
-def test_unlocked_write_in_engine_turns_the_gate_red(tmp_path):
-    unsafe = "    def _unsafe_probe(self):\n        return self._sessions\n\n"
+def test_unlocked_read_in_plan_cache_turns_the_gate_red(tmp_path):
+    unsafe = "    def _unsafe_probe(self):\n        return self._entries\n\n"
 
     def patch(text):
-        # Insert a bare access as the first method of AnalyticBatchEngine.
-        anchor = text.index("\n    def ", text.index("class AnalyticBatchEngine")) + 1
+        # Insert a bare access as the first method of PlanCache.
+        anchor = text.index("\n    def ", text.index("class PlanCache")) + 1
         return text[:anchor] + unsafe + text[anchor:]
 
     root = _copy_real(
         tmp_path,
-        "repro/pipeline/analytic_batch.py",
-        patches={"repro/pipeline/analytic_batch.py": patch},
+        "repro/pipeline/cache.py",
+        patches={"repro/pipeline/cache.py": patch},
     )
-    patched = (root / "repro/pipeline/analytic_batch.py").read_text()
+    patched = (root / "repro/pipeline/cache.py").read_text()
     expected_line = (
-        patched.splitlines().index("        return self._sessions") + 1
+        patched.splitlines().index("        return self._entries") + 1
     )
     report = run_lint([os.fspath(root)])
     hits = [f for f in report.findings if f.check == "lock-discipline"]
     assert len(hits) == 1
-    assert hits[0].path.endswith("analytic_batch.py")
+    assert hits[0].path.endswith("cache.py")
     assert hits[0].line == expected_line
-    assert "_sessions" in hits[0].message
+    assert "_entries" in hits[0].message
     assert report.exit_code() == 1

@@ -11,6 +11,7 @@ regrouping by system, the grouping edge cases, and the plan-cache batch
 counting contract (one miss + N−1 hits for a shared design).
 """
 
+import gc
 import random
 import threading
 from dataclasses import replace
@@ -473,3 +474,40 @@ class TestEngineCacheCounters:
         assert info.session_currsize == 1
         assert info.session_hits + info.session_misses == 4 * 10 * len(requests)
         assert info.session_evictions == 0
+
+
+class TestFoldMemoSessions:
+    """The engine-wide fold memo is keyed by a never-reused session serial
+    plus exactly the scalar operands the fold consumes."""
+
+    def test_evicted_session_fold_is_never_served_to_a_new_list(self, scalar):
+        engine = AnalyticBatchEngine(max_sessions=1)
+        cache = PlanCache()
+        request = EvaluationRequest(iterations=3)
+        for rows in range(7, 17):
+            # Each list evicts the previous session, whose folds stay in the
+            # memo; dropping the list frees its problems and its session, so
+            # a later list may reuse their ids.
+            problems = [
+                StencilProblem.paper_example(rows, 9),
+                StencilProblem.paper_example(rows, 11),
+            ]
+            results = engine.price_batch(problems, request, cache=cache)
+            for problem, result in zip(problems, results):
+                assert_bitwise_equal(scalar(compile(problem, cache=cache), request), result)
+            del problems, results
+            gc.collect()
+        info = engine.cache_info()
+        assert info.session_evictions == 9
+        assert (info.fold_hits, info.fold_misses) == (0, 10)
+
+    def test_kernel_override_is_part_of_the_fold_key(self, engine, scalar):
+        cache = PlanCache()
+        problems = [StencilProblem.paper_example(11, 11), StencilProblem.paper_example(7, 9)]
+        for kernel in (None, SumKernel(), WeightedKernel.jacobi_2d(), None):
+            request = EvaluationRequest(iterations=3, kernel=kernel)
+            results = engine.price_batch(problems, request, cache=cache)
+            for problem, result in zip(problems, results):
+                assert_bitwise_equal(scalar(compile(problem, cache=cache), request), result)
+        info = engine.cache_info()
+        assert (info.fold_hits, info.fold_misses) == (1, 3)

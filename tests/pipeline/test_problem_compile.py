@@ -2,6 +2,8 @@
 
 import importlib
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -67,7 +69,7 @@ class TestStencilProblem:
         assert compile(renamed, cache=cache).plan is design.plan
         assert cache.peek(renamed.cache_key()) is design
         assert cache.peek(pickle.loads(pickle.dumps(key))) is design
-        assert (cache.stats().hits, cache.stats().misses) == (1, 1)
+        assert cache.cache_info()[:2] == (1, 1)
 
     def test_custom_mode_needs_register_elements(self):
         with pytest.raises(ValueError, match="register_elements"):
@@ -126,9 +128,9 @@ class TestPlanCache:
         first = compile(paper_problem, cache=cache)
         second = compile(StencilProblem.paper_example(), cache=cache)
         assert first is second
-        stats = cache.stats()
-        assert stats.hits == 1 and stats.misses == 1
-        assert stats.hit_rate == 0.5
+        info = cache.cache_info()
+        assert info.hits == 1 and info.misses == 1
+        assert info.hit_rate == 0.5
 
     def test_distinct_problems_occupy_distinct_entries(self):
         cache = PlanCache()
@@ -145,7 +147,7 @@ class TestPlanCache:
         compile(b, cache=cache)
         compile(c, cache=cache)  # evicts a
         assert len(cache) == 2
-        assert cache.stats().evictions == 1
+        assert cache.cache_info().evictions == 1
         assert cache.peek(a.cache_key()) is None
         assert cache.peek(c.cache_key()) is not None
 
@@ -153,18 +155,90 @@ class TestPlanCache:
         cache = PlanCache()
         compile(paper_problem, cache=cache)
         cache.clear()
-        stats = cache.stats()
+        info = cache.cache_info()
         assert len(cache) == 0
-        assert stats.misses == 0 and stats.hits == 0
+        assert info.misses == 0 and info.hits == 0
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            PlanCache(max_entries=0)
+        for bound in (0, -1):
+            with pytest.raises(ValueError):
+                PlanCache(max_entries=bound)
+
+    def test_get_put_miss_then_hit(self):
+        cache = PlanCache(max_entries=4)
+        assert cache.get("k") is None
+        assert cache.put("k", {"cycles": 1}) == {"cycles": 1}
+        assert cache.get("k") == {"cycles": 1}
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_put_keeps_the_first_writer(self):
+        cache = PlanCache()
+        first, second = {"v": 1}, {"v": 1}
+        assert cache.put("k", first) is first
+        assert cache.put("k", second) is first
+        assert cache.peek("k") is first
+
+    def test_get_put_lru_eviction_order(self):
+        cache = PlanCache(max_entries=2)
+        cache.put("a", {"v": 1})
+        cache.put("b", {"v": 2})
+        assert cache.get("a") is not None  # refresh a; b is now LRU
+        cache.put("c", {"v": 3})
+        assert cache.get("b") is None
+        assert cache.get("a") is not None
+        assert cache.get("c") is not None
+        assert cache.cache_info().evictions == 1
+
+    def test_get_put_clear_resets_counters(self):
+        cache = PlanCache(max_entries=2)
+        for key in "abc":
+            cache.put(key, {})
+        cache.get("c")
+        cache.get("a")
+        cache.clear()
+        assert cache.cache_info() == (0, 0, 2, 0, 0)
+        assert len(cache) == 0
+
+    def test_concurrent_lookups_are_all_counted(self):
+        """More threads than cores race get_or_compile, get and put on a
+        small cache: no lookup is lost and every entry is its key's value."""
+        cache = PlanCache(max_entries=8)
+        threads_n, rounds, keys = 8, 400, 12
+        errors = []
+
+        def hammer(tid):
+            try:
+                for i in range(rounds):
+                    key = (tid + i) % keys
+                    assert cache.get_or_compile(key, lambda: ("v", key)) == ("v", key)
+                    value = cache.get(key)
+                    assert value is None or value == ("v", key)
+                    assert cache.put(key, ("v", key)) == ("v", key)
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        info = cache.cache_info()
+        assert info.hits + info.misses == threads_n * rounds * 2
+        assert info.currsize == len(cache) <= 8
+        assert info.evictions >= keys - 8
 
     def test_cache_info_reports_hits_misses_and_sizes(self):
         cache = PlanCache(max_entries=8)
         info = cache.cache_info()
-        assert info == (0, 0, 8, 0)
+        assert info == (0, 0, 8, 0, 0)
         compile(StencilProblem.paper_example(7, 9), cache=cache)
         compile(StencilProblem.paper_example(7, 9), cache=cache)
         compile(StencilProblem.paper_example(9, 11), cache=cache)
@@ -457,7 +531,7 @@ class TestBatchStageSharing:
         assert len(stage_calls["plans"]) == len(plan_keys) == 64
         assert len(set(stage_calls["plans"])) == len(plan_keys)
         # Modes and register counts still compile a design each.
-        assert cache.stats().misses == len(problems) == 192
+        assert cache.cache_info().misses == len(problems) == 192
 
     def test_uncacheable_problems_build_alone(self, stage_calls):
         contiguous = StencilProblem.paper_example(11, 11, boundary=BoundarySpec.all_open(2))

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.pipeline.analytic_batch import EngineCacheInfo
 from repro.pipeline.backends import evaluate
 from repro.serve import (
     AsyncServeClient,
@@ -126,6 +127,7 @@ class TestEndToEnd:
         assert stats["throughput_rps"] > 0
         assert stats["scalar"] is False
         assert stats["memo"]["currsize"] == 1
+        assert set(stats["engine"]) == set(EngineCacheInfo._fields)
         assert stats["engine"]["session_currsize"] >= 0
         assert set(stats["engine_hit_rates"]) == {"packed_session", "fold_memo"}
         assert stats["plan_cache"]["currsize"] >= 1
