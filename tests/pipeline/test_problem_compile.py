@@ -160,8 +160,12 @@ class TestPlanCache:
         assert info.misses == 0 and info.hits == 0
 
     def test_invalid_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            PlanCache(max_entries=0)
+
+    def test_rejects_nonpositive_bound(self):
         for bound in (0, -1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="max_entries must be positive"):
                 PlanCache(max_entries=bound)
 
     def test_get_put_miss_then_hit(self):
