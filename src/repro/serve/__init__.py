@@ -3,12 +3,12 @@
 ``repro.serve`` turns the batch-only speed of
 :class:`~repro.pipeline.analytic_batch.AnalyticBatchEngine` into low-latency
 interactive throughput: concurrent single-point requests are micro-batched
-into engine calls (:mod:`repro.serve.batcher`), identical repeats are
-answered from a content-keyed memo (a bounded
-:class:`~repro.pipeline.cache.PlanCache` of response payloads), admission is
-bounded with backpressure, and everything is reachable over a stdlib-only
-TCP/JSON-lines protocol (:mod:`repro.serve.protocol`) with blocking and
-asyncio clients (:mod:`repro.serve.client`).
+into engine calls (:mod:`repro.serve.batcher`), repeated point specs are
+answered unparsed from a memo keyed by each spec's canonical JSON text (a
+bounded :class:`~repro.pipeline.cache.PlanCache` of response payloads),
+admission is bounded with backpressure, and everything is reachable over a
+stdlib-only TCP/JSON-lines protocol (:mod:`repro.serve.protocol`) with
+blocking and asyncio clients (:mod:`repro.serve.client`).
 
 Quickstart::
 

@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro.serve serve --port 7571 --max-batch 64 --window-ms 2
+    python -m repro.serve serve --port 7571 --max-batch 64
     python -m repro.serve bench-client --port 7571 --points 1000 \\
         --unique 200 --connections 4 --verify
 
@@ -53,7 +53,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        window_ms=args.window_ms,
         queue_limit=args.queue_limit,
         memo_entries=args.memo_entries,
         scalar=args.scalar,
@@ -118,8 +117,7 @@ def cmd_bench_client(args: argparse.Namespace) -> int:
         batches = stats.get("batches", {})
         print(
             f"server: p50 {latency.get('p50_ms')} ms, p99 {latency.get('p99_ms')} ms, "
-            f"mean batch {batches.get('mean_size')}, "
-            f"memo {stats.get('memo')}, window {stats.get('window_ms')} ms"
+            f"mean batch {batches.get('mean_size')}, memo {stats.get('memo')}"
         )
         if args.stats_json:
             print(json.dumps(stats, sort_keys=True))
@@ -163,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7571, help="0 picks a free port")
     serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument("--window-ms", type=float, default=2.0)
     serve.add_argument("--queue-limit", type=int, default=1024)
     serve.add_argument("--memo-entries", type=int, default=4096)
     serve.add_argument(

@@ -1,4 +1,4 @@
-"""Adaptive request micro-batching: concurrent singles become engine batches.
+"""Request micro-batching: concurrent singles become engine batches.
 
 The vectorized pricing engine is >=20x faster than the scalar path *per
 batch* (claimed by ``python -m repro.bench run analytic``), but interactive
@@ -8,15 +8,15 @@ request)`` joins one pending bucket, whatever its system, iterations, write
 policy, DRAM timing or kernel override, and the bucket is flushed as one
 pricing call over its items, each under its own request, either
 
-* when it reaches ``max_batch`` points (size-triggered, under pressure), or
-* when its ``window`` timer fires (time-triggered, under light load).
+* when it reaches ``max_batch`` points (synchronously, inside the submit
+  that filled it), or
+* when the event loop next yields: the first item of a bucket schedules
+  its flush with ``loop.call_soon``.
 
-The window adapts between ``min_window_ms`` and ``max_window_ms``: a
-size-triggered flush means requests are arriving faster than the engine
-drains them, so the window *grows* (bigger batches, higher throughput); a
-timer flush that caught only a trickle of requests means batching is
-costing latency for nothing, so the window *shrinks*.  Both adjustments are
-multiplicative and deterministic, so tests can drive the window exactly.
+So a flush holds whatever was submitted before the loop came back to it.
+Under load that is every request the loop's current turn admitted, and
+batches grow with the load by themselves; a lone request on an idle loop
+is priced on the next turn, without waiting on a timer.
 
 A flush that raises is retried one item at a time, so one bad point fails
 only its own waiter, not the ``max_batch`` unrelated requests it shared a
@@ -53,50 +53,31 @@ _PENDING = "pending"
 class _Bucket:
     """Requests waiting to be flushed together."""
 
-    __slots__ = ("items", "timer")
+    __slots__ = ("items", "handle")
 
     def __init__(self) -> None:
         self.items: List[_Entry] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
+        self.handle: Optional[asyncio.Handle] = None
 
 
 class AdaptiveBatcher:
-    """One-bucket micro-batching with an adaptive flush window."""
+    """One-bucket micro-batching, flushed when full or when the loop yields."""
 
     def __init__(
         self,
         price: PriceFn,
         *,
         max_batch: int = 64,
-        window_ms: float = 2.0,
-        min_window_ms: float = 0.2,
-        max_window_ms: float = 25.0,
-        grow: float = 1.5,
-        shrink: float = 0.7,
         on_flush: Optional[Callable[[int, str], None]] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if not (0 < min_window_ms <= window_ms <= max_window_ms):
-            raise ValueError("need 0 < min_window_ms <= window_ms <= max_window_ms")
-        if not (grow > 1.0 and 0.0 < shrink < 1.0):
-            raise ValueError("need grow > 1 and 0 < shrink < 1")
         self._price = price
         self.max_batch = max_batch
-        self.min_window_ms = min_window_ms
-        self.max_window_ms = max_window_ms
-        self._window_ms = window_ms
-        self._grow = grow
-        self._shrink = shrink
         self._on_flush = on_flush
         self._buckets: Dict[str, _Bucket] = {}
 
     # ------------------------------------------------------------------ #
-    @property
-    def window_ms(self) -> float:
-        """The current adaptive flush window (milliseconds)."""
-        return self._window_ms
-
     def pending(self) -> int:
         """Requests queued in the unflushed bucket (0 when fully drained)."""
         return sum(len(bucket.items) for bucket in self._buckets.values())
@@ -109,16 +90,15 @@ class AdaptiveBatcher:
 
         Must be called on a running event loop.  If the request fills the
         bucket to ``max_batch`` the flush happens synchronously inside this
-        call; otherwise the bucket's window timer delivers it.
+        call; otherwise the flush the bucket's first item scheduled for the
+        loop's next turn delivers it.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[EvaluationResult]" = loop.create_future()
         bucket = self._buckets.get(_PENDING)
         if bucket is None:
             bucket = self._buckets[_PENDING] = _Bucket()
-            bucket.timer = loop.call_later(
-                self._window_ms / 1000.0, self._flush, _PENDING, "window"
-            )
+            bucket.handle = loop.call_soon(self._flush, _PENDING, "yield")
         bucket.items.append(((problem, request), future))
         if len(bucket.items) >= self.max_batch:
             self._flush(_PENDING, "full")
@@ -132,14 +112,12 @@ class AdaptiveBatcher:
     # ------------------------------------------------------------------ #
     def _flush(self, key: str, why: str) -> None:
         bucket = self._buckets.pop(key, None)
-        if bucket is None:  # size-flushed before its timer fired
+        if bucket is None:  # flushed (full or drained) before the loop yielded
             return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        size = len(bucket.items)
-        self._adapt(size, why)
+        if bucket.handle is not None:
+            bucket.handle.cancel()
         if self._on_flush is not None:
-            self._on_flush(size, why)
+            self._on_flush(len(bucket.items), why)
         self._deliver(bucket.items)
 
     def _deliver(self, entries: List[_Entry]) -> None:
@@ -165,16 +143,6 @@ class AdaptiveBatcher:
             # its result is simply dropped — nothing retains the future.
             if not future.done():
                 future.set_result(result)
-
-    def _adapt(self, size: int, why: str) -> None:
-        if why == "full":
-            # Demand filled a batch before the timer: widen the window so the
-            # next batch amortizes even more per-request overhead.
-            self._window_ms = min(self._window_ms * self._grow, self.max_window_ms)
-        elif why == "window" and size <= max(1, self.max_batch // 4):
-            # The timer fired on a mostly-empty bucket: light load, so lean
-            # toward latency.
-            self._window_ms = max(self._window_ms * self._shrink, self.min_window_ms)
 
 
 def _fail(entries: List[_Entry], error: Exception) -> None:

@@ -21,9 +21,10 @@ A *point spec* is a plain dict describing one evaluation — the problem knobs
 the sweep layer exposes plus the request knobs — and :func:`parse_point`
 lowers it deterministically onto the exact :class:`StencilProblem` /
 :class:`EvaluationRequest` pair the offline pipeline uses.  Determinism
-matters twice: the server's response memo keys on the same stable content
-key the sweep checkpoints use (:func:`point_key`), and a client can compute
-the scalar reference for any spec and compare bytes.
+lets a client compute the scalar reference for any spec and compare bytes.
+The server's response memo keys on the spec's own canonical text
+(:func:`point_key`), so a repeated spec is answered without being lowered
+again.
 
 Unknown spec fields are an error, not a warning: a typo'd knob silently
 falling back to a default would produce a *cached* wrong answer.
@@ -39,7 +40,6 @@ from repro.core.partition import StreamBufferMode
 from repro.memory.dram import DRAMTiming
 from repro.pipeline.backends import SYSTEMS, EvaluationRequest, EvaluationResult
 from repro.pipeline.problem import StencilProblem
-from repro.sweep.spec import SweepPoint
 
 #: Protocol version, echoed by ``ping`` so clients can detect skew.
 PROTOCOL_VERSION = 1
@@ -189,14 +189,22 @@ def _integer(field: str, value: Any, minimum: Optional[int] = None) -> int:
     return number
 
 
-def point_key(problem: StencilProblem, request: EvaluationRequest) -> str:
-    """The stable content key of one evaluation — the response memo's key.
+def point_key(spec: Any) -> Optional[str]:
+    """The response memo's key of a wire point spec: its canonical JSON text.
 
-    Exactly the key the sweep layer stamps on checkpoint records
-    (:meth:`repro.sweep.spec.SweepPoint.key`), so a served point and the
-    same point in an offline campaign are recognisably the *same work*.
+    Sorted keys and compact separators, so neither key order nor a tuple
+    vs a list splits one spelling of a point into several keys.
+    Computing it costs one ``dumps`` and no parsing, so a memo hit never
+    lowers the spec.  Two spellings of one point (a default omitted vs
+    stated) get two keys and, once each is answered, two entries with
+    identical payloads.  A spec holding a value JSON cannot encode (say a
+    ``numpy.int64``) has no key (``None``): it is answered, but bypasses
+    the memo.
     """
-    return SweepPoint(problem=problem, backend="analytic", request=request).key()
+    try:
+        return json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError):
+        return None
 
 
 def result_payload(result: EvaluationResult) -> Dict[str, Any]:

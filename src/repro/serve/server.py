@@ -2,9 +2,9 @@
 
 Two layers:
 
-* :class:`EvaluationService` — the protocol-independent core: point-spec
-  parsing, the content-keyed response memo, admission control with
-  backpressure, the adaptive micro-batcher, and the pricing flush.  A flush
+* :class:`EvaluationService` — the protocol-independent core: the
+  spec-keyed response memo, point-spec parsing, admission control with
+  backpressure, the micro-batcher, and the pricing flush.  A flush
   holds whatever requests were pending — mixed systems, iterations, write
   policies, DRAM timings — and is priced by one vectorized
   :meth:`AnalyticBatchEngine.price` fold in which every item keeps its own
@@ -58,6 +58,12 @@ from repro.serve.protocol import (
 )
 
 
+#: The ``retry_after_ms`` hint of an ``overloaded`` response.  Buckets flush
+#: as soon as the event loop yields, so admission slots free up within
+#: milliseconds of a burst; a retry this much later meets room again.
+OVERLOAD_RETRY_AFTER_MS = 4
+
+
 class OverloadedError(RuntimeError):
     """Raised (and reported to clients) when admission is over the watermark."""
 
@@ -92,13 +98,16 @@ class EvaluationService:
         a fresh one is created when omitted.  Sharing matters: an in-process
         ``evaluate_async`` caller and the TCP front then hit the same
         compiled designs and extracted pricing knobs.
-    max_batch / window_ms / min_window_ms / max_window_ms:
-        Micro-batcher shape (see :class:`~repro.serve.batcher.AdaptiveBatcher`).
+    max_batch:
+        Most points one flush prices; a bucket that fills flushes at once,
+        any other when the event loop yields (see
+        :class:`~repro.serve.batcher.AdaptiveBatcher`).
     queue_limit:
         Admission high-watermark: evaluations in flight beyond this are
         rejected with a ``retry_after_ms`` hint instead of queued.
     memo_entries:
-        Bound of the content-keyed response memo (0 disables memoization).
+        Bound of the response memo, keyed by each spec's canonical JSON
+        text (:func:`~repro.serve.protocol.point_key`); 0 disables it.
     scalar:
         Force the per-request scalar reference path (no vectorized folds,
         no memo) — the benchmark's baseline serving mode.
@@ -118,9 +127,6 @@ class EvaluationService:
         workbench: Optional[Workbench] = None,
         *,
         max_batch: int = 64,
-        window_ms: float = 2.0,
-        min_window_ms: float = 0.2,
-        max_window_ms: float = 25.0,
         queue_limit: int = 1024,
         memo_entries: int = 4096,
         scalar: bool = False,
@@ -137,9 +143,9 @@ class EvaluationService:
         self.cache = self.workbench.cache
         self.queue_limit = queue_limit
         self.scalar = scalar
-        # Content-keyed response memo: stable point key -> response payload.
-        # Payloads are never mutated once stored; a hit hands the stored
-        # dict straight to the encoder.
+        # Response memo: canonical spec text -> response payload.  Payloads
+        # are never mutated once stored; a hit hands the stored dict
+        # straight to the encoder.
         self.memo: Optional[PlanCache] = (
             PlanCache(memo_entries) if memo_entries > 0 and not scalar else None
         )
@@ -147,9 +153,6 @@ class EvaluationService:
         self.batcher = AdaptiveBatcher(
             self._price,
             max_batch=1 if scalar else max_batch,
-            window_ms=min_window_ms if scalar else window_ms,
-            min_window_ms=min_window_ms,
-            max_window_ms=max_window_ms,
             on_flush=lambda size, why: self.metrics.record_batch(size),
         )
         self.batch_timeout_s = batch_timeout_s
@@ -182,29 +185,33 @@ class EvaluationService:
         """Admit, evaluate and answer one point spec.
 
         Returns ``(payload, served_by)`` with ``served_by`` one of ``memo``
-        or ``engine``.  Raises :class:`OverloadedError` past the admission
-        watermark, :class:`ServiceUnavailableError` while the circuit
-        breaker is open, and :class:`~repro.serve.protocol.ProtocolError` on
-        a bad spec — all before any state is queued.  An admitted evaluation
-        that outlives ``batch_timeout_s`` raises
+        or ``engine``.  Raises :class:`~repro.serve.protocol.ProtocolError`
+        on a bad spec (even past the watermark), :class:`OverloadedError`
+        past the admission watermark and :class:`ServiceUnavailableError`
+        while the circuit breaker is open — all before any state is queued.
+        An admitted evaluation that outlives ``batch_timeout_s`` raises
         :class:`EvaluationTimeoutError` (and counts as a breaker failure).
+
+        A memo hit is looked up by the spec's canonical text and is never
+        parsed: only a spec that was answered before can hit, and errors
+        are never stored.
         """
-        problem, request = parse_point(spec)
         if self._inflight >= self.queue_limit:
+            parse_point(spec)  # a bad spec is a protocol error, not an overload
             self.metrics.record_rejected()
-            # Two windows is the honest hint: one for the queue to flush,
-            # one for the retry to ride a fresh batch.
-            raise OverloadedError(max(1, int(self.batcher.window_ms * 2)))
+            raise OverloadedError(OVERLOAD_RETRY_AFTER_MS)
         started = time.perf_counter()
-        key = point_key(problem, request)
-        if self.memo is not None:
-            payload = self.memo.get(key)
+        memo, key = self.memo, None
+        if memo is not None:
+            key = point_key(spec)
+            payload = memo.get(key) if key is not None else None
             if payload is not None:
                 # Memo hits never touch the engine, so a tripped breaker
                 # does not shed them — cached answers stay cheap and safe.
                 self.metrics.record_accepted()
                 self.metrics.record_completed(time.perf_counter() - started)
                 return payload, "memo"
+        problem, request = parse_point(spec)
         if not self.breaker.allow():
             self.metrics.record_shed()
             raise ServiceUnavailableError(self.breaker.retry_after_ms())
@@ -228,8 +235,8 @@ class EvaluationService:
             self._inflight -= 1
         self.breaker.record_success()
         payload = result_payload(result)
-        if self.memo is not None:
-            self.memo.put(key, payload)
+        if memo is not None and key is not None:
+            memo.put(key, payload)
         self.metrics.record_completed(time.perf_counter() - started)
         return payload, "engine"
 
@@ -239,7 +246,6 @@ class EvaluationService:
         extra: Dict[str, Any] = {
             "inflight": self._inflight,
             "queue_limit": self.queue_limit,
-            "window_ms": round(self.batcher.window_ms, 3),
             "scalar": self.scalar,
             "memo": (
                 self.memo.cache_info()._asdict() if self.memo is not None else None

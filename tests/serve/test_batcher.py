@@ -1,14 +1,18 @@
-"""The adaptive micro-batcher: one bucket, flush triggers, failure isolation,
-window adaptation."""
+"""The micro-batcher: one bucket, flushed when full or when the loop yields,
+failure isolation, no timer."""
 
 import asyncio
+import json
 
 import pytest
 
+from repro.api import Workbench
 from repro.memory.dram import DRAMTiming
-from repro.pipeline.backends import EvaluationRequest
+from repro.pipeline.backends import EvaluationRequest, evaluate
 from repro.pipeline.problem import StencilProblem
+from repro.serve import EvaluationService
 from repro.serve.batcher import AdaptiveBatcher
+from repro.serve.protocol import make_point, parse_point, result_payload
 
 
 def run(coro):
@@ -31,8 +35,7 @@ PROBLEM = StencilProblem.paper_example(11, 11)
 class TestFlushing:
     def test_size_triggered_flush_prices_one_batch(self):
         calls = []
-        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=4, window_ms=1000.0,
-                                  max_window_ms=1000.0)
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=4)
 
         async def main():
             request = EvaluationRequest(iterations=2)
@@ -47,9 +50,9 @@ class TestFlushing:
         assert all(problem is PROBLEM for problem, _ in results)
         assert batcher.pending() == 0
 
-    def test_window_triggered_flush_delivers_partial_bucket(self):
+    def test_yield_flush_delivers_partial_bucket(self):
         calls = []
-        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=100, window_ms=5.0)
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=100)
 
         async def main():
             return await batcher.submit(PROBLEM, EvaluationRequest(iterations=2))
@@ -60,8 +63,7 @@ class TestFlushing:
 
     def test_mixed_signatures_share_one_flush(self):
         calls = []
-        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=4, window_ms=1000.0,
-                                  max_window_ms=1000.0)
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=4)
         requests = [
             EvaluationRequest(iterations=1),
             EvaluationRequest(iterations=9, system="baseline"),
@@ -83,8 +85,7 @@ class TestFlushing:
         def explode(items):
             raise RuntimeError("boom")
 
-        batcher = AdaptiveBatcher(explode, max_batch=2, window_ms=1000.0,
-                                  max_window_ms=1000.0)
+        batcher = AdaptiveBatcher(explode, max_batch=2)
 
         async def main():
             request = EvaluationRequest()
@@ -109,8 +110,7 @@ class TestFlushing:
                 raise RuntimeError("poisoned point")
             return [(problem, request) for problem, request in items]
 
-        batcher = AdaptiveBatcher(price, max_batch=4, window_ms=1000.0,
-                                  max_window_ms=1000.0)
+        batcher = AdaptiveBatcher(price, max_batch=4)
 
         async def main():
             request = EvaluationRequest()
@@ -127,8 +127,7 @@ class TestFlushing:
         assert batcher.pending() == 0
 
     def test_short_pricing_is_reported_not_hung(self):
-        batcher = AdaptiveBatcher(lambda items: [], max_batch=1,
-                                  window_ms=5.0)
+        batcher = AdaptiveBatcher(lambda items: [], max_batch=1)
 
         async def main():
             with pytest.raises(RuntimeError, match="0 results for 1"):
@@ -138,18 +137,17 @@ class TestFlushing:
 
     def test_cancelled_waiters_are_skipped_and_nothing_leaks(self):
         calls = []
-        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=10, window_ms=20.0)
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=10)
 
         async def main():
             request = EvaluationRequest()
-            doomed = asyncio.ensure_future(batcher.submit(PROBLEM, request))
-            survivor = asyncio.ensure_future(batcher.submit(PROBLEM, request))
-            await asyncio.sleep(0)  # let both enqueue
+            doomed = batcher.submit(PROBLEM, request)
+            survivor = batcher.submit(PROBLEM, request)
+            # The waiter goes away in the submitting turn, before the flush.
             doomed.cancel()
             result = await survivor
             assert result[0] is PROBLEM
-            with pytest.raises(asyncio.CancelledError):
-                await doomed
+            assert doomed.cancelled()
 
         run(main())
         assert len(calls) == 1 and len(calls[0]) == 2
@@ -157,59 +155,90 @@ class TestFlushing:
 
     def test_flush_all_drains_every_bucket(self):
         calls = []
-        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=100, window_ms=1000.0,
-                                  max_window_ms=1000.0)
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=100)
 
         async def main():
             futures = [
-                asyncio.ensure_future(
-                    batcher.submit(PROBLEM, EvaluationRequest(iterations=i))
-                )
+                batcher.submit(PROBLEM, EvaluationRequest(iterations=i))
                 for i in (1, 2, 3)
             ]
-            await asyncio.sleep(0)
             assert batcher.pending() == 3
             batcher.flush_all()
-            await asyncio.gather(*futures)
             assert batcher.pending() == 0
+            assert all(future.done() for future in futures)
+            await asyncio.gather(*futures)
+            await asyncio.sleep(0)  # the drained bucket's yield flush is a no-op
 
         run(main())
         assert len(calls) == 1 and len(calls[0]) == 3
 
-
-class TestAdaptiveWindow:
-    def test_full_flushes_grow_the_window(self):
-        batcher = AdaptiveBatcher(lambda items: [None] * len(items), max_batch=2,
-                                  window_ms=2.0, max_window_ms=10.0, grow=2.0)
-
-        async def main():
-            request = EvaluationRequest()
-            for _ in range(8):
-                await asyncio.gather(
-                    batcher.submit(PROBLEM, request), batcher.submit(PROBLEM, request)
-                )
-
-        run(main())
-        assert batcher.window_ms == 10.0  # grown and clamped at the ceiling
-
-    def test_sparse_timer_flushes_shrink_the_window(self):
-        batcher = AdaptiveBatcher(lambda items: [None] * len(items), max_batch=100,
-                                  window_ms=4.0, min_window_ms=1.0, shrink=0.5)
-
-        async def main():
-            for _ in range(6):
-                await batcher.submit(PROBLEM, EvaluationRequest())
-
-        run(main())
-        assert batcher.window_ms == 1.0  # shrunk and clamped at the floor
-
     def test_constructor_validation(self):
-        price = lambda items: []  # noqa: E731
-        with pytest.raises(ValueError):
-            AdaptiveBatcher(price, max_batch=0)
-        with pytest.raises(ValueError):
-            AdaptiveBatcher(price, window_ms=0.1, min_window_ms=0.2)
-        with pytest.raises(ValueError):
-            AdaptiveBatcher(price, grow=0.9)
-        with pytest.raises(ValueError):
-            AdaptiveBatcher(price, shrink=1.5)
+        with pytest.raises(ValueError, match="max_batch must be positive"):
+            AdaptiveBatcher(lambda items: [], max_batch=0)
+
+
+class NoShortTimersLoop(asyncio.SelectorEventLoop):
+    """An event loop that records every timer and refuses any due within 1 s.
+
+    A batching window would be due within milliseconds; a request deadline
+    (the service's ``batch_timeout_s``) is not.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.timers = []
+
+    def call_at(self, when, callback, *args, context=None):
+        delay = when - self.time()
+        self.timers.append(delay)
+        if delay < 1.0:
+            raise AssertionError(f"a {delay * 1e3:.1f} ms timer was scheduled")
+        return super().call_at(when, callback, *args, context=context)
+
+
+def run_on(loop, coro):
+    try:
+        return loop.run_until_complete(coro)
+    finally:
+        loop.close()
+
+
+def canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class TestALoneRequestWaitsOnNoTimer:
+    """A lone request on an idle loop is priced on the loop's next turn."""
+
+    def test_through_the_batcher(self):
+        calls = []
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=100)
+
+        async def main():
+            return await batcher.submit(PROBLEM, EvaluationRequest(iterations=3))
+
+        loop = NoShortTimersLoop()
+        result = run_on(loop, main())
+        assert result[1].iterations == 3
+        assert len(calls) == 1
+        assert loop.timers == []
+
+    def test_through_the_service(self):
+        service = EvaluationService()
+        spec = make_point((12, 11), iterations=3)
+        loop = NoShortTimersLoop()
+        payload, served_by = run_on(loop, service.submit(spec))
+        problem, request = parse_point(spec)
+        expected = result_payload(evaluate(problem, backend="analytic", request=request))
+        assert served_by == "engine"
+        assert canonical(payload) == canonical(expected)
+        assert service.stats()["batches"]["flushes"] == 1
+
+    def test_through_workbench_evaluate_async(self):
+        workbench = Workbench()
+        loop = NoShortTimersLoop()
+        result = run_on(loop, workbench.evaluate_async(PROBLEM, iterations=3))
+        expected = evaluate(PROBLEM, backend="analytic",
+                            request=EvaluationRequest(iterations=3))
+        assert canonical(result_payload(result)) == canonical(result_payload(expected))
+        assert loop.timers == []

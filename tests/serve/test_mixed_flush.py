@@ -100,7 +100,7 @@ def mixed_specs(count):
 @pytest.mark.parametrize("count", [5, 8])
 def test_gathered_mixed_signatures_are_priced_in_one_flush(count):
     async def main():
-        service = EvaluationService(max_batch=8, window_ms=50.0, max_window_ms=50.0)
+        service = EvaluationService(max_batch=8)
         specs = mixed_specs(count)
         answers = await asyncio.gather(*(service.submit(spec) for spec in specs))
         return service, specs, answers

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.partition import StreamBufferMode
@@ -71,22 +72,27 @@ class TestParsePoint:
         )
 
     def test_identical_specs_share_the_stable_key(self):
-        spec = make_point((13, 11), iterations=3)
-        a = parse_point(spec)
-        b = parse_point(json.loads(json.dumps(spec)))  # a wire round trip
-        assert point_key(*a) == point_key(*b)
+        spec = make_point((13, 11), iterations=3,
+                          dram_timing={"read_latency": 4, "row_words": 64})
+        wire = json.loads(encode({"point": spec}))["point"]  # a wire round trip
+        assert point_key(wire) == point_key(spec)
+        assert json.loads(point_key(spec)) == spec
 
     def test_different_knobs_get_different_keys(self):
-        base = parse_point(make_point((13, 11), iterations=3))
-        for other in (
+        base = make_point((13, 11), iterations=3)
+        others = [
             make_point((13, 12), iterations=3),
             make_point((13, 11), iterations=4),
             make_point((13, 11), iterations=3, system="baseline"),
             make_point((13, 11), iterations=3, write_through=False),
-            make_point((13, 11), iterations=3,
-                       dram_timing={"random_access_cycles": 9}),
-        ):
-            assert point_key(*parse_point(other)) != point_key(*base)
+            make_point((13, 11), iterations=3, dram_timing={"random_access_cycles": 9}),
+            make_point((13, 11), iterations=3, max_stream_reach=2),
+            make_point((13, 11), iterations=3, mode="r"),
+            make_point((13, 11), iterations=3, word_bytes=8),
+            make_point((13, 11), iterations=3, max_total_bits=1 << 16),
+        ]
+        keys = {point_key(spec) for spec in [base, *others]}
+        assert len(keys) == len(others) + 1
 
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ProtocolError, match="unknown point field"):
@@ -127,6 +133,26 @@ class TestParsePoint:
     def test_custom_mode_without_register_elements_is_refused_at_parse(self):
         with pytest.raises(ProtocolError, match="register_elements"):
             parse_point({"mode": StreamBufferMode.CUSTOM.value})
+
+
+class TestPointKey:
+    """The memo key is the spec's canonical JSON text, computed unparsed."""
+
+    def test_key_order_and_grid_sequence_type_do_not_matter(self):
+        spec = {"iterations": 3, "grid": (13, 11),
+                "dram_timing": {"row_words": 64, "read_latency": 4}}
+        shuffled = {"dram_timing": {"read_latency": 4, "row_words": 64},
+                    "grid": [13, 11], "iterations": 3}
+        assert point_key(spec) == point_key(shuffled)
+
+    def test_a_spelling_of_a_default_is_its_own_key(self):
+        # One point, two spellings: two memo entries, identical payloads.
+        assert point_key({"grid": [11, 11]}) != point_key(make_point((11, 11)))
+        assert parse_point({"grid": [11, 11]}) == parse_point(make_point((11, 11)))
+
+    def test_a_value_json_cannot_encode_has_no_key(self):
+        assert point_key(make_point((11, 11), iterations=np.int64(3))) is None
+        assert point_key({"grid": [11, 11], "name": object()}) is None
 
 
 class TestResultPayload:

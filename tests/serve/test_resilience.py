@@ -112,7 +112,7 @@ class TestCircuitBreaker:
     def test_a_poisoned_item_records_one_failure(self):
         async def scenario():
             service = EvaluationService(
-                max_batch=4, window_ms=1000.0, max_window_ms=1000.0, memo_entries=0,
+                max_batch=4, memo_entries=0,
                 breaker_threshold=2,
             )
             real_price = service.batcher._price

@@ -18,6 +18,7 @@ from repro.serve import (
     ServeError,
 )
 from repro.serve.protocol import encode, make_point, parse_point, result_payload
+from repro.serve.server import OVERLOAD_RETRY_AFTER_MS
 
 
 def run(coro):
@@ -92,8 +93,7 @@ class TestEndToEnd:
 
     def test_full_buckets_flush_as_batches(self):
         async def main():
-            server = EvaluationServer(max_batch=4, window_ms=50.0,
-                                      max_window_ms=200.0)
+            server = EvaluationServer(max_batch=4)
             host, port = await server.start()
             try:
                 async with AsyncServeClient(host, port) as client:
@@ -246,9 +246,7 @@ class TestBackpressure:
 
     def test_overflow_rejects_with_retry_hint(self):
         async def main():
-            server = EvaluationServer(
-                queue_limit=2, window_ms=100.0, max_window_ms=200.0
-            )
+            server = EvaluationServer(queue_limit=2)
             host, port = await server.start()
             try:
                 async with AsyncServeClient(host, port) as client:
@@ -266,16 +264,15 @@ class TestBackpressure:
         overloads = [o for o in outcomes if isinstance(o, Overloaded)]
         served = [o for o in outcomes if isinstance(o, dict)]
         assert len(served) == 2 and len(overloads) == 6
-        assert all(o.retry_after_ms >= 1 for o in overloads)
+        assert OVERLOAD_RETRY_AFTER_MS >= 1
+        assert all(o.retry_after_ms == OVERLOAD_RETRY_AFTER_MS for o in overloads)
         assert stats["requests"]["rejected"] == 6
         assert stats["requests"]["completed"] == 2
         assert service.inflight == 0 and service.batcher.pending() == 0
 
     def test_retry_eventually_drains_the_queue(self):
         async def main():
-            server = EvaluationServer(
-                queue_limit=2, window_ms=5.0, min_window_ms=1.0
-            )
+            server = EvaluationServer(queue_limit=2)
             host, port = await server.start()
             try:
                 async with AsyncServeClient(host, port) as client:
@@ -294,28 +291,34 @@ class TestBackpressure:
 
     def test_disconnect_leaks_no_queued_futures(self):
         async def main():
-            server = EvaluationServer(window_ms=300.0, max_window_ms=1000.0)
+            server = EvaluationServer()
             service = server.service
+            batcher = service.batcher
+            # Hold the bucket's flush, as a loop busy elsewhere would.
+            held = []
+            batcher._flush = lambda key, why: held.append((key, why))
             host, port = await server.start()
             try:
                 reader, writer = await asyncio.open_connection(host, port)
-                for i in range(3):
-                    writer.write(encode({
-                        "id": i, "verb": "evaluate",
-                        "point": make_point((9 + i, 23), iterations=2),
-                    }))
+                writer.write(b"".join(
+                    encode({"id": i, "verb": "evaluate",
+                            "point": make_point((9 + i, 23), iterations=2)})
+                    for i in range(3)
+                ))
                 await writer.drain()
                 # All three admitted into one (unflushed) bucket...
-                await wait_until(lambda: service.batcher.pending() == 3)
-                assert service.inflight == 3
-                # ...then the client vanishes before the window flushes.
+                await wait_until(lambda: batcher.pending() == 3)
+                assert service.inflight == 3 and held == [("pending", "yield")]
+                # ...then the client vanishes before the flush runs.
                 writer.close()
                 await writer.wait_closed()
                 await wait_until(lambda: service.inflight == 0)
                 # The flush prices the bucket but every waiter is cancelled:
                 # results are dropped, nothing is queued, nothing leaks.
-                service.batcher.flush_all()
-                assert service.batcher.pending() == 0
+                del batcher._flush
+                batcher.flush_all()
+                assert batcher.pending() == 0
+                assert service.stats()["batches"]["flushes"] == 1
                 assert service.metrics.completed == 0
             finally:
                 await server.stop()
