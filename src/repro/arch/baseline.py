@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Deque, List, Optional, Tuple
 
 from repro.arch.access_table import AccessTable
@@ -42,8 +43,8 @@ class _FetchPlanEntry:
     linear: int
     fetch_offsets: Tuple[int, ...]          # relative addresses to fetch (length == n_points)
     participate: Tuple[bool, ...]           # does fetch i feed the kernel?
-    offsets: Tuple[Tuple[int, ...], ...]    # grid offsets of the participating fetches
-    constant_offsets: Tuple[Tuple[int, ...], ...]
+    # grid offsets of the participating fetches, then of the constants
+    kernel_offsets: Tuple[Tuple[int, ...], ...]
     constant_values: Tuple[float, ...]
 
 
@@ -78,8 +79,7 @@ def build_fetch_plan(table: AccessTable) -> List[_FetchPlanEntry]:
                 linear=linear,
                 fetch_offsets=tuple(fetch_rel),
                 participate=tuple(participate),
-                offsets=tuple(offsets),
-                constant_offsets=tuple(const_offsets),
+                kernel_offsets=tuple(offsets + const_offsets),
                 constant_values=tuple(const_values),
             )
         )
@@ -111,6 +111,9 @@ class BaselineMaster(Component):
         self.base_b = base_b if base_b is not None else base_a + self.grid_words
         self.stats = stats or StatsCollector(name)
         self.fetch_plan = build_fetch_plan(table)
+        self._read_cmd = dram.read_cmd
+        self._read_rsp = dram.read_rsp
+        self._write_cmd = dram.write_cmd
 
         # request side
         self._req_instance = 0
@@ -161,16 +164,6 @@ class BaselineMaster(Component):
         self.points_completed = 0
 
     # ------------------------------------------------------------------ #
-    def _advance_request(self) -> None:
-        entry = self.fetch_plan[self._req_point]
-        self._req_operand += 1
-        if self._req_operand >= len(entry.fetch_offsets):
-            self._req_operand = 0
-            self._req_point += 1
-            if self._req_point >= self.grid_words:
-                self._req_point = 0
-                self._req_instance += 1
-
     def _request_allowed(self) -> bool:
         """A new instance may only start once the previous one is fully in DRAM."""
         if self._req_instance >= self.iterations:
@@ -189,15 +182,15 @@ class BaselineMaster(Component):
         # _request_allowed gates on dram.writes_completed, which can only
         # move when the DRAM itself acts (and reports that activity), so it
         # is frozen inside any dead region.
-        if self._request_allowed() and self.dram.read_cmd.can_push():
+        if self._request_allowed() and self._read_cmd.can_push():
             return now
-        if self._rsp_instance < self.iterations and self.dram.read_rsp.can_pop():
+        if self._rsp_instance < self.iterations and self._read_rsp.can_pop():
             return now
         if self._compute_pipe:
             ready = self._compute_pipe[0][0]
             if ready > now:
                 return ready  # self-scheduled kernel-latency expiry
-            if self.dram.write_cmd.can_push():
+            if self._write_cmd.can_push():
                 return now
         return None
 
@@ -216,28 +209,40 @@ class BaselineMaster(Component):
     def tick(self) -> None:
         if self.iterations == 0:
             return
+        now = self.sim.cycle
+        fetch_plan = self.fetch_plan
         # Issue at most one read request per cycle.
-        if self._request_allowed() and self.dram.read_cmd.can_push():
-            entry = self.fetch_plan[self._req_point]
-            addr = self.src_base(self._req_instance) + entry.fetch_offsets[self._req_operand]
-            self.dram.read_cmd.push(DRAMCommand(kind="read", addr=addr, tag=self._req_point))
-            self._advance_request()
+        read_cmd = self._read_cmd
+        if self._request_allowed() and read_cmd.can_push():
+            point = self._req_point
+            operand = self._req_operand
+            fetch_offsets = fetch_plan[point].fetch_offsets
+            base = self.base_a if self._req_instance % 2 == 0 else self.base_b
+            read_cmd.push(DRAMCommand("read", base + fetch_offsets[operand], tag=point))
+            operand += 1
+            if operand >= len(fetch_offsets):
+                operand = 0
+                point += 1
+                if point >= self.grid_words:
+                    point = 0
+                    self._req_instance += 1
+                self._req_point = point
+            self._req_operand = operand
 
         # Collect at most one response per cycle.
-        if self._rsp_instance < self.iterations and self.dram.read_rsp.can_pop():
-            rsp = self.dram.read_rsp.pop()
-            self._collected.append(rsp.data)
-            entry = self.fetch_plan[self._rsp_point]
-            if len(self._collected) == len(entry.fetch_offsets):
-                offsets = list(entry.offsets) + list(entry.constant_offsets)
-                values = [
-                    v for use, v in zip(entry.participate, self._collected) if use
-                ] + list(entry.constant_values)
-                result = self.kernel.apply(tuple(offsets), tuple(values))
-                self.operations += self.kernel.ops_per_point
-                self.stats.incr("kernel_ops", self.kernel.ops_per_point)
-                dst = self.dst_base(self._rsp_instance) + entry.linear
-                self._compute_pipe.append((self.cycle + self.kernel.latency, dst, result))
+        read_rsp = self._read_rsp
+        if self._rsp_instance < self.iterations and read_rsp.can_pop():
+            collected = self._collected
+            collected.append(read_rsp.pop().data)
+            entry = fetch_plan[self._rsp_point]
+            if len(collected) == len(entry.fetch_offsets):
+                kernel = self.kernel
+                values = tuple(compress(collected, entry.participate)) + entry.constant_values
+                result = kernel.apply(entry.kernel_offsets, values)
+                self.operations += kernel.ops_per_point
+                self.stats.incr("kernel_ops", kernel.ops_per_point)
+                dst = (self.base_b if self._rsp_instance % 2 == 0 else self.base_a) + entry.linear
+                self._compute_pipe.append((now + kernel.latency, dst, result))
                 self._collected = []
                 self._rsp_point += 1
                 self.points_completed += 1
@@ -246,11 +251,8 @@ class BaselineMaster(Component):
                     self._rsp_instance += 1
 
         # Issue at most one write per cycle once the kernel latency has elapsed.
-        if (
-            self._compute_pipe
-            and self._compute_pipe[0][0] <= self.cycle
-            and self.dram.write_cmd.can_push()
-        ):
-            _, addr, value = self._compute_pipe.popleft()
-            self.dram.write_cmd.push(DRAMCommand(kind="write", addr=addr, data=value))
+        pipe = self._compute_pipe
+        if pipe and pipe[0][0] <= now and self._write_cmd.can_push():
+            _, addr, value = pipe.popleft()
+            self._write_cmd.push(DRAMCommand("write", addr, value))
             self._writes_issued += 1

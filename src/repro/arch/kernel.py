@@ -113,22 +113,23 @@ class KernelHW(Component):
 
     # ------------------------------------------------------------------ #
     def tick(self) -> None:
+        now = self.sim.cycle
+        pipeline = self._pipeline
         # Retire results whose latency has elapsed.
-        if self._pipeline and self._pipeline[0][0] <= self.cycle:
+        if pipeline and pipeline[0][0] <= now:
             if self.result_out.can_push():
-                _, result = self._pipeline.popleft()
-                self.result_out.push(result)
+                self.result_out.push(pipeline.popleft()[1])
             else:
                 self.result_out.note_push_stall()
                 self.stall_cycles += 1
 
         # Accept a new tuple if the pipeline has room (one initiation per cycle).
-        if self.tuple_in.can_pop() and len(self._pipeline) < self._pipe_capacity:
+        if self.tuple_in.can_pop() and len(pipeline) < self._pipe_capacity:
             data: TupleData = self.tuple_in.pop()
-            value = self.kernel.apply(data.offsets, data.values)
-            ready = self.cycle + self.kernel.latency
-            self._pipeline.append((ready, KernelResult(index=data.index, value=value)))
+            kernel = self.kernel
+            value = kernel.apply(data.offsets, data.values)
+            pipeline.append((now + kernel.latency, KernelResult(index=data.index, value=value)))
             self.tuples_processed += 1
-            self.operations += self.kernel.ops_per_point
-            self.stats.incr("kernel_ops", self.kernel.ops_per_point)
+            self.operations += kernel.ops_per_point
+            self.stats.incr("kernel_ops", kernel.ops_per_point)
             self.busy_cycles += 1

@@ -43,6 +43,7 @@ class ReadMaster(Component):
         super().__init__(sim, name)
         self.dram = dram
         self.jobs: Channel = self.channel("jobs", job_capacity)
+        self._read_cmd = dram.read_cmd
         self._current: Optional[ReadJob] = None
         self._next_addr = 0
         self._remaining = 0
@@ -58,22 +59,23 @@ class ReadMaster(Component):
         return self._current is None and not self.jobs.can_pop()
 
     def tick(self) -> None:
-        if self._current is None and self.jobs.can_pop():
-            job: ReadJob = self.jobs.pop()
-            self._current = job
+        job = self._current
+        if job is None:
+            if not self.jobs.can_pop():
+                return
+            job = self._current = self.jobs.pop()
             self._next_addr = job.base
             self._remaining = job.length
-        if self._current is not None and self._remaining > 0:
-            if self.dram.read_cmd.can_push():
-                self.dram.read_cmd.push(
-                    DRAMCommand(kind="read", addr=self._next_addr, tag=self._current.tag)
-                )
+        if self._remaining > 0:
+            read_cmd = self._read_cmd
+            if read_cmd.can_push():
+                read_cmd.push(DRAMCommand("read", self._next_addr, tag=job.tag))
                 self._next_addr += 1
                 self._remaining -= 1
                 self.words_requested += 1
             else:
-                self.dram.read_cmd.note_push_stall()
-        if self._current is not None and self._remaining == 0:
+                read_cmd.note_push_stall()
+        if self._remaining == 0:
             self._current = None
 
     # ------------------------------------------------------------------ #
@@ -83,12 +85,12 @@ class ReadMaster(Component):
         if self._current is not None:
             # A job in progress always has words left between cycles (the
             # last word clears the job within the same tick it is pushed).
-            return self.sim.cycle if self.dram.read_cmd.can_push() else None
+            return self.sim.cycle if self._read_cmd.can_push() else None
         return self.sim.cycle if self.jobs.can_pop() else None
 
     def skip(self, cycles: int) -> None:
-        if self._current is not None and not self.dram.read_cmd.can_push():
-            self.dram.read_cmd.note_push_stall(cycles)
+        if self._current is not None and not self._read_cmd.can_push():
+            self._read_cmd.note_push_stall(cycles)
 
     def skip_digest(self):
         return (self._current, self._next_addr, self._remaining, self.words_requested)
@@ -102,6 +104,9 @@ class ResponseRouter(Component):
         super().__init__(sim, name)
         self.dram = dram
         self.smache = smache
+        self._read_rsp = dram.read_rsp
+        self._prefetch_in = smache.prefetch_in
+        self._stream_in = smache.stream_in
         self.routed_stream = 0
         self.routed_prefetch = 0
 
@@ -110,31 +115,31 @@ class ResponseRouter(Component):
         self.routed_prefetch = 0
 
     def finished(self) -> bool:
-        return not self.dram.read_rsp.can_pop()
+        return not self._read_rsp.can_pop()
 
     def tick(self) -> None:
-        if not self.dram.read_rsp.can_pop():
+        read_rsp = self._read_rsp
+        if not read_rsp.can_pop():
             return
-        rsp: DRAMResponse = self.dram.read_rsp.peek()
+        rsp: DRAMResponse = read_rsp.peek()
         if rsp.tag == TAG_PREFETCH:
-            if self.smache.prefetch_in.can_push():
-                self.dram.read_rsp.pop()
-                self.smache.prefetch_in.push(rsp.data)
+            if self._prefetch_in.can_push():
+                read_rsp.pop()
+                self._prefetch_in.push(rsp.data)
                 self.routed_prefetch += 1
-        else:
-            if self.smache.stream_in.can_push():
-                self.dram.read_rsp.pop()
-                self.smache.stream_in.push(rsp.data)
-                self.routed_stream += 1
+        elif self._stream_in.can_push():
+            read_rsp.pop()
+            self._stream_in.push(rsp.data)
+            self.routed_stream += 1
 
     # ------------------------------------------------------------------ #
     # idle-horizon protocol
     # ------------------------------------------------------------------ #
     def next_activity(self):
-        if not self.dram.read_rsp.can_pop():
+        if not self._read_rsp.can_pop():
             return None
-        rsp: DRAMResponse = self.dram.read_rsp.peek()
-        target = self.smache.prefetch_in if rsp.tag == TAG_PREFETCH else self.smache.stream_in
+        rsp: DRAMResponse = self._read_rsp.peek()
+        target = self._prefetch_in if rsp.tag == TAG_PREFETCH else self._stream_in
         return self.sim.cycle if target.can_push() else None
 
     def skip_digest(self):
@@ -156,6 +161,9 @@ class WritebackUnit(Component):
         self.dram = dram
         self.smache = smache
         self.result_channel = result_channel
+        self._write_cmd = dram.write_cmd
+        #: FSM-3's write-through input, when there is a front-end to feed.
+        self._result_in = smache.result_in if smache is not None else None
         self.dst_base = 0
         self.results_written = 0
 
@@ -173,17 +181,17 @@ class WritebackUnit(Component):
     def tick(self) -> None:
         if not self.result_channel.can_pop():
             return
-        if not self.dram.write_cmd.can_push():
-            self.dram.write_cmd.note_push_stall()
+        write_cmd = self._write_cmd
+        if not write_cmd.can_push():
+            write_cmd.note_push_stall()
             return
-        if self.smache is not None and not self.smache.result_in.can_push():
+        result_in = self._result_in
+        if result_in is not None and not result_in.can_push():
             return
         result: KernelResult = self.result_channel.pop()
-        self.dram.write_cmd.push(
-            DRAMCommand(kind="write", addr=self.dst_base + result.index, data=result.value)
-        )
-        if self.smache is not None:
-            self.smache.result_in.push(result)
+        write_cmd.push(DRAMCommand("write", self.dst_base + result.index, result.value))
+        if result_in is not None:
+            result_in.push(result)
         self.results_written += 1
 
     # ------------------------------------------------------------------ #
@@ -192,15 +200,15 @@ class WritebackUnit(Component):
     def next_activity(self):
         if not self.result_channel.can_pop():
             return None
-        if not self.dram.write_cmd.can_push():
+        if not self._write_cmd.can_push():
             return None  # stall bookkeeping only; reproduced by skip()
-        if self.smache is not None and not self.smache.result_in.can_push():
+        if self._result_in is not None and not self._result_in.can_push():
             return None
         return self.sim.cycle
 
     def skip(self, cycles: int) -> None:
-        if self.result_channel.can_pop() and not self.dram.write_cmd.can_push():
-            self.dram.write_cmd.note_push_stall(cycles)
+        if self.result_channel.can_pop() and not self._write_cmd.can_push():
+            self._write_cmd.note_push_stall(cycles)
 
     def skip_digest(self):
         return (self.dst_base, self.results_written)
@@ -274,6 +282,7 @@ class WorkSequencer(Component):
 
     # ------------------------------------------------------------------ #
     def _launch_instance(self, instance: int) -> None:
+        now = self.sim.cycle
         src = self.src_base(instance)
         if instance == 0 or self.prefetch_every_instance:
             for spec in self.smache.plan.statics:
@@ -283,26 +292,28 @@ class WorkSequencer(Component):
         self.read_master.jobs.push(ReadJob(base=src, length=self.grid_words, tag=TAG_STREAM))
         self.writeback.set_destination(self.dst_base(instance))
         self.smache.start_work_instance(instance)
-        self.instance_start_cycles.append(self.cycle)
-        self.trace.record(self.cycle, self.name, "launch_instance", instance)
+        self.instance_start_cycles.append(now)
+        self.trace.record(now, self.name, "launch_instance", instance)
 
     def tick(self) -> None:
-        self.fsm.tick()
+        fsm = self.fsm
+        fsm.tick()
         if self.iterations == 0:
-            self.fsm.go("DONE", self.cycle)
+            fsm.go("DONE", self.sim.cycle)
             return
-        if self.fsm.is_in("INIT"):
+        if fsm.is_in("INIT"):
             self._launch_instance(0)
-            self.fsm.go("WAIT", self.cycle)
+            fsm.go("WAIT", self.sim.cycle)
             return
-        if self.fsm.is_in("WAIT"):
+        if fsm.is_in("WAIT"):
             expected_writes = (self.current_instance + 1) * self.grid_words
             if self.dram.writes_completed >= expected_writes:
+                now = self.sim.cycle
                 self.smache.end_work_instance()
-                self.instance_end_cycles.append(self.cycle)
+                self.instance_end_cycles.append(now)
                 self.current_instance += 1
                 if self.current_instance >= self.iterations:
-                    self.fsm.go("DONE", self.cycle)
+                    fsm.go("DONE", now)
                 else:
                     self._launch_instance(self.current_instance)
 

@@ -22,7 +22,7 @@ the end of every work-instance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 from repro.arch.access_table import AccessTable
 from repro.arch.kernel import KernelResult, TupleData
@@ -69,6 +69,8 @@ class SmacheFrontEnd(Component):
             plan.stream, partition=partition, tap_offsets=taps, stats=self.stats
         )
         self.statics: List[StaticBufferHW] = [StaticBufferHW(s) for s in plan.statics]
+        self._window_hi = plan.stream.window_hi
+        self._operand_plan = self._build_operand_plan()
 
         # channels
         self.stream_in: Channel = self.channel("stream_in", 2)
@@ -149,43 +151,54 @@ class SmacheFrontEnd(Component):
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _static_covering(self, linear: int) -> Optional[StaticBufferHW]:
-        for s in self.statics:
-            if s.covers(linear):
-                return s
-        return None
+    def _build_operand_plan(self) -> List[Tuple[Tuple, Tuple]]:
+        """Per centre, its kernel offsets and one ``(target, constant,
+        windowed, static)`` source per operand, in access order.
 
-    def _assemble_tuple(self, centre: int) -> TupleData:
-        """Gather the operand values for one centre element (FSM-2 datapath)."""
+        Everything but the window's runtime coverage is fixed per system:
+        which operands exist or are constants, which lie in the window's
+        reach, and the first static buffer covering each.
+        """
         window_lo = self.plan.stream.window_lo
-        window_hi = self.plan.stream.window_hi
-        offsets = []
-        values = []
-        for acc in self.access_table[centre].accesses:
-            if acc.kind is ResolutionKind.SKIPPED:
-                continue
-            if acc.kind is ResolutionKind.CONSTANT:
+        plan = []
+        for centre in range(len(self.access_table)):
+            offsets = []
+            sources = []
+            for acc in self.access_table[centre].accesses:
+                if acc.kind is ResolutionKind.SKIPPED:
+                    continue
                 offsets.append(acc.offset)
-                values.append(float(acc.constant))
-                continue
-            target = acc.target
-            stream_offset = target - centre
-            if window_lo <= stream_offset <= window_hi and self.window.covers(target):
-                value = self.window.read(target, self.cycle)
+                if acc.kind is ResolutionKind.CONSTANT:
+                    sources.append((None, float(acc.constant), False, None))
+                    continue
+                target = acc.target
+                windowed = window_lo <= target - centre <= self._window_hi
+                static = next((s for s in self.statics if s.covers(target)), None)
+                sources.append((target, None, windowed, static))
+            plan.append((tuple(offsets), tuple(sources)))
+        return plan
+
+    def _assemble_tuple(self, centre: int, now: int) -> TupleData:
+        """Gather the operand values for one centre element (FSM-2 datapath)."""
+        offsets, sources = self._operand_plan[centre]
+        window = self.window
+        values = []
+        for target, constant, windowed, static in sources:
+            if target is None:
+                values.append(constant)
+            elif windowed and window.covers(target):
+                values.append(window.read(target, now))
                 self.window_hits += 1
+            elif static is None:
+                raise SimulationError(
+                    f"{self.name}: operand {target} of centre {centre} is served "
+                    "neither by the window nor by any static buffer "
+                    "(buffer plan is inconsistent with the access pattern)"
+                )
             else:
-                static = self._static_covering(target)
-                if static is None:
-                    raise SimulationError(
-                        f"{self.name}: operand {target} of centre {centre} is served "
-                        "neither by the window nor by any static buffer "
-                        "(buffer plan is inconsistent with the access pattern)"
-                    )
-                value = static.read(target)
+                values.append(static.read(target))
                 self.static_hits += 1
-            offsets.append(acc.offset)
-            values.append(value)
-        return TupleData(index=centre, offsets=tuple(offsets), values=tuple(values))
+        return TupleData(index=centre, offsets=offsets, values=tuple(values))
 
     # ------------------------------------------------------------------ #
     # idle-horizon protocol
@@ -201,9 +214,8 @@ class SmacheFrontEnd(Component):
             return now if self.prefetch_in.can_pop() or not self.needs_prefetch else None
         if not self._active or not self.fsm_gather.is_in("RUN"):
             return None
-        window_hi = self.plan.stream.window_hi
         head = self.window.head
-        if head < self._emitted + window_hi:
+        if head < self._emitted + self._window_hi:
             if self._received < self._n:
                 if self.stream_in.can_pop():
                     return now  # FSM-2 accepts a stream word
@@ -211,7 +223,7 @@ class SmacheFrontEnd(Component):
                 return now  # tail flush: pad push into the window
         if (
             self._emitted < self._n
-            and head >= self._emitted + window_hi
+            and head >= self._emitted + self._window_hi
             and self.tuple_out.can_push()
         ):
             return now  # FSM-2 emits a tuple
@@ -223,17 +235,16 @@ class SmacheFrontEnd(Component):
         self.fsm_writeback.skip(cycles)
         if not self._active or not self.fsm_gather.is_in("RUN"):
             return
-        window_hi = self.plan.stream.window_hi
         head = self.window.head
         if (
-            head < self._emitted + window_hi
+            head < self._emitted + self._window_hi
             and self._received < self._n
             and not self.stream_in.can_pop()
         ):
             self.input_starved_cycles += cycles
         if (
             self._emitted < self._n
-            and head >= self._emitted + window_hi
+            and head >= self._emitted + self._window_hi
             and not self.tuple_out.can_push()
         ):
             self.tuple_out.note_push_stall(cycles)
@@ -257,6 +268,7 @@ class SmacheFrontEnd(Component):
         self.fsm_prefetch.tick()
         self.fsm_gather.tick()
         self.fsm_writeback.tick()
+        now = self.sim.cycle
 
         # FSM-3: write-through of kernel results into static write banks.
         if self.result_in.can_pop():
@@ -280,15 +292,18 @@ class SmacheFrontEnd(Component):
                     raise SimulationError(f"{self.name}: prefetch data after warm-up completed")
                 self.statics[self._prefetch_buffer_idx].prefetch_word(value)
             if not self.needs_prefetch:
-                self.fsm_prefetch.go("DONE", self.cycle)
+                self.fsm_prefetch.go("DONE", now)
                 if self.fsm_gather.is_in("WAIT"):
-                    self.fsm_gather.go("RUN", self.cycle)
-                self.trace.record(self.cycle, self.name, "prefetch_done")
+                    self.fsm_gather.go("RUN", now)
+                self.trace.record(now, self.name, "prefetch_done")
 
         if not self._active or not self.fsm_gather.is_in("RUN"):
             return
 
-        window_hi = self.plan.stream.window_hi
+        window = self.window
+        n = self._n
+        emitted = self._emitted
+        aligned_limit = emitted + self._window_hi
 
         # FSM-2 (a): accept at most one stream word per cycle into the window.
         # The window is kept aligned with the emission point (head never runs
@@ -296,26 +311,25 @@ class SmacheFrontEnd(Component):
         # is the stall/back-pressure path of the AXI-Stream interface.  Once
         # the input stream is exhausted, padding words flush the tail of the
         # grid through the window so the last rows can be emitted.
-        aligned_limit = self._emitted + window_hi
-        if self.window.head < aligned_limit:
-            if self._received < self._n:
+        if window.head < aligned_limit:
+            received = self._received
+            if received < n:
                 if self.stream_in.can_pop():
-                    value = self.stream_in.pop()
-                    self.window.push(self._received, value, self.cycle)
-                    self._received += 1
+                    window.push(received, self.stream_in.pop(), now)
+                    self._received = received + 1
                 else:
                     self.input_starved_cycles += 1
-            elif self._emitted < self._n:
-                self.window.push(self.window.head + 1, 0.0, self.cycle)
+            elif emitted < n:
+                window.push(window.head + 1, 0.0, now)
                 self.stats.incr("window_pad_pushes")
 
         # FSM-2 (b): emit at most one stencil tuple per cycle.
-        if self._emitted < self._n and self.window.head >= self._emitted + window_hi:
-            if self.tuple_out.can_push():
-                data = self._assemble_tuple(self._emitted)
-                self.tuple_out.push(data)
-                self._emitted += 1
+        if emitted < n and window.head >= aligned_limit:
+            tuple_out = self.tuple_out
+            if tuple_out.can_push():
+                tuple_out.push(self._assemble_tuple(emitted, now))
+                self._emitted = emitted + 1
                 self.tuples_emitted += 1
             else:
-                self.tuple_out.note_push_stall()
+                tuple_out.note_push_stall()
                 self.emit_stall_cycles += 1

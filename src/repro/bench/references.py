@@ -27,8 +27,8 @@ holds two kinds of band, both meaningful on any host:
 * the same-process ratio claims of :mod:`repro.bench.claims`, each at
   exactly the bound the claim states (a fast path against its reference
   path, timed in one process);
-* exact work counters of a traced perfbench ``campaign_cold`` run, which
-  depend only on the seed and the code.
+* exact work counters of traced perfbench ``campaign_cold``, ``sim_fig2``
+  and ``sim_latency`` runs, which depend only on the seed and the code.
 
 End-to-end timings (throughput, latency, set-up) are deliberately *not*
 referenced: ``BENCHMARK.json`` bounds them against the parent commit, and
@@ -95,6 +95,18 @@ DEFAULT_REFERENCES: ReferenceTable = {
         "campaign_cold.pricing.points": (192.0, 0.0, 0.0, "count"),
         "campaign_cold.sweep.events": (386.0, 0.0, 0.0, "count"),
         "campaign_cold.sweep.points_failed": (0.0, 0.0, 0.0, "count"),
+        # --- perfbench sim_fig2 / sim_latency, traced: exact scheduler work ---
+        # (any seed: a scheduler that executes or skips other cycles fails)
+        "sim_fig2.sim.cycles": (75924.0, 0.0, 0.0, "count"),
+        "sim_fig2.sim.ticks_executed": (75824.0, 0.0, 0.0, "count"),
+        "sim_fig2.sim.cycles_skipped": (100.0, 0.0, 0.0, "count"),
+        "sim_fig2.sim.skip_regions": (100.0, 0.0, 0.0, "count"),
+        "sim_fig2.sim.component_ticks": (224763.0, 0.0, 0.0, "count"),
+        "sim_latency.sim.cycles": (1183249.0, 0.0, 0.0, "count"),
+        "sim_latency.sim.ticks_executed": (117133.0, 0.0, 0.0, "count"),
+        "sim_latency.sim.cycles_skipped": (1066116.0, 0.0, 0.0, "count"),
+        "sim_latency.sim.skip_regions": (34234.0, 0.0, 0.0, "count"),
+        "sim_latency.sim.component_ticks": (306856.0, 0.0, 0.0, "count"),
     },
 }
 

@@ -1,10 +1,10 @@
 """Memory substrates: DRAM, block RAM and register files.
 
-The DRAM model is the external memory the paper streams from; BRAM and
-register-file models provide FPGA-like port semantics for the on-chip buffers
-so that the architecture models can *demonstrate* (not just assert) that the
-hybrid stream buffer never needs more than one concurrent read per BRAM
-segment.
+The DRAM model is the external memory the paper streams from.  The BRAM and
+register-file models give FPGA-like port semantics, but no simulated system
+instantiates them: the claim that the hybrid stream buffer never needs more
+than one concurrent read per BRAM segment is checked by
+:class:`repro.arch.stream_buffer.WindowBuffer`'s per-cycle port accounting.
 """
 
 from repro.memory.dram import DRAMModel, DRAMTiming, DRAMCommand, DRAMResponse

@@ -4,9 +4,10 @@ The functional behaviour is a plain word array; what matters for the
 reproduction is the *port discipline*: a simple dual-port BRAM supports one
 read and one write per cycle.  The paper's hybrid stream buffer is designed so
 the BRAM-resident part of the window only ever needs a single sequential read
-per cycle — :class:`BRAMModel` enforces that claim at simulation time by
-raising :class:`PortConflictError` if an architecture model ever exceeds the
-port budget within one cycle.
+per cycle.  :class:`BRAMModel` raises :class:`PortConflictError` when a
+caller exceeds the port budget within one cycle, but no simulated system
+instantiates it: the claim is checked by
+:class:`repro.arch.stream_buffer.WindowBuffer`'s own port accounting.
 """
 
 from __future__ import annotations

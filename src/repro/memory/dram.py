@@ -24,7 +24,7 @@ channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
@@ -65,27 +65,29 @@ class DRAMTiming:
         check_non_negative("row_miss_penalty", self.row_miss_penalty)
 
 
-@dataclass(frozen=True)
 class DRAMCommand:
-    """One memory command."""
+    """One memory command (``kind`` is ``"read"`` or ``"write"``)."""
 
-    kind: str  # "read" or "write"
-    addr: int
-    data: float = 0.0
-    tag: int = 0
+    __slots__ = ("kind", "addr", "data", "tag")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("read", "write"):
-            raise ValueError(f"unknown DRAM command kind {self.kind!r}")
+    def __init__(self, kind: str, addr: int, data: float = 0.0, tag: int = 0) -> None:
+        if kind != "read" and kind != "write":
+            raise ValueError(f"unknown DRAM command kind {kind!r}")
+        self.kind = kind
+        self.addr = addr
+        self.data = data
+        self.tag = tag
 
 
-@dataclass(frozen=True)
 class DRAMResponse:
     """Read data returned by the DRAM."""
 
-    addr: int
-    data: float
-    tag: int = 0
+    __slots__ = ("addr", "data", "tag")
+
+    def __init__(self, addr: int, data: float, tag: int = 0) -> None:
+        self.addr = addr
+        self.data = data
+        self.tag = tag
 
 
 class _Port:
@@ -101,12 +103,10 @@ class _Port:
         self.name = name
         self.free_at = 0
         self.last_addr: Optional[int] = None
-        self.current: Optional[DRAMCommand] = None
 
     def reset(self) -> None:
         self.free_at = 0
         self.last_addr = None
-        self.current = None
 
 
 class DRAMModel(Component):
@@ -152,7 +152,7 @@ class DRAMModel(Component):
         self.row_misses = 0
         self.writes_completed = 0
         self._arbiter_turn = 0  # round-robin pointer for the shared bus
-        # busy accounting is interval-based (see _account_busy): every access
+        # busy accounting is interval-based (see _occupy): every access
         # contributes its occupancy interval up front, so batch-advancing the
         # clock over a busy wait loses no cycles.
         self._busy_accum = 0
@@ -206,10 +206,11 @@ class DRAMModel(Component):
         self._busy_union_until = 0
 
     def finished(self) -> bool:
+        now = self.sim.cycle
         return (
             not self._inflight_reads
-            and self.cycle >= self._read_port.free_at
-            and self.cycle >= self._write_port.free_at
+            and now >= self._read_port.free_at
+            and now >= self._write_port.free_at
         )
 
     # ------------------------------------------------------------------ #
@@ -220,103 +221,89 @@ class DRAMModel(Component):
         """Cycles (so far) where at least one port was serving an access."""
         return self._busy_accum - max(0, self._busy_union_until - self.sim.cycle)
 
-    def _account_busy(self, start: int, end: int) -> None:
-        """Add the busy interval ``(start, end]`` to the union accumulator.
+    def _occupy(self, port: _Port, addr: int, now: int) -> int:
+        """Start an access on ``port`` at ``now``, with burst/row accounting;
+        returns the cycle the port is free again.
 
+        The busy interval ``(now, free]`` joins the union accumulator.
         Intervals always begin at the current cycle, so the union of the two
         ports' intervals is contiguous at the tail and one high-water mark
         (``_busy_union_until``) suffices to avoid double counting.
         """
-        counted_from = max(start, self._busy_union_until)
-        if end > counted_from:
-            self._busy_accum += end - counted_from
-            self._busy_union_until = end
-
-    def _access_cost(self, port: _Port, addr: int) -> int:
-        """Cycles the access occupies the port, with burst/row accounting."""
         t = self.timing
-        sequential = port.last_addr is not None and addr == port.last_addr + 1
-        if sequential:
+        last = port.last_addr
+        if last is not None and addr == last + 1:
             self.sequential_accesses += 1
-            cost = t.stream_word_cycles
+            free = now + t.stream_word_cycles
         else:
             self.random_accesses += 1
-            cost = t.random_access_cycles
-            if t.row_miss_penalty > 0:
-                prev_row = None if port.last_addr is None else port.last_addr // t.row_words
-                if prev_row is None or addr // t.row_words != prev_row:
-                    self.row_misses += 1
-                    cost += t.row_miss_penalty
+            free = now + t.random_access_cycles
+            if t.row_miss_penalty > 0 and (
+                last is None or addr // t.row_words != last // t.row_words
+            ):
+                self.row_misses += 1
+                free += t.row_miss_penalty
         port.last_addr = addr
-        return cost
+        port.free_at = free
+        union_until = self._busy_union_until
+        counted_from = union_until if union_until > now else now
+        if free > counted_from:
+            self._busy_accum += free - counted_from
+            self._busy_union_until = free
+        return free
 
-    def _start_read(self, cmd: DRAMCommand) -> None:
-        if not (0 <= cmd.addr < self.size_words):
-            raise IndexError(f"DRAM read address {cmd.addr} out of range")
-        now = self.cycle
-        cost = self._access_cost(self._read_port, cmd.addr)
-        self._read_port.free_at = now + cost
-        self._account_busy(now, now + cost)
-        data = float(self.storage[cmd.addr])
-        ready = now + cost + self.timing.read_latency
-        self._inflight_reads.append((ready, DRAMResponse(addr=cmd.addr, data=data, tag=cmd.tag)))
+    def _start_read(self, cmd: DRAMCommand, now: int) -> None:
+        addr = cmd.addr
+        if not 0 <= addr < self.size_words:
+            raise IndexError(f"DRAM read address {addr} out of range")
+        ready = self._occupy(self._read_port, addr, now) + self.timing.read_latency
+        self._inflight_reads.append(
+            (ready, DRAMResponse(addr, float(self.storage[addr]), cmd.tag))
+        )
         self.words_read += 1
 
-    def _start_write(self, cmd: DRAMCommand) -> None:
-        if not (0 <= cmd.addr < self.size_words):
-            raise IndexError(f"DRAM write address {cmd.addr} out of range")
-        now = self.cycle
-        cost = self._access_cost(self._write_port, cmd.addr)
-        self._write_port.free_at = now + cost
-        self._account_busy(now, now + cost)
-        self.storage[cmd.addr] = cmd.data
+    def _start_write(self, cmd: DRAMCommand, now: int) -> None:
+        addr = cmd.addr
+        if not 0 <= addr < self.size_words:
+            raise IndexError(f"DRAM write address {addr} out of range")
+        self._occupy(self._write_port, addr, now)
+        self.storage[addr] = cmd.data
         self.words_written += 1
         self.writes_completed += 1
 
     # ------------------------------------------------------------------ #
     def tick(self) -> None:
-        now = self.cycle
+        now = self.sim.cycle
         # Deliver any read data whose latency has elapsed (in order).
         inflight = self._inflight_reads
-        if inflight:
-            rsp = self.read_rsp
-            while inflight and inflight[0][0] <= now and rsp.can_push():
-                rsp.push(inflight.popleft()[1])
-
-        if self.shared_bus:
-            self._tick_shared_bus(now)
-        else:
-            self._tick_split_bus(now)
-
-    def _response_space_ok(self) -> bool:
+        rsp = self.read_rsp
+        while inflight and inflight[0][0] <= now and rsp.can_push():
+            rsp.push(inflight.popleft()[1])
+        read_port = self._read_port
+        write_port = self._write_port
         # Do not accept more reads than the response path can absorb; this
         # provides the back-pressure ("stall") path of the AXI-style interface.
-        return len(self._inflight_reads) < self.read_rsp.capacity
-
-    def _tick_split_bus(self, now: int) -> None:
-        if now >= self._read_port.free_at and self.read_cmd.can_pop() and self._response_space_ok():
-            self._start_read(self.read_cmd.pop())
-        if now >= self._write_port.free_at and self.write_cmd.can_pop():
-            self._start_write(self.write_cmd.pop())
-
-    def _tick_shared_bus(self, now: int) -> None:
-        # One transaction at a time across both ports, round-robin between
-        # pending reads and writes so neither side starves.
-        if now < self._read_port.free_at or now < self._write_port.free_at:
+        if self.shared_bus:
+            # One transaction at a time across both ports, round-robin between
+            # pending reads and writes so neither side starves.
+            if now < read_port.free_at or now < write_port.free_at:
+                return
+            want_read = self.read_cmd.can_pop() and len(inflight) < rsp.capacity
+            want_write = self.write_cmd.can_pop()
+            if want_read and (not want_write or self._arbiter_turn == 0):
+                self._start_read(self.read_cmd.pop(), now)
+                # Both "ports" are the same bus: mirror the occupancy.
+                write_port.free_at = read_port.free_at
+                self._arbiter_turn = 1
+            elif want_write:
+                self._start_write(self.write_cmd.pop(), now)
+                read_port.free_at = write_port.free_at
+                self._arbiter_turn = 0
             return
-        want_read = self.read_cmd.can_pop() and self._response_space_ok()
-        want_write = self.write_cmd.can_pop()
-        if want_read and (not want_write or self._arbiter_turn == 0):
-            cmd = self.read_cmd.pop()
-            self._start_read(cmd)
-            # Both "ports" are the same bus: mirror the occupancy.
-            self._write_port.free_at = self._read_port.free_at
-            self._arbiter_turn = 1
-        elif want_write:
-            cmd = self.write_cmd.pop()
-            self._start_write(cmd)
-            self._read_port.free_at = self._write_port.free_at
-            self._arbiter_turn = 0
+        if now >= read_port.free_at and self.read_cmd.can_pop() and len(inflight) < rsp.capacity:
+            self._start_read(self.read_cmd.pop(), now)
+        if now >= write_port.free_at and self.write_cmd.can_pop():
+            self._start_write(self.write_cmd.pop(), now)
 
     # ------------------------------------------------------------------ #
     # idle-horizon protocol
@@ -337,25 +324,22 @@ class DRAMModel(Component):
                 return now
             if horizon is None or ready < horizon:
                 horizon = ready
-        # A blocked response path (read_rsp full) is not self-scheduled
-        # activity: only the consumer popping can unblock it, and that
-        # consumer reports its own activity.
-        if self.read_cmd.can_pop() and self._response_space_ok():
-            free = self._read_port.free_at
-            if self.shared_bus and self._write_port.free_at > free:
-                free = self._write_port.free_at
-            if free <= now:
-                return now
-            if horizon is None or free < horizon:
-                horizon = free
-        if self.write_cmd.can_pop():
-            free = self._write_port.free_at
-            if self.shared_bus and self._read_port.free_at > free:
-                free = self._read_port.free_at
-            if free <= now:
-                return now
-            if horizon is None or free < horizon:
-                horizon = free
+        # A queued command waits for its port (for both, on a shared bus),
+        # whose free time is already in the horizon.  A blocked response path
+        # (read_rsp full) is not self-scheduled activity: only the consumer
+        # popping can unblock it, and that consumer reports its own activity.
+        read_free = self._read_port.free_at <= now
+        write_free = self._write_port.free_at <= now
+        if self.shared_bus:
+            read_free = write_free = read_free and write_free
+        if (
+            read_free
+            and self.read_cmd.can_pop()
+            and len(self._inflight_reads) < self.read_rsp.capacity
+        ):
+            return now
+        if write_free and self.write_cmd.can_pop():
+            return now
         return horizon
 
     def skip_digest(self):

@@ -281,7 +281,8 @@ class EvaluationServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: "set[asyncio.Task]" = set()
+        #: Live connection handlers and their stream writers.
+        self._connections: "Dict[asyncio.Task, asyncio.StreamWriter]" = {}
 
     # ------------------------------------------------------------------ #
     async def start(self) -> Tuple[str, int]:
@@ -292,16 +293,21 @@ class EvaluationServer:
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop accepting, close the listener, and tear down live connections."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._connections):
-            task.cancel()
+        """Stop accepting, close the listener, and tear down live connections.
+
+        Closing a connection's transport (not cancelling its handler) lets the
+        handler read EOF, cancel its in-flight requests and return cleanly.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for writer in list(self._connections.values()):
+            writer.close()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
+        if server is not None:
+            await server.wait_closed()
 
     async def serve_forever(self) -> None:
         """Run until cancelled (the CLI's main loop)."""
@@ -315,7 +321,7 @@ class EvaluationServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         me = asyncio.current_task()
         if me is not None:
-            self._connections.add(me)
+            self._connections[me] = writer
         write_lock = asyncio.Lock()
         tasks: "set[asyncio.Task]" = set()
 
@@ -410,11 +416,11 @@ class EvaluationServer:
             try:
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
-                # CancelledError here is the loop (or stop()) tearing the
-                # handler down mid-close; the transport is gone either way.
+                # CancelledError here is the loop tearing the handler down
+                # mid-close; the transport is gone either way.
                 pass
             if me is not None:
-                self._connections.discard(me)
+                self._connections.pop(me, None)
 
 
 async def run_server(

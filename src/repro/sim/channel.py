@@ -36,7 +36,6 @@ class Channel:
         "_staged_pops",
         "_on_dirty",
         "_dirty",
-        "mutations",
         "total_pushes",
         "total_pops",
         "push_stall_cycles",
@@ -58,10 +57,6 @@ class Channel:
         self._staged_pops = 0
         self._on_dirty = on_dirty
         self._dirty = False
-        #: Monotone count of state-changing operations (pushes + pops), used
-        #: by the debug engine to prove a skipped region was dead.  Stall
-        #: notes are bookkeeping, not activity, and do not count.
-        self.mutations = 0
         # statistics
         self.total_pushes = 0
         self.total_pops = 0
@@ -70,10 +65,14 @@ class Channel:
         self.max_occupancy = 0
 
     # ------------------------------------------------------------------ #
-    def _mark_dirty(self) -> None:
-        if not self._dirty and self._on_dirty is not None:
-            self._dirty = True
-            self._on_dirty(self)
+    @property
+    def mutations(self) -> int:
+        """Monotone count of state-changing operations (pushes + pops).
+
+        The debug engine uses it to prove a skipped region was dead.  Stall
+        notes are bookkeeping, not activity, and do not count.
+        """
+        return self.total_pushes + self.total_pops
 
     # ------------------------------------------------------------------ #
     # producer side
@@ -88,15 +87,18 @@ class Channel:
 
     def push(self, item: Any) -> None:
         """Stage one item for delivery at the end of the current cycle."""
-        if not self.can_push():
+        staged = self._staged_pushes
+        if len(self._queue) + len(staged) >= self.capacity:
             raise SimulationChannelError(
                 f"push on full channel '{self.name}' "
                 f"(capacity {self.capacity}); call can_push() first"
             )
-        self._staged_pushes.append(item)
+        staged.append(item)
         self.total_pushes += 1
-        self.mutations += 1
-        self._mark_dirty()
+        if not self._dirty:
+            self._dirty = True
+            if self._on_dirty is not None:
+                self._on_dirty(self)
 
     def note_push_stall(self, cycles: int = 1) -> None:
         """Record ``cycles`` cycles where the producer had data but the
@@ -119,16 +121,18 @@ class Channel:
 
     def pop(self) -> Any:
         """Consume one item (the removal is applied at the end of the cycle)."""
-        if not self.can_pop():
+        index = self._staged_pops
+        if index >= len(self._queue):
             raise SimulationChannelError(
                 f"pop on empty channel '{self.name}'; call can_pop() first"
             )
-        item = self._queue[self._staged_pops]
-        self._staged_pops += 1
+        self._staged_pops = index + 1
         self.total_pops += 1
-        self.mutations += 1
-        self._mark_dirty()
-        return item
+        if not self._dirty:
+            self._dirty = True
+            if self._on_dirty is not None:
+                self._on_dirty(self)
+        return self._queue[index]
 
     def note_pop_stall(self, cycles: int = 1) -> None:
         """Record ``cycles`` cycles where the consumer was ready but the
@@ -141,15 +145,20 @@ class Channel:
     def commit(self) -> None:
         """Apply the cycle's staged pops and pushes (called by the simulator)."""
         self._dirty = False
-        if self._staged_pops:
-            queue = self._queue
-            for _ in range(self._staged_pops):
+        queue = self._queue
+        pops = self._staged_pops
+        if pops:
+            if pops == 1:
                 queue.popleft()
+            else:
+                for _ in range(pops):
+                    queue.popleft()
             self._staged_pops = 0
-        if self._staged_pushes:
-            self._queue.extend(self._staged_pushes)
-            self._staged_pushes.clear()
-            occupancy = len(self._queue)
+        staged = self._staged_pushes
+        if staged:
+            queue.extend(staged)
+            staged.clear()
+            occupancy = len(queue)
             if occupancy > self.max_occupancy:
                 if occupancy > self.capacity:
                     raise SimulationChannelError(
@@ -163,7 +172,6 @@ class Channel:
         self._staged_pushes.clear()
         self._staged_pops = 0
         self._dirty = False
-        self.mutations = 0
         self.total_pushes = 0
         self.total_pops = 0
         self.push_stall_cycles = 0

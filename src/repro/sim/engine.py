@@ -24,11 +24,15 @@ fast scheduler uses it to batch-advance over **dead regions**: when *every*
 component's horizon lies in the future, no component can act, so no channel
 or wire can change, so the assumption holds inductively across the whole
 region and the simulator jumps the clock to the minimum horizon without
-executing any cycle at all.  Active cycles run exactly like the naive
-scheduler — the fast path adds a single branch to them: horizons are only
-evaluated after a *quiet* cycle (one that committed no channel or wire),
-because a cycle that moved data cannot be followed by a dead region the
-horizon pass would miss.
+executing any cycle at all.
+
+One loop, :meth:`Simulator._run`, advances the clock for every entry point
+and engine mode.  It binds each component's ``tick`` once; an executed cycle
+calls them in registration order and commits the dirty channels and wires
+inline.  Horizons are evaluated only after a *quiet* cycle (one that
+committed no channel or wire) with nothing staged from outside a tick, as a
+cycle that moved data cannot be followed by a dead region the horizon pass
+would miss; an active cycle pays one branch for the fast path.
 
 Per-cycle statistics that the region's no-op ticks would still have
 recorded (stall counters, FSM occupancy) are reproduced exactly through
@@ -227,9 +231,7 @@ class Simulator:
         self.skip_regions = 0
         self.component_ticks = 0
         # True when the last executed cycle committed no channel or wire: the
-        # trigger for evaluating idle horizons (a cycle that moved data can
-        # never be the *second* cycle of a dead region, so active phases pay
-        # no horizon overhead at all).
+        # trigger for evaluating idle horizons.
         self._quiet = False
 
     # ------------------------------------------------------------------ #
@@ -286,101 +288,100 @@ class Simulator:
             w.reset()
 
     def step(self, cycles: int = 1) -> None:
-        """Advance the simulation by ``cycles`` clock cycles (naive ticking).
+        """Advance the simulation by ``cycles`` executed clock cycles.
 
-        This is the reference scheduler: every component ticks on every
-        cycle.  The commit phase only visits channels and wires that staged
-        an update this cycle (the dirty worklists), which is an observable
-        no-op — untouched channels have nothing to latch.
+        Every component ticks on every one of them whatever the engine mode:
+        ``step`` never skips.  The commit phase only visits channels and
+        wires that staged an update this cycle (the dirty worklists), which
+        is an observable no-op — untouched channels have nothing to latch.
         """
         check_positive("cycles", cycles)
+        self._run(None, self.cycle + cycles, False)
+
+    def _run(self, condition: Optional[Callable[[], bool]], limit: int, skip: bool) -> bool:
+        """The scheduler loop behind every way of advancing the clock.
+
+        Advances event by event until ``condition()`` holds (sampled before
+        every event; ``None`` never holds) or the clock reaches ``limit``;
+        returns whether the condition held.  An event is one executed cycle
+        or, with ``skip``, one dead region up to the minimum future horizon
+        (never past ``limit``).  State only changes across executed cycles,
+        so the condition is never sampled inside a region.
+        """
         components = self._components
+        ticks = [comp.tick for comp in components]
         dirty_channels = self._dirty_channels
         dirty_wires = self._dirty_wires
-        for _ in range(cycles):
-            for comp in components:
-                comp.tick()
-            if dirty_channels or dirty_wires:
-                self._quiet = False
-                if dirty_channels:
+        quiet = self._quiet
+        executed = 0
+        try:
+            while True:
+                if condition is not None and condition():
+                    return True
+                now = self.cycle
+                if now >= limit:
+                    return False
+                if skip and quiet and not dirty_channels and not dirty_wires:
+                    # Dead unless someone can act now; it ends at the first
+                    # self-scheduled wake-up, or at the limit if there is none.
+                    target = limit
+                    for comp in components:
+                        c = comp.next_activity()
+                        if c is not None and c < target:
+                            if c <= now:
+                                break
+                            target = c
+                    else:
+                        self._dead_region(target - now)
+                        # The wake-up cycle at the region's end must execute.
+                        quiet = False
+                        continue
+                for tick in ticks:
+                    tick()
+                if dirty_channels or dirty_wires:
+                    quiet = False
                     for ch in dirty_channels:
                         ch.commit()
                     dirty_channels.clear()
-                if dirty_wires:
                     for w in dirty_wires:
                         w.commit()
                     dirty_wires.clear()
-            else:
-                self._quiet = True
-            self.cycle += 1
-            self.ticks_executed += 1
-            self.component_ticks += len(components)
+                else:
+                    quiet = True
+                self.cycle = now + 1
+                executed += 1
+        finally:
+            self.ticks_executed += executed
+            self.component_ticks += executed * len(ticks)
+            self._quiet = quiet
 
     # ------------------------------------------------------------------ #
     # idle-horizon machinery
     # ------------------------------------------------------------------ #
-    def _advance_event(self, limit: int) -> None:
-        """Advance the simulation by one scheduling event, never past ``limit``.
-
-        One event is either a single executed cycle (ticking every component,
-        exactly like the naive scheduler) or a batch advance over a fully
-        dead region up to the minimum future horizon.  Horizons are only
-        evaluated after a *quiet* executed cycle — one that committed no
-        channel or wire — so active phases run at full naive speed with a
-        single extra branch per cycle.  Simulation state — and therefore any
-        state-dependent run condition — can only change across executed
-        cycles, so callers re-check their condition after every call.
-        """
-        if not self._quiet or self._dirty_channels or self._dirty_wires:
-            # Either the last cycle moved data (so this one cannot be part of
-            # a missed dead region) or a testbench staged updates from
-            # outside a tick: execute normally.
-            self.step(1)
-            return
-        components = self._components
-        now = self.cycle
-        horizon: Optional[int] = None
-        for comp in components:
-            c = comp.next_activity()
-            if c is None:
-                continue
-            if c <= now:
-                self.step(1)
-                return
-            if horizon is None or c < horizon:
-                horizon = c
-        # Fully dead region: nothing can happen until the earliest
-        # self-scheduled wake-up (or ever, if there is none — then the
-        # caller's budget check fires, exactly like naive ticking).
-        target = min(horizon, limit) if horizon is not None else limit
-        cycles = target - now
-        if cycles <= 0:
-            self.step(1)
-            return
-        if self.engine == "debug":
-            self._cross_check_region(cycles)
-            return
-        for comp in components:
-            comp.skip(cycles)
-        self.cycle = target
-        self.cycles_skipped += cycles
-        self.skip_regions += 1
-        # The wake-up cycle at the region's end must execute.
-        self._quiet = False
-
-    def _cross_check_region(self, cycles: int) -> None:
-        """Debug engine: naively execute a would-be-skipped region and verify
-        it was dead."""
-        mutations_before = sum(ch.mutations for ch in self._channels.values()) + sum(
+    def _mutations(self) -> int:
+        return sum(ch.mutations for ch in self._channels.values()) + sum(
             w.mutations for w in self._wires.values()
         )
+
+    def _dead_region(self, cycles: int) -> None:
+        """Pass ``cycles`` cycles in which no component can act.
+
+        The fast engine jumps the clock and lets every component batch-accrue
+        its per-cycle bookkeeping; the debug engine executes the region
+        instead and checks that it really was dead.
+        """
+        self.skip_regions += 1
+        if self.engine != "debug":
+            for comp in self._components:
+                comp.skip(cycles)
+            self.cycle += cycles
+            self.cycles_skipped += cycles
+            return
+        mutations_before = self._mutations()
         digests_before = [comp.skip_digest() for comp in self._components]
         start = self.cycle
-        self.step(cycles)
-        mutations_after = sum(ch.mutations for ch in self._channels.values()) + sum(
-            w.mutations for w in self._wires.values()
-        )
-        if mutations_after != mutations_before:
+        self._run(None, start + cycles, False)
+        if self._mutations() != mutations_before:
             raise SimulationError(
                 f"simulation '{self.name}': channel/wire activity inside the dead "
                 f"region [{start}, {start + cycles}) — some component's "
@@ -394,7 +395,6 @@ class Simulator:
                     f"drifted inside the dead region [{start}, {start + cycles}): "
                     f"{before!r} -> {after!r}"
                 )
-        self.skip_regions += 1
 
     # ------------------------------------------------------------------ #
     def run_until(
@@ -410,33 +410,29 @@ class Simulator:
         respected exactly even when ``check_every > 1``: the last batch is
         clipped so the simulation never silently runs past ``max_cycles``.
 
-        With the fast engine (and ``check_every == 1``) dead regions are
-        batch-skipped; the condition is re-evaluated after every executed
-        cycle, and never *inside* a dead region — state cannot change there,
-        so the condition (which must depend on simulation state only)
-        cannot either.  ``check_every > 1`` keeps the historical naive
-        batching semantics: the condition is literally sampled every
-        ``check_every`` cycles.
+        With the fast and debug engines (and ``check_every == 1``) dead
+        regions are batch-skipped (or, under debug, executed and
+        cross-checked); the condition is re-evaluated after every event, and
+        never *inside* a dead region — state cannot change there, so the
+        condition (which must depend on simulation state only) cannot
+        either.  ``check_every > 1`` keeps the historical naive batching
+        semantics: the condition is literally sampled every ``check_every``
+        cycles.
         """
         check_positive("max_cycles", max_cycles)
         check_positive("check_every", check_every)
-        if self.engine == "naive" or check_every != 1:
-            while not condition():
-                if self.cycle >= max_cycles:
-                    raise SimulationError(
-                        f"simulation '{self.name}' exceeded {max_cycles} cycles "
-                        "without meeting its termination condition"
-                    )
-                self.step(min(check_every, max_cycles - self.cycle))
-            return self.cycle
-
-        while not condition():
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"simulation '{self.name}' exceeded {max_cycles} cycles "
-                    "without meeting its termination condition"
-                )
-            self._advance_event(max_cycles)
+        if check_every == 1:
+            met = self._run(condition, max_cycles, self.engine != "naive")
+        else:
+            met = condition()
+            while not met and self.cycle < max_cycles:
+                self._run(None, min(self.cycle + check_every, max_cycles), False)
+                met = condition()
+        if not met:
+            raise SimulationError(
+                f"simulation '{self.name}' exceeded {max_cycles} cycles "
+                "without meeting its termination condition"
+            )
         return self.cycle
 
     def run_until_idle(self, max_cycles: int = 10_000_000, settle: int = 4) -> int:
@@ -445,47 +441,39 @@ class Simulator:
         ``settle`` extra cycles are required to be idle consecutively before
         stopping, so that single-cycle bubbles do not end the run early.
         """
-        idle_streak = 0
+        skip = self.engine != "naive"
 
         def all_idle() -> bool:
             if not all(c.finished() for c in self._components):
                 return False
             return all(ch.is_idle for ch in self._channels.values())
 
-        if self.engine == "naive":
-            while idle_streak < settle:
-                if self.cycle >= max_cycles:
-                    raise SimulationError(
-                        f"simulation '{self.name}' exceeded {max_cycles} cycles without idling"
-                    )
-                self.step(1)
-                idle_streak = idle_streak + 1 if all_idle() else 0
-            return self.cycle
-
+        idle_streak = 0
+        idle = all_idle()
         while idle_streak < settle:
-            if self.cycle >= max_cycles:
+            before = self.cycle
+            if before >= max_cycles:
                 raise SimulationError(
                     f"simulation '{self.name}' exceeded {max_cycles} cycles without idling"
                 )
-            idle_before = all_idle()
             # While already idle, a dead region only needs to cover the rest
             # of the settle window; clip so the final cycle count matches
             # naive ticking exactly.
             limit = max_cycles
-            if idle_before:
-                limit = min(max_cycles, self.cycle + (settle - idle_streak))
-            before = self.cycle
-            self._advance_event(limit)
+            if idle:
+                limit = min(max_cycles, before + (settle - idle_streak))
+            # One event: stop as soon as the clock has moved.
+            self._run(lambda: self.cycle != before, limit, skip)
             advanced = self.cycle - before
             # Naive ticking evaluates the predicate at every cycle boundary.
-            # Inside an advanced region the *intermediate* boundaries all see
-            # the frozen pre-region state (cycle-dependent flips like a port
-            # draining are horizon events, so they land exactly on the
-            # region's end) — credit them from idle_before, then evaluate the
-            # end boundary fresh.
-            if advanced > 1:
-                idle_streak = idle_streak + (advanced - 1) if idle_before else 0
-            idle_streak = idle_streak + 1 if all_idle() else 0
+            # A region's *intermediate* boundaries all see the frozen
+            # pre-region state (cycle-dependent flips like a port draining
+            # are horizon events, landing on the region's end): credit them
+            # from the idle state before it (a streak is only ever non-zero
+            # while idle), then evaluate the end boundary fresh.
+            carried = idle_streak + advanced - 1 if idle else 0
+            idle = all_idle()
+            idle_streak = carried + 1 if idle else 0
         return self.cycle
 
     # ------------------------------------------------------------------ #

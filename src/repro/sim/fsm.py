@@ -18,7 +18,8 @@ class FSM:
     def __init__(self, name: str, states: Iterable[str], initial: str) -> None:
         self.name = name
         self.states: Tuple[str, ...] = tuple(states)
-        if len(set(self.states)) != len(self.states):
+        self._state_set = frozenset(self.states)
+        if len(self._state_set) != len(self.states):
             raise ValueError(f"FSM '{name}' has duplicate states")
         if initial not in self.states:
             raise ValueError(f"initial state {initial!r} not among states {self.states}")
@@ -38,14 +39,14 @@ class FSM:
 
     def is_in(self, *states: str) -> bool:
         """True if the FSM is currently in any of the given states."""
-        for s in states:
-            if s not in self.states:
-                raise ValueError(f"unknown state {s!r} for FSM '{self.name}'")
+        if not self._state_set.issuperset(states):
+            unknown = next(s for s in states if s not in self._state_set)
+            raise ValueError(f"unknown state {unknown!r} for FSM '{self.name}'")
         return self.state in states
 
     def go(self, state: str, cycle: Optional[int] = None) -> None:
         """Transition to ``state`` (recording the cycle if provided)."""
-        if state not in self.states:
+        if state not in self._state_set:
             raise ValueError(f"unknown state {state!r} for FSM '{self.name}'")
         if state != self.state:
             self.transition_count += 1

@@ -252,6 +252,19 @@ class TestArchitecturalInvariants:
                 bank, flat[static.spec.start : static.spec.end], rtol=1e-12
             )
 
+    def test_operand_outside_window_and_statics_is_an_error(self, paper_config):
+        # A plan without its static buffers leaves the boundary rows' far
+        # operands unserved: the front-end must refuse, not invent a value.
+        import dataclasses
+
+        from repro.sim.engine import SimulationError
+
+        plan = dataclasses.replace(paper_config.plan(), statics=())
+        system = SmacheSystem(paper_config, plan=plan, iterations=1)
+        system.load_input(make_test_grid(paper_config.grid))
+        with pytest.raises(SimulationError, match="neither by the window nor by any static"):
+            system.run(max_cycles=100_000)
+
     def test_load_input_validates_shape(self, paper_config, averaging_kernel):
         system = SmacheSystem(paper_config, kernel=averaging_kernel, iterations=1)
         with pytest.raises(ValueError):

@@ -83,6 +83,31 @@ class TestBasicReadsWrites:
     def test_invalid_command_kind_rejected(self):
         with pytest.raises(ValueError):
             DRAMCommand(kind="refresh", addr=0)
+        with pytest.raises(ValueError):
+            DRAMCommand("refresh", 0)
+
+    def test_messages_keep_their_constructor_signature(self):
+        from repro.memory import DRAMCommand as ExportedCommand
+        from repro.memory import DRAMResponse
+
+        assert ExportedCommand is DRAMCommand
+        read = DRAMCommand(kind="read", addr=5, tag=2)
+        write = DRAMCommand("write", 7, 3.5)
+        assert (read.kind, read.addr, read.data, read.tag) == ("read", 5, 0.0, 2)
+        assert (write.kind, write.addr, write.data, write.tag) == ("write", 7, 3.5, 0)
+        rsp = DRAMResponse(addr=5, data=1.5, tag=2)
+        assert (rsp.addr, rsp.data, rsp.tag) == (5, 1.5, 2)
+        assert DRAMResponse(4, 2.0).tag == 0
+        # slotted: a misspelt field is an error, not a silent new attribute
+        with pytest.raises(AttributeError):
+            read.adress = 6
+
+    def test_write_address_out_of_range_raises(self):
+        sim, dram = make_dram()
+        dram.write_cmd.push(DRAMCommand(kind="write", addr=-1, data=1.0))
+        with pytest.raises(IndexError, match="write address"):
+            for _ in range(4):
+                sim.step()
 
 
 class TestTimingModel:

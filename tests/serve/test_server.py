@@ -3,6 +3,7 @@ scalar-path parity, and the no-leaked-futures disconnect contract."""
 
 import asyncio
 import json
+import logging
 import queue
 import threading
 
@@ -324,3 +325,29 @@ class TestBackpressure:
                 await server.stop()
 
         run(main())
+
+
+class TestShutdown:
+    def test_stop_closes_live_connections_without_a_traceback(self, caplog):
+        async def main():
+            server = EvaluationServer()
+            host, port = await server.start()
+            conns = [await asyncio.open_connection(host, port) for _ in range(2)]
+            for reader, writer in conns:
+                writer.write(encode({"id": 1, "verb": "ping"}))
+                await writer.drain()
+                assert json.loads(await reader.readline())["result"] == "pong"
+            await server.stop()
+            # Each handler returned on its own and closed its end: the
+            # clients read EOF, and the server tracks no connection.
+            assert not server._connections
+            for reader, writer in conns:
+                assert await reader.read() == b""
+                writer.close()
+                await writer.wait_closed()
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            run(main())
+        errors = [r for r in caplog.records
+                  if r.name == "asyncio" and r.levelno >= logging.ERROR]
+        assert errors == [], [r.getMessage() for r in errors]

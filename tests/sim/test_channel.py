@@ -57,6 +57,43 @@ class TestChannelBasics:
         with pytest.raises(SimulationChannelError):
             ch.peek(offset=1)
 
+    def test_commit_rejects_occupancy_over_capacity(self):
+        # push() never stages past the capacity; commit() still re-checks
+        # what it latches, so state staged behind push()'s back cannot hide.
+        ch = Channel("c", capacity=1)
+        ch.push(1)
+        ch._staged_pushes.append(2)
+        with pytest.raises(SimulationChannelError, match="exceeded its capacity"):
+            ch.commit()
+
+    def test_mutations_count_pushes_and_pops_not_stalls(self):
+        ch = Channel("c", capacity=2)
+        ch.push(1)
+        ch.push(2)
+        ch.commit()
+        ch.pop()
+        ch.note_push_stall(3)
+        ch.note_pop_stall(2)
+        assert ch.mutations == 3
+        ch.commit()
+        ch.pop()
+        assert ch.mutations == ch.total_pushes + ch.total_pops == 4
+        ch.reset()
+        assert ch.mutations == 0
+
+    def test_simulator_channel_marks_itself_dirty_once_per_cycle(self):
+        dirty = []
+        ch = Channel("c", capacity=4, on_dirty=dirty.append)
+        ch.push(1)
+        ch.push(2)
+        assert dirty == [ch]
+        ch.commit()
+        ch.pop()
+        ch.pop()
+        assert dirty == [ch, ch]
+        ch.commit()
+        assert not ch.can_pop() and ch.is_idle
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             Channel("c", capacity=0)

@@ -197,6 +197,23 @@ class TestFastParity:
         sim.run_until(lambda: len(sink.received) == 1, max_cycles=50)
         assert sink.received[0][1] == "hello"
 
+    @pytest.mark.parametrize("engine", ENGINE_MODES)
+    def test_stimulus_staged_after_a_quiet_cycle_is_executed(self, engine):
+        # The system has gone quiet, so the next event would be a horizon
+        # pass; a testbench then stages a push from outside any tick right
+        # before run_until.  Nothing has committed yet, so every horizon is
+        # None: only the staged update itself may force the executed cycle
+        # (a dead region would run straight into the budget).
+        sim = Simulator(engine=engine)
+        ch = sim.create_channel("stim", 4)
+        sink = Sink(sim, ch)
+        sim.step(3)
+        ch.push("late")
+        sim.run_until(lambda: len(sink.received) == 1, max_cycles=50)
+        assert sink.received == [(4, "late")]
+        assert sim.cycle == 5
+        assert sim.run_stats()["ticks_executed"] == 5
+
 
 class TestDebugCrossCheck:
     def test_debug_mode_catches_lying_next_activity(self):
