@@ -17,8 +17,8 @@ The package is organised as:
     FSMs) used to model the hardware prototypes.
 
 ``repro.memory``
-    Memory substrates: DRAM (streaming vs random access), block RAM and
-    register files with FPGA-like port semantics.
+    Memory substrates: DRAM (streaming vs random access) and block RAM
+    with FPGA-like port semantics.
 
 ``repro.arch``
     The Smache micro-architecture (stream buffer, double-buffered static

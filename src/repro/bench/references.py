@@ -129,11 +129,18 @@ def in_band(value: float, band: MetricBand) -> bool:
     return True
 
 
+def _format_bound(bound: Optional[float]) -> str:
+    """An integral bound in full (exact counts), any other one in ``%g``."""
+    if bound is None:
+        return "-"
+    return str(int(bound)) if float(bound).is_integer() else f"{bound:g}"
+
+
 def format_band(band: MetricBand) -> str:
     """``[2.5, -] x`` — the absolute band, for reports."""
     lower, upper = band_bounds(band)
-    lo = "-" if lower is None else f"{lower:g}"
-    hi = "-" if upper is None else f"{upper:g}"
+    lo = _format_bound(lower)
+    hi = _format_bound(upper)
     unit = band[3]
     return f"[{lo}, {hi}] {unit}".rstrip()
 

@@ -15,12 +15,12 @@ Two data sources feed the ``python -m repro.bench trend`` subcommand:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.history import HistoryRecord
 from repro.sweep.eventlog import CampaignReplay
 from repro.sweep.events import PointCompleted, PointStarted
+from repro.sweep.follow import WorkerThroughput
 from repro.utils.tables import format_table
 
 
@@ -111,29 +111,6 @@ def format_trend_report(
 # --------------------------------------------------------------------------- #
 # per-worker throughput mined from campaign event logs
 # --------------------------------------------------------------------------- #
-@dataclass
-class WorkerThroughput:
-    """One worker's mined campaign activity."""
-
-    worker: int
-    points: int = 0
-    first_ts: Optional[float] = None  #: earliest started_ts stamped
-    last_ts: Optional[float] = None  #: latest finished_ts stamped
-
-    @property
-    def span_seconds(self) -> Optional[float]:
-        if self.first_ts is None or self.last_ts is None:
-            return None
-        return max(self.last_ts - self.first_ts, 0.0)
-
-    @property
-    def points_per_second(self) -> Optional[float]:
-        span = self.span_seconds
-        if span is None or span <= 0:
-            return None
-        return self.points / span
-
-
 def mine_worker_throughput(path: str) -> Dict[int, WorkerThroughput]:
     """Per-worker throughput from one event log's worker-stamped records.
 
@@ -144,33 +121,12 @@ def mine_worker_throughput(path: str) -> Dict[int, WorkerThroughput]:
     workers: Dict[int, WorkerThroughput] = {}
     for event in CampaignReplay(path).events():
         if isinstance(event, PointCompleted):
-            meta = event.record.meta or {}
-            worker = meta.get("worker")
-            if worker is None:
-                continue
-            stats = workers.setdefault(worker, WorkerThroughput(worker=worker))
-            stats.points += 1
-            started = meta.get("started_ts")
-            finished = meta.get("finished_ts")
-            if started is not None:
-                stats.first_ts = (
-                    started if stats.first_ts is None
-                    else min(stats.first_ts, started)
-                )
-            if finished is not None:
-                stats.last_ts = (
-                    finished if stats.last_ts is None
-                    else max(stats.last_ts, finished)
-                )
+            WorkerThroughput.fold_completion(workers, event.record.meta or {})
         elif isinstance(event, PointStarted) and event.worker is not None:
             stats = workers.setdefault(
                 event.worker, WorkerThroughput(worker=event.worker)
             )
-            if event.ts is not None:
-                stats.first_ts = (
-                    event.ts if stats.first_ts is None
-                    else min(stats.first_ts, event.ts)
-                )
+            stats.fold_start(event.ts)
     return workers
 
 

@@ -16,12 +16,10 @@ Programmatic entry point::
     report = run_lint(["src"])
     assert report.exit_code(strict=True) == 0, report.format_text()
 
-Suppression is two-layered: inline ``# repro: allow[check-id] why`` pragmas
-for sanctioned sites, and a committed JSON baseline for grandfathered debt
-(this tree ships with an empty one — keep it that way).
+Inline ``# repro: allow[check-id] why`` pragmas at sanctioned sites are the
+only way to suppress a finding.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintReport, run_lint
 from repro.lint.findings import ERROR, WARNING, Finding
 from repro.lint.registry import (
@@ -33,7 +31,6 @@ from repro.lint.registry import (
 )
 
 __all__ = [
-    "Baseline",
     "Checker",
     "ERROR",
     "Finding",

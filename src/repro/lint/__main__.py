@@ -2,16 +2,12 @@
 
 Subcommands::
 
-    check [PATHS...] [--strict] [--baseline FILE] [--update-baseline]
-          [--check ID]... [--json] [--quiet]
+    check [PATHS...] [--strict] [--check ID]... [--json] [--quiet]
     checks
 
 ``check`` lints the given paths (default ``src``) and exits 0/1 under the
 sweep-diff convention: errors always gate; ``--strict`` additionally gates
-warnings and stale baseline entries, so a strict-clean tree needs no
-baseline at all.  ``--update-baseline`` records the current findings as the
-new baseline and exits 0 — the escape hatch for landing the linter on a
-not-yet-clean tree.  ``checks`` lists the registered checkers.
+warnings.  ``checks`` lists the registered checkers.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import run_lint
 from repro.lint.registry import checker_classes
 
@@ -41,18 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--strict",
         action="store_true",
-        help="also gate warnings and stale baseline entries",
-    )
-    check.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file of grandfathered findings (absent file = empty)",
-    )
-    check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record current findings into --baseline and exit 0",
+        help="also gate warnings",
     )
     check.add_argument(
         "--check",
@@ -86,22 +70,11 @@ def _run_check(ns: argparse.Namespace) -> int:
             return 2
         checkers = [available[check_id]() for check_id in sorted(set(ns.only))]
 
-    baseline = Baseline.load(ns.baseline) if ns.baseline else None
     try:
-        report = run_lint(ns.paths, checkers=checkers, baseline=baseline)
+        report = run_lint(ns.paths, checkers=checkers)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    if ns.update_baseline:
-        if not ns.baseline:
-            print("--update-baseline requires --baseline FILE", file=sys.stderr)
-            return 2
-        recorded = report.findings + report.baseline_suppressed
-        Baseline.write(ns.baseline, recorded)
-        if not ns.quiet:
-            print(f"recorded {len(recorded)} finding(s) into {ns.baseline}")
-        return 0
 
     if not ns.quiet:
         print(report.format_json() if ns.json else report.format_text())

@@ -2,11 +2,11 @@
 
 One :func:`run_lint` call is one conformance sweep: parse every file under
 the given paths, run each registered checker's per-file pass, then the
-cross-module ``finish`` passes, and fold the raw findings through the two
-suppression layers — inline pragmas first (site-local, justified), then the
-baseline (grandfathered).  The result is a :class:`LintReport` that knows
-how to render itself for terminals and CI, and what exit code the run
-earned under the sweep-diff convention (0 clean / 1 findings).
+cross-module ``finish`` passes, and set aside the raw findings that an
+inline pragma allows (site-local, justified) — pragmas are the one
+suppression layer.  The result is a :class:`LintReport` that knows how to
+render itself for terminals and CI, and what exit code the run earned
+under the sweep-diff convention (0 clean / 1 findings).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.findings import ERROR, Finding, severity_rank
 from repro.lint.registry import Checker, LintContext, default_checkers
 from repro.lint.source import SourceFile, collect_sources
@@ -27,8 +26,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)  #: active (gating)
     pragma_suppressed: List[Finding] = field(default_factory=list)
-    baseline_suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[Finding] = field(default_factory=list)
     files: int = 0
     checkers: List[str] = field(default_factory=list)
 
@@ -44,13 +41,11 @@ class LintReport:
     def exit_code(self, strict: bool = False) -> int:
         """0 clean / 1 findings, per the sweep-diff convention.
 
-        Errors always gate.  ``--strict`` additionally gates warnings and
-        stale baseline entries (paid-off debt must leave the baseline), so
-        a strict-clean tree is clean with an *empty* baseline.
+        Errors always gate.  ``--strict`` additionally gates warnings.
         """
         if self.errors:
             return 1
-        if strict and (self.findings or self.stale_baseline):
+        if strict and self.findings:
             return 1
         return 0
 
@@ -58,44 +53,28 @@ class LintReport:
     def format_text(self) -> str:
         """The human report: one finding per line plus a summary."""
         lines = [f.format() for f in self.findings]
-        for finding in self.stale_baseline:
-            lines.append(
-                f"{finding.path}: [baseline] stale entry for [{finding.check}] "
-                f"{finding.message!r} — fixed; remove it from the baseline"
-            )
         summary = (
             f"{self.files} file(s): {self.errors} error(s), "
             f"{self.warnings} warning(s)"
         )
-        extras = []
         if self.pragma_suppressed:
-            extras.append(f"{len(self.pragma_suppressed)} pragma-suppressed")
-        if self.baseline_suppressed:
-            extras.append(f"{len(self.baseline_suppressed)} baselined")
-        if self.stale_baseline:
-            extras.append(f"{len(self.stale_baseline)} stale baseline entr(ies)")
-        if extras:
-            summary += " (" + ", ".join(extras) + ")"
+            summary += f" ({len(self.pragma_suppressed)} pragma-suppressed)"
         lines.append(summary)
         return "\n".join(lines)
 
     def to_json(self) -> Dict[str, object]:
         """The machine report (CI artifact, ``--json``)."""
         return {
-            "format": 1,
+            "format": 2,
             "files": self.files,
             "checkers": list(self.checkers),
             "summary": {
                 "errors": self.errors,
                 "warnings": self.warnings,
                 "pragma_suppressed": len(self.pragma_suppressed),
-                "baseline_suppressed": len(self.baseline_suppressed),
-                "stale_baseline": len(self.stale_baseline),
             },
             "findings": [f.to_dict() for f in self.findings],
             "pragma_suppressed": [f.to_dict() for f in self.pragma_suppressed],
-            "baseline_suppressed": [f.to_dict() for f in self.baseline_suppressed],
-            "stale_baseline": [f.to_dict() for f in self.stale_baseline],
         }
 
     def format_json(self) -> str:
@@ -115,14 +94,12 @@ def _dedupe(findings: List[Finding]) -> List[Finding]:
 def run_lint(
     paths: Sequence[str],
     checkers: Optional[Sequence[Checker]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint every python file under ``paths`` with ``checkers``.
 
-    ``checkers`` defaults to the full registered set;  ``baseline`` to an
-    empty one (every finding gates).  Pragma suppression consults the file
-    the finding points at — cross-module findings are suppressible at the
-    site they anchor to, like any other.
+    ``checkers`` defaults to the full registered set.  Pragma suppression
+    consults the file the finding points at — cross-module findings are
+    suppressible at the site they anchor to, like any other.
     """
     sources, syntax_findings = collect_sources(paths)
     active_checkers = list(checkers) if checkers is not None else default_checkers()
@@ -139,7 +116,6 @@ def run_lint(
     raw.sort(key=lambda f: (severity_rank(f.severity), *f.sort_key()))
 
     by_path: Dict[str, SourceFile] = {src.path: src for src in sources}
-    base = baseline if baseline is not None else Baseline([])
     report = LintReport(
         files=len(sources), checkers=[c.id for c in active_checkers]
     )
@@ -147,9 +123,6 @@ def run_lint(
         src = by_path.get(finding.path)
         if src is not None and src.pragmas.allows(finding.line, finding.check):
             report.pragma_suppressed.append(finding)
-        elif base.absorb(finding):
-            report.baseline_suppressed.append(finding)
         else:
             report.findings.append(finding)
-    report.stale_baseline = base.stale_entries()
     return report

@@ -3,8 +3,7 @@
 A finding pins one contract violation to a ``path:line:col`` location with
 the check that produced it, a severity and a human-actionable message.
 Findings are value objects: the engine sorts, deduplicates and serialises
-them, the baseline matches them structurally (ignoring line numbers, which
-drift), and the CLI renders them one per line in the classic
+them, and the CLI renders them one per line in the classic
 ``path:line:col: [check] message`` compiler shape.
 """
 
@@ -45,18 +44,8 @@ class Finding:
         """Stable report order: by file, then position, then check id."""
         return (self.path, self.line, self.col, self.check)
 
-    # ------------------------------------------------------------------ #
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """The identity a baseline entry matches on.
-
-        Line and column are deliberately excluded: grandfathered findings
-        must survive unrelated edits above them, so the baseline matches on
-        *what* is wrong and *where* (file + message), not on exact offsets.
-        """
-        return (self.check, self.path, self.message)
-
     def to_dict(self) -> Dict[str, Any]:
-        """JSON projection (the ``--json`` report and the baseline file)."""
+        """JSON projection (the ``--json`` report)."""
         return {
             "check": self.check,
             "path": self.path,
@@ -65,18 +54,6 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        """Rebuild a finding from its JSON projection (baseline loading)."""
-        return cls(
-            check=str(payload.get("check", "")),
-            path=str(payload.get("path", "")),
-            line=int(payload.get("line", 0) or 0),
-            col=int(payload.get("col", 0) or 0),
-            message=str(payload.get("message", "")),
-            severity=str(payload.get("severity", ERROR)),
-        )
 
 
 def severity_rank(severity: str) -> int:

@@ -72,7 +72,12 @@ from repro.sweep.eventlog import (
     ReplayStats,
     default_event_log_path,
 )
-from repro.sweep.follow import follow_campaign, follow_checkpoint, follow_event_log
+from repro.sweep.follow import (
+    WorkerThroughput,
+    follow_campaign,
+    follow_checkpoint,
+    follow_event_log,
+)
 from repro.sweep.strategies import (
     GridSearch,
     RandomSearch,
@@ -123,6 +128,7 @@ __all__ = [
     "follow_campaign",
     "follow_checkpoint",
     "follow_event_log",
+    "WorkerThroughput",
     "SearchStrategy",
     "GridSearch",
     "RandomSearch",

@@ -54,6 +54,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, TextIO, Tuple
 
 from repro.sweep.eventlog import default_event_log_path
@@ -117,6 +118,55 @@ _CHECKPOINT = _Source("checkpoint", "following", _checkpoint_line, False)
 
 
 # --------------------------------------------------------------------------- #
+# per-worker throughput
+# --------------------------------------------------------------------------- #
+@dataclass
+class WorkerThroughput:
+    """One worker's campaign activity, from the worker's own timestamps.
+
+    Completions carry the evaluating process's pid and begin/finish stamps
+    in ``PointRecord.meta`` (see :mod:`repro.sweep.runners`).  The follower
+    and ``python -m repro.bench trend --events`` both fold them here.
+    """
+
+    worker: int
+    points: int = 0
+    first_ts: Optional[float] = None  #: earliest started_ts stamped
+    last_ts: Optional[float] = None  #: latest finished_ts stamped
+
+    @staticmethod
+    def fold_completion(workers: Dict[int, "WorkerThroughput"], meta: dict) -> None:
+        """Count one completed point under the worker its meta names."""
+        worker = meta.get("worker")
+        if worker is None:
+            return
+        stats = workers.setdefault(worker, WorkerThroughput(worker=worker))
+        stats.points += 1
+        stats.fold_start(meta.get("started_ts"))
+        finished = meta.get("finished_ts")
+        if finished is not None and (stats.last_ts is None or finished > stats.last_ts):
+            stats.last_ts = finished
+
+    def fold_start(self, ts: Optional[float]) -> None:
+        """Widen the span back to ``ts`` when it is the earliest start."""
+        if ts is not None and (self.first_ts is None or ts < self.first_ts):
+            self.first_ts = ts
+
+    @property
+    def span_seconds(self) -> Optional[float]:
+        if self.first_ts is None or self.last_ts is None:
+            return None
+        return max(self.last_ts - self.first_ts, 0.0)
+
+    @property
+    def points_per_second(self) -> Optional[float]:
+        span = self.span_seconds
+        if span is None or span <= 0:
+            return None
+        return self.points / span
+
+
+# --------------------------------------------------------------------------- #
 # the follower: incremental reader plus follow state
 # --------------------------------------------------------------------------- #
 class _Follower(RunObserver):
@@ -162,8 +212,7 @@ class _Follower(RunObserver):
         self.pending_starts: List[Tuple[str, Optional[int]]] = []
         #: incident lines not yet printed by the follower.
         self.pending_incidents: List[str] = []
-        #: worker pid -> [points, first started_ts, last finished_ts]
-        self.workers: Dict[int, List[float]] = {}
+        self.workers: Dict[int, WorkerThroughput] = {}
 
     # ------------------------------------------------------------------ #
     # reading
@@ -275,20 +324,8 @@ class _Follower(RunObserver):
         self._settle(event.record)
 
     def on_point_completed(self, event: PointCompleted) -> None:
-        if not self._settle(event.record):
-            return
-        meta = event.record.meta
-        worker = meta.get("worker")
-        if worker is None:
-            return
-        stats = self.workers.setdefault(worker, [0, None, None])
-        stats[0] += 1
-        started_ts = meta.get("started_ts")
-        finished_ts = meta.get("finished_ts")
-        if started_ts is not None and (stats[1] is None or started_ts < stats[1]):
-            stats[1] = started_ts
-        if finished_ts is not None and (stats[2] is None or finished_ts > stats[2]):
-            stats[2] = finished_ts
+        if self._settle(event.record):
+            WorkerThroughput.fold_completion(self.workers, event.record.meta)
 
     def on_point_failed(self, event: PointFailed) -> None:
         record = event.record
@@ -390,14 +427,10 @@ class _Follower(RunObserver):
         """Per-worker throughput lines, from the workers' own timestamps."""
         lines = []
         for worker in sorted(self.workers):
-            points, first_ts, last_ts = self.workers[worker]
-            span = (
-                (last_ts - first_ts)
-                if first_ts is not None and last_ts is not None
-                else 0.0
-            )
-            rate = f"{points / span:.2f} points/s" if span > 0 else "-"
-            lines.append(f"worker {worker}: {int(points)} point(s), {rate}")
+            stats = self.workers[worker]
+            per_second = stats.points_per_second
+            rate = "-" if per_second is None else f"{per_second:.2f} points/s"
+            lines.append(f"worker {worker}: {stats.points} point(s), {rate}")
         return lines
 
 

@@ -944,16 +944,15 @@ class ProcessPoolRunner(Runner):
         about four **cost-balanced** shards per worker, weighted by predicted
         compile cost (:func:`point_cost_weight`), so a single giant problem
         does not straggle one worker while the rest idle.
-    start_method:
-        Multiprocessing start method; defaults to ``fork`` where available
-        (cheap on Linux), otherwise the platform default.
+
+    Workers start with ``fork`` where available (cheap on Linux), otherwise
+    with the platform default.
     """
 
     def __init__(
         self,
         jobs: int = 2,
         chunksize: Optional[int] = None,
-        start_method: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if jobs < 1:
@@ -963,14 +962,12 @@ class ProcessPoolRunner(Runner):
         self.jobs = jobs
         self.chunksize = chunksize
         self.retry_policy = retry_policy
-        if start_method is None and "fork" in multiprocessing.get_all_start_methods():
-            start_method = "fork"
-        self.start_method = start_method
 
-    def _context(self):
-        if self.start_method is None:
-            return None
-        return multiprocessing.get_context(self.start_method)
+    @staticmethod
+    def _context():
+        if "fork" in multiprocessing.get_all_start_methods():
+            return multiprocessing.get_context("fork")
+        return None
 
     def _chunk(self, points: List[SweepPoint], jobs: int) -> List[List[SweepPoint]]:
         """Shard the point list: fixed-size when asked, cost-balanced otherwise."""

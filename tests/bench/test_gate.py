@@ -57,6 +57,7 @@ class TestBands:
 
     def test_format_band(self):
         assert format_band((4.0, -0.5, None, "x")) == "[2, -] x"
+        assert format_band((1183249.0, 0, 0, "count")) == "[1183249, 1183249] count"
 
     def test_resolution_host_wins_wildcard_fills(self):
         resolved = resolve_references("box:x86_64", REFS)

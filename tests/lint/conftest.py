@@ -11,14 +11,14 @@ from typing import Dict, List, Optional, Sequence
 
 import pytest
 
-from repro.lint import Baseline, Checker, LintReport, run_lint
+from repro.lint import Checker, LintReport, run_lint
 
 
 @pytest.fixture
 def make_tree(tmp_path):
     """Write ``{relpath: source}`` files (plus missing __init__.py) and lint.
 
-    Returns a callable: ``make_tree(files, checkers=..., baseline=...)`` →
+    Returns a callable: ``make_tree(files, checkers=...)`` →
     :class:`LintReport`.  Package ``__init__.py`` files are created for
     every intermediate directory, so ``repro/sweep/events.py`` really lints
     as module ``repro.sweep.events``.
@@ -27,7 +27,6 @@ def make_tree(tmp_path):
     def build(
         files: Dict[str, str],
         checkers: Optional[Sequence[Checker]] = None,
-        baseline: Optional[Baseline] = None,
     ) -> LintReport:
         root = tmp_path / "tree"
         root.mkdir(exist_ok=True)
@@ -41,7 +40,7 @@ def make_tree(tmp_path):
                     init.write_text("")
                 directory = directory.parent
             target.write_text(source)
-        return run_lint([os.fspath(root)], checkers=checkers, baseline=baseline)
+        return run_lint([os.fspath(root)], checkers=checkers)
 
     return build
 

@@ -42,56 +42,27 @@ def test_json_report_shape(bad_tree, capsys):
     assert finding["check"] == "determinism" and finding["line"] == 5
 
 
-def test_update_baseline_then_gate_is_green(bad_tree, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "check",
-                os.fspath(bad_tree),
-                "--baseline",
-                os.fspath(baseline),
-                "--update-baseline",
-            ]
-        )
-        == 0
-    )
-    assert baseline.exists()
-    # Default run is green against the recorded baseline...
-    assert (
-        main(["check", os.fspath(bad_tree), "--baseline", os.fspath(baseline)])
-        == 0
-    )
-    # ...and --strict stays green too while the debt still matches.
-    assert (
-        main(
-            [
-                "check",
-                os.fspath(bad_tree),
-                "--baseline",
-                os.fspath(baseline),
-                "--strict",
-            ]
-        )
-        == 0
-    )
+def test_json_report_has_no_baseline_layer(bad_tree, capsys):
+    assert main(["check", os.fspath(bad_tree), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["format"] == 2
+    assert set(payload["summary"]) == {"errors", "warnings", "pragma_suppressed"}
+    assert set(payload) == {
+        "format",
+        "files",
+        "checkers",
+        "summary",
+        "findings",
+        "pragma_suppressed",
+    }
 
 
-def test_stale_baseline_gates_strict_only(bad_tree, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    main(
-        [
-            "check",
-            os.fspath(bad_tree),
-            "--baseline",
-            os.fspath(baseline),
-            "--update-baseline",
-        ]
-    )
-    (bad_tree / "repro" / "sweep" / "m.py").write_text("x = 1\n")  # debt paid
-    args = ["check", os.fspath(bad_tree), "--baseline", os.fspath(baseline)]
-    assert main(args) == 0
-    assert main([*args, "--strict"]) == 1
+@pytest.mark.parametrize("flag", ["--baseline=b.json", "--update-baseline"])
+def test_baseline_flags_are_gone(bad_tree, flag, capsys):
+    # Pragmas are the only suppression layer: the flags are usage errors.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", os.fspath(bad_tree), flag])
+    assert exc.value.code == 2
 
 
 def test_check_filter_and_unknown_ids(bad_tree, capsys):

@@ -1,6 +1,4 @@
-"""Pragma and baseline suppression semantics."""
-
-from repro.lint import Baseline, Finding
+"""Pragma suppression semantics."""
 
 BAD_LINE = "    rng = random.Random()\n"
 
@@ -49,61 +47,6 @@ def test_wildcard_pragma_suppresses_everything(make_tree):
     )
     report = make_tree({"repro/sweep/m.py": source})
     assert report.findings == []
-
-
-def test_baseline_absorbs_matching_finding_ignoring_line(make_tree):
-    # Record the finding once, then lint a shifted copy of the module: the
-    # baseline matches on (check, path, message), not offsets.
-    first = make_tree({"repro/sweep/m.py": MODULE})
-    entry = _one_finding(first)
-    shifted = "# a new comment line shifts everything down\n" + MODULE
-    baseline = Baseline([entry])
-    second = make_tree({"repro/sweep/m.py": shifted}, baseline=baseline)
-    assert second.findings == []
-    assert len(second.baseline_suppressed) == 1
-    assert second.stale_baseline == []
-    assert second.exit_code(strict=True) == 0
-
-
-def test_baseline_is_a_multiset(make_tree):
-    doubled = MODULE + "\n\ndef roll_again():\n" + BAD_LINE
-    first = make_tree({"repro/sweep/m.py": doubled})
-    assert len(first.findings) == 2
-    # One baseline entry absorbs one finding; the second still gates.
-    baseline = Baseline([first.findings[0]])
-    second = make_tree({"repro/sweep/m.py": doubled}, baseline=baseline)
-    assert len(second.findings) == 1
-    assert len(second.baseline_suppressed) == 1
-
-
-def test_stale_baseline_entries_gate_only_strict(make_tree):
-    stale = Finding(
-        check="determinism",
-        path="repro/sweep/gone.py",
-        line=1,
-        col=0,
-        message="this was fixed long ago",
-    )
-    report = make_tree({"repro/sweep/m.py": "x = 1\n"}, baseline=Baseline([stale]))
-    assert report.findings == []
-    assert len(report.stale_baseline) == 1
-    assert report.exit_code(strict=False) == 0
-    assert report.exit_code(strict=True) == 1
-    assert "stale" in report.format_text()
-
-
-def test_baseline_round_trip(tmp_path, make_tree):
-    first = make_tree({"repro/sweep/m.py": MODULE})
-    path = tmp_path / "baseline.json"
-    Baseline.write(str(path), first.findings)
-    loaded = Baseline.load(str(path))
-    assert len(loaded) == 1
-    second = make_tree({"repro/sweep/m.py": MODULE}, baseline=loaded)
-    assert second.findings == [] and len(second.baseline_suppressed) == 1
-
-
-def test_absent_baseline_file_is_empty(tmp_path):
-    assert len(Baseline.load(str(tmp_path / "nope.json"))) == 0
 
 
 def test_syntax_errors_become_findings(make_tree):

@@ -1,9 +1,8 @@
-"""Tests for repro.memory.bram and repro.memory.regfile."""
+"""Tests for repro.memory.bram."""
 
 import pytest
 
 from repro.memory.bram import BRAMFifo, BRAMModel, PortConflictError
-from repro.memory.regfile import RegisterFile
 
 
 class TestBRAMModel:
@@ -89,40 +88,3 @@ class TestBRAMFifo:
         fifo.reset()
         assert len(fifo) == 0
 
-
-class TestRegisterFile:
-    def test_read_write(self):
-        rf = RegisterFile("r", depth=8)
-        rf.write(2, 9.0)
-        assert rf.read(2) == 9.0
-
-    def test_parallel_reads_unrestricted(self):
-        rf = RegisterFile("r", depth=8)
-        rf.fill(range(8))
-        assert rf.read_many([0, 3, 5, 7]) == [0.0, 3.0, 5.0, 7.0]
-
-    def test_shift_in(self):
-        rf = RegisterFile("r", depth=3)
-        rf.fill([1, 2, 3])
-        evicted = rf.shift_in(99.0)
-        assert evicted == 3.0
-        assert list(rf.storage) == [99.0, 1.0, 2.0]
-
-    def test_out_of_range(self):
-        rf = RegisterFile("r", depth=2)
-        with pytest.raises(IndexError):
-            rf.read(2)
-        with pytest.raises(IndexError):
-            rf.write(5, 0.0)
-
-    def test_total_bits_and_reset(self):
-        rf = RegisterFile("r", depth=11, word_bits=32)
-        assert rf.total_bits == 352
-        rf.write(0, 1.0)
-        rf.reset()
-        assert rf.read(0) == 0.0
-
-    def test_fill_too_large_rejected(self):
-        rf = RegisterFile("r", depth=2)
-        with pytest.raises(ValueError):
-            rf.fill([1, 2, 3])

@@ -11,7 +11,7 @@ import pytest
 from repro.sweep.__main__ import main
 from repro.sweep.campaign import diff_canonical_rows, execute_campaign
 from repro.sweep.checkpoint import CampaignCheckpoint
-from repro.sweep.follow import follow_checkpoint
+from repro.sweep.follow import WorkerThroughput, follow_checkpoint
 from repro.sweep.spec import smoke_spec
 
 
@@ -452,3 +452,39 @@ class TestConcurrentCompaction:
                 second.open_for_append(spec)
         finally:
             first.close()
+
+
+class TestWorkerThroughput:
+    def test_folds_completions_by_worker(self):
+        workers = {}
+        WorkerThroughput.fold_completion(
+            workers, {"worker": 7, "started_ts": 2.0, "finished_ts": 3.0}
+        )
+        WorkerThroughput.fold_completion(
+            workers, {"worker": 7, "started_ts": 1.0, "finished_ts": 2.5}
+        )
+        WorkerThroughput.fold_completion(workers, {"started_ts": 0.0})  # unstamped
+        assert list(workers) == [7]
+        stats = workers[7]
+        assert (stats.points, stats.first_ts, stats.last_ts) == (2, 1.0, 3.0)
+        assert stats.span_seconds == 2.0
+        assert stats.points_per_second == 1.0
+
+    def test_start_only_widens_backwards(self):
+        stats = WorkerThroughput(worker=1, first_ts=5.0)
+        stats.fold_start(6.0)
+        stats.fold_start(None)
+        assert stats.first_ts == 5.0
+        stats.fold_start(4.0)
+        assert stats.first_ts == 4.0
+
+    def test_no_rate_without_a_positive_span(self):
+        assert WorkerThroughput(worker=1, points=3).points_per_second is None
+        flat = WorkerThroughput(worker=1, points=3, first_ts=2.0, last_ts=2.0)
+        assert flat.span_seconds == 0.0 and flat.points_per_second is None
+
+    def test_bench_shares_the_sweep_class(self):
+        import repro.bench
+        import repro.sweep
+
+        assert repro.bench.WorkerThroughput is repro.sweep.WorkerThroughput

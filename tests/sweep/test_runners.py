@@ -1,5 +1,7 @@
 """Tests for the executor layer: serial/parallel runners and batch_evaluate."""
 
+import multiprocessing
+
 import pytest
 
 from repro.pipeline import EvaluationRequest, StencilProblem, batch_evaluate, evaluate
@@ -97,6 +99,17 @@ class TestProcessPoolRunner:
             ProcessPoolRunner(jobs=0)
         with pytest.raises(ValueError):
             ProcessPoolRunner(jobs=2, chunksize=0)
+
+    def test_start_method_is_fixed(self):
+        # fork where the platform has it, otherwise the platform default;
+        # the choice is not a parameter.
+        with pytest.raises(TypeError):
+            ProcessPoolRunner(jobs=2, start_method="spawn")
+        context = ProcessPoolRunner._context()
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert context.get_start_method() == "fork"
+        else:
+            assert context is None
 
     def test_make_runner_picks_by_jobs(self):
         assert isinstance(make_runner(1), SerialRunner)
