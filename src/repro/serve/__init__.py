@@ -6,9 +6,11 @@ interactive throughput: concurrent single-point requests are micro-batched
 into engine calls (:mod:`repro.serve.batcher`), repeated point specs are
 answered unparsed from a memo keyed by each spec's canonical JSON text (a
 bounded :class:`~repro.pipeline.cache.PlanCache` of response payloads),
-admission is bounded with backpressure, and everything is reachable over a
-stdlib-only TCP/JSON-lines protocol (:mod:`repro.serve.protocol`) with
-blocking and asyncio clients (:mod:`repro.serve.client`).
+each distinct problem is lowered once (an intern of parsed problems keyed
+by the spec's problem fields), admission is bounded with backpressure, and
+everything is reachable over a stdlib-only TCP/JSON-lines protocol
+(:mod:`repro.serve.protocol`) with blocking and asyncio clients
+(:mod:`repro.serve.client`).
 
 Quickstart::
 

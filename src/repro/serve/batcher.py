@@ -22,6 +22,12 @@ A flush that raises is retried one item at a time, so one bad point fails
 only its own waiter, not the ``max_batch`` unrelated requests it shared a
 flush with.
 
+A batcher built with ``timeout_s`` also arms one deadline per bucket, when
+the bucket opens, and cancels it when the bucket flushes.  A bucket that is
+still unpriced when its deadline passes (a hung flush) is dropped and each
+of its pending waiters fails with :class:`BucketTimeoutError`.  That is one
+timer per flush, not one per request.
+
 The batcher is event-loop native: ``submit`` is awaitable, flushes run
 inline on the loop (pricing a bucket is NumPy work in the hundreds of
 microseconds — cheaper than a thread hop), and cancelled waiters (a client
@@ -50,14 +56,19 @@ _Entry = Tuple[Item, "asyncio.Future[EvaluationResult]"]
 _PENDING = "pending"
 
 
+class BucketTimeoutError(asyncio.TimeoutError):
+    """A bucket was not priced within the batcher's ``timeout_s``."""
+
+
 class _Bucket:
     """Requests waiting to be flushed together."""
 
-    __slots__ = ("items", "handle")
+    __slots__ = ("items", "handle", "deadline")
 
     def __init__(self) -> None:
         self.items: List[_Entry] = []
         self.handle: Optional[asyncio.Handle] = None
+        self.deadline: Optional[asyncio.TimerHandle] = None
 
 
 class AdaptiveBatcher:
@@ -69,11 +80,15 @@ class AdaptiveBatcher:
         *,
         max_batch: int = 64,
         on_flush: Optional[Callable[[int, str], None]] = None,
+        timeout_s: Optional[float] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
+        if timeout_s is not None and timeout_s <= 0:
+            raise ValueError("timeout_s must be positive")
         self._price = price
         self.max_batch = max_batch
+        self.timeout_s = timeout_s
         self._on_flush = on_flush
         self._buckets: Dict[str, _Bucket] = {}
 
@@ -91,7 +106,9 @@ class AdaptiveBatcher:
         Must be called on a running event loop.  If the request fills the
         bucket to ``max_batch`` the flush happens synchronously inside this
         call; otherwise the flush the bucket's first item scheduled for the
-        loop's next turn delivers it.
+        loop's next turn delivers it.  With ``timeout_s`` set, the future
+        fails with :class:`BucketTimeoutError` if its bucket is still
+        unpriced ``timeout_s`` after the bucket opened.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[EvaluationResult]" = loop.create_future()
@@ -99,6 +116,8 @@ class AdaptiveBatcher:
         if bucket is None:
             bucket = self._buckets[_PENDING] = _Bucket()
             bucket.handle = loop.call_soon(self._flush, _PENDING, "yield")
+            if self.timeout_s is not None:
+                bucket.deadline = loop.call_later(self.timeout_s, self._expire, bucket)
         bucket.items.append(((problem, request), future))
         if len(bucket.items) >= self.max_batch:
             self._flush(_PENDING, "full")
@@ -114,11 +133,19 @@ class AdaptiveBatcher:
         bucket = self._buckets.pop(key, None)
         if bucket is None:  # flushed (full or drained) before the loop yielded
             return
-        if bucket.handle is not None:
-            bucket.handle.cancel()
+        _cancel(bucket)
         if self._on_flush is not None:
             self._on_flush(len(bucket.items), why)
         self._deliver(bucket.items)
+
+    def _expire(self, bucket: _Bucket) -> None:
+        """The bucket's deadline passed before it was priced: fail its waiters."""
+        if self._buckets.get(_PENDING) is bucket:
+            del self._buckets[_PENDING]
+        _cancel(bucket)
+        _fail(bucket.items, BucketTimeoutError(
+            f"bucket of {len(bucket.items)} not priced within {self.timeout_s:g} s"
+        ))
 
     def _deliver(self, entries: List[_Entry]) -> None:
         try:
@@ -143,6 +170,14 @@ class AdaptiveBatcher:
             # its result is simply dropped — nothing retains the future.
             if not future.done():
                 future.set_result(result)
+
+
+def _cancel(bucket: _Bucket) -> None:
+    """Cancel the bucket's pending flush and its deadline."""
+    if bucket.handle is not None:
+        bucket.handle.cancel()
+    if bucket.deadline is not None:
+        bucket.deadline.cancel()
 
 
 def _fail(entries: List[_Entry], error: Exception) -> None:

@@ -24,7 +24,8 @@ lowers it deterministically onto the exact :class:`StencilProblem` /
 lets a client compute the scalar reference for any spec and compare bytes.
 The server's response memo keys on the spec's own canonical text
 (:func:`point_key`), so a repeated spec is answered without being lowered
-again.
+again; a new spec whose problem fields the server has seen before
+(:func:`problem_key`) lowers only its request fields (:func:`parse_request`).
 
 Unknown spec fields are an error, not a warning: a typo'd knob silently
 falling back to a default would produce a *cached* wrong answer.
@@ -59,6 +60,10 @@ POINT_FIELDS = frozenset(
         "dram_timing",
     }
 )
+
+#: The point-spec fields that lower onto the :class:`EvaluationRequest`;
+#: every other field describes the problem.
+REQUEST_FIELDS = frozenset({"system", "iterations", "write_through", "dram_timing"})
 
 _TIMING_FIELDS = frozenset(
     {
@@ -102,7 +107,15 @@ def parse_point(spec: Dict[str, Any]) -> Tuple[StencilProblem, EvaluationRequest
     The mapping is total and deterministic: every field has a default (the
     paper's 11x11 validation case, one smache iteration), identical specs
     produce problems with identical :meth:`~StencilProblem.cache_key`\\ s,
-    and unknown fields raise :class:`ProtocolError`.
+    and unknown fields raise :class:`ProtocolError`.  It is
+    :func:`parse_problem` followed by :func:`parse_request`.
+    """
+    return parse_problem(spec), parse_request(spec)
+
+
+def parse_problem(spec: Dict[str, Any]) -> StencilProblem:
+    """Lower the problem fields of a wire point spec (every field not in
+    :data:`REQUEST_FIELDS`); an unknown field raises :class:`ProtocolError`.
     """
     if not isinstance(spec, dict):
         raise ProtocolError("point must be a JSON object")
@@ -149,7 +162,17 @@ def parse_point(spec: Dict[str, Any]) -> Tuple[StencilProblem, EvaluationRequest
             problem = replace(problem, **overrides)
         except ValueError as exc:
             raise ProtocolError(f"invalid point: {exc}") from None
+    return problem
 
+
+def parse_request(spec: Dict[str, Any]) -> EvaluationRequest:
+    """Lower the request fields of a wire point spec (:data:`REQUEST_FIELDS`).
+
+    Reads only those fields: :func:`parse_problem` is what refuses an
+    unknown one.
+    """
+    if not isinstance(spec, dict):
+        raise ProtocolError("point must be a JSON object")
     timing: Optional[DRAMTiming] = None
     if spec.get("dram_timing") is not None:
         raw = spec["dram_timing"]
@@ -175,7 +198,7 @@ def parse_point(spec: Dict[str, Any]) -> Tuple[StencilProblem, EvaluationRequest
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid request knobs: {exc}") from None
-    return problem, request
+    return request
 
 
 def _integer(field: str, value: Any, minimum: Optional[int] = None) -> int:
@@ -205,6 +228,20 @@ def point_key(spec: Any) -> Optional[str]:
         return json.dumps(spec, sort_keys=True, separators=(",", ":"))
     except (TypeError, ValueError):
         return None
+
+
+def problem_key(spec: Any) -> Optional[str]:
+    """The problem intern's key: the canonical JSON text of ``spec`` without
+    its :data:`REQUEST_FIELDS`.
+
+    Specs that differ only in their request knobs share it, so the problem
+    they describe is lowered once.  A spec that is not a dict, or whose
+    problem part JSON cannot encode, has no key (``None``).
+    """
+    if not isinstance(spec, dict):
+        return None
+    return point_key({field: value for field, value in spec.items()
+                      if field not in REQUEST_FIELDS})
 
 
 def result_payload(result: EvaluationResult) -> Dict[str, Any]:

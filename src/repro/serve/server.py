@@ -3,7 +3,8 @@
 Two layers:
 
 * :class:`EvaluationService` — the protocol-independent core: the
-  spec-keyed response memo, point-spec parsing, admission control with
+  spec-keyed response memo, point-spec parsing behind a problem intern
+  (each distinct problem is lowered once), admission control with
   backpressure, the micro-batcher, and the pricing flush.  A flush
   holds whatever requests were pending — mixed systems, iterations, write
   policies, DRAM timings — and is priced by one vectorized
@@ -19,19 +20,21 @@ Two layers:
 
 Bounded memory is a design rule, not an aspiration: the admission counter
 rejects beyond ``queue_limit`` (clients get ``retry_after_ms`` instead of
-the server growing an unbounded queue), the response memo, the plan cache
-and the engine's knob, packed-session and fold caches are all bounded
-:class:`~repro.pipeline.cache.PlanCache` LRUs, the metrics reservoir is
-bounded, and a disconnected client's pending futures are cancelled, priced
-results dropped on the floor, never retained.
+the server growing an unbounded queue), the response memo, the problem
+intern, the plan cache and the engine's knob, packed-session and fold
+caches are all bounded :class:`~repro.pipeline.cache.PlanCache` LRUs, the
+metrics reservoir is bounded, and a disconnected client's pending futures
+are cancelled, priced results dropped on the floor, never retained.
 
-Resilience: every admitted evaluation runs under ``batch_timeout_s`` (a
-hung flush fails that request with a structured ``timeout`` response rather
-than pinning the slot), and consecutive engine failures trip a circuit
-breaker (:class:`repro.faults.breaker.CircuitBreaker`) that sheds new
-evaluations with an ``unavailable`` + ``retry_after_ms`` response until a
-cooldown probe succeeds; memo hits bypass the breaker.  ``/stats`` reports
-the breaker state, trips, sheds and timeouts.
+Resilience: every micro-batch runs under one ``batch_timeout_s`` deadline,
+armed when its bucket opens and cancelled when it flushes (a hung flush
+fails each of its requests with a structured ``timeout`` response rather
+than pinning their slots; one timer per bucket, not one per request), and
+consecutive engine failures trip a circuit breaker
+(:class:`repro.faults.breaker.CircuitBreaker`) that sheds new evaluations
+with an ``unavailable`` + ``retry_after_ms`` response until a cooldown
+probe succeeds; memo hits bypass the breaker.  ``/stats`` reports the
+breaker state, trips, sheds and timeouts.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.workbench import Workbench
 from repro.faults.breaker import CircuitBreaker
 from repro.pipeline.backends import EvaluationResult, evaluate
-from repro.pipeline.cache import PlanCache
+from repro.pipeline.cache import PlanCache, plan_cache
 from repro.pipeline.compile import compile_batch
-from repro.serve.batcher import AdaptiveBatcher, Item
+from repro.serve.batcher import AdaptiveBatcher, BucketTimeoutError, Item
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -53,7 +56,9 @@ from repro.serve.protocol import (
     decode_line,
     encode,
     parse_point,
+    parse_request,
     point_key,
+    problem_key,
     result_payload,
 )
 
@@ -108,13 +113,17 @@ class EvaluationService:
     memo_entries:
         Bound of the response memo, keyed by each spec's canonical JSON
         text (:func:`~repro.serve.protocol.point_key`); 0 disables it.
+        The problem intern behind it (:attr:`problems`, keyed by
+        :func:`~repro.serve.protocol.problem_key`) is bounded like the
+        session's plan cache.
     scalar:
         Force the per-request scalar reference path (no vectorized folds,
-        no memo) — the benchmark's baseline serving mode.
+        no memo, no problem intern) — the benchmark's baseline serving mode.
     batch_timeout_s:
-        Per-evaluation deadline once admitted: an engine flush that hangs
-        past it fails that request with a structured timeout instead of
-        pinning the connection (and its admission slot) forever.
+        Deadline of each micro-batch, counted from when its bucket opens:
+        a flush that hangs past it fails each of its requests with a
+        structured timeout instead of pinning the connections (and their
+        admission slots) forever.
     breaker_threshold / breaker_cooldown_ms:
         Circuit breaker shape: after ``breaker_threshold`` consecutive
         engine failures the breaker opens and evaluations are shed with a
@@ -149,11 +158,18 @@ class EvaluationService:
         self.memo: Optional[PlanCache] = (
             PlanCache(memo_entries) if memo_entries > 0 and not scalar else None
         )
+        # Problem intern: canonical text of a spec's problem fields -> the
+        # StencilProblem they lower to, so a memo miss on a problem seen
+        # before parses only its request fields and reuses the problem's
+        # memoized cache key.  Bounded like the plan cache it feeds.
+        bound = (self.cache if self.cache is not None else plan_cache).max_entries
+        self.problems: Optional[PlanCache] = None if scalar else PlanCache(bound)
         self.metrics = ServerMetrics()
         self.batcher = AdaptiveBatcher(
             self._price,
             max_batch=1 if scalar else max_batch,
             on_flush=lambda size, why: self.metrics.record_batch(size),
+            timeout_s=batch_timeout_s,
         )
         self.batch_timeout_s = batch_timeout_s
         self.breaker = CircuitBreaker(
@@ -189,12 +205,16 @@ class EvaluationService:
         on a bad spec (even past the watermark), :class:`OverloadedError`
         past the admission watermark and :class:`ServiceUnavailableError`
         while the circuit breaker is open — all before any state is queued.
-        An admitted evaluation that outlives ``batch_timeout_s`` raises
-        :class:`EvaluationTimeoutError` (and counts as a breaker failure).
+        An admitted evaluation whose bucket is still unpriced
+        ``batch_timeout_s`` after the bucket opened raises
+        :class:`EvaluationTimeoutError` (and counts as one breaker failure
+        and one timeout); the deadline belongs to the bucket, not to each
+        request, so the batcher's future is awaited directly.
 
         A memo hit is looked up by the spec's canonical text and is never
         parsed: only a spec that was answered before can hit, and errors
-        are never stored.
+        are never stored.  A memo miss whose problem fields were lowered
+        before parses only its request fields (see :meth:`_lower`).
         """
         if self._inflight >= self.queue_limit:
             parse_point(spec)  # a bad spec is a protocol error, not an overload
@@ -211,18 +231,15 @@ class EvaluationService:
                 self.metrics.record_accepted()
                 self.metrics.record_completed(time.perf_counter() - started)
                 return payload, "memo"
-        problem, request = parse_point(spec)
+        problem, request = self._lower(spec)
         if not self.breaker.allow():
             self.metrics.record_shed()
             raise ServiceUnavailableError(self.breaker.retry_after_ms())
         self.metrics.record_accepted()
         self._inflight += 1
         try:
-            result = await asyncio.wait_for(
-                self.batcher.submit(problem, request),
-                timeout=self.batch_timeout_s,
-            )
-        except asyncio.TimeoutError:
+            result = await self.batcher.submit(problem, request)
+        except BucketTimeoutError:
             self.breaker.record_failure()
             self.metrics.record_timeout()
             raise EvaluationTimeoutError(self.batch_timeout_s) from None
@@ -240,6 +257,24 @@ class EvaluationService:
         self.metrics.record_completed(time.perf_counter() - started)
         return payload, "engine"
 
+    def _lower(self, spec: Dict[str, Any]) -> Item:
+        """Lower a memo miss, reusing the interned problem of its problem fields.
+
+        A spec whose problem fields were lowered before parses only its
+        request fields; any other spec is lowered whole and, if valid, its
+        problem is interned.  Errors are never interned, and an unknown
+        field is part of the key, so a spec carrying one never hits.
+        """
+        problems = self.problems
+        if problems is None or (key := problem_key(spec)) is None:
+            return parse_point(spec)  # the scalar reference path, or unkeyable
+        problem = problems.get(key)
+        if problem is not None:
+            return problem, parse_request(spec)
+        problem, request = parse_point(spec)
+        problems.put(key, problem)
+        return problem, request
+
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: throughput, latency, batching, caches."""
         engine_info = self.engine.cache_info()
@@ -249,6 +284,9 @@ class EvaluationService:
             "scalar": self.scalar,
             "memo": (
                 self.memo.cache_info()._asdict() if self.memo is not None else None
+            ),
+            "problems": (
+                self.problems.cache_info()._asdict() if self.problems is not None else None
             ),
             "engine": engine_info._asdict(),
             "engine_hit_rates": {

@@ -144,6 +144,20 @@ class TestTimingModel:
         read_n_words(sim, dram, [0, 64, 3, 100])
         assert dram.row_misses >= 3
 
+    def test_moving_back_a_row_is_a_row_miss(self):
+        # The port's previous access sat in a later row: the next access
+        # opens another row just as a move forward would.
+        timing = DRAMTiming(random_access_cycles=3, row_miss_penalty=10, row_words=16)
+        sim, dram = make_dram(timing=timing)
+        dram.preload(0, np.arange(64))
+        read_n_words(sim, dram, [40])  # row 2
+        before = dram.busy_cycles
+        read_n_words(sim, dram, [5])  # row 0
+        assert dram.row_misses == 2
+        assert dram.random_accesses == 2
+        assert (dram.busy_cycles - before
+                == timing.random_access_cycles + timing.row_miss_penalty)
+
     def test_sequential_immune_to_row_penalty_between_words(self):
         timing = DRAMTiming(row_miss_penalty=10, row_words=16)
         sim, dram = make_dram(timing=timing)

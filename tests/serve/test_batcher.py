@@ -1,5 +1,5 @@
 """The micro-batcher: one bucket, flushed when full or when the loop yields,
-failure isolation, no timer."""
+failure isolation, no batching timer and one deadline per bucket."""
 
 import asyncio
 import json
@@ -11,7 +11,7 @@ from repro.memory.dram import DRAMTiming
 from repro.pipeline.backends import EvaluationRequest, evaluate
 from repro.pipeline.problem import StencilProblem
 from repro.serve import EvaluationService
-from repro.serve.batcher import AdaptiveBatcher
+from repro.serve.batcher import AdaptiveBatcher, BucketTimeoutError
 from repro.serve.protocol import make_point, parse_point, result_payload
 
 
@@ -175,25 +175,57 @@ class TestFlushing:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="max_batch must be positive"):
             AdaptiveBatcher(lambda items: [], max_batch=0)
+        with pytest.raises(ValueError, match="timeout_s must be positive"):
+            AdaptiveBatcher(lambda items: [], timeout_s=0.0)
+
+
+def never_flush(key, why):
+    """A hung engine: the bucket is never priced, so only its deadline ends it."""
+
+
+class TestBucketDeadline:
+    def test_an_unpriced_bucket_fails_its_waiters_at_the_deadline(self):
+        calls = []
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=100, timeout_s=0.02)
+
+        async def main():
+            batcher._flush = never_flush
+            request = EvaluationRequest()
+            hung = [batcher.submit(PROBLEM, request) for _ in range(3)]
+            hung[0].cancel()  # a waiter that left is skipped, not failed
+            results = await asyncio.gather(*hung[1:], return_exceptions=True)
+            assert all(isinstance(r, BucketTimeoutError) for r in results)
+            assert isinstance(results[0], asyncio.TimeoutError)
+            assert hung[0].cancelled()
+            assert batcher.pending() == 0  # the expired bucket is dropped
+            del batcher._flush  # the engine recovers: a new bucket is priced
+            return await batcher.submit(PROBLEM, request)
+
+        result = run(main())
+        assert result[0] is PROBLEM
+        assert len(calls) == 1 and len(calls[0]) == 1
 
 
 class NoShortTimersLoop(asyncio.SelectorEventLoop):
     """An event loop that records every timer and refuses any due within 1 s.
 
-    A batching window would be due within milliseconds; a request deadline
+    A batching window would be due within milliseconds; a bucket deadline
     (the service's ``batch_timeout_s``) is not.
     """
 
     def __init__(self):
         super().__init__()
         self.timers = []
+        self.handles = []
 
     def call_at(self, when, callback, *args, context=None):
         delay = when - self.time()
         self.timers.append(delay)
         if delay < 1.0:
             raise AssertionError(f"a {delay * 1e3:.1f} ms timer was scheduled")
-        return super().call_at(when, callback, *args, context=context)
+        handle = super().call_at(when, callback, *args, context=context)
+        self.handles.append(handle)
+        return handle
 
 
 def run_on(loop, coro):
@@ -242,3 +274,56 @@ class TestALoneRequestWaitsOnNoTimer:
                             request=EvaluationRequest(iterations=3))
         assert canonical(result_payload(result)) == canonical(result_payload(expected))
         assert loop.timers == []
+
+
+class TestOneDeadlinePerBucket:
+    """A bucket arms one ``batch_timeout_s`` deadline, however many requests
+    it holds, and its flush cancels it."""
+
+    def test_through_the_batcher(self):
+        calls = []
+        batcher = AdaptiveBatcher(echo_pricer(calls), max_batch=3, timeout_s=30.0)
+
+        async def main():
+            request = EvaluationRequest()
+            return await asyncio.gather(
+                *(batcher.submit(PROBLEM, request) for _ in range(4))
+            )
+
+        loop = NoShortTimersLoop()
+        run_on(loop, main())
+        assert [len(items) for items in calls] == [3, 1]  # full, then yield
+        assert len(loop.timers) == 2
+        assert all(handle.cancelled() for handle in loop.handles)
+
+    def test_concurrent_service_submits_arm_one_timer(self):
+        service = EvaluationService(batch_timeout_s=30.0)
+        specs = [make_point((12, 11), iterations=n) for n in range(1, 9)]
+        loop = NoShortTimersLoop()
+
+        async def main():
+            return await asyncio.gather(*(service.submit(spec) for spec in specs))
+
+        answers = run_on(loop, main())
+        assert [served_by for _, served_by in answers] == ["engine"] * len(specs)
+        for spec, (payload, _) in zip(specs, answers):
+            problem, request = parse_point(spec)
+            expected = evaluate(problem, backend="analytic", request=request)
+            assert canonical(payload) == canonical(result_payload(expected))
+        assert service.stats()["batches"]["flushes"] == 1
+        assert len(loop.timers) == 1 and loop.timers[0] > 29.0
+        assert all(handle.cancelled() for handle in loop.handles)
+
+    def test_each_bucket_arms_its_own_deadline(self):
+        service = EvaluationService(max_batch=4, batch_timeout_s=30.0)
+        specs = [make_point((12, 11), iterations=n) for n in range(1, 11)]
+        loop = NoShortTimersLoop()
+
+        async def main():
+            return await asyncio.gather(*(service.submit(spec) for spec in specs))
+
+        run_on(loop, main())
+        flushes = service.stats()["batches"]["flushes"]
+        assert flushes == 3  # 4 + 4 full, then 2 on the yield
+        assert len(loop.timers) == flushes
+        assert all(handle.cancelled() for handle in loop.handles)

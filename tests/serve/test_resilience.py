@@ -33,8 +33,8 @@ class Clock:
         return self.now
 
 
-def never_resolving_submit(problem, request):
-    return asyncio.get_running_loop().create_future()
+def never_flush(key, why):
+    """A hung engine: the bucket is never priced, so only its deadline ends it."""
 
 
 def exploding_price(items):
@@ -45,7 +45,7 @@ class TestBatchTimeout:
     def test_hung_flush_raises_structured_timeout(self):
         async def scenario():
             service = EvaluationService(batch_timeout_s=0.05, memo_entries=0)
-            service.batcher.submit = never_resolving_submit
+            service.batcher._flush = never_flush
             with pytest.raises(EvaluationTimeoutError) as err:
                 await service.submit(make_point((11, 11), iterations=2))
             assert err.value.timeout_s == 0.05
@@ -180,7 +180,7 @@ class TestTcpResponses:
             try:
                 async with AsyncServeClient(host, port) as client:
                     # A hung engine: structured timeout, connection survives.
-                    service.batcher.submit = never_resolving_submit
+                    service.batcher._flush = never_flush
                     with pytest.raises(EvaluationTimeout) as terr:
                         await client.evaluate(make_point((11, 11), iterations=2))
                     assert terr.value.timeout_s == 0.05
