@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.access import tuple_for
-from repro.core.boundary import BoundaryKind, BoundarySpec
+from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour
 from repro.core.buffers import PIPELINE_SLACK
+from repro.core.config import SmacheConfig
 from repro.core.grid import GridSpec
 from repro.core.planner import (
     evaluate_window,
@@ -253,6 +254,93 @@ class TestOffsetSpans:
         assert from_eager.stream == plan.stream
         assert from_eager.statics == plan.statics
         assert from_eager.range_plans == plan.range_plans
+
+
+def plan_pin(plan):
+    """A plan's window and stream reach, and each static's (start, length, served offsets)."""
+    return (
+        (plan.stream.window_lo, plan.stream.window_hi, plan.stream.reach),
+        tuple((s.start, s.length, s.serves_offsets) for s in plan.statics),
+    )
+
+
+PAPER = SmacheConfig.paper_example()
+#: Windows (-14, 14) and (0, 0) tie on 28 total elements; (-14, 14) has no static.
+TIE_ON_STATICS = (
+    GridSpec(shape=(4, 7)),
+    StencilShape.star_2d(2),
+    BoundarySpec(
+        edges=(
+            EdgeBehaviour(BoundaryKind.OPEN, BoundaryKind.CONSTANT),
+            EdgeBehaviour(BoundaryKind.CIRCULAR, BoundaryKind.OPEN),
+        ),
+        constant_value=1.5,
+    ),
+)
+#: Under reach bound 1, windows (-1, 0) and (0, 0) tie on 19 total elements
+#: and one static each; (0, 0) is narrower.
+TIE_ON_WIDTH = (
+    GridSpec(shape=(19,)),
+    StencilShape.von_neumann(1),
+    BoundarySpec(
+        edges=(EdgeBehaviour(BoundaryKind.CIRCULAR, BoundaryKind.CONSTANT),),
+        constant_value=1.5,
+    ),
+)
+
+
+class TestGoldenPlans:
+    """Exact plans: a change to the planner's ranking cannot move a design silently."""
+
+    @pytest.mark.parametrize(
+        "problem,reach,expected",
+        [
+            pytest.param(
+                (PAPER.grid, PAPER.stencil, PAPER.boundary),
+                None,
+                ((-11, 11, 22), ((0, 11, (-110,)), (110, 11, (110,)))),
+                id="paper-example",
+            ),
+            pytest.param(
+                (PAPER.grid, PAPER.stencil, PAPER.boundary),
+                4,
+                ((0, 0, 0), ((0, 121, (-110, -11, -1, 1, 11, 110)),)),
+                id="paper-example-reach-4",
+            ),
+            pytest.param(
+                (
+                    GridSpec(shape=(8, 6, 5)),
+                    StencilShape.von_neumann(3),
+                    BoundarySpec.per_dimension(
+                        [BoundaryKind.CIRCULAR, BoundaryKind.CIRCULAR, BoundaryKind.MIRROR]
+                    ),
+                ),
+                None,
+                ((-30, 30, 60), ((0, 30, (-210,)), (210, 30, (210,)))),
+                id="3d-circular-planes",
+            ),
+            pytest.param(
+                TIE_ON_STATICS, None, ((-14, 14, 28), ()), id="tie-fewer-statics-wins"
+            ),
+            pytest.param(
+                TIE_ON_WIDTH, 1, ((0, 0, 0), ((0, 19, (-1, 1, 18)),)), id="tie-narrower-wins"
+            ),
+        ],
+    )
+    def test_plan_is_pinned(self, problem, reach, expected):
+        assert plan_pin(plan_buffers(*problem, max_stream_reach=reach)) == expected
+
+    @pytest.mark.parametrize(
+        "problem,windows",
+        [
+            pytest.param(TIE_ON_STATICS, ((-14, 14), (0, 0)), id="statics"),
+            pytest.param(TIE_ON_WIDTH, ((-1, 0), (0, 0)), id="width"),
+        ],
+    )
+    def test_tie_cases_tie(self, problem, windows):
+        ranges = partition_into_ranges(*problem)
+        totals = {evaluate_window(ranges, lo, hi).total_elements for lo, hi in windows}
+        assert len(totals) == 1
 
 
 class TestPlannerConstraints:
