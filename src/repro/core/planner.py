@@ -25,7 +25,9 @@ Two planners are provided:
   from the distinct offsets of the problem, which is exact for the global
   objective and cheap (the number of distinct offsets is tiny).  Each
   window is scored from where each offset is accessed, computed once per
-  problem, rather than by walking every range again.
+  problem, rather than by walking every range again.  Scoring ignores the
+  reach and bit bounds, so one :class:`ScoredWindows` serves every bound:
+  a bound only selects among the ranked windows.
 
 * :func:`paper_algorithm1` — a literal transcription of the per-range
   pseudo-code from the paper, kept for comparison and used in the test-suite
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.boundary import BoundarySpec
@@ -164,7 +167,7 @@ def _describe_run(grid: GridSpec, start: int, end: int, index: int) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class PlannerResult:
-    """Intermediate planner outcome for one candidate window (used by DSE)."""
+    """The cost of one candidate window, scored before any plan is built."""
 
     window_lo: int
     window_hi: int
@@ -172,7 +175,6 @@ class PlannerResult:
     static_elements: int
     total_elements: int
     n_static_buffers: int
-    feasible: bool
 
 
 def _window_result(
@@ -188,7 +190,6 @@ def _window_result(
         static_elements=static_elements,
         total_elements=reach + static_elements,
         n_static_buffers=len(merged),
-        feasible=True,
     )
 
 
@@ -239,6 +240,145 @@ def optimal_split_for_range(
     return kept, offloaded, reach, static
 
 
+class ScoredWindows:
+    """One problem's candidate windows, scored once, and the plans built from them.
+
+    Scoring ignores every bound: it builds the per-offset spans and each
+    candidate's :class:`PlannerResult`, ranked by total elements, then
+    fewer static buffers, then the narrower window, candidate order
+    breaking the remaining ties.  Choosing a window under a reach bound and
+    a bit bound is then one scan of that ranking (:meth:`select`), and
+    bounds that choose the same window share one plan per word size,
+    double buffering and slack (:meth:`plan`).  Scoring runs on first use,
+    inside the first :func:`plan_buffers` call that reads it.
+    """
+
+    def __init__(self, ranges: Sequence[StreamRange]) -> None:
+        if not ranges:
+            raise ValueError("the stencil problem produced no stream ranges")
+        self.ranges: Tuple[StreamRange, ...] = tuple(ranges)
+        self._plans: Dict[Tuple[int, int, str], BufferPlan] = {}
+
+    @cached_property
+    def spans(self) -> _OffsetSpans:
+        """Where each distinct stream offset is accessed."""
+        return _OffsetSpans(self.ranges)
+
+    @cached_property
+    def ranked(self) -> Tuple[PlannerResult, ...]:
+        """Every candidate window's cost, best first."""
+        spans = self.spans
+        results = [_window_result(spans, lo, hi) for lo, hi in spans.candidate_windows()]
+        return tuple(
+            sorted(results, key=lambda r: (r.total_elements, r.n_static_buffers, r.stream_reach))
+        )
+
+    def select(
+        self,
+        word_bits: int,
+        max_stream_reach: Optional[int] = None,
+        max_total_bits: Optional[int] = None,
+        double_buffer_statics: bool = True,
+        slack: int = PIPELINE_SLACK,
+    ) -> PlannerResult:
+        """The best window within the reach bound.
+
+        That is the first ranked window within reach whose buffers fit
+        ``max_total_bits``, else the first within reach: the choice of a
+        stable sort on (infeasible, total elements, static buffers, width).
+        """
+        static_bank_factor = 2 if double_buffer_statics else 1
+        fallback: Optional[PlannerResult] = None
+        for result in self.ranked:
+            if max_stream_reach is not None and result.stream_reach > max_stream_reach:
+                continue
+            if max_total_bits is None:
+                return result
+            total_bits = (result.stream_reach + slack) * word_bits + (
+                result.static_elements * word_bits * static_bank_factor
+            )
+            if total_bits <= max_total_bits:
+                return result
+            if fallback is None:
+                fallback = result
+        if fallback is None:
+            raise ValueError(
+                "no candidate window satisfies max_stream_reach="
+                f"{max_stream_reach}; relax the constraint"
+            )
+        return fallback
+
+    def plan(
+        self,
+        grid: GridSpec,
+        stencil: StencilShape,
+        boundary: BoundarySpec,
+        window: PlannerResult,
+        word_bits: int,
+        double_buffer_statics: bool = True,
+        slack: int = PIPELINE_SLACK,
+    ) -> BufferPlan:
+        """The plan of a selected window, built once per word size, banks and slack.
+
+        The key holds the ``repr`` of the caller's values, so values that
+        compare equal but print differently (``32`` and ``32.0``) never
+        share a plan.
+        """
+        lo, hi = window.window_lo, window.window_hi
+        key = (lo, hi, repr((word_bits, double_buffer_statics, slack)))
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        spans = self.spans
+        merged_runs = spans.static_runs(lo, hi)
+        statics = tuple(
+            StaticBufferSpec(
+                name=_describe_run(grid, start, end, i),
+                start=start,
+                length=end - start,
+                word_bits=word_bits,
+                double_buffered=double_buffer_statics,
+                serves_offsets=served,
+            )
+            for i, ((start, end), served) in enumerate(
+                zip(merged_runs, spans.serves(merged_runs, lo, hi))
+            )
+        )
+
+        # A range's split depends only on its offsets: split each distinct tuple once.
+        splits: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...], int]] = {}
+        for offsets in spans.offset_tuples:
+            kept = tuple(o for o in offsets if lo <= o <= hi)
+            offloaded = tuple(o for o in offsets if not lo <= o <= hi)
+            splits[offsets] = (kept, offloaded, max(kept) - min(kept) if kept else 0)
+        range_plans = []
+        for r in self.ranges:
+            kept, offloaded, reach = splits[r.stream_offsets]
+            range_plans.append(
+                RangePlan(
+                    r.start, r.length, r.case_id, kept, offloaded, reach, len(offloaded) * r.length
+                )
+            )
+
+        stream = StreamBufferSpec(
+            reach=hi - lo,
+            window_lo=lo,
+            window_hi=hi,
+            word_bits=word_bits,
+            slack=slack,
+        )
+        plan = BufferPlan(
+            grid=grid,
+            stencil=stencil,
+            boundary=boundary,
+            stream=stream,
+            statics=statics,
+            range_plans=tuple(range_plans),
+        )
+        # dict.setdefault is atomic: a racing builder adopts the first plan.
+        return self._plans.setdefault(key, plan)
+
+
 def plan_buffers(
     grid: GridSpec,
     stencil: StencilShape,
@@ -246,6 +386,7 @@ def plan_buffers(
     pattern: Optional[IterationPattern] = None,
     *,
     ranges: Optional[Sequence[StreamRange]] = None,
+    windows: Optional[ScoredWindows] = None,
     word_bits: Optional[int] = None,
     max_stream_reach: Optional[int] = None,
     max_total_bits: Optional[int] = None,
@@ -253,6 +394,12 @@ def plan_buffers(
     slack: int = PIPELINE_SLACK,
 ) -> BufferPlan:
     """Compute the globally optimal buffer configuration for a stencil problem.
+
+    The windows are scored once, regardless of the bounds, and the bounds
+    only select among them (see :class:`ScoredWindows`).  A caller planning
+    one problem under several bounds passes the same ``windows`` to each
+    call: the scoring is then paid once, and bounds that select the same
+    window return the same plan object.
 
     Parameters
     ----------
@@ -262,6 +409,10 @@ def plan_buffers(
         The problem's stream ranges, when the caller has already partitioned
         it (they must be ``partition_into_ranges(grid, stencil, boundary,
         pattern)``); computed here when omitted.
+    windows:
+        The problem's scored windows, when the caller already holds them
+        (they must be ``ScoredWindows(ranges)`` of this problem's ranges);
+        ``ranges`` is then not read.  Scored here when omitted.
     word_bits:
         Element width; defaults to the grid's word size.
     max_stream_reach:
@@ -279,35 +430,13 @@ def plan_buffers(
     """
     if word_bits is None:
         word_bits = grid.word_bits
-    if ranges is None:
-        ranges = partition_into_ranges(grid, stencil, boundary, pattern)
-    if not ranges:
-        raise ValueError("the stencil problem produced no stream ranges")
-
-    static_bank_factor = 2 if double_buffer_statics else 1
-    offset_spans = _OffsetSpans(ranges)
-
-    scored: List[Tuple[Tuple[int, int, int], Tuple[int, int], PlannerResult]] = []
-    for lo, hi in offset_spans.candidate_windows():
-        if max_stream_reach is not None and (hi - lo) > max_stream_reach:
-            continue
-        result = _window_result(offset_spans, lo, hi)
-        total_bits = (result.stream_reach + slack) * word_bits + (
-            result.static_elements * word_bits * static_bank_factor
-        )
-        feasible = max_total_bits is None or total_bits <= max_total_bits
-        # Rank: feasibility first, then total element cost, then fewer static
-        # buffers, then smaller window.
-        rank = (0 if feasible else 1, result.total_elements, result.n_static_buffers)
-        scored.append((rank, (lo, hi), result))
-
-    if not scored:
-        raise ValueError(
-            "no candidate window satisfies max_stream_reach="
-            f"{max_stream_reach}; relax the constraint"
-        )
-    scored.sort(key=lambda item: (item[0], item[1][1] - item[1][0]))
-    _, (lo, hi), best = scored[0]
+    if windows is None:
+        if ranges is None:
+            ranges = partition_into_ranges(grid, stencil, boundary, pattern)
+        windows = ScoredWindows(ranges)
+    best = windows.select(
+        word_bits, max_stream_reach, max_total_bits, double_buffer_statics, slack
+    )
     if best.n_static_buffers and pattern is not None and not pattern.is_contiguous():
         raise UnsupportedPatternError(
             f"the {pattern.kind} iteration pattern would need static buffers, "
@@ -315,52 +444,7 @@ def plan_buffers(
             "contiguous pattern or boundaries that keep every access in the "
             "stream window"
         )
-
-    merged_runs = offset_spans.static_runs(lo, hi)
-    statics = tuple(
-        StaticBufferSpec(
-            name=_describe_run(grid, start, end, i),
-            start=start,
-            length=end - start,
-            word_bits=word_bits,
-            double_buffered=double_buffer_statics,
-            serves_offsets=served,
-        )
-        for i, ((start, end), served) in enumerate(
-            zip(merged_runs, offset_spans.serves(merged_runs, lo, hi))
-        )
-    )
-
-    # A range's split depends only on its offsets: split each distinct tuple once.
-    splits: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...], int]] = {}
-    for offsets in offset_spans.offset_tuples:
-        kept = tuple(o for o in offsets if lo <= o <= hi)
-        offloaded = tuple(o for o in offsets if not lo <= o <= hi)
-        splits[offsets] = (kept, offloaded, max(kept) - min(kept) if kept else 0)
-    range_plans = []
-    for r in ranges:
-        kept, offloaded, reach = splits[r.stream_offsets]
-        range_plans.append(
-            RangePlan(
-                r.start, r.length, r.case_id, kept, offloaded, reach, len(offloaded) * r.length
-            )
-        )
-
-    stream = StreamBufferSpec(
-        reach=hi - lo,
-        window_lo=lo,
-        window_hi=hi,
-        word_bits=word_bits,
-        slack=slack,
-    )
-    return BufferPlan(
-        grid=grid,
-        stencil=stencil,
-        boundary=boundary,
-        stream=stream,
-        statics=statics,
-        range_plans=tuple(range_plans),
-    )
+    return windows.plan(grid, stencil, boundary, best, word_bits, double_buffer_statics, slack)
 
 
 # --------------------------------------------------------------------------- #

@@ -264,7 +264,7 @@ def baseline_knobs(plan: BufferPlan, ranges: Sequence[StreamRange]) -> BaselineK
 
 
 def design_knobs(design: CompiledDesign, system: str) -> Union[SmacheKnobs, BaselineKnobs]:
-    """The knobs of ``design`` on ``system`` (the engine caches them per design)."""
+    """The knobs of ``design`` on ``system`` (the engine caches them, see ``knobs_for``)."""
     if system == "smache":
         return smache_knobs(design.plan)
     if system == "baseline":

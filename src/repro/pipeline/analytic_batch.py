@@ -12,8 +12,9 @@ This module applies the gather-plan idiom of
   count, kernel) varies freely within a group;
 
 * **pack** each design's knobs (:func:`~repro.pipeline.analytic.design_knobs`,
-  built once per design and memoized in a bounded
-  :class:`~repro.pipeline.cache.PlanCache`) into int64 columns, so
+  memoized in a bounded :class:`~repro.pipeline.cache.PlanCache`: the
+  Smache knobs once per design, the baseline knobs once per range
+  partition) into int64 columns, so
   re-pricing a design space touches no plan objects at all;
 
 * **fold** the system's terms over the columns: the
@@ -207,8 +208,8 @@ class EngineCacheInfo(NamedTuple):
     """Counters of an :class:`AnalyticBatchEngine`'s three cache layers.
 
     The first four fields mirror :class:`~repro.pipeline.cache.CacheInfo`
-    exactly (they are the knob cache's counters, one entry per distinct
-    design/system), so existing consumers of the engine's ``cache_info()``
+    exactly (they are the knob cache's counters, see
+    :meth:`AnalyticBatchEngine.knobs_for` for its keys), so existing consumers of the engine's ``cache_info()``
     keep reading the same numbers; the remaining fields expose the
     packed-session LRU and the fold memo, which is what a long-running
     serving layer watches (`/stats` surfaces this whole tuple).  Every field
@@ -282,8 +283,9 @@ class AnalyticBatchEngine:
         """Counters of every cache layer the engine owns.
 
         The first four fields are the knob cache's
-        :class:`~repro.pipeline.cache.CacheInfo` (one entry per distinct
-        design/system), unchanged from earlier releases; the session and
+        :class:`~repro.pipeline.cache.CacheInfo` (one Smache entry per
+        distinct design and one baseline entry per distinct range
+        partition, see :meth:`knobs_for`); the session and
         fold fields track the packed-session cache and the fold memo behind
         :meth:`price_batch`.
         """
@@ -311,15 +313,21 @@ class AnalyticBatchEngine:
         self._folds.clear()
 
     def knobs_for(self, design: CompiledDesign, system: str):
-        """The design's knobs on ``system``, through the bounded knob cache."""
+        """The design's knobs on ``system``, through the bounded knob cache.
+
+        An entry is keyed by what its knobs read: the Smache knobs read the
+        plan, so they are cached per design (its ``cache_key()``); the
+        baseline knobs read only the ranges and the grid, so designs of one
+        range partition (its ``range_key()``) share them, whatever their
+        mode or bounds.
+        """
         problem = design.problem
         if not problem.is_cacheable:
             # Custom iteration patterns compile outside the plan cache; their
             # knobs stay outside the knob cache for the same reason.
             return design_knobs(design, system)
-        return self._knobs.get_or_compile(
-            (system, problem.cache_key()), lambda: design_knobs(design, system)
-        )
+        key = problem.range_key() if system == "baseline" else problem.cache_key()
+        return self._knobs.get_or_compile((system, key), lambda: design_knobs(design, system))
 
     # ------------------------------------------------------------------ #
     def price(

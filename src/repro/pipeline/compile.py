@@ -12,18 +12,20 @@ Partitioning runs at most once per compile: one pass is shared by the
 planner (which receives the ranges) and synthesis (which receives the case
 count), rather than each stage partitioning the problem again.
 :func:`compile_batch` goes further and runs stages 1 and 2 once per distinct
-input of the batch: the range partition depends only on grid, stencil and
-boundary, and the plan adds word size, reach bound and bit bound but not the
-buffer mode.  So designs that differ only in mode share both stages, and
-designs that differ in reach still share the partition.  Stages 3-5 run per
-design.  The work scales with the distinct stencil cases and offsets, not
-with the ~3 ranges per grid row: interior-row ranges are translated from the
-first interior row and build their representative tuple only when it is read
+input of the batch.  The range partition and the planner's window scores
+depend only on grid, stencil and boundary, so they run once per range
+partition; the choice of window adds word size, reach bound and bit bound,
+and bounds that choose the same window share one plan.  So designs that
+differ only in mode share both stages, and designs that differ in reach
+still share the partition and the scores.  Stages 3-5 run per design.  The
+work scales with the distinct stencil cases and offsets, not with the ~3
+ranges per grid row: interior-row ranges are translated from the first
+interior row and build their representative tuple only when it is read
 (nothing in compile or analytic pricing reads it), and the planner scores
 each candidate window from per-offset stream spans instead of walking the
-ranges.  The resulting
-:class:`CompiledDesign` is memoized in the keyed plan cache, so sweeps
-re-planning the same problem are free after the first hit.
+ranges.  The resulting :class:`CompiledDesign` is memoized in the keyed
+plan cache, so sweeps re-planning the same problem are free after the
+first hit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.core.buffers import BufferPlan
 from repro.core.config import SmacheConfig
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.core.partition import HybridPartition, partition_for_plan
-from repro.core.planner import UnsupportedPatternError, plan_buffers
+from repro.core.planner import ScoredWindows, UnsupportedPatternError, plan_buffers
 from repro.core.ranges import StreamRange, partition_into_ranges
 from repro.fpga.synthesis import SynthesisReport, synthesize_smache
 from repro.pipeline.cache import PlanCache, plan_cache
@@ -90,23 +92,24 @@ def _build(
 ) -> CompiledDesign:
     """Uncached compilation of one problem.
 
-    ``stages`` holds the range partitions and plans already made for other
-    cacheable problems of the same :func:`compile_batch` call; a stage runs
-    only when its key is missing, and one that raises stores nothing.  The
-    keys are the ``repr`` of each stage's inputs, like
+    ``stages`` holds the range partitions, scored windows and plans already
+    made for other cacheable problems of the same :func:`compile_batch`
+    call; a stage runs only when its key is missing, and one that raises
+    stores nothing.  The keys are the ``repr`` of each stage's inputs, like
     :meth:`StencilProblem.cache_key`, so inputs that compare equal but print
-    differently (``0`` and ``0.0``) never share a result.  Without ``stages``
-    the problem builds alone, on a fresh table.
+    differently (``0`` and ``0.0``) never share a result.  Without
+    ``stages`` the problem builds alone, on a fresh table.
     """
     stages = {} if stages is None else stages
     config = problem.to_config()
-    range_key = repr((problem.grid, problem.stencil, problem.boundary))
+    range_key = problem.range_key()
     if range_key not in stages:
         ranges = tuple(
             partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
         )
-        stages[range_key] = (ranges, len({r.case_id for r in ranges}))
-    ranges, n_cases = stages[range_key]
+        # The windows are scored on first use, inside the planner stage.
+        stages[range_key] = (ranges, len({r.case_id for r in ranges}), ScoredWindows(ranges))
+    ranges, n_cases, windows = stages[range_key]
     plan_key = (
         range_key,
         repr((problem.word_bits, problem.max_stream_reach, problem.max_total_bits)),
@@ -117,7 +120,7 @@ def _build(
             problem.stencil,
             problem.boundary,
             problem.pattern,
-            ranges=ranges,
+            windows=windows,
             word_bits=problem.word_bits,
             max_stream_reach=problem.max_stream_reach,
             max_total_bits=problem.max_total_bits,
@@ -185,9 +188,10 @@ def compile_batch(
     sharing one design compiles it once and records one miss plus N−1 hits —
     the same counters a per-point loop over a warm cache would show.  The
     designs compiled on those misses share their range and plan stages: one
-    range partition per distinct (grid, stencil, boundary) and one plan per
-    distinct (grid, stencil, boundary, word bits, reach bound, bit bound),
-    held in a table that lives only as long as this call.
+    range partition and one scoring of the planner's windows per distinct
+    (grid, stencil, boundary), one window selection per distinct (word bits,
+    reach bound, bit bound) of it, and one plan per distinct chosen window
+    and word size, held in a table that lives only as long as this call.
     Already-compiled designs pass through untouched; uncacheable problems
     (and every problem when ``cache`` is ``None``) build fresh, exactly like
     :func:`compile`.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.boundary import BoundarySpec
 from repro.core.config import SmacheConfig
@@ -135,21 +135,40 @@ class StencilProblem:
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
-            kernel = self.effective_kernel
-            key = repr((
-                self.grid,
-                self.stencil,
-                self.boundary,
-                self.mode,
-                self.word_bits,
-                self.max_stream_reach,
-                self.max_total_bits,
-                self.register_elements,
-                type(kernel).__name__,
-                repr(kernel),
-            ))
-            object.__setattr__(self, "_cache_key", key)
+            key = self._memoize_keys()[1]
         return key
+
+    def range_key(self) -> str:
+        """The ``repr`` of ``(grid, stencil, boundary)``: what the range partition reads.
+
+        The key of the contiguous partition and of everything derived from
+        it alone (the scored planner windows, the baseline fetch schedule).
+        Memoized with :meth:`cache_key`, which it prefixes.
+        """
+        key = self.__dict__.get("_range_key")
+        if key is None:
+            key = self._memoize_keys()[0]
+        return key
+
+    def _memoize_keys(self) -> Tuple[str, str]:
+        # repr of a tuple is its items' reprs joined by ", ", so both keys
+        # come from one repr of each field, byte-identical to repr(tuple).
+        kernel = self.effective_kernel
+        head = ", ".join(map(repr, (self.grid, self.stencil, self.boundary)))
+        tail = ", ".join(map(repr, (
+            self.mode,
+            self.word_bits,
+            self.max_stream_reach,
+            self.max_total_bits,
+            self.register_elements,
+            type(kernel).__name__,
+            repr(kernel),
+        )))
+        range_key = f"({head})"
+        cache_key = f"({head}, {tail})"
+        object.__setattr__(self, "_range_key", range_key)
+        object.__setattr__(self, "_cache_key", cache_key)
+        return range_key, cache_key
 
     def describe(self) -> str:
         """One-line summary used by sweep reports."""

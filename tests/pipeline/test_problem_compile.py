@@ -19,14 +19,23 @@ from repro.core.config import SmacheConfig
 from repro.core.cost_model import estimate_memory_cost
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.partition import StreamBufferMode, partition_for_plan
-from repro.core.planner import plan_buffers
+from repro.core.planner import ScoredWindows, plan_buffers
 from repro.core.ranges import classify_cases, partition_into_ranges
 from repro.core.stencil import StencilShape
 from repro.fpga.synthesis import synthesize_smache
-from repro.pipeline import StencilProblem, UnsupportedPatternError, compile, evaluate
+from repro.pipeline import (
+    EvaluationRequest,
+    StencilProblem,
+    UnsupportedPatternError,
+    compile,
+    evaluate,
+)
+from repro.pipeline.analytic import design_knobs
+from repro.pipeline.analytic_batch import AnalyticBatchEngine
 from repro.pipeline.cache import PlanCache
 from repro.pipeline.compile import CompiledDesign, _build, compile_batch
 from tests.core.conftest import stencil_cases
+from tests.core.planner_oracle import sort_ranked_window
 
 # ``repro.pipeline`` re-exports the ``compile`` function under the submodule's
 # name, so the module is looked up by its full name.
@@ -551,3 +560,95 @@ class TestBatchStageSharing:
         first = len(stage_calls["ranges"])
         compile_batch(problems, cache=PlanCache())
         assert len(stage_calls["ranges"]) == 2 * first
+
+
+#: The reach bounds of the differential guard: unbounded, the zero window,
+#: and bounds below, near and above typical row offsets.
+GUARD_REACHES = (None, 0, 1, 4, 16)
+GUARD_MODES = (StreamBufferMode.HYBRID, StreamBufferMode.REGISTER_ONLY)
+
+
+class TestScoredWindowsDifferential:
+    """Scoring once per partition and selecting per bound moves no plan or design."""
+
+    @given(case=stencil_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_selection_plans_and_designs_match_the_per_bound_paths(self, case):
+        grid, stencil, boundary = case
+        ranges = partition_into_ranges(grid, stencil, boundary)
+        windows = ScoredWindows(ranges)
+        # One bit below the best plan's: its window is infeasible, so the
+        # bound moves the choice or forces the fallback.
+        tight = plan_buffers(grid, stencil, boundary).total_bits - 1
+        problems = []
+        for reach in GUARD_REACHES:
+            for bits in (None, tight):
+                assert windows.select(grid.word_bits, reach, bits) == sort_ranked_window(
+                    ranges, grid.word_bits, reach, bits
+                )
+                bounds = {"max_stream_reach": reach, "max_total_bits": bits}
+                shared = plan_buffers(grid, stencil, boundary, windows=windows, **bounds)
+                alone = plan_buffers(grid, stencil, boundary, **bounds)
+                assert shared == alone
+                assert repr(shared) == repr(alone)
+                problems += [
+                    StencilProblem(grid=grid, stencil=stencil, boundary=boundary, mode=mode,
+                                   max_stream_reach=reach, max_total_bits=bits)
+                    for mode in GUARD_MODES
+                ]
+        designs = compile_batch(problems, cache=PlanCache())
+        for problem, design in zip(problems, designs):
+            expected = compile(problem, cache=None)
+            assert design == expected
+            assert repr(design) == repr(expected)
+
+
+def _cold_space():
+    """A 12-grid x 2-mode x 4-reach space like the cold campaign's, on small grids."""
+    return [
+        StencilProblem.paper_example(rows, cols, mode=mode, max_stream_reach=reach)
+        for rows, cols in zip(range(5, 17), (9, 6, 12, 7, 10, 5, 11, 8, 13, 6, 9, 14))
+        for mode in GUARD_MODES
+        for reach in (0, 4, 16, None)
+    ]
+
+
+class TestColdSpaceWorkCounts:
+    """A cold batch scores, plans and walks baseline schedules once per distinct input."""
+
+    def test_scores_once_per_partition_and_plans_once_per_window(self, monkeypatch):
+        counts = {"scored": 0, "plans": 0}
+        real_spans, real_plan = repro.core.planner._OffsetSpans, repro.core.planner.BufferPlan
+
+        class CountingSpans(real_spans):
+            def __init__(self, ranges):
+                counts["scored"] += 1
+                super().__init__(ranges)
+
+        def counting_plan(**fields):
+            counts["plans"] += 1
+            return real_plan(**fields)
+
+        monkeypatch.setattr(repro.core.planner, "_OffsetSpans", CountingSpans)
+        monkeypatch.setattr(repro.core.planner, "BufferPlan", counting_plan)
+        problems = _cold_space()
+        designs = compile_batch(problems, cache=PlanCache())
+        assert len(designs) == 96
+        assert counts["scored"] == len({p.range_key() for p in problems}) == 12
+        by_window = {}
+        for problem, design in zip(problems, designs):
+            stream = design.plan.stream
+            key = (problem.range_key(), stream.window_lo, stream.window_hi)
+            # Bounds that choose one window share one plan object.
+            assert by_window.setdefault(key, design.plan) is design.plan
+        assert counts["plans"] == len(by_window) < 48
+
+    def test_baseline_knobs_walk_once_per_partition(self):
+        designs = compile_batch(_cold_space(), cache=PlanCache())
+        engine = AnalyticBatchEngine()
+        engine.clear()
+        engine.price([(d, EvaluationRequest(system="baseline", iterations=1)) for d in designs])
+        info = engine.cache_info()
+        assert (info.misses, info.hits) == (12, 84)
+        for design in designs:
+            assert engine.knobs_for(design, "baseline") == design_knobs(design, "baseline")
