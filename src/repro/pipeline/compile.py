@@ -23,9 +23,9 @@ ranges per grid row: interior-row ranges are translated from the first
 interior row and build their representative tuple only when it is read
 (nothing in compile or analytic pricing reads it), and the planner scores
 each candidate window from per-offset stream spans instead of walking the
-ranges.  The resulting :class:`CompiledDesign` is memoized in the keyed
-plan cache, so sweeps re-planning the same problem are free after the
-first hit.
+ranges.  The resulting
+:class:`CompiledDesign` is memoized in the keyed plan cache, so sweeps
+re-planning the same problem are free after the first hit.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def _build(
     call; a stage runs only when its key is missing, and one that raises
     stores nothing.  The keys are the ``repr`` of each stage's inputs, like
     :meth:`StencilProblem.cache_key`, so inputs that compare equal but print
-    differently (``0`` and ``0.0``) never share a result.  Without
-    ``stages`` the problem builds alone, on a fresh table.
+    differently (``0`` and ``0.0``) never share a result.  Without ``stages``
+    the problem builds alone, on a fresh table.
     """
     stages = {} if stages is None else stages
     config = problem.to_config()

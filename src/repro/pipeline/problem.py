@@ -143,7 +143,8 @@ class StencilProblem:
 
         The key of the contiguous partition and of everything derived from
         it alone (the scored planner windows, the baseline fetch schedule).
-        Memoized with :meth:`cache_key`, which it prefixes.
+        Memoized in the same pass as :meth:`cache_key`, whose first three
+        fields it prints.
         """
         key = self.__dict__.get("_range_key")
         if key is None:
