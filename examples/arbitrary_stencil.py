@@ -20,7 +20,6 @@ Run with:  python examples/arbitrary_stencil.py
 import numpy as np
 
 from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour
-from repro.core.config import SmacheConfig
 from repro.core.grid import GridSpec
 from repro.core.stencil import StencilShape
 from repro.pipeline import StencilProblem, compile, evaluate
@@ -28,11 +27,11 @@ from repro.pipeline import StencilProblem, compile, evaluate
 ITERATIONS = 3
 
 
-def show_case(name: str, config: SmacheConfig) -> None:
+def show_case(name: str, problem: StencilProblem) -> None:
     """Compile one stencil case, then validate all three backends against
     each other: reference output vs simulation, analytic cycles vs simulated."""
     print(f"=== {name} ===")
-    design = compile(StencilProblem.from_config(config))
+    design = compile(problem)
     print(design.describe())
 
     reference = evaluate(design, backend="reference", iterations=ITERATIONS,
@@ -51,7 +50,7 @@ def main() -> None:
     # Case 1: asymmetric stencil, circular rows / open columns.
     show_case(
         "asymmetric stencil (centre, north, 2 east, 3 south-west)",
-        SmacheConfig(
+        StencilProblem(
             grid=GridSpec(shape=(20, 24), word_bytes=4),
             stencil=StencilShape.asymmetric_2d(),
             boundary=BoundarySpec.paper_2d(),
@@ -62,7 +61,7 @@ def main() -> None:
     # Case 2: radius-2 star stencil with mirrored boundaries everywhere.
     show_case(
         "radius-2 star stencil, mirrored boundaries",
-        SmacheConfig(
+        StencilProblem(
             grid=GridSpec(shape=(24, 24), word_bytes=4),
             stencil=StencilShape.star_2d(radius=2),
             boundary=BoundarySpec.per_dimension([BoundaryKind.MIRROR, BoundaryKind.MIRROR]),
@@ -77,7 +76,7 @@ def main() -> None:
     )
     show_case(
         "far-tap stencil (a dependency 15 rows ahead), constant-padded edges",
-        SmacheConfig(
+        StencilProblem(
             grid=GridSpec(shape=(18, 32), word_bytes=4),
             stencil=far_tap,
             boundary=BoundarySpec(

@@ -30,7 +30,6 @@ import tempfile
 from dataclasses import replace
 
 from repro.api import Workbench
-from repro.core.config import SmacheConfig
 from repro.core.partition import StreamBufferMode
 from repro.dse import (
     explore_partitions,
@@ -47,14 +46,14 @@ GRID = (1024, 1024)
 
 
 def main() -> None:
-    config = SmacheConfig.paper_example(*GRID)
+    problem = StencilProblem.paper_example(*GRID)
     device = stratix_v()
     # Assume the surrounding computation kernel and shell already consume a
     # slice of the device; the front-end has to fit in what is left.
     reserved = ResourceUsage(alms=40_000, registers=150_000, bram_bits=10_000_000)
 
     print(f"=== sweep: register/BRAM split of the stream buffer ({GRID[0]}x{GRID[1]}) ===")
-    points = explore_partitions(config, device=device, steps=8, reserved=reserved)
+    points = explore_partitions(problem, device=device, steps=8, reserved=reserved)
     header = f"{'mapping':<34}{'Rtotal bits':>14}{'Btotal bits':>14}{'Fmax MHz':>10}{'fits':>6}"
     print(header)
     for p in points:
@@ -77,7 +76,7 @@ def main() -> None:
 
     print("\n=== feasibility on a small edge-class device ===")
     edge = small_device()
-    edge_points = explore_partitions(config, device=edge, steps=8)
+    edge_points = explore_partitions(problem, device=edge, steps=8)
     feasible = [p for p in edge_points if p.fits]
     print(f"  {len(feasible)}/{len(edge_points)} mappings fit {edge.name}")
     best_edge = select_best(edge_points, minimise_bram_bits)

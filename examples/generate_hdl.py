@@ -4,7 +4,8 @@
 The paper's stated key future work is to "completely automate the creation of
 the Smache architecture given a problem with a particular stencil shape and
 boundary conditions".  The `repro.hdlgen` package does exactly that for this
-reproduction: from a `SmacheConfig` it derives the buffer plan and emits
+reproduction: from a compiled design (`compile(problem)`, which plans the
+buffers once) it emits
 
 * `smache_params.vh` — the parameter layer (window geometry, tap positions,
   static-buffer regions, register/BRAM split),

@@ -17,8 +17,7 @@ The package is organised as:
     FSMs) used to model the hardware prototypes.
 
 ``repro.memory``
-    Memory substrates: DRAM (streaming vs random access) and block RAM
-    with FPGA-like port semantics.
+    The external memory substrate: DRAM (streaming vs random access).
 
 ``repro.arch``
     The Smache micro-architecture (stream buffer, double-buffered static
@@ -60,7 +59,7 @@ The package is organised as:
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.stencil import StencilShape
 from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour
-from repro.core.config import SmacheConfig, StreamBufferMode
+from repro.core.partition import StreamBufferMode
 from repro.core.planner import plan_buffers
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.pipeline import (
@@ -90,7 +89,6 @@ __all__ = [
     "BoundaryKind",
     "BoundarySpec",
     "EdgeBehaviour",
-    "SmacheConfig",
     "StreamBufferMode",
     "plan_buffers",
     "MemoryCostEstimate",

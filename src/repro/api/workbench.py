@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Union
 
 from repro.core.boundary import BoundarySpec
 from repro.faults.policy import RetryPolicy
-from repro.core.config import SmacheConfig
 from repro.core.partition import StreamBufferMode
 from repro.core.stencil import StencilShape
 from repro.memory.dram import DRAMTiming
@@ -354,7 +353,7 @@ class Workbench:
     # ------------------------------------------------------------------ #
     def problem(
         self,
-        base: Optional[Union[StencilProblem, SmacheConfig]] = None,
+        base: Optional[StencilProblem] = None,
         *,
         rows: int = 11,
         cols: int = 11,
@@ -362,17 +361,12 @@ class Workbench:
     ) -> ProblemBuilder:
         """Open a fluent problem builder.
 
-        ``base`` may be an existing :class:`StencilProblem` or a plain
-        :class:`SmacheConfig`; without one, the paper's validation case at
-        ``rows × cols`` seeds the builder.  ``overrides`` are applied as
-        dataclass replacements (``mode=...``, ``max_stream_reach=...``).
+        ``base`` is an existing :class:`StencilProblem`; without one, the
+        paper's validation case at ``rows × cols`` seeds the builder.
+        ``overrides`` are applied as dataclass replacements (``mode=...``,
+        ``max_stream_reach=...``).
         """
-        if base is None:
-            problem = StencilProblem.paper_example(rows, cols)
-        elif isinstance(base, SmacheConfig):
-            problem = StencilProblem.from_config(base)
-        else:
-            problem = base
+        problem = StencilProblem.paper_example(rows, cols) if base is None else base
         if overrides:
             problem = replace(problem, **overrides)
         return ProblemBuilder(self, problem)
@@ -384,10 +378,8 @@ class Workbench:
     # ------------------------------------------------------------------ #
     # one-shot work
     # ------------------------------------------------------------------ #
-    def compile(self, problem: Union[StencilProblem, SmacheConfig]) -> CompiledDesign:
+    def compile(self, problem: StencilProblem) -> CompiledDesign:
         """Compile (memoized in the session's plan cache)."""
-        if isinstance(problem, SmacheConfig):
-            problem = StencilProblem.from_config(problem)
         return compile_problem(problem, cache=self.cache)
 
     def evaluate(

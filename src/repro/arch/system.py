@@ -12,7 +12,7 @@ final grid (validated against the NumPy reference in the test-suite).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -21,14 +21,14 @@ from repro.arch.baseline import BaselineMaster
 from repro.arch.kernel import KernelHW
 from repro.arch.shell import ReadMaster, ResponseRouter, WorkSequencer, WritebackUnit
 from repro.arch.smache import SmacheFrontEnd
-from repro.core.buffers import BufferPlan
-from repro.core.config import SmacheConfig
-from repro.core.partition import HybridPartition
 from repro.memory.dram import DRAMModel, DRAMTiming
 from repro.reference.kernels import AveragingKernel, StencilKernel
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
 from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:
+    from repro.pipeline.compile import CompiledDesign
 
 
 @dataclass
@@ -82,30 +82,32 @@ class SimulationResult:
 # Smache system
 # --------------------------------------------------------------------------- #
 class SmacheSystem:
-    """DRAM + Smache front-end + kernel + write-back, ready to run."""
+    """DRAM + Smache front-end + kernel + write-back, ready to run.
+
+    The hardware is built from the compiled design's plan and partition.
+    """
 
     def __init__(
         self,
-        config: SmacheConfig,
+        design: "CompiledDesign",
         kernel: Optional[StencilKernel] = None,
         iterations: int = 1,
         dram_timing: Optional[DRAMTiming] = None,
-        plan: Optional[BufferPlan] = None,
-        partition: Optional[HybridPartition] = None,
         trace: Optional[TraceLog] = None,
         write_through: bool = True,
         engine: Optional[str] = None,
     ) -> None:
-        self.config = config
+        self.design = design
         self.kernel_spec = kernel or AveragingKernel()
         self.iterations = iterations
         self.trace = trace or TraceLog(enabled=False)
         self.stats = StatsCollector("smache_system")
         self.write_through = write_through
 
-        self.plan = plan or config.plan()
-        self.partition = partition or config.partition(self.plan)
-        grid = config.grid
+        self.plan = design.plan
+        self.partition = design.partition
+        problem = design.problem
+        grid = problem.grid
         n = grid.size
 
         self.sim = Simulator("smache_system", engine=engine)
@@ -117,7 +119,7 @@ class SmacheSystem:
             timing=dram_timing,
             shared_bus=False,
         )
-        self.access_table = AccessTable(grid, config.stencil, config.boundary)
+        self.access_table = AccessTable(grid, problem.stencil, problem.boundary)
         self.front_end = SmacheFrontEnd(
             self.sim,
             self.plan,
@@ -155,18 +157,18 @@ class SmacheSystem:
     def load_input(self, array: np.ndarray) -> None:
         """Place the initial grid into DRAM copy A."""
         array = np.asarray(array, dtype=np.float64)
-        if array.shape != self.config.grid.shape:
-            raise ValueError(
-                f"input shape {array.shape} does not match grid {self.config.grid.shape}"
-            )
+        shape = self.design.problem.grid.shape
+        if array.shape != shape:
+            raise ValueError(f"input shape {array.shape} does not match grid {shape}")
         self.dram.preload(0, array.ravel())
 
     def run(self, max_cycles: int = 50_000_000) -> SimulationResult:
         """Run all work-instances and collect the result."""
-        n = self.config.grid.size
+        grid = self.design.problem.grid
+        n = grid.size
         self.sim.run_until(lambda: self.sequencer.done, max_cycles=max_cycles)
         final_base = self.sequencer.src_base(self.iterations)
-        output = self.dram.snapshot(final_base, n).reshape(self.config.grid.shape)
+        output = self.dram.snapshot(final_base, n).reshape(grid.shape)
         instance_cycles = [
             end - start
             for start, end in zip(
@@ -205,16 +207,17 @@ class BaselineSystem:
 
     def __init__(
         self,
-        config: SmacheConfig,
+        design: "CompiledDesign",
         kernel: Optional[StencilKernel] = None,
         iterations: int = 1,
         dram_timing: Optional[DRAMTiming] = None,
         engine: Optional[str] = None,
     ) -> None:
-        self.config = config
+        self.design = design
         self.kernel_spec = kernel or AveragingKernel()
         self.iterations = iterations
-        grid = config.grid
+        problem = design.problem
+        grid = problem.grid
         n = grid.size
 
         self.sim = Simulator("baseline_system", engine=engine)
@@ -226,7 +229,7 @@ class BaselineSystem:
             timing=dram_timing,
             shared_bus=True,
         )
-        self.access_table = AccessTable(grid, config.stencil, config.boundary)
+        self.access_table = AccessTable(grid, problem.stencil, problem.boundary)
         self.master = BaselineMaster(
             self.sim,
             self.dram,
@@ -239,18 +242,18 @@ class BaselineSystem:
     def load_input(self, array: np.ndarray) -> None:
         """Place the initial grid into DRAM copy A."""
         array = np.asarray(array, dtype=np.float64)
-        if array.shape != self.config.grid.shape:
-            raise ValueError(
-                f"input shape {array.shape} does not match grid {self.config.grid.shape}"
-            )
+        shape = self.design.problem.grid.shape
+        if array.shape != shape:
+            raise ValueError(f"input shape {array.shape} does not match grid {shape}")
         self.dram.preload(0, array.ravel())
 
     def run(self, max_cycles: int = 100_000_000) -> SimulationResult:
         """Run all work-instances and collect the result."""
-        n = self.config.grid.size
+        grid = self.design.problem.grid
+        n = grid.size
         self.sim.run_until(lambda: self.master.done, max_cycles=max_cycles)
         final_base = self.master.src_base(self.iterations)
-        output = self.dram.snapshot(final_base, n).reshape(self.config.grid.shape)
+        output = self.dram.snapshot(final_base, n).reshape(grid.shape)
         return SimulationResult(
             design="baseline",
             cycles=self.sim.cycle,
@@ -274,7 +277,7 @@ class BaselineSystem:
 # convenience wrappers
 # --------------------------------------------------------------------------- #
 def run_smache(
-    config: SmacheConfig,
+    design: "CompiledDesign",
     input_grid: np.ndarray,
     iterations: int = 1,
     kernel: Optional[StencilKernel] = None,
@@ -283,14 +286,14 @@ def run_smache(
 ) -> SimulationResult:
     """Build, load and run a Smache system in one call."""
     system = SmacheSystem(
-        config, kernel=kernel, iterations=iterations, dram_timing=dram_timing, engine=engine
+        design, kernel=kernel, iterations=iterations, dram_timing=dram_timing, engine=engine
     )
     system.load_input(input_grid)
     return system.run()
 
 
 def run_baseline(
-    config: SmacheConfig,
+    design: "CompiledDesign",
     input_grid: np.ndarray,
     iterations: int = 1,
     kernel: Optional[StencilKernel] = None,
@@ -299,7 +302,7 @@ def run_baseline(
 ) -> SimulationResult:
     """Build, load and run a baseline system in one call."""
     system = BaselineSystem(
-        config, kernel=kernel, iterations=iterations, dram_timing=dram_timing, engine=engine
+        design, kernel=kernel, iterations=iterations, dram_timing=dram_timing, engine=engine
     )
     system.load_input(input_grid)
     return system.run()

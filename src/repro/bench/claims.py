@@ -83,17 +83,17 @@ def _engines(m: Measure, system: str, latency_bound: bool, iterations: int) -> D
     built for.  Returns the fast result plus both engines' seconds.
     """
     from repro.arch.system import BaselineSystem, SmacheSystem
-    from repro.core.config import SmacheConfig
     from repro.memory.dram import DRAMTiming
+    from repro.pipeline import StencilProblem, compile
     from repro.reference.stencil_exec import make_test_grid
 
     timing = DRAMTiming(random_access_cycles=8, read_latency=300) if latency_bound else None
     system_cls = SmacheSystem if system == "smache" else BaselineSystem
-    config = SmacheConfig.paper_example(11, 11)
+    design = compile(StencilProblem.paper_example(11, 11))
     runs: Dict[str, Tuple[Any, float]] = {}
     for engine in ("naive", "fast"):
-        sim = system_cls(config, iterations=iterations, dram_timing=timing, engine=engine)
-        sim.load_input(make_test_grid(config.grid))
+        sim = system_cls(design, iterations=iterations, dram_timing=timing, engine=engine)
+        sim.load_input(make_test_grid(design.problem.grid))
         runs[engine] = _seconds(sim.run)
     (naive, naive_s), (fast, fast_s) = runs["naive"], runs["fast"]
     for name in ("cycles", "dram_words_read", "dram_words_written", "operations", "extra"):

@@ -16,11 +16,9 @@ from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour, Resol
 from repro.core.access import StreamTuple, tuple_for, reach_of, stream_tuples
 from repro.core.ranges import StreamRange, partition_into_ranges, classify_cases
 from repro.core.buffers import StreamBufferSpec, StaticBufferSpec, BufferPlan
-from repro.core.planner import plan_buffers, RangePlan, optimal_split_for_range
-from repro.core.partition import HybridPartition, partition_stream_buffer
+from repro.core.planner import plan_buffers, optimal_split_for_range
+from repro.core.partition import HybridPartition, StreamBufferMode, partition_stream_buffer
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
-from repro.core.analysis import analyse_static_buffers, StaticBufferRequirement
-from repro.core.config import SmacheConfig, StreamBufferMode
 
 __all__ = [
     "GridSpec",
@@ -41,14 +39,10 @@ __all__ = [
     "StaticBufferSpec",
     "BufferPlan",
     "plan_buffers",
-    "RangePlan",
     "optimal_split_for_range",
     "HybridPartition",
     "partition_stream_buffer",
+    "StreamBufferMode",
     "MemoryCostEstimate",
     "estimate_memory_cost",
-    "analyse_static_buffers",
-    "StaticBufferRequirement",
-    "SmacheConfig",
-    "StreamBufferMode",
 ]

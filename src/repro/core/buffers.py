@@ -9,7 +9,6 @@ plan; ``repro.core.cost_model`` prices it in registers and BRAM bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from repro.core.boundary import BoundarySpec
@@ -109,24 +108,6 @@ class StaticBufferSpec:
 
 
 @dataclass(frozen=True)
-class RangePlan:
-    """Planner decision for one stream range."""
-
-    range_start: int
-    range_length: int
-    case_id: int
-    kept_offsets: Tuple[int, ...]
-    offloaded_offsets: Tuple[int, ...]
-    stream_reach: int
-    static_elements: int
-
-    @property
-    def total_elements(self) -> int:
-        """Per-range cost in elements (stream reach + static elements)."""
-        return self.stream_reach + self.static_elements
-
-
-@dataclass(frozen=True)
 class BufferPlan:
     """Complete buffer configuration for one stencil problem."""
 
@@ -135,7 +116,8 @@ class BufferPlan:
     boundary: BoundarySpec
     stream: StreamBufferSpec
     statics: Tuple[StaticBufferSpec, ...]
-    range_plans: Tuple[RangePlan, ...]
+    #: The window-served offsets of every range, as one sorted union.
+    kept_offsets: Tuple[int, ...]
 
     # ------------------------------------------------------------------ #
     @property
@@ -177,13 +159,7 @@ class BufferPlan:
 
     def lookup_offsets(self) -> Tuple[int, ...]:
         """All distinct kept (window-served) offsets across ranges."""
-        return self._lookup_offsets
-
-    @cached_property
-    def _lookup_offsets(self) -> Tuple[int, ...]:
-        # Ranges of one case share their kept tuple: union the distinct ones.
-        distinct = {rp.kept_offsets for rp in self.range_plans}
-        return tuple(sorted(set().union(*distinct)))
+        return self.kept_offsets
 
     def describe(self) -> str:
         """Multi-line human-readable summary of the plan."""

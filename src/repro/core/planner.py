@@ -45,7 +45,6 @@ from repro.core.boundary import BoundarySpec
 from repro.core.buffers import (
     PIPELINE_SLACK,
     BufferPlan,
-    RangePlan,
     StaticBufferSpec,
     StreamBufferSpec,
 )
@@ -345,21 +344,8 @@ class ScoredWindows:
             )
         )
 
-        # A range's split depends only on its offsets: split each distinct tuple once.
-        splits: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...], int]] = {}
-        for offsets in spans.offset_tuples:
-            kept = tuple(o for o in offsets if lo <= o <= hi)
-            offloaded = tuple(o for o in offsets if not lo <= o <= hi)
-            splits[offsets] = (kept, offloaded, max(kept) - min(kept) if kept else 0)
-        range_plans = []
-        for r in self.ranges:
-            kept, offloaded, reach = splits[r.stream_offsets]
-            range_plans.append(
-                RangePlan(
-                    r.start, r.length, r.case_id, kept, offloaded, reach, len(offloaded) * r.length
-                )
-            )
-
+        # Ranges of one case share their offsets: union the distinct tuples' kept parts.
+        kept = sorted({o for offsets in spans.offset_tuples for o in offsets if lo <= o <= hi})
         stream = StreamBufferSpec(
             reach=hi - lo,
             window_lo=lo,
@@ -373,7 +359,7 @@ class ScoredWindows:
             boundary=boundary,
             stream=stream,
             statics=statics,
-            range_plans=tuple(range_plans),
+            kept_offsets=tuple(kept),
         )
         # dict.setdefault is atomic: a racing builder adopts the first plan.
         return self._plans.setdefault(key, plan)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.buffers import BufferPlan
-from repro.core.config import SmacheConfig
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.core.partition import (
     HybridPartition,
@@ -45,7 +44,7 @@ from repro.utils.pareto import pareto_front as generic_pareto_front
 class DesignPoint:
     """One explored configuration with everything needed to rank it."""
 
-    config: SmacheConfig
+    problem: StencilProblem
     plan: BufferPlan
     partition: HybridPartition
     cost: MemoryCostEstimate
@@ -62,19 +61,19 @@ class DesignPoint:
 
 
 def _make_point(
-    config: SmacheConfig,
+    problem: StencilProblem,
     plan: BufferPlan,
     partition: HybridPartition,
     device: Optional[FPGADevice],
     reserved: ResourceUsage,
 ) -> DesignPoint:
     cost = estimate_memory_cost(plan, partition=partition)
-    synthesis = synthesize_smache(config, plan=plan, partition=partition)
+    synthesis = synthesize_smache(problem, plan, partition=partition)
     fits = True
     if device is not None:
         fits = device.fits(synthesis.usage + reserved)
     return DesignPoint(
-        config=config,
+        problem=problem,
         plan=plan,
         partition=partition,
         cost=cost,
@@ -84,7 +83,7 @@ def _make_point(
 
 
 def explore_partitions(
-    config: SmacheConfig,
+    problem: StencilProblem,
     device: Optional[FPGADevice] = None,
     steps: int = 8,
     reserved: Optional[ResourceUsage] = None,
@@ -93,7 +92,7 @@ def explore_partitions(
 
     Parameters
     ----------
-    config:
+    problem:
         The stencil problem.  Its ``mode`` is ignored; the sweep spans from
         the hybrid minimum to register-only.
     device:
@@ -105,7 +104,7 @@ def explore_partitions(
         device before the feasibility check.
     """
     reserved = reserved or ResourceUsage()
-    plan = compile_problem(StencilProblem.from_config(config)).plan
+    plan = compile_problem(problem).plan
     n_taps = len([o for o in plan.lookup_offsets() if o != 0])
     depth = plan.stream.depth
     lo = min(depth, hybrid_register_slots(n_taps))
@@ -123,13 +122,13 @@ def explore_partitions(
         partition = partition_stream_buffer(
             plan.stream, n_taps, mode, register_elements=regs if mode is StreamBufferMode.CUSTOM else None
         )
-        cfg = replace(config, mode=mode, register_elements=partition.register_elements)
-        points.append(_make_point(cfg, plan, partition, device, reserved))
+        mapped = replace(problem, mode=mode, register_elements=partition.register_elements)
+        points.append(_make_point(mapped, plan, partition, device, reserved))
     return points
 
 
 def explore_grid_sizes(
-    config: SmacheConfig,
+    problem: StencilProblem,
     sizes: Sequence[Tuple[int, ...]],
     device: Optional[FPGADevice] = None,
     mode: StreamBufferMode = StreamBufferMode.HYBRID,
@@ -139,14 +138,14 @@ def explore_grid_sizes(
     reserved = reserved or ResourceUsage()
     points = []
     for shape in sizes:
-        cfg = replace(
-            config,
-            grid=type(config.grid)(shape=tuple(shape), word_bytes=config.grid.word_bytes),
+        sized = replace(
+            problem,
+            grid=type(problem.grid)(shape=tuple(shape), word_bytes=problem.grid.word_bytes),
             mode=mode,
-            name=f"{config.name}-{'x'.join(str(s) for s in shape)}",
+            name=f"{problem.name}-{'x'.join(str(s) for s in shape)}",
         )
-        design = compile_problem(StencilProblem.from_config(cfg))
-        points.append(_make_point(cfg, design.plan, design.partition, device, reserved))
+        design = compile_problem(sized)
+        points.append(_make_point(sized, design.plan, design.partition, device, reserved))
     return points
 
 

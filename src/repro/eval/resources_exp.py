@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.core.config import SmacheConfig
 from repro.core.partition import StreamBufferMode
 from repro.eval.paper_constants import PAPER_HYBRID_TRADEOFF, PAPER_RESOURCES, relative_error
 from repro.fpga.synthesis import SynthesisReport, synthesize_baseline
@@ -78,11 +77,10 @@ def run_resources(rows: int = 11, cols: int = 11) -> ResourceComparison:
     (Case-R) variant — its 1.5K BRAM bits are exactly the double-buffered
     static buffers — so that is the variant synthesised here.
     """
-    baseline_cfg = SmacheConfig.paper_example(rows, cols)
-    smache_cfg = SmacheConfig.paper_example(rows, cols, mode=StreamBufferMode.REGISTER_ONLY)
+    smache = StencilProblem.paper_example(rows, cols, mode=StreamBufferMode.REGISTER_ONLY)
     return ResourceComparison(
-        baseline=synthesize_baseline(baseline_cfg),
-        smache=compile(StencilProblem.from_config(smache_cfg)).synthesis,
+        baseline=synthesize_baseline(StencilProblem.paper_example(rows, cols)),
+        smache=compile(smache).synthesis,
     )
 
 
@@ -123,8 +121,7 @@ def run_hybrid_tradeoff(rows: int = 1024, cols: int = 1024) -> HybridTradeoffRes
         ("register_only", StreamBufferMode.REGISTER_ONLY),
         ("hybrid", StreamBufferMode.HYBRID),
     ):
-        config = SmacheConfig.paper_example(rows, cols, mode=mode)
-        cost = compile(StencilProblem.from_config(config)).cost
+        cost = compile(StencilProblem.paper_example(rows, cols, mode=mode)).cost
         results[key] = {
             "registers": cost.r_total_bits,
             "bram_bits": cost.b_total_bits,

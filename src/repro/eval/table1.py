@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.config import SmacheConfig
 from repro.core.partition import StreamBufferMode
 from repro.eval.paper_constants import PAPER_TABLE1, relative_error
 from repro.pipeline import StencilProblem, compile
@@ -88,8 +87,7 @@ def run_table1() -> Table1Result:
     """Regenerate Table I for the four paper configurations."""
     result = Table1Result()
     for problem, shape, mode in TABLE1_PROBLEMS:
-        config = SmacheConfig.paper_example(shape[0], shape[1], mode=mode)
-        design = compile(StencilProblem.from_config(config))
+        design = compile(StencilProblem.paper_example(shape[0], shape[1], mode=mode))
         estimate = design.cost
         synthesis = design.synthesis
         mode_key = "r" if mode is StreamBufferMode.REGISTER_ONLY else "h"

@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.buffers import BufferPlan
-from repro.core.config import SmacheConfig
 from repro.core.cost_model import MemoryCostEstimate
 from repro.core.partition import HybridPartition, partition_for_plan
 from repro.core.ranges import classify_cases, partition_into_ranges
 from repro.fpga.resources import ResourceUsage
 from repro.reference.kernels import AveragingKernel, StencilKernel
+
+if TYPE_CHECKING:  # pipeline.compile imports this module
+    from repro.pipeline.problem import StencilProblem
 
 
 # --------------------------------------------------------------------------- #
@@ -145,40 +147,40 @@ def _alms_from(registers: float, logic_alms: float) -> float:
 # Smache synthesis
 # --------------------------------------------------------------------------- #
 def synthesize_smache(
-    config: SmacheConfig,
-    plan: Optional[BufferPlan] = None,
+    problem: "StencilProblem",
+    plan: BufferPlan,
     partition: Optional[HybridPartition] = None,
     kernel: Optional[StencilKernel] = None,
     timing: Optional[TimingModel] = None,
     *,
     n_cases: Optional[int] = None,
 ) -> SynthesisReport:
-    """Structural synthesis of the Smache design for one configuration.
+    """Structural synthesis of the Smache design for one planned problem.
 
-    The boundary-case decoder is sized by the number of stencil cases of the
-    grid, always counted over the contiguous pattern: a case's shape key
-    depends only on the centre element, not on the order the stream visits
-    it, so any permutation pattern has the same case set.  ``n_cases`` is
-    that count when the caller has already partitioned the contiguous
-    stream; it is computed here when omitted.
+    ``plan`` is the problem's compiled plan; ``partition`` is derived from
+    it and the problem's mode when omitted.  The boundary-case decoder is
+    sized by the number of stencil cases of the grid, always counted over
+    the contiguous pattern: a case's shape key depends only on the centre
+    element, not on the order the stream visits it, so any permutation
+    pattern has the same case set.  ``n_cases`` is that count when the
+    caller has already partitioned the contiguous stream; it is computed
+    here when omitted.
     """
     timing = timing or TimingModel()
     kernel = kernel or AveragingKernel()
-    if plan is None:
-        plan = config.plan()
     if partition is None:
         partition = partition_for_plan(
-            plan, config.mode, register_elements=config.register_elements
+            plan, problem.mode, register_elements=problem.register_elements
         )
 
     word_bits = plan.stream.word_bits
-    n = config.grid.size
+    n = problem.grid.size
     index_bits = _clog2(n)
     depth = plan.stream.depth
     n_taps = max(1, len([o for o in plan.lookup_offsets() if o != 0]))
     if n_cases is None:
         n_cases = len(
-            classify_cases(partition_into_ranges(config.grid, config.stencil, config.boundary))
+            classify_cases(partition_into_ranges(problem.grid, problem.stencil, problem.boundary))
         )
     n_cases = max(1, n_cases)
 
@@ -233,14 +235,14 @@ def synthesize_smache(
     # Every operand of the stencil tuple selects between the window taps, the
     # static buffers and a constant; the mux is word-wide.
     n_sources = n_taps + plan.n_static_buffers + 1
-    mux_logic = kernel_inputs = max(1, config.stencil.n_points)
+    mux_logic = kernel_inputs = max(1, problem.stencil.n_points)
     mux_logic = kernel_inputs * word_bits * (n_sources - 1) / (MUX_BITS_PER_ALM * 4)
     breakdown["tuple_mux"] = ResourceUsage(alms=mux_logic)
 
     # -- kernel pipeline ----------------------------------------------------- #
     kernel_regs = kernel.latency * word_bits + index_bits * kernel.latency
     kernel_logic = (
-        max(1, config.stencil.n_points - 1) * word_bits / ADDER_BITS_PER_ALM / 2
+        max(1, problem.stencil.n_points - 1) * word_bits / ADDER_BITS_PER_ALM / 2
         + word_bits / ADDER_BITS_PER_ALM / 2  # normalisation / final stage
     )
     breakdown["kernel"] = ResourceUsage(registers=kernel_regs, alms=kernel_logic)
@@ -280,7 +282,7 @@ def synthesize_smache(
     )
     fmax = timing.fmax_mhz(levels)
     return SynthesisReport(
-        design=f"smache-{config.name}-{config.mode.value}",
+        design=f"smache-{problem.name}-{problem.mode.value}",
         usage=usage,
         fmax_mhz=fmax,
         critical_path_ns=timing.path_ns(levels),
@@ -294,21 +296,21 @@ def synthesize_smache(
 # baseline synthesis
 # --------------------------------------------------------------------------- #
 def synthesize_baseline(
-    config: SmacheConfig,
+    problem: "StencilProblem",
     kernel: Optional[StencilKernel] = None,
     timing: Optional[TimingModel] = None,
 ) -> SynthesisReport:
     """Structural synthesis of the no-buffering baseline master."""
     timing = timing or TimingModel()
     kernel = kernel or AveragingKernel()
-    word_bits = config.effective_word_bits
-    n = config.grid.size
+    word_bits = problem.word_bits if problem.word_bits is not None else problem.grid.word_bits
+    n = problem.grid.size
     index_bits = _clog2(2 * n)  # addresses cover both ping-pong copies
 
     breakdown: Dict[str, ResourceUsage] = {}
 
     # operand collection registers: one word per stencil operand
-    operand_regs = config.stencil.n_points * word_bits
+    operand_regs = problem.stencil.n_points * word_bits
     breakdown["operand_regs"] = ResourceUsage(registers=operand_regs)
 
     # address generation: point counter, operand counter, read/write address adders
@@ -321,7 +323,7 @@ def synthesize_baseline(
 
     # kernel datapath (combinational adder tree + result register)
     kernel_regs = word_bits + 8
-    kernel_logic = max(1, config.stencil.n_points - 1) * word_bits / ADDER_BITS_PER_ALM / 2
+    kernel_logic = max(1, problem.stencil.n_points - 1) * word_bits / ADDER_BITS_PER_ALM / 2
     breakdown["kernel"] = ResourceUsage(registers=kernel_regs, alms=kernel_logic)
 
     total_regs = sum(b.registers for b in breakdown.values())
@@ -343,7 +345,7 @@ def synthesize_baseline(
     levels = external_addr_bits // 8 + 1
     fmax = timing.fmax_mhz(levels)
     return SynthesisReport(
-        design=f"baseline-{config.name}",
+        design=f"baseline-{problem.name}",
         usage=usage,
         fmax_mhz=fmax,
         critical_path_ns=timing.path_ns(levels),

@@ -1,10 +1,11 @@
-"""Verilog skeleton generation from a buffer plan.
+"""Verilog skeleton generation from a compiled design.
 
-Everything the generator needs is already computed by the core layer: the
-window geometry, the tap positions, the static-buffer regions and the
-register/BRAM partition.  The generator's job is purely mechanical — turn
-those numbers into parameter declarations and structural Verilog — which is
-exactly why the paper argues the flow can be automated.
+Everything the generator needs is already computed by
+:func:`repro.pipeline.compile`: the window geometry, the tap positions, the
+static-buffer regions and the register/BRAM partition.  The generator's
+job is purely mechanical — turn those numbers into parameter declarations
+and structural Verilog — which is exactly why the paper argues the flow can
+be automated.
 
 The output is deliberately plain Verilog-2001 (no generate-time scripting in
 the emitted code) so that every number remains visible and auditable against
@@ -15,47 +16,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.core.buffers import BufferPlan
-from repro.core.config import SmacheConfig
-from repro.core.partition import HybridPartition
+if TYPE_CHECKING:
+    from repro.pipeline.compile import CompiledDesign
 
 
-def _header_comment(config: SmacheConfig, title: str) -> str:
-    boundary = config.boundary.describe()
+def _header_comment(design: "CompiledDesign", title: str) -> str:
+    problem = design.problem
     return (
         f"// {title}\n"
-        f"// Generated by repro.hdlgen from SmacheConfig '{config.name}'\n"
-        f"// grid      : {config.grid.describe()}\n"
-        f"// stencil   : {config.stencil}\n"
-        f"// boundaries: {boundary}\n"
-        f"// mapping   : {config.mode.value} stream buffer\n"
+        f"// Generated by repro.hdlgen from StencilProblem '{problem.name}'\n"
+        f"// grid      : {problem.grid.describe()}\n"
+        f"// stencil   : {problem.stencil}\n"
+        f"// boundaries: {problem.boundary.describe()}\n"
+        f"// mapping   : {design.partition.mode.value} stream buffer\n"
     )
 
 
-def generate_parameter_header(
-    config: SmacheConfig,
-    plan: Optional[BufferPlan] = None,
-    partition: Optional[HybridPartition] = None,
-) -> str:
+def generate_parameter_header(design: "CompiledDesign") -> str:
     """Emit the ``smache_params.vh`` header for one problem instance.
 
     The header is the *parameter layer* of the paper's two-level
     customisation: regenerating it (and only it) retargets a fixed Smache
     structure to a new grid size or stencil with the same shape class.
     """
-    plan = plan or config.plan()
-    partition = partition or config.partition(plan)
+    plan, partition, grid = design.plan, design.partition, design.problem.grid
     taps = sorted(o for o in plan.lookup_offsets() if o != 0)
 
-    lines: List[str] = [_header_comment(config, "Smache parameter header")]
+    lines: List[str] = [_header_comment(design, "Smache parameter header")]
     lines.append("`ifndef SMACHE_PARAMS_VH")
     lines.append("`define SMACHE_PARAMS_VH")
     lines.append("")
     lines.append(f"localparam SMACHE_WORD_BITS       = {plan.stream.word_bits};")
-    lines.append(f"localparam SMACHE_GRID_POINTS     = {config.grid.size};")
-    lines.append(f"localparam SMACHE_GRID_COLS       = {config.grid.shape[-1]};")
+    lines.append(f"localparam SMACHE_GRID_POINTS     = {grid.size};")
+    lines.append(f"localparam SMACHE_GRID_COLS       = {grid.shape[-1]};")
     lines.append(f"localparam SMACHE_WINDOW_DEPTH    = {plan.stream.depth};")
     lines.append(f"localparam SMACHE_WINDOW_LO       = {plan.stream.window_lo};")
     lines.append(f"localparam SMACHE_WINDOW_HI       = {plan.stream.window_hi};")
@@ -113,23 +108,16 @@ def _static_buffer_block(index: int) -> str:
 """
 
 
-def generate_smache_module(
-    config: SmacheConfig,
-    plan: Optional[BufferPlan] = None,
-    partition: Optional[HybridPartition] = None,
-    module_name: str = "smache_top",
-) -> str:
+def generate_smache_module(design: "CompiledDesign", module_name: str = "smache_top") -> str:
     """Emit the structural Verilog skeleton of the Smache front-end."""
-    plan = plan or config.plan()
-    partition = partition or config.partition(plan)
-    n_statics = plan.n_static_buffers
+    n_statics = design.plan.n_static_buffers
 
     static_blocks = "".join(_static_buffer_block(i) for i in range(n_statics))
     static_addr_decls = "\n".join(
         f"  wire [31:0] sb{i}_addr;" for i in range(n_statics)
     ) or "  // (no static buffers required by the plan)"
 
-    return f"""{_header_comment(config, f"Smache top-level skeleton '{module_name}'")}
+    return f"""{_header_comment(design, f"Smache top-level skeleton '{module_name}'")}
 `include "smache_params.vh"
 
 module {module_name} (
@@ -226,15 +214,11 @@ endmodule
 """
 
 
-def generate_testbench(
-    config: SmacheConfig,
-    plan: Optional[BufferPlan] = None,
-    module_name: str = "smache_top",
-) -> str:
+def generate_testbench(design: "CompiledDesign", module_name: str = "smache_top") -> str:
     """Emit a self-checking testbench stub driving one work-instance."""
-    plan = plan or config.plan()
-    expected_reads = config.grid.size + sum(s.length for s in plan.statics)
-    return f"""{_header_comment(config, f"Testbench stub for '{module_name}'")}
+    n = design.problem.grid.size
+    expected_reads = n + sum(s.length for s in design.plan.statics)
+    return f"""{_header_comment(design, f"Testbench stub for '{module_name}'")}
 `timescale 1ns/1ps
 `include "smache_params.vh"
 
@@ -248,9 +232,9 @@ module {module_name}_tb;
   integer tuples_seen    = 0;
 
   // expected per-work-instance totals, derived from the buffer plan
-  localparam integer EXPECTED_STREAM_WORDS = {config.grid.size};
+  localparam integer EXPECTED_STREAM_WORDS = {n};
   localparam integer EXPECTED_DRAM_READS   = {expected_reads};
-  localparam integer EXPECTED_TUPLES       = {config.grid.size};
+  localparam integer EXPECTED_TUPLES       = {n};
 
   initial begin
     repeat (4) @(posedge clk);
@@ -287,16 +271,14 @@ class GeneratedProject:
 
 
 def generate_project(
-    config: SmacheConfig,
+    design: "CompiledDesign",
     module_name: str = "smache_top",
 ) -> GeneratedProject:
-    """Generate the complete file set (header, module, testbench) for a problem."""
-    plan = config.plan()
-    partition = config.partition(plan)
+    """Generate the complete file set (header, module, testbench) for a design."""
     return GeneratedProject(
         files={
-            "smache_params.vh": generate_parameter_header(config, plan, partition),
-            f"{module_name}.v": generate_smache_module(config, plan, partition, module_name),
-            f"{module_name}_tb.v": generate_testbench(config, plan, module_name),
+            "smache_params.vh": generate_parameter_header(design),
+            f"{module_name}.v": generate_smache_module(design, module_name),
+            f"{module_name}_tb.v": generate_testbench(design, module_name),
         }
     )

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.config import SmacheConfig
 from repro.memory.dram import DRAMTiming
 from repro.reference.kernels import StencilKernel
 from repro.reference.stencil_exec import make_test_grid, reference_run
@@ -240,18 +239,16 @@ class SimulateBackend(Backend):
         grid_in = request.resolve_input(design)
         if request.system == "smache":
             system = SmacheSystem(
-                design.config,
+                design,
                 kernel=kernel,
                 iterations=request.iterations,
                 dram_timing=request.dram_timing,
-                plan=design.plan,
-                partition=design.partition,
                 write_through=request.write_through,
             )
             default_max = 50_000_000
         else:
             system = BaselineSystem(
-                design.config,
+                design,
                 kernel=kernel,
                 iterations=request.iterations,
                 dram_timing=request.dram_timing,
@@ -399,7 +396,7 @@ class HdlBackend(Backend):
     def evaluate(self, design: CompiledDesign, request: EvaluationRequest) -> EvaluationResult:
         from repro.hdlgen import generate_project
 
-        project = generate_project(design.config)
+        project = generate_project(design)
         return EvaluationResult(
             backend=self.name,
             system=request.system,
@@ -416,14 +413,12 @@ for _backend_cls in (SimulateBackend, ReferenceBackend, AnalyticBackend, CostBac
 # --------------------------------------------------------------------------- #
 # facade
 # --------------------------------------------------------------------------- #
-ProblemLike = Union[StencilProblem, SmacheConfig, CompiledDesign]
+ProblemLike = Union[StencilProblem, CompiledDesign]
 
 
 def _as_design(problem: ProblemLike, cache: Optional[PlanCache]) -> CompiledDesign:
     if isinstance(problem, CompiledDesign):
         return problem
-    if isinstance(problem, SmacheConfig):
-        problem = StencilProblem.from_config(problem)
     return compile_problem(problem, cache=cache)
 
 
@@ -436,10 +431,10 @@ def evaluate(
 ) -> EvaluationResult:
     """Compile (memoized) and evaluate one problem with the named backend.
 
-    ``problem`` may be a :class:`StencilProblem`, a plain
-    :class:`SmacheConfig` or an already-compiled design.  Request fields are
-    given either as a full :class:`EvaluationRequest` or as keyword overrides
-    (``iterations=100``, ``system="baseline"``, ...).
+    ``problem`` may be a :class:`StencilProblem` or an already-compiled
+    design.  Request fields are given either as a full
+    :class:`EvaluationRequest` or as keyword overrides (``iterations=100``,
+    ``system="baseline"``, ...).
     """
     design = _as_design(problem, cache)
     req = request or EvaluationRequest()
@@ -524,8 +519,6 @@ def batch_evaluate(
     for p in problems:
         if isinstance(p, CompiledDesign):
             p = p.problem
-        elif isinstance(p, SmacheConfig):
-            p = StencilProblem.from_config(p)
         points.append(SweepPoint(problem=p, backend=backend, request=req))
     runner = ProcessPoolRunner(jobs=jobs)
     records = runner.run(points, keep_results=True)

@@ -31,10 +31,9 @@ re-planning the same problem are free after the first hit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.buffers import BufferPlan
-from repro.core.config import SmacheConfig
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.core.partition import HybridPartition, partition_for_plan
 from repro.core.planner import ScoredWindows, UnsupportedPatternError, plan_buffers
@@ -46,10 +45,14 @@ from repro.pipeline.problem import StencilProblem
 
 @dataclass(frozen=True)
 class CompiledDesign:
-    """Everything derived from one problem: plan, partition, cost, synthesis."""
+    """Everything derived from one problem: plan, partition, cost, synthesis.
+
+    Every consumer (the simulated systems, the HDL generator, the synthesis
+    estimator, design-space exploration) reads the plan and partition from
+    here; none plans the problem again.
+    """
 
     problem: StencilProblem
-    config: SmacheConfig
     ranges: Tuple[StreamRange, ...]
     n_cases: int
     plan: BufferPlan
@@ -72,6 +75,45 @@ class CompiledDesign:
     def fmax_mhz(self) -> float:
         """Estimated clock frequency from the synthesis model."""
         return self.synthesis.fmax_mhz
+
+    # ------------------------------------------------------------------ #
+    # Section III's two-layer customisation
+    # ------------------------------------------------------------------ #
+    def structural_signature(self) -> Mapping[str, object]:
+        """The structural layer: what would have to be re-generated in HDL."""
+        return {
+            "n_static_buffers": self.plan.n_static_buffers,
+            "mode": self.partition.mode.value,
+            "n_taps": len([o for o in self.plan.lookup_offsets() if o != 0]),
+        }
+
+    def parameters(self) -> Mapping[str, object]:
+        """The parameter layer: runtime-configurable values."""
+        plan = self.plan
+        return {
+            "grid_shape": self.problem.grid.shape,
+            "word_bits": plan.stream.word_bits,
+            "window_lo": plan.stream.window_lo,
+            "window_hi": plan.stream.window_hi,
+            "window_depth": plan.stream.depth,
+            "static_buffers": tuple(
+                {"name": s.name, "start": s.start, "length": s.length} for s in plan.statics
+            ),
+        }
+
+    def is_structurally_compatible(self, other: "CompiledDesign") -> bool:
+        """True if ``other`` can be hosted on hardware generated for ``self``.
+
+        A Smache instance generated with N static buffers and a given stream
+        mode can execute any problem needing at most N static buffers in the
+        same mode (the extra buffers are simply parameterised to length 0).
+        """
+        mine = self.structural_signature()
+        theirs = other.structural_signature()
+        return (
+            theirs["n_static_buffers"] <= mine["n_static_buffers"]
+            and theirs["mode"] == mine["mode"]
+        )
 
     def describe(self) -> str:
         """Multi-line summary used by examples and sweep reports."""
@@ -101,7 +143,6 @@ def _build(
     the problem builds alone, on a fresh table.
     """
     stages = {} if stages is None else stages
-    config = problem.to_config()
     range_key = problem.range_key()
     if range_key not in stages:
         ranges = tuple(
@@ -133,15 +174,14 @@ def _build(
     # Synthesis counts cases over the contiguous pattern; for a cacheable
     # problem that is the partition above, so its count is passed through.
     synthesis = synthesize_smache(
-        config,
-        plan=plan,
+        problem,
+        plan,
         partition=partition,
         kernel=problem.effective_kernel,
         n_cases=n_cases if problem.is_cacheable else None,
     )
     return CompiledDesign(
         problem=problem,
-        config=config,
         ranges=ranges,
         n_cases=n_cases,
         plan=plan,
@@ -163,8 +203,6 @@ def compile(
     and raise :class:`UnsupportedPatternError` when their plan would need
     static buffers (e.g. a circular boundary on dimension 0).
     """
-    if isinstance(problem, SmacheConfig):
-        problem = StencilProblem.from_config(problem)
     if cache is None or not problem.is_cacheable:
         return _build(problem)
     design = cache.get_or_compile(problem.cache_key(), lambda: _build(problem))
@@ -172,12 +210,12 @@ def compile(
         # A cache hit from an equivalent problem under a different name (the
         # key ignores labels): share the compiled artifacts, keep the caller's
         # identity on the wrapper.
-        design = replace(design, problem=problem, config=problem.to_config())
+        design = replace(design, problem=problem)
     return design
 
 
 def compile_batch(
-    problems: Sequence[Union[StencilProblem, SmacheConfig, CompiledDesign]],
+    problems: Sequence[Union[StencilProblem, CompiledDesign]],
     cache: Optional[PlanCache] = plan_cache,
 ) -> List[CompiledDesign]:
     """Compile many problems at once, in input order.
@@ -203,8 +241,6 @@ def compile_batch(
         if isinstance(problem, CompiledDesign):
             designs[index] = problem
             continue
-        if isinstance(problem, SmacheConfig):
-            problem = StencilProblem.from_config(problem)
         if cache is None or not problem.is_cacheable:
             designs[index] = _build(problem)
             continue
@@ -218,6 +254,6 @@ def compile_batch(
         )
         for index, problem, design in zip(keyed_indices, keyed_problems, built):
             if design.problem != problem:
-                design = replace(design, problem=problem, config=problem.to_config())
+                design = replace(design, problem=problem)
             designs[index] = design
     return designs  # type: ignore[return-value]

@@ -1,11 +1,12 @@
 """The pipeline's input: a complete, cacheable stencil problem description.
 
-A :class:`StencilProblem` bundles what :class:`repro.core.config.SmacheConfig`
-describes (grid, stencil, boundary, architecture knobs) with the two things a
-full evaluation additionally needs: the computation *kernel* and, optionally,
-a non-contiguous *iteration pattern*.  Unlike ``SmacheConfig`` it is designed
-to be used as a cache key, so the whole compilation (planning, partitioning,
-costing, synthesis) can be memoized per problem.
+A :class:`StencilProblem` is the one description of a Smache problem: the
+grid, stencil and boundary, the architecture knobs (stream-buffer mode, word
+width, planner bounds), the computation *kernel* and, optionally, a
+non-contiguous *iteration pattern*.  It is designed to be used as a cache
+key, so the whole compilation (planning, partitioning, costing, synthesis)
+can be memoized per problem; :func:`repro.pipeline.compile` is the only way
+from a problem to its plan.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.core.boundary import BoundarySpec
-from repro.core.config import SmacheConfig
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.partition import StreamBufferMode
 from repro.core.stencil import StencilShape
@@ -63,51 +63,20 @@ class StencilProblem:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_config(
-        cls,
-        config: SmacheConfig,
-        kernel: Optional[StencilKernel] = None,
-        pattern: Optional[IterationPattern] = None,
-    ) -> "StencilProblem":
-        """Wrap an existing :class:`SmacheConfig` as a pipeline problem."""
-        return cls(
-            grid=config.grid,
-            stencil=config.stencil,
-            boundary=config.boundary,
-            kernel=kernel,
-            pattern=pattern,
-            mode=config.mode,
-            word_bits=config.word_bits,
-            max_stream_reach=config.max_stream_reach,
-            max_total_bits=config.max_total_bits,
-            register_elements=config.register_elements,
-            name=config.name,
-        )
-
-    @classmethod
     def paper_example(cls, rows: int = 11, cols: int = 11, **overrides) -> "StencilProblem":
-        """The paper's validation case as a pipeline problem."""
-        problem = cls.from_config(SmacheConfig.paper_example(rows, cols))
+        """The paper's validation case: RxC grid, 4-point stencil, circular
+        top/bottom and open left/right boundaries."""
+        problem = cls(
+            grid=GridSpec(shape=(rows, cols), word_bytes=4),
+            stencil=StencilShape.four_point_2d(),
+            boundary=BoundarySpec.paper_2d(),
+            name=f"paper-{rows}x{cols}",
+        )
         return replace(problem, **overrides) if overrides else problem
 
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #
-    def to_config(self) -> SmacheConfig:
-        """The ``repro.core`` view of this problem (drops kernel and pattern)."""
-        return SmacheConfig(
-            grid=self.grid,
-            stencil=self.stencil,
-            boundary=self.boundary,
-            mode=self.mode,
-            word_bits=self.word_bits,
-            max_stream_reach=self.max_stream_reach,
-            max_total_bits=self.max_total_bits,
-            register_elements=self.register_elements,
-            kernel_ops_per_point=self.effective_kernel.ops_per_point,
-            name=self.name,
-        )
-
     @property
     def effective_kernel(self) -> StencilKernel:
         """The kernel to compile for (defaults to the paper's averaging filter)."""

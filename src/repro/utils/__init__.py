@@ -1,17 +1,11 @@
-"""Small shared utilities: unit conversions, validation helpers, table formatting."""
+"""Small shared utilities: validation helpers, table formatting, Pareto fronts."""
 
-from repro.utils.units import bits_to_bytes, bytes_to_kib, kib, mib, Quantity
 from repro.utils.validation import check_positive, check_non_negative, check_in_range
 from repro.utils.tables import format_table
 from repro.utils.pareto import pareto_front
 
 __all__ = [
     "pareto_front",
-    "bits_to_bytes",
-    "bytes_to_kib",
-    "kib",
-    "mib",
-    "Quantity",
     "check_positive",
     "check_non_negative",
     "check_in_range",

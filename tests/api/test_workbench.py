@@ -81,10 +81,8 @@ class TestFluentLowering:
         assert spec.backends == ("cost",)
 
     def test_problem_accepts_config_and_overrides(self):
-        from repro.core.config import SmacheConfig
-
         wb = Workbench()
-        builder = wb.problem(SmacheConfig.paper_example(9, 9), max_stream_reach=3)
+        builder = wb.problem(StencilProblem.paper_example(9, 9), max_stream_reach=3)
         assert isinstance(builder, ProblemBuilder)
         assert builder.build().max_stream_reach == 3
 

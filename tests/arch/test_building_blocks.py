@@ -196,25 +196,27 @@ class TestKernelHW:
 
 
 class TestAccessTable:
-    def test_table_covers_every_position(self, paper_config):
-        table = AccessTable(paper_config.grid, paper_config.stencil, paper_config.boundary)
+    def test_table_covers_every_position(self, paper_problem):
+        table = AccessTable(paper_problem.grid, paper_problem.stencil, paper_problem.boundary)
         assert len(table) == 121
         assert table.max_operands() == 4
 
-    def test_total_reads_matches_histogram(self, paper_config):
-        table = AccessTable(paper_config.grid, paper_config.stencil, paper_config.boundary)
+    def test_total_reads_matches_histogram(self, paper_problem):
+        table = AccessTable(paper_problem.grid, paper_problem.stencil, paper_problem.boundary)
         # interior 81*4 + edges 4*9*4(top/bottom have 4, left/right have 3)...
         # cross-check against direct resolution
         from repro.core.access import stream_tuples
 
         expected = sum(
             t.n_existing
-            for t in stream_tuples(paper_config.grid, paper_config.stencil, paper_config.boundary)
+            for t in stream_tuples(
+                paper_problem.grid, paper_problem.stencil, paper_problem.boundary
+            )
         )
         assert table.total_element_reads() == expected
 
-    def test_corner_entry(self, paper_config):
-        table = AccessTable(paper_config.grid, paper_config.stencil, paper_config.boundary)
+    def test_corner_entry(self, paper_problem):
+        table = AccessTable(paper_problem.grid, paper_problem.stencil, paper_problem.boundary)
         corner = table[0]
         assert corner.n_reads == 3  # west neighbour skipped
         targets = sorted(a.target for a in corner.accesses if a.exists)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.arch.system import BaselineSystem, SmacheSystem
 from repro.memory.dram import DRAMTiming
-from repro.pipeline.problem import StencilProblem
+from repro.pipeline import StencilProblem, compile
 from repro.reference.stencil_exec import make_test_grid
 
 #: The latency-bound timing of the ``sim_latency`` benchmark workload.
@@ -33,10 +33,10 @@ CASES = sorted(GOLDEN, key=lambda case: (case[0].__name__, case[1]))
 
 
 def engine_stats(system_cls, timing_name, engine):
-    config = StencilProblem.paper_example(11, 11).to_config()
+    design = compile(StencilProblem.paper_example(11, 11))
     timing = LATENCY_TIMING if timing_name == "latency" else None
-    system = system_cls(config, iterations=3, dram_timing=timing, engine=engine)
-    system.load_input(make_test_grid(config.grid))
+    system = system_cls(design, iterations=3, dram_timing=timing, engine=engine)
+    system.load_input(make_test_grid(design.problem.grid))
     return system.run().engine_stats
 
 

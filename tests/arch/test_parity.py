@@ -14,10 +14,10 @@ import pytest
 
 from repro.arch.system import BaselineSystem, SmacheSystem
 from repro.core.boundary import BoundaryKind, BoundarySpec
-from repro.core.config import SmacheConfig
 from repro.core.grid import GridSpec
 from repro.core.stencil import StencilShape
 from repro.memory.dram import DRAMTiming
+from repro.pipeline import StencilProblem, compile
 from repro.reference.stencil_exec import make_test_grid
 from repro.sim.engine import set_default_engine
 
@@ -25,19 +25,19 @@ from repro.sim.engine import set_default_engine
 LATENCY_TIMING = DRAMTiming(random_access_cycles=8, read_latency=120)
 
 
-def run_system(system_cls, config, engine, iterations=3, timing=None, **kwargs):
+def run_system(system_cls, problem, engine, iterations=3, timing=None, **kwargs):
     system = system_cls(
-        config, iterations=iterations, dram_timing=timing, engine=engine, **kwargs
+        compile(problem), iterations=iterations, dram_timing=timing, engine=engine, **kwargs
     )
-    system.load_input(make_test_grid(config.grid))
+    system.load_input(make_test_grid(problem.grid))
     result = system.run()
     return system, result
 
 
-def assert_identical(system_cls, config, iterations=3, timing=None, **kwargs):
+def assert_identical(system_cls, problem, iterations=3, timing=None, **kwargs):
     """Run naive vs fast and compare every observable, exactly."""
-    sys_n, res_n = run_system(system_cls, config, "naive", iterations, timing, **kwargs)
-    sys_f, res_f = run_system(system_cls, config, "fast", iterations, timing, **kwargs)
+    sys_n, res_n = run_system(system_cls, problem, "naive", iterations, timing, **kwargs)
+    sys_f, res_f = run_system(system_cls, problem, "fast", iterations, timing, **kwargs)
 
     assert res_f.cycles == res_n.cycles
     assert res_f.instance_cycles == res_n.instance_cycles
@@ -69,12 +69,12 @@ def assert_identical(system_cls, config, iterations=3, timing=None, **kwargs):
 class TestSmacheParity:
     @pytest.mark.parametrize("shape", [(5, 5), (8, 6), (11, 11), (7, 13)])
     def test_grid_sizes(self, shape):
-        assert_identical(SmacheSystem, SmacheConfig.paper_example(*shape))
+        assert_identical(SmacheSystem, StencilProblem.paper_example(*shape))
 
     @pytest.mark.parametrize("reach", [0, 2, 6, None])
     def test_stream_reaches(self, reach):
-        config = SmacheConfig.paper_example(9, 9, max_stream_reach=reach)
-        assert_identical(SmacheSystem, config)
+        problem = StencilProblem.paper_example(9, 9, max_stream_reach=reach)
+        assert_identical(SmacheSystem, problem)
 
     @pytest.mark.parametrize(
         "kinds",
@@ -86,19 +86,19 @@ class TestSmacheParity:
         ],
     )
     def test_boundary_kinds(self, kinds):
-        base = SmacheConfig.paper_example(8, 8)
-        config = SmacheConfig(
+        base = StencilProblem.paper_example(8, 8)
+        problem = StencilProblem(
             grid=base.grid,
             stencil=base.stencil,
             boundary=BoundarySpec.per_dimension(kinds, constant_value=1.5),
         )
-        assert_identical(SmacheSystem, config)
+        assert_identical(SmacheSystem, problem)
 
     @pytest.mark.parametrize("timing", [None, LATENCY_TIMING,
                                         DRAMTiming(stream_word_cycles=3, read_latency=12)])
     def test_dram_timings(self, timing):
         result = assert_identical(
-            SmacheSystem, SmacheConfig.paper_example(9, 11), timing=timing
+            SmacheSystem, StencilProblem.paper_example(9, 11), timing=timing
         )
         if timing is LATENCY_TIMING:
             # the latency-bound run must genuinely exercise the skip path
@@ -106,12 +106,12 @@ class TestSmacheParity:
 
     def test_write_through_disabled(self):
         assert_identical(
-            SmacheSystem, SmacheConfig.paper_example(8, 8), write_through=False
+            SmacheSystem, StencilProblem.paper_example(8, 8), write_through=False
         )
 
     def test_latency_bound_long_run(self):
         assert_identical(
-            SmacheSystem, SmacheConfig.paper_example(11, 11),
+            SmacheSystem, StencilProblem.paper_example(11, 11),
             iterations=8, timing=LATENCY_TIMING,
         )
 
@@ -119,12 +119,12 @@ class TestSmacheParity:
 class TestBaselineParity:
     @pytest.mark.parametrize("shape", [(5, 5), (9, 7), (11, 11)])
     def test_grid_sizes(self, shape):
-        assert_identical(BaselineSystem, SmacheConfig.paper_example(*shape))
+        assert_identical(BaselineSystem, StencilProblem.paper_example(*shape))
 
     @pytest.mark.parametrize("timing", [None, LATENCY_TIMING])
     def test_dram_timings(self, timing):
         assert_identical(
-            BaselineSystem, SmacheConfig.paper_example(7, 9), timing=timing
+            BaselineSystem, StencilProblem.paper_example(7, 9), timing=timing
         )
 
 
@@ -134,9 +134,9 @@ class TestDebugEngineOnRealSystems:
 
     @pytest.mark.parametrize("system_cls", [SmacheSystem, BaselineSystem])
     def test_debug_run_is_clean_and_identical(self, system_cls):
-        config = SmacheConfig.paper_example(9, 9)
-        _, res_n = run_system(system_cls, config, "naive", timing=LATENCY_TIMING)
-        _, res_d = run_system(system_cls, config, "debug", timing=LATENCY_TIMING)
+        problem = StencilProblem.paper_example(9, 9)
+        _, res_n = run_system(system_cls, problem, "naive", timing=LATENCY_TIMING)
+        _, res_d = run_system(system_cls, problem, "debug", timing=LATENCY_TIMING)
         assert res_d.cycles == res_n.cycles
         assert np.array_equal(res_d.output, res_n.output)
 

@@ -14,7 +14,6 @@ from repro.arch.shell import (
 )
 from repro.arch.smache import SmacheFrontEnd
 from repro.arch.system import SmacheSystem
-from repro.core.config import SmacheConfig
 from repro.memory.dram import DRAMModel
 from repro.reference.kernels import AveragingKernel
 from repro.reference.stencil_exec import make_test_grid
@@ -22,11 +21,11 @@ from repro.sim.engine import Simulator
 
 
 @pytest.fixture
-def rig(paper_config):
+def rig(paper_design):
     """A simulator with DRAM, front-end, read master and router wired up."""
     sim = Simulator()
     dram = DRAMModel(sim, size_words=512)
-    plan = paper_config.plan()
+    plan = paper_design.plan
     front_end = SmacheFrontEnd(sim, plan)
     read_master = ReadMaster(sim, dram)
     router = ResponseRouter(sim, dram, front_end)
@@ -78,10 +77,10 @@ class TestResponseRouter:
 
 
 class TestWritebackUnit:
-    def test_writes_to_dram_and_feeds_write_through(self, paper_config):
+    def test_writes_to_dram_and_feeds_write_through(self, paper_design):
         sim = Simulator()
         dram = DRAMModel(sim, size_words=512)
-        plan = paper_config.plan()
+        plan = paper_design.plan
         front_end = SmacheFrontEnd(sim, plan)
         results = sim.create_channel("results", 4)
         writeback = WritebackUnit(sim, dram, front_end, results)
@@ -96,10 +95,10 @@ class TestWritebackUnit:
         covered = [s for s in front_end.statics if s.covers(115)][0]
         assert covered.writes == 1
 
-    def test_respects_backpressure(self, paper_config):
+    def test_respects_backpressure(self, paper_design):
         sim = Simulator()
         dram = DRAMModel(sim, size_words=512)
-        plan = paper_config.plan()
+        plan = paper_design.plan
         front_end = SmacheFrontEnd(sim, plan)
         results = sim.create_channel("results", 8)
         writeback = WritebackUnit(sim, dram, front_end, results)
@@ -111,9 +110,9 @@ class TestWritebackUnit:
 
 
 class TestWorkSequencer:
-    def test_instance_bookkeeping(self, small_config, averaging_kernel):
-        system = SmacheSystem(small_config, kernel=averaging_kernel, iterations=3)
-        system.load_input(make_test_grid(small_config.grid, kind="ramp"))
+    def test_instance_bookkeeping(self, small_problem, small_design, averaging_kernel):
+        system = SmacheSystem(small_design, kernel=averaging_kernel, iterations=3)
+        system.load_input(make_test_grid(small_problem.grid, kind="ramp"))
         system.run()
         seq = system.sequencer
         assert seq.done
@@ -122,23 +121,25 @@ class TestWorkSequencer:
         assert len(seq.instance_end_cycles) == 3
         # ping-pong addressing
         assert seq.src_base(0) == 0
-        assert seq.dst_base(0) == small_config.grid.size
-        assert seq.src_base(1) == small_config.grid.size
+        assert seq.dst_base(0) == small_problem.grid.size
+        assert seq.src_base(1) == small_problem.grid.size
         assert seq.dst_base(1) == 0
 
-    def test_zero_iterations_finishes_immediately(self, small_config, averaging_kernel):
-        system = SmacheSystem(small_config, kernel=averaging_kernel, iterations=0)
-        system.load_input(make_test_grid(small_config.grid, kind="ramp"))
+    def test_zero_iterations_finishes_immediately(
+        self, small_problem, small_design, averaging_kernel
+    ):
+        system = SmacheSystem(small_design, kernel=averaging_kernel, iterations=0)
+        system.load_input(make_test_grid(small_problem.grid, kind="ramp"))
         result = system.run()
         assert result.cycles <= 3
         assert result.dram_words_read == 0
 
-    def test_prefetch_only_on_first_instance(self, small_config, averaging_kernel):
-        system = SmacheSystem(small_config, kernel=averaging_kernel, iterations=3)
-        system.load_input(make_test_grid(small_config.grid, kind="ramp"))
+    def test_prefetch_only_on_first_instance(self, small_problem, small_design, averaging_kernel):
+        system = SmacheSystem(small_design, kernel=averaging_kernel, iterations=3)
+        system.load_input(make_test_grid(small_problem.grid, kind="ramp"))
         system.run()
         prefetch_elements = sum(s.length for s in system.plan.statics)
         assert (
             system.dram.words_read
-            == 3 * small_config.grid.size + prefetch_elements
+            == 3 * small_problem.grid.size + prefetch_elements
         )

@@ -4,22 +4,34 @@ import numpy as np
 import pytest
 
 from repro.core.boundary import BoundarySpec
-from repro.core.config import SmacheConfig
 from repro.core.grid import GridSpec
 from repro.core.stencil import StencilShape
+from repro.pipeline import CompiledDesign, StencilProblem, compile
 from repro.reference.kernels import AveragingKernel
 
 
 @pytest.fixture
-def paper_config() -> SmacheConfig:
-    """The paper's 11x11 validation configuration."""
-    return SmacheConfig.paper_example()
+def paper_problem() -> StencilProblem:
+    """The paper's 11x11 validation problem."""
+    return StencilProblem.paper_example()
 
 
 @pytest.fixture
-def small_config() -> SmacheConfig:
-    """A smaller 7x9 variant of the paper's configuration (faster sims)."""
-    return SmacheConfig.paper_example(rows=7, cols=9)
+def paper_design(paper_problem) -> CompiledDesign:
+    """The paper's 11x11 validation problem, compiled."""
+    return compile(paper_problem)
+
+
+@pytest.fixture
+def small_problem() -> StencilProblem:
+    """A smaller 7x9 variant of the paper's problem (faster sims)."""
+    return StencilProblem.paper_example(rows=7, cols=9)
+
+
+@pytest.fixture
+def small_design(small_problem) -> CompiledDesign:
+    """The 7x9 variant, compiled."""
+    return compile(small_problem)
 
 
 @pytest.fixture

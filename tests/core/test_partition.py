@@ -78,21 +78,21 @@ class TestPartition:
 
 
 class TestPartitionForPlan:
-    def test_paper_plan_hybrid(self, paper_config):
-        plan = paper_config.plan()
+    def test_paper_plan_hybrid(self, paper_design):
+        plan = paper_design.plan
         p = partition_for_plan(plan, StreamBufferMode.HYBRID)
         assert p.register_elements == 11
         assert p.register_bits == 352
 
-    def test_paper_plan_register_only(self, paper_config):
-        plan = paper_config.plan()
+    def test_paper_plan_register_only(self, paper_design):
+        plan = paper_design.plan
         p = partition_for_plan(plan, StreamBufferMode.REGISTER_ONLY)
         assert p.register_bits == 800
 
     def test_1024_hybrid_register_section_constant(self):
-        from repro.core.config import SmacheConfig
+        from repro.pipeline import StencilProblem, compile
 
-        plan = SmacheConfig.paper_example(1024, 1024).plan()
+        plan = compile(StencilProblem.paper_example(1024, 1024)).plan
         p = partition_for_plan(plan, StreamBufferMode.HYBRID)
         assert p.register_elements == 11
         assert p.bram_elements == 2040

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.access import tuple_for
 from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour
 from repro.core.buffers import PIPELINE_SLACK
-from repro.core.config import SmacheConfig
 from repro.core.grid import GridSpec
 from repro.core.planner import (
     evaluate_window,
@@ -19,6 +18,7 @@ from repro.core.planner import (
 )
 from repro.core.ranges import StreamRange, partition_into_ranges
 from repro.core.stencil import StencilShape
+from repro.pipeline import StencilProblem, compile
 from tests.core.conftest import stencil_cases
 
 
@@ -40,56 +40,54 @@ class TestMergeRuns:
 
 
 class TestPaperCasePlan:
-    def test_window_is_interior_reach(self, paper_config):
-        plan = paper_config.plan()
+    def test_window_is_interior_reach(self, paper_design):
+        plan = paper_design.plan
         assert plan.stream.reach == 22
         assert plan.stream.window_lo == -11
         assert plan.stream.window_hi == 11
         assert plan.stream.depth == 22 + PIPELINE_SLACK
 
-    def test_two_static_buffers_top_and_bottom_rows(self, paper_config):
-        plan = paper_config.plan()
+    def test_two_static_buffers_top_and_bottom_rows(self, paper_design):
+        plan = paper_design.plan
         assert plan.n_static_buffers == 2
         regions = sorted((s.start, s.end) for s in plan.statics)
         assert regions == [(0, 11), (110, 121)]
 
-    def test_static_buffers_are_double_buffered(self, paper_config):
-        plan = paper_config.plan()
+    def test_static_buffers_are_double_buffered(self, paper_design):
+        plan = paper_design.plan
         assert all(s.double_buffered for s in plan.statics)
         assert all(s.banks == 2 for s in plan.statics)
 
-    def test_total_cost_elements(self, paper_config):
-        assert paper_config.plan().total_cost_elements == 22 + 22
+    def test_total_cost_elements(self, paper_design):
+        assert paper_design.plan.total_cost_elements == 22 + 22
 
-    def test_plan_bits(self, paper_config):
-        plan = paper_config.plan()
+    def test_plan_bits(self, paper_design):
+        plan = paper_design.plan
         assert plan.stream_bits == 25 * 32
         assert plan.static_bits == 2 * 11 * 32 * 2
         assert plan.total_bits == plan.stream_bits + plan.static_bits
 
-    def test_static_buffers_named_after_rows(self, paper_config):
-        names = sorted(s.name for s in paper_config.plan().statics)
+    def test_static_buffers_named_after_rows(self, paper_design):
+        names = sorted(s.name for s in paper_design.plan.statics)
         assert names == ["row0", "row10"]
 
-    def test_static_for_lookup(self, paper_config):
-        plan = paper_config.plan()
+    def test_static_for_lookup(self, paper_design):
+        plan = paper_design.plan
         assert plan.static_for(0) is not None
         assert plan.static_for(115) is not None
         assert plan.static_for(60) is None
 
-    def test_lookup_offsets_are_kept_window_offsets(self, paper_config):
-        plan = paper_config.plan()
+    def test_lookup_offsets_are_kept_window_offsets(self, paper_design):
+        plan = paper_design.plan
         assert set(plan.lookup_offsets()) == {-11, -1, 1, 11}
 
-    def test_describe_mentions_buffers(self, paper_config):
-        text = paper_config.plan().describe()
+    def test_describe_mentions_buffers(self, paper_design):
+        text = paper_design.plan.describe()
         assert "static bufs : 2" in text
         assert "reach 22" in text
 
     def test_1024_plan_matches_formulas(self):
-        from repro.core.config import SmacheConfig
-
-        plan = SmacheConfig.paper_example(1024, 1024).plan()
+        plan = compile(StencilProblem.paper_example(1024, 1024)).plan
         assert plan.stream.reach == 2048
         assert plan.stream.depth == 2051
         assert plan.static_elements == 2048
@@ -133,38 +131,30 @@ class TestPlanCorrectness:
         assert plan.n_static_buffers == 0
         assert plan.stream.reach == 18
 
-    def test_range_plans_reported_for_every_range(self, paper_config):
-        plan = paper_config.plan()
-        ranges = partition_into_ranges(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
-        )
-        assert len(plan.range_plans) == len(ranges)
-        assert sum(rp.range_length for rp in plan.range_plans) == paper_config.grid.size
-
 
 class TestPlannerOptimality:
-    def test_planner_never_worse_than_algorithm1(self, paper_config):
+    def test_planner_never_worse_than_algorithm1(self, paper_problem, paper_design):
         ranges = partition_into_ranges(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary
         )
-        plan = paper_config.plan()
+        plan = paper_design.plan
         algo1 = paper_algorithm1(ranges)
         assert plan.total_cost_elements <= algo1.total_elements
 
-    def test_planner_never_worse_than_stream_only(self, paper_config):
+    def test_planner_never_worse_than_stream_only(self, paper_problem, paper_design):
         # "Stream-only" = a single window wide enough to serve every offset of
         # every range without any static buffer (the full circular span).
         ranges = partition_into_ranges(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary
         )
         offsets = [o for r in ranges for o in r.stream_offsets]
         stream_only = max(offsets) - min(offsets)
         assert stream_only == 220
-        assert paper_config.plan().total_cost_elements <= stream_only
+        assert paper_design.plan.total_cost_elements <= stream_only
 
-    def test_planner_matches_brute_force_on_candidate_windows(self, small_config):
+    def test_planner_matches_brute_force_on_candidate_windows(self, small_problem, small_design):
         ranges = partition_into_ranges(
-            small_config.grid, small_config.stencil, small_config.boundary
+            small_problem.grid, small_problem.stencil, small_problem.boundary
         )
         offsets = set()
         for r in ranges:
@@ -174,7 +164,7 @@ class TestPlannerOptimality:
         best = min(
             evaluate_window(ranges, lo, hi).total_elements for lo in los for hi in his
         )
-        assert small_config.plan().total_cost_elements == best
+        assert small_design.plan.total_cost_elements == best
 
     @given(rows=st.integers(4, 12), cols=st.integers(4, 12))
     @settings(max_examples=20, deadline=None)
@@ -234,16 +224,9 @@ class TestOffsetSpans:
                 if not lo <= o <= hi and s.start <= r.start + o < s.end
             }
             assert s.serves_offsets == tuple(sorted(served))
-        for r, rp in zip(ranges, plan.range_plans):
-            kept = tuple(o for o in r.stream_offsets if lo <= o <= hi)
-            offloaded = tuple(o for o in r.stream_offsets if not lo <= o <= hi)
-            assert (rp.range_start, rp.kept_offsets, rp.offloaded_offsets) == (
-                r.start,
-                kept,
-                offloaded,
-            )
-            assert rp.stream_reach == (max(kept) - min(kept) if kept else 0)
-            assert rp.static_elements == len(offloaded) * r.length
+        # The lookup offsets are the union of every range's window-served offsets.
+        kept = {o for r in ranges for o in r.stream_offsets if lo <= o <= hi}
+        assert plan.lookup_offsets() == tuple(sorted(kept))
 
         # Ranges built eagerly (no translated interior rows) plan identically.
         eager = [
@@ -253,7 +236,7 @@ class TestOffsetSpans:
         from_eager = plan_buffers(grid, stencil, boundary, ranges=eager)
         assert from_eager.stream == plan.stream
         assert from_eager.statics == plan.statics
-        assert from_eager.range_plans == plan.range_plans
+        assert from_eager.lookup_offsets() == plan.lookup_offsets()
 
 
 def plan_pin(plan):
@@ -264,7 +247,7 @@ def plan_pin(plan):
     )
 
 
-PAPER = SmacheConfig.paper_example()
+PAPER = StencilProblem.paper_example()
 #: Windows (-14, 14) and (0, 0) tie on 28 total elements; (-14, 14) has no static.
 TIE_ON_STATICS = (
     GridSpec(shape=(4, 7)),
@@ -344,95 +327,94 @@ class TestGoldenPlans:
 
 
 class TestPlannerConstraints:
-    def test_max_stream_reach_is_respected(self, paper_config):
+    def test_max_stream_reach_is_respected(self, paper_problem):
         plan = plan_buffers(
-            paper_config.grid,
-            paper_config.stencil,
-            paper_config.boundary,
+            paper_problem.grid,
+            paper_problem.stencil,
+            paper_problem.boundary,
             max_stream_reach=12,
         )
         assert plan.stream.reach <= 12
         # offloading +-11 to static buffers forces more static storage
         assert plan.static_elements > 22
 
-    def test_unsatisfiable_reach_constraint_raises(self, paper_config):
+    def test_unsatisfiable_reach_constraint_raises(self, paper_problem):
         with pytest.raises(ValueError):
             plan_buffers(
-                paper_config.grid,
-                paper_config.stencil,
-                paper_config.boundary,
+                paper_problem.grid,
+                paper_problem.stencil,
+                paper_problem.boundary,
                 max_stream_reach=-1,
             )
 
-    def test_max_total_bits_prefers_smaller_plan(self, paper_config):
+    def test_max_total_bits_prefers_smaller_plan(self, paper_problem):
         unconstrained = plan_buffers(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary
         )
         constrained = plan_buffers(
-            paper_config.grid,
-            paper_config.stencil,
-            paper_config.boundary,
+            paper_problem.grid,
+            paper_problem.stencil,
+            paper_problem.boundary,
             max_total_bits=unconstrained.total_bits,
         )
         assert constrained.total_bits <= unconstrained.total_bits
 
-    def test_zero_reach_window_offloads_every_offset(self, paper_config):
+    def test_zero_reach_window_offloads_every_offset(self, paper_problem):
         plan = plan_buffers(
-            paper_config.grid,
-            paper_config.stencil,
-            paper_config.boundary,
+            paper_problem.grid,
+            paper_problem.stencil,
+            paper_problem.boundary,
             max_stream_reach=0,
         )
         assert plan.stream.reach == 0
         assert plan.stream.window_lo == 0 and plan.stream.window_hi == 0
         # with no window to serve neighbours, every non-centre offset is static
-        for rp in plan.range_plans:
-            assert set(rp.kept_offsets) <= {0}
-        assert plan.static_elements >= paper_config.grid.size
+        assert set(plan.lookup_offsets()) <= {0}
+        assert plan.static_elements >= paper_problem.grid.size
 
-    def test_max_total_bits_infeasible_falls_back_to_smallest_footprint(self, paper_config):
+    def test_max_total_bits_infeasible_falls_back_to_smallest_footprint(self, paper_problem):
         unconstrained = plan_buffers(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary
         )
         # a one-bit budget admits no candidate; the planner falls back to the
         # plan with the fewest total elements and the caller checks total_bits
         fallback = plan_buffers(
-            paper_config.grid,
-            paper_config.stencil,
-            paper_config.boundary,
+            paper_problem.grid,
+            paper_problem.stencil,
+            paper_problem.boundary,
             max_total_bits=1,
         )
         assert fallback.total_bits > 1
         assert fallback.total_cost_elements == unconstrained.total_cost_elements
         assert fallback.stream.reach == unconstrained.stream.reach
 
-    def test_single_buffering_halves_static_bits(self, paper_config):
-        double = plan_buffers(paper_config.grid, paper_config.stencil, paper_config.boundary)
+    def test_single_buffering_halves_static_bits(self, paper_problem):
+        double = plan_buffers(paper_problem.grid, paper_problem.stencil, paper_problem.boundary)
         single = plan_buffers(
-            paper_config.grid,
-            paper_config.stencil,
-            paper_config.boundary,
+            paper_problem.grid,
+            paper_problem.stencil,
+            paper_problem.boundary,
             double_buffer_statics=False,
         )
         assert single.static_bits * 2 == double.static_bits
 
-    def test_word_bits_override(self, paper_config):
+    def test_word_bits_override(self, paper_problem):
         plan = plan_buffers(
-            paper_config.grid, paper_config.stencil, paper_config.boundary, word_bits=64
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary, word_bits=64
         )
         assert plan.stream.word_bits == 64
         assert plan.stream_bits == plan.stream.depth * 64
 
 
 class TestPerRangeSplit:
-    def test_interior_range_split_is_locally_optimal(self, paper_config):
+    def test_interior_range_split_is_locally_optimal(self, paper_problem):
         # Viewed in isolation (the per-range view of Section II), the interior
         # range prefers to offload the +-11 row offsets: 2 (reach) + 2*9
         # (static) = 20 beats keeping everything in a reach-22 window.  The
         # global planner overrides this because the per-row static buffers
         # would not merge, but the per-range optimum itself must hold.
         ranges = partition_into_ranges(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary
         )
         interior = next(r for r in ranges if r.start == 56)  # row 5, columns 1..9
         kept, offloaded, reach, static = optimal_split_for_range(interior)
@@ -441,27 +423,27 @@ class TestPerRangeSplit:
         assert reach + static == 20
         assert reach + static <= interior.reach
 
-    def test_corner_range_offloads_the_wrap(self, paper_config):
+    def test_corner_range_offloads_the_wrap(self, paper_problem):
         ranges = partition_into_ranges(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary
         )
         corner = [r for r in ranges if r.start == 0][0]
         kept, offloaded, reach, static = optimal_split_for_range(corner)
         assert 110 in offloaded
         assert static == corner.length * len(offloaded)
 
-    def test_split_respects_reach_constraint(self, paper_config):
+    def test_split_respects_reach_constraint(self, paper_problem):
         ranges = partition_into_ranges(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary
         )
         interior = max(ranges, key=lambda r: r.length)
         kept, offloaded, reach, static = optimal_split_for_range(interior, max_stream_reach=4)
         assert reach <= 4
         assert len(offloaded) >= 2
 
-    def test_algorithm1_reports_per_range_results(self, paper_config):
+    def test_algorithm1_reports_per_range_results(self, paper_problem):
         ranges = partition_into_ranges(
-            paper_config.grid, paper_config.stencil, paper_config.boundary
+            paper_problem.grid, paper_problem.stencil, paper_problem.boundary
         )
         result = paper_algorithm1(ranges)
         assert len(result.per_range_stream) == len(ranges)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import SmacheConfig
 from repro.dse.explorer import (
     explore_grid_sizes,
     explore_partitions,
@@ -18,12 +17,13 @@ from repro.dse.objectives import (
 )
 from repro.fpga.device import small_device, stratix_v
 from repro.fpga.resources import ResourceUsage
+from repro.pipeline import StencilProblem
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    config = SmacheConfig.paper_example(64, 64)
-    return explore_partitions(config, device=stratix_v(), steps=6)
+    problem = StencilProblem.paper_example(64, 64)
+    return explore_partitions(problem, device=stratix_v(), steps=6)
 
 
 class TestExplorePartitions:
@@ -77,8 +77,8 @@ class TestSelection:
         reserved = ResourceUsage(
             alms=tiny.alms - 10, registers=tiny.registers - 10, bram_bits=tiny.bram_bits - 10
         )
-        config = SmacheConfig.paper_example(64, 64)
-        points = explore_partitions(config, device=tiny, steps=3, reserved=reserved)
+        problem = StencilProblem.paper_example(64, 64)
+        points = explore_partitions(problem, device=tiny, steps=3, reserved=reserved)
         assert select_best(points, minimise_registers) is None
         assert select_best(points, minimise_registers, require_fit=False) is not None
 
@@ -104,13 +104,13 @@ class TestParetoFront:
 
 class TestExploreGridSizes:
     def test_prices_every_size(self):
-        config = SmacheConfig.paper_example()
-        points = explore_grid_sizes(config, sizes=[(11, 11), (64, 64), (256, 256)])
+        problem = StencilProblem.paper_example()
+        points = explore_grid_sizes(problem, sizes=[(11, 11), (64, 64), (256, 256)])
         assert len(points) == 3
         bram = [p.cost.b_total_bits for p in points]
         assert bram == sorted(bram)
 
     def test_grid_size_reflected_in_config_names(self):
-        config = SmacheConfig.paper_example()
-        points = explore_grid_sizes(config, sizes=[(32, 32)])
-        assert "32x32" in points[0].config.name
+        problem = StencilProblem.paper_example()
+        points = explore_grid_sizes(problem, sizes=[(32, 32)])
+        assert "32x32" in points[0].problem.name

@@ -138,10 +138,10 @@ class TestResourcesAndTradeoff:
         assert result.hybrid["bram_bits"] == pytest.approx(196_000, rel=0.05)
         assert "Case-R" in result.format()
         # the DSE sweep of the 1M-element stream buffer trades registers monotonically
-        from repro.core.config import SmacheConfig
         from repro.dse import explore_partitions
+        from repro.pipeline import StencilProblem
 
-        points = explore_partitions(SmacheConfig.paper_example(1024, 1024), steps=6)
+        points = explore_partitions(StencilProblem.paper_example(1024, 1024), steps=6)
         regs = [p.cost.r_stream_bits for p in points]
         assert regs == sorted(regs)
 

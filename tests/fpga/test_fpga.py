@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import SmacheConfig
 from repro.core.partition import StreamBufferMode
 from repro.eval.paper_constants import PAPER_RESOURCES, PAPER_TABLE1
 from repro.fpga.device import FPGADevice, small_device, stratix_v
@@ -14,6 +13,12 @@ from repro.fpga.synthesis import (
     synthesize_baseline,
     synthesize_smache,
 )
+from repro.pipeline import StencilProblem, compile
+
+
+def smache_report(problem):
+    """The Smache synthesis report of ``problem``'s compiled plan."""
+    return synthesize_smache(problem, compile(problem).plan)
 
 
 class TestResourceUsage:
@@ -92,29 +97,28 @@ class TestTimingModel:
 class TestSynthesisCalibration:
     """The synthesis model lands near the paper's reported numbers."""
 
-    def test_baseline_fmax_close_to_paper(self, paper_config):
-        report = synthesize_baseline(paper_config)
+    def test_baseline_fmax_close_to_paper(self, paper_problem):
+        report = synthesize_baseline(paper_problem)
         assert report.fmax_mhz == pytest.approx(PAPER_FIGURE2_BASELINE_FMAX, rel=0.05)
 
-    def test_smache_fmax_close_to_paper(self, paper_config):
-        report = synthesize_smache(paper_config)
+    def test_smache_fmax_close_to_paper(self, paper_problem):
+        report = smache_report(paper_problem)
         assert report.fmax_mhz == pytest.approx(235.3, rel=0.05)
 
-    def test_baseline_is_faster_than_smache(self, paper_config):
+    def test_baseline_is_faster_than_smache(self, paper_problem):
         assert (
-            synthesize_baseline(paper_config).fmax_mhz
-            > synthesize_smache(paper_config).fmax_mhz
+            synthesize_baseline(paper_problem).fmax_mhz
+            > smache_report(paper_problem).fmax_mhz
         )
 
-    def test_baseline_resources_close_to_paper(self, paper_config):
-        report = synthesize_baseline(paper_config)
+    def test_baseline_resources_close_to_paper(self, paper_problem):
+        report = synthesize_baseline(paper_problem)
         assert report.bram_bits == 0
         assert report.registers == pytest.approx(PAPER_RESOURCES["baseline"]["registers"], rel=0.3)
         assert report.alms == pytest.approx(PAPER_RESOURCES["baseline"]["alms"], rel=0.3)
 
     def test_smache_register_only_resources_close_to_paper(self):
-        config = SmacheConfig.paper_example(mode=StreamBufferMode.REGISTER_ONLY)
-        report = synthesize_smache(config)
+        report = smache_report(StencilProblem.paper_example(mode=StreamBufferMode.REGISTER_ONLY))
         assert report.bram_bits == PAPER_RESOURCES["smache"]["bram_bits"]
         assert report.registers == pytest.approx(PAPER_RESOURCES["smache"]["registers"], rel=0.2)
         assert report.alms == pytest.approx(PAPER_RESOURCES["smache"]["alms"], rel=0.25)
@@ -129,8 +133,7 @@ class TestSynthesisCalibration:
         ],
     )
     def test_actual_memory_close_to_paper_actual(self, shape, mode, key):
-        config = SmacheConfig.paper_example(shape[0], shape[1], mode=mode)
-        report = synthesize_smache(config)
+        report = smache_report(StencilProblem.paper_example(shape[0], shape[1], mode=mode))
         paper_actual = PAPER_TABLE1[key]["actual"]
         measured = report.memory.as_table_row()
         for col in ("Bsc", "Rsm", "Bsm"):
@@ -139,11 +142,11 @@ class TestSynthesisCalibration:
             else:
                 assert measured[col] == pytest.approx(paper_actual[col], rel=0.12)
 
-    def test_estimate_tracks_actual(self, paper_config):
+    def test_estimate_tracks_actual(self, paper_problem, paper_design):
         """The paper's headline claim for Table I: the cost model closely
         tracks synthesis."""
-        estimate = paper_config.cost_estimate()
-        actual = synthesize_smache(paper_config).memory
+        estimate = paper_design.cost
+        actual = smache_report(paper_problem).memory
         for col, est_value in estimate.as_table_row().items():
             act_value = actual.as_table_row()[col]
             if act_value == 0:
@@ -155,27 +158,27 @@ PAPER_FIGURE2_BASELINE_FMAX = 372.9
 
 
 class TestSynthesisStructure:
-    def test_breakdown_sums_to_total_registers(self, paper_config):
-        report = synthesize_smache(paper_config)
+    def test_breakdown_sums_to_total_registers(self, paper_problem):
+        report = smache_report(paper_problem)
         assert report.registers == pytest.approx(
             sum(b.registers for b in report.breakdown.values()), abs=1
         )
 
     def test_hybrid_uses_less_registers_than_register_only(self):
-        h = synthesize_smache(SmacheConfig.paper_example(1024, 1024))
-        r = synthesize_smache(
-            SmacheConfig.paper_example(1024, 1024, mode=StreamBufferMode.REGISTER_ONLY)
+        h = smache_report(StencilProblem.paper_example(1024, 1024))
+        r = smache_report(
+            StencilProblem.paper_example(1024, 1024, mode=StreamBufferMode.REGISTER_ONLY)
         )
         assert h.registers < r.registers / 10
         assert h.bram_bits > r.bram_bits
 
     def test_fmax_independent_of_grid_size(self):
-        small = synthesize_smache(SmacheConfig.paper_example(11, 11))
-        big = synthesize_smache(SmacheConfig.paper_example(1024, 1024))
+        small = smache_report(StencilProblem.paper_example(11, 11))
+        big = smache_report(StencilProblem.paper_example(1024, 1024))
         assert small.fmax_mhz == big.fmax_mhz
 
-    def test_describe_output(self, paper_config):
-        text = synthesize_smache(paper_config).describe()
+    def test_describe_output(self, paper_problem):
+        text = smache_report(paper_problem).describe()
         assert "Fmax" in text and "BRAM bits" in text
-        text_b = synthesize_baseline(paper_config).describe()
+        text_b = synthesize_baseline(paper_problem).describe()
         assert "baseline" in text_b

@@ -224,12 +224,11 @@ class TestBackendsAgree:
 
 
 class TestFacade:
-    def test_evaluate_accepts_config_and_problem(self, small_config):
-        by_config = evaluate(small_config, backend="analytic", iterations=2)
-        by_problem = evaluate(
-            StencilProblem.from_config(small_config), backend="analytic", iterations=2
-        )
-        assert by_config.cycles == by_problem.cycles
+    def test_evaluate_accepts_config_and_problem(self, small_problem):
+        """A problem and its compiled design (the configured instance) evaluate alike."""
+        by_design = evaluate(compile(small_problem), backend="analytic", iterations=2)
+        by_problem = evaluate(small_problem, backend="analytic", iterations=2)
+        assert by_design.cycles == by_problem.cycles
 
     def test_request_overrides_merge(self, small_design):
         base = EvaluationRequest(iterations=1)

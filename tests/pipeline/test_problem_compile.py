@@ -10,12 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.analysis
 import repro.core.planner
 import repro.fpga.synthesis
-from repro.core.analysis import analyse_static_buffers
 from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour
-from repro.core.config import SmacheConfig
 from repro.core.cost_model import estimate_memory_cost
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.partition import StreamBufferMode, partition_for_plan
@@ -48,15 +45,6 @@ def paper_problem() -> StencilProblem:
 
 
 class TestStencilProblem:
-    def test_from_config_round_trips(self, paper_config):
-        problem = StencilProblem.from_config(paper_config)
-        back = problem.to_config()
-        assert back.grid == paper_config.grid
-        assert back.stencil == paper_config.stencil
-        assert back.boundary == paper_config.boundary
-        assert back.mode == paper_config.mode
-        assert back.name == paper_config.name
-
     def test_default_kernel_matches_stencil_points(self, paper_problem):
         kernel = paper_problem.effective_kernel
         assert kernel.name == "average"
@@ -109,22 +97,20 @@ class TestStencilProblem:
 
 
 class TestCompile:
-    def test_compile_matches_legacy_config_path(self, paper_config):
-        design = compile(StencilProblem.from_config(paper_config), cache=None)
-        legacy_plan = paper_config.plan()
-        assert design.plan == legacy_plan
-        assert design.partition == paper_config.partition(legacy_plan)
-        assert design.cost == paper_config.cost_estimate(legacy_plan)
+    def test_compile_matches_legacy_config_path(self, paper_problem):
+        """The core stages called one by one give the compiled plan, partition and cost."""
+        design = compile(paper_problem, cache=None)
+        plan = plan_buffers(paper_problem.grid, paper_problem.stencil, paper_problem.boundary)
+        partition = partition_for_plan(plan, paper_problem.mode)
+        assert design.plan == plan
+        assert design.partition == partition
+        assert design.cost == estimate_memory_cost(plan, paper_problem.mode, partition=partition)
 
     def test_compile_carries_range_structure(self, paper_problem):
         design = compile(paper_problem, cache=None)
         assert design.n_cases == 9  # the paper's nine stencil cases
         assert design.n_ranges == len(design.ranges)
         assert design.ranges[0].start == 0
-
-    def test_compile_accepts_plain_config(self, paper_config):
-        design = compile(paper_config, cache=None)
-        assert design.config.grid == paper_config.grid
 
     def test_describe_mentions_cases_and_cost(self, paper_problem):
         text = compile(paper_problem, cache=None).describe()
@@ -278,7 +264,6 @@ def ranges_calls(monkeypatch):
 
     for module in (
         compile_module,
-        repro.core.analysis,
         repro.core.planner,
         repro.fpga.synthesis,
     ):
@@ -291,8 +276,9 @@ class TestOnePartitionPerCompile:
         _build(paper_problem)
         assert len(ranges_calls) == 1
 
-    def test_analyse_partitions_once(self, paper_config, ranges_calls):
-        analyse_static_buffers(paper_config.grid, paper_config.stencil, paper_config.boundary)
+    def test_analyse_partitions_once(self, paper_problem, ranges_calls):
+        # compile is the only analysis of a problem: one partition for plan and synthesis
+        compile(paper_problem, cache=None)
         assert len(ranges_calls) == 1
 
     def test_synthesis_counts_cases_over_the_contiguous_stream(self):
@@ -311,8 +297,8 @@ class TestOnePartitionPerCompile:
         contiguous = partition_into_ranges(grid, problem.stencil, problem.boundary)
         assert design.n_cases == len(classify_cases(contiguous))
         assert design.synthesis == synthesize_smache(
-            design.config,
-            plan=design.plan,
+            design.problem,
+            design.plan,
             partition=design.partition,
             kernel=problem.effective_kernel,
             n_cases=design.n_cases,
@@ -364,17 +350,15 @@ def _staged(problem: StencilProblem) -> CompiledDesign:
         max_total_bits=problem.max_total_bits,
     )
     partition = partition_for_plan(plan, problem.mode, register_elements=problem.register_elements)
-    config = problem.to_config()
     return CompiledDesign(
         problem=problem,
-        config=config,
         ranges=ranges,
         n_cases=len(classify_cases(ranges)),
         plan=plan,
         partition=partition,
         cost=estimate_memory_cost(plan, problem.mode, partition=partition),
         synthesis=synthesize_smache(
-            config, plan=plan, partition=partition, kernel=problem.effective_kernel
+            problem, plan, partition=partition, kernel=problem.effective_kernel
         ),
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import SmacheConfig
+from repro import StencilProblem, compile
 from repro.arch.system import run_smache
 from repro.core.partition import StreamBufferMode
 from repro.dse import explore_partitions, minimise_registers, select_best
@@ -21,49 +21,49 @@ class TestPublicAPI:
             assert hasattr(repro, name), f"missing export {name}"
 
     def test_quickstart_flow(self):
-        """The README quickstart: configure, plan, estimate, simulate, validate."""
-        config = SmacheConfig.paper_example()
-        analysis = config.analysis()
-        assert analysis.n_static_buffers == 2
-
-        cost = config.cost_estimate()
-        assert cost.b_total_bits > 0
+        """The README quickstart: describe, compile, estimate, simulate, validate."""
+        problem = StencilProblem.paper_example()
+        design = compile(problem)
+        assert design.plan.n_static_buffers == 2
+        assert design.cost.b_total_bits > 0
 
         kernel = AveragingKernel()
-        grid_in = make_test_grid(config.grid, kind="ramp")
-        sim = run_smache(config, grid_in, iterations=5, kernel=kernel)
+        grid_in = make_test_grid(problem.grid, kind="ramp")
+        sim = run_smache(design, grid_in, iterations=5, kernel=kernel)
         ref = reference_run(
-            grid_in, config.grid, config.stencil, config.boundary, kernel, iterations=5
+            grid_in, problem.grid, problem.stencil, problem.boundary, kernel, iterations=5
         )
         np.testing.assert_allclose(sim.output, ref)
 
     def test_dse_flow(self):
         """The DSE example flow: sweep, select, synthesise the winner."""
-        config = SmacheConfig.paper_example(128, 128)
-        points = explore_partitions(config, device=stratix_v(), steps=4)
+        problem = StencilProblem.paper_example(128, 128)
+        points = explore_partitions(problem, device=stratix_v(), steps=4)
         best = select_best(points, minimise_registers)
         assert best is not None
-        report = synthesize_smache(best.config, plan=best.plan, partition=best.partition)
+        report = synthesize_smache(best.problem, best.plan, partition=best.partition)
         assert report.fmax_mhz > 100
 
     def test_structural_reuse_flow(self):
         """Two-layer customisation: hardware planned for the paper case hosts a
         bigger grid with the same structure (parameter-only change)."""
-        small = SmacheConfig.paper_example(11, 11)
-        large = SmacheConfig.paper_example(201, 301)
+        small = compile(StencilProblem.paper_example(11, 11))
+        large = compile(StencilProblem.paper_example(201, 301))
         assert small.is_structurally_compatible(large)
         assert small.structural_signature()["n_static_buffers"] == 2
 
     def test_mode_switch_only_changes_resource_split(self):
-        config_h = SmacheConfig.paper_example(64, 64)
-        config_r = SmacheConfig.paper_example(64, 64, mode=StreamBufferMode.REGISTER_ONLY)
+        design_h = compile(StencilProblem.paper_example(64, 64))
+        design_r = compile(
+            StencilProblem.paper_example(64, 64, mode=StreamBufferMode.REGISTER_ONLY)
+        )
         kernel = AveragingKernel()
-        grid_in = make_test_grid(config_h.grid, kind="random")
-        out_h = run_smache(config_h, grid_in, iterations=1, kernel=kernel)
-        out_r = run_smache(config_r, grid_in, iterations=1, kernel=kernel)
+        grid_in = make_test_grid(design_h.problem.grid, kind="random")
+        out_h = run_smache(design_h, grid_in, iterations=1, kernel=kernel)
+        out_r = run_smache(design_r, grid_in, iterations=1, kernel=kernel)
         np.testing.assert_allclose(out_h.output, out_r.output)
         assert out_h.cycles == out_r.cycles  # the mapping does not change timing
-        assert config_h.cost_estimate().r_total_bits < config_r.cost_estimate().r_total_bits
+        assert design_h.cost.r_total_bits < design_r.cost.r_total_bits
 
 
 class TestEvalCLI:

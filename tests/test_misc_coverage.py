@@ -7,24 +7,13 @@ from repro.arch.kernel import KernelResult, TupleData
 from repro.arch.smache import SmacheFrontEnd
 from repro.arch.system import SimulationResult
 from repro.core.boundary import BoundarySpec
-from repro.core.config import SmacheConfig
 from repro.core.grid import GridSpec
 from repro.core.planner import plan_buffers
 from repro.core.stencil import StencilShape
 from repro.eval.figure2 import Figure2Row
 from repro.eval.paper_constants import relative_error
+from repro.pipeline import StencilProblem, compile
 from repro.sim.engine import SimulationError, Simulator
-from repro.utils.units import mhz, microseconds
-
-
-class TestUnits:
-    def test_mhz(self):
-        assert mhz(1e6) == 1.0
-        assert mhz(372.9e6) == pytest.approx(372.9)
-
-    def test_microseconds(self):
-        assert microseconds(1e-6) == pytest.approx(1.0)
-        assert microseconds(0.0001716) == pytest.approx(171.6)
 
 
 class TestRelativeError:
@@ -123,10 +112,10 @@ class TestSmacheErrorPaths:
                     front_end.tuple_out.pop()
                 sim.step()
 
-    def test_excess_prefetch_words_are_not_consumed(self, paper_config):
+    def test_excess_prefetch_words_are_not_consumed(self, paper_design):
         """Once the warm-up is complete FSM-1 goes DONE; surplus prefetch data
         backs up in the channel instead of corrupting the static buffers."""
-        plan = paper_config.plan()
+        plan = paper_design.plan
         sim = Simulator()
         front_end = SmacheFrontEnd(sim, plan)
         front_end.start_work_instance(0)
@@ -145,19 +134,19 @@ class TestSmacheErrorPaths:
 
 class TestConfigValidationEdges:
     def test_boundary_grid_dimension_mismatch_fails_at_planning(self):
-        config = SmacheConfig(
+        problem = StencilProblem(
             grid=GridSpec(shape=(8, 8)),
             stencil=StencilShape.four_point_2d(),
             boundary=BoundarySpec.all_open(3),
         )
         with pytest.raises(ValueError):
-            config.plan()
+            compile(problem, cache=None)
 
     def test_stencil_grid_dimension_mismatch(self):
-        config = SmacheConfig(
+        problem = StencilProblem(
             grid=GridSpec(shape=(8, 8)),
             stencil=StencilShape.von_neumann(3, 1),
             boundary=BoundarySpec.all_open(2),
         )
         with pytest.raises(ValueError):
-            config.plan()
+            compile(problem, cache=None)

@@ -1,9 +1,8 @@
-"""Tests for repro.utils: units, validation and table formatting."""
+"""Tests for repro.utils: validation and table formatting."""
 
 import pytest
 
 from repro.utils.tables import format_key_values, format_table
-from repro.utils.units import Quantity, bits_to_bytes, bytes_to_kib, kib, mib
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -11,25 +10,6 @@ from repro.utils.validation import (
     check_shape,
     check_unique,
 )
-
-
-class TestUnits:
-    def test_bits_to_bytes(self):
-        assert bits_to_bytes(32) == 4
-        assert bits_to_bytes(4) == 0.5
-
-    def test_bytes_to_kib_matches_paper_arithmetic(self):
-        # 242000 bytes is the baseline traffic of Fig. 2 -> 236.3 "KB"
-        assert bytes_to_kib(242000) == pytest.approx(236.3, abs=0.05)
-
-    def test_kib_mib(self):
-        assert kib(1) == 1024
-        assert mib(2) == 2 * 1024 * 1024
-
-    def test_quantity_formatting(self):
-        q = Quantity(236.328, "KiB")
-        assert "KiB" in str(q)
-        assert f"{q:.1f}" == "236.3 KiB"
 
 
 class TestValidation:
