@@ -40,7 +40,7 @@ from repro.dse import (
 from repro.dse.explorer import pareto_front
 from repro.fpga.device import small_device, stratix_v
 from repro.fpga.resources import ResourceUsage
-from repro.pipeline import StencilProblem
+from repro.pipeline import StencilProblem, compile
 
 GRID = (1024, 1024)
 
@@ -58,21 +58,29 @@ def main() -> None:
     print(header)
     for p in points:
         print(
-            f"{p.label:<34}{p.cost.r_total_bits:>14}{p.cost.b_total_bits:>14}"
-            f"{p.synthesis.fmax_mhz:>10.1f}{str(p.fits):>6}"
+            f"{p.label:<34}{p.design.cost.r_total_bits:>14}{p.design.cost.b_total_bits:>14}"
+            f"{p.design.synthesis.fmax_mhz:>10.1f}{str(p.fits):>6}"
         )
+    # Registers only grow and BRAM bits only shrink along the sweep, and each
+    # point is exactly what compile() makes of its problem.
+    r_bits = [p.design.cost.r_total_bits for p in points]
+    b_bits = [p.design.cost.b_total_bits for p in points]
+    assert r_bits == sorted(r_bits) and b_bits == sorted(b_bits, reverse=True)
+    assert all(p.design.synthesis == compile(p.design.problem).synthesis for p in points)
 
     print("\n=== Pareto front (register bits vs BRAM bits) ===")
     for p in pareto_front(points):
-        print(f"  {p.label:<34} R={p.cost.r_total_bits:<8} B={p.cost.b_total_bits}")
+        print(f"  {p.label:<34} R={p.design.cost.r_total_bits:<8} B={p.design.cost.b_total_bits}")
 
     print("\n=== best mapping under different scarcity assumptions ===")
     register_scarce = select_best(points, minimise_registers)
     bram_scarce = select_best(points, minimise_bram_bits)
+    assert register_scarce.fits and bram_scarce.fits
     print(f"  register-scarce design -> {register_scarce.label} "
-          f"(R={register_scarce.cost.r_total_bits}, B={register_scarce.cost.b_total_bits})")
+          f"(R={register_scarce.design.cost.r_total_bits}, "
+          f"B={register_scarce.design.cost.b_total_bits})")
     print(f"  BRAM-scarce design     -> {bram_scarce.label} "
-          f"(R={bram_scarce.cost.r_total_bits}, B={bram_scarce.cost.b_total_bits})")
+          f"(R={bram_scarce.design.cost.r_total_bits}, B={bram_scarce.design.cost.b_total_bits})")
 
     print("\n=== feasibility on a small edge-class device ===")
     edge = small_device()
@@ -80,10 +88,12 @@ def main() -> None:
     feasible = [p for p in edge_points if p.fits]
     print(f"  {len(feasible)}/{len(edge_points)} mappings fit {edge.name}")
     best_edge = select_best(edge_points, minimise_bram_bits)
+    assert best_edge is None or best_edge.fits
+    assert all(p.design.synthesis == compile(p.design.problem).synthesis for p in edge_points)
     if best_edge is None:
         print("  no mapping fits; the problem needs a larger device or tiling")
     else:
-        util = edge.utilisation(best_edge.synthesis.usage)
+        util = edge.utilisation(best_edge.design.synthesis.usage)
         print(f"  chosen mapping: {best_edge.label}")
         print(f"  utilisation   : {util['registers']:.1%} registers, "
               f"{util['bram_bits']:.1%} BRAM, {util['alms']:.1%} ALMs")

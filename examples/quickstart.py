@@ -59,7 +59,7 @@ def main() -> None:
 
     # 4. Figure-2 style comparison ---------------------------------------------
     smache_fmax = design.fmax_mhz
-    baseline_fmax = synthesize_baseline(design.problem, kernel=problem.effective_kernel).fmax_mhz
+    baseline_fmax = synthesize_baseline(design.problem).fmax_mhz
     print("=== Figure-2 style comparison ===")
     header = f"{'':<10}{'cycles':>10}{'Fmax MHz':>10}{'KiB':>8}{'time us':>10}{'MOPS':>10}"
     print(header)

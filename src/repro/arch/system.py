@@ -7,12 +7,18 @@ Both systems ping-pong between two grid copies in DRAM (read ``k``, write
 ``k+1``) and both return a :class:`SimulationResult` carrying everything the
 evaluation harness needs: cycle count, DRAM traffic, operation count and the
 final grid (validated against the NumPy reference in the test-suite).
+
+Everything a system runs comes from its compiled design: the Smache hardware
+from the plan and partition, and both systems' kernel from the problem's
+``effective_kernel`` unless the caller passes ``kernel=`` (the ``simulate``
+backend passes the request's).  One base holds what the systems share (DRAM,
+access table, input loading, result assembly); each adds its own hardware.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from repro.arch.kernel import KernelHW
 from repro.arch.shell import ReadMaster, ResponseRouter, WorkSequencer, WritebackUnit
 from repro.arch.smache import SmacheFrontEnd
 from repro.memory.dram import DRAMModel, DRAMTiming
-from repro.reference.kernels import AveragingKernel, StencilKernel
+from repro.reference.kernels import StencilKernel
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
 from repro.sim.trace import TraceLog
@@ -79,13 +85,107 @@ class SimulationResult:
 
 
 # --------------------------------------------------------------------------- #
+# what both systems share
+# --------------------------------------------------------------------------- #
+class _System:
+    """The design, kernel, DRAM and access table that both systems share.
+
+    A subclass builds its hardware on :attr:`sim` and :attr:`dram`, sets
+    :attr:`control` (the component with ``done`` and ``src_base(k)``) and
+    :attr:`datapath` (the one counting ``operations``), and names its
+    :meth:`extra` counters.
+    """
+
+    #: ``SimulationResult.design`` of this system's runs.
+    DESIGN = ""
+    #: Cycle budget of :meth:`run` when the caller names none.
+    MAX_CYCLES = 0
+
+    control: Any
+    datapath: Any
+
+    def __init__(
+        self,
+        design: "CompiledDesign",
+        kernel: Optional[StencilKernel],
+        iterations: int,
+        dram_timing: Optional[DRAMTiming],
+        engine: Optional[str],
+        *,
+        shared_bus: bool,
+    ) -> None:
+        self.design = design
+        problem = design.problem
+        self.kernel_spec = problem.effective_kernel if kernel is None else kernel
+        self.iterations = iterations
+        grid = problem.grid
+        self.sim = Simulator(f"{self.DESIGN}_system", engine=engine)
+        self.dram = DRAMModel(
+            self.sim,
+            "dram",
+            size_words=2 * grid.size,
+            word_bytes=grid.word_bytes,
+            timing=dram_timing,
+            shared_bus=shared_bus,
+        )
+        self.access_table = AccessTable(grid, problem.stencil, problem.boundary)
+
+    def extra(self) -> Dict[str, float]:
+        """The system's own hardware counters, for ``SimulationResult.extra``."""
+        raise NotImplementedError
+
+    def instance_cycles(self) -> List[int]:
+        """Cycles of each completed work-instance (empty when not tracked)."""
+        return []
+
+    # ------------------------------------------------------------------ #
+    def load_input(self, array: np.ndarray) -> None:
+        """Place the initial grid into DRAM copy A."""
+        array = np.asarray(array, dtype=np.float64)
+        shape = self.design.problem.grid.shape
+        if array.shape != shape:
+            raise ValueError(f"input shape {array.shape} does not match grid {shape}")
+        self.dram.preload(0, array.ravel())
+
+    def run(self, max_cycles: Optional[int] = None) -> SimulationResult:
+        """Run all work-instances and collect the result.
+
+        ``max_cycles`` defaults to the system's :attr:`MAX_CYCLES`.
+        """
+        control = self.control
+        grid = self.design.problem.grid
+        self.sim.run_until(
+            lambda: control.done,
+            max_cycles=self.MAX_CYCLES if max_cycles is None else max_cycles,
+        )
+        output = self.dram.snapshot(control.src_base(self.iterations), grid.size)
+        return SimulationResult(
+            design=self.DESIGN,
+            cycles=self.sim.cycle,
+            iterations=self.iterations,
+            grid_points=grid.size,
+            dram_words_read=self.dram.words_read,
+            dram_words_written=self.dram.words_written,
+            dram_bytes=self.dram.total_traffic_bytes,
+            operations=self.datapath.operations,
+            output=output.reshape(grid.shape),
+            instance_cycles=self.instance_cycles(),
+            extra=self.extra(),
+            engine_stats=self.sim.run_stats(),
+        )
+
+
+# --------------------------------------------------------------------------- #
 # Smache system
 # --------------------------------------------------------------------------- #
-class SmacheSystem:
+class SmacheSystem(_System):
     """DRAM + Smache front-end + kernel + write-back, ready to run.
 
     The hardware is built from the compiled design's plan and partition.
     """
+
+    DESIGN = "smache"
+    MAX_CYCLES = 50_000_000
 
     def __init__(
         self,
@@ -97,29 +197,13 @@ class SmacheSystem:
         write_through: bool = True,
         engine: Optional[str] = None,
     ) -> None:
-        self.design = design
-        self.kernel_spec = kernel or AveragingKernel()
-        self.iterations = iterations
+        super().__init__(design, kernel, iterations, dram_timing, engine, shared_bus=False)
         self.trace = trace or TraceLog(enabled=False)
         self.stats = StatsCollector("smache_system")
         self.write_through = write_through
-
         self.plan = design.plan
         self.partition = design.partition
-        problem = design.problem
-        grid = problem.grid
-        n = grid.size
 
-        self.sim = Simulator("smache_system", engine=engine)
-        self.dram = DRAMModel(
-            self.sim,
-            "dram",
-            size_words=2 * n,
-            word_bytes=grid.word_bytes,
-            timing=dram_timing,
-            shared_bus=False,
-        )
-        self.access_table = AccessTable(grid, problem.stencil, problem.boundary)
         self.front_end = SmacheFrontEnd(
             self.sim,
             self.plan,
@@ -129,7 +213,7 @@ class SmacheSystem:
             trace=self.trace,
             write_through=write_through,
         )
-        self.kernel = KernelHW(
+        self.kernel = self.datapath = KernelHW(
             self.sim, self.kernel_spec, tuple_in=self.front_end.tuple_out, stats=self.stats
         )
         # One prefetch job per static buffer plus the stream job are queued
@@ -141,69 +225,45 @@ class SmacheSystem:
         self.writeback = WritebackUnit(
             self.sim, self.dram, self.front_end, self.kernel.result_out
         )
-        self.sequencer = WorkSequencer(
+        self.sequencer = self.control = WorkSequencer(
             self.sim,
             self.dram,
             self.read_master,
             self.front_end,
             self.writeback,
-            grid_words=n,
+            grid_words=design.problem.grid.size,
             iterations=iterations,
             trace=self.trace,
             prefetch_every_instance=not write_through,
         )
 
-    # ------------------------------------------------------------------ #
-    def load_input(self, array: np.ndarray) -> None:
-        """Place the initial grid into DRAM copy A."""
-        array = np.asarray(array, dtype=np.float64)
-        shape = self.design.problem.grid.shape
-        if array.shape != shape:
-            raise ValueError(f"input shape {array.shape} does not match grid {shape}")
-        self.dram.preload(0, array.ravel())
+    def extra(self) -> Dict[str, float]:
+        """Window/static hits, stalls, DRAM access mix and BRAM port use."""
+        return {
+            "window_hits": self.front_end.window_hits,
+            "static_hits": self.front_end.static_hits,
+            "emit_stalls": self.front_end.emit_stall_cycles,
+            "input_starved": self.front_end.input_starved_cycles,
+            "dram_sequential": self.dram.sequential_accesses,
+            "dram_random": self.dram.random_accesses,
+            "max_bram_reads_per_cycle": self.front_end.window.max_bram_reads_per_cycle,
+        }
 
-    def run(self, max_cycles: int = 50_000_000) -> SimulationResult:
-        """Run all work-instances and collect the result."""
-        grid = self.design.problem.grid
-        n = grid.size
-        self.sim.run_until(lambda: self.sequencer.done, max_cycles=max_cycles)
-        final_base = self.sequencer.src_base(self.iterations)
-        output = self.dram.snapshot(final_base, n).reshape(grid.shape)
-        instance_cycles = [
-            end - start
-            for start, end in zip(
-                self.sequencer.instance_start_cycles, self.sequencer.instance_end_cycles
-            )
-        ]
-        return SimulationResult(
-            design="smache",
-            cycles=self.sim.cycle,
-            iterations=self.iterations,
-            grid_points=n,
-            dram_words_read=self.dram.words_read,
-            dram_words_written=self.dram.words_written,
-            dram_bytes=self.dram.total_traffic_bytes,
-            operations=self.kernel.operations,
-            output=output,
-            instance_cycles=instance_cycles,
-            extra={
-                "window_hits": self.front_end.window_hits,
-                "static_hits": self.front_end.static_hits,
-                "emit_stalls": self.front_end.emit_stall_cycles,
-                "input_starved": self.front_end.input_starved_cycles,
-                "dram_sequential": self.dram.sequential_accesses,
-                "dram_random": self.dram.random_accesses,
-                "max_bram_reads_per_cycle": self.front_end.window.max_bram_reads_per_cycle,
-            },
-            engine_stats=self.sim.run_stats(),
-        )
+    def instance_cycles(self) -> List[int]:
+        """Cycles of each completed work-instance."""
+        sequencer = self.sequencer
+        starts, ends = sequencer.instance_start_cycles, sequencer.instance_end_cycles
+        return [end - start for start, end in zip(starts, ends)]
 
 
 # --------------------------------------------------------------------------- #
 # Baseline system
 # --------------------------------------------------------------------------- #
-class BaselineSystem:
+class BaselineSystem(_System):
     """DRAM + the no-buffering baseline master."""
+
+    DESIGN = "baseline"
+    MAX_CYCLES = 100_000_000
 
     def __init__(
         self,
@@ -213,24 +273,8 @@ class BaselineSystem:
         dram_timing: Optional[DRAMTiming] = None,
         engine: Optional[str] = None,
     ) -> None:
-        self.design = design
-        self.kernel_spec = kernel or AveragingKernel()
-        self.iterations = iterations
-        problem = design.problem
-        grid = problem.grid
-        n = grid.size
-
-        self.sim = Simulator("baseline_system", engine=engine)
-        self.dram = DRAMModel(
-            self.sim,
-            "dram",
-            size_words=2 * n,
-            word_bytes=grid.word_bytes,
-            timing=dram_timing,
-            shared_bus=True,
-        )
-        self.access_table = AccessTable(grid, problem.stencil, problem.boundary)
-        self.master = BaselineMaster(
+        super().__init__(design, kernel, iterations, dram_timing, engine, shared_bus=True)
+        self.master = self.control = self.datapath = BaselineMaster(
             self.sim,
             self.dram,
             self.access_table,
@@ -238,39 +282,13 @@ class BaselineSystem:
             iterations=iterations,
         )
 
-    # ------------------------------------------------------------------ #
-    def load_input(self, array: np.ndarray) -> None:
-        """Place the initial grid into DRAM copy A."""
-        array = np.asarray(array, dtype=np.float64)
-        shape = self.design.problem.grid.shape
-        if array.shape != shape:
-            raise ValueError(f"input shape {array.shape} does not match grid {shape}")
-        self.dram.preload(0, array.ravel())
-
-    def run(self, max_cycles: int = 100_000_000) -> SimulationResult:
-        """Run all work-instances and collect the result."""
-        grid = self.design.problem.grid
-        n = grid.size
-        self.sim.run_until(lambda: self.master.done, max_cycles=max_cycles)
-        final_base = self.master.src_base(self.iterations)
-        output = self.dram.snapshot(final_base, n).reshape(grid.shape)
-        return SimulationResult(
-            design="baseline",
-            cycles=self.sim.cycle,
-            iterations=self.iterations,
-            grid_points=n,
-            dram_words_read=self.dram.words_read,
-            dram_words_written=self.dram.words_written,
-            dram_bytes=self.dram.total_traffic_bytes,
-            operations=self.master.operations,
-            output=output,
-            extra={
-                "dram_sequential": self.dram.sequential_accesses,
-                "dram_random": self.dram.random_accesses,
-                "points_completed": self.master.points_completed,
-            },
-            engine_stats=self.sim.run_stats(),
-        )
+    def extra(self) -> Dict[str, float]:
+        """DRAM access mix and completed points."""
+        return {
+            "dram_sequential": self.dram.sequential_accesses,
+            "dram_random": self.dram.random_accesses,
+            "points_completed": self.master.points_completed,
+        }
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.buffers import BufferPlan, StreamBufferSpec
 from repro.utils.validation import check_non_negative
@@ -171,29 +171,3 @@ def partition_for_plan(
         register_elements=register_elements,
     )
 
-
-def sweep_partitions(
-    stream: StreamBufferSpec,
-    n_taps: int,
-    steps: int = 8,
-) -> Tuple[HybridPartition, ...]:
-    """Generate a sweep of CUSTOM partitions between all-BRAM-bulk and all-register.
-
-    Used by the DSE module to trade registers against BRAM bits; the sweep
-    always includes the canonical HYBRID and REGISTER_ONLY points.
-    """
-    depth = stream.depth
-    lo = min(depth, hybrid_register_slots(n_taps))
-    points = sorted(
-        {lo, depth}
-        | {lo + round((depth - lo) * i / max(1, steps - 1)) for i in range(steps)}
-    )
-    return tuple(
-        partition_stream_buffer(
-            stream,
-            n_taps,
-            StreamBufferMode.CUSTOM,
-            register_elements=p,
-        )
-        for p in points
-    )

@@ -5,8 +5,8 @@ The paper motivates its memory cost model with design-space exploration
 against registers, a tool (or a human) can pick the mapping that fits the
 resources left over by the computation kernel and the shell.  This package
 provides that exploration loop: sweep candidate register/BRAM partitions
-(and, optionally, problem sizes), price each candidate with the cost model
-and the synthesis estimator, check it against a device, and pick the best
+(and, optionally, problem sizes), compile each candidate problem (plan, cost
+model and synthesis estimate), check it against a device, and pick the best
 one under a caller-supplied objective.
 """
 

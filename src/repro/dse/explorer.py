@@ -5,8 +5,7 @@ Two axes are explored:
 * the paper's hybridisation knob — how many of the stream buffer's window
   slots are registers (from the minimal Case-H point, where only the stencil
   taps are registers, to the Case-R extreme, where the whole window is), each
-  candidate priced with the cost model and the synthesis estimator and checked
-  against a device's remaining resources;
+  candidate checked against a device's remaining resources;
 * whole problems — :meth:`repro.api.Workbench.explore` prices a set of candidate
   problems with the pipeline's ``analytic`` backend (closed-form cycles and
   traffic), keeps the cycles/memory Pareto front, and re-runs only the front
@@ -14,8 +13,13 @@ Two axes are explored:
   cost microseconds per point instead of seconds, without trusting the fast
   path blindly.
 
-All plans are obtained through :func:`repro.pipeline.compile`, so repeated
-sweeps over the same problems hit the shared plan cache.
+Every candidate of the resource sweep is a problem, ``replace(problem,
+mode=..., register_elements=r)``, and its :class:`DesignPoint` holds what
+:func:`repro.pipeline.compile` makes of it: plan, partition, memory cost and
+synthesis, with the problem's own kernel.  A partition sweep compiles its
+candidates in one :func:`~repro.pipeline.compile.compile_batch` call seeded
+with the problem's design, so the range partition and the planner run once
+per sweep, and repeated sweeps hit the shared plan cache.
 """
 
 from __future__ import annotations
@@ -23,62 +27,49 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.buffers import BufferPlan
-from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
-from repro.core.partition import (
-    HybridPartition,
-    StreamBufferMode,
-    hybrid_register_slots,
-    partition_stream_buffer,
-)
+from repro.core.partition import StreamBufferMode, hybrid_register_slots
 from repro.fpga.device import FPGADevice
 from repro.fpga.resources import ResourceUsage
-from repro.fpga.synthesis import SynthesisReport, synthesize_smache
 from repro.pipeline.backends import EvaluationResult
-from repro.pipeline.compile import CompiledDesign, compile as compile_problem
+from repro.pipeline.compile import CompiledDesign, compile as compile_problem, compile_batch
 from repro.pipeline.problem import StencilProblem
 from repro.utils.pareto import pareto_front as generic_pareto_front
 
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """One explored configuration with everything needed to rank it."""
+    """One explored design and whether it fits the device."""
 
-    problem: StencilProblem
-    plan: BufferPlan
-    partition: HybridPartition
-    cost: MemoryCostEstimate
-    synthesis: SynthesisReport
+    design: CompiledDesign
     fits: bool
 
     @property
     def label(self) -> str:
         """Short label used in reports (register slots / total slots)."""
+        partition = self.design.partition
         return (
-            f"{self.partition.register_elements}/{self.partition.depth} register slots "
-            f"({self.partition.mode.value})"
+            f"{partition.register_elements}/{partition.depth} register slots "
+            f"({partition.mode.value})"
         )
 
 
 def _make_point(
-    problem: StencilProblem,
-    plan: BufferPlan,
-    partition: HybridPartition,
-    device: Optional[FPGADevice],
-    reserved: ResourceUsage,
+    design: CompiledDesign, device: Optional[FPGADevice], reserved: ResourceUsage
 ) -> DesignPoint:
-    cost = estimate_memory_cost(plan, partition=partition)
-    synthesis = synthesize_smache(problem, plan, partition=partition)
-    fits = True
-    if device is not None:
-        fits = device.fits(synthesis.usage + reserved)
-    return DesignPoint(
-        problem=problem,
-        plan=plan,
-        partition=partition,
-        cost=cost,
-        synthesis=synthesis,
-        fits=fits,
+    fits = device is None or device.fits(design.synthesis.usage + reserved)
+    return DesignPoint(design=design, fits=fits)
+
+
+def register_candidates(depth: int, n_taps: int, steps: int = 8) -> List[int]:
+    """Register-slot counts of a partition sweep, in increasing order.
+
+    ``steps`` counts spread evenly from the hybrid minimum (one register per
+    tap plus the fixed overhead) to ``depth`` (register-only); both extremes
+    are always included.
+    """
+    lo = min(depth, hybrid_register_slots(n_taps))
+    return sorted(
+        {lo, depth} | {lo + round((depth - lo) * i / max(1, steps - 1)) for i in range(steps)}
     )
 
 
@@ -104,27 +95,17 @@ def explore_partitions(
         device before the feasibility check.
     """
     reserved = reserved or ResourceUsage()
-    plan = compile_problem(problem).plan
-    n_taps = len([o for o in plan.lookup_offsets() if o != 0])
-    depth = plan.stream.depth
-    lo = min(depth, hybrid_register_slots(n_taps))
-    candidates = sorted(
-        {lo, depth} | {lo + round((depth - lo) * i / max(1, steps - 1)) for i in range(steps)}
-    )
-    points = []
-    for regs in candidates:
-        if regs == lo:
-            mode = StreamBufferMode.HYBRID
-        elif regs == depth:
-            mode = StreamBufferMode.REGISTER_ONLY
-        else:
-            mode = StreamBufferMode.CUSTOM
-        partition = partition_stream_buffer(
-            plan.stream, n_taps, mode, register_elements=regs if mode is StreamBufferMode.CUSTOM else None
-        )
-        mapped = replace(problem, mode=mode, register_elements=partition.register_elements)
-        points.append(_make_point(mapped, plan, partition, device, reserved))
-    return points
+    design = compile_problem(problem)
+    depth = design.partition.depth
+    regs = register_candidates(depth, design.partition.n_taps, steps)
+    # The hybrid minimum keeps its mode when it is the whole window.
+    modes = {depth: StreamBufferMode.REGISTER_ONLY, regs[0]: StreamBufferMode.HYBRID}
+    candidates = [
+        replace(problem, mode=modes.get(r, StreamBufferMode.CUSTOM), register_elements=r)
+        for r in regs
+    ]
+    _, *designs = compile_batch([design, *candidates])
+    return [_make_point(d, device, reserved) for d in designs]
 
 
 def explore_grid_sizes(
@@ -136,17 +117,16 @@ def explore_grid_sizes(
 ) -> List[DesignPoint]:
     """Price the same stencil problem across different grid sizes."""
     reserved = reserved or ResourceUsage()
-    points = []
-    for shape in sizes:
-        sized = replace(
+    sized = [
+        replace(
             problem,
             grid=type(problem.grid)(shape=tuple(shape), word_bytes=problem.grid.word_bytes),
             mode=mode,
             name=f"{problem.name}-{'x'.join(str(s) for s in shape)}",
         )
-        design = compile_problem(sized)
-        points.append(_make_point(sized, design.plan, design.partition, device, reserved))
-    return points
+        for shape in sizes
+    ]
+    return [_make_point(d, device, reserved) for d in compile_batch(sized)]
 
 
 def select_best(
@@ -240,5 +220,5 @@ def pareto_front(points: Sequence[DesignPoint]) -> List[DesignPoint]:
     strictly better on one.
     """
     return generic_pareto_front(
-        points, key=lambda p: (p.cost.r_total_bits, p.cost.b_total_bits)
+        points, key=lambda p: (p.design.cost.r_total_bits, p.design.cost.b_total_bits)
     )

@@ -14,17 +14,17 @@ Objective = Callable[["DesignPoint"], float]  # noqa: F821 - documented forward 
 
 def minimise_bram_bits(point) -> float:
     """Prefer the configuration using the fewest BRAM bits."""
-    return float(point.cost.b_total_bits)
+    return float(point.design.cost.b_total_bits)
 
 
 def minimise_registers(point) -> float:
     """Prefer the configuration using the fewest register bits."""
-    return float(point.cost.r_total_bits)
+    return float(point.design.cost.r_total_bits)
 
 
 def minimise_total_memory_bits(point) -> float:
     """Prefer the configuration using the least on-chip memory overall."""
-    return float(point.cost.total_bits)
+    return float(point.design.cost.total_bits)
 
 
 def weighted_balance(register_weight: float = 1.0, bram_weight: float = 1.0) -> Objective:
@@ -38,11 +38,12 @@ def weighted_balance(register_weight: float = 1.0, bram_weight: float = 1.0) -> 
         raise ValueError("weights must be non-negative")
 
     def objective(point) -> float:
-        return register_weight * point.cost.r_total_bits + bram_weight * point.cost.b_total_bits
+        cost = point.design.cost
+        return register_weight * cost.r_total_bits + bram_weight * cost.b_total_bits
 
     return objective
 
 
 def maximise_fmax(point) -> float:
     """Prefer the configuration with the highest estimated clock frequency."""
-    return -float(point.synthesis.fmax_mhz)
+    return -float(point.design.synthesis.fmax_mhz)

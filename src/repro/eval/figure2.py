@@ -179,7 +179,7 @@ def run_figure2(
     }
     baseline_res, smache_res = records["baseline"].result, records["smache"].result
 
-    baseline_syn = synthesize_baseline(design.problem, kernel=problem.effective_kernel)
+    baseline_syn = synthesize_baseline(design.problem)
     smache_syn = design.synthesis
 
     def make_row(name: str, res, fmax: float) -> Figure2Row:

@@ -38,7 +38,6 @@ from repro.core.cost_model import MemoryCostEstimate
 from repro.core.partition import HybridPartition, partition_for_plan
 from repro.core.ranges import classify_cases, partition_into_ranges
 from repro.fpga.resources import ResourceUsage
-from repro.reference.kernels import AveragingKernel, StencilKernel
 
 if TYPE_CHECKING:  # pipeline.compile imports this module
     from repro.pipeline.problem import StencilProblem
@@ -150,7 +149,6 @@ def synthesize_smache(
     problem: "StencilProblem",
     plan: BufferPlan,
     partition: Optional[HybridPartition] = None,
-    kernel: Optional[StencilKernel] = None,
     timing: Optional[TimingModel] = None,
     *,
     n_cases: Optional[int] = None,
@@ -164,10 +162,11 @@ def synthesize_smache(
     element, not on the order the stream visits it, so any permutation
     pattern has the same case set.  ``n_cases`` is that count when the
     caller has already partitioned the contiguous stream; it is computed
-    here when omitted.
+    here when omitted.  The kernel pipeline is the problem's
+    ``effective_kernel``.
     """
     timing = timing or TimingModel()
-    kernel = kernel or AveragingKernel()
+    kernel = problem.effective_kernel
     if partition is None:
         partition = partition_for_plan(
             plan, problem.mode, register_elements=problem.register_elements
@@ -297,12 +296,10 @@ def synthesize_smache(
 # --------------------------------------------------------------------------- #
 def synthesize_baseline(
     problem: "StencilProblem",
-    kernel: Optional[StencilKernel] = None,
     timing: Optional[TimingModel] = None,
 ) -> SynthesisReport:
     """Structural synthesis of the no-buffering baseline master."""
     timing = timing or TimingModel()
-    kernel = kernel or AveragingKernel()
     word_bits = problem.word_bits if problem.word_bits is not None else problem.grid.word_bits
     n = problem.grid.size
     index_bits = _clog2(2 * n)  # addresses cover both ping-pong copies

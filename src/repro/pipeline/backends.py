@@ -235,27 +235,25 @@ class SimulateBackend(Backend):
     def evaluate(self, design: CompiledDesign, request: EvaluationRequest) -> EvaluationResult:
         from repro.arch.system import BaselineSystem, SmacheSystem
 
-        kernel = request.resolve_kernel(design)
         grid_in = request.resolve_input(design)
+        system: Union[SmacheSystem, BaselineSystem]
         if request.system == "smache":
             system = SmacheSystem(
                 design,
-                kernel=kernel,
+                kernel=request.kernel,
                 iterations=request.iterations,
                 dram_timing=request.dram_timing,
                 write_through=request.write_through,
             )
-            default_max = 50_000_000
         else:
             system = BaselineSystem(
                 design,
-                kernel=kernel,
+                kernel=request.kernel,
                 iterations=request.iterations,
                 dram_timing=request.dram_timing,
             )
-            default_max = 100_000_000
         system.load_input(grid_in)
-        sim = system.run(max_cycles=request.max_cycles or default_max)
+        sim = system.run(max_cycles=request.max_cycles)
         perf = {f"sim_{key}": value for key, value in sim.engine_stats.items()}
         return EvaluationResult(
             backend=self.name,

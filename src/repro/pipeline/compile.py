@@ -129,6 +129,22 @@ class CompiledDesign:
         return "\n".join(lines)
 
 
+def _plan_key(problem: StencilProblem, range_key: str) -> Tuple[str, str]:
+    """The stage key of a problem's plan: its ranges plus the planner's bounds."""
+    return range_key, repr((problem.word_bits, problem.max_stream_reach, problem.max_total_bits))
+
+
+def _seed(stages: Dict[object, Any], design: CompiledDesign) -> None:
+    """Enter a compiled design's range partition and plan into ``stages``."""
+    problem = design.problem
+    if problem.is_cacheable:
+        range_key = problem.range_key()
+        stages.setdefault(
+            range_key, (design.ranges, design.n_cases, ScoredWindows(design.ranges))
+        )
+        stages.setdefault(_plan_key(problem, range_key), design.plan)
+
+
 def _build(
     problem: StencilProblem, stages: Optional[Dict[object, Any]] = None
 ) -> CompiledDesign:
@@ -151,10 +167,7 @@ def _build(
         # The windows are scored on first use, inside the planner stage.
         stages[range_key] = (ranges, len({r.case_id for r in ranges}), ScoredWindows(ranges))
     ranges, n_cases, windows = stages[range_key]
-    plan_key = (
-        range_key,
-        repr((problem.word_bits, problem.max_stream_reach, problem.max_total_bits)),
-    )
+    plan_key = _plan_key(problem, range_key)
     if plan_key not in stages:
         stages[plan_key] = plan_buffers(
             problem.grid,
@@ -174,11 +187,7 @@ def _build(
     # Synthesis counts cases over the contiguous pattern; for a cacheable
     # problem that is the partition above, so its count is passed through.
     synthesis = synthesize_smache(
-        problem,
-        plan,
-        partition=partition,
-        kernel=problem.effective_kernel,
-        n_cases=n_cases if problem.is_cacheable else None,
+        problem, plan, partition=partition, n_cases=n_cases if problem.is_cacheable else None
     )
     return CompiledDesign(
         problem=problem,
@@ -230,16 +239,21 @@ def compile_batch(
     (grid, stencil, boundary), one window selection per distinct (word bits,
     reach bound, bit bound) of it, and one plan per distinct chosen window
     and word size, held in a table that lives only as long as this call.
-    Already-compiled designs pass through untouched; uncacheable problems
-    (and every problem when ``cache`` is ``None``) build fresh, exactly like
-    :func:`compile`.
+    Already-compiled designs pass through untouched, and their range
+    partition and plan seed that table: a problem that differs from one of
+    them only in mode or register count compiles without partitioning or
+    planning (the resource sweep of :mod:`repro.dse.explorer` relies on
+    this).  Uncacheable problems (and every problem when ``cache`` is
+    ``None``) build fresh, exactly like :func:`compile`.
     """
     designs: List[Optional[CompiledDesign]] = [None] * len(problems)
     keyed_indices: List[int] = []
     keyed_problems: List[StencilProblem] = []
+    stages: Dict[object, Any] = {}
     for index, problem in enumerate(problems):
         if isinstance(problem, CompiledDesign):
             designs[index] = problem
+            _seed(stages, problem)
             continue
         if cache is None or not problem.is_cacheable:
             designs[index] = _build(problem)
@@ -247,7 +261,6 @@ def compile_batch(
         keyed_indices.append(index)
         keyed_problems.append(problem)
     if keyed_problems:
-        stages: Dict[object, Any] = {}
         built = cache.get_or_compile_batch(
             [p.cache_key() for p in keyed_problems],
             [lambda p=p: _build(p, stages) for p in keyed_problems],

@@ -18,7 +18,7 @@ from repro.core.grid import GridSpec
 from repro.core.partition import StreamBufferMode
 from repro.core.stencil import StencilShape
 from repro.memory.dram import DRAMTiming
-from repro.pipeline import StencilProblem, compile
+from repro.pipeline import StencilProblem, compile, evaluate
 from repro.reference.kernels import AveragingKernel, MaxKernel, SumKernel, WeightedKernel
 from repro.reference.stencil_exec import make_test_grid, reference_run
 
@@ -35,6 +35,27 @@ def check_equivalence(problem, kernel, iterations=2, kind="random"):
     np.testing.assert_allclose(smache.output, reference, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(baseline.output, reference, rtol=1e-12, atol=1e-12)
     return smache, baseline
+
+
+#: Kernels a generated problem names (``None`` is the problem's default).
+PROBLEM_KERNELS = {
+    "default": None,
+    "sum": SumKernel(),
+    "max": MaxKernel(),
+    "diffusion": WeightedKernel.diffusion_2d(),
+}
+
+
+def check_design_kernel(problem, grid_in, iterations=2):
+    """Both systems, given no kernel, equal the reference backend bitwise."""
+    reference = evaluate(
+        problem, backend="reference", iterations=iterations, input_grid=grid_in
+    ).output
+    design = compile(problem)
+    smache = run_smache(design, grid_in, iterations=iterations)
+    baseline = run_baseline(design, grid_in, iterations=iterations)
+    assert np.array_equal(smache.output, reference)
+    assert np.array_equal(baseline.output, reference)
 
 
 class TestFunctionalEquivalence:
@@ -116,11 +137,14 @@ class TestFunctionalEquivalence:
         cols=st.integers(4, 9),
         periodic_rows=st.booleans(),
         periodic_cols=st.booleans(),
+        kernel=st.sampled_from(sorted(PROBLEM_KERNELS)),
         seed=st.integers(0, 100),
     )
     @settings(max_examples=12, deadline=None)
-    def test_random_problems_match_reference(self, rows, cols, periodic_rows, periodic_cols, seed):
-        """Property: for random small problems the Smache system equals the reference."""
+    def test_random_problems_match_reference(
+        self, rows, cols, periodic_rows, periodic_cols, kernel, seed
+    ):
+        """Property: both systems run the problem's own kernel, bitwise like the reference."""
         problem = StencilProblem(
             grid=GridSpec(shape=(rows, cols)),
             stencil=StencilShape.four_point_2d(),
@@ -130,15 +154,16 @@ class TestFunctionalEquivalence:
                     BoundaryKind.CIRCULAR if periodic_cols else BoundaryKind.OPEN,
                 ]
             ),
+            kernel=PROBLEM_KERNELS[kernel],
         )
-        rng = np.random.default_rng(seed)
-        grid_in = rng.random(problem.grid.shape)
-        kernel = AveragingKernel()
-        reference = reference_run(
-            grid_in, problem.grid, problem.stencil, problem.boundary, kernel, iterations=2
-        )
-        smache = run_smache(compile(problem), grid_in, iterations=2, kernel=kernel)
-        np.testing.assert_allclose(smache.output, reference, rtol=1e-12, atol=1e-12)
+        grid_in = np.random.default_rng(seed).random(problem.grid.shape)
+        check_design_kernel(problem, grid_in)
+
+    def test_design_kernel_is_the_default(self):
+        """A 7x9 sum-kernel design simulates its sum kernel, not the averaging filter."""
+        problem = StencilProblem.paper_example(7, 9, kernel=SumKernel())
+        grid_in = np.random.default_rng(7).integers(0, 100, problem.grid.shape).astype(float)
+        check_design_kernel(problem, grid_in)
 
 
 class TestTrafficAccounting:

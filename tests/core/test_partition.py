@@ -8,8 +8,8 @@ from repro.core.partition import (
     hybrid_register_slots,
     partition_for_plan,
     partition_stream_buffer,
-    sweep_partitions,
 )
+from repro.dse.explorer import register_candidates
 
 
 @pytest.fixture
@@ -100,14 +100,15 @@ class TestPartitionForPlan:
 
 class TestSweep:
     def test_sweep_includes_both_extremes(self, stream_25):
-        points = sweep_partitions(stream_25, 4, steps=5)
-        regs = [p.register_elements for p in points]
+        regs = register_candidates(stream_25.depth, 4, steps=5)
         assert min(regs) == 11
         assert max(regs) == 25
 
     def test_sweep_is_monotone_and_consistent(self, stream_25):
-        points = sweep_partitions(stream_25, 4, steps=6)
-        regs = [p.register_elements for p in points]
+        regs = register_candidates(stream_25.depth, 4, steps=6)
         assert regs == sorted(regs)
-        for p in points:
+        for r in regs:
+            p = partition_stream_buffer(
+                stream_25, 4, StreamBufferMode.CUSTOM, register_elements=r
+            )
             assert p.register_elements + p.bram_elements == stream_25.depth

@@ -142,7 +142,7 @@ class TestResourcesAndTradeoff:
         from repro.pipeline import StencilProblem
 
         points = explore_partitions(StencilProblem.paper_example(1024, 1024), steps=6)
-        regs = [p.cost.r_stream_bits for p in points]
+        regs = [p.design.cost.r_stream_bits for p in points]
         assert regs == sorted(regs)
 
 

@@ -300,7 +300,6 @@ class TestOnePartitionPerCompile:
             design.problem,
             design.plan,
             partition=design.partition,
-            kernel=problem.effective_kernel,
             n_cases=design.n_cases,
         )
 
@@ -357,9 +356,7 @@ def _staged(problem: StencilProblem) -> CompiledDesign:
         plan=plan,
         partition=partition,
         cost=estimate_memory_cost(plan, problem.mode, partition=partition),
-        synthesis=synthesize_smache(
-            problem, plan, partition=partition, kernel=problem.effective_kernel
-        ),
+        synthesis=synthesize_smache(problem, plan, partition=partition),
     )
 
 

@@ -41,7 +41,8 @@ class TestPublicAPI:
         points = explore_partitions(problem, device=stratix_v(), steps=4)
         best = select_best(points, minimise_registers)
         assert best is not None
-        report = synthesize_smache(best.problem, best.plan, partition=best.partition)
+        design = best.design
+        report = synthesize_smache(design.problem, design.plan, partition=design.partition)
         assert report.fmax_mhz > 100
 
     def test_structural_reuse_flow(self):
