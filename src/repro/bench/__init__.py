@@ -45,12 +45,6 @@ from repro.bench.references import (
     load_references,
     resolve_references,
 )
-from repro.bench.trend import (
-    WorkerThroughput,
-    format_trend_report,
-    format_worker_report,
-    mine_worker_throughput,
-)
 
 __all__ = [
     "BENCH_FORMAT",
@@ -67,20 +61,16 @@ __all__ = [
     "PerfHistory",
     "PerfHistoryWarning",
     "WILDCARD",
-    "WorkerThroughput",
     "band_bounds",
     "check_result",
     "contention",
     "cpu_count",
     "current_host",
     "format_band",
-    "format_trend_report",
-    "format_worker_report",
     "gate_results",
     "git_commit_info",
     "in_band",
     "load_references",
     "load_result",
-    "mine_worker_throughput",
     "resolve_references",
 ]

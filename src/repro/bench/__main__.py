@@ -7,8 +7,6 @@ Subcommands::
     python -m repro.bench record FILE ... --history HISTORY
     python -m repro.bench gate [FILE ...] [--history HISTORY] [--strict]
                                [--references REFS.json]
-    python -m repro.bench trend [--history HISTORY] [--metric SUBSTR]
-                                [--events LOG ...]
 
 ``run`` measures the same-process ratio claims of any subset of the four
 claim suites (sim, pipeline, analytic, serve — default all) in this
@@ -19,9 +17,7 @@ checks result files, or the newest history record per (suite, host),
 against the reference bands, exiting 1 on any out-of-band metric or
 incorrect result — the ``python -m repro.sweep diff`` convention.  A result
 file is either the output of ``python3 perfbench/run.py`` (the workload is
-the suite) or a native envelope.  ``trend`` renders per-metric history
-tables and, given campaign event logs, per-worker throughput mined from the
-stream.
+the suite) or a native envelope.
 """
 
 from __future__ import annotations
@@ -39,9 +35,8 @@ from repro.bench.references import (
     ReferenceTable,
     load_references,
 )
-from repro.bench.trend import format_trend_report, format_worker_report
 
-SUBCOMMANDS = ("run", "record", "gate", "trend")
+SUBCOMMANDS = ("run", "record", "gate")
 
 
 def _parse_suites(names: List[str], parser: argparse.ArgumentParser) -> List[str]:
@@ -213,52 +208,6 @@ def _gate_main(argv: List[str]) -> int:
     return exit_code
 
 
-def _trend_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench trend",
-        description="Render per-metric history tables (value and delta per "
-        "recorded commit/host) and, given campaign event logs, per-worker "
-        "throughput mined from the persisted event stream.",
-    )
-    parser.add_argument(
-        "--history", metavar="HISTORY", default=None, help="perf-history JSONL"
-    )
-    parser.add_argument(
-        "--suite", default=None, help="restrict history tables to one suite"
-    )
-    parser.add_argument(
-        "--metric",
-        default=None,
-        help="restrict history tables to metrics containing this substring",
-    )
-    parser.add_argument(
-        "--no-smoke",
-        action="store_true",
-        help="exclude smoke records from the history tables",
-    )
-    parser.add_argument(
-        "--events",
-        nargs="+",
-        metavar="LOG",
-        default=None,
-        help="campaign event logs to mine for per-worker throughput",
-    )
-    args = parser.parse_args(argv)
-    if args.history is None and not args.events:
-        parser.error("nothing to report: pass --history and/or --events")
-
-    sections = []
-    if args.history is not None:
-        records = PerfHistory(args.history).records(
-            suite=args.suite, include_smoke=not args.no_smoke
-        )
-        sections.append(format_trend_report(records, contains=args.metric))
-    for log in args.events or ():
-        sections.append(format_worker_report(log))
-    print("\n\n".join(sections))
-    return 0
-
-
 # --------------------------------------------------------------------------- #
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI driver; returns a process exit code."""
@@ -268,13 +217,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "run": _run_main,
             "record": _record_main,
             "gate": _gate_main,
-            "trend": _trend_main,
         }[argv[0]](argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Benchmark claims and performance-regression gate "
-        "(subcommands: run, record, gate, trend).",
+        "(subcommands: run, record, gate).",
     )
     parser.parse_args(argv)
     parser.error(f"choose a subcommand: {', '.join(SUBCOMMANDS)}")

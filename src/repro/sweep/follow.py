@@ -125,8 +125,8 @@ class WorkerThroughput:
     """One worker's campaign activity, from the worker's own timestamps.
 
     Completions carry the evaluating process's pid and begin/finish stamps
-    in ``PointRecord.meta`` (see :mod:`repro.sweep.runners`).  The follower
-    and ``python -m repro.bench trend --events`` both fold them here.
+    in ``PointRecord.meta`` (see :mod:`repro.sweep.runners`); the follower
+    folds them here.
     """
 
     worker: int

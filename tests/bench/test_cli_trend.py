@@ -1,4 +1,4 @@
-"""The ``python -m repro.bench`` CLI and the trend/worker-mining reports."""
+"""The ``python -m repro.bench`` CLI."""
 
 import json
 
@@ -8,12 +8,6 @@ from repro.bench.__main__ import main
 from repro.bench.history import PerfHistory
 from repro.bench.host import HostFingerprint
 from repro.bench.model import BenchResult, load_result
-from repro.bench.trend import (
-    format_metric_trend,
-    format_trend_report,
-    format_worker_report,
-    mine_worker_throughput,
-)
 
 
 def sim_result(speedup=5.0, **flags):
@@ -115,71 +109,9 @@ class TestGateCommand:
 
 
 class TestRecordCommand:
-    def test_record_then_trend(self, perfbench_result, tmp_path, capsys):
-        hist = str(tmp_path / "hist.jsonl")
-        files = [perfbench_result(), write_envelope(tmp_path / "sim.json", sim_result())]
-        assert main(["record", *files, "--history", hist]) == 0
-        out = capsys.readouterr().out
-        assert out.count("recorded") == 2
-        assert main(["trend", "--history", hist, "--metric", "speedup"]) == 0
-        out = capsys.readouterr().out
-        assert "sim.smache_cycles_per_sec.speedup" in out
-        assert main(["trend", "--history", hist, "--metric", "sweep.events"]) == 0
-        assert "campaign_cold.sweep.events" in capsys.readouterr().out
-
     def test_unrecognized_filename_errors(self, tmp_path):
         path = tmp_path / "whatever.json"
         path.write_text("{}")
         with pytest.raises(SystemExit):
             main(["record", str(path), "--history", str(tmp_path / "h.jsonl")])
 
-
-class TestTrendReport:
-    def test_deltas_between_records(self, tmp_path):
-        hist = PerfHistory(str(tmp_path / "hist.jsonl"))
-        hist.append(sim_result(speedup=4.0), recorded_ts=1.0)
-        hist.append(sim_result(speedup=6.0), recorded_ts=2.0)
-        text = format_metric_trend(
-            hist.records(), "sim.smache_cycles_per_sec.speedup"
-        )
-        assert "+50.0%" in text
-
-    def test_empty_history_message(self):
-        assert format_trend_report([]) == "perf history is empty"
-
-    def test_cli_requires_an_input(self):
-        with pytest.raises(SystemExit):
-            main(["trend"])
-
-
-class TestWorkerMining:
-    @pytest.fixture
-    def event_log(self, tmp_path):
-        """A real (tiny) campaign persisted with worker attribution."""
-        from repro.api import Workbench
-        from repro.sweep.spec import smoke_spec
-
-        path = str(tmp_path / "campaign.events.jsonl")
-        Workbench(jobs=2).run(smoke_spec(iterations=1), event_log=path)
-        return path
-
-    def test_mined_points_cover_the_campaign(self, event_log):
-        workers = mine_worker_throughput(event_log)
-        assert workers, "a pool campaign must attribute work to workers"
-        total = sum(w.points for w in workers.values())
-        assert total == 18  # smoke_spec: 3 grids x 3 reaches x 2 modes
-        for stats in workers.values():
-            if stats.points and stats.span_seconds:
-                assert stats.points_per_second > 0
-
-    def test_worker_report_renders(self, event_log, capsys):
-        text = format_worker_report(event_log)
-        assert "worker" in text and "point(s) across" in text
-        assert main(["trend", "--events", event_log]) == 0
-        assert "worker" in capsys.readouterr().out
-
-    def test_missing_worker_stamps_degrade_gracefully(self, tmp_path):
-        path = tmp_path / "empty.events.jsonl"
-        path.write_text('{"kind": "header", "log": "events", "format": 1}\n')
-        assert mine_worker_throughput(str(path)) == {}
-        assert "no worker-stamped events" in format_worker_report(str(path))

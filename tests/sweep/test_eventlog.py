@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -282,6 +283,9 @@ class TestFollowEventLog:
         assert "in flight" in out
         assert f"campaign complete: {spec.size} points" in out
         assert "worker " in out and "point(s)" in out
+        per_worker = re.findall(r"worker \d+: (\d+) point\(s\)", out)
+        assert per_worker, "a pool campaign must attribute work to workers"
+        assert sum(map(int, per_worker)) == spec.size
 
     def test_follow_campaign_prefers_the_sidecar_event_log(self, spec, tmp_path):
         checkpoint = str(tmp_path / "c.jsonl")

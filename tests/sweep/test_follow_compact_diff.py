@@ -482,9 +482,3 @@ class TestWorkerThroughput:
         assert WorkerThroughput(worker=1, points=3).points_per_second is None
         flat = WorkerThroughput(worker=1, points=3, first_ts=2.0, last_ts=2.0)
         assert flat.span_seconds == 0.0 and flat.points_per_second is None
-
-    def test_bench_shares_the_sweep_class(self):
-        import repro.bench
-        import repro.sweep
-
-        assert repro.bench.WorkerThroughput is repro.sweep.WorkerThroughput
