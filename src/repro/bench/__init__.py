@@ -4,9 +4,8 @@ One envelope (:class:`BenchResult`) read from perfbench results or built by
 the same-process ratio claims (:mod:`repro.bench.claims`, imported on
 demand so that importing this package stays light), one host fingerprint
 (:class:`HostFingerprint`), one table of reference bands
-(:data:`DEFAULT_REFERENCES`), an append-only perf history
-(:class:`PerfHistory`), and the ``python -m repro.bench`` CLI that runs the
-claims and gates results — see :mod:`repro.bench.__main__`.
+(:data:`DEFAULT_REFERENCES`), and the ``python -m repro.bench`` CLI that
+runs the claims and gates results — see :mod:`repro.bench.__main__`.
 """
 
 from repro.bench.gate import (
@@ -15,13 +14,6 @@ from repro.bench.gate import (
     MetricCheck,
     check_result,
     gate_results,
-)
-from repro.bench.history import (
-    HISTORY_FORMAT,
-    HistoryRecord,
-    PerfHistory,
-    PerfHistoryWarning,
-    git_commit_info,
 )
 from repro.bench.host import (
     HostFingerprint,
@@ -54,12 +46,8 @@ __all__ = [
     "DEFAULT_REFERENCES",
     "FAIL_STATUSES",
     "GateReport",
-    "HISTORY_FORMAT",
-    "HistoryRecord",
     "HostFingerprint",
     "MetricCheck",
-    "PerfHistory",
-    "PerfHistoryWarning",
     "WILDCARD",
     "band_bounds",
     "check_result",
@@ -68,7 +56,6 @@ __all__ = [
     "current_host",
     "format_band",
     "gate_results",
-    "git_commit_info",
     "in_band",
     "load_references",
     "load_result",

@@ -2,20 +2,14 @@
 
 Subcommands::
 
-    python -m repro.bench run [SUITE ...] [--smoke] [--record HISTORY]
-                              [--references REFS.json]
-    python -m repro.bench record FILE ... --history HISTORY
-    python -m repro.bench gate [FILE ...] [--history HISTORY] [--strict]
-                               [--references REFS.json]
+    python -m repro.bench run [SUITE ...] [--smoke] [--references REFS.json]
+    python -m repro.bench gate FILE ... [--strict] [--references REFS.json]
 
 ``run`` measures the same-process ratio claims of any subset of the four
 claim suites (sim, pipeline, analytic, serve — default all) in this
-process, prints each suite's gate report, optionally appends the envelopes
-to a perf history, and exits 1 when a claim is out of band or a parity
-check fails.  ``record`` appends result files to a history.  ``gate``
-checks result files, or the newest history record per (suite, host),
-against the reference bands, exiting 1 on any out-of-band metric or
-incorrect result — the ``python -m repro.sweep diff`` convention.  A result
+process, prints each suite's gate report, and exits 1 when a claim is out
+of band or a parity check fails.  ``gate`` checks result files against the
+reference bands, exiting 1 on any out-of-band metric or incorrect result — the ``python -m repro.sweep diff`` convention.  A result
 file is either the output of ``python3 perfbench/run.py`` (the workload is
 the suite) or a native envelope.
 """
@@ -28,7 +22,6 @@ from typing import List, Optional, Sequence
 
 from repro.bench.claims import SUITES, run_suite
 from repro.bench.gate import GateReport, gate_results
-from repro.bench.history import PerfHistory
 from repro.bench.model import BenchResult, load_result
 from repro.bench.references import (
     DEFAULT_REFERENCES,
@@ -36,7 +29,7 @@ from repro.bench.references import (
     load_references,
 )
 
-SUBCOMMANDS = ("run", "record", "gate")
+SUBCOMMANDS = ("run", "gate")
 
 
 def _parse_suites(names: List[str], parser: argparse.ArgumentParser) -> List[str]:
@@ -86,8 +79,7 @@ def _run_main(argv: List[str]) -> int:
         prog="python -m repro.bench run",
         description="Measure the same-process ratio claims in this process, "
         "gate them against the reference bands (exit 1 on an out-of-band "
-        "claim or a failed parity check), and optionally append the results "
-        "to a perf history.",
+        "claim or a failed parity check).",
     )
     parser.add_argument(
         "suites",
@@ -99,12 +91,6 @@ def _run_main(argv: List[str]) -> int:
         "--smoke",
         action="store_true",
         help="shrunk workloads: parity is checked, the bands are not",
-    )
-    parser.add_argument(
-        "--record",
-        metavar="HISTORY",
-        default=None,
-        help="append each suite's envelope to this perf-history JSONL",
     )
     parser.add_argument(
         "--references",
@@ -121,38 +107,9 @@ def _run_main(argv: List[str]) -> int:
         print(f"== running suite {name!r} ({SUITES[name].description})", flush=True)
         results.append(run_suite(name, smoke=args.smoke))
 
-    if args.record:
-        history = PerfHistory(args.record)
-        for result in results:
-            history.append(result)
-        print(f"recorded {len(results)} result(s) to {args.record}")
-
     reports, exit_code = gate_results(results, references)
     _print_reports(reports, exit_code)
     return exit_code
-
-
-def _record_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench record",
-        description="Append result files (perfbench outputs or native "
-        "envelopes) to an append-only perf-history JSONL.",
-    )
-    parser.add_argument("files", nargs="+", metavar="FILE", help="result files")
-    parser.add_argument(
-        "--history", required=True, help="perf-history JSONL to append to"
-    )
-    args = parser.parse_args(argv)
-    results = _load_files(args.files, parser)
-    history = PerfHistory(args.history)
-    for result in results:
-        record = history.append(result)
-        print(
-            f"recorded {record.suite} @ {record.host_key} "
-            f"({len(record.metrics)} metric(s), "
-            f"commit {(record.commit_id or 'unknown')[:10]})"
-        )
-    return 0
 
 
 def _gate_main(argv: List[str]) -> int:
@@ -160,21 +117,14 @@ def _gate_main(argv: List[str]) -> int:
         prog="python -m repro.bench gate",
         description="Gate benchmark results against the per-host reference "
         "bands.  Each FILE (a perfbench output or a native envelope) is "
-        "checked; with --history the newest record per (suite, host) is "
         "checked.  Exit code 0 when every result is correct and every "
         "metric in band, 1 otherwise.  Smoke results never gate on bands.",
     )
     parser.add_argument(
         "files",
-        nargs="*",
+        nargs="+",
         metavar="FILE",
         help="result files: perfbench outputs or native envelopes",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="HISTORY",
-        default=None,
-        help="gate the newest perf-history record per (suite, host) instead",
     )
     parser.add_argument(
         "--strict",
@@ -189,20 +139,7 @@ def _gate_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
     references = _references(args.references, parser)
-
-    if args.history is not None:
-        if args.files:
-            parser.error("pass FILEs or --history, not both")
-        latest = PerfHistory(args.history).latest()
-        if not latest:
-            print(f"perf history {args.history!r} holds no records")
-            return 1
-        results = [record.to_result() for record in latest]
-    elif args.files:
-        results = _load_files(args.files, parser)
-    else:
-        parser.error("nothing to gate: pass FILEs or --history")
-
+    results = _load_files(args.files, parser)
     reports, exit_code = gate_results(results, references, strict=args.strict)
     _print_reports(reports, exit_code)
     return exit_code
@@ -215,14 +152,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] in SUBCOMMANDS:
         return {
             "run": _run_main,
-            "record": _record_main,
             "gate": _gate_main,
         }[argv[0]](argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Benchmark claims and performance-regression gate "
-        "(subcommands: run, record, gate).",
+        "(subcommands: run, gate).",
     )
     parser.parse_args(argv)
     parser.error(f"choose a subcommand: {', '.join(SUBCOMMANDS)}")

@@ -8,7 +8,7 @@ smoke or not, because a speedup of a wrong answer is no speedup.
 
 Claims are grouped into four suites.  A metric is named
 ``<suite>.<claim>.<field>`` — ``analytic.scalar_vs_vectorized.warm_speedup``
-— so a perf history recorded before the claims moved here still trends.
+— so the reference bands key each claim by the same name.
 ``smoke`` shrinks every workload to check plumbing and parity only.
 
 The program's modules are imported inside the claims, not at module level:

@@ -6,7 +6,7 @@ stamps its results through it too:
 * :func:`cpu_count` / :func:`contention` — the affinity-aware core count
   and the shared "can this host even express parallel speedup" probe;
 * :class:`HostFingerprint` — the identity stamped into every benchmark
-  envelope and perf-history record, whose :attr:`~HostFingerprint.key`
+  envelope, whose :attr:`~HostFingerprint.key`
   (``node:machine``, e.g. ``vm:x86_64``) selects the per-host reference
   bands in :mod:`repro.bench.references`.
 """

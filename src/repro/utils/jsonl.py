@@ -1,7 +1,7 @@
 """Append-only JSONL files: the one owner of their on-disk rules.
 
-The campaign checkpoint, the campaign event log and the perf history are
-append-only JSONL files that share these rules:
+The campaign checkpoint and the campaign event log are append-only JSONL
+files that share these rules:
 
 * the header is the file's first intact line; a file without one (new,
   empty, or whose header line was torn) gets one when it is opened;
@@ -98,14 +98,12 @@ def held_elsewhere(path: str) -> bool:
 class AppendOnlyJsonl:
     """One append-only JSONL file, locked from :meth:`open` to :meth:`close`.
 
-    ``what`` names the file in errors ("checkpoint", "event log"), ``owner``
-    the kind of writer that holds its lock.
+    ``what`` names the file in errors ("checkpoint", "event log").
     """
 
-    def __init__(self, path: str, what: str, owner: str = "campaign") -> None:
+    def __init__(self, path: str, what: str) -> None:
         self.path = os.fspath(path)
         self.what = what
-        self.owner = owner
         self._fh: Optional[IO[bytes]] = None
 
     @property
@@ -137,7 +135,7 @@ class AppendOnlyJsonl:
             fh.close()
             raise RuntimeError(
                 f"{self.what} {self.path!r} is already open for append by "
-                f"another {self.owner}"
+                "another campaign"
             )
         self._fh = fh
         if fh.seek(0, os.SEEK_END) > 0:

@@ -1,10 +1,14 @@
-"""Gate semantics: bands, exemptions, fallbacks and exit codes."""
+"""Gate semantics: bands, exemptions, fallbacks and exit codes, and the
+``python -m repro.bench gate`` CLI."""
+
+import json
 
 import pytest
 
+from repro.bench.__main__ import main
 from repro.bench.gate import check_result, gate_results
 from repro.bench.host import HostFingerprint
-from repro.bench.model import BenchResult
+from repro.bench.model import BenchResult, load_result
 from repro.bench.references import (
     CONTENDED_EXEMPT,
     band_bounds,
@@ -188,3 +192,90 @@ class TestReferenceFiles:
         path.write_text('{"box": {"m": [1.0]}}')
         with pytest.raises(ValueError):
             load_references(str(path))
+
+
+def sim_result(speedup=5.0, **flags):
+    """A claims envelope shaped like ``python -m repro.bench run sim`` output."""
+    return BenchResult(
+        suite="sim",
+        host=HostFingerprint(
+            node="box", system="Linux", machine="x86_64", python="3.11.7", cpus=2
+        ),
+        metrics={
+            "smache_cycles_per_sec.speedup": speedup,
+            "smache_cycles_per_sec.cycles": 49028,
+        },
+        **flags,
+    )
+
+
+def write_envelope(path, result):
+    path.write_text(json.dumps(result.to_payload()))
+    return str(path)
+
+
+class TestGateCommand:
+    def test_perfbench_results_pass(self, perfbench_result, tmp_path, capsys):
+        files = [perfbench_result(), write_envelope(tmp_path / "sim.json", sim_result())]
+        assert main(["gate", *files]) == 0
+        out = capsys.readouterr().out
+        assert "gate: PASS (2 suite report(s))" in out
+        assert "campaign_cold.compile.calls" in out
+
+    def test_doctored_counter_fails(self, perfbench_result, capsys):
+        from tests.bench.conftest import COLD_METRICS
+
+        doctored = dict(COLD_METRICS, **{"compile.calls": 97.0})
+        assert main(["gate", perfbench_result(metrics=doctored)]) == 1
+        out = capsys.readouterr().out
+        assert "campaign_cold.compile.calls" in out and "gate: FAIL" in out
+
+    def test_incorrect_perfbench_result_fails(self, perfbench_result, capsys):
+        assert main(["gate", perfbench_result(correct=False)]) == 1
+        assert "incorrect" in capsys.readouterr().out
+        assert main(["gate", perfbench_result(failed=1)]) == 1
+
+    def test_end_to_end_timings_stay_unreferenced(self, perfbench_result, capsys):
+        from repro.bench.gate import check_result
+
+        report = check_result(load_result(perfbench_result()))
+        statuses = {c.metric: c.status for c in report.checks}
+        assert statuses["campaign_cold.throughput_per_s"] == "unreferenced"
+        assert statuses["campaign_cold.compile.s"] == "unreferenced"
+        assert statuses["campaign_cold.compile.calls"] == "ok"
+
+    def test_gate_needs_an_input(self):
+        with pytest.raises(SystemExit):
+            main(["gate"])
+
+    def test_synthetic_regression_fails(self, tmp_path, capsys):
+        regressed = write_envelope(tmp_path / "sim.json", sim_result(speedup=0.01))
+        assert main(["gate", regressed]) == 1
+        out = capsys.readouterr().out
+        assert "low" in out and "gate: FAIL" in out
+
+    def test_smoke_file_never_gates(self, tmp_path, capsys):
+        smoke = write_envelope(tmp_path / "sim.json", sim_result(speedup=0.01, smoke=True))
+        assert main(["gate", smoke]) == 0
+        assert "smoke" in capsys.readouterr().out
+
+    def test_custom_references_file(self, tmp_path, capsys):
+        refs = tmp_path / "refs.json"
+        refs.write_text(json.dumps(
+            {"*": {"sim.smache_cycles_per_sec.speedup": [1e6, -0.1, None, "x"]}}
+        ))
+        envelope = write_envelope(tmp_path / "sim.json", sim_result())
+        assert main(["gate", envelope, "--references", str(refs)]) == 1
+
+    def test_strict_flags_missing_metrics(self, tmp_path, capsys):
+        res = sim_result()
+        del res.metrics["smache_cycles_per_sec.speedup"]
+        path = write_envelope(tmp_path / "sim.json", res)
+        assert main(["gate", path]) == 0
+        assert main(["gate", path, "--strict"]) == 1
+
+    def test_unrecognized_filename_errors(self, tmp_path):
+        path = tmp_path / "whatever.json"
+        path.write_text("{}")
+        with pytest.raises(SystemExit):
+            main(["gate", str(path)])

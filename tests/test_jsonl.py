@@ -1,20 +1,16 @@
-"""The shared append-only JSONL layer and the three files written through it.
+"""The shared append-only JSONL layer and the two files written through it.
 
-The campaign checkpoint, the event log and the perf history share one set
-of file rules (:mod:`repro.utils.jsonl`).  These tests pin the on-disk
-format those files had before the rules were shared, and check each rule
-once on the layer itself.
+The campaign checkpoint and the event log share one set of file rules
+(:mod:`repro.utils.jsonl`).  These tests pin the on-disk format those files
+had before the rules were shared, and check each rule once on the layer
+itself.
 """
 
 import builtins
-import json
 
 import pytest
 
 import repro.utils.jsonl as jsonl
-from repro.bench.history import PerfHistory
-from repro.bench.host import HostFingerprint
-from repro.bench.model import BenchResult
 from repro.sweep.campaign import execute_campaign
 from repro.sweep.checkpoint import CheckpointMismatch
 from repro.sweep.eventlog import EventLogMismatch, EventLogObserver
@@ -25,23 +21,12 @@ from repro.utils.jsonl import AppendOnlyJsonl, held_elsewhere, iter_jsonl, read_
 SMOKE_FINGERPRINT = "82324f87982cb84c"
 
 
-def bench_result():
-    return BenchResult(
-        suite="sim",
-        host=HostFingerprint(node="box", system="Linux", machine="x86_64", python="3.11.0", cpus=4),
-        metrics={"widget.speedup": 4.0},
-        smoke=False,
-        commit={"id": "abc123", "branch": "main", "dirty": False},
-        datetime="2026-08-08T00:00:00+00:00",
-    )
-
-
 def kinds(path):
     return [payload["kind"] for payload in iter_jsonl(path)]
 
 
 class TestFormatPin:
-    """Exact header bytes and line kinds of all three files."""
+    """Exact header bytes and line kinds of both files."""
 
     def test_serial_smoke_checkpoint_and_event_log(self, tmp_path):
         checkpoint = tmp_path / "smoke.jsonl"
@@ -66,14 +51,6 @@ class TestFormatPin:
         assert checkpoint.read_bytes().endswith(b"}\n")
         assert log.read_bytes().endswith(b"}\n")
 
-    def test_perf_history(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        PerfHistory(str(path)).append(bench_result(), recorded_ts=1.0)
-        header, record, end = path.read_bytes().split(b"\n")
-        assert header == b'{"format": 1, "kind": "header", "log": "perf-history"}'
-        assert json.loads(record)["kind"] == "perf"
-        assert end == b""
-
 
 def _checkpointed(path, spec):
     execute_campaign(spec, checkpoint=path)
@@ -83,18 +60,13 @@ def _logged(path, spec):
     execute_campaign(spec, event_log=path)
 
 
-def _history(path, spec):
-    PerfHistory(path).append(bench_result(), recorded_ts=1.0)
-
-
 @pytest.mark.parametrize(
     "write, refusal, header",
     [
         (_checkpointed, CheckpointMismatch, {"kind": "header", "name": "smoke"}),
         (_logged, EventLogMismatch, {"kind": "header", "log": "events", "name": "smoke"}),
-        (_history, None, {"kind": "header", "log": "perf-history"}),
     ],
-    ids=["checkpoint", "event-log", "perf-history"],
+    ids=["checkpoint", "event-log"],
 )
 def test_a_torn_header_gets_a_header_back(tmp_path, write, refusal, header):
     """A file whose header line was torn gets a header on the next open, so
@@ -105,10 +77,9 @@ def test_a_torn_header_gets_a_header_back(tmp_path, write, refusal, header):
     write(path, smoke_spec())
     found = read_header(path)
     assert found is not None and header.items() <= found.items()
-    if refusal is not None:
-        assert found["fingerprint"] == SMOKE_FINGERPRINT
-        with pytest.raises(refusal):
-            write(path, smoke_spec(name="renamed"))
+    assert found["fingerprint"] == SMOKE_FINGERPRINT
+    with pytest.raises(refusal):
+        write(path, smoke_spec(name="renamed"))
     write(path, smoke_spec())
     assert kinds(path).count("header") == 1
 
@@ -174,12 +145,12 @@ class TestAppendOnlyJsonl:
     def test_the_lock_is_held_while_open(self, tmp_path):
         pytest.importorskip("fcntl")
         path = str(tmp_path / "f.jsonl")
-        first = AppendOnlyJsonl(path, "test file", owner="writer")
+        first = AppendOnlyJsonl(path, "test file")
         first.open(self.HEADER, refuse)
         try:
             assert held_elsewhere(path)
-            with pytest.raises(RuntimeError, match="test file .* already open for append by another writer"):
-                AppendOnlyJsonl(path, "test file", owner="writer").open(self.HEADER, refuse)
+            with pytest.raises(RuntimeError, match="test file .* already open for append by another campaign"):
+                AppendOnlyJsonl(path, "test file").open(self.HEADER, refuse)
         finally:
             first.close()
         assert not held_elsewhere(path)
