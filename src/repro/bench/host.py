@@ -6,9 +6,9 @@ stamps its results through it too:
 * :func:`cpu_count` / :func:`contention` — the affinity-aware core count
   and the shared "can this host even express parallel speedup" probe;
 * :class:`HostFingerprint` — the identity stamped into every benchmark
-  envelope, whose :attr:`~HostFingerprint.key`
-  (``node:machine``, e.g. ``vm:x86_64``) selects the per-host reference
-  bands in :mod:`repro.bench.references`.
+  envelope, whose :attr:`~HostFingerprint.key` (``node:machine``, e.g.
+  ``vm:x86_64``) selects the per-host reference bands in
+  :mod:`repro.bench.references`.
 """
 
 from __future__ import annotations
