@@ -5,8 +5,8 @@ Subcommands::
     python -m repro.bench run [SUITE ...] [--smoke] [--references REFS.json]
     python -m repro.bench gate FILE ... [--strict] [--references REFS.json]
 
-``run`` measures the same-process ratio claims of any subset of the four
-claim suites (sim, pipeline, analytic, serve — default all) in this
+``run`` measures the same-process ratio claims of any subset of the five
+claim suites (sim, pipeline, compile, analytic, serve — default all) in this
 process, prints each suite's gate report, and exits 1 when a claim is out
 of band or a parity check fails.  ``gate`` checks result files against the
 reference bands, exiting 1 on any out-of-band metric or incorrect result — the ``python -m repro.sweep diff`` convention.  A result
@@ -160,7 +160,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Benchmark claims and performance-regression gate "
         "(subcommands: run, gate).",
     )
-    parser.parse_args(argv)
+    # --help still acts; an unknown verb gets this error, not "unrecognized arguments".
+    parser.parse_known_args(argv)
     parser.error(f"choose a subcommand: {', '.join(SUBCOMMANDS)}")
     return 2  # unreachable; parser.error exits
 

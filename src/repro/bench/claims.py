@@ -6,7 +6,7 @@ ratios are judged by the bands in :mod:`repro.bench.references`, each at
 exactly the bound the claim states; the parity checks are judged always,
 smoke or not, because a speedup of a wrong answer is no speedup.
 
-Claims are grouped into four suites.  A metric is named
+Claims are grouped into five suites.  A metric is named
 ``<suite>.<claim>.<field>`` — ``analytic.scalar_vs_vectorized.warm_speedup``
 — so the reference bands key each claim by the same name.
 ``smoke`` shrinks every workload to check plumbing and parity only.
@@ -345,6 +345,42 @@ def parallel_campaign(m: Measure) -> None:
 
 
 # --------------------------------------------------------------------------- #
+# compile: what an uncached compile costs as the grid grows
+# --------------------------------------------------------------------------- #
+def row_count_independence(m: Measure) -> None:
+    """An uncached 1024x1024 paper compile <= 2x an 11x11 one, as many tuples resolved.
+
+    The exact counter beside the band: the stream tuples the range partition
+    resolves, which must not grow with the rows.
+    """
+    import repro.core.ranges as ranges
+    from repro.pipeline import StencilProblem, compile
+
+    problems = {side: StencilProblem.paper_example(side, side) for side in (11, 1024)}
+    resolve = ranges.tuple_for
+    resolved: List[Any] = []
+    counts: Dict[int, int] = {}
+
+    def counting(*args: Any) -> Any:
+        resolved.append(args)
+        return resolve(*args)
+
+    setattr(ranges, "tuple_for", counting)
+    try:
+        for side, problem in problems.items():
+            compile(problem, cache=None)
+            counts[side] = len(resolved) - sum(counts.values())
+    finally:
+        setattr(ranges, "tuple_for", resolve)
+    m.check(counts[11] == counts[1024],
+            f"{counts[1024]} tuples resolved at 1024x1024, {counts[11]} at 11x11")
+    ms = {side: _best_of(lambda p=problem: compile(p, cache=None), 3 if m.smoke else 30)[1] * 1e3
+          for side, problem in problems.items()}
+    m.record(tuples_resolved_11=counts[11], tuples_resolved_1024=counts[1024],
+             compile_ms_11=ms[11], compile_ms_1024=ms[1024], time_ratio=ms[1024] / ms[11])
+
+
+# --------------------------------------------------------------------------- #
 # analytic: vectorized pricing
 # --------------------------------------------------------------------------- #
 def scalar_vs_vectorized(m: Measure) -> None:
@@ -576,6 +612,9 @@ SUITES: Dict[str, Suite] = {
         (analytic_backend, cold_vs_cached_compile, shared_cache_across_consumers,
          analytic_sweep_vs_full_simulation, parallel_campaign),
         jobs=CAMPAIGN_JOBS,
+    ),
+    "compile": Suite(
+        "uncached compile cost as the grid grows", (row_count_independence,)
     ),
     "analytic": Suite(
         "vectorized analytic pricing vs the scalar loop", (scalar_vs_vectorized,)

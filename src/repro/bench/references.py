@@ -72,6 +72,8 @@ DEFAULT_REFERENCES: ReferenceTable = {
             1.0, 0.0, None, "x",
         ),
         "pipeline.parallel_campaign.parallel_speedup": (1.1, 0.0, None, "x"),
+        # --- claims: compile (uncached 1024x1024 vs 11x11 paper compile) ---
+        "compile.row_count_independence.time_ratio": (2.0, None, 0.0, "ratio"),
         # --- claims: analytic (warm vectorized pricing vs the scalar loop) ---
         "analytic.scalar_vs_vectorized.warm_speedup": (20.0, 0.0, None, "x"),
         "analytic.scalar_vs_vectorized.reprice_new_knobs_speedup": (

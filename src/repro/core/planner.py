@@ -36,6 +36,7 @@ Two planners are provided:
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,7 +50,7 @@ from repro.core.buffers import (
     StreamBufferSpec,
 )
 from repro.core.grid import GridSpec, IterationPattern
-from repro.core.ranges import StreamRange, partition_into_ranges
+from repro.core.ranges import RangePartition, StreamRange, partition_into_ranges
 from repro.core.stencil import StencilShape
 
 
@@ -85,48 +86,92 @@ def _merge_runs(runs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return merged
 
 
+#: A periodic span: ``count`` runs of ``length`` (<= a row) elements from ``start``, a row apart.
+Span = Tuple[int, int, int]
+
+
+def _pieces(span: Span, period: int) -> List[Tuple[int, int, int]]:
+    """``span`` as ``(first row, end row, row mask)`` pieces: a run ends in its row or the next."""
+    start, length, count = span
+    row, phase = divmod(start, period)
+    tail = phase + length - period
+    head = ((1 << (length - max(tail, 0))) - 1) << phase
+    if tail <= 0:
+        return [(row, row + count, head)]
+    return [(row, row + count, head), (row + 1, row + count + 1, (1 << tail) - 1)]
+
+
 class _OffsetSpans:
     """Where each distinct stream offset is accessed, computed once per problem.
 
-    ``runs[o]`` holds the merged ``[start, end)`` stream spans of the ranges
-    whose offsets contain ``o``, shifted by ``o``: the elements those ranges
-    read through ``o``.  A range offloads exactly its offsets outside the
-    window, so a window's static runs are the merged union of its offloaded
-    offsets' runs: the same elements a range-by-range walk would collect, in
-    work proportional to the number of distinct offsets and spans rather
-    than of ranges.
+    ``spans[o]`` holds one periodic :data:`Span` (period: the row length)
+    per band of each row run whose offsets contain ``o``, shifted by ``o``:
+    the elements those ranges read through ``o``.  A range offloads exactly
+    its offsets outside the window, so a window's static elements are the
+    union of its offloaded offsets' spans.  The rows are cut into
+    *segments* wherever a span starts or ends, so every row of a segment
+    holds the same elements of an offset: one bit mask.  A window is scored
+    from the OR of its offloaded masks per segment; only the chosen window
+    expands its runs row by row (:meth:`static_runs`).
     """
 
     def __init__(self, ranges: Sequence[StreamRange]) -> None:
-        by_offsets: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-        for r in ranges:
-            start, end = r.start, r.start + r.length
-            spans = by_offsets.get(r.stream_offsets)
-            if spans is None:
-                by_offsets[r.stream_offsets] = [(start, end)]
-            elif spans[-1][1] == start:
-                spans[-1] = (spans[-1][0], end)
-            else:
-                spans.append((start, end))
-        #: The distinct offset tuples, in order of first appearance.
-        self.offset_tuples: Tuple[Tuple[int, ...], ...] = tuple(by_offsets)
-        per_offset: Dict[int, List[Tuple[int, int]]] = {}
-        for offsets, spans in by_offsets.items():
-            for o in set(offsets):
-                per_offset.setdefault(o, []).extend(spans)
-        self.runs: Dict[int, List[Tuple[int, int]]] = {
-            o: [(start + o, end + o) for start, end in _merge_runs(spans)]
-            for o, spans in per_offset.items()
-        }
+        partition = RangePartition.of(ranges)
+        period = self.period = partition.row_length
+        self.spans: Dict[int, List[Span]] = {}
+        for run in partition.runs:
+            for band in run.bands:
+                start = run.first_row * period + band.offset
+                for o in set(band.template.stream_offsets):
+                    self.spans.setdefault(o, []).append((start + o, band.length, run.rows))
+        pieces = {o: [p for s in ss for p in _pieces(s, period)] for o, ss in self.spans.items()}
+        bounds = sorted({row for ps in pieces.values() for p in ps for row in p[:2]})
+        index = {row: i for i, row in enumerate(bounds)}
+        #: Each segment's first row and row count.
+        self.segments = [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        self.masks: Dict[int, List[int]] = {}
+        for o, ps in pieces.items():
+            masks = self.masks[o] = [0] * len(self.segments)
+            for first, end, mask in ps:
+                for i in range(index[first], index[end]):
+                    masks[i] |= mask
+
+    def _offloaded(self, window_lo: int, window_hi: int) -> List[int]:
+        """Per segment, the row mask of the elements a window offloads."""
+        out = [0] * len(self.segments)
+        for o, masks in self.masks.items():
+            if not window_lo <= o <= window_hi:
+                out = [a | b for a, b in zip(out, masks)]
+        return out
+
+    def static_cost(self, window_lo: int, window_hi: int) -> Tuple[int, int]:
+        """A window's static elements and merged static runs, rows unexpanded."""
+        top = self.period - 1
+        elements = runs = carry = 0
+        for (_, rows), mask in zip(self.segments, self._offloaded(window_lo, window_hi)):
+            first, last = mask & 1, mask >> top
+            elements += rows * mask.bit_count()
+            # Runs per row, less the joins where a row ends and the next begins set.
+            starts = (mask & ~(mask << 1)).bit_count()
+            runs += rows * starts - (rows - 1) * (first & last) - (carry & first)
+            carry = last
+        return elements, runs
 
     def static_runs(self, window_lo: int, window_hi: int) -> List[Tuple[int, int]]:
         """The merged static element runs of a candidate window."""
-        return _merge_runs([
-            run
-            for o, runs in self.runs.items()
-            if not window_lo <= o <= window_hi
-            for run in runs
-        ])
+        period = self.period
+        runs: List[Tuple[int, int]] = []
+        for (first, rows), mask in zip(self.segments, self._offloaded(window_lo, window_hi)):
+            if mask == (1 << period) - 1:
+                runs.append((first * period, (first + rows) * period))
+            else:  # the mask's runs of set bits, repeated on every row
+                bits = [(m.start(), m.end()) for m in re.finditer("1+", bin(mask)[:1:-1])]
+                runs += [
+                    (row * period + lo, row * period + hi)
+                    for row in range(first, first + rows)
+                    for lo, hi in bits
+                ]
+        return _merge_runs(runs)
 
     def serves(
         self, merged: Sequence[Tuple[int, int]], window_lo: int, window_hi: int
@@ -134,18 +179,23 @@ class _OffsetSpans:
         """For each of a window's merged runs, the offloaded offsets it serves."""
         starts = [start for start, _ in merged]
         served: List[set] = [set() for _ in merged]
-        for o, runs in self.runs.items():
+        for o, spans in self.spans.items():
             if window_lo <= o <= window_hi:
                 continue
-            # Each of the offset's runs lies inside exactly one merged run.
-            for start, _ in runs:
-                served[bisect_right(starts, start) - 1].add(o)
+            # Each run of a span lies inside exactly one merged run: find the
+            # run of row k, then skip to the first row past that merged run.
+            for start, _, count in spans:
+                k = 0
+                while k < count:
+                    i = bisect_right(starts, start + k * self.period) - 1
+                    served[i].add(o)
+                    k = max(k + 1, -(-(merged[i][1] - start) // self.period))
         return [tuple(sorted(offsets)) for offsets in served]
 
     def candidate_windows(self) -> List[Tuple[int, int]]:
         """Candidate ``(lo, hi)`` windows drawn from the problem's distinct offsets."""
-        los = sorted({o for o in self.runs if o < 0} | {0})
-        his = sorted({o for o in self.runs if o > 0} | {0})
+        los = sorted({o for o in self.spans if o < 0} | {0})
+        his = sorted({o for o in self.spans if o > 0} | {0})
         return [(lo, hi) for lo in los for hi in his]
 
 
@@ -179,17 +229,9 @@ class PlannerResult:
 def _window_result(
     offset_spans: _OffsetSpans, window_lo: int, window_hi: int
 ) -> PlannerResult:
-    merged = offset_spans.static_runs(window_lo, window_hi)
-    static_elements = sum(end - start for start, end in merged)
+    static, n_runs = offset_spans.static_cost(window_lo, window_hi)
     reach = window_hi - window_lo
-    return PlannerResult(
-        window_lo=window_lo,
-        window_hi=window_hi,
-        stream_reach=reach,
-        static_elements=static_elements,
-        total_elements=reach + static_elements,
-        n_static_buffers=len(merged),
-    )
+    return PlannerResult(window_lo, window_hi, reach, static, reach + static, n_runs)
 
 
 def evaluate_window(
@@ -255,7 +297,7 @@ class ScoredWindows:
     def __init__(self, ranges: Sequence[StreamRange]) -> None:
         if not ranges:
             raise ValueError("the stencil problem produced no stream ranges")
-        self.ranges: Tuple[StreamRange, ...] = tuple(ranges)
+        self.ranges = RangePartition.of(ranges)
         self._plans: Dict[Tuple[int, int, str], BufferPlan] = {}
 
     @cached_property
@@ -344,8 +386,7 @@ class ScoredWindows:
             )
         )
 
-        # Ranges of one case share their offsets: union the distinct tuples' kept parts.
-        kept = sorted({o for offsets in spans.offset_tuples for o in offsets if lo <= o <= hi})
+        kept = sorted(o for o in spans.spans if lo <= o <= hi)
         stream = StreamBufferSpec(
             reach=hi - lo,
             window_lo=lo,
@@ -457,25 +498,23 @@ def paper_algorithm1(ranges: Sequence[StreamRange]) -> Algorithm1Result:
     here.)  The global cost is ``max(stream) + sum(static)`` — note that,
     unlike :func:`plan_buffers`, static buffers are **not** merged across
     ranges, so this is an upper bound on the production planner's cost.
+    The ranges of a row run repeat its first row's, so each band is solved
+    once and repeated over the run's rows.
     """
     per_stream: List[int] = []
     per_static: List[int] = []
-    for r in ranges:
-        offsets = sorted(set(r.stream_offsets) | {0}, key=lambda o: (abs(o), o))
-        n = len(offsets)
-        best_total = None
-        best = (0, 0)
-        for i in range(n):
-            kept = offsets[: i + 1]
-            stream_i = max(kept) - min(kept)
-            offloaded = n - 1 - i
-            static_i = offloaded * r.length
-            total_i = stream_i + static_i
-            if best_total is None or total_i < best_total:
-                best_total = total_i
-                best = (stream_i, static_i)
-        per_stream.append(best[0])
-        per_static.append(best[1])
+    for run in RangePartition.of(ranges).runs:
+        row = []
+        for band in run.bands:
+            offsets = sorted(set(band.template.stream_offsets) | {0}, key=lambda o: (abs(o), o))
+            # (stream, static) of keeping the i + 1 nearest offsets; the first best wins.
+            splits = [
+                (max(kept) - min(kept), (len(offsets) - len(kept)) * band.length)
+                for kept in (offsets[: i + 1] for i in range(len(offsets)))
+            ]
+            row.append(min(splits, key=sum))
+        per_stream += [stream for stream, _ in row] * run.rows
+        per_static += [static for _, static in row] * run.rows
     total = (max(per_stream) if per_stream else 0) + sum(per_static)
     return Algorithm1Result(
         per_range_stream=tuple(per_stream),

@@ -8,26 +8,31 @@ top/bottom boundaries, open left/right boundaries) there are nine distinct
 the stream, considerably more *ranges* (each row of the grid contributes a
 left-edge range, an interior range and a right-edge range).
 
-Two implementations are provided:
+Both partitioners return a :class:`RangePartition`, an ordered list of
+*row runs*: consecutive rows whose ranges repeat one row apart, held once.
 
-* an analytic *banded* partitioner for contiguous iteration patterns, which
-  scales to the paper's 1024x1024 grid without enumerating a million tuples;
-* a generic enumerating partitioner used for arbitrary iteration patterns and
-  as a cross-check in the test-suite.
+* The analytic *banded* partitioner, for contiguous iteration patterns,
+  resolves one row per run, so the paper's 1024x1024 grid costs what its
+  11x11 grid does.
+* The generic *enumerating* partitioner, for arbitrary iteration patterns
+  and as a cross-check in the test-suite, emits one run per range.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.access import StreamTuple, tuple_for
-from repro.core.boundary import BoundarySpec, ResolvedPoint
+from repro.core.boundary import BoundarySpec
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.stencil import StencilShape
 
 
+@dataclass(frozen=True)
 class StreamRange:
     """A run of consecutive stream positions sharing one tuple shape.
 
@@ -39,98 +44,13 @@ class StreamRange:
     whose only out-of-grid access both become the same constant.  Such
     ranges are still sound, only finer than needed: their static runs merge
     in the planner, so the chosen buffers are the same.
-
-    A range of a later interior row is *translated* (see
-    :meth:`translated`): it keeps the first interior row's tuple as its
-    :attr:`template` plus the shift between the two rows, and builds its
-    ``representative`` only when that is first read.  ``stream_offsets``,
-    ``reach`` and ``n_points`` read the template, which shares them, so
-    compiling and pricing a problem never build it.  Either way the range
-    behaves as the frozen record ``(start, length, case_id,
-    representative)``: ``repr``, ``==``, ``hash`` and a pickle round-trip
-    equal those of the range built with its representative.
     """
-
-    __slots__ = ("start", "length", "case_id", "template", "_shift", "_representative")
 
     start: int
     length: int
     case_id: int
-    #: The tuple the representative is (or is translated from); it shares the
-    #: representative's points relative to the centre and its stream offsets.
-    template: StreamTuple
-
-    def __init__(
-        self, start: int, length: int, case_id: int, representative: StreamTuple
-    ) -> None:
-        self._fill(start, length, case_id, representative, 0, representative)
-
-    @classmethod
-    def translated(
-        cls, start: int, length: int, case_id: int, template: StreamTuple, shift: int
-    ) -> "StreamRange":
-        """A range whose representative is ``template`` moved ``shift`` positions.
-
-        Only valid where every access resolves the same way at both centres
-        (see :func:`_translated`); the representative is built on first read.
-        """
-        r = cls.__new__(cls)
-        r._fill(start, length, case_id, template, shift, None)
-        return r
-
-    def _fill(
-        self,
-        start: int,
-        length: int,
-        case_id: int,
-        template: StreamTuple,
-        shift: int,
-        representative: Optional[StreamTuple],
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "start", start)
-        _set(self, "length", length)
-        _set(self, "case_id", case_id)
-        _set(self, "template", template)
-        _set(self, "_shift", shift)
-        _set(self, "_representative", representative)
-
-    @property
-    def representative(self) -> StreamTuple:
-        """The stream tuple at the range's first position."""
-        rep = self._representative
-        if rep is None:
-            rep = _translated(self.template, self._shift)
-            object.__setattr__(self, "_representative", rep)
-        return rep
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def _record(self) -> Tuple[int, int, int, StreamTuple]:
-        return (self.start, self.length, self.case_id, self.representative)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._record() == other._record()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._record())
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamRange(start={self.start!r}, length={self.length!r}, "
-            f"case_id={self.case_id!r}, representative={self.representative!r})"
-        )
-
-    def __reduce__(self):
-        if self.template is self._representative:
-            return (StreamRange, (self.start, self.length, self.case_id, self.template))
-        return (
-            StreamRange.translated,
-            (self.start, self.length, self.case_id, self.template, self._shift),
-        )
+    #: The stream tuple at the range's first position.
+    representative: StreamTuple
 
     @property
     def end(self) -> int:
@@ -140,17 +60,114 @@ class StreamRange:
     @property
     def stream_offsets(self) -> Tuple[int, ...]:
         """Stream offsets of the existing accesses (shared by the whole range)."""
-        return self.template.stream_offsets
+        return self.representative.stream_offsets
 
     @property
     def reach(self) -> int:
         """Reach of the range's tuple."""
-        return self.template.reach
+        return self.representative.reach
 
     @property
     def n_points(self) -> int:
         """Number of existing accesses per tuple in this range."""
-        return self.template.n_existing
+        return self.representative.n_existing
+
+
+class Band(NamedTuple):
+    """One slice of every row of a :class:`RowRun`: one range per row."""
+
+    #: First position of the slice within its row.
+    offset: int
+    length: int
+    case_id: int
+    #: The stream tuple at the slice's first position in the run's first row.
+    template: StreamTuple
+
+
+class RowRun(NamedTuple):
+    """Consecutive stream rows whose accesses resolve alike, one row apart."""
+
+    first_row: int
+    rows: int
+    bands: Tuple[Band, ...]
+
+
+class RangePartition(Sequence):
+    """A problem's stream ranges, held as row runs.
+
+    Row ``first_row + k`` of a run starts at stream position ``(first_row +
+    k) * row_length``; each band of the run is one range of every row, with
+    the band's offsets, case and shape.  A grid's interior rows are one run,
+    so a consumer that works per run and multiplies by its row count works
+    in proportion to the distinct kinds of row, not to the rows.
+
+    The partition still behaves as the ``Sequence[StreamRange]`` of its
+    ranges in stream order (``len``, indexing, iteration, ``==`` with a list
+    or tuple of ranges, ``repr``, pickling), building a range only when it
+    is read: a later row of a run resolves its representative with
+    :func:`~repro.core.access.tuple_for` on ``problem``, the ``(grid,
+    stencil, boundary)`` partitioned.
+    """
+
+    def __init__(self, row_length: int, runs: Sequence[RowRun], problem: Tuple = ()) -> None:
+        self.row_length = row_length
+        self.runs: Tuple[RowRun, ...] = tuple(runs)
+        self._problem = problem
+        #: The index of each run's first range, then the number of ranges.
+        self._firsts = list(
+            itertools.accumulate((run.rows * len(run.bands) for run in self.runs), initial=0)
+        )
+
+    @classmethod
+    def of(cls, ranges: Sequence[StreamRange]) -> "RangePartition":
+        """``ranges`` itself when it is a partition, else one run per range."""
+        if isinstance(ranges, RangePartition):
+            return ranges
+        q = max((r.length for r in ranges), default=1)
+        return cls(q, [
+            RowRun(r.start // q, 1, (Band(r.start % q, r.length, r.case_id, r.representative),))
+            for r in ranges
+        ])
+
+    @property
+    def n_cases(self) -> int:
+        """Number of distinct stencil cases."""
+        return len({band.case_id for run in self.runs for band in run.bands})
+
+    def _range(self, run: RowRun, row: int, band: Band) -> StreamRange:
+        start = (run.first_row + row) * self.row_length + band.offset
+        rep = band.template if row == 0 else tuple_for(*self._problem, start)
+        return StreamRange(start, band.length, band.case_id, rep)
+
+    def __len__(self) -> int:
+        return self._firsts[-1]
+
+    def __getitem__(self, index):
+        index = range(len(self))[index]  # a negative index counts from the end
+        i = bisect_right(self._firsts, index) - 1
+        run = self.runs[i]
+        row, band = divmod(index - self._firsts[i], len(run.bands))
+        return self._range(run, row, run.bands[band])
+
+    def __iter__(self) -> Iterator[StreamRange]:
+        for run in self.runs:
+            for row in range(run.rows):
+                for band in run.bands:
+                    yield self._range(run, row, band)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RangePartition):
+            if (self.row_length, self.runs) == (other.row_length, other.runs):
+                return True
+        elif not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -185,85 +202,35 @@ def _banded_partition(
     grid: GridSpec,
     stencil: StencilShape,
     boundary: BoundarySpec,
-) -> List[StreamRange]:
-    """Analytic partitioner for the contiguous (row-major) iteration pattern."""
-    radii_lo = []
-    radii_hi = []
-    for d in range(grid.ndim):
-        lo, hi = stencil.extent(d)
-        radii_lo.append(max(0, -lo))
-        radii_hi.append(max(0, hi))
+) -> RangePartition:
+    """Analytic partitioner for the contiguous (row-major) iteration pattern.
 
-    inner = grid.ndim - 1
-    inner_bands = _dimension_bands(grid.shape[inner], radii_lo[inner], radii_hi[inner])
-    row_length = grid.shape[inner]
-
-    # Walk the rows (outer coordinates) in row-major order, so that ranges come
-    # out already in stream order and row ``k`` starts at ``k * row_length``;
-    # the band decomposition is only applied to the innermost dimension, which
-    # is the one that is contiguous in the stream.
-    ranges: List[StreamRange] = []
-    case_ids: Dict[Tuple, int] = {}
-
-    # A row whose outer coordinates all lie in the interior band never crosses
-    # an outer boundary, so its accesses resolve exactly like those of any
-    # other interior row, shifted by the rows' linear distance.  The first
-    # interior row is resolved in full; later ones are translated from it.
-    interior_flags = [
-        [radii_lo[d] <= i < grid.shape[d] - radii_hi[d] for i in range(grid.shape[d])]
-        for d in range(inner)
-    ]
-    first_interior: Optional[List[Tuple[StreamTuple, int]]] = None
-    first_interior_linear = 0
-
-    for row, flags in enumerate(itertools.product(*interior_flags)):
-        row_linear = row * row_length
-        is_interior = all(flags)
-        if is_interior and first_interior is not None:
-            shift = row_linear - first_interior_linear
-            for (start, length), (base, case_id) in zip(inner_bands, first_interior):
-                ranges.append(
-                    StreamRange.translated(row_linear + start, length, case_id, base, shift)
-                )
-            continue
-        resolved: List[Tuple[StreamTuple, int]] = []
-        for start, length in inner_bands:
-            centre_linear = row_linear + start
-            rep = tuple_for(grid, stencil, boundary, centre_linear, centre_linear)
-            case_id = case_ids.setdefault(rep.shape_key, len(case_ids))
-            resolved.append((rep, case_id))
-            ranges.append(StreamRange(centre_linear, length, case_id, rep))
-        if is_interior:
-            first_interior = resolved
-            first_interior_linear = row_linear
-    return ranges
-
-
-def _translated(base: StreamTuple, shift: int) -> StreamTuple:
-    """``base`` moved ``shift`` positions along the stream.
-
-    Only valid where every access resolves the same way at both centres (the
-    interior rows of :func:`_banded_partition`): in-grid accesses move with
-    the centre, constants and skipped accesses are shared unchanged, and the
-    stream offsets are the same tuple.
+    Boundary rules apply per dimension, so rows that differ only in a
+    coordinate of the last outer dimension's interior band resolve alike,
+    one row apart: each band of that dimension, under each coordinate of
+    the dimensions outside it, is one row run.  A 2-D grid has one interior
+    run between its boundary rows, a 3-D grid one per plane.  Only a run's
+    first row is resolved, band by band along the innermost dimension, the
+    one that is contiguous in the stream.
     """
-    points = tuple(
-        p
-        if p.linear_index is None
-        else ResolvedPoint(
-            kind=p.kind,
-            offset=p.offset,
-            linear_index=p.linear_index + shift,
-            constant_value=p.constant_value,
-        )
-        for p in base.points
-    )
-    return StreamTuple(
-        position=base.position + shift,
-        centre_linear=base.centre_linear + shift,
-        points=points,
-        stream_offsets=base.stream_offsets,
-    )
+    radii = [(max(0, -lo), max(0, hi)) for lo, hi in map(stencil.extent, range(grid.ndim))]
+    if grid.ndim == 1:  # one row, under an outer dimension of extent 1
+        radii.insert(0, (0, 0))
+    extent, row_length = ((1,) + grid.shape)[-2:]
+    row_bands = _dimension_bands(extent, *radii[-2])
+    inner_bands = _dimension_bands(row_length, *radii[-1])
+    runs: List[RowRun] = []
+    case_ids: Dict[Tuple, int] = {}
+    for outer in range(grid.size // (extent * row_length)):
+        for first, rows in row_bands:
+            row = outer * extent + first
+            bands = []
+            for start, length in inner_bands:
+                rep = tuple_for(grid, stencil, boundary, row * row_length + start)
+                case_id = case_ids.setdefault(rep.shape_key, len(case_ids))
+                bands.append(Band(start, length, case_id, rep))
+            runs.append(RowRun(row, rows, tuple(bands)))
+    return RangePartition(row_length, runs, (grid, stencil, boundary))
 
 
 def _enumerating_partition(
@@ -272,47 +239,30 @@ def _enumerating_partition(
     boundary: BoundarySpec,
     pattern: IterationPattern,
     max_positions: int = 2_000_000,
-) -> List[StreamRange]:
-    """Generic partitioner: walk every position and merge equal-shaped runs."""
+) -> RangePartition:
+    """Generic partitioner: walk every position and merge equal-shaped runs.
+
+    Each range is a one-range run of its own.
+    """
     if len(pattern) > max_positions:
         raise ValueError(
             f"iteration pattern has {len(pattern)} positions, above the enumeration "
             f"limit of {max_positions}; use a contiguous pattern for the analytic path"
         )
-    ranges: List[StreamRange] = []
-    case_ids: Dict[Tuple, int] = {}
-    current_key = None
-    current_start = 0
-    current_rep: Optional[StreamTuple] = None
-    count = 0
-
+    firsts: List[StreamTuple] = []
     for position, centre_linear in enumerate(pattern.indices()):
         t = tuple_for(grid, stencil, boundary, position, centre_linear)
-        key = t.shape_key
-        if key != current_key:
-            if current_rep is not None:
-                case_id = case_ids.setdefault(current_key, len(case_ids))
-                ranges.append(
-                    StreamRange(
-                        start=current_start,
-                        length=count,
-                        case_id=case_id,
-                        representative=current_rep,
-                    )
-                )
-            current_key = key
-            current_start = position
-            current_rep = t
-            count = 0
-        count += 1
-    if current_rep is not None:
-        case_id = case_ids.setdefault(current_key, len(case_ids))
-        ranges.append(
-            StreamRange(
-                start=current_start, length=count, case_id=case_id, representative=current_rep
-            )
+        if not firsts or t.shape_key != firsts[-1].shape_key:
+            firsts.append(t)
+    ends = [t.position for t in firsts[1:]] + [len(pattern)]
+    case_ids: Dict[Tuple, int] = {}
+    ranges = [
+        StreamRange(
+            t.position, end - t.position, case_ids.setdefault(t.shape_key, len(case_ids)), t
         )
-    return ranges
+        for t, end in zip(firsts, ends)
+    ]
+    return RangePartition.of(ranges)
 
 
 def partition_into_ranges(
@@ -320,11 +270,11 @@ def partition_into_ranges(
     stencil: StencilShape,
     boundary: BoundarySpec,
     pattern: Optional[IterationPattern] = None,
-) -> List[StreamRange]:
+) -> RangePartition:
     """Divide the stream into non-overlapping ranges of constant tuple shape.
 
     For contiguous iteration patterns the analytic banded partitioner is used
-    (it never enumerates more positions than ``number of rows x bands``); for
+    (it resolves one row per row run, whatever the number of rows); for
     other patterns the positions are enumerated directly.
     """
     if pattern is None or pattern.is_contiguous():
@@ -333,34 +283,22 @@ def partition_into_ranges(
 
 
 def classify_cases(ranges: Sequence[StreamRange]) -> Dict[int, CaseInfo]:
-    """Aggregate ranges by case id (tuple shape).
+    """Aggregate ranges by case id (tuple shape), one row run at a time.
 
     Each case is described by its first range, whose representative is the
     one :class:`CaseInfo` carries.
     """
-    first: Dict[int, StreamRange] = {}
-    n_ranges: Dict[int, int] = {}
-    n_positions: Dict[int, int] = {}
-    for r in ranges:
-        case_id = r.case_id
-        if case_id in first:
-            n_ranges[case_id] += 1
-            n_positions[case_id] += r.length
-        else:
-            first[case_id] = r
-            n_ranges[case_id] = 1
-            n_positions[case_id] = r.length
-    return {
-        case_id: CaseInfo(
-            case_id=case_id,
-            shape_key=r.representative.shape_key,
-            n_ranges=n_ranges[case_id],
-            n_positions=n_positions[case_id],
-            reach=r.reach,
-            representative=r.representative,
-        )
-        for case_id, r in first.items()
-    }
+    cases: Dict[int, CaseInfo] = {}
+    for run in RangePartition.of(ranges).runs:
+        for band in run.bands:
+            t = band.template
+            info = cases.get(band.case_id) or CaseInfo(band.case_id, t.shape_key, 0, 0, t.reach, t)
+            cases[band.case_id] = replace(
+                info,
+                n_ranges=info.n_ranges + run.rows,
+                n_positions=info.n_positions + run.rows * band.length,
+            )
+    return cases
 
 
 def n_cases(
@@ -369,4 +307,4 @@ def n_cases(
     boundary: BoundarySpec,
 ) -> int:
     """Number of distinct stencil cases (the paper's nine for the 11x11 example)."""
-    return len(classify_cases(partition_into_ranges(grid, stencil, boundary)))
+    return partition_into_ranges(grid, stencil, boundary).n_cases

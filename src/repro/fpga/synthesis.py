@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.core.buffers import BufferPlan
 from repro.core.cost_model import MemoryCostEstimate
 from repro.core.partition import HybridPartition, partition_for_plan
-from repro.core.ranges import classify_cases, partition_into_ranges
+from repro.core.ranges import partition_into_ranges
 from repro.fpga.resources import ResourceUsage
 
 if TYPE_CHECKING:  # pipeline.compile imports this module
@@ -178,9 +178,7 @@ def synthesize_smache(
     depth = plan.stream.depth
     n_taps = max(1, len([o for o in plan.lookup_offsets() if o != 0]))
     if n_cases is None:
-        n_cases = len(
-            classify_cases(partition_into_ranges(problem.grid, problem.stencil, problem.boundary))
-        )
+        n_cases = partition_into_ranges(problem.grid, problem.stencil, problem.boundary).n_cases
     n_cases = max(1, n_cases)
 
     breakdown: Dict[str, ResourceUsage] = {}

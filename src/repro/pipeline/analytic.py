@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, U
 import numpy as np
 
 from repro.core.buffers import BufferPlan
-from repro.core.ranges import StreamRange
+from repro.core.ranges import RangePartition, StreamRange
 from repro.memory.dram import DEFAULT_RESPONSE_CAPACITY, DRAMTiming
 from repro.reference.kernels import StencilKernel
 from repro.pipeline.compile import CompiledDesign
@@ -216,39 +216,43 @@ def baseline_knobs(plan: BufferPlan, ranges: Sequence[StreamRange]) -> BaselineK
     constant access a dummy centre read (delta 0).  Within a range every
     point shares the deltas, so all but each port's carry-in into an
     instance repeat identically every instance; the walk adds the carry-ins.
+    A row run repeats its first row's transitions on each of its rows, so
+    the walk takes one row per run and multiplies.
     """
-    if not ranges:
-        raise ValueError("predict_baseline needs the problem's stream ranges")
+    partition = RangePartition.of(ranges)
+    if not partition:
+        raise ValueError("baseline_knobs needs the problem's stream ranges")
     n = plan.grid.size
-    # Per template (a translated range shares its deltas): the deltas, the
-    # sequential steps within a point, and whether consecutive points chain.
-    per_template: Dict[int, Tuple[Tuple[int, ...], int, bool]] = {}
+    row_length = partition.row_length
     seq_intra = 0
     first_rel = 0
     last_addr: Optional[int] = None
-    for r in ranges:
-        template = r.template
-        steps = per_template.get(id(template))
-        if steps is None:
+    for run in partition.runs:
+        # One row of the run, at row-relative addresses: its sequential
+        # steps, and its first and last reads.
+        row_seq, row_first, row_last = 0, None, 0
+        for band in run.bands:
+            t = band.template
             deltas = tuple(
-                (p.linear_index - template.centre_linear)
-                if (p.exists and p.linear_index is not None)
+                (p.linear_index - t.centre_linear) if (p.exists and p.linear_index is not None)
                 else 0
-                for p in template.points
+                for p in t.points
             )
-            steps = per_template[id(template)] = (
-                deltas,
-                sum(1 for a, b in zip(deltas, deltas[1:]) if b == a + 1),
-                deltas[0] == deltas[-1],
-            )
-        deltas, within, chained = steps
-        seq_intra += r.length * within + (r.length - 1 if chained else 0)
-        first_addr = r.start + deltas[0]
+            row_seq += band.length * sum(1 for a, b in zip(deltas, deltas[1:]) if b == a + 1)
+            row_seq += band.length - 1 if deltas[0] == deltas[-1] else 0
+            first = band.offset + deltas[0]
+            if row_first is None:
+                row_first = first
+            elif first == row_last + 1:
+                row_seq += 1
+            row_last = band.offset + band.length - 1 + deltas[-1]
+        seq_intra += run.rows * row_seq + (run.rows - 1) * (row_first + row_length == row_last + 1)
+        base = run.first_row * row_length
         if last_addr is None:
-            first_rel = first_addr
-        elif first_addr == last_addr + 1:
+            first_rel = base + row_first
+        elif base + row_first == last_addr + 1:
             seq_intra += 1
-        last_addr = r.start + r.length - 1 + deltas[-1]
+        last_addr = base + (run.rows - 1) * row_length + row_last
     last_rel = (n - 1) + deltas[-1]
 
     # Per instance: the steady transitions, the n - 1 in-order write steps,
@@ -257,7 +261,7 @@ def baseline_knobs(plan: BufferPlan, ranges: Sequence[StreamRange]) -> BaselineK
     steady = seq_intra + (n - 1) + 2
     return BaselineKnobs(
         n=n,
-        n_points=len(ranges[0].template.points),
+        n_points=len(partition.runs[0].bands[0].template.points),
         word_bytes=plan.grid.word_bytes,
         sequential=(steady - breaks[0], steady - breaks[1], steady - breaks[2]),
     )
@@ -418,28 +422,6 @@ def predict(
         operations=terms.operations,
         detail=dict(zip(DETAIL_FIELDS[system], terms.detail)),
     )
-
-
-def predict_smache(
-    plan: BufferPlan,
-    kernel: StencilKernel,
-    iterations: int,
-    timing: Optional[DRAMTiming] = None,
-    write_through: bool = True,
-) -> PerformancePrediction:
-    """Predict the Smache system's cycles, traffic and ops for one workload."""
-    return predict("smache", smache_knobs(plan), iterations, kernel, timing, write_through)
-
-
-def predict_baseline(
-    plan: BufferPlan,
-    ranges: Sequence[StreamRange],
-    kernel: StencilKernel,
-    iterations: int,
-    timing: Optional[DRAMTiming] = None,
-) -> PerformancePrediction:
-    """Predict the no-buffering baseline's cycles, traffic and ops."""
-    return predict("baseline", baseline_knobs(plan, ranges), iterations, kernel, timing)
 
 
 def predict_performance(

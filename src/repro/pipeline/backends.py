@@ -364,7 +364,8 @@ class CostBackend(Backend):
     def evaluate(self, design: CompiledDesign, request: EvaluationRequest) -> EvaluationResult:
         from repro.core.planner import paper_algorithm1
 
-        offsets = [o for r in design.ranges for o in r.stream_offsets]
+        bands = [band for run in design.ranges.runs for band in run.bands]
+        offsets = [o for band in bands for o in band.template.stream_offsets]
         stream_only = (max(offsets) - min(offsets)) if offsets else 0
         return EvaluationResult(
             backend=self.name,

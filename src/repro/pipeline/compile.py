@@ -19,11 +19,10 @@ and bounds that choose the same window share one plan.  So designs that
 differ only in mode share both stages, and designs that differ in reach
 still share the partition and the scores.  Stages 3-5 run per design.  The
 work scales with the distinct stencil cases and offsets, not with the ~3
-ranges per grid row: interior-row ranges are translated from the first
-interior row and build their representative tuple only when it is read
-(nothing in compile or analytic pricing reads it), and the planner scores
-each candidate window from per-offset stream spans instead of walking the
-ranges.  The resulting
+ranges per grid row: the partition holds a grid's interior rows as one row
+run and builds a range only when it is read (nothing in compile or analytic
+pricing reads one), the planner scores each candidate window from periodic
+per-offset spans, and the case count works per run.  The resulting
 :class:`CompiledDesign` is memoized in the keyed plan cache, so sweeps
 re-planning the same problem are free after the first hit.
 """
@@ -37,7 +36,7 @@ from repro.core.buffers import BufferPlan
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.core.partition import HybridPartition, partition_for_plan
 from repro.core.planner import ScoredWindows, UnsupportedPatternError, plan_buffers
-from repro.core.ranges import StreamRange, partition_into_ranges
+from repro.core.ranges import RangePartition, partition_into_ranges
 from repro.fpga.synthesis import SynthesisReport, synthesize_smache
 from repro.pipeline.cache import PlanCache, plan_cache
 from repro.pipeline.problem import StencilProblem
@@ -53,7 +52,7 @@ class CompiledDesign:
     """
 
     problem: StencilProblem
-    ranges: Tuple[StreamRange, ...]
+    ranges: RangePartition
     n_cases: int
     plan: BufferPlan
     partition: HybridPartition
@@ -161,11 +160,11 @@ def _build(
     stages = {} if stages is None else stages
     range_key = problem.range_key()
     if range_key not in stages:
-        ranges = tuple(
-            partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
+        ranges = partition_into_ranges(
+            problem.grid, problem.stencil, problem.boundary, problem.pattern
         )
         # The windows are scored on first use, inside the planner stage.
-        stages[range_key] = (ranges, len({r.case_id for r in ranges}), ScoredWindows(ranges))
+        stages[range_key] = (ranges, ranges.n_cases, ScoredWindows(ranges))
     ranges, n_cases, windows = stages[range_key]
     plan_key = _plan_key(problem, range_key)
     if plan_key not in stages:

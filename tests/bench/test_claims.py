@@ -81,3 +81,13 @@ class TestSuiteRunner:
         assert main(["run", "--smoke"]) == 1  # "bad" is incorrect
         with pytest.raises(SystemExit):
             main(["run", "nope"])
+
+
+@pytest.mark.parametrize("argv", [[], ["record", "x"], ["trend"], ["--smoke"]])
+def test_unknown_verb_names_the_subcommands(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "choose a subcommand: run, gate" in err
+    assert "unrecognized arguments" not in err

@@ -23,7 +23,7 @@ from repro.core.ranges import (
 from repro.core.stencil import StencilShape
 from repro.pipeline.analytic import predict_performance
 from repro.pipeline.analytic_batch import AnalyticBatchEngine
-from repro.pipeline.backends import EvaluationRequest
+from repro.pipeline.backends import EvaluationRequest, evaluate
 from repro.pipeline.compile import compile
 from repro.pipeline.problem import StencilProblem
 from tests.core.conftest import stencil_cases
@@ -117,10 +117,10 @@ class TestRepresentatives:
     @given(case=stencil_cases())
     @settings(max_examples=50, deadline=None)
     def test_representative_is_the_tuple_at_range_start(self, case):
-        # Interior rows are translated from the first interior row rather than
-        # resolved afresh; the result must be the tuple tuple_for builds,
-        # resolved points and linear indices included, and every position of
-        # the range must share its shape.
+        # Only the first row of a row run is resolved, later rows' ranges are
+        # built when read; either way the result must be the tuple tuple_for
+        # builds, resolved points and linear indices included, and every
+        # position of the range must share its shape.
         grid, stencil, boundary = case
         for r in partition_into_ranges(grid, stencil, boundary):
             assert r.representative == tuple_for(grid, stencil, boundary, r.start)
@@ -160,56 +160,91 @@ class TestRepresentatives:
         assert from_banded.statics == from_enumerated.statics
 
 
-class TestTranslatedRanges:
-    """Interior-row ranges build their representative only when it is read."""
+class TestRowRuns:
+    """Interior rows are one row run; a range is built only when it is read."""
 
     @given(case=stencil_cases())
     @settings(max_examples=50, deadline=None)
-    def test_translated_range_equals_the_eager_range(self, case):
+    def test_run_ranges_equal_the_eager_ranges(self, case):
         grid, stencil, boundary = case
-        for r in partition_into_ranges(grid, stencil, boundary):
-            # Round-trip first, while a translated range is still unbuilt.
-            restored = pickle.loads(pickle.dumps(r))
-            eager = StreamRange(
-                r.start, r.length, r.case_id, tuple_for(grid, stencil, boundary, r.start)
+        partition = partition_into_ranges(grid, stencil, boundary)
+        # Round-trip first, while no range has been built.
+        restored = pickle.loads(pickle.dumps(partition))
+        eager = [
+            StreamRange(r.start, r.length, r.case_id, tuple_for(grid, stencil, boundary, r.start))
+            for r in partition
+        ]
+        assert len(partition) == len(restored) == len(eager)
+        assert partition == eager and partition == tuple(eager) and restored == eager
+        assert list(partition) == eager and list(restored) == eager
+        assert hash(partition) == hash(restored) == hash(tuple(eager))
+        assert repr(partition) == repr(restored) == repr(tuple(eager))
+        for index, r in enumerate(eager):
+            assert partition[index] == partition[index - len(eager)] == r
+        with pytest.raises(IndexError):
+            partition[len(eager)]
+
+    def test_interior_rows_are_one_frozen_run(self):
+        cases = [
+            # Rows 0 and 10 are runs of their own, rows 1..9 one interior run.
+            ((11, 11), [(0, 1), (1, 9), (10, 1)]),
+            # A 3-D grid: every plane holds its own interior run.
+            ((3, 5, 4), [(plane * 5 + row, rows) for plane in range(3)
+                         for row, rows in ((0, 1), (1, 3), (4, 1))]),
+        ]
+        for shape, runs in cases:
+            grid = GridSpec(shape=shape)
+            stencil = StencilShape.von_neumann(len(shape))
+            boundary = BoundarySpec.per_dimension(
+                [BoundaryKind.CIRCULAR] * (len(shape) - 1) + [BoundaryKind.OPEN]
             )
-            assert (r.stream_offsets, r.reach, r.n_points) == (
-                eager.stream_offsets,
-                eager.reach,
-                eager.n_points,
+            partition = partition_into_ranges(grid, stencil, boundary)
+            assert [(run.first_row, run.rows) for run in partition.runs] == runs
+            row_length = shape[-1]
+            band = partition.runs[1].bands[1]
+            assert (band.offset, band.length) == (1, row_length - 2)
+            assert band.template == tuple_for(grid, stencil, boundary, row_length + 1)
+            # Row 2's interior range: the band one row on, resolved when read.
+            r = partition[3 * 2 + 1]
+            assert (r.start, r.length, r.case_id) == (
+                2 * row_length + 1, band.length, band.case_id
             )
-            assert r == eager and eager == r and restored == eager
-            assert hash(r) == hash(eager) == hash(restored)
-            assert repr(r) == repr(eager) == repr(restored)
             assert r.representative == tuple_for(grid, stencil, boundary, r.start)
+            with pytest.raises(FrozenInstanceError):
+                r.start = 0
 
-    def test_interior_rows_are_translated_and_frozen(self, grid_11x11, four_point, paper_boundary):
-        ranges = partition_into_ranges(grid_11x11, four_point, paper_boundary)
-        # Rows 0, 1 and 10 are resolved; rows 2..9 translate row 1.
-        interior = next(r for r in ranges if r.start == 56)
-        assert interior.template is next(r for r in ranges if r.start == 12).representative
-        assert interior.template is not interior.representative
-        with pytest.raises(FrozenInstanceError):
-            interior.start = 0
+    def test_compile_and_pricing_are_row_count_independent(self, monkeypatch):
+        calls, built = [], []
+        resolve = ranges_module.tuple_for
 
-    def test_compile_and_pricing_build_no_translated_representative(self, monkeypatch):
-        built = []
-        translate = ranges_module._translated
+        def counting(*args):
+            calls.append(args)
+            return resolve(*args)
 
-        def counting(base, shift):
-            built.append(shift)
-            return translate(base, shift)
+        class CountingRange(StreamRange):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.start)
 
-        monkeypatch.setattr(ranges_module, "_translated", counting)
-        design = compile(StencilProblem.paper_example(96, 96), cache=None)
-        requests = [EvaluationRequest(system=s, iterations=5) for s in ("smache", "baseline")]
-        for request in requests:
-            predict_performance(design, system=request.system, iterations=5)
-        AnalyticBatchEngine().price([(design, request) for request in requests])
-        assert len(design.ranges) == 3 * 96 and built == []
-        # The counter sees a build: reading one translated representative.
-        design.ranges[-4].representative
-        assert len(built) == 1
+        monkeypatch.setattr(ranges_module, "tuple_for", counting)
+        monkeypatch.setattr(ranges_module, "StreamRange", CountingRange)
+        per_side = []
+        for side in (16, 96, 1024):
+            calls.clear()
+            design = compile(StencilProblem.paper_example(side, side), cache=None)
+            requests = [EvaluationRequest(system=s, iterations=5) for s in ("smache", "baseline")]
+            for request in requests:
+                predict_performance(design, system=request.system, iterations=5)
+            AnalyticBatchEngine().price([(design, request) for request in requests])
+            evaluate(design, backend="cost")
+            assert len(design.ranges) == 3 * side
+            per_side.append(len(calls))
+        # Rows 0, 1 and side - 1 are resolved, three bands each.
+        assert per_side == [9, 9, 9] and built == []
+        # The counters see a build: reading one interior-row range.
+        r = design.ranges[-5]
+        assert r.start == 1022 * 1024 + 1
+        assert built == [r.start] and len(calls) == 10
 
 
 class TestDegenerateAndNonContiguous:

@@ -145,7 +145,7 @@ def _fetch_deltas(ranges: Sequence[StreamRange]) -> List[Tuple[int, int, Tuple[i
     """
     out = []
     for r in ranges:
-        template = r.template
+        template = r.representative
         deltas = tuple(
             (p.linear_index - template.centre_linear)
             if (p.exists and p.linear_index is not None)
@@ -168,7 +168,7 @@ def baseline_schedule_constants(
     if not ranges:
         raise ValueError("predict_baseline needs the problem's stream ranges")
     n = plan.grid.size
-    n_points = len(ranges[0].template.points)
+    n_points = len(ranges[0].representative.points)
     schedule = _fetch_deltas(ranges)
 
     seq_intra = 0
