@@ -380,6 +380,51 @@ def row_count_independence(m: Measure) -> None:
              compile_ms_11=ms[11], compile_ms_1024=ms[1024], time_ratio=ms[1024] / ms[11])
 
 
+def shared_synthesis(m: Measure) -> None:
+    """One cold reach x mode batch synthesizes each distinct (plan, mode) once.
+
+    An exact counter on any host: the ``synthesize_smache`` calls of one
+    ``compile_batch`` on an empty plan cache equal the sweep's distinct
+    (range partition, plan, mode) triples, counted from one uncached
+    ``compile`` per problem, and every batch design's synthesis report
+    (its name included) equals that compile's.
+    """
+    import importlib
+
+    from repro.core.partition import StreamBufferMode
+    from repro.pipeline import StencilProblem, compile
+    from repro.pipeline.cache import PlanCache
+
+    compile_module = importlib.import_module("repro.pipeline.compile")
+    problems = [
+        StencilProblem.paper_example(rows, cols, mode=mode, max_stream_reach=reach,
+                                     name=f"{rows}x{cols}-{mode.value}-{reach}")
+        for rows, cols in ((11, 11), (16, 20))
+        for mode in (StreamBufferMode.HYBRID, StreamBufferMode.REGISTER_ONLY)
+        for reach in (None, 0, 8, 22, 64)
+    ]
+    alone = [compile(problem, cache=None) for problem in problems]
+    pairs = {(p.range_key(), repr(d.plan), p.mode) for p, d in zip(problems, alone)}
+    synthesize = compile_module.synthesize_smache
+    calls: List[Any] = []
+
+    def counting(*args: Any, **kwargs: Any) -> Any:
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    setattr(compile_module, "synthesize_smache", counting)
+    try:
+        batch = compile_module.compile_batch(problems, cache=PlanCache())
+    finally:
+        setattr(compile_module, "synthesize_smache", synthesize)
+    m.check(len(calls) == len(pairs),
+            f"{len(calls)} syntheses for {len(pairs)} distinct (plan, mode) pairs")
+    for problem, design, expected in zip(problems, batch, alone):
+        m.check(design.synthesis == expected.synthesis,
+                f"{problem.name}: batch synthesis differs from an uncached compile")
+    m.record(designs=len(problems), plan_mode_pairs=len(pairs), synthesis_calls=len(calls))
+
+
 # --------------------------------------------------------------------------- #
 # analytic: vectorized pricing
 # --------------------------------------------------------------------------- #
@@ -614,7 +659,8 @@ SUITES: Dict[str, Suite] = {
         jobs=CAMPAIGN_JOBS,
     ),
     "compile": Suite(
-        "uncached compile cost as the grid grows", (row_count_independence,)
+        "uncached compile cost as the grid grows, and stages shared in a batch",
+        (row_count_independence, shared_synthesis),
     ),
     "analytic": Suite(
         "vectorized analytic pricing vs the scalar loop", (scalar_vs_vectorized,)

@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.grid import GridSpec
 from repro.core.stencil import StencilShape
+from repro.utils.memo import memoized_repr
 
 
 class BoundaryKind(enum.Enum):
@@ -75,6 +76,7 @@ class EdgeBehaviour:
         return cls(low=kind, high=kind)
 
 
+@memoized_repr
 @dataclass(frozen=True)
 class BoundarySpec:
     """Per-dimension boundary conditions for a grid.
@@ -165,6 +167,26 @@ class BoundarySpec:
         the usual semantics for structured grids (a corner access may wrap in
         one dimension and be skipped in another; skipping wins).
         """
+        self._check_arity(grid, centre, offset)
+        return self._resolve(grid, grid.strides, centre, offset)
+
+    def resolve_stencil(
+        self,
+        grid: GridSpec,
+        centre: Sequence[int],
+        stencil: StencilShape,
+    ) -> Tuple[ResolvedPoint, ...]:
+        """Resolve every offset of ``stencil`` at ``centre``.
+
+        Every offset of a stencil has the stencil's arity, so the arities
+        are checked once, against the first, and the grid's strides are
+        computed once for all offsets.
+        """
+        self._check_arity(grid, centre, stencil.offsets[0])
+        strides = grid.strides
+        return tuple(self._resolve(grid, strides, centre, off) for off in stencil.offsets)
+
+    def _check_arity(self, grid: GridSpec, centre: Sequence[int], offset: Sequence[int]) -> None:
         if grid.ndim != self.ndim:
             raise ValueError(
                 f"boundary spec covers {self.ndim} dimensions but grid has {grid.ndim}"
@@ -172,6 +194,14 @@ class BoundarySpec:
         if len(centre) != grid.ndim or len(offset) != grid.ndim:
             raise ValueError("centre/offset arity does not match the grid")
 
+    def _resolve(
+        self,
+        grid: GridSpec,
+        strides: Tuple[int, ...],
+        centre: Sequence[int],
+        offset: Sequence[int],
+    ) -> ResolvedPoint:
+        """:meth:`resolve` after its arity checks, with the grid's ``strides``."""
         target = [c + o for c, o in zip(centre, offset)]
         wrapped = False
         for d, (t, extent) in enumerate(zip(list(target), grid.shape)):
@@ -200,18 +230,11 @@ class BoundarySpec:
                 # outside after one mirror pass; treat as skipped.
                 return ResolvedPoint(kind=ResolutionKind.SKIPPED, offset=tuple(offset))
 
-        linear = grid.linear_index(target)
+        # Every coordinate of the target is inside the grid here, so its
+        # linear index needs no bounds check.
+        linear = sum(t * stride for t, stride in zip(target, strides))
         kind = ResolutionKind.WRAPPED if wrapped else ResolutionKind.INTERIOR
         return ResolvedPoint(kind=kind, offset=tuple(offset), linear_index=linear)
-
-    def resolve_stencil(
-        self,
-        grid: GridSpec,
-        centre: Sequence[int],
-        stencil: StencilShape,
-    ) -> Tuple[ResolvedPoint, ...]:
-        """Resolve every offset of ``stencil`` at ``centre``."""
-        return tuple(self.resolve(grid, centre, off) for off in stencil.offsets)
 
     def describe(self) -> str:
         """Short human-readable description of the boundary conditions."""

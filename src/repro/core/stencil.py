@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
+from repro.utils.memo import memoized_repr
 from repro.utils.validation import check_positive, check_unique
 
 Offset = Tuple[int, ...]
 
 
+@memoized_repr
 @dataclass(frozen=True)
 class StencilShape:
     """A finite set of relative offsets defining a stencil.

@@ -126,8 +126,8 @@ ADDER_BITS_PER_ALM = 2
 
 
 def _clog2(n: int) -> int:
-    """Ceiling log2 with a floor of 1 bit."""
-    return max(1, int(math.ceil(math.log2(max(2, n)))))
+    """Ceiling log2 with a floor of 1 bit (exact for any int)."""
+    return (max(2, n) - 1).bit_length()
 
 
 def _next_pow2(n: int) -> int:
@@ -145,6 +145,11 @@ def _alms_from(registers: float, logic_alms: float) -> float:
 # --------------------------------------------------------------------------- #
 # Smache synthesis
 # --------------------------------------------------------------------------- #
+def smache_design_name(problem: "StencilProblem") -> str:
+    """The name of ``problem``'s Smache design on its :class:`SynthesisReport`."""
+    return f"smache-{problem.name}-{problem.mode.value}"
+
+
 def synthesize_smache(
     problem: "StencilProblem",
     plan: BufferPlan,
@@ -279,7 +284,7 @@ def synthesize_smache(
     )
     fmax = timing.fmax_mhz(levels)
     return SynthesisReport(
-        design=f"smache-{problem.name}-{problem.mode.value}",
+        design=smache_design_name(problem),
         usage=usage,
         fmax_mhz=fmax,
         critical_path_ns=timing.path_ns(levels),

@@ -11,14 +11,18 @@ This is the single seam every consumer goes through.  One call runs
 Partitioning runs at most once per compile: one pass is shared by the
 planner (which receives the ranges) and synthesis (which receives the case
 count), rather than each stage partitioning the problem again.
-:func:`compile_batch` goes further and runs stages 1 and 2 once per distinct
+:func:`compile_batch` goes further and runs every stage once per distinct
 input of the batch.  The range partition and the planner's window scores
 depend only on grid, stencil and boundary, so they run once per range
 partition; the choice of window adds word size, reach bound and bit bound,
-and bounds that choose the same window share one plan.  So designs that
-differ only in mode share both stages, and designs that differ in reach
-still share the partition and the scores.  Stages 3-5 run per design.  The
-work scales with the distinct stencil cases and offsets, not with the ~3
+and bounds that choose the same window share one plan.  Stages 3-5 add
+only the mode, the register count and the kernel to the plan, so they run
+once per distinct (plan, mode, register count, kernel).  So designs that
+differ only in mode share stages 1 and 2, designs that differ in reach
+still share the partition and the scores, and designs of one mode whose
+reach bounds choose the same window share stages 3-5 as well; each design
+still carries a synthesis report named after its own problem.  The work
+scales with the distinct stencil cases and offsets, not with the ~3
 ranges per grid row: the partition holds a grid's interior rows as one row
 run and builds a range only when it is read (nothing in compile or analytic
 pricing reads one), the planner scores each candidate window from periodic
@@ -37,7 +41,7 @@ from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.core.partition import HybridPartition, partition_for_plan
 from repro.core.planner import ScoredWindows, UnsupportedPatternError, plan_buffers
 from repro.core.ranges import RangePartition, partition_into_ranges
-from repro.fpga.synthesis import SynthesisReport, synthesize_smache
+from repro.fpga.synthesis import SynthesisReport, smache_design_name, synthesize_smache
 from repro.pipeline.cache import PlanCache, plan_cache
 from repro.pipeline.problem import StencilProblem
 
@@ -133,6 +137,37 @@ def _plan_key(problem: StencilProblem, range_key: str) -> Tuple[str, str]:
     return range_key, repr((problem.word_bits, problem.max_stream_reach, problem.max_total_bits))
 
 
+def _design_key(problem: StencilProblem, plan: BufferPlan) -> Tuple[int, str]:
+    """The stage key of stages 3-5: the chosen plan plus the problem's mode, registers and kernel.
+
+    The plan is keyed by identity: every plan of one batch lives in its
+    stage table, so no two live plans share an ``id``, and bounds that
+    choose one window already share one plan object.
+    """
+    kernel = problem.effective_kernel
+    return id(plan), repr(
+        (problem.mode, problem.register_elements, type(kernel).__name__, kernel)
+    )
+
+
+def _for_problem(design: CompiledDesign, problem: StencilProblem) -> CompiledDesign:
+    """``design``'s artifacts under ``problem``'s identity.
+
+    The synthesis report is renamed after ``problem`` (its name carries the
+    problem's), so a design shared by a cache hit or a batch stage never
+    reports another problem's name.
+    """
+    if design.problem == problem:
+        return design
+    return replace(design, problem=problem, synthesis=_named(design.synthesis, problem))
+
+
+def _named(report: SynthesisReport, problem: StencilProblem) -> SynthesisReport:
+    """``report`` named after ``problem``'s Smache design."""
+    name = smache_design_name(problem)
+    return report if report.design == name else replace(report, design=name)
+
+
 def _seed(stages: Dict[object, Any], design: CompiledDesign) -> None:
     """Enter a compiled design's range partition and plan into ``stages``."""
     problem = design.problem
@@ -149,13 +184,15 @@ def _build(
 ) -> CompiledDesign:
     """Uncached compilation of one problem.
 
-    ``stages`` holds the range partitions, scored windows and plans already
-    made for other cacheable problems of the same :func:`compile_batch`
-    call; a stage runs only when its key is missing, and one that raises
-    stores nothing.  The keys are the ``repr`` of each stage's inputs, like
-    :meth:`StencilProblem.cache_key`, so inputs that compare equal but print
-    differently (``0`` and ``0.0``) never share a result.  Without ``stages``
-    the problem builds alone, on a fresh table.
+    ``stages`` holds the range partitions, scored windows, plans and the
+    partition, cost and synthesis of each (plan, mode, register count,
+    kernel) already made for other cacheable problems of the same
+    :func:`compile_batch` call; a stage runs only when its key is missing,
+    and one that raises stores nothing.  The keys are the ``repr`` of each
+    stage's inputs, like :meth:`StencilProblem.cache_key`, so inputs that
+    compare equal but print differently (``0`` and ``0.0``) never share a
+    result; only the plan is keyed by identity (:func:`_design_key`).
+    Without ``stages`` the problem builds alone, on a fresh table.
     """
     stages = {} if stages is None else stages
     range_key = problem.range_key()
@@ -179,15 +216,19 @@ def _build(
             max_total_bits=problem.max_total_bits,
         )
     plan = stages[plan_key]
-    partition = partition_for_plan(
-        plan, problem.mode, register_elements=problem.register_elements
-    )
-    cost = estimate_memory_cost(plan, problem.mode, partition=partition)
-    # Synthesis counts cases over the contiguous pattern; for a cacheable
-    # problem that is the partition above, so its count is passed through.
-    synthesis = synthesize_smache(
-        problem, plan, partition=partition, n_cases=n_cases if problem.is_cacheable else None
-    )
+    design_key = _design_key(problem, plan)
+    if design_key not in stages:
+        partition = partition_for_plan(
+            plan, problem.mode, register_elements=problem.register_elements
+        )
+        cost = estimate_memory_cost(plan, problem.mode, partition=partition)
+        # Synthesis counts cases over the contiguous pattern; for a cacheable
+        # problem that is the partition above, so its count is passed through.
+        synthesis = synthesize_smache(
+            problem, plan, partition=partition, n_cases=n_cases if problem.is_cacheable else None
+        )
+        stages[design_key] = (partition, cost, synthesis)
+    partition, cost, synthesis = stages[design_key]
     return CompiledDesign(
         problem=problem,
         ranges=ranges,
@@ -195,7 +236,7 @@ def _build(
         plan=plan,
         partition=partition,
         cost=cost,
-        synthesis=synthesis,
+        synthesis=_named(synthesis, problem),
     )
 
 
@@ -214,12 +255,9 @@ def compile(
     if cache is None or not problem.is_cacheable:
         return _build(problem)
     design = cache.get_or_compile(problem.cache_key(), lambda: _build(problem))
-    if design.problem != problem:
-        # A cache hit from an equivalent problem under a different name (the
-        # key ignores labels): share the compiled artifacts, keep the caller's
-        # identity on the wrapper.
-        design = replace(design, problem=problem)
-    return design
+    # A cache hit from an equivalent problem under a different name (the key
+    # ignores labels) shares the compiled artifacts under the caller's identity.
+    return _for_problem(design, problem)
 
 
 def compile_batch(
@@ -233,11 +271,14 @@ def compile_batch(
     through :meth:`PlanCache.get_or_compile_batch`, so a batch of N points
     sharing one design compiles it once and records one miss plus N−1 hits —
     the same counters a per-point loop over a warm cache would show.  The
-    designs compiled on those misses share their range and plan stages: one
-    range partition and one scoring of the planner's windows per distinct
-    (grid, stencil, boundary), one window selection per distinct (word bits,
-    reach bound, bit bound) of it, and one plan per distinct chosen window
-    and word size, held in a table that lives only as long as this call.
+    designs compiled on those misses share their stages: one range partition
+    and one scoring of the planner's windows per distinct (grid, stencil,
+    boundary), one window selection per distinct (word bits, reach bound,
+    bit bound) of it, one plan per distinct chosen window and word size, and
+    one hybrid partition, cost estimate and synthesis per distinct (plan,
+    mode, register count, kernel), held in a table that lives only as long
+    as this call.  A design that shares a synthesis carries a report named
+    after its own problem.
     Already-compiled designs pass through untouched, and their range
     partition and plan seed that table: a problem that differs from one of
     them only in mode or register count compiles without partitioning or
@@ -265,7 +306,5 @@ def compile_batch(
             [lambda p=p: _build(p, stages) for p in keyed_problems],
         )
         for index, problem, design in zip(keyed_indices, keyed_problems, built):
-            if design.problem != problem:
-                design = replace(design, problem=problem)
-            designs[index] = design
+            designs[index] = _for_problem(design, problem)
     return designs  # type: ignore[return-value]

@@ -18,10 +18,17 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.sweep.events import CampaignFinished, PointCompleted, PointFailed, RunObserver
+from repro.sweep.events import CampaignFinished, PointCompleted, PointFailed, RunEvent, RunObserver
 from repro.sweep.record import PointRecord
 from repro.sweep.spec import SweepSpec
-from repro.utils.jsonl import AppendOnlyJsonl, encode_line, held_elsewhere, iter_jsonl, read_header
+from repro.utils.jsonl import (
+    AppendOnlyJsonl,
+    encode_line,
+    held_elsewhere,
+    iter_jsonl,
+    join_members,
+    read_header,
+)
 
 #: Version tag of the checkpoint file format.
 CHECKPOINT_FORMAT = 1
@@ -204,12 +211,18 @@ class CampaignCheckpoint(RunObserver):
             header["strategy"] = strategy
         self._file.open(header, refuse=lambda found: self._mismatch(found, fingerprint))
 
-    def append(self, record: PointRecord) -> None:
-        """Persist one completed point (flushed immediately)."""
+    def append(self, record: PointRecord, event: Optional[RunEvent] = None) -> None:
+        """Persist one completed point (flushed immediately).
+
+        ``event`` is the published event carrying ``record``, when there is
+        one: the record is encoded once for the event, and the event log's
+        line reuses that text (:meth:`RunEvent.record_members`).
+        """
         self._require_open()
-        payload = record.to_json_dict()
-        payload["kind"] = "record"
-        self._file.write(payload)
+        if event is None:
+            event = PointCompleted(record=record)
+        before, after = event.record_members()
+        self._file.write_line(join_members(before, '"kind": "record"', after) + "\n")
 
     def write_finished(self, evaluated: int, resumed: int, failed: int = 0) -> None:
         """Append the campaign-finished marker (flushed immediately).
@@ -234,12 +247,12 @@ class CampaignCheckpoint(RunObserver):
     # observing
     # ------------------------------------------------------------------ #
     def on_point_completed(self, event: PointCompleted) -> None:
-        self.append(event.record)
+        self.append(event.record, event)
 
     def on_point_failed(self, event: PointFailed) -> None:
         # Failure records are durable too: a resume must know the point was
         # quarantined, not merely never attempted.
-        self.append(event.record)
+        self.append(event.record, event)
 
     def on_campaign_finished(self, event: CampaignFinished) -> None:
         # The durable end-of-campaign marker: what tells a cross-process

@@ -54,7 +54,7 @@ from repro.sweep.events import (
     RunEvent,
     RunObserver,
 )
-from repro.utils.jsonl import AppendOnlyJsonl, iter_jsonl, read_header
+from repro.utils.jsonl import AppendOnlyJsonl, encode_json, iter_jsonl, read_header
 
 #: Version tag of the event-log file format.
 EVENT_LOG_FORMAT = 1
@@ -156,14 +156,10 @@ class EventLogObserver(RunObserver):
                 jobs=event.jobs,
             )
         self.seq += 1
-        self._file.write(
-            {
-                "kind": event.kind,
-                "seq": self.seq,
-                "ts": self._clock(),
-                "data": event.to_json(),
-            }
-        )
+        # The line of {"kind", "seq", "ts", "data": event.to_json()}, with a
+        # record's text reused from its checkpoint line; "data" sorts first.
+        head = encode_json({"kind": event.kind, "seq": self.seq, "ts": self._clock()})
+        self._file.write_line('{"data": ' + event.json_text() + ", " + head[1:] + "\n")
 
     def close(self) -> None:
         """Close the underlying file handle."""

@@ -51,6 +51,7 @@ from typing import (
 )
 
 from repro.sweep.record import PointRecord
+from repro.utils.jsonl import encode_json, encode_members, join_members, splice
 
 # --------------------------------------------------------------------------- #
 # events
@@ -108,6 +109,30 @@ class RunEvent:
         for name in self._record_fields:
             data[name] = data[name].to_json_dict()
         return data
+
+    def record_members(self) -> Tuple[str, str]:
+        """The members of this event's record as sorted-key JSON, split around ``"kind"``.
+
+        Encoded on first use and memoized on the (frozen) event, so the
+        checkpoint line (the record with ``"kind": "record"`` between the
+        halves) and the event-log line (the record as ``data.record``) of
+        one published point share one encoding.  For the events that carry
+        one record (see :func:`~repro.utils.jsonl.encode_members`).
+        """
+        members = self.__dict__.get("_record_members")
+        if members is None:
+            (name,) = self._record_fields
+            members = encode_members(getattr(self, name).to_json_dict(), "kind")
+            object.__setattr__(self, "_record_members", members)
+        return members
+
+    def json_text(self) -> str:
+        """:meth:`to_json` as sorted-key JSON, the record spliced in from :meth:`record_members`."""
+        if not self._record_fields:
+            return encode_json(self.to_json())
+        (name,) = self._record_fields
+        rest = {field: getattr(self, field) for field in self._json_fields if field != name}
+        return splice(rest, name, join_members(*self.record_members()))
 
     @staticmethod
     def from_json(kind: Any, data: Any) -> Optional["RunEvent"]:

@@ -13,6 +13,14 @@ files that share these rules:
   second writer or a compaction fails fast instead of interleaving;
 * each write is one sorted-key JSON line, flushed at once.
 
+A line is always the bytes of :func:`encode_line` of its payload, but a
+writer may build it from parts already encoded: :func:`encode_members`
+splits a payload's members around one key and :func:`join_members` joins
+member texts into an object.  That is how a campaign encodes each completed
+record once and writes it to both files: the checkpoint line inserts
+``"kind": "record"`` between the record's two halves, and the event line
+splices the whole record text in as ``data.record``.
+
 Readers go through :func:`iter_jsonl`, which drops torn and corrupt lines.
 """
 
@@ -21,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from types import ModuleType
-from typing import IO, Any, Callable, Dict, Iterator, Optional
+from typing import IO, Any, Callable, Dict, Iterator, Optional, Tuple
 
 _fcntl: Optional[ModuleType]
 try:
@@ -32,6 +40,9 @@ except ImportError:  # non-POSIX platforms: advisory locking degrades to none
     _fcntl = None
 
 Payload = Dict[str, Any]
+
+#: ``json.dumps(value, sort_keys=True)``, without building an encoder per call.
+encode_json: Callable[[Any], str] = json.JSONEncoder(sort_keys=True).encode
 
 
 def iter_jsonl(path: str, on_corrupt: Optional[Callable[[str], None]] = None) -> Iterator[Any]:
@@ -56,7 +67,48 @@ def iter_jsonl(path: str, on_corrupt: Optional[Callable[[str], None]] = None) ->
 
 def encode_line(payload: Payload) -> str:
     """``payload`` as one JSONL line: sorted keys, newline-terminated."""
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return encode_json(payload) + "\n"
+
+
+def encode_members(payload: Payload, pivot: str) -> Tuple[str, str]:
+    """The members of ``payload``'s sorted-key JSON that sort before and after ``pivot``.
+
+    Each half is ``"key": value`` texts joined by ``", "``, without braces,
+    and empty when no key falls on its side; ``payload`` must not hold
+    ``pivot`` itself.  ``join_members(before, member, after)`` is then the
+    object with ``member`` (the pivot's own ``"pivot": value`` text) in its
+    sorted place, and ``join_members(before, after)`` the object without it.
+    """
+    before: Payload = {}
+    after: Payload = {}
+    for key, value in payload.items():
+        if key < pivot:
+            before[key] = value
+        elif key > pivot:
+            after[key] = value
+        else:
+            raise ValueError(f"payload already holds the pivot key {pivot!r}")
+    return _members(before), _members(after)
+
+
+def _members(payload: Payload) -> str:
+    return encode_json(payload)[1:-1] if payload else ""
+
+
+def join_members(*members: str) -> str:
+    """The JSON object whose members are ``members``, skipping empty ones."""
+    return "{" + ", ".join(member for member in members if member) + "}"
+
+
+def splice(payload: Payload, key: str, text: str) -> str:
+    """The sorted-key JSON of ``payload`` plus ``key``, whose value is the JSON ``text``.
+
+    ``text`` (itself sorted-key JSON) goes in as is, so a value already
+    encoded for another line is not encoded again:
+    ``splice(p, k, encode_json(v)) + "\\n"`` equals ``encode_line({**p, k: v})``.
+    """
+    before, after = encode_members(payload, key)
+    return join_members(before, f"{encode_json(key)}: {text}", after)
 
 
 def read_header(path: str, on_line: Optional[Callable[[Any], None]] = None) -> Optional[Payload]:
@@ -148,9 +200,13 @@ class AppendOnlyJsonl:
 
     def write(self, payload: Payload) -> None:
         """Append ``payload`` as one line, flushed."""
+        self.write_line(encode_line(payload))
+
+    def write_line(self, line: str) -> None:
+        """Append one line already encoded as :func:`encode_line` would, flushed."""
         if self._fh is None:
             raise RuntimeError(f"{self.what} {self.path!r} is not open")
-        self._fh.write(encode_line(payload).encode("utf-8"))
+        self._fh.write(line.encode("utf-8"))
         self._fh.flush()
 
     def close(self) -> None:

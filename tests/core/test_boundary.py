@@ -177,6 +177,36 @@ class TestResolveStencil:
         with pytest.raises(ValueError):
             BoundarySpec.paper_2d().resolve(grid, (0, 0, 0), (1, 0, 0))
 
+    @pytest.mark.parametrize(
+        "spec, shape, centre, stencil",
+        [
+            (BoundarySpec.paper_2d(), (4, 4, 4), (0, 0, 0), StencilShape.moore(3)),
+            (BoundarySpec.all_open(2), (11, 11), (0,), StencilShape.four_point_2d()),
+            (BoundarySpec.all_open(2), (11, 11), (0, 0), StencilShape.moore(3)),
+            (BoundarySpec.all_open(3), (11, 11), (0, 0), StencilShape.four_point_2d()),
+        ],
+        ids=["boundary-vs-grid", "centre", "offset", "boundary-first"],
+    )
+    def test_bad_arity_raises_what_each_offset_raises(self, spec, shape, centre, stencil):
+        """The stencil is checked once, with the error of its first offset."""
+        grid = GridSpec(shape=shape)
+        with pytest.raises(ValueError) as single:
+            spec.resolve(grid, centre, stencil.offsets[0])
+        with pytest.raises(ValueError) as whole:
+            spec.resolve_stencil(grid, centre, stencil)
+        assert str(whole.value) == str(single.value)
+
+    @pytest.mark.parametrize("kind", list(BoundaryKind), ids=lambda k: k.value)
+    def test_stencil_equals_one_resolve_per_offset(self, kind):
+        spec = BoundarySpec(edges=(EdgeBehaviour.both(kind), EdgeBehaviour(BoundaryKind.OPEN, kind)),
+                            constant_value=2.5)
+        grid = GridSpec(shape=(5, 7))
+        stencil = StencilShape.star_2d(3)
+        for centre in grid.coords():
+            assert spec.resolve_stencil(grid, centre, stencil) == tuple(
+                spec.resolve(grid, centre, offset) for offset in stencil.offsets
+            )
+
 
 circular_or_mirror = st.sampled_from(
     [BoundaryKind.CIRCULAR, BoundaryKind.MIRROR, BoundaryKind.CLAMP]

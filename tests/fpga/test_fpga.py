@@ -89,6 +89,10 @@ class TestTimingModel:
     def test_helpers(self):
         assert _clog2(2) == 1
         assert _clog2(121) == 7
+        for n in range(-3, 4100):
+            assert _clog2(n) == max(1, next(bits for bits in range(64) if 2**bits >= n))
+        # Exact past float precision, where ceil(log2(n)) rounds to 60.
+        assert _clog2(2**60 + 1) == 61
         assert _next_pow2(14) == 16
         assert _next_pow2(2040) == 2048
         assert _next_pow2(1) == 1

@@ -68,6 +68,25 @@ class TestStencilProblem:
         assert cache.peek(pickle.loads(pickle.dumps(key))) is design
         assert cache.cache_info()[:2] == (1, 1)
 
+    def test_shared_parts_print_once_and_keys_stay_byte_identical(self):
+        problems = [StencilProblem.paper_example(rows, 9) for rows in (5, 6, 7)]
+        stencil, boundary = problems[0].stencil, problems[0].boundary
+        problems = [replace(p, stencil=stencil, boundary=boundary) for p in problems]
+        assert repr(stencil) == f"StencilShape(offsets={stencil.offsets!r}, name={stencil.name!r})"
+        assert repr(boundary) == (
+            f"BoundarySpec(edges={boundary.edges!r}, constant_value={boundary.constant_value!r})"
+        )
+        for problem in problems:
+            kernel = problem.effective_kernel
+            assert problem.cache_key() == repr((
+                problem.grid, stencil, boundary, problem.mode, problem.word_bits,
+                problem.max_stream_reach, problem.max_total_bits, problem.register_elements,
+                type(kernel).__name__, repr(kernel),
+            ))
+            assert problem.range_key() == repr((problem.grid, stencil, boundary))
+        # One printed string per shared part, reused by every problem's key.
+        assert repr(stencil) is repr(stencil) and repr(boundary) is repr(boundary)
+
     def test_custom_mode_needs_register_elements(self):
         with pytest.raises(ValueError, match="register_elements"):
             StencilProblem.paper_example(mode=StreamBufferMode.CUSTOM)
@@ -115,6 +134,29 @@ class TestCompile:
     def test_describe_mentions_cases_and_cost(self, paper_problem):
         text = compile(paper_problem, cache=None).describe()
         assert "cases" in text and "memory cost" in text
+
+    def test_a_renamed_cache_hit_reports_its_own_synthesis_name(self):
+        alpha = StencilProblem.paper_example(11, 11, name="alpha")
+        beta = replace(alpha, name="beta")
+        cache = PlanCache()
+        compile(alpha, cache=cache)
+        for design in (compile(beta, cache=cache), compile_batch([beta], cache=cache)[0]):
+            assert design.problem is beta
+            assert design.synthesis == compile(beta, cache=None).synthesis
+            assert design.synthesis.design == "smache-beta-h"
+            assert "smache-alpha" not in design.synthesis.describe()
+        assert cache.cache_info()[:2] == (2, 1)
+
+    def test_designs_sharing_a_synthesis_keep_their_own_names(self):
+        # Both reach bounds choose the unbounded window: one plan, one synthesis.
+        wide = StencilProblem.paper_example(11, 11, name="wide")
+        bounded = replace(wide, max_stream_reach=10**6, name="bounded")
+        first, second = compile_batch([wide, bounded], cache=PlanCache())
+        assert first.plan is second.plan and first.cost is second.cost
+        assert first.synthesis.usage is second.synthesis.usage
+        assert first.synthesis == compile(wide, cache=None).synthesis
+        assert second.synthesis == compile(bounded, cache=None).synthesis
+        assert second.synthesis.design == "smache-bounded-h"
 
 
 class TestPlanCache:
@@ -595,7 +637,7 @@ def _cold_space():
 
 
 class TestColdSpaceWorkCounts:
-    """A cold batch scores, plans and walks baseline schedules once per distinct input."""
+    """A cold batch scores, plans, synthesizes and walks baseline schedules once per distinct input."""
 
     def test_scores_once_per_partition_and_plans_once_per_window(self, monkeypatch):
         counts = {"scored": 0, "plans": 0}
@@ -623,6 +665,35 @@ class TestColdSpaceWorkCounts:
             # Bounds that choose one window share one plan object.
             assert by_window.setdefault(key, design.plan) is design.plan
         assert counts["plans"] == len(by_window) < 48
+
+    def test_partition_cost_and_synthesis_run_once_per_plan_and_mode(self, monkeypatch):
+        calls = {"partition_for_plan": 0, "estimate_memory_cost": 0, "synthesize_smache": 0}
+        for name in calls:
+            real = getattr(compile_module, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(compile_module, name, counting)
+        # Distinct names, so a design that shares a synthesis must rename it.
+        problems = [
+            replace(p, name=f"{p.name}-{p.mode.value}-{p.max_stream_reach}") for p in _cold_space()
+        ]
+        designs = compile_batch(problems, cache=PlanCache())
+        assert len(designs) == 96
+        pairs = {(id(d.plan), p.mode) for p, d in zip(problems, designs)}
+        assert len(pairs) == 48
+        assert calls == dict.fromkeys(calls, 48)
+        monkeypatch.undo()
+        for problem, design in zip(problems, designs):
+            expected = compile(problem, cache=None)
+            assert design.problem is problem
+            assert design.plan == expected.plan
+            assert design.partition == expected.partition
+            assert design.cost == expected.cost
+            assert design.synthesis == expected.synthesis
+            assert design.synthesis.design == f"smache-{problem.name}-{problem.mode.value}"
 
     def test_baseline_knobs_walk_once_per_partition(self):
         designs = compile_batch(_cold_space(), cache=PlanCache())

@@ -7,15 +7,27 @@ itself.
 """
 
 import builtins
+import json
 
 import pytest
 
 import repro.utils.jsonl as jsonl
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy, inject_faults
 from repro.sweep.campaign import execute_campaign
-from repro.sweep.checkpoint import CheckpointMismatch
+from repro.sweep.checkpoint import CampaignCheckpoint, CheckpointMismatch
 from repro.sweep.eventlog import EventLogMismatch, EventLogObserver
+from repro.sweep.record import PointRecord
 from repro.sweep.spec import smoke_spec
-from repro.utils.jsonl import AppendOnlyJsonl, held_elsewhere, iter_jsonl, read_header
+from repro.utils.jsonl import (
+    AppendOnlyJsonl,
+    encode_line,
+    encode_members,
+    held_elsewhere,
+    iter_jsonl,
+    join_members,
+    read_header,
+    splice,
+)
 
 #: The smoke campaign's fingerprint (name plus every point key).
 SMOKE_FINGERPRINT = "82324f87982cb84c"
@@ -50,6 +62,89 @@ class TestFormatPin:
         )
         assert checkpoint.read_bytes().endswith(b"}\n")
         assert log.read_bytes().endswith(b"}\n")
+
+
+def _lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+class TestOneEncodingPerRecord:
+    """Each published record is encoded once, and both files keep their bytes."""
+
+    def test_lines_are_canonical_and_the_event_log_embeds_the_checkpoint_record(
+        self, tmp_path, monkeypatch
+    ):
+        spec = smoke_spec(iterations=1)
+        label = sorted(p.display_label for p in spec.expand())[0]
+        checkpoint, log = str(tmp_path / "c.jsonl"), str(tmp_path / "c.events.jsonl")
+        encoded = []
+        real = PointRecord.to_json_dict
+        monkeypatch.setattr(
+            PointRecord, "to_json_dict", lambda record: encoded.append(record) or real(record)
+        )
+        plan = FaultPlan(faults=(FaultSpec(action="fail", label=label),))
+        policy = RetryPolicy(max_attempts=2, base_delay_s=0.001, jitter=0.0)
+        with inject_faults(plan):
+            result = execute_campaign(spec, checkpoint=checkpoint, event_log=log,
+                                      retry_policy=policy)
+        assert result.failed == 1
+        # One encoding per published record, shared by its two lines.
+        assert len(encoded) == len({id(record) for record in encoded}) == spec.size
+        # A resume appends point_resumed lines to the log through the same path.
+        execute_campaign(spec, checkpoint=checkpoint, event_log=log, retry_policy=policy)
+        for path in (checkpoint, log):
+            for line in _lines(path):
+                assert line == encode_line(json.loads(line))
+        records = [json.loads(line) for line in _lines(checkpoint)]
+        records = [payload for payload in records if payload.pop("kind") == "record"]
+        events = [json.loads(line) for line in _lines(log)]
+        logged = [e["data"]["record"] for e in events
+                  if e["kind"] in ("point_completed", "point_failed")]
+        assert logged == records and len(records) == spec.size
+        assert sum(record["meta"].get("status") == "failed" for record in records) == 1
+        # The resume announces every persisted record, the failed one too.
+        resumed = [e["data"]["record"] for e in events if e["kind"] == "point_resumed"]
+        assert sorted(resumed, key=lambda r: r["key"]) == sorted(records, key=lambda r: r["key"])
+
+    def test_append_without_an_event_writes_the_same_line(self, tmp_path):
+        record = PointRecord(key="k", label="x\u00e9", backend="analytic", system="smache",
+                             cycles=7, fmax_mhz=0.1 + 0.2, extra={"b": 1.0, "a": -2},
+                             meta={"worker": 3})
+        store = CampaignCheckpoint(str(tmp_path / "c.jsonl"))
+        store.open_for_append(smoke_spec(), fingerprint="f", total_points=1)
+        store.append(record)
+        store.close()
+        assert _lines(store.path)[-1] == encode_line({**record.to_json_dict(), "kind": "record"})
+
+
+class TestMembers:
+    """The helpers that build a line from parts already encoded."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"a": 1, "ind": [2, {"z": 1, "b": None}]},  # every key sorts before "kind"
+            {"meta": {"y": 1.5, "x": "\u00e9"}, "z": True, "kinds": 0},  # every key after
+            {"key": "k", "cycles": 3, "label": "l", "extra": {}},
+        ],
+        ids=["empty", "all-before", "all-after", "both-sides"],
+    )
+    def test_halves_rebuild_the_line_with_and_without_the_pivot(self, payload):
+        before, after = encode_members(payload, "kind")
+        assert join_members(before, after) == json.dumps(payload, sort_keys=True)
+        assert join_members(before, '"kind": "record"', after) + "\n" == encode_line(
+            {**payload, "kind": "record"}
+        )
+        text = json.dumps({"record": payload}, sort_keys=True)
+        assert splice(payload, "kind", text) + "\n" == encode_line(
+            {**payload, "kind": {"record": payload}}
+        )
+
+    def test_a_payload_holding_the_pivot_is_refused(self):
+        with pytest.raises(ValueError, match="pivot key 'kind'"):
+            encode_members({"kind": "record"}, "kind")
 
 
 def _checkpointed(path, spec):
