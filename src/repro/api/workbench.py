@@ -193,8 +193,6 @@ class SweepBuilder:
         self._runner: Optional[Runner] = None
         self._observers: List[Any] = []
         self._event_log: Optional[Union[str, EventLogObserver]] = None
-        self._retry_policy: Optional[RetryPolicy] = None
-        self._retry_failed: Optional[bool] = None
 
     # ------------------------------------------------------------------ #
     def spec(self) -> SweepSpec:
@@ -230,27 +228,6 @@ class SweepBuilder:
         )
         return self
 
-    def with_retry_policy(
-        self, policy: Optional[RetryPolicy] = None, **kwargs
-    ) -> "SweepBuilder":
-        """Run the campaign fault-tolerantly under a retry policy.
-
-        Pass a prepared :class:`~repro.faults.policy.RetryPolicy`, or keyword
-        knobs to build one (``max_attempts=5``, ``deadline_s=30.0``, ...).
-        Failed attempts are retried with deterministic backoff, stragglers
-        re-issued, crashed worker pools respawned, and points that exhaust
-        the budget recorded as failed instead of aborting the campaign.
-        """
-        if policy is not None and kwargs:
-            raise TypeError("pass either a RetryPolicy or keyword knobs, not both")
-        self._retry_policy = policy if policy is not None else RetryPolicy(**kwargs)
-        return self
-
-    def retry_failed(self, retry: bool = True) -> "SweepBuilder":
-        """Re-evaluate points a previous session recorded as permanently failed."""
-        self._retry_failed = retry
-        return self
-
     def runner(self, runner: Runner) -> "SweepBuilder":
         """Use an explicit executor (overrides jobs)."""
         self._runner = runner
@@ -280,8 +257,6 @@ class SweepBuilder:
             runner=self._runner,
             observers=self._observers,
             event_log=self._event_log,
-            retry_policy=self._retry_policy,
-            retry_failed=self._retry_failed,
         )
 
 
@@ -493,7 +468,7 @@ class Workbench:
         progress: bool = False,
         event_log: Optional[Union[str, EventLogObserver]] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_failed: Optional[bool] = None,
+        retry_failed: bool = False,
     ) -> CampaignResult:
         """Run (or resume) a campaign through the event-streaming engine.
 
@@ -514,12 +489,6 @@ class Workbench:
             strategy = strategy if strategy is not None else builder._strategy
             runner = runner if runner is not None else builder._runner
             event_log = event_log if event_log is not None else builder._event_log
-            retry_policy = (
-                retry_policy if retry_policy is not None else builder._retry_policy
-            )
-            retry_failed = (
-                retry_failed if retry_failed is not None else builder._retry_failed
-            )
             extra_observers = list(builder._observers)
             spec = builder.spec()
         attached = list(self.observers) + extra_observers + list(observers)
@@ -534,7 +503,7 @@ class Workbench:
             observers=attached,
             event_log=event_log,
             retry_policy=retry_policy,
-            retry_failed=bool(retry_failed),
+            retry_failed=retry_failed,
         )
 
     # ------------------------------------------------------------------ #

@@ -2,16 +2,17 @@
 
 Subcommands::
 
-    python -m repro.bench run [SUITE ...] [--smoke] [--references REFS.json]
-    python -m repro.bench gate FILE ... [--strict] [--references REFS.json]
+    python -m repro.bench run [SUITE ...] [--smoke]
+    python -m repro.bench gate FILE ... [--strict]
 
 ``run`` measures the same-process ratio claims of any subset of the five
 claim suites (sim, pipeline, compile, analytic, serve — default all) in this
 process, prints each suite's gate report, and exits 1 when a claim is out
-of band or a parity check fails.  ``gate`` checks result files against the
-reference bands, exiting 1 on any out-of-band metric or incorrect result — the ``python -m repro.sweep diff`` convention.  A result
-file is either the output of ``python3 perfbench/run.py`` (the workload is
-the suite) or a native envelope.
+of band or a parity check fails.  ``gate`` checks the output of
+``python3 perfbench/run.py`` runs (the workload is the suite) against the
+reference bands, exiting 1 on any out-of-band metric or incorrect result —
+the ``python -m repro.sweep diff`` convention.  Both gate against
+:data:`~repro.bench.references.DEFAULT_REFERENCES`.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ from typing import List, Optional, Sequence
 from repro.bench.claims import SUITES, run_suite
 from repro.bench.gate import GateReport, gate_results
 from repro.bench.model import BenchResult, load_result
-from repro.bench.references import (
-    DEFAULT_REFERENCES,
-    ReferenceTable,
-    load_references,
-)
 
 SUBCOMMANDS = ("run", "gate")
 
@@ -52,17 +48,6 @@ def _load_files(
         except (OSError, ValueError) as exc:
             parser.error(f"cannot load {path!r}: {exc}")
     return results
-
-
-def _references(
-    path: Optional[str], parser: argparse.ArgumentParser
-) -> ReferenceTable:
-    if path is None:
-        return DEFAULT_REFERENCES
-    try:
-        return load_references(path)
-    except (OSError, ValueError) as exc:
-        parser.error(f"cannot load references {path!r}: {exc}")
 
 
 def _print_reports(reports: Sequence[GateReport], exit_code: int) -> None:
@@ -92,22 +77,15 @@ def _run_main(argv: List[str]) -> int:
         action="store_true",
         help="shrunk workloads: parity is checked, the bands are not",
     )
-    parser.add_argument(
-        "--references",
-        metavar="REFS.json",
-        default=None,
-        help="reference table to gate against (default: the built-in table)",
-    )
     args = parser.parse_args(argv)
     chosen = _parse_suites(args.suites, parser)
-    references = _references(args.references, parser)
 
     results: List[BenchResult] = []
     for name in chosen:
         print(f"== running suite {name!r} ({SUITES[name].description})", flush=True)
         results.append(run_suite(name, smoke=args.smoke))
 
-    reports, exit_code = gate_results(results, references)
+    reports, exit_code = gate_results(results)
     _print_reports(reports, exit_code)
     return exit_code
 
@@ -115,32 +93,25 @@ def _run_main(argv: List[str]) -> int:
 def _gate_main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench gate",
-        description="Gate benchmark results against the per-host reference "
-        "bands.  Each FILE (a perfbench output or a native envelope) is "
-        "checked.  Exit code 0 when every result is correct and every "
-        "metric in band, 1 otherwise.  Smoke results never gate on bands.",
+        description="Gate perfbench results against the reference bands.  "
+        "Each FILE (the output of one perfbench run) is checked.  Exit code "
+        "0 when every result is correct and every metric in band, 1 "
+        "otherwise.",
     )
     parser.add_argument(
         "files",
         nargs="+",
         metavar="FILE",
-        help="result files: perfbench outputs or native envelopes",
+        help="perfbench outputs",
     )
     parser.add_argument(
         "--strict",
         action="store_true",
         help="also fail when a referenced metric is missing from a result",
     )
-    parser.add_argument(
-        "--references",
-        metavar="REFS.json",
-        default=None,
-        help="reference table JSON (default: the built-in table)",
-    )
     args = parser.parse_args(argv)
-    references = _references(args.references, parser)
     results = _load_files(args.files, parser)
-    reports, exit_code = gate_results(results, references, strict=args.strict)
+    reports, exit_code = gate_results(results, strict=args.strict)
     _print_reports(reports, exit_code)
     return exit_code
 

@@ -26,7 +26,6 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
@@ -638,7 +637,7 @@ def mixed_flush_parity(m: Measure) -> None:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class Suite:
-    """A named group of claims, recorded as one envelope."""
+    """A named group of claims, recorded as one result."""
 
     description: str
     claims: Tuple[Claim, ...]
@@ -684,14 +683,13 @@ def run_claim(claim: Claim, smoke: bool) -> Measure:
 
 
 def run_suite(name: str, smoke: bool = False) -> BenchResult:
-    """Run every claim of one suite in this process; one envelope back."""
+    """Run every claim of one suite in this process; one result back."""
     suite = SUITES[name]
     result = BenchResult(
         suite=name,
         host=current_host(),
         smoke=smoke,
         contended=contention(suite.jobs),
-        datetime=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
     for claim in suite.claims:
         measure = run_claim(claim, smoke)

@@ -1,10 +1,10 @@
-"""Regression gating: benchmark envelopes against per-host reference bands.
+"""Regression gating: benchmark results against the reference bands.
 
 :func:`check_result` compares one :class:`~repro.bench.model.BenchResult`
-with the references resolved for its host and produces a
-:class:`GateReport`; :func:`gate_results` folds many reports into one
-process exit code — the same pattern as ``CampaignResult.diff`` /
-``python -m repro.sweep diff`` (0 when clean, 1 on any out-of-band metric).
+with the bands of its suite and produces a :class:`GateReport`;
+:func:`gate_results` folds many reports into one process exit code — the
+same pattern as ``CampaignResult.diff`` / ``python -m repro.sweep diff`` (0
+when clean, 1 on any out-of-band metric).
 
 An **incorrect** result (its producer reported a wrong output, or any
 failed operation) always fails, as a ``<suite>.correct`` check with status
@@ -16,7 +16,7 @@ Exemptions from the bands are explicit, never silent:
   plumbing and parity, not the performance of a shared runner; every
   banded metric is reported with status ``smoke``;
 * metrics in :data:`~repro.bench.references.CONTENDED_EXEMPT` are skipped
-  on hosts whose envelope says ``contended`` (pool-vs-serial wall clock on
+  on hosts whose result says ``contended`` (pool-vs-serial wall clock on
   a single core is a scheduling artefact, not a regression);
 * a referenced metric absent from the result is reported ``missing`` and
   only fails under ``strict`` (a benchmark being *dropped* should not slip
@@ -34,11 +34,9 @@ from repro.bench.references import (
     DEFAULT_REFERENCES,
     MetricBand,
     ReferenceTable,
-    WILDCARD,
     band_bounds,
     format_band,
     in_band,
-    resolve_references,
 )
 from repro.utils.tables import format_table
 
@@ -68,13 +66,12 @@ class MetricCheck:
 
 @dataclass
 class GateReport:
-    """Every metric check for one benchmark envelope."""
+    """Every metric check for one benchmark result."""
 
     suite: str
     host_key: str
     smoke: bool
     contended: Optional[bool]
-    reference_host: str  #: which table entry resolved (a host key, "*", or "-")
     checks: List[MetricCheck] = field(default_factory=list)
 
     def failures(self, strict: bool = False) -> List[MetricCheck]:
@@ -102,8 +99,7 @@ class GateReport:
             flags.append("contended")
         title = (
             f"{self.suite} @ {self.host_key}"
-            f" ({', '.join(flags) if flags else 'non-smoke'};"
-            f" references: {self.reference_host})"
+            f" ({', '.join(flags) if flags else 'non-smoke'})"
         )
         rows = [c.format_row() for c in self.checks]
         if not rows:
@@ -115,22 +111,13 @@ class GateReport:
 
 def check_result(
     result: BenchResult,
-    references: Optional[ReferenceTable] = None,
+    references: ReferenceTable = DEFAULT_REFERENCES,
 ) -> GateReport:
-    """Check one envelope against the references resolved for its host."""
-    table = DEFAULT_REFERENCES if references is None else references
-    host_key = result.host.key
-    if table.get(host_key):
-        reference_host = host_key
-    elif table.get(WILDCARD):
-        reference_host = WILDCARD
-    else:
-        reference_host = "-"
-    resolved = resolve_references(host_key, table)
+    """Check one result against the bands of its suite."""
     metrics = result.qualified_metrics()
     prefix = f"{result.suite}."
     suite_refs = {
-        name: band for name, band in resolved.items() if name.startswith(prefix)
+        name: band for name, band in references.items() if name.startswith(prefix)
     }
 
     checks: List[MetricCheck] = []
@@ -170,20 +157,19 @@ def check_result(
         checks.append(MetricCheck(metric=name, status=status, value=value, band=band))
     return GateReport(
         suite=result.suite,
-        host_key=host_key,
+        host_key=result.host.key,
         smoke=result.smoke,
         contended=result.contended,
-        reference_host=reference_host,
         checks=checks,
     )
 
 
 def gate_results(
     results: Sequence[BenchResult],
-    references: Optional[ReferenceTable] = None,
+    references: ReferenceTable = DEFAULT_REFERENCES,
     strict: bool = False,
 ) -> Tuple[List[GateReport], int]:
-    """Check many envelopes; returns ``(reports, exit_code)``.
+    """Check many results; returns ``(reports, exit_code)``.
 
     Exit code 0 when every report passes, 1 otherwise — the
     ``python -m repro.sweep diff`` convention.

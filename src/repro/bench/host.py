@@ -6,9 +6,8 @@ stamps its results through it too:
 * :func:`cpu_count` / :func:`contention` — the affinity-aware core count
   and the shared "can this host even express parallel speedup" probe;
 * :class:`HostFingerprint` — the identity stamped into every benchmark
-  envelope, whose :attr:`~HostFingerprint.key` (``node:machine``, e.g.
-  ``vm:x86_64``) selects the per-host reference bands in
-  :mod:`repro.bench.references`.
+  result, whose :attr:`~HostFingerprint.key` (``node:machine``, e.g.
+  ``vm:x86_64``) names the host in perfbench output and gate reports.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import os
 import platform
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 
 def cpu_count() -> Optional[int]:
@@ -41,48 +40,23 @@ def contention(jobs: int = 1) -> bool:
 
 @dataclass(frozen=True)
 class HostFingerprint:
-    """The identity of the machine a benchmark ran on.
-
-    ``key`` — ``"node:machine"`` — is what the reference tables are keyed
-    by, mirroring ReFrame's ``system:partition`` convention.
-    """
+    """The identity of the machine a benchmark ran on."""
 
     node: str
-    system: str
     machine: str
     python: str
     cpus: Optional[int]
 
     @property
     def key(self) -> str:
-        """The reference-selection key, e.g. ``"vm:x86_64"``."""
+        """The host's name in reports, e.g. ``"vm:x86_64"``."""
         return f"{self.node}:{self.machine}"
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "system": self.system,
-            "machine": self.machine,
-            "python": self.python,
-            "cpus": self.cpus,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Dict[str, Any]) -> "HostFingerprint":
-        return cls(
-            node=str(payload.get("node", "")),
-            system=str(payload.get("system", "")),
-            machine=str(payload.get("machine", "")),
-            python=str(payload.get("python", "")),
-            cpus=payload.get("cpus"),
-        )
 
 
 def current_host() -> HostFingerprint:
     """Fingerprint of the machine this process is running on."""
     return HostFingerprint(
         node=platform.node(),
-        system=platform.system(),
         machine=platform.machine(),
         python=platform.python_version(),
         cpus=cpu_count(),

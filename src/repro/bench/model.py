@@ -1,20 +1,10 @@
-"""The benchmark envelope, and the reader that lifts perfbench output into it.
+"""The benchmark result, and the reader that lifts perfbench output into it.
 
-Every gated result is one **envelope**:
-
-.. code-block:: json
-
-    {"bench_format": 1, "suite": "analytic",
-     "host": {"node": "ci", "machine": "x86_64", "cpus": 2, ...},
-     "smoke": false, "contended": false, "correct": true, "failed": 0,
-     "commit": {"id": "...", "branch": "main", "dirty": false},
-     "datetime": "...",
-     "metrics": {"scalar_vs_vectorized.warm_speedup": 21.3, ...}}
-
-Two producers feed it.  ``python -m repro.bench run`` (:mod:`repro.bench.claims`)
-builds envelopes directly, and :func:`load_result` reads the text a
-``python3 perfbench/run.py`` run prints: a ``host: {...}`` line, a
-``workload <name>, seed ...`` line, notes, and as its last line the result
+Two producers feed :class:`BenchResult`.  ``python -m repro.bench run``
+(:mod:`repro.bench.claims`) builds results in process, and
+:func:`load_result` reads the text a ``python3 perfbench/run.py`` run
+prints: a ``host: {...}`` line, a ``workload <name>, seed ...`` line, notes,
+and as its last line the result
 ``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``.
 The workload name becomes the suite, so a traced ``campaign_cold`` metric
 ``compile.calls`` is gated as ``campaign_cold.compile.calls``.
@@ -31,15 +21,12 @@ from typing import Any, Dict, Optional
 
 from repro.bench.host import HostFingerprint
 
-#: Version tag of the benchmark envelope format.
-BENCH_FORMAT = 1
-
 _HOST_LINE = "host: "
 _WORKLOAD_LINE = "workload "
 
 
 class BenchFormatError(ValueError):
-    """A payload that is neither an envelope nor a perfbench result."""
+    """Text that is not a perfbench result."""
 
 
 def _numeric(metrics: Dict[str, Any]) -> Dict[str, float]:
@@ -52,15 +39,13 @@ def _numeric(metrics: Dict[str, Any]) -> Dict[str, float]:
 
 @dataclass
 class BenchResult:
-    """One benchmark suite's outcome, in the unified envelope shape."""
+    """One benchmark suite's outcome: its host, flags and metrics."""
 
     suite: str
     host: HostFingerprint
     metrics: Dict[str, float] = field(default_factory=dict)
     smoke: bool = False
     contended: Optional[bool] = None
-    commit: Optional[Dict[str, Any]] = None
-    datetime: Optional[str] = None
     correct: bool = True
     failed: int = 0  #: operations that failed or produced a wrong output
 
@@ -68,45 +53,6 @@ class BenchResult:
     def qualified_metrics(self) -> Dict[str, float]:
         """Metrics keyed ``<suite>.<metric>`` (what references use)."""
         return {f"{self.suite}.{name}": value for name, value in self.metrics.items()}
-
-    def to_payload(self) -> Dict[str, Any]:
-        """The native schema-versioned envelope."""
-        return {
-            "bench_format": BENCH_FORMAT,
-            "suite": self.suite,
-            "host": self.host.to_json_dict(),
-            "smoke": self.smoke,
-            "contended": self.contended,
-            "correct": self.correct,
-            "failed": self.failed,
-            "commit": self.commit,
-            "datetime": self.datetime,
-            "metrics": dict(self.metrics),
-        }
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "BenchResult":
-        """Read a native envelope (``correct``/``failed`` default to a pass)."""
-        version = payload.get("bench_format")
-        if version is None:
-            raise BenchFormatError("payload is not a bench envelope (no 'bench_format')")
-        if version > BENCH_FORMAT:
-            raise BenchFormatError(
-                f"envelope format {version} is newer than this reader "
-                f"(format {BENCH_FORMAT})"
-            )
-        return cls(
-            suite=str(payload.get("suite", "")),
-            host=HostFingerprint.from_json_dict(payload.get("host") or {}),
-            metrics=_numeric(payload.get("metrics") or {}),
-            smoke=bool(payload.get("smoke", False)),
-            contended=payload.get("contended"),
-            commit=payload.get("commit"),
-            datetime=payload.get("datetime"),
-            correct=payload.get("correct", True) is True,
-            failed=int(payload.get("failed") or 0),
-        )
 
     @classmethod
     def from_perfbench(cls, text: str) -> "BenchResult":
@@ -138,7 +84,6 @@ class BenchResult:
             suite=suite,
             host=HostFingerprint(
                 node=node,
-                system="",
                 machine=machine,
                 python=str(stamp.get("python", "")),
                 cpus=stamp.get("nproc"),
@@ -155,16 +100,6 @@ class BenchResult:
 
 
 def load_result(path: str) -> BenchResult:
-    """Load an envelope (JSON) or a perfbench result (its printed output)."""
+    """Load a perfbench result from the file its output was written to."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-    except ValueError:
-        return BenchResult.from_perfbench(text)
-    if not isinstance(payload, dict):
-        raise BenchFormatError(f"{path!r} holds JSON that is not an object")
-    result = BenchResult.from_payload(payload)
-    if not result.suite:
-        raise BenchFormatError(f"envelope {path!r} names no suite")
-    return result
+        return BenchResult.from_perfbench(fh.read())

@@ -38,8 +38,8 @@ Per-cycle statistics that the region's no-op ticks would still have
 recorded (stall counters, FSM occupancy) are reproduced exactly through
 :meth:`Component.skip`.
 
-Three engine modes are available (see :func:`set_default_engine` and the
-``REPRO_SIM_ENGINE`` environment variable):
+Three engine modes are available (per simulator through
+``Simulator(engine=...)``, process-wide through :func:`set_default_engine`):
 
 * ``"fast"``  — idle-horizon cycle skipping (the default);
 * ``"naive"`` — tick every component on every cycle (the reference
@@ -88,8 +88,6 @@ change state, so the fast path does not re-sample the condition inside one.
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.channel import Channel, Wire
@@ -98,17 +96,7 @@ from repro.utils.validation import check_positive
 #: Recognised scheduler implementations.
 ENGINE_MODES = ("fast", "naive", "debug")
 
-_default_engine = os.environ.get("REPRO_SIM_ENGINE", "fast")
-if _default_engine not in ENGINE_MODES:
-    # A typo here must not silently run a different scheduler than the user
-    # asked for (e.g. believing debug cross-checks ran when they did not).
-    warnings.warn(
-        f"REPRO_SIM_ENGINE={_default_engine!r} is not one of {ENGINE_MODES}; "
-        "falling back to 'fast'",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    _default_engine = "fast"
+_default_engine = "fast"
 
 
 def default_engine() -> str:

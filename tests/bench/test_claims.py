@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import claims
 from repro.bench.__main__ import main
-from repro.bench.references import DEFAULT_REFERENCES, WILDCARD
+from repro.bench.references import DEFAULT_REFERENCES
 
 CLAIMS = [
     pytest.param(suite, claim, id=f"{suite}.{claim.__name__}")
@@ -19,8 +19,7 @@ def test_claim_smoke_parity(suite, claim):
     assert measure.mismatches == []
     prefix = f"{suite}.{claim.__name__}."
     banded = {
-        name[len(prefix):] for name in DEFAULT_REFERENCES[WILDCARD]
-        if name.startswith(prefix)
+        name[len(prefix):] for name in DEFAULT_REFERENCES if name.startswith(prefix)
     }
     assert banded <= set(measure.metrics), "a banded claim metric was not recorded"
     assert all(value == value for value in measure.metrics.values())  # no NaN
@@ -32,7 +31,7 @@ def test_every_claim_band_names_a_claim():
         for suite, spec in claims.SUITES.items()
         for claim in spec.claims
     }
-    for metric in DEFAULT_REFERENCES[WILDCARD]:
+    for metric in DEFAULT_REFERENCES:
         suite = metric.split(".", 1)[0]
         if suite in claims.SUITES:
             assert any(metric.startswith(name) for name in names), metric

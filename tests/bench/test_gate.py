@@ -1,7 +1,5 @@
-"""Gate semantics: bands, exemptions, fallbacks and exit codes, and the
+"""Gate semantics: bands, exemptions and exit codes, and the
 ``python -m repro.bench gate`` CLI."""
-
-import json
 
 import pytest
 
@@ -14,15 +12,12 @@ from repro.bench.references import (
     band_bounds,
     format_band,
     in_band,
-    load_references,
-    resolve_references,
 )
+from tests.bench.conftest import COLD_METRICS
 
 
 def host(node="box", machine="x86_64", cpus=8):
-    return HostFingerprint(
-        node=node, system="Linux", machine=machine, python="3.11.0", cpus=cpus
-    )
+    return HostFingerprint(node=node, machine=machine, python="3.11.0", cpus=cpus)
 
 
 def result(metrics, *, suite="sim", smoke=False, contended=None, **host_kwargs):
@@ -36,14 +31,9 @@ def result(metrics, *, suite="sim", smoke=False, contended=None, **host_kwargs):
 
 
 REFS = {
-    "box:x86_64": {
-        "sim.widget.speedup": (4.0, -0.5, None, "x"),
-        "sim.widget.ratio": (1.0, -0.1, 0.1, "ratio"),
-    },
-    "*": {
-        "sim.widget.speedup": (2.0, -0.5, None, "x"),
-        "sim.widget.count": (10.0, 0.0, 0.0, "n"),
-    },
+    "sim.widget.speedup": (4.0, -0.5, None, "x"),
+    "sim.widget.ratio": (1.0, -0.1, 0.1, "ratio"),
+    "sim.widget.count": (10.0, 0.0, 0.0, "n"),
 }
 
 
@@ -62,23 +52,6 @@ class TestBands:
     def test_format_band(self):
         assert format_band((4.0, -0.5, None, "x")) == "[2, -] x"
         assert format_band((1183249.0, 0, 0, "count")) == "[1183249, 1183249] count"
-
-    def test_resolution_host_wins_wildcard_fills(self):
-        resolved = resolve_references("box:x86_64", REFS)
-        assert resolved["sim.widget.speedup"][0] == 4.0  # host entry wins
-        assert resolved["sim.widget.count"][0] == 10.0  # wildcard fills the gap
-        assert "sim.widget.ratio" in resolved
-
-    def test_unknown_host_falls_back_to_wildcard(self):
-        resolved = resolve_references("elsewhere:arm64", REFS)
-        assert resolved["sim.widget.speedup"][0] == 2.0
-        assert set(resolved) == set(REFS["*"])
-
-    def test_malformed_band_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_references("h", {"h": {"m": (1.0, 0.0)}})
-        with pytest.raises(ValueError):
-            resolve_references("h", {"h": {"m": ("ref", 0.0, 0.0, "x")}})
 
 
 class TestGate:
@@ -103,17 +76,6 @@ class TestGate:
         _, code = gate_results([res], REFS)
         assert code == 1
 
-    def test_missing_host_reference_falls_back_to_wildcard(self):
-        # 1.2 fails the host band [2, -] but passes the wildcard band [1, -]:
-        # an unknown host must gate against the wildcard, not the host entry.
-        res = result(
-            {"widget.speedup": 1.2, "widget.count": 10},
-            node="elsewhere", machine="arm64",
-        )
-        report = check_result(res, REFS)
-        assert report.reference_host == "*"
-        assert report.passed()
-
     def test_smoke_results_never_gate(self):
         res = result({"widget.speedup": 0.01, "widget.count": 3}, smoke=True)
         reports, code = gate_results([res], REFS)
@@ -125,9 +87,7 @@ class TestGate:
     def test_contended_exemption_only_for_listed_metrics(self):
         exempt = next(iter(CONTENDED_EXEMPT))
         suite, rest = exempt.split(".", 1)
-        refs = {
-            "*": {exempt: (2.0, -0.1, None, "x"), f"{suite}.other": (2.0, -0.1, None, "x")}
-        }
+        refs = {exempt: (2.0, -0.1, None, "x"), f"{suite}.other": (2.0, -0.1, None, "x")}
         res = result(
             {rest: 0.5, "other": 0.5}, suite=suite, contended=True, cpus=1
         )
@@ -140,7 +100,7 @@ class TestGate:
     def test_uncontended_host_gates_exempt_metrics(self):
         exempt = next(iter(CONTENDED_EXEMPT))
         suite, rest = exempt.split(".", 1)
-        refs = {"*": {exempt: (2.0, -0.1, None, "x")}}
+        refs = {exempt: (2.0, -0.1, None, "x")}
         res = result({rest: 0.5}, suite=suite, contended=False)
         assert not check_result(res, refs).passed()
 
@@ -178,53 +138,25 @@ class TestGate:
         assert "low" in text
 
 
-class TestReferenceFiles:
-    def test_load_references_roundtrip(self, tmp_path):
-        path = tmp_path / "refs.json"
-        path.write_text(
-            '{"box:x86_64": {"sim.widget.speedup": [4.0, -0.5, null, "x"]}}'
-        )
-        table = load_references(str(path))
-        assert table["box:x86_64"]["sim.widget.speedup"] == (4.0, -0.5, None, "x")
-
-    def test_load_references_rejects_junk(self, tmp_path):
-        path = tmp_path / "refs.json"
-        path.write_text('{"box": {"m": [1.0]}}')
-        with pytest.raises(ValueError):
-            load_references(str(path))
-
-
-def sim_result(speedup=5.0, **flags):
-    """A claims envelope shaped like ``python -m repro.bench run sim`` output."""
-    return BenchResult(
-        suite="sim",
-        host=HostFingerprint(
-            node="box", system="Linux", machine="x86_64", python="3.11.7", cpus=2
-        ),
-        metrics={
-            "smache_cycles_per_sec.speedup": speedup,
-            "smache_cycles_per_sec.cycles": 49028,
-        },
-        **flags,
-    )
-
-
-def write_envelope(path, result):
-    path.write_text(json.dumps(result.to_payload()))
-    return str(path)
+#: The five exact scheduler counters of a traced ``sim_fig2`` run.
+FIG2_METRICS = {
+    "sim.cycles": 75924.0,
+    "sim.ticks_executed": 75824.0,
+    "sim.cycles_skipped": 100.0,
+    "sim.skip_regions": 100.0,
+    "sim.component_ticks": 224763.0,
+}
 
 
 class TestGateCommand:
-    def test_perfbench_results_pass(self, perfbench_result, tmp_path, capsys):
-        files = [perfbench_result(), write_envelope(tmp_path / "sim.json", sim_result())]
+    def test_perfbench_results_pass(self, perfbench_result, capsys):
+        files = [perfbench_result(), perfbench_result("sim_fig2", FIG2_METRICS)]
         assert main(["gate", *files]) == 0
         out = capsys.readouterr().out
         assert "gate: PASS (2 suite report(s))" in out
         assert "campaign_cold.compile.calls" in out
 
     def test_doctored_counter_fails(self, perfbench_result, capsys):
-        from tests.bench.conftest import COLD_METRICS
-
         doctored = dict(COLD_METRICS, **{"compile.calls": 97.0})
         assert main(["gate", perfbench_result(metrics=doctored)]) == 1
         out = capsys.readouterr().out
@@ -236,8 +168,6 @@ class TestGateCommand:
         assert main(["gate", perfbench_result(failed=1)]) == 1
 
     def test_end_to_end_timings_stay_unreferenced(self, perfbench_result, capsys):
-        from repro.bench.gate import check_result
-
         report = check_result(load_result(perfbench_result()))
         statuses = {c.metric: c.status for c in report.checks}
         assert statuses["campaign_cold.throughput_per_s"] == "unreferenced"
@@ -248,29 +178,15 @@ class TestGateCommand:
         with pytest.raises(SystemExit):
             main(["gate"])
 
-    def test_synthetic_regression_fails(self, tmp_path, capsys):
-        regressed = write_envelope(tmp_path / "sim.json", sim_result(speedup=0.01))
-        assert main(["gate", regressed]) == 1
+    def test_synthetic_regression_fails(self, perfbench_result, capsys):
+        regressed = dict(FIG2_METRICS, **{"sim.ticks_executed": 70000.0})
+        assert main(["gate", perfbench_result("sim_fig2", regressed)]) == 1
         out = capsys.readouterr().out
         assert "low" in out and "gate: FAIL" in out
 
-    def test_smoke_file_never_gates(self, tmp_path, capsys):
-        smoke = write_envelope(tmp_path / "sim.json", sim_result(speedup=0.01, smoke=True))
-        assert main(["gate", smoke]) == 0
-        assert "smoke" in capsys.readouterr().out
-
-    def test_custom_references_file(self, tmp_path, capsys):
-        refs = tmp_path / "refs.json"
-        refs.write_text(json.dumps(
-            {"*": {"sim.smache_cycles_per_sec.speedup": [1e6, -0.1, None, "x"]}}
-        ))
-        envelope = write_envelope(tmp_path / "sim.json", sim_result())
-        assert main(["gate", envelope, "--references", str(refs)]) == 1
-
-    def test_strict_flags_missing_metrics(self, tmp_path, capsys):
-        res = sim_result()
-        del res.metrics["smache_cycles_per_sec.speedup"]
-        path = write_envelope(tmp_path / "sim.json", res)
+    def test_strict_flags_missing_metrics(self, perfbench_result):
+        dropped = {k: v for k, v in COLD_METRICS.items() if k != "compile.calls"}
+        path = perfbench_result(metrics=dropped)
         assert main(["gate", path]) == 0
         assert main(["gate", path, "--strict"]) == 1
 

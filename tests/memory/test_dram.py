@@ -216,3 +216,65 @@ class TestSharedBus:
         dram.reset()
         assert dram.words_read == 0
         assert np.all(dram.storage == 0)
+
+
+
+REGION = 8192
+PENALISED = DRAMTiming(random_access_cycles=4, row_miss_penalty=8, row_words=512)
+
+
+def sustained_rate(trace, timing=PENALISED):
+    """Reads per cycle of ``trace`` on a shared-bus DRAM over ``REGION`` words."""
+    sim = Simulator()
+    dram = DRAMModel(sim, size_words=2 * REGION, timing=timing, shared_bus=True)
+    dram.preload(0, np.arange(REGION))
+    read_n_words(sim, dram, trace, max_cycles=200 * len(trace))
+    return len(trace) / sim.cycle
+
+
+def random_trace(n):
+    return np.random.default_rng(0).integers(0, REGION, size=n).tolist()
+
+
+class TestAccessPatterns:
+    """The paper's motivation on this DRAM model: only a contiguous stream
+    sustains the interface rate once non-burst accesses carry a realistic
+    penalty (the MP-Stream observation behind Smache).
+
+    Each trace is 4,096 reads over an 8,192-word region, with a 4-cycle
+    random access and an 8-cycle row miss on 512-word rows.
+    """
+
+    N = 4096
+
+    @pytest.fixture(scope="class")
+    def rates(self):
+        # the naive stencil gather: each point's four neighbours on 64-word rows
+        gather = [
+            (p + off) % REGION for p in range(self.N // 4) for off in (-64, -1, 1, 64)
+        ]
+        return {
+            "contiguous": sustained_rate(list(range(self.N))),
+            "strided": sustained_rate([(8 * i) % REGION for i in range(self.N)]),
+            "random": sustained_rate(random_trace(self.N)),
+            "stencil-gather": sustained_rate(gather),
+        }
+
+    def test_contiguous_sustains_near_peak(self, rates):
+        assert rates["contiguous"] > 0.9
+
+    def test_random_is_much_slower(self, rates):
+        assert rates["random"] < 0.3
+        assert rates["contiguous"] / rates["random"] > 3.0
+
+    def test_strided_between_the_extremes(self, rates):
+        assert rates["random"] <= rates["strided"] <= rates["contiguous"]
+
+    def test_stencil_gather_is_not_contiguous_rate(self, rates):
+        assert rates["stencil-gather"] < rates["contiguous"]
+
+    def test_no_penalty_timing_closes_the_gap(self):
+        flat = DRAMTiming(random_access_cycles=1, row_miss_penalty=0)
+        contiguous = sustained_rate(list(range(512)), flat)
+        random = sustained_rate(random_trace(512), flat)
+        assert random == pytest.approx(contiguous, rel=0.1)
