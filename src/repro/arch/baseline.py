@@ -42,45 +42,51 @@ class _FetchPlanEntry:
 
     linear: int
     fetch_offsets: Tuple[int, ...]          # relative addresses to fetch (length == n_points)
-    participate: Tuple[bool, ...]           # does fetch i feed the kernel?
-    # grid offsets of the participating fetches, then of the constants
+    participate: Tuple[bool, ...]           # does fetch i feed the kernel (as itself or a constant)?
+    constants: Tuple[Optional[float], ...]  # per fetch: the constant replacing it, if any
+    # grid offsets of the kernel's operands, in access order
     kernel_offsets: Tuple[Tuple[int, ...], ...]
-    constant_values: Tuple[float, ...]
 
 
 def build_fetch_plan(table: AccessTable) -> List[_FetchPlanEntry]:
-    """Translate an access table into the baseline's per-point fetch schedule."""
+    """Translate an access table into the baseline's per-point fetch schedule.
+
+    The kernel sees its operands in access order, constants in place, as
+    the Smache front-end and the reference executor present them, so the
+    three agree bit for bit under any kernel.
+    """
     plan: List[_FetchPlanEntry] = []
     for linear in range(len(table)):
         point = table[linear]
         fetch_rel: List[int] = []
         participate: List[bool] = []
+        constants: List[Optional[float]] = []
         offsets: List[Tuple[int, ...]] = []
-        const_offsets: List[Tuple[int, ...]] = []
-        const_values: List[float] = []
         for acc in point.accesses:
+            constant = None
             if acc.kind is ResolutionKind.CONSTANT:
                 # no fetch needed; the constant is injected at compute time,
                 # but the naive master still issues a (dummy) centre read to
                 # keep its fetch schedule regular.
                 fetch_rel.append(linear)
-                participate.append(False)
-                const_offsets.append(acc.offset)
-                const_values.append(float(acc.constant))
+                constant = float(acc.constant)
             elif acc.kind is ResolutionKind.SKIPPED:
                 fetch_rel.append(linear)
                 participate.append(False)
+                constants.append(None)
+                continue
             else:
                 fetch_rel.append(acc.target)
-                participate.append(True)
-                offsets.append(acc.offset)
+            participate.append(True)
+            constants.append(constant)
+            offsets.append(acc.offset)
         plan.append(
             _FetchPlanEntry(
                 linear=linear,
                 fetch_offsets=tuple(fetch_rel),
                 participate=tuple(participate),
-                kernel_offsets=tuple(offsets + const_offsets),
-                constant_values=tuple(const_values),
+                constants=tuple(constants),
+                kernel_offsets=tuple(offsets),
             )
         )
     return plan
@@ -128,6 +134,10 @@ class BaselineMaster(Component):
 
         self.operations = 0
         self.points_completed = 0
+        #: Cycle of each instance's first read request and of its last
+        #: completed write.
+        self.instance_start_cycles: List[int] = []
+        self.instance_end_cycles: List[int] = []
 
     # ------------------------------------------------------------------ #
     def src_base(self, instance: int) -> int:
@@ -162,6 +172,8 @@ class BaselineMaster(Component):
         self._writes_issued = 0
         self.operations = 0
         self.points_completed = 0
+        self.instance_start_cycles = []
+        self.instance_end_cycles = []
 
     # ------------------------------------------------------------------ #
     def _request_allowed(self) -> bool:
@@ -204,6 +216,26 @@ class BaselineMaster(Component):
             len(self._collected),
             len(self._compute_pipe),
             self._writes_issued,
+            len(self.instance_end_cycles),
+        )
+
+    def instance_digest(self, origin: int):
+        # Instance parities pick the grid copies; the completed writes,
+        # relative to both instance counts, gate the next request and the
+        # next instance end.  Collected operands and results are data.
+        writes = self.dram.writes_completed
+        grid_words = self.grid_words
+        return (
+            self._req_instance - self._rsp_instance,
+            self._req_instance % 2,
+            self._rsp_instance % 2,
+            self._req_point,
+            self._req_operand,
+            self._rsp_point,
+            len(self._collected),
+            tuple((max(0, ready - origin), addr) for ready, addr, _value in self._compute_pipe),
+            writes - self._req_instance * grid_words,
+            writes - len(self.instance_end_cycles) * grid_words,
         )
 
     def tick(self) -> None:
@@ -211,11 +243,18 @@ class BaselineMaster(Component):
             return
         now = self.sim.cycle
         fetch_plan = self.fetch_plan
+        # An instance ends with its last write: the DRAM ticks first, so it
+        # is seen in the cycle the write completes.
+        ends = self.instance_end_cycles
+        if self.dram.writes_completed >= (len(ends) + 1) * self.grid_words:
+            ends.append(now)
         # Issue at most one read request per cycle.
         read_cmd = self._read_cmd
         if self._request_allowed() and read_cmd.can_push():
             point = self._req_point
             operand = self._req_operand
+            if point == 0 and operand == 0:
+                self.instance_start_cycles.append(now)
             fetch_offsets = fetch_plan[point].fetch_offsets
             base = self.base_a if self._req_instance % 2 == 0 else self.base_b
             read_cmd.push(DRAMCommand("read", base + fetch_offsets[operand], tag=point))
@@ -237,7 +276,11 @@ class BaselineMaster(Component):
             entry = fetch_plan[self._rsp_point]
             if len(collected) == len(entry.fetch_offsets):
                 kernel = self.kernel
-                values = tuple(compress(collected, entry.participate)) + entry.constant_values
+                values = tuple(
+                    value if constant is None else constant
+                    for value, constant in compress(zip(collected, entry.constants),
+                                                    entry.participate)
+                )
                 result = kernel.apply(entry.kernel_offsets, values)
                 self.operations += kernel.ops_per_point
                 self.stats.incr("kernel_ops", kernel.ops_per_point)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Tuple
+from typing import Deque, Tuple, Union
 
 from repro.reference.kernels import StencilKernel
 from repro.sim.channel import Channel
@@ -42,6 +42,12 @@ class KernelResult:
     value: float
 
 
+def centre_index(item: Union[TupleData, KernelResult]) -> int:
+    """Timing key of a tuple or a result: its centre (the address it is
+    written back to), not its values."""
+    return item.index
+
+
 class KernelHW(Component):
     """A pipelined stencil kernel: one tuple in, one result out, fixed latency."""
 
@@ -60,9 +66,9 @@ class KernelHW(Component):
         self.stats = stats or StatsCollector(name)
         #: Input channel; pass the front-end's ``tuple_out`` to connect them.
         self.tuple_in: Channel = tuple_in if tuple_in is not None else self.channel(
-            "tuple_in", input_capacity
+            "tuple_in", input_capacity, centre_index
         )
-        self.result_out: Channel = self.channel("result_out", output_capacity)
+        self.result_out: Channel = self.channel("result_out", output_capacity, centre_index)
         #: In-flight bound of the initiation pipeline; shared by tick() and
         #: next_activity() so the scheduler can never drift from the datapath.
         self._pipe_capacity = max(1, self.kernel.latency) + 2
@@ -110,6 +116,9 @@ class KernelHW(Component):
 
     def skip_digest(self):
         return (len(self._pipeline), self.tuples_processed, self.operations)
+
+    def instance_digest(self, origin: int):
+        return tuple((max(0, ready - origin), result.index) for ready, result in self._pipeline)
 
     # ------------------------------------------------------------------ #
     def tick(self) -> None:

@@ -95,6 +95,11 @@ class ReadMaster(Component):
     def skip_digest(self):
         return (self._current, self._next_addr, self._remaining, self.words_requested)
 
+    def instance_digest(self, origin: int):
+        if self._current is None:
+            return ()
+        return (self._current, self._next_addr, self._remaining)
+
 
 class ResponseRouter(Component):
     """Routes DRAM read data to the stream or prefetch input of the front-end."""
@@ -144,6 +149,9 @@ class ResponseRouter(Component):
 
     def skip_digest(self):
         return (self.routed_stream, self.routed_prefetch)
+
+    def instance_digest(self, origin: int):
+        return ()  # routes by tag; holds nothing between cycles
 
 
 class WritebackUnit(Component):
@@ -213,6 +221,9 @@ class WritebackUnit(Component):
     def skip_digest(self):
         return (self.dst_base, self.results_written)
 
+    def instance_digest(self, origin: int):
+        return (self.dst_base,)
+
 
 class WorkSequencer(Component):
     """Runs the requested number of work-instances back to back.
@@ -250,7 +261,7 @@ class WorkSequencer(Component):
         self.prefetch_every_instance = prefetch_every_instance
         self.base_a = base_a
         self.base_b = base_b if base_b is not None else base_a + grid_words
-        self.trace = trace or TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog(enabled=False)
 
         self.fsm = FSM("sequencer", ["INIT", "WAIT", "DONE"], "INIT")
         self.current_instance = 0
@@ -339,3 +350,12 @@ class WorkSequencer(Component):
 
     def skip_digest(self):
         return (self.fsm.state, self.current_instance, len(self.instance_end_cycles))
+
+    def instance_digest(self, origin: int):
+        # The instance's parity picks the grid copies of the next launch;
+        # the writes it still waits for decide when that launch happens.
+        return (
+            self.fsm.state,
+            self.current_instance % 2,
+            self.dram.writes_completed - self.current_instance * self.grid_words,
+        )

@@ -25,13 +25,13 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.arch.access_table import AccessTable
-from repro.arch.kernel import KernelResult, TupleData
+from repro.arch.kernel import KernelResult, TupleData, centre_index
 from repro.arch.static_buffer import StaticBufferHW
 from repro.arch.stream_buffer import WindowBuffer
 from repro.core.boundary import ResolutionKind
 from repro.core.buffers import BufferPlan
 from repro.core.partition import HybridPartition
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, untimed
 from repro.sim.engine import Component, SimulationError, Simulator
 from repro.sim.fsm import FSM
 from repro.sim.stats import StatsCollector
@@ -59,7 +59,7 @@ class SmacheFrontEnd(Component):
         #: the static buffers and every work-instance re-prefetches them.
         self.write_through = write_through
         self.stats = stats or StatsCollector(name)
-        self.trace = trace or TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog(enabled=False)
         self.access_table = access_table or AccessTable(
             plan.grid, plan.stencil, plan.boundary
         )
@@ -73,10 +73,10 @@ class SmacheFrontEnd(Component):
         self._operand_plan = self._build_operand_plan()
 
         # channels
-        self.stream_in: Channel = self.channel("stream_in", 2)
-        self.prefetch_in: Channel = self.channel("prefetch_in", 2)
-        self.result_in: Channel = self.channel("result_in", 2)
-        self.tuple_out: Channel = self.channel("tuple_out", 2)
+        self.stream_in: Channel = self.channel("stream_in", 2, untimed)
+        self.prefetch_in: Channel = self.channel("prefetch_in", 2, untimed)
+        self.result_in: Channel = self.channel("result_in", 2, centre_index)
+        self.tuple_out: Channel = self.channel("tuple_out", 2, centre_index)
 
         # controller FSMs
         self.fsm_prefetch = FSM("fsm1-prefetch", ["IDLE", "FILL", "DONE"], "IDLE")
@@ -259,6 +259,22 @@ class SmacheFrontEnd(Component):
             self._emitted,
             self.tuples_emitted,
             self.window.head,
+        )
+
+    def instance_digest(self, origin: int):
+        # The window's and the static buffers' contents are data; their
+        # fill levels are timing.  Which bank is read only picks data.
+        return (
+            self.fsm_prefetch.state,
+            self.fsm_gather.state,
+            self.fsm_writeback.state,
+            self._active,
+            self._received,
+            self._emitted,
+            self._prefetch_buffer_idx,
+            self.window.head,
+            self.window.fill_count(),
+            tuple(s.prefetch_fill for s in self.statics),
         )
 
     # ------------------------------------------------------------------ #

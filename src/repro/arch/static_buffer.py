@@ -74,6 +74,11 @@ class StaticBufferHW:
         self.prefetched_words += 1
 
     @property
+    def prefetch_fill(self) -> int:
+        """Words prefetched into the read bank since the last (re)start."""
+        return self._prefetch_fill
+
+    @property
     def prefetch_complete(self) -> bool:
         """True once the warm-up prefetch has filled the read bank."""
         return self._prefetch_fill >= self.spec.length

@@ -17,19 +17,19 @@ access table, input loading, result assembly); each adds its own hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.access_table import AccessTable
 from repro.arch.baseline import BaselineMaster
 from repro.arch.kernel import KernelHW
 from repro.arch.shell import ReadMaster, ResponseRouter, WorkSequencer, WritebackUnit
 from repro.arch.smache import SmacheFrontEnd
 from repro.memory.dram import DRAMModel, DRAMTiming
 from repro.reference.kernels import StencilKernel
-from repro.sim.engine import Simulator
+from repro.reference.stencil_exec import reference_run
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stats import StatsCollector
 from repro.sim.trace import TraceLog
 
@@ -100,6 +100,9 @@ class _System:
     DESIGN = ""
     #: Cycle budget of :meth:`run` when the caller names none.
     MAX_CYCLES = 0
+    #: ``extra`` counters that are peaks, not totals: a repeated instance
+    #: leaves them as they are.
+    PEAK_EXTRA: FrozenSet[str] = frozenset()
 
     control: Any
     datapath: Any
@@ -128,15 +131,18 @@ class _System:
             timing=dram_timing,
             shared_bus=shared_bus,
         )
-        self.access_table = AccessTable(grid, problem.stencil, problem.boundary)
+        self.access_table = design.access_table
+        self.trace = TraceLog(enabled=False)
 
     def extra(self) -> Dict[str, float]:
         """The system's own hardware counters, for ``SimulationResult.extra``."""
         raise NotImplementedError
 
     def instance_cycles(self) -> List[int]:
-        """Cycles of each completed work-instance (empty when not tracked)."""
-        return []
+        """Cycles of each completed work-instance."""
+        control = self.control
+        starts, ends = control.instance_start_cycles, control.instance_end_cycles
+        return [end - start for start, end in zip(starts, ends)]
 
     # ------------------------------------------------------------------ #
     def load_input(self, array: np.ndarray) -> None:
@@ -150,15 +156,143 @@ class _System:
     def run(self, max_cycles: Optional[int] = None) -> SimulationResult:
         """Run all work-instances and collect the result.
 
-        ``max_cycles`` defaults to the system's :attr:`MAX_CYCLES`.
+        ``max_cycles`` defaults to the system's :attr:`MAX_CYCLES`.  Unless
+        the engine is ``naive`` or a trace is recorded, the run stops at
+        each instance boundary to take the timing digest and fast-forwards
+        once it repeats (see :mod:`repro.sim.engine`); under ``debug`` it
+        simulates on and checks the fast-forwarded result field by field.
         """
-        control = self.control
-        grid = self.design.problem.grid
-        self.sim.run_until(
-            lambda: control.done,
-            max_cycles=self.MAX_CYCLES if max_cycles is None else max_cycles,
+        budget = self.MAX_CYCLES if max_cycles is None else max_cycles
+        sim, control = self.sim, self.control
+        predicted = None
+        if sim.engine != "naive" and not self.trace.enabled:
+            predicted = self._run_to_repeat(budget)
+        if predicted is not None and sim.engine != "debug":
+            sim.fast_forward(predicted.cycles - sim.cycle, budget)
+            predicted.engine_stats = self._engine_stats()
+            return predicted
+        sim.run_until(lambda: control.done, max_cycles=budget)
+        result = self._result()
+        if predicted is not None:
+            self._check_fast_forward(predicted, result)
+        return result
+
+    # ------------------------------------------------------------------ #
+    # instance fast-forward
+    # ------------------------------------------------------------------ #
+    def _run_to_repeat(self, budget: int) -> Optional[SimulationResult]:
+        """Simulate instance by instance until the timing digest repeats.
+
+        Once the digest after the last completed instance equals the one
+        ``period`` (1 or 2) instances earlier, with instances left to run,
+        returns the whole run's result extrapolated from there (no engine
+        stats); ``None`` when the digest never repeated or some component
+        has none.
+        """
+        sim, control = self.sim, self.control
+        digests: List[Tuple] = []
+        totals: List[Dict[str, Any]] = []
+        for completed in range(1, self.iterations):
+            sim.run_until(
+                lambda: len(control.instance_end_cycles) >= completed, max_cycles=budget
+            )
+            digest = sim.instance_digest()
+            if digest is None:
+                return None
+            digests.append(digest)
+            totals.append(self._totals())
+            for period in (1, 2):
+                if completed > period and digests[-1 - period] == digest:
+                    return self._extrapolate(period, totals)
+        return None
+
+    def _totals(self) -> Dict[str, Any]:
+        """The result's running totals at an instance boundary."""
+        dram = self.dram
+        return {
+            "cycles": self.sim.cycle,
+            "dram_words_read": dram.words_read,
+            "dram_words_written": dram.words_written,
+            "dram_bytes": dram.total_traffic_bytes,
+            "operations": self.datapath.operations,
+            "extra": self.extra(),
+        }
+
+    def _extrapolate(self, period: int, totals: List[Dict[str, Any]]) -> SimulationResult:
+        """The result of the whole run, from the first ``len(totals)``
+        instances and the knowledge that the rest repeat the last ``period``.
+
+        Counters grow by the last period's deltas (peaks stay), instance
+        cycles repeat, and the output continues from the simulated DRAM
+        image with the vectorized reference executor, bitwise equal to
+        simulating it.
+        """
+        done = len(totals)
+        remaining = self.iterations - done
+        repeats, rest = divmod(remaining, period)
+        now, before, partial = totals[-1], totals[-1 - period], totals[-1 - period + rest]
+
+        def total(new: Any, old: Any, part: Any, key: str) -> Any:
+            if key in self.PEAK_EXTRA:
+                return new
+            return new + repeats * (new - old) + (part - old)
+
+        counters = {
+            key: total(now[key], before[key], partial[key], key)
+            for key in now if key != "extra"
+        }
+        extra = {
+            key: total(value, before["extra"][key], partial["extra"][key], key)
+            for key, value in now["extra"].items()
+        }
+        simulated = self.instance_cycles()[:done]
+        repeated = simulated[-period:]
+        problem = self.design.problem
+        grid = problem.grid
+        image = self.dram.snapshot(self.control.src_base(done), grid.size)
+        output = reference_run(
+            image.reshape(grid.shape),
+            grid,
+            problem.stencil,
+            problem.boundary,
+            self.kernel_spec,
+            iterations=remaining,
         )
-        output = self.dram.snapshot(control.src_base(self.iterations), grid.size)
+        return SimulationResult(
+            design=self.DESIGN,
+            iterations=self.iterations,
+            grid_points=grid.size,
+            output=output,
+            instance_cycles=simulated + [repeated[i % period] for i in range(remaining)],
+            extra=extra,
+            **counters,
+        )
+
+    def _check_fast_forward(self, predicted: SimulationResult, result: SimulationResult) -> None:
+        """Debug engine: the fast-forwarded result must equal the simulated one."""
+        for name in _CHECKED_FIELDS:
+            expected, actual = getattr(predicted, name), getattr(result, name)
+            if name == "output":
+                same = expected.shape == actual.shape and expected.tobytes() == actual.tobytes()
+            else:
+                same = expected == actual
+            if not same:
+                raise SimulationError(
+                    f"simulation '{self.sim.name}': fast-forward predicted {name} "
+                    f"{expected!r}, simulation gives {actual!r} — some component's "
+                    "instance_digest() leaves out timing state"
+                )
+
+    # ------------------------------------------------------------------ #
+    def _engine_stats(self) -> Dict[str, object]:
+        stats = self.sim.run_stats()
+        stats["instances_simulated"] = len(self.control.instance_end_cycles)
+        return stats
+
+    def _result(self) -> SimulationResult:
+        """The result of a run simulated to its end."""
+        grid = self.design.problem.grid
+        output = self.dram.snapshot(self.control.src_base(self.iterations), grid.size)
         return SimulationResult(
             design=self.DESIGN,
             cycles=self.sim.cycle,
@@ -171,8 +305,12 @@ class _System:
             output=output.reshape(grid.shape),
             instance_cycles=self.instance_cycles(),
             extra=self.extra(),
-            engine_stats=self.sim.run_stats(),
+            engine_stats=self._engine_stats(),
         )
+
+
+#: ``SimulationResult`` fields a fast-forward must reproduce exactly.
+_CHECKED_FIELDS = tuple(f.name for f in fields(SimulationResult) if f.name != "engine_stats")
 
 
 # --------------------------------------------------------------------------- #
@@ -186,6 +324,7 @@ class SmacheSystem(_System):
 
     DESIGN = "smache"
     MAX_CYCLES = 50_000_000
+    PEAK_EXTRA = frozenset({"max_bram_reads_per_cycle"})
 
     def __init__(
         self,
@@ -198,7 +337,7 @@ class SmacheSystem(_System):
         engine: Optional[str] = None,
     ) -> None:
         super().__init__(design, kernel, iterations, dram_timing, engine, shared_bus=False)
-        self.trace = trace or TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog(enabled=False)
         self.stats = StatsCollector("smache_system")
         self.write_through = write_through
         self.plan = design.plan
@@ -249,11 +388,6 @@ class SmacheSystem(_System):
             "max_bram_reads_per_cycle": self.front_end.window.max_bram_reads_per_cycle,
         }
 
-    def instance_cycles(self) -> List[int]:
-        """Cycles of each completed work-instance."""
-        sequencer = self.sequencer
-        starts, ends = sequencer.instance_start_cycles, sequencer.instance_end_cycles
-        return [end - start for start, end in zip(starts, ends)]
 
 
 # --------------------------------------------------------------------------- #

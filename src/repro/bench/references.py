@@ -48,6 +48,10 @@ DEFAULT_REFERENCES: ReferenceTable = {
     "sim.smache_cycles_per_sec.speedup": (3.0, 0.0, None, "x"),
     "sim.baseline_cycles_per_sec.speedup": (2.0, 0.0, None, "x"),
     "sim.default_timing_overhead.overhead_ratio": (1.5, None, 0.0, "ratio"),
+    # Figure 2 at 100 instances: each system's timing digest repeats after
+    # three simulated instances (period 2: the grid copies alternate).
+    "sim.figure2_fast_forward.instances_simulated_smache": (3.0, 0.0, 0.0, "count"),
+    "sim.figure2_fast_forward.instances_simulated_baseline": (3.0, 0.0, 0.0, "count"),
     "sim.reference_cells_per_sec.speedup": (10.0, 0.0, None, "x"),
     # --- claims: pipeline (analytic backend, DSE sweep, process pool) ---
     "pipeline.analytic_backend.analytic_speedup": (20.0, 0.0, None, "x"),
@@ -78,17 +82,19 @@ DEFAULT_REFERENCES: ReferenceTable = {
     "campaign_cold.sweep.events": (386.0, 0.0, 0.0, "count"),
     "campaign_cold.sweep.points_failed": (0.0, 0.0, 0.0, "count"),
     # --- perfbench sim_fig2 / sim_latency, traced: exact scheduler work ---
-    # (any seed: a scheduler that executes or skips other cycles fails)
+    # (any seed: a scheduler that executes or skips other cycles fails).
+    # Each system simulates three instances and fast-forwards the rest, so
+    # the executed and skipped cycles are those of the simulated prefix.
     "sim_fig2.sim.cycles": (75924.0, 0.0, 0.0, "count"),
-    "sim_fig2.sim.ticks_executed": (75824.0, 0.0, 0.0, "count"),
-    "sim_fig2.sim.cycles_skipped": (100.0, 0.0, 0.0, "count"),
-    "sim_fig2.sim.skip_regions": (100.0, 0.0, 0.0, "count"),
-    "sim_fig2.sim.component_ticks": (224763.0, 0.0, 0.0, "count"),
+    "sim_fig2.sim.ticks_executed": (2298.0, 0.0, 0.0, "count"),
+    "sim_fig2.sim.cycles_skipped": (3.0, 0.0, 0.0, "count"),
+    "sim_fig2.sim.skip_regions": (3.0, 0.0, 0.0, "count"),
+    "sim_fig2.sim.component_ticks": (6901.0, 0.0, 0.0, "count"),
     "sim_latency.sim.cycles": (1183249.0, 0.0, 0.0, "count"),
-    "sim_latency.sim.ticks_executed": (117133.0, 0.0, 0.0, "count"),
-    "sim_latency.sim.cycles_skipped": (1066116.0, 0.0, 0.0, "count"),
-    "sim_latency.sim.skip_regions": (34234.0, 0.0, 0.0, "count"),
-    "sim_latency.sim.component_ticks": (306856.0, 0.0, 0.0, "count"),
+    "sim_latency.sim.ticks_executed": (7273.0, 0.0, 0.0, "count"),
+    "sim_latency.sim.cycles_skipped": (64312.0, 0.0, 0.0, "count"),
+    "sim_latency.sim.skip_regions": (2084.0, 0.0, 0.0, "count"),
+    "sim_latency.sim.component_ticks": (20036.0, 0.0, 0.0, "count"),
 }
 
 

@@ -90,6 +90,16 @@ class DRAMResponse:
         self.tag = tag
 
 
+def command_timing(cmd: DRAMCommand) -> Tuple[str, int, int]:
+    """Timing key of a command: everything but the written data."""
+    return (cmd.kind, cmd.addr, cmd.tag)
+
+
+def response_timing(rsp: DRAMResponse) -> Tuple[int, int]:
+    """Timing key of a read response: everything but the data."""
+    return (rsp.addr, rsp.tag)
+
+
 class _Port:
     """Internal per-port state: burst tracking and an absolute free time.
 
@@ -134,11 +144,11 @@ class DRAMModel(Component):
         self.storage = np.zeros(size_words, dtype=np.float64)
 
         #: Read commands from the system to the DRAM.
-        self.read_cmd: Channel = self.channel("read_cmd", read_cmd_capacity)
+        self.read_cmd: Channel = self.channel("read_cmd", read_cmd_capacity, command_timing)
         #: Read responses, strictly in command order.
-        self.read_rsp: Channel = self.channel("read_rsp", response_capacity)
+        self.read_rsp: Channel = self.channel("read_rsp", response_capacity, response_timing)
         #: Write commands.
-        self.write_cmd: Channel = self.channel("write_cmd", read_cmd_capacity)
+        self.write_cmd: Channel = self.channel("write_cmd", read_cmd_capacity, command_timing)
 
         self._read_port = _Port("read")
         self._write_port = _Port("write")
@@ -350,5 +360,22 @@ class DRAMModel(Component):
             self.writes_completed,
             self._read_port.free_at,
             self._write_port.free_at,
+            self._arbiter_turn,
+        )
+
+    def instance_digest(self, origin: int):
+        # Per port: cycles until free (0 once free: only ``now >= free_at``
+        # is ever tested) and the last address, which decides the next
+        # access's burst continuation and open row.  In-flight reads keep
+        # their delivery delay, address and tag, not their data.
+        return (
+            tuple(
+                (max(0, port.free_at - origin), port.last_addr)
+                for port in (self._read_port, self._write_port)
+            ),
+            tuple(
+                (max(0, ready - origin), rsp.addr, rsp.tag)
+                for ready, rsp in self._inflight_reads
+            ),
             self._arbiter_turn,
         )

@@ -34,7 +34,8 @@ re-planning the same problem are free after the first hit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.buffers import BufferPlan
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
@@ -44,6 +45,9 @@ from repro.core.ranges import RangePartition, partition_into_ranges
 from repro.fpga.synthesis import SynthesisReport, smache_design_name, synthesize_smache
 from repro.pipeline.cache import PlanCache, plan_cache
 from repro.pipeline.problem import StencilProblem
+
+if TYPE_CHECKING:
+    from repro.arch.access_table import AccessTable
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,23 @@ class CompiledDesign:
     synthesis: SynthesisReport
 
     # ------------------------------------------------------------------ #
+    @cached_property
+    def access_table(self) -> "AccessTable":
+        """Every grid point's resolved accesses, built on first use and
+        shared by every system simulated from this design.
+
+        It is rebuilt, not pickled, on the far side of a process boundary.
+        """
+        from repro.arch.access_table import AccessTable
+
+        problem = self.problem
+        return AccessTable(problem.grid, problem.stencil, problem.boundary)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("access_table", None)
+        return state
+
     @property
     def n_ranges(self) -> int:
         """Number of stream ranges of the problem."""

@@ -20,7 +20,7 @@ committed explicitly by their caller, exactly as before.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional
+from typing import Any, Callable, Deque, Hashable, Iterable, List, Optional, Tuple
 
 from repro.utils.validation import check_positive
 
@@ -36,6 +36,7 @@ class Channel:
         "_staged_pops",
         "_on_dirty",
         "_dirty",
+        "timing_key",
         "total_pushes",
         "total_pops",
         "push_stall_cycles",
@@ -48,6 +49,7 @@ class Channel:
         name: str,
         capacity: int = 2,
         on_dirty: Optional[Callable[["Channel"], None]] = None,
+        timing_key: Optional[Callable[[Any], Hashable]] = None,
     ) -> None:
         check_positive("capacity", capacity)
         self.name = name
@@ -57,6 +59,10 @@ class Channel:
         self._staged_pops = 0
         self._on_dirty = on_dirty
         self._dirty = False
+        #: Maps an item to the part of it that can affect timing (an
+        #: address, a tag), leaving data values out; ``None`` keeps the
+        #: whole item.  Read by :meth:`timing_digest`.
+        self.timing_key = timing_key
         # statistics
         self.total_pushes = 0
         self.total_pops = 0
@@ -178,6 +184,12 @@ class Channel:
         self.pop_stall_cycles = 0
         self.max_occupancy = 0
 
+    def timing_digest(self) -> Tuple[Hashable, ...]:
+        """The committed items' timing keys, oldest first (instance
+        fast-forward; called between cycles, when nothing is staged)."""
+        key = self.timing_key
+        return tuple(self._queue) if key is None else tuple(map(key, self._queue))
+
     # ------------------------------------------------------------------ #
     @property
     def occupancy(self) -> int:
@@ -253,6 +265,11 @@ class Wire:
         self._next = None
         self._dirty = False
         self.mutations = 0
+
+
+def untimed(item: Any) -> None:
+    """Timing key of a pure data item: only its presence counts."""
+    return None
 
 
 class SimulationChannelError(RuntimeError):

@@ -41,14 +41,16 @@ recorded (stall counters, FSM occupancy) are reproduced exactly through
 Three engine modes are available (per simulator through
 ``Simulator(engine=...)``, process-wide through :func:`set_default_engine`):
 
-* ``"fast"``  — idle-horizon cycle skipping (the default);
+* ``"fast"``  — idle-horizon cycle skipping and instance fast-forward (the
+  default);
 * ``"naive"`` — tick every component on every cycle (the reference
   scheduler);
 * ``"debug"`` — take the fast path's skip decisions but *execute* every
   skipped region naively, asserting it really was dead: no channel or wire
   activity at all, and no drift of any component's
-  :meth:`Component.skip_digest`.  Use this to validate the
-  ``next_activity`` implementation of a new component.
+  :meth:`Component.skip_digest`; and simulate every instance, checking the
+  fast-forwarded result.  Use this to validate the ``next_activity`` and
+  ``instance_digest`` implementations of a new component.
 
 The fast path is bit-identical to naive ticking: cycle counts, traffic
 counters, stall statistics and outputs all match, which the parity suite in
@@ -84,14 +86,47 @@ region no component acts, so no such state can move.
 The condition passed to :meth:`Simulator.run_until` must be a function of
 simulation *state* (not of the raw cycle counter): a dead region cannot
 change state, so the fast path does not re-sample the condition inside one.
+
+Instance fast-forward
+---------------------
+A system that runs the same work-instance many times repeats its timing
+after a warm-up.  The fast engine proves the repeat instead of assuming it:
+at each instance boundary the system (``_System.run`` in
+:mod:`repro.arch.system`) takes :meth:`Simulator.instance_digest`, every
+component's :meth:`Component.instance_digest` plus every channel's contents
+as timing keys (:attr:`Channel.timing_key`).  When the digest equals the one
+``p`` instances earlier (``p`` of 1 or 2), the rest of the run repeats the
+last ``p`` instances: the system stops simulating, adds their cycles and
+counters arithmetically and moves the clock with :meth:`fast_forward`.  The
+output of those instances is not simulated: the vectorized reference
+executor continues from the simulated DRAM image, which is bitwise what
+simulation would give.  ``naive`` never fast-forwards; ``debug`` simulates
+every instance and raises :class:`SimulationError` if the fast-forwarded
+result differs in any field.
+
+The instance-digest contract for component authors
+--------------------------------------------------
+``instance_digest(origin)`` is called between cycles at a boundary whose
+cycle is ``origin`` and must return a hashable value that holds everything
+that decides *when* the component acts from then on, given the same inputs:
+FSM states, progress pointers, addresses (they decide bursts and open DRAM
+rows), buffer fill levels, and pending events as ``max(0, cycle - origin)``
+(only whether an event is due, and in how many cycles, matters).  Leave out
+data values (timing must not depend on them) and cumulative counters
+(the system extrapolates those).  A channel whose items carry data needs a
+``timing_key`` that keeps the rest of the item (``untimed`` for pure data).
+Anything left out makes fast-forward silently wrong, so validate a new
+component once with ``engine="debug"``.  The default ``None`` means
+"unknown" and keeps the whole system simulated, as the conservative
+:meth:`Component.next_activity` default keeps it ticked.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.sim.channel import Channel, Wire
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 #: Recognised scheduler implementations.
 ENGINE_MODES = ("fast", "naive", "debug")
@@ -127,9 +162,10 @@ class Component:
     """Base class for clocked hardware blocks.
 
     Subclasses implement :meth:`tick` (mandatory) and may override
-    :meth:`reset` (call ``super().reset()``), :meth:`finished`, and the
-    idle-horizon hooks :meth:`next_activity` / :meth:`skip` (see the module
-    docstring for the contract).
+    :meth:`reset` (call ``super().reset()``), :meth:`finished`, the
+    idle-horizon hooks :meth:`next_activity` / :meth:`skip` and the
+    fast-forward hook :meth:`instance_digest` (see the module docstring for
+    the contracts).
     """
 
     def __init__(self, sim: "Simulator", name: str) -> None:
@@ -138,9 +174,18 @@ class Component:
         sim.register_component(self)
 
     # ------------------------------------------------------------------ #
-    def channel(self, suffix: str, capacity: int = 2) -> Channel:
-        """Create a channel owned by (named after) this component."""
-        return self.sim.create_channel(f"{self.name}.{suffix}", capacity)
+    def channel(
+        self,
+        suffix: str,
+        capacity: int = 2,
+        timing_key: Optional[Callable[[Any], Hashable]] = None,
+    ) -> Channel:
+        """Create a channel owned by (named after) this component.
+
+        ``timing_key`` maps an item to its timing-relevant part for
+        :meth:`Simulator.instance_digest` (see :attr:`Channel.timing_key`).
+        """
+        return self.sim.create_channel(f"{self.name}.{suffix}", capacity, timing_key)
 
     def wire(self, suffix: str, initial=0) -> Wire:
         """Create a wire owned by this component."""
@@ -189,6 +234,22 @@ class Component:
         """
         return None
 
+    # ------------------------------------------------------------------ #
+    # instance fast-forward protocol
+    # ------------------------------------------------------------------ #
+    def instance_digest(self, origin: int) -> Optional[Hashable]:
+        """Timing state at a work-instance boundary (instance fast-forward).
+
+        Return everything that can affect *when* the component acts from
+        now on — FSM states, progress pointers, addresses, buffer
+        occupancy — with absolute cycles made relative to ``origin`` (the
+        boundary's cycle), and without data values or cumulative counters.
+        Two equal digests promise identical timing from both boundaries
+        onwards.  The default ``None`` means "unknown": a system with such a
+        component is never fast-forwarded.
+        """
+        return None
+
     @property
     def cycle(self) -> int:
         """The current cycle number."""
@@ -218,6 +279,7 @@ class Simulator:
         self.cycles_skipped = 0
         self.skip_regions = 0
         self.component_ticks = 0
+        self.cycles_fast_forwarded = 0
         # True when the last executed cycle committed no channel or wire: the
         # trigger for evaluating idle horizons.
         self._quiet = False
@@ -229,11 +291,18 @@ class Simulator:
         """Add a component to the tick list (called by Component.__init__)."""
         self._components.append(component)
 
-    def create_channel(self, name: str, capacity: int = 2) -> Channel:
+    def create_channel(
+        self,
+        name: str,
+        capacity: int = 2,
+        timing_key: Optional[Callable[[Any], Hashable]] = None,
+    ) -> Channel:
         """Create and register a channel."""
         if name in self._channels:
             raise SimulationError(f"duplicate channel name {name!r}")
-        ch = Channel(name, capacity, on_dirty=self._dirty_channels.append)
+        ch = Channel(
+            name, capacity, on_dirty=self._dirty_channels.append, timing_key=timing_key
+        )
         self._channels[name] = ch
         return ch
 
@@ -265,6 +334,7 @@ class Simulator:
         self.cycles_skipped = 0
         self.skip_regions = 0
         self.component_ticks = 0
+        self.cycles_fast_forwarded = 0
         self._quiet = False
         self._dirty_channels.clear()
         self._dirty_wires.clear()
@@ -296,6 +366,11 @@ class Simulator:
         (never past ``limit``).  State only changes across executed cycles,
         so the condition is never sampled inside a region.
         """
+        if self.cycles_fast_forwarded:
+            raise SimulationError(
+                f"simulation '{self.name}' was fast-forwarded: its components "
+                "no longer match the clock and cannot run on"
+            )
         components = self._components
         ticks = [comp.tick for comp in components]
         dirty_channels = self._dirty_channels
@@ -385,6 +460,48 @@ class Simulator:
                 )
 
     # ------------------------------------------------------------------ #
+    # instance fast-forward machinery
+    # ------------------------------------------------------------------ #
+    def instance_digest(self) -> Optional[Tuple]:
+        """Timing state of the whole system, taken between cycles.
+
+        Every component's :meth:`Component.instance_digest` relative to the
+        current cycle, plus every channel's committed contents as their
+        timing keys and every wire's value; ``None`` as soon as one
+        component has no digest.
+        """
+        origin = self.cycle
+        parts: List[Hashable] = []
+        for comp in self._components:
+            digest = comp.instance_digest(origin)
+            if digest is None:
+                return None
+            parts.append(digest)
+        parts.extend(ch.timing_digest() for ch in self._channels.values())
+        parts.extend(w.get() for w in self._wires.values())
+        return tuple(parts)
+
+    def fast_forward(self, cycles: int, max_cycles: int) -> None:
+        """Move the clock over ``cycles`` cycles whose effect the caller
+        accounts for itself (repeated work-instances).
+
+        Nothing ticks and no component state moves, so the simulation cannot
+        run on afterwards.  Raises like :meth:`run_until` would had those
+        cycles run past the ``max_cycles`` budget.
+        """
+        check_non_negative("cycles", cycles)
+        if self.cycle + cycles > max_cycles:
+            raise self._budget_exceeded(max_cycles)
+        self.cycle += cycles
+        self.cycles_fast_forwarded += cycles
+
+    def _budget_exceeded(self, max_cycles: int) -> SimulationError:
+        return SimulationError(
+            f"simulation '{self.name}' exceeded {max_cycles} cycles "
+            "without meeting its termination condition"
+        )
+
+    # ------------------------------------------------------------------ #
     def run_until(
         self,
         condition: Callable[[], bool],
@@ -417,10 +534,7 @@ class Simulator:
                 self._run(None, min(self.cycle + check_every, max_cycles), False)
                 met = condition()
         if not met:
-            raise SimulationError(
-                f"simulation '{self.name}' exceeded {max_cycles} cycles "
-                "without meeting its termination condition"
-            )
+            raise self._budget_exceeded(max_cycles)
         return self.cycle
 
     def run_until_idle(self, max_cycles: int = 10_000_000, settle: int = 4) -> int:
@@ -472,8 +586,11 @@ class Simulator:
 
         ``ticks_executed`` counts cycles that were actually executed,
         ``cycles_skipped`` counts cycles batch-advanced over dead regions
-        (in ``skip_regions`` batches), ``component_ticks`` counts individual
-        ``tick()`` calls, and ``skip_ratio`` is the fraction of simulated
+        (in ``skip_regions`` batches), ``cycles_fast_forwarded`` counts
+        cycles of repeated work-instances that were added arithmetically
+        (:meth:`fast_forward`), so the three sum to ``cycles``;
+        ``component_ticks`` counts individual ``tick()`` calls, and
+        ``skip_ratio`` is the fraction of the simulated (not fast-forwarded)
         time that was skipped.  Under the naive engine the ratio is 0 by
         construction.
         """
@@ -486,6 +603,7 @@ class Simulator:
             "skip_regions": self.skip_regions,
             "skip_ratio": self.cycles_skipped / total if total else 0.0,
             "component_ticks": self.component_ticks,
+            "cycles_fast_forwarded": self.cycles_fast_forwarded,
         }
 
     def channel_stats(self) -> Dict[str, Dict[str, int]]:

@@ -20,6 +20,7 @@ from repro.memory.dram import DRAMTiming
 from repro.pipeline import StencilProblem, compile
 from repro.reference.stencil_exec import make_test_grid
 from repro.sim.engine import set_default_engine
+from repro.sim.trace import TraceLog
 
 #: A latency-heavy timing where the fast engine actually skips most cycles.
 LATENCY_TIMING = DRAMTiming(random_access_cycles=8, read_latency=120)
@@ -39,16 +40,14 @@ def assert_identical(system_cls, problem, iterations=3, timing=None, **kwargs):
     sys_n, res_n = run_system(system_cls, problem, "naive", iterations, timing, **kwargs)
     sys_f, res_f = run_system(system_cls, problem, "fast", iterations, timing, **kwargs)
 
-    assert res_f.cycles == res_n.cycles
-    assert res_f.instance_cycles == res_n.instance_cycles
-    assert res_f.dram_words_read == res_n.dram_words_read
-    assert res_f.dram_words_written == res_n.dram_words_written
-    assert res_f.dram_bytes == res_n.dram_bytes
-    assert res_f.operations == res_n.operations
-    assert res_f.extra == res_n.extra
-    assert np.array_equal(res_f.output, res_n.output)
+    assert_same_result(res_f, res_n)
+    # The statistics below live in the hardware, which a fast-forwarded run
+    # leaves at the boundary it stopped simulating: compare them on runs that
+    # simulate every instance (too few instances to repeat, or a trace).
+    assert res_f.engine_stats["cycles_fast_forwarded"] == 0
     # stall statistics, per channel, to the cycle
     assert sys_f.sim.channel_stats() == sys_n.sim.channel_stats()
+
     # interval-union busy accounting must agree with per-tick naive counting
     assert sys_f.dram.busy_cycles == sys_n.dram.busy_cycles
     # FSM occupancies (per-cycle accounting batched by skip())
@@ -59,11 +58,25 @@ def assert_identical(system_cls, problem, iterations=3, timing=None, **kwargs):
         ):
             assert fsm_f.occupancy() == fsm_n.occupancy()
             assert fsm_f.history == fsm_n.history
-    # the fast run must declare what it skipped
-    total = res_f.engine_stats["ticks_executed"] + res_f.engine_stats["cycles_skipped"]
+    return res_f
+
+
+def assert_same_result(res_f, res_n):
+    """Every ``SimulationResult`` field but ``engine_stats`` equal, exactly."""
+    assert res_f.cycles == res_n.cycles
+    assert res_f.instance_cycles == res_n.instance_cycles
+    assert res_f.dram_words_read == res_n.dram_words_read
+    assert res_f.dram_words_written == res_n.dram_words_written
+    assert res_f.dram_bytes == res_n.dram_bytes
+    assert res_f.operations == res_n.operations
+    assert res_f.extra == res_n.extra
+    assert np.array_equal(res_f.output, res_n.output)
+    # the fast run must declare what it skipped and fast-forwarded
+    stats = res_f.engine_stats
+    total = stats["ticks_executed"] + stats["cycles_skipped"] + stats["cycles_fast_forwarded"]
     assert total == res_f.cycles
     assert res_n.engine_stats["cycles_skipped"] == 0
-    return res_f
+    assert res_n.engine_stats["cycles_fast_forwarded"] == 0
 
 
 class TestSmacheParity:
@@ -110,10 +123,20 @@ class TestSmacheParity:
         )
 
     def test_latency_bound_long_run(self):
+        # An enabled trace keeps every instance simulated, so the skip path
+        # is compared over all eight.
         assert_identical(
             SmacheSystem, StencilProblem.paper_example(11, 11),
-            iterations=8, timing=LATENCY_TIMING,
+            iterations=8, timing=LATENCY_TIMING, trace=TraceLog(),
         )
+
+    def test_latency_bound_long_run_fast_forwards(self):
+        problem = StencilProblem.paper_example(11, 11)
+        _, res_n = run_system(SmacheSystem, problem, "naive", 8, LATENCY_TIMING)
+        _, res_f = run_system(SmacheSystem, problem, "fast", 8, LATENCY_TIMING)
+        assert_same_result(res_f, res_n)
+        assert res_f.engine_stats["cycles_fast_forwarded"] > 0
+        assert res_f.engine_stats["instances_simulated"] < 8
 
 
 class TestBaselineParity:

@@ -101,6 +101,26 @@ class TestFunctionalEquivalence:
         )
         check_equivalence(problem, SumKernel(), iterations=2)
 
+    def test_constant_operands_enter_the_kernel_in_access_order(self, averaging_kernel):
+        # The averaging kernel's float sum depends on operand order: a
+        # constant operand read before the grid ones must reach the kernel
+        # first in both systems, as in the reference, or the bits differ.
+        problem = StencilProblem(
+            grid=GridSpec(shape=(3, 2)),
+            stencil=StencilShape.moore(2),
+            boundary=BoundarySpec.per_dimension(
+                [BoundaryKind.OPEN, BoundaryKind.CONSTANT], constant_value=1.5
+            ),
+        )
+        grid_in = make_test_grid(problem.grid, kind="random")
+        design = compile(problem)
+        reference = reference_run(
+            grid_in, problem.grid, problem.stencil, problem.boundary, averaging_kernel, 4
+        )
+        for run in (run_smache, run_baseline):
+            output = run(design, grid_in, iterations=4, kernel=averaging_kernel).output
+            assert output.tobytes() == reference.tobytes()
+
     def test_asymmetric_stencil(self):
         problem = StencilProblem(
             grid=GridSpec(shape=(12, 9)),

@@ -141,10 +141,10 @@ class TestGate:
 #: The five exact scheduler counters of a traced ``sim_fig2`` run.
 FIG2_METRICS = {
     "sim.cycles": 75924.0,
-    "sim.ticks_executed": 75824.0,
-    "sim.cycles_skipped": 100.0,
-    "sim.skip_regions": 100.0,
-    "sim.component_ticks": 224763.0,
+    "sim.ticks_executed": 2298.0,
+    "sim.cycles_skipped": 3.0,
+    "sim.skip_regions": 3.0,
+    "sim.component_ticks": 6901.0,
 }
 
 
@@ -179,10 +179,11 @@ class TestGateCommand:
             main(["gate"])
 
     def test_synthetic_regression_fails(self, perfbench_result, capsys):
-        regressed = dict(FIG2_METRICS, **{"sim.ticks_executed": 70000.0})
+        # Every cycle ticked again: fast-forward lost.
+        regressed = dict(FIG2_METRICS, **{"sim.ticks_executed": 75824.0})
         assert main(["gate", perfbench_result("sim_fig2", regressed)]) == 1
         out = capsys.readouterr().out
-        assert "low" in out and "gate: FAIL" in out
+        assert "high" in out and "gate: FAIL" in out
 
     def test_strict_flags_missing_metrics(self, perfbench_result):
         dropped = {k: v for k, v in COLD_METRICS.items() if k != "compile.calls"}

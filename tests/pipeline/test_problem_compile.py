@@ -1,6 +1,7 @@
 """Tests for repro.pipeline: StencilProblem, compile() and the plan cache."""
 
 import importlib
+import pickle
 import re
 import sys
 import threading
@@ -157,6 +158,17 @@ class TestCompile:
         assert first.synthesis == compile(wide, cache=None).synthesis
         assert second.synthesis == compile(bounded, cache=None).synthesis
         assert second.synthesis.design == "smache-bounded-h"
+
+    def test_access_table_is_built_once_per_design_and_not_pickled(self, paper_problem):
+        from repro.arch.system import BaselineSystem, SmacheSystem
+
+        design = compile(paper_problem, cache=None)
+        table = SmacheSystem(design).access_table
+        assert BaselineSystem(design).access_table is table is design.access_table
+        clone = pickle.loads(pickle.dumps(design))
+        assert "access_table" not in vars(clone)
+        assert clone == design
+        assert [p.accesses for p in clone.access_table] == [p.accesses for p in table]
 
 
 class TestPlanCache:

@@ -147,7 +147,9 @@ class TestFastParity:
         assert stats["cycles_skipped"] > 0
         assert stats["skip_regions"] > 0
         assert stats["skip_ratio"] > 0.5
-        assert stats["ticks_executed"] + stats["cycles_skipped"] == sim.cycle
+        assert stats["cycles_fast_forwarded"] == 0
+        total = stats["ticks_executed"] + stats["cycles_skipped"] + stats["cycles_fast_forwarded"]
+        assert total == sim.cycle
 
     def test_naive_engine_never_skips(self):
         sim, _, sink = build("naive")
@@ -155,6 +157,7 @@ class TestFastParity:
         stats = sim.run_stats()
         assert stats["cycles_skipped"] == 0
         assert stats["skip_ratio"] == 0.0
+        assert stats["cycles_fast_forwarded"] == 0
         assert stats["ticks_executed"] == sim.cycle
 
     def test_timeout_budget_and_stall_accounting_match_naive(self):
@@ -234,3 +237,74 @@ class TestDebugCrossCheck:
         sim, _, sink = build("debug")
         sim.run_until_idle(max_cycles=1000)
         assert [v for _, v in sink.received] == list(range(6))
+
+
+class DigestingProducer(LatencyProducer):
+    """A producer that publishes its timing state (instance fast-forward)."""
+
+    def instance_digest(self, origin):
+        if self.sent >= self.limit:
+            return ()
+        return (origin % self.period,)
+
+
+class DigestingSink(Sink):
+    def instance_digest(self, origin):
+        return ()
+
+
+class TestInstanceFastForward:
+    def build(self, engine="fast"):
+        sim = Simulator("ff", engine=engine)
+        producer = DigestingProducer(sim, limit=6, period=25)
+        sink = DigestingSink(sim, producer.out)
+        return sim, producer, sink
+
+    def test_a_component_without_a_digest_vetoes(self):
+        sim, _, _ = build("fast")  # the plain producer and sink have none
+        assert sim.instance_digest() is None
+
+    def test_digest_is_relative_and_covers_channels(self):
+        sim, _, sink = self.build()
+        sim.run_until(lambda: len(sink.received) == 1, max_cycles=1000)
+        first = sim.instance_digest()
+        sim.run_until(lambda: len(sink.received) == 2, max_cycles=1000)
+        # one period later the producer's phase and the empty channel repeat
+        assert sim.instance_digest() == first
+        assert first[-1] == ()  # the channel's committed contents
+
+    def test_channel_timing_key_leaves_data_out(self):
+        sim = Simulator("keys")
+        keyed = sim.create_channel("keyed", 2, timing_key=lambda item: item[0])
+        plain = sim.create_channel("plain", 2)
+        keyed.push((7, 1.5))
+        plain.push((7, 1.5))
+        keyed.commit()
+        plain.commit()
+        assert keyed.timing_digest() == (7,)
+        assert plain.timing_digest() == ((7, 1.5),)
+
+    def test_fast_forward_moves_the_clock_and_is_counted(self):
+        sim, _, sink = self.build()
+        sim.run_until(lambda: len(sink.received) == 2, max_cycles=1000)
+        ticked = sim.cycle
+        sim.fast_forward(100, max_cycles=1000)
+        stats = sim.run_stats()
+        assert sim.cycle == stats["cycles"] == ticked + 100
+        assert stats["cycles_fast_forwarded"] == 100
+        total = stats["ticks_executed"] + stats["cycles_skipped"] + stats["cycles_fast_forwarded"]
+        assert total == sim.cycle
+        # the components were left behind: the simulation cannot run on
+        with pytest.raises(SimulationError, match="fast-forwarded"):
+            sim.step()
+        sim.reset()
+        assert sim.run_stats()["cycles_fast_forwarded"] == 0
+        sim.step()
+
+    def test_fast_forward_past_the_budget_raises_like_run_until(self):
+        sim, _, sink = self.build()
+        sim.run_until(lambda: len(sink.received) == 1, max_cycles=1000)
+        with pytest.raises(SimulationError, match="exceeded 50 cycles"):
+            sim.fast_forward(50, max_cycles=50)
+        sim.fast_forward(50 - sim.cycle, max_cycles=50)  # landing on it is fine
+        assert sim.cycle == 50
