@@ -47,12 +47,24 @@ DEFAULT_REFERENCES: ReferenceTable = {
     # --- claims: sim (fast engine vs naive ticking; vectorized reference) ---
     "sim.smache_cycles_per_sec.speedup": (3.0, 0.0, None, "x"),
     "sim.baseline_cycles_per_sec.speedup": (2.0, 0.0, None, "x"),
+    # The speedups time idle-horizon skipping and fast-forward together;
+    # these exact counts of the 50-instance latency-bound runs pin each one
+    # (cycles and regions skipped over the three simulated instances).
+    "sim.smache_cycles_per_sec.cycles_skipped": (14050.0, 0.0, 0.0, "count"),
+    "sim.smache_cycles_per_sec.skip_regions": (59.0, 0.0, 0.0, "count"),
+    "sim.smache_cycles_per_sec.instances_simulated": (3.0, 0.0, 0.0, "count"),
+    "sim.baseline_cycles_per_sec.cycles_skipped": (50262.0, 0.0, 0.0, "count"),
+    "sim.baseline_cycles_per_sec.skip_regions": (2025.0, 0.0, 0.0, "count"),
+    "sim.baseline_cycles_per_sec.instances_simulated": (3.0, 0.0, 0.0, "count"),
     "sim.default_timing_overhead.overhead_ratio": (1.5, None, 0.0, "ratio"),
     # Figure 2 at 100 instances: each system's timing digest repeats after
     # three simulated instances (period 2: the grid copies alternate).
     "sim.figure2_fast_forward.instances_simulated_smache": (3.0, 0.0, 0.0, "count"),
     "sim.figure2_fast_forward.instances_simulated_baseline": (3.0, 0.0, 0.0, "count"),
     "sim.reference_cells_per_sec.speedup": (10.0, 0.0, None, "x"),
+    # One gather per distinct surviving-offset tuple: on the paper's
+    # boundary, the interior columns, the first column and the last.
+    "sim.reference_cells_per_sec.gather_groups": (3.0, 0.0, 0.0, "count"),
     # --- claims: pipeline (analytic backend, DSE sweep, process pool) ---
     "pipeline.analytic_backend.analytic_speedup": (20.0, 0.0, None, "x"),
     "pipeline.analytic_sweep_vs_full_simulation.sweep_speedup": (1.0, 0.0, None, "x"),

@@ -10,19 +10,22 @@ Vectorized execution
 --------------------
 Boundary resolution is a pure function of ``(grid, stencil, boundary)`` —
 the hardware pre-resolves it once per system for the same reason — so the
-executor builds a :class:`GatherPlan` once per triple (LRU-cached across
-steps and iterations): grid positions are grouped by their *resolution
-signature* (which stencil offsets exist, wrap, or resolve to a constant),
-and every group carries a precomputed gather-index matrix.  One step is then
-a handful of NumPy gathers plus one :meth:`StencilKernel.apply_batch` call
-per group, instead of ``grid.size`` Python-level resolutions.
+executor builds a :class:`GatherPlan` once per triple (LRU-cached).  It
+groups grid positions by the one thing :meth:`StencilKernel.apply_batch`
+depends on, the tuple of *surviving offsets* (those no open boundary skips),
+and gives each group an ``(m, k)`` matrix of absolute indices into a *source
+buffer*: the flat grid, then one slot per distinct constant-boundary value.
+A wrapped access indexes its target cell and a constant one its slot, so a
+step is one NumPy gather plus one ``apply_batch`` call per group — one group
+on a fully periodic grid, three on the paper's 11x11 case — instead of
+``grid.size`` Python-level resolutions.
 
 The vectorized path is **bit-identical** to the scalar one (enforced by
 ``tests/reference``): kernels fold operand columns left-to-right, matching
-the sequential reduction order of their scalar ``apply``, and the interior
-of a grid collapses into a single group so the common case is one fused
-gather.  :func:`reference_step_scalar` keeps the original per-cell loop as
-the independent cross-check.
+the sequential reduction order of their scalar ``apply``, and constant slots
+are keyed by bit pattern, so ``-0.0`` and ``0.0`` stay distinct.
+:func:`reference_step_scalar` keeps the original per-cell loop as the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -44,16 +47,14 @@ from repro.reference.kernels import StencilKernel
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class GatherGroup:
-    """All grid positions sharing one boundary-resolution signature."""
+    """All grid positions sharing one tuple of surviving offsets."""
 
     #: Linear indices of the member positions, ascending.
     rows: np.ndarray
     #: The common offsets of the surviving accesses, in resolution order.
     offsets: Tuple[Tuple[int, ...], ...]
-    #: ``(m, k)`` gather indices into the flat grid; constant columns hold 0.
+    #: ``(m, k)`` gather indices into the source buffer (grid, then slots).
     index: np.ndarray
-    #: Columns that are constant-boundary substitutions, with their values.
-    constant_columns: Tuple[Tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -61,78 +62,74 @@ class GatherPlan:
     """Precomputed vectorized execution plan for one (grid, stencil, boundary)."""
 
     size: int
+    #: Constant-boundary values: slot ``i`` is ``size + i`` in a source buffer.
+    constants: Tuple[float, ...]
     groups: Tuple[GatherGroup, ...]
 
-    def execute(self, flat: np.ndarray, kernel: StencilKernel, out: np.ndarray) -> None:
-        """Apply ``kernel`` over every position, writing into flat ``out``."""
+    def execute(self, source: np.ndarray, kernel: StencilKernel, out: np.ndarray) -> None:
+        """Apply ``kernel`` over every position of ``source``, writing ``out[:size]``."""
         for group in self.groups:
-            values = flat[group.index]
-            for column, constant in group.constant_columns:
-                values[:, column] = constant
-            out[group.rows] = kernel.apply_batch(group.offsets, values)
+            out[group.rows] = kernel.apply_batch(group.offsets, source[group.index])
 
 
 def build_gather_plan(
     grid: GridSpec, stencil: StencilShape, boundary: BoundarySpec
 ) -> GatherPlan:
-    """Resolve every position once and group by resolution signature."""
-    buckets: Dict[Tuple, Dict[str, list]] = {}
-    order: List[Tuple] = []
+    """Resolve every position once and group by surviving offsets."""
+    slots: Dict[bytes, int] = {}
+    constants: List[float] = []
+    buckets: Dict[Tuple, Tuple[List[int], List[List[int]]]] = {}
     for linear in range(grid.size):
         centre = grid.coord(linear)
-        signature: List[Tuple] = []
-        indices: List[int] = []
         offsets: List[Tuple[int, ...]] = []
-        constants: List[Tuple[int, float]] = []
+        indices: List[int] = []
         for point in boundary.resolve_stencil(grid, centre, stencil):
             if point.kind is ResolutionKind.SKIPPED:
                 continue
             if point.kind is ResolutionKind.CONSTANT:
                 value = float(point.constant_value)
-                constants.append((len(indices), value))
-                signature.append((point.offset, "c", value))
-                indices.append(0)  # placeholder; overwritten by the constant
+                # keyed by bit pattern: as floats, -0.0 == 0.0 and nan != nan
+                key = np.float64(value).tobytes()
+                if key not in slots:
+                    slots[key] = len(constants)
+                    constants.append(value)
+                indices.append(grid.size + slots[key])
             else:
-                # The *relative* displacement, not the absolute target, keys
-                # the signature: every interior point shares one group.
-                signature.append((point.offset, "g", point.linear_index - linear))
                 indices.append(point.linear_index)
             offsets.append(point.offset)
-        key = tuple(signature)
-        bucket = buckets.get(key)
-        if bucket is None:
-            # constants and offsets are part of the signature, so they are
-            # identical for every member row and recorded once per group
-            bucket = {"offsets": offsets, "constants": constants, "rows": [], "index": []}
-            buckets[key] = bucket
-            order.append(key)
-        bucket["rows"].append(linear)
-        bucket["index"].append(indices)
-    groups = []
-    for key in order:
-        bucket = buckets[key]
-        rows = bucket["rows"]
-        groups.append(
-            GatherGroup(
-                rows=np.asarray(rows, dtype=np.intp),
-                offsets=tuple(bucket["offsets"]),
-                index=np.asarray(bucket["index"], dtype=np.intp).reshape(
-                    len(rows), len(bucket["offsets"])
-                ),
-                constant_columns=tuple(bucket["constants"]),
-            )
+        rows, index = buckets.setdefault(tuple(offsets), ([], []))
+        rows.append(linear)
+        index.append(indices)
+    groups = tuple(
+        GatherGroup(
+            rows=np.asarray(rows, dtype=np.intp),
+            offsets=offsets,
+            index=np.asarray(index, dtype=np.intp).reshape(len(rows), len(offsets)),
         )
-    return GatherPlan(size=grid.size, groups=tuple(groups))
+        for offsets, (rows, index) in buckets.items()
+    )
+    return GatherPlan(size=grid.size, constants=tuple(constants), groups=groups)
 
 
-#: The memoized gather plan for a (grid, stencil, boundary) triple — the
-#: three specs are frozen dataclasses, so they key an LRU directly.
-gather_plan = lru_cache(maxsize=64)(build_gather_plan)
+@lru_cache(maxsize=64)
+def _cached_plan(
+    grid: GridSpec, stencil: StencilShape, boundary: BoundarySpec, constant: bytes
+) -> GatherPlan:
+    return build_gather_plan(grid, stencil, boundary)
+
+
+def gather_plan(grid: GridSpec, stencil: StencilShape, boundary: BoundarySpec) -> GatherPlan:
+    """The memoized plan, keyed by the frozen specs and the constant's bits.
+
+    Specs that differ only in a ``0.0`` or ``-0.0`` constant compare equal.
+    """
+    constant = np.float64(boundary.constant_value).tobytes()
+    return _cached_plan(grid, stencil, boundary, constant)
 
 
 def clear_gather_plan_cache() -> None:
     """Drop every cached gather plan (benchmarks measuring cold builds)."""
-    gather_plan.cache_clear()
+    _cached_plan.cache_clear()
 
 
 # --------------------------------------------------------------------------- #
@@ -159,11 +156,7 @@ def reference_step(
     gather-plan path; :func:`reference_step_scalar` is the per-cell original,
     bit-identical by construction.
     """
-    array = _check_input(array, grid)
-    flat = array.reshape(-1)
-    out = np.empty_like(flat)
-    gather_plan(grid, stencil, boundary).execute(flat, kernel, out)
-    return out.reshape(grid.shape)
+    return reference_run(array, grid, stencil, boundary, kernel, iterations=1)
 
 
 def reference_step_scalar(
@@ -203,24 +196,26 @@ def reference_run(
     kernel: StencilKernel,
     iterations: int = 1,
 ) -> np.ndarray:
-    """Apply ``iterations`` work-instances (ping-pong between two arrays).
+    """Apply ``iterations`` work-instances (ping-pong between two buffers).
 
     The gather plan is built (or fetched from the cache) once and reused for
     every iteration — index construction happens once per
-    (grid, stencil, boundary), not once per step.
+    (grid, stencil, boundary), not once per step.  Both source buffers hold
+    the plan's constant slots after the grid, so a step writes only the grid
+    part of the other; the result is a fresh grid-shaped array.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    current = _check_input(array, grid).copy()
+    current = _check_input(array, grid)
     if iterations == 0:
-        return current
+        return current.copy()
     plan = gather_plan(grid, stencil, boundary)
-    flat = current.reshape(-1)
-    out = np.empty_like(flat)
+    source = np.concatenate((current.reshape(-1), plan.constants))
+    out = source.copy()
     for _ in range(iterations):
-        plan.execute(flat, kernel, out)
-        flat, out = out, flat
-    return flat.reshape(grid.shape)
+        plan.execute(source, kernel, out)
+        source, out = out, source
+    return source[: plan.size].reshape(grid.shape).copy()
 
 
 def make_test_grid(grid: GridSpec, seed: Optional[int] = 0, kind: str = "ramp") -> np.ndarray:

@@ -5,7 +5,6 @@ The paper validates on a 2D grid, but nothing in the Smache model is
 simulation) on 1D and 3D problems and validate against the NumPy reference.
 """
 
-import numpy as np
 import pytest
 
 from repro.arch.system import run_smache
@@ -15,6 +14,7 @@ from repro.core.stencil import StencilShape
 from repro.pipeline import StencilProblem, compile
 from repro.reference.kernels import AveragingKernel, WeightedKernel
 from repro.reference.stencil_exec import make_test_grid, reference_run
+from tests.arch.conftest import assert_bitwise_equal
 
 
 class Test1D:
@@ -36,7 +36,7 @@ class Test1D:
         grid_in = make_test_grid(problem.grid, kind="random")
         ref = reference_run(grid_in, problem.grid, problem.stencil, problem.boundary, kernel, 4)
         sim = run_smache(compile(problem), grid_in, iterations=4, kernel=kernel)
-        np.testing.assert_allclose(sim.output, ref, rtol=1e-12)
+        assert_bitwise_equal(sim.output, ref)
 
     def test_long_reach_1d_filter(self):
         stencil = StencilShape.from_offsets([(-8,), (-1,), (0,), (1,), (8,)], name="long")
@@ -49,7 +49,7 @@ class Test1D:
         grid_in = make_test_grid(problem.grid, kind="ramp")
         ref = reference_run(grid_in, problem.grid, problem.stencil, problem.boundary, kernel, 2)
         sim = run_smache(compile(problem), grid_in, iterations=2, kernel=kernel)
-        np.testing.assert_allclose(sim.output, ref, rtol=1e-12)
+        assert_bitwise_equal(sim.output, ref)
 
 
 class Test3D:
@@ -70,7 +70,7 @@ class Test3D:
         grid_in = make_test_grid(problem.grid, kind="random")
         ref = reference_run(grid_in, problem.grid, problem.stencil, problem.boundary, kernel, 2)
         sim = run_smache(compile(problem), grid_in, iterations=2, kernel=kernel)
-        np.testing.assert_allclose(sim.output, ref, rtol=1e-12)
+        assert_bitwise_equal(sim.output, ref)
 
     def test_3d_weighted_diffusion_open_box(self):
         weights = {
@@ -88,7 +88,7 @@ class Test3D:
         grid_in = make_test_grid(problem.grid, kind="impulse")
         ref = reference_run(grid_in, problem.grid, problem.stencil, problem.boundary, kernel, 3)
         sim = run_smache(compile(problem), grid_in, iterations=3, kernel=kernel)
-        np.testing.assert_allclose(sim.output, ref, rtol=1e-12)
+        assert_bitwise_equal(sim.output, ref)
 
     def test_3d_cost_model_scales_with_plane_size(self):
         small = StencilProblem(

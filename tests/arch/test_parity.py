@@ -21,6 +21,7 @@ from repro.pipeline import StencilProblem, compile
 from repro.reference.stencil_exec import make_test_grid
 from repro.sim.engine import set_default_engine
 from repro.sim.trace import TraceLog
+from tests.arch.conftest import assert_bitwise_equal
 
 #: A latency-heavy timing where the fast engine actually skips most cycles.
 LATENCY_TIMING = DRAMTiming(random_access_cycles=8, read_latency=120)
@@ -226,7 +227,7 @@ class TestReferenceBackendParity:
         problem = StencilProblem.paper_example(9, 9)
         sim = evaluate(problem, backend="simulate", iterations=3)
         ref = evaluate(problem, backend="reference", iterations=3)
-        np.testing.assert_allclose(sim.output, ref.output, rtol=1e-12, atol=1e-12)
+        assert_bitwise_equal(sim.output, ref.output)
 
 
 class TestGridSpecHelpers:

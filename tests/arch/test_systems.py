@@ -21,6 +21,7 @@ from repro.memory.dram import DRAMTiming
 from repro.pipeline import StencilProblem, compile, evaluate
 from repro.reference.kernels import AveragingKernel, MaxKernel, SumKernel, WeightedKernel
 from repro.reference.stencil_exec import make_test_grid, reference_run
+from tests.arch.conftest import assert_bitwise_equal
 
 
 def check_equivalence(problem, kernel, iterations=2, kind="random"):
@@ -32,8 +33,8 @@ def check_equivalence(problem, kernel, iterations=2, kind="random"):
     design = compile(problem)
     smache = run_smache(design, grid_in, iterations=iterations, kernel=kernel)
     baseline = run_baseline(design, grid_in, iterations=iterations, kernel=kernel)
-    np.testing.assert_allclose(smache.output, reference, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(baseline.output, reference, rtol=1e-12, atol=1e-12)
+    assert_bitwise_equal(smache.output, reference)
+    assert_bitwise_equal(baseline.output, reference)
     return smache, baseline
 
 
@@ -54,8 +55,8 @@ def check_design_kernel(problem, grid_in, iterations=2):
     design = compile(problem)
     smache = run_smache(design, grid_in, iterations=iterations)
     baseline = run_baseline(design, grid_in, iterations=iterations)
-    assert np.array_equal(smache.output, reference)
-    assert np.array_equal(baseline.output, reference)
+    assert_bitwise_equal(smache.output, reference)
+    assert_bitwise_equal(baseline.output, reference)
 
 
 class TestFunctionalEquivalence:
@@ -119,7 +120,7 @@ class TestFunctionalEquivalence:
         )
         for run in (run_smache, run_baseline):
             output = run(design, grid_in, iterations=4, kernel=averaging_kernel).output
-            assert output.tobytes() == reference.tobytes()
+            assert_bitwise_equal(output, reference)
 
     def test_asymmetric_stencil(self):
         problem = StencilProblem(
@@ -150,7 +151,7 @@ class TestFunctionalEquivalence:
     def test_zero_iterations_returns_input(self, small_problem, small_design, averaging_kernel):
         grid_in = make_test_grid(small_problem.grid, kind="ramp")
         result = run_smache(small_design, grid_in, iterations=0, kernel=averaging_kernel)
-        np.testing.assert_allclose(result.output, grid_in)
+        assert_bitwise_equal(result.output, grid_in)
 
     @given(
         rows=st.integers(4, 9),
@@ -320,9 +321,7 @@ class TestArchitecturalInvariants:
         flat = result.output.ravel()
         for static in system.front_end.statics:
             bank = static.read_bank_snapshot()
-            np.testing.assert_allclose(
-                bank, flat[static.spec.start : static.spec.end], rtol=1e-12
-            )
+            assert_bitwise_equal(bank, flat[static.spec.start : static.spec.end])
 
     def test_operand_outside_window_and_statics_is_an_error(self, paper_problem, paper_design):
         # A plan without its static buffers leaves the boundary rows' far
@@ -367,8 +366,8 @@ class TestWriteThroughAblationBehaviour:
         )
         without_wt.load_input(grid_in)
         r_without = without_wt.run()
-        np.testing.assert_allclose(r_with.output, reference, rtol=1e-12)
-        np.testing.assert_allclose(r_without.output, reference, rtol=1e-12)
+        assert_bitwise_equal(r_with.output, reference)
+        assert_bitwise_equal(r_without.output, reference)
         assert r_without.dram_words_read > r_with.dram_words_read
         assert r_without.cycles >= r_with.cycles
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.boundary import BoundaryKind, BoundarySpec
+from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour, ResolutionKind
 from repro.core.grid import GridSpec
 from repro.core.stencil import StencilShape
 from repro.reference.kernels import (
@@ -242,15 +242,21 @@ class TestVectorizedExecutor:
         assert np.array_equal(vec, scalar)
 
     def test_interior_collapses_into_one_group(self):
-        # The whole point of signature grouping: on a periodic grid every
-        # position resolves the same way relative to its centre.
+        # Groups are keyed by the surviving offsets alone: on a periodic grid
+        # every position keeps all four, wrapped or not, so one group holds
+        # the whole grid.
         plan = build_gather_plan(
             GridSpec(shape=(10, 10)), StencilShape.four_point_2d(),
             BoundarySpec.all_circular(2),
         )
-        assert len(plan.groups) > 1  # wrap rows/columns differ from interior
-        largest = max(len(g.rows) for g in plan.groups)
-        assert largest == 8 * 8  # the interior block
+        assert [len(g.rows) for g in plan.groups] == [100]
+        # The paper's case: circular rows keep every interior-column access,
+        # open columns drop the west (first column) or east (last) access.
+        plan = build_gather_plan(
+            GridSpec(shape=(11, 11)), StencilShape.four_point_2d(),
+            BoundarySpec.paper_2d(),
+        )
+        assert sorted(len(g.rows) for g in plan.groups) == [11, 11, 99]
 
     def test_plan_cache_returns_same_object(self):
         clear_gather_plan_cache()
@@ -272,6 +278,18 @@ class TestVectorizedExecutor:
             )
             assert vec.tobytes() == scalar.tobytes()
 
+    def test_signed_zero_constants_do_not_share_a_cached_plan(self):
+        # BoundarySpec(constant_value=-0.0) == BoundarySpec(constant_value=0.0),
+        # so the plan cache must also key the constant's bit pattern.
+        grid = GridSpec(shape=(3,))
+        stencil = StencilShape.from_offsets([(-1,), (0,)], name="west-centre")
+        data = np.full(grid.shape, -0.0)
+        for value in (0.0, -0.0):
+            boundary = BoundarySpec.per_dimension([BoundaryKind.CONSTANT], value)
+            vec = reference_step(data, grid, stencil, boundary, MaxKernel())
+            scalar = reference_step_scalar(data, grid, stencil, boundary, MaxKernel())
+            assert vec.tobytes() == scalar.tobytes()
+
     def test_all_skipped_positions_produce_kernel_empty_value(self):
         # A stencil reaching entirely outside an open-boundary grid: every
         # access is skipped, so the kernel's empty-tuple value applies.
@@ -283,6 +301,54 @@ class TestVectorizedExecutor:
         scalar = reference_step_scalar(data, grid, stencil, boundary, AveragingKernel())
         assert np.array_equal(vec, scalar)
         assert np.all(vec == 0.0)
+
+
+@st.composite
+def stencil_problems(draw):
+    """A 1-D to 3-D grid, a stencil on it and any boundary kind per side."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    ndim = len(shape)
+    offset = st.tuples(*[st.integers(-3, 3)] * ndim)
+    offsets = draw(st.lists(offset, min_size=1, max_size=6, unique=True))
+    kind = st.sampled_from(list(BoundaryKind))
+    edges = [EdgeBehaviour(low=draw(kind), high=draw(kind)) for _ in shape]
+    boundary = BoundarySpec(
+        edges=tuple(edges), constant_value=draw(st.sampled_from([0.0, -0.0, 2.5]))
+    )
+    return GridSpec(shape=shape), StencilShape.from_offsets(offsets), boundary
+
+
+class TestGeneratedProblems:
+    """Every grid, stencil, boundary and kernel: the plan path is bitwise exact."""
+
+    @given(
+        problem=stencil_problems(),
+        kernel=st.sampled_from(KERNEL_CASES),
+        iterations=st.integers(0, 6),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_run_matches_scalar_steps_bitwise(self, problem, kernel, iterations, seed):
+        grid, stencil, boundary = problem
+        data = make_test_grid(grid, seed=seed, kind="random")
+        # signed zeros in the grid meet the signed-zero constants
+        data[np.random.default_rng(seed).random(grid.shape) < 0.3] = -0.0
+        vec = reference_run(data, grid, stencil, boundary, kernel, iterations=iterations)
+        scalar = data
+        for _ in range(iterations):
+            scalar = reference_step_scalar(scalar, grid, stencil, boundary, kernel)
+        assert vec.shape == scalar.shape and vec.dtype == scalar.dtype
+        assert vec.tobytes() == scalar.tobytes()
+
+        surviving = {
+            tuple(
+                point.offset
+                for point in boundary.resolve_stencil(grid, grid.coord(linear), stencil)
+                if point.kind is not ResolutionKind.SKIPPED
+            )
+            for linear in range(grid.size)
+        }
+        assert len(build_gather_plan(grid, stencil, boundary).groups) == len(surviving)
 
 
 class TestMakeTestGrid:
